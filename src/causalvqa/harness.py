@@ -529,16 +529,9 @@ def train(
                 # do-intervened sample: complement rows swapped for bank scenes,
                 # gold unchanged, training the head itself to be invariant
                 if icfg.memory_source is MemorySource.MNSE:
-                    # early dynamic banks may hold fewer eligible scenes than
-                    # the configured neighbor pool
-                    eligible = sum(
-                        1 for e in bank.entries()
-                        if inst.video_id not in e.video_id.split("+")
-                    )
                     v_do = mnse_do(
                         video_clean, split.mask, bank, Target.COMPLEMENT,
-                        k=min(icfg.neighbor_k, eligible),
-                        seed=int(rng.integers(2**32)),
+                        k=icfg.neighbor_k, seed=int(rng.integers(2**32)),
                         exclude_video_id=inst.video_id,
                     )
                 else:

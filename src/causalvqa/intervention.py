@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn_core as nc
 from .features import VideoQAInstance
-from .mnse import MemoryBank, NeighborQuery
+from .mnse import MemoryBank
 from .pcma import PcmaModel
 
 Array = np.ndarray
@@ -293,28 +293,11 @@ def _draw_substitutes(
     exclude_video_id: str | None,
 ) -> Array:
     """One substitute scene per row, per the configured memory source."""
-    if len(bank) == 0:
-        raise ValueError("memory bank is empty")
-    out = np.empty_like(rows)
     if cfg.memory_source is MemorySource.MNSE:
-        for i in range(rows.shape[0]):
-            q = NeighborQuery(
-                vector=rows[i],
-                k=cfg.neighbor_k,
-                exclude_video_id=exclude_video_id,
-                seed=int(rng.integers(2**32)),
-            )
-            out[i] = bank.sample_neighbor_scene(q).entry.vector
-    else:
-        entries = [
-            e for e in bank.entries()
-            if exclude_video_id is None or exclude_video_id not in e.video_id.split("+")
-        ]
-        if not entries:
-            raise ValueError("no eligible bank entries after exclusion")
-        for i in range(rows.shape[0]):
-            out[i] = entries[int(rng.integers(0, len(entries)))].vector
-    return out
+        # one seed per row, in row order
+        rngs = [np.random.default_rng(int(rng.integers(2**32))) for _ in range(rows.shape[0])]
+        return bank.draw(rows, rngs, exclude_video_id, cfg.neighbor_k)
+    return bank.draw(rows, [rng] * rows.shape[0], exclude_video_id)
 
 
 def _blend(orig: Array, subs: Array, keep: Array) -> Array:

@@ -1,7 +1,10 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
 The bank stores clip-level scene vectors with provenance and answers
-top-k nearest-scene queries by exact full scan. Three refresh regimes:
+top-k nearest-scene queries by exact full scan, in the manner of a flat
+index: a column view (float64 matrix, cached row norms, parent-id and
+tie-rank columns) is built once per change, and all replaced rows of a
+video are scored in one matrix product. Three refresh regimes:
 F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
@@ -10,11 +13,9 @@ random baseline (random_do).
 
 from __future__ import annotations
 
-import json
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from pathlib import Path
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
@@ -23,8 +24,6 @@ from .features import VideoQAInstance
 from .nn_core import as_f64
 
 Array = np.ndarray
-
-BANK_SNAPSHOT_VERSION = 1
 
 
 class Metric(str, Enum):
@@ -70,12 +69,37 @@ class NeighborQuery:
             raise ValueError("k must be >= 1")
 
 
-def _entry_excluded(entry: BankEntry, exclude_video_id: str | None) -> bool:
-    if exclude_video_id is None:
-        return False
-    # mixup rows carry compound provenance "a+b"; excluding either parent
-    # excludes the blend
-    return exclude_video_id in entry.video_id.split("+")
+class _Columns(NamedTuple):
+    """Column view of the bank's entries, rebuilt once after each change."""
+
+    rows: list[BankEntry]  # the read view, in entries() order
+    matrix: Array  # [n, bank_dim] float64
+    norms: Array  # [n] row L2 norms
+    parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
+    part_ids: dict[str, int]
+    rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
+
+
+def _build_columns(rows: list[BankEntry], bank_dim: int) -> _Columns:
+    n = len(rows)
+    matrix = np.stack([e.vector for e in rows]) if rows else np.empty((0, bank_dim))
+    names = sorted({e.video_id for e in rows})
+    name_index = {v: i for i, v in enumerate(names)}
+    by_name = np.array([name_index[e.video_id] for e in rows], dtype=np.int64)
+    parts = [v.split("+") for v in names]
+    width = max(map(len, parts), default=1)
+    part_ids: dict[str, int] = {}
+    name_parents = np.array(
+        [[part_ids.setdefault(p, len(part_ids)) for p in ps] + [-1] * (width - len(ps))
+         for ps in parts],
+        dtype=np.int64,
+    ).reshape(len(names), width)
+    order = np.lexsort((np.array([e.clip_index for e in rows], dtype=np.int64), by_name))
+    rank = np.empty(n, dtype=np.int64)
+    rank[order] = np.arange(n)
+    return _Columns(
+        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank
+    )
 
 
 class MemoryBank:
@@ -99,7 +123,7 @@ class MemoryBank:
         self._base: list[BankEntry] = []
         self._batches: deque[list[BankEntry]] = deque(maxlen=window)
         self._frozen = False
-        self._matrix: Array | None = None
+        self._cols: _Columns | None = None
 
     def __len__(self) -> int:
         return len(self._base) + sum(len(b) for b in self._batches)
@@ -129,7 +153,7 @@ class MemoryBank:
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
         self._base.extend(self._coerce(scenes))
-        self._matrix = None
+        self._cols = None
         return self
 
     def freeze(self) -> "MemoryBank":
@@ -152,115 +176,102 @@ class MemoryBank:
                 raise RegimeError("mixup rows are stored only under the dynamic-mixup regime")
             batch.extend(self._coerce(mixup_scenes))
         self._batches.append(batch)
-        self._matrix = None
+        self._cols = None
         return self
 
     # -- queries -----------------------------------------------------------
 
-    def _scan(self) -> tuple[list[BankEntry], Array]:
-        entries = self.entries()
-        if self._matrix is None or self._matrix.shape[0] != len(entries):
-            self._matrix = (
-                np.stack([e.vector for e in entries])
-                if entries
-                else np.empty((0, self.bank_dim))
+    def _columns(self) -> _Columns:
+        if self._cols is None:
+            self._cols = _build_columns(self.entries(), self.bank_dim)
+        return self._cols
+
+    def eligible(self, exclude_video_id: str | None) -> Array:
+        """Indices of the entries a query excluding this video may return.
+
+        Mixup rows carry compound provenance "a+b"; excluding either parent
+        excludes the blend.
+        """
+        cols = self._columns()
+        code = None if exclude_video_id is None else cols.part_ids.get(exclude_video_id)
+        if code is None:
+            return np.arange(len(cols.rows))
+        return np.flatnonzero((cols.parents != code).all(axis=1))
+
+    def _ranked(self, queries: Array, k: int, pool: Array) -> tuple[Array, Array]:
+        """Exact top-k of the pool for every query row, best first, ties
+        broken by (video_id, clip_index). Returns bank indices and scores,
+        both [n_queries, k].
+
+        One scan scores all rows; each row then keeps the candidates at or
+        inside its k-th key and orders only those.
+        """
+        cols = self._columns()
+        if self.metric is Metric.COSINE:
+            raw = queries @ cols.matrix.T
+            denom = np.linalg.norm(queries, axis=1)[:, None] * cols.norms
+            scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)[:, pool]
+            keys = -scores
+        else:
+            members = cols.matrix[pool]
+            scores = np.stack([np.linalg.norm(members - q, axis=1) for q in queries])
+            keys = scores
+        kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
+        rank = cols.rank[pool]
+        top = np.empty((len(queries), k), dtype=np.int64)
+        for i, row in enumerate(keys):
+            cand = np.flatnonzero(row <= kth[i])
+            top[i] = cand[np.lexsort((rank[cand], row[cand]))[:k]]
+        return pool[top], np.take_along_axis(scores, top, axis=1)
+
+    def draw(
+        self,
+        queries: Array,
+        rngs: Sequence[np.random.Generator],
+        exclude_video_id: str | None = None,
+        k: int | None = None,
+    ) -> Array:
+        """One substitute scene per query row, chosen by that row's generator.
+
+        With k, uniform among the row's k nearest eligible scenes, k clamped
+        to the eligible count; without k, uniform among all eligible scenes.
+        Returns the scene vectors, [n_queries, bank_dim].
+        """
+        pool = self.eligible(exclude_video_id)
+        if not len(pool):
+            raise ValueError(
+                "memory bank is empty" if not len(self) else
+                f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
             )
-        return entries, self._matrix
+        if k is None:
+            picks = [pool[int(r.integers(0, len(pool)))] for r in rngs]
+        elif k < 1:
+            raise ValueError("k must be >= 1")
+        else:
+            top, _ = self._ranked(as_f64(queries), min(k, len(pool)), pool)
+            picks = [row[int(r.integers(0, len(row)))] for row, r in zip(top, rngs)]
+        return self._columns().matrix[picks]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric; ties broken by (video_id, clip_index)."""
-        entries, matrix = self._scan()
         qv = as_f64(q.vector)
         if qv.shape != (self.bank_dim,):
             raise ValueError(f"query vector shape {qv.shape}, expected ({self.bank_dim},)")
-        eligible = [
-            i for i, e in enumerate(entries) if not _entry_excluded(e, q.exclude_video_id)
-        ]
-        if q.k > len(eligible):
+        pool = self.eligible(q.exclude_video_id)
+        if q.k > len(pool):
             raise ValueError(
-                f"k={q.k} exceeds {len(eligible)} eligible entries "
-                f"(bank size {len(entries)}, excluded video {q.exclude_video_id!r})"
+                f"k={q.k} exceeds {len(pool)} eligible entries "
+                f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
-        if self.metric is Metric.COSINE:
-            qn = float(np.linalg.norm(qv))
-            norms = np.linalg.norm(matrix, axis=1)
-            denom = norms * qn
-            raw = matrix @ qv
-            scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)
-
-            def key(i: int):
-                return (-scores[i], entries[i].video_id, entries[i].clip_index)
-
-        else:
-            scores = np.linalg.norm(matrix - qv, axis=1)
-
-            def key(i: int):
-                return (scores[i], entries[i].video_id, entries[i].clip_index)
-
-        top = sorted(eligible, key=key)[: q.k]
-        return [ScoredNeighbor(entries[i], float(scores[i])) for i in top]
+        top, scores = self._ranked(qv[None, :], q.k, pool)
+        rows = self._columns().rows
+        return [ScoredNeighbor(rows[i], float(s)) for i, s in zip(top[0], scores[0])]
 
     def sample_neighbor_scene(self, q: NeighborQuery) -> ScoredNeighbor:
         """Uniform seeded choice among the top-k neighbors."""
         top = self.query_knn(q)
         rng = np.random.default_rng(q.seed)
         return top[int(rng.integers(0, len(top)))]
-
-    # -- snapshot I/O --------------------------------------------------------
-
-    def save(self, manifest_path: str | Path) -> None:
-        """Snapshot all current entries (window batches flattened into one list)."""
-        manifest_path = Path(manifest_path)
-        stem = manifest_path.stem
-        entries, matrix = self._scan()
-        files = {"vectors": f"{stem}.vectors.f32", "meta": f"{stem}.meta.json"}
-        manifest = {
-            "version": BANK_SNAPSHOT_VERSION,
-            "kind": "memory_bank",
-            "count": len(entries),
-            "bank_dim": self.bank_dim,
-            "metric": self.metric.value,
-            "regime": self.regime.value,
-            "frozen": self._frozen,
-            "window": self.window,
-            "files": files,
-        }
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        (manifest_path.parent / files["vectors"]).write_bytes(
-            matrix.astype("<f4").tobytes()
-        )
-        (manifest_path.parent / files["meta"]).write_text(
-            json.dumps([[e.video_id, e.clip_index] for e in entries])
-        )
-        manifest_path.write_text(json.dumps(manifest, indent=2) + "\n")
-
-    @classmethod
-    def load(cls, manifest_path: str | Path) -> "MemoryBank":
-        manifest_path = Path(manifest_path)
-        m = json.loads(manifest_path.read_text())
-        if m.get("kind") != "memory_bank" or m.get("version") != BANK_SNAPSHOT_VERSION:
-            raise ValueError("not a memory bank snapshot")
-        bank = cls(
-            bank_dim=m["bank_dim"],
-            metric=Metric(m["metric"]),
-            regime=Regime(m["regime"]),
-            window=m["window"],
-        )
-        raw = (manifest_path.parent / m["files"]["vectors"]).read_bytes()
-        expected = m["count"] * m["bank_dim"] * 4
-        if len(raw) != expected:
-            raise ValueError(f"vector payload: expected {expected} bytes, found {len(raw)}")
-        matrix = (
-            np.frombuffer(raw, dtype="<f4").reshape(m["count"], m["bank_dim"]).astype(np.float64)
-        )
-        meta = json.loads((manifest_path.parent / m["files"]["meta"]).read_text())
-        if len(meta) != m["count"]:
-            raise ValueError(f"meta lists {len(meta)} entries, manifest count {m['count']}")
-        bank._base = [
-            BankEntry(matrix[i], str(vid), int(ci)) for i, (vid, ci) in enumerate(meta)
-        ]
-        bank._frozen = bool(m["frozen"])
-        return bank
 
 
 def instance_scenes(
@@ -275,9 +286,15 @@ def instance_scenes(
     return out
 
 
-def _target_rows(causal_mask: Array, target: Target) -> Array:
+def _target_rows(
+    video: Array, causal_mask: Array, bank: MemoryBank, target: Target
+) -> tuple[Array, Array]:
+    """A float64 copy of the video and the indices of its target rows."""
+    video = as_f64(video).copy()
+    if video.shape[1] != bank.bank_dim:
+        raise ValueError(f"video rows have dim {video.shape[1]}, bank dim {bank.bank_dim}")
     mask = np.asarray(causal_mask, dtype=bool)
-    return np.flatnonzero(mask if target is Target.CAUSAL else ~mask)
+    return video, np.flatnonzero(mask if target is Target.CAUSAL else ~mask)
 
 
 def mnse_do(
@@ -291,20 +308,14 @@ def mnse_do(
 ) -> Array:
     """Replace target-partition rows with sampled nearest-neighbor scenes.
 
-    Each replaced row issues its own query (query vector = the row being
-    replaced); non-target rows are returned bit-identical.
+    Each replaced row queries with itself and draws among its own k nearest
+    scenes (k clamped to the eligible count) with its own seed; non-target
+    rows are returned bit-identical.
     """
-    video = as_f64(video).copy()
-    if video.shape[1] != bank.bank_dim:
-        raise ValueError(f"video rows have dim {video.shape[1]}, bank dim {bank.bank_dim}")
-    for idx in _target_rows(causal_mask, target):
-        q = NeighborQuery(
-            vector=video[idx],
-            k=k,
-            exclude_video_id=exclude_video_id,
-            seed=seed * 100003 + int(idx),
-        )
-        video[idx] = bank.sample_neighbor_scene(q).entry.vector
+    video, rows = _target_rows(video, causal_mask, bank, target)
+    if len(rows):
+        rngs = [np.random.default_rng(seed * 100003 + int(idx)) for idx in rows]
+        video[rows] = bank.draw(video[rows], rngs, exclude_video_id, k)
     return video
 
 
@@ -317,15 +328,8 @@ def random_do(
     exclude_video_id: str | None = None,
 ) -> Array:
     """Baseline intervention: target rows replaced by uniform bank draws."""
-    video = as_f64(video).copy()
-    if video.shape[1] != bank.bank_dim:
-        raise ValueError(f"video rows have dim {video.shape[1]}, bank dim {bank.bank_dim}")
-    entries = bank.entries()
-    eligible = [e for e in entries if not _entry_excluded(e, exclude_video_id)]
-    rows = _target_rows(causal_mask, target)
-    if len(rows) and not eligible:
-        raise ValueError("no eligible bank entries to draw from")
-    rng = np.random.default_rng(seed)
-    for idx in rows:
-        video[idx] = eligible[int(rng.integers(0, len(eligible)))].vector
+    video, rows = _target_rows(video, causal_mask, bank, target)
+    if len(rows):
+        rng = np.random.default_rng(seed)
+        video[rows] = bank.draw(video[rows], [rng] * len(rows), exclude_video_id)
     return video

@@ -371,6 +371,21 @@ class TestTrain:
                 with pytest.raises(nc.NumericsError, match=r"^step \d+:"):
                     train(cfg)
 
+    @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
+    def test_nearest_scene_pool_larger_than_dynamic_bank(self, regime):
+        # at step 0 the bank holds one batch: 56 (f2) or 104 (f3) scenes
+        # are eligible for each sample, far fewer than neighbor_k
+        cfg = replace(
+            erm_config(steps=3),
+            intervention=replace(
+                GATE_RECIPE.intervention, memory_source=MemorySource.MNSE, neighbor_k=200
+            ),
+            bank=BankConfig(regime=regime),
+        )
+        curves = train(cfg).report.curves
+        assert len(curves) == 3
+        assert all(np.isfinite(r.total_loss) and r.cl_loss > 0.0 for r in curves)
+
     def test_checkpoint_round_trip(self, tmp_path):
         result = train(erm_config(steps=6))
         out = save_checkpoint(result.model, tmp_path / "ckpt")

@@ -295,34 +295,116 @@ class TestInterventions:
         np.testing.assert_array_equal(c, d)
 
 
-class TestSnapshot:
-    def test_save_load_save_byte_identical(self, rng, tmp_path):
-        bank = random_bank(rng, n=25, dim=8)
-        bank.freeze()
-        bank.save(tmp_path / "bank.json")
-        loaded = MemoryBank.load(tmp_path / "bank.json")
-        assert loaded.frozen
-        assert len(loaded) == 25
-        loaded.save(tmp_path / "bank2.json")
-        assert (tmp_path / "bank.vectors.f32").read_bytes() == (
-            tmp_path / "bank2.vectors.f32"
-        ).read_bytes()
-        assert (tmp_path / "bank.meta.json").read_text() == (
-            tmp_path / "bank2.meta.json"
-        ).read_text()
 
-    def test_load_preserves_provenance_and_metric(self, rng, tmp_path):
-        bank = random_bank(rng, n=10, dim=8, metric=Metric.L2)
-        bank.save(tmp_path / "bank.json")
-        loaded = MemoryBank.load(tmp_path / "bank.json")
-        assert loaded.metric is Metric.L2
-        for a, b in zip(bank.entries(), loaded.entries()):
-            assert (a.video_id, a.clip_index) == (b.video_id, b.clip_index)
+def _ids(entries):
+    return [(e.video_id, e.clip_index) for e in entries]
 
-    def test_truncated_payload_rejected(self, rng, tmp_path):
-        bank = random_bank(rng, n=10, dim=8)
-        bank.save(tmp_path / "bank.json")
-        payload = tmp_path / "bank.vectors.f32"
-        payload.write_bytes(payload.read_bytes()[:-4])
-        with pytest.raises(ValueError, match="expected"):
-            MemoryBank.load(tmp_path / "bank.json")
+
+class TestBatchedTopK:
+    """The batched ranking behind MemoryBank.draw equals oracle_knn row by row."""
+
+    def _tied_bank(self, rng, metric, queries):
+        # per query: two strictly closer scenes, then six exact duplicates
+        # under shuffled (video_id, clip_index), so every k in 3..7 cuts
+        # through the tie; background rows and mixup provenance around them
+        bank = MemoryBank(bank_dim=queries.shape[1], metric=metric)
+        scenes = [(rng.normal(size=queries.shape[1]), f"v{i % 5}", i) for i in range(40)]
+        scenes += [(rng.normal(size=queries.shape[1]), pair, i)
+                   for i, pair in enumerate(["a+b", "b+c", "c+v1", "a+v2"] * 3)]
+        for j, q in enumerate(queries):
+            delta = 0.05 * rng.normal(size=q.shape)
+            scenes += [(q + 0.25 * delta, "c", 100 + j), (q + 0.5 * delta, "a", 100 + j)]
+            dup = q + delta
+            for vid, clip in [("zeta", j), ("a+b", j), ("alpha", 9 + j), ("b", j),
+                              ("alpha", 2 + j), ("c+a", j)]:
+                scenes.append((dup.copy(), vid, clip))
+        order = rng.permutation(len(scenes))
+        bank.populate([scenes[i] for i in order])
+        return bank
+
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    @pytest.mark.parametrize("exclude", [None, "a", "b", "absent"])
+    def test_topk_matches_oracle_at_tied_boundaries(self, rng, metric, exclude):
+        queries = rng.normal(size=(4, 8))
+        bank = self._tied_bank(rng, metric, queries)
+        pool = bank.eligible(exclude)
+        rows = bank.entries()
+        for k in (1, 3, 4, 5, 7, len(pool)):
+            top, scores = bank._ranked(queries, k, pool)
+            assert top.shape == scores.shape == (len(queries), k)
+            for qv, got, got_scores in zip(queries, top, scores):
+                want = oracle_knn(rows, qv, k, metric, exclude)
+                assert _ids(rows[i] for i in got) == _ids(e for e, _ in want)
+                np.testing.assert_allclose(
+                    got_scores, [s for _, s in want], rtol=1e-9, atol=1e-9
+                )
+
+    def test_draw_clamps_k_and_stays_inside_topk(self, rng):
+        queries = rng.normal(size=(3, 8))
+        bank = self._tied_bank(rng, Metric.COSINE, queries)
+        pool = bank.eligible("a")
+        top, _ = bank._ranked(queries, 5, pool)
+        allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
+        for seed in range(40):
+            rngs = [np.random.default_rng(seed * 10 + r) for r in range(len(queries))]
+            for got, ok in zip(bank.draw(queries, rngs, "a", 5), allowed):
+                assert got.tobytes() in ok
+        clamped = bank.draw(queries, [np.random.default_rng(s) for s in (1, 2, 3)], "a", 10**6)
+        full = bank.draw(queries, [np.random.default_rng(s) for s in (1, 2, 3)], "a", len(pool))
+        np.testing.assert_array_equal(clamped, full)
+
+    def test_draw_with_nothing_eligible_raises(self):
+        bank = MemoryBank(bank_dim=2)
+        bank.populate([(np.ones(2), "only", 0), (np.ones(2), "x+only", 1)])
+        for k in (None, 3):
+            with pytest.raises(ValueError, match="eligible"):
+                bank.draw(np.ones((1, 2)), [np.random.default_rng(0)], "only", k)
+
+
+class TestColumnViewRefresh:
+    """Queries and draws follow every populate and push_batch."""
+
+    @staticmethod
+    def _assert_matches_entries(bank, queries, exclude, seed):
+        entries = bank.entries()
+        for qv in queries:
+            got = bank.query_knn(NeighborQuery(vector=qv, k=3, exclude_video_id=exclude))
+            want = oracle_knn(entries, qv, 3, bank.metric, exclude)
+            assert _ids(n.entry for n in got) == _ids(e for e, _ in want)
+        nearest = bank.draw(queries, [np.random.default_rng(0)] * len(queries), exclude, 1)
+        for got, qv in zip(nearest, queries):
+            best, _ = oracle_knn(entries, qv, 1, bank.metric, exclude)[0]
+            np.testing.assert_array_equal(got, best.vector)
+        eligible = [e for e in entries if exclude not in e.video_id.split("+")]
+        oracle_rng = np.random.default_rng(seed)
+        want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
+        got = bank.draw(queries, [np.random.default_rng(seed)] * len(queries), exclude)
+        np.testing.assert_array_equal(got, np.stack(want))
+
+    def test_populate_refreshes_columns(self, rng):
+        bank = random_bank(rng, n=30, dim=6)
+        queries = rng.normal(size=(4, 6))
+        self._assert_matches_entries(bank, queries, "vid1", seed=5)
+        bank.populate([(q, f"new{i}", i) for i, q in enumerate(queries)])
+        self._assert_matches_entries(bank, queries, "vid1", seed=5)
+
+    @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
+    def test_push_batch_eviction_refreshes_columns(self, rng, regime):
+        bank = MemoryBank(bank_dim=6, regime=regime, window=2)
+        queries = rng.normal(size=(4, 6))
+
+        def batch(t, planted=None):
+            scenes = [(rng.normal(size=6), f"b{t}v{i % 3}", i) for i in range(9)]
+            if planted is not None:
+                scenes += [(q, f"b{t}q", i) for i, q in enumerate(planted)]
+            mixup = None
+            if regime is Regime.F3_DYNAMIC_MIXUP:
+                mixup = [(rng.normal(size=6), f"b{t}v0+b{t}v1", i) for i in range(4)]
+            return scenes, mixup
+
+        bank.push_batch(*batch(0, planted=queries))
+        bank.push_batch(*batch(1))
+        self._assert_matches_entries(bank, queries, "b1v0", seed=11)
+        bank.push_batch(*batch(2))  # evicts batch 0 and its planted nearest scenes
+        assert all(not e.video_id.startswith("b0") for e in bank.entries())
+        self._assert_matches_entries(bank, queries, "b1v0", seed=11)
