@@ -34,7 +34,7 @@ from .harness import (
 )
 from .mnse import MemoryBank, Metric, Regime, instance_scenes
 
-SAMPLER_KINDS = ("mar16", "mar32", "pcma80", "s3-student", "s3-rl")
+SAMPLER_KINDS = ("mar16", "mar32", "pcma80")
 
 
 def _read_config(path: str) -> dict:
@@ -174,15 +174,12 @@ def _cmd_probe(raw: dict) -> tuple[Path, dict]:
 
 
 def _output_dict(video_id: str, out: sm.SamplerOutput) -> dict:
-    entry = {
+    return {
         "video_id": video_id,
         "indices": list(out.indices),
         "provenance": list(out.provenance),
         "replacement_fallback": out.replacement_fallback,
     }
-    if out.probs is not None:
-        entry["probs"] = [float(p) for p in out.probs]
-    return entry
 
 
 def _sampler_int(params: dict, key: str, default: int) -> int:
@@ -192,13 +189,6 @@ def _sampler_int(params: dict, key: str, default: int) -> int:
     return value
 
 
-def _sampler_float(params: dict, key: str, default: float) -> float:
-    value = params.pop(key, default)
-    if not isinstance(value, (int, float)):
-        raise ConfigError([f"sampler.{key}: expected number"])
-    return float(value)
-
-
 def _reject_leftovers(params: dict) -> None:
     if params:
         raise ConfigError([f"sampler: unknown fields {sorted(params)}"])
@@ -206,9 +196,6 @@ def _reject_leftovers(params: dict) -> None:
 
 def _run_sampler(kind: str, params: dict, instances, saliencies) -> list[dict]:
     seed = _sampler_int(params, "seed", 0)
-    video_dim = instances[0].video.shape[1]
-    text_dim = instances[0].question.shape[0]
-    n_clips = instances[0].video.shape[0]
     selections = []
 
     if kind in ("mar16", "mar32"):
@@ -219,51 +206,12 @@ def _run_sampler(kind: str, params: dict, instances, saliencies) -> list[dict]:
         for i, (inst, annotation) in enumerate(zip(instances, saliencies)):
             out = sm.mar_sample(annotation, factory(seed=seed + i))
             selections.append(_output_dict(inst.video_id, out))
-    elif kind == "pcma80":
+    else:  # pcma80
         subsample = _sampler_int(params, "subsample", 16)
         _reject_leftovers(params)
         for i, inst in enumerate(instances):
             _, out = sm.pcma80_resample(inst.video, seed + i, subsample=subsample)
             selections.append(_output_dict(inst.video_id, out))
-    elif kind == "s3-student":
-        try:
-            cfg = sm.StudentConfig(
-                video_dim=video_dim,
-                text_dim=text_dim,
-                model_dim=_sampler_int(params, "model_dim", 32),
-                n_heads=_sampler_int(params, "n_heads", 4),
-                n_layers=_sampler_int(params, "n_layers", 1),
-                top_s=_sampler_int(params, "top_s", min(16, n_clips)),
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError([f"sampler: {exc}"])
-        _reject_leftovers(params)
-        student = sm.StudentSampler(cfg)
-        for inst in instances:
-            out = sm.s3_student_probs(student, inst.video, inst.question)
-            selections.append(_output_dict(inst.video_id, out))
-    else:  # s3-rl
-        try:
-            cfg = sm.RlConfig(
-                video_dim=video_dim,
-                text_dim=text_dim,
-                n_frames=n_clips,
-                model_dim=_sampler_int(params, "model_dim", 32),
-                hidden_dim=_sampler_int(params, "hidden_dim", 32),
-                n_heads=_sampler_int(params, "n_heads", 4),
-                max_steps=_sampler_int(params, "max_steps", n_clips),
-                gamma=_sampler_float(params, "gamma", 0.5),
-                seed=seed,
-            )
-        except ValueError as exc:
-            raise ConfigError([f"sampler: {exc}"])
-        _reject_leftovers(params)
-        sampler = sm.RlSampler(cfg)
-        for i, inst in enumerate(instances):
-            rng = np.random.default_rng(seed * 7919 + i)
-            episode = sm.run_episode(sampler, inst.question, inst.video, rng)
-            selections.append(_output_dict(inst.video_id, sm.rl_output(episode)))
     return selections
 
 

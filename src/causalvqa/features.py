@@ -62,8 +62,10 @@ class SaliencyAnnotation:
 class VideoQAInstance:
     """One multiple-choice example over precomputed embeddings.
 
-    Arrays are float32 (the at-rest precision); consumers upcast at their
-    boundary. Treat all fields as immutable after construction.
+    Features arrive as float32 (the at-rest precision) or float64 and are
+    stored as read-only float64 arrays, so consumers use them as they are
+    and any write into them raises ValueError. Float32 input and writeable
+    float64 input are copied; read-only float64 input is kept as given.
     """
 
     video_id: str
@@ -84,10 +86,14 @@ class VideoQAInstance:
             )
         for name in ("video", "question", "answers"):
             arr = getattr(self, name)
-            if arr.dtype != np.float32:
-                raise FormatError(f"{name} must be float32, got {arr.dtype}")
+            if arr.dtype not in (np.float32, np.float64):
+                raise FormatError(f"{name} must be float32 or float64, got {arr.dtype}")
             if not np.all(np.isfinite(arr)):
                 raise FormatError(f"{name} contains non-finite values ({self.video_id})")
+            if arr.dtype != np.float64 or arr.flags.writeable:
+                arr = arr.astype(np.float64)
+                arr.flags.writeable = False
+                object.__setattr__(self, name, arr)
         if not 0 <= self.gold < N_ANSWERS:
             raise FormatError(f"gold index {self.gold} out of range ({self.video_id})")
 
@@ -168,14 +174,6 @@ class SyntheticSpec:
         return math.ceil(self.causal_fraction * self.n_clips)
 
 
-def pool_tokens(tokens: np.ndarray) -> np.ndarray:
-    """Collapse a [n_tokens, text_dim] token matrix to one vector (mean)."""
-    tokens = np.asarray(tokens)
-    if tokens.ndim != 2:
-        raise FormatError(f"token matrix must be 2-d, got shape {tokens.shape}")
-    return tokens.mean(axis=0)
-
-
 # -- payload helpers ---------------------------------------------------------
 
 
@@ -211,7 +209,8 @@ def save_dataset(
 ) -> FeatureManifest:
     """Write instances (and optional sidecars) next to a JSON manifest.
 
-    The round trip through load_dataset is bit-exact.
+    The round trip through load_dataset is bit-exact: feature values that
+    float32 cannot hold exactly raise FormatError before anything is written.
     """
     manifest_path = Path(manifest_path)
     stem = manifest_path.stem
@@ -255,17 +254,18 @@ def save_dataset(
         text_dim=text_dim,
         files=files,
     )
+    payloads = {}
+    for name in ("video", "question", "answers"):
+        values = np.stack([getattr(i, name) for i in instances]) if instances else np.empty(0)
+        at_rest = values.astype("<f4")
+        if not np.array_equal(at_rest, values):
+            raise FormatError(f"{name}: values are not exactly representable as float32")
+        payloads[name] = at_rest.tobytes()
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     root = manifest_path.parent
 
-    def stack(getter, dtype) -> bytes:
-        if not instances:
-            return b""
-        return np.stack([getter(i) for i in instances]).astype(dtype).tobytes()
-
-    (root / files["video"]).write_bytes(stack(lambda i: i.video, "<f4"))
-    (root / files["question"]).write_bytes(stack(lambda i: i.question, "<f4"))
-    (root / files["answers"]).write_bytes(stack(lambda i: i.answers, "<f4"))
+    for name, payload in payloads.items():
+        (root / files[name]).write_bytes(payload)
     (root / files["gold"]).write_bytes(bytes(i.gold for i in instances))
     (root / files["qtype"]).write_bytes(bytes(int(i.qtype) for i in instances))
     (root / files["ids"]).write_text(json.dumps([i.video_id for i in instances]))
@@ -335,6 +335,10 @@ def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
     qtype = _read_payload(root / m.files["qtype"], "u1", (m.count,))
     for name, arr in (("video", video), ("question", question), ("answers", answers)):
         _require_finite_payload(m.files[name], arr)
+    # the one float32 -> float64 upcast per payload; instances share its rows
+    video, question, answers = (a.astype(np.float64) for a in (video, question, answers))
+    for arr in (video, question, answers):
+        arr.flags.writeable = False
 
     if "ids" in m.files and (root / m.files["ids"]).exists():
         ids = json.loads((root / m.files["ids"]).read_text())

@@ -39,6 +39,7 @@ from .intervention import (
     mixup_intervene,
     assemble_video,
     split_from_gates,
+    total_loss,
     triplet_backward,
 )
 from .mnse import MemoryBank, Metric, Regime, Target, instance_scenes, mnse_do, random_do
@@ -196,49 +197,54 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """
     problems: list[str] = []
 
-    def build(section: str, factory: Callable, kwargs: dict):
+    def build(section: str, factory: Callable, kwargs: dict | None):
+        if kwargs is None:
+            return None
         try:
             return factory(**kwargs)
         except (TypeError, ValueError) as exc:
             problems.append(f"{section}: {exc}")
             return None
 
-    data_raw = raw.get("data")
+    def section(parent: dict, key: str, name: str | None = None) -> dict | None:
+        """A copy of parent[key] ({} when absent), or None if not an object."""
+        value = parent.get(key, {})
+        if not isinstance(value, dict):
+            problems.append(f"{name or key}: expected a JSON object")
+            return None
+        return dict(value)
+
+    def enum_field(kwargs: dict | None, key: str, enum_cls, name: str) -> None:
+        if kwargs is not None and key in kwargs:
+            try:
+                kwargs[key] = enum_cls(kwargs[key])
+            except ValueError:
+                problems.append(f"{name}.{key}: unknown {kwargs.pop(key)!r}")
+
     data = None
-    if not isinstance(data_raw, dict):
-        problems.append("data: required section with synthetic | manifest")
+    data_raw = section(raw, "data")
+    if data_raw is None:
+        pass  # reported by section()
     elif "synthetic" in data_raw:
-        spec = build("data.synthetic", SyntheticSpec, dict(data_raw["synthetic"]))
+        spec = build(
+            "data.synthetic", SyntheticSpec, section(data_raw, "synthetic", "data.synthetic")
+        )
         data = build("data", DataConfig, {"synthetic": spec}) if spec else None
     elif "manifest" in data_raw:
         data = build("data", DataConfig, {"manifest": str(data_raw["manifest"])})
     else:
-        problems.append("data: needs synthetic | manifest")
+        problems.append("data: required section with synthetic | manifest")
 
-    model = build("model", ModelConfig, dict(raw.get("model", {})))
-    optimizer = build("optimizer", OptimizerConfig, dict(raw.get("optimizer", {})))
+    model = build("model", ModelConfig, section(raw, "model"))
+    optimizer = build("optimizer", OptimizerConfig, section(raw, "optimizer"))
 
-    intervention = None
-    if "intervention" in raw:
-        ikw = dict(raw["intervention"])
-        if "memory_source" in ikw:
-            try:
-                ikw["memory_source"] = MemorySource(ikw["memory_source"])
-            except ValueError:
-                problems.append(
-                    f"intervention.memory_source: unknown {ikw['memory_source']!r}"
-                )
-                ikw.pop("memory_source")
-        intervention = build("intervention", InterventionConfig, ikw)
+    ikw = section(raw, "intervention") if "intervention" in raw else None
+    enum_field(ikw, "memory_source", MemorySource, "intervention")
+    intervention = build("intervention", InterventionConfig, ikw)
 
-    bkw = dict(raw.get("bank", {}))
-    for enum_key, enum_cls in (("regime", Regime), ("metric", Metric)):
-        if enum_key in bkw:
-            try:
-                bkw[enum_key] = enum_cls(bkw[enum_key])
-            except ValueError:
-                problems.append(f"bank.{enum_key}: unknown {bkw[enum_key]!r}")
-                bkw.pop(enum_key)
+    bkw = section(raw, "bank")
+    enum_field(bkw, "regime", Regime, "bank")
+    enum_field(bkw, "metric", Metric, "bank")
     bank = build("bank", BankConfig, bkw)
 
     use_oracle = raw.get("use_oracle_masks", False)
@@ -359,10 +365,8 @@ def evaluate(
     row-for-row to evaluate under interventions."""
     predictions = []
     for i, inst in enumerate(instances):
-        video = inst.video.astype(np.float64) if videos is None else nc.as_f64(videos[i])
-        result, _ = model.forward_full(
-            video, inst.question.astype(np.float64), inst.answers.astype(np.float64)
-        )
+        video = inst.video if videos is None else nc.as_f64(videos[i])
+        result, _ = model.forward_full(video, inst.question, inst.answers)
         predictions.append(result.predicted)
     return _report_from_predictions(instances, predictions)
 
@@ -399,9 +403,7 @@ def _split_for(
     if oracle_mask is not None:
         mask = np.asarray(oracle_mask, dtype=bool)
         return CausalSplit(mask=mask, gates=mask.astype(np.float64)), None
-    gates, cache = gate_forward(
-        model, inst.video.astype(np.float64), inst.question.astype(np.float64)
-    )
+    gates, cache = gate_forward(model, inst.video, inst.question)
     return split_from_gates(gates, topk_mode=icfg.topk_mode, k=icfg.k), cache
 
 
@@ -429,10 +431,11 @@ def train(
     model = PcmaModel(cfg.model.pcma(video_dim, text_dim))
     icfg = cfg.intervention
     use_cl = cfg.contrastive
+    # without the contrastive term the total is the answering loss alone
+    loss_cfg = icfg if use_cl else InterventionConfig(beta_cl=0.0)
     if use_cl and not cfg.use_oracle_masks:
         # touch the gate parameters up front so Adam state covers them
-        gate_forward(model, instances[0].video.astype(np.float64),
-                     instances[0].question.astype(np.float64))
+        gate_forward(model, instances[0].video, instances[0].question)
 
     bank = None
     if use_cl:
@@ -488,7 +491,7 @@ def train(
 
             for j, i in enumerate(batch):
                 inst = instances[i]
-                video_clean = inst.video.astype(np.float64)
+                video_clean = inst.video
                 entry = prepared[j] if use_cl else None
                 dgates_erm = None
                 if entry is not None and entry[2] is not None:
@@ -500,19 +503,13 @@ def train(
                     gbar = gates_j.mean()
                     weights = gates_j / gbar
                     erm, _, igrads = model.loss_and_grads(
-                        weights[:, None] * video_clean,
-                        inst.question.astype(np.float64),
-                        inst.answers.astype(np.float64),
-                        inst.gold,
+                        weights[:, None] * video_clean, inst.question, inst.answers, inst.gold
                     )
                     dweights = (igrads.video * video_clean).sum(axis=1)
                     dgates_erm = (dweights - weights @ dweights / len(weights)) / gbar
                 else:
                     erm, _, _ = model.loss_and_grads(
-                        video_clean,
-                        inst.question.astype(np.float64),
-                        inst.answers.astype(np.float64),
-                        inst.gold,
+                        video_clean, inst.question, inst.answers, inst.gold
                     )
                 erm_sum += erm
                 if entry is None:
@@ -520,7 +517,7 @@ def train(
                 _, split, gcache, mix, v_star = entry
                 # the intervened sample also carries the answering loss: the
                 # mixed gold answer replaces the gold row at its position
-                answers_aug = inst.answers.astype(np.float64)
+                answers_aug = inst.answers.copy()
                 answers_aug[inst.gold] = mix.a_star
                 erm_aug, _, _ = model.loss_and_grads(
                     v_star, mix.q_star, answers_aug, inst.gold
@@ -539,18 +536,13 @@ def train(
                         video_clean, split.mask, bank, Target.COMPLEMENT,
                         seed=int(rng.integers(2**32)), exclude_video_id=inst.video_id,
                     )
-                erm_do, _, _ = model.loss_and_grads(
-                    v_do, inst.question.astype(np.float64),
-                    inst.answers.astype(np.float64), inst.gold,
-                )
+                erm_do, _, _ = model.loss_and_grads(v_do, inst.question, inst.answers, inst.gold)
                 erm_sum += erm_do
                 r_idx = int(rng.integers(0, len(instances)))
                 if len(instances) > 1 and r_idx == i:
                     r_idx = (r_idx + 1) % len(instances)
-                q_r = instances[r_idx].question.astype(np.float64)
-                answers = (
-                    inst.answers.astype(np.float64) if model.cfg.answer_conditioning else None
-                )
+                q_r = instances[r_idx].question
+                answers = inst.answers if model.cfg.answer_conditioning else None
                 triplet, tcache = build_triplet_cached(
                     model, v_star, mix.q_star, split, bank, q_r, icfg, rng,
                     exclude_video_id=inst.video_id, answers=answers,
@@ -569,13 +561,10 @@ def train(
             n_batch = len(batch)
             erm_mean = erm_sum / n_batch
             cl_mean = cl_sum / n_batch
-            beta = icfg.beta_cl if use_cl else 0.0
-            total = erm_mean + beta * cl_mean
-            if not np.isfinite(total):
-                raise nc.NumericsError("non-finite total loss")
+            total = total_loss(erm_mean, cl_mean, loss_cfg)
             _scale_grads(store, 1.0 / n_batch)
             adam_step(store, state, opt)
-            curves.append(CurveRow(step, float(erm_mean), float(cl_mean), float(total)))
+            curves.append(CurveRow(step, float(erm_mean), float(cl_mean), total))
         except nc.NumericsError as exc:
             raise nc.NumericsError(f"step {step}: {exc}") from None
 
@@ -594,7 +583,7 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
     out.mkdir(parents=True, exist_ok=True)
     model.store.save(out / "params.json")
     (out / "model.json").write_text(
-        json.dumps({"version": METRICS_VERSION, "pcma": asdict(model.cfg)},
+        json.dumps({"version": nc.CHECKPOINT_VERSION, "pcma": asdict(model.cfg)},
                    sort_keys=True, indent=2)
         + "\n"
     )
@@ -604,6 +593,7 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
 def load_checkpoint(out_dir: str | Path) -> PcmaModel:
     out = Path(out_dir)
     meta = json.loads((out / "model.json").read_text())
+    nc.check_checkpoint_version(out / "model.json", meta.get("version"))
     cfg = PcmaConfig(**meta["pcma"])
     store = nc.ParamStore.load(out / "params.json")
     return PcmaModel(cfg, store=store)
@@ -629,7 +619,7 @@ def _intervened_videos(
 ) -> list[Array]:
     videos = []
     for i, inst in enumerate(instances):
-        video = inst.video.astype(np.float64)
+        video = inst.video
         if do == "mnse":
             out = mnse_do(video, masks[i], bank, Target.COMPLEMENT, k=k,
                           seed=seed * 1009 + i, exclude_video_id=inst.video_id)
@@ -763,11 +753,8 @@ def shortcut_probe(instances: Sequence[VideoQAInstance]) -> MetricsReport:
     features."""
     predictions = []
     for inst in instances:
-        center = inst.video.astype(np.float64).mean(axis=0)
-        sims = [
-            nc.cosine_similarity(center, inst.answers[i].astype(np.float64)).value
-            for i in range(inst.answers.shape[0])
-        ]
+        center = inst.video.mean(axis=0)
+        sims = [nc.cosine_similarity(center, answer).value for answer in inst.answers]
         predictions.append(int(np.argmax(sims)))
     return _report_from_predictions(instances, predictions)
 
@@ -788,10 +775,7 @@ def _pred_loss(model: PcmaModel, inst: VideoQAInstance, selected: Sequence[int])
     scores as an uninformed uniform guess."""
     if len(selected) == 0:
         return float(np.log(inst.answers.shape[0]))
-    video = inst.video.astype(np.float64)[sorted(selected)]
-    result, _ = model.forward_full(
-        video, inst.question.astype(np.float64), inst.answers.astype(np.float64)
-    )
+    result, _ = model.forward_full(inst.video[sorted(selected)], inst.question, inst.answers)
     loss, _ = pcma_loss(result, inst.gold, model.cfg.tau)
     return float(loss)
 
@@ -817,9 +801,7 @@ def rl_train(
     tail = max(1, episodes // 5)
     for ep_idx in range(episodes):
         inst = instances[int(rng.integers(0, len(instances)))]
-        episode = sm.run_episode(
-            sampler, inst.question.astype(np.float64), inst.video.astype(np.float64), rng
-        )
+        episode = sm.run_episode(sampler, inst.question, inst.video, rng)
         loss = _pred_loss(backbone, inst, episode.selected)
         reward = sm.s3_rl_reward(episode, loss, inst.n_clips, sampler.cfg.gamma)
         advantage = reward - baseline

@@ -172,18 +172,6 @@ def split_from_gates(gates: Array, topk_mode: bool = False, k: int | None = None
     return CausalSplit(mask=mask, gates=gates)
 
 
-def estimate_causal_mask(
-    model: PcmaModel,
-    instance: VideoQAInstance,
-    topk_mode: bool = False,
-    k: int | None = None,
-) -> CausalSplit:
-    gates, _ = gate_forward(
-        model, instance.video.astype(np.float64), instance.question.astype(np.float64)
-    )
-    return split_from_gates(gates, topk_mode=topk_mode, k=k)
-
-
 # -- mixup -------------------------------------------------------------------
 
 
@@ -232,17 +220,13 @@ def mixup_intervene(
     if not (0.0 <= lam0 <= 1.0 and 0.0 <= lam1 <= 1.0):
         raise ValueError("mixing ratios must lie in [0, 1]")
 
-    video = x.video.astype(np.float64)
-    pvideo = x_prime.video.astype(np.float64)
-    c_hat = video[x_split.mask]
-    t_hat = video[~x_split.mask]
-    c_prime = _aligned(pvideo[x_prime_split.mask], c_hat.shape[0])
-    t_prime = _aligned(pvideo[~x_prime_split.mask], t_hat.shape[0])
+    c_hat = x.video[x_split.mask]
+    t_hat = x.video[~x_split.mask]
+    c_prime = _aligned(x_prime.video[x_prime_split.mask], c_hat.shape[0])
+    t_prime = _aligned(x_prime.video[~x_prime_split.mask], t_hat.shape[0])
 
-    q_hat = x.question.astype(np.float64)
-    q_prime = x_prime.question.astype(np.float64)
-    a_hat = x.answers.astype(np.float64)[x.gold]
-    a_prime = x_prime.answers.astype(np.float64)[x_prime.gold]
+    q_hat, q_prime = x.question, x_prime.question
+    a_hat, a_prime = x.answers[x.gold], x_prime.answers[x_prime.gold]
 
     return MixupResult(
         c_star=lam0 * c_hat + (1.0 - lam0) * c_prime,
@@ -377,24 +361,6 @@ def build_triplet_cached(
         "qr": qr_cache,
     }
     return triplet, cache
-
-
-def build_triplet(
-    backbone: PcmaModel,
-    v_star: Array,
-    q_star: Array,
-    split: CausalSplit,
-    bank: MemoryBank,
-    q_r: Array,
-    cfg: InterventionConfig,
-    rng: np.random.Generator,
-    exclude_video_id: str | None = None,
-    answers: Array | None = None,
-) -> ContrastiveTriplet:
-    triplet, _ = build_triplet_cached(
-        backbone, v_star, q_star, split, bank, q_r, cfg, rng, exclude_video_id, answers
-    )
-    return triplet
 
 
 def triplet_backward(backbone: PcmaModel, grads: InfoNceGrads, cache: dict) -> Array:

@@ -139,15 +139,21 @@ class MemoryBank:
         return self._frozen
 
     def _coerce(self, scenes: Iterable[tuple[Array, str, int]]) -> list[BankEntry]:
-        out = []
-        for vector, video_id, clip_index in scenes:
-            v = as_f64(vector)
-            if v.shape != (self.bank_dim,):
-                raise ValueError(f"scene vector shape {v.shape}, expected ({self.bank_dim},)")
-            if not np.all(np.isfinite(v)):
-                raise ValueError(f"scene vector for {video_id}:{clip_index} is non-finite")
-            out.append(BankEntry(v, str(video_id), int(clip_index)))
-        return out
+        """Validated entries whose vectors are rows of one private read-only
+        float64 copy, so a caller may reuse or change its arrays afterwards."""
+        scenes = list(scenes)
+        for vector, _, _ in scenes:
+            if np.shape(vector) != (self.bank_dim,):
+                raise ValueError(
+                    f"scene vector shape {np.shape(vector)}, expected ({self.bank_dim},)"
+                )
+        matrix = np.array([v for v, _, _ in scenes], dtype=np.float64).reshape(-1, self.bank_dim)
+        finite = np.isfinite(matrix).all(axis=1)
+        if not finite.all():
+            _, video_id, clip_index = scenes[int(np.argmin(finite))]
+            raise ValueError(f"scene vector for {video_id}:{clip_index} is non-finite")
+        matrix.flags.writeable = False
+        return [BankEntry(row, str(v), int(c)) for row, (_, v, c) in zip(matrix, scenes)]
 
     def populate(self, scenes: Iterable[tuple[Array, str, int]]) -> "MemoryBank":
         if self._frozen:
@@ -280,9 +286,8 @@ def instance_scenes(
     """Flatten instances into (clip row, video_id, clip_index) scene tuples."""
     out = []
     for inst in instances:
-        video = inst.video.astype(np.float64)
         for c in range(inst.n_clips):
-            out.append((video[c], inst.video_id, c))
+            out.append((inst.video[c], inst.video_id, c))
     return out
 
 

@@ -13,9 +13,8 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,26 +40,12 @@ def require_finite(name: str, x: Array) -> None:
         raise NumericsError(f"{name} contains non-finite values")
 
 
-@dataclass(frozen=True)
-class AttentionConfig:
-    """Shape and seeding knobs for the attention stacks."""
-
-    model_dim: int = 64
-    n_heads: int = 4
-    n_layers: int = 2
-    seed: int = 0
-
-    def __post_init__(self) -> None:
-        if self.model_dim <= 0 or self.n_heads <= 0 or self.n_layers <= 0:
-            raise ValueError("model_dim, n_heads and n_layers must be positive")
-        if self.model_dim % self.n_heads != 0:
-            raise DimMismatch(
-                f"model_dim {self.model_dim} is not divisible by n_heads {self.n_heads}"
-            )
-
-    @property
-    def head_dim(self) -> int:
-        return self.model_dim // self.n_heads
+def check_checkpoint_version(path: Path, found) -> None:
+    """Reject a checkpoint file written in a format version this code does not know."""
+    if found != CHECKPOINT_VERSION:
+        raise ValueError(
+            f"{path}: unsupported checkpoint version {found!r}, expected {CHECKPOINT_VERSION}"
+        )
 
 
 class ParamStore:
@@ -148,6 +133,7 @@ class ParamStore:
     def load(cls, manifest_path: str | Path) -> "ParamStore":
         manifest_path = Path(manifest_path)
         manifest = json.loads(manifest_path.read_text())
+        check_checkpoint_version(manifest_path, manifest.get("version"))
         if manifest.get("dtype") != "float32" or manifest.get("endianness") != "little":
             raise ValueError("unsupported checkpoint dtype/endianness")
         raw = (manifest_path.parent / manifest["file"]).read_bytes()
@@ -326,16 +312,6 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, A
 def mha_attention_weights(cache: tuple) -> Array:
     """Per-head attention weights [h, m, n] from a forward cache."""
     return cache[10]
-
-
-def multihead_attention(
-    queries: Array, keys_values: Array, cfg: AttentionConfig, store: ParamStore,
-    prefix: str = "attn",
-) -> Array:
-    """Forward-only attention with finiteness checking on the output."""
-    out, _ = mha_forward(as_f64(queries), as_f64(keys_values), store, prefix, cfg.n_heads)
-    require_finite("attention output", out)
-    return out
 
 
 # -- cosine similarity -------------------------------------------------------

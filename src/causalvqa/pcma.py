@@ -15,7 +15,7 @@ from typing import NamedTuple
 import numpy as np
 
 from . import nn_core as nc
-from .features import N_ANSWERS, VideoQAInstance
+from .features import N_ANSWERS
 
 Array = np.ndarray
 
@@ -74,21 +74,6 @@ def pcma_layer_backward(
     du = dout + dq_self + dkv_self
     dh_cross, dkv = nc.mha_backward(du, c_cross, store)
     return du + dh_cross, dkv
-
-
-def pcma_layer(
-    video_repr: Array,
-    question_repr: Array,
-    store: nc.ParamStore,
-    prefix: str,
-    n_heads: int,
-) -> Array:
-    """Forward-only residual layer for already-projected inputs."""
-    v = nc.as_f64(video_repr)
-    q = np.atleast_2d(nc.as_f64(question_repr))
-    out, _ = pcma_layer_forward(v, q, store, prefix, n_heads)
-    nc.require_finite("layer output", out)
-    return out
 
 
 class PcmaModel:
@@ -225,14 +210,6 @@ class PcmaModel:
             video=grads.video, question=grads.question, answers=grads.answers + danswers
         )
 
-    def forward(self, instance: VideoQAInstance) -> AnswerScores:
-        result, _ = self.forward_full(
-            instance.video.astype(np.float64),
-            instance.question.astype(np.float64),
-            instance.answers.astype(np.float64),
-        )
-        return result
-
     def loss_and_grads(
         self, video: Array, question: Array, answers: Array, gold: int
     ) -> tuple[float, AnswerScores, InputGrads]:
@@ -240,10 +217,6 @@ class PcmaModel:
         result, cache = self.forward_full(video, question, answers)
         loss, dscores = pcma_loss(result, gold, self.cfg.tau)
         return loss, result, self.backward_full(dscores, cache)
-
-
-def forward(model: PcmaModel, instance: VideoQAInstance) -> AnswerScores:
-    return model.forward(instance)
 
 
 def pcma_loss(scores: AnswerScores, gold: int, tau: float) -> tuple[float, Array]:

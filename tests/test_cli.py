@@ -171,18 +171,6 @@ class TestSampleCommand:
                 for tag in row["provenance"]
             )
 
-    def test_sample_student_probs_normalized(self, tmp_path, out_dir):
-        cfg = write_cfg(
-            tmp_path / "sample.json",
-            {"data": DATA,
-             "sampler": {"kind": "s3-student", "seed": 5, "top_s": 4}},
-        )
-        assert cli_main(["sample", "--config", cfg]) == 0
-        metrics = json.loads((out_dir / "metrics.json").read_text())
-        for row in metrics["selections"]:
-            assert len(row["indices"]) == 4
-            assert sum(row["probs"]) == pytest.approx(1.0, abs=1e-6)
-
 
 class TestIntervenEvalCommand:
     def test_two_checkpoint_protocol(self, tmp_path, monkeypatch):
@@ -227,6 +215,39 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert "lr" in err and "batch_size" in err and "bank.regime" in err
         assert err.count("config error:") >= 3
+
+    @pytest.mark.parametrize("value", [5, [1, 2], "x"], ids=["int", "list", "string"])
+    @pytest.mark.parametrize(
+        "section",
+        ["model", "optimizer", "intervention", "bank", "data", "data.synthetic"],
+    )
+    def test_section_that_is_not_an_object(self, tmp_path, out_dir, capsys, section, value):
+        raw = {"data": json.loads(json.dumps(DATA)), "model": MODEL, "optimizer": OPT}
+        if section == "data.synthetic":
+            raw["data"]["synthetic"] = value
+        else:
+            raw[section] = value
+        cfg = write_cfg(tmp_path / "bad.json", raw)
+        assert cli_main(["train", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == f"config error: {section}: expected a JSON object\n"
+
+    @pytest.mark.parametrize("name", ["model.json", "params.json"])
+    def test_unknown_checkpoint_version(self, tmp_path, out_dir, capsys, name):
+        train_cfg = write_cfg(tmp_path / "train.json",
+                              {"data": DATA, "model": MODEL, "optimizer": OPT})
+        assert cli_main(["train", "--config", train_cfg]) == 0
+        path = out_dir / "checkpoint" / name
+        body = json.loads(path.read_text())
+        body["version"] += 1
+        path.write_text(json.dumps(body))
+        eval_cfg = write_cfg(tmp_path / "eval.json",
+                             {"data": DATA, "checkpoint": str(out_dir / "checkpoint")})
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error:")
+        assert name in lines[0] and "version 2" in lines[0] and "expected 1" in lines[0]
 
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -31,15 +31,42 @@ def make_instances(n=3, n_clips=4, video_dim=6, text_dim=5, seed=0):
 class TestInstanceValidation:
     def test_rejects_wrong_dtype(self):
         inst = make_instances(1)[0]
-        with pytest.raises(ft.FormatError, match="float32"):
-            ft.VideoQAInstance(
-                video_id="x",
-                video=inst.video.astype(np.float64),
-                question=inst.question,
-                answers=inst.answers,
-                gold=0,
-                qtype=ft.Qtype.CAUSAL,
-            )
+        for dtype in (np.float16, np.int64):
+            with pytest.raises(ft.FormatError, match="float32 or float64"):
+                ft.VideoQAInstance(
+                    video_id="x",
+                    video=inst.video.astype(dtype),
+                    question=inst.question,
+                    answers=inst.answers,
+                    gold=0,
+                    qtype=ft.Qtype.CAUSAL,
+                )
+        video32 = inst.video.astype(np.float32)
+        made = ft.VideoQAInstance(
+            video_id="x",
+            video=video32,
+            question=inst.question.astype(np.float32),
+            answers=inst.answers,
+            gold=0,
+            qtype=ft.Qtype.CAUSAL,
+        )
+        for arr in (made.video, made.question, made.answers):
+            assert arr.dtype == np.float64
+            assert not arr.flags.writeable
+        np.testing.assert_array_equal(made.video, video32)
+        assert video32.flags.writeable  # the caller's array is left as it was
+
+    def test_writeable_float64_input_is_copied(self):
+        inst = make_instances(1)[0]
+        video = np.array(inst.video)
+        made = ft.VideoQAInstance(
+            video_id="x", video=video, question=inst.question, answers=inst.answers,
+            gold=0, qtype=ft.Qtype.CAUSAL,
+        )
+        video[0, 0] += 1.0
+        np.testing.assert_array_equal(made.video, inst.video)
+        with pytest.raises(ValueError, match="read-only"):
+            made.video[0, 0] = 0.0
 
     def test_rejects_bad_gold(self):
         inst = make_instances(1)[0]
@@ -98,6 +125,27 @@ class TestRoundTrip:
         m = ft.save_dataset([], tmp_path / "d.json")
         assert m.count == 0
         assert ft.load_dataset(tmp_path / "d.json") == []
+
+    def test_loaded_features_are_read_only_float64(self, tmp_path):
+        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        for inst in ft.load_dataset(tmp_path / "d.json"):
+            for arr in (inst.video, inst.question, inst.answers):
+                assert arr.dtype == np.float64
+                assert not arr.flags.writeable
+            with pytest.raises(ValueError):
+                inst.video[0, 0] = 0.0
+
+    def test_save_rejects_values_float32_cannot_hold(self, tmp_path):
+        inst = make_instances(1)[0]
+        video = inst.video.copy()
+        video[1, 2] += 1e-12
+        bad = ft.VideoQAInstance(
+            video_id="x", video=video, question=inst.question, answers=inst.answers,
+            gold=0, qtype=ft.Qtype.CAUSAL,
+        )
+        with pytest.raises(ft.FormatError, match="video: values are not exactly"):
+            ft.save_dataset([inst, bad], tmp_path / "d.json")
+        assert not list(tmp_path.iterdir())
 
     def test_save_rejects_mixed_dims(self, tmp_path):
         insts = make_instances(2, video_dim=6) + make_instances(1, video_dim=8)
@@ -226,8 +274,8 @@ class TestGenerateSynthetic:
         def mean_cos(insts):
             vals = []
             for inst in insts:
-                m = inst.video.astype(np.float64).mean(axis=0)
-                a = inst.answers[inst.gold].astype(np.float64)
+                m = inst.video.mean(axis=0)
+                a = inst.answers[inst.gold]
                 vals.append(m @ a / (np.linalg.norm(m) * np.linalg.norm(a)))
             return float(np.mean(vals))
 
@@ -254,7 +302,7 @@ class TestGenerateSynthetic:
         )
         insts, _, masks = ft.generate_synthetic(spec)
         x = np.stack(
-            [i.video.astype(np.float64)[m].mean(axis=0) for i, m in zip(insts, masks)]
+            [i.video[m].mean(axis=0) for i, m in zip(insts, masks)]
         )
         x = np.hstack([x, np.ones((len(insts), 1))])
         y = np.zeros((len(insts), ft.N_ANSWERS))
@@ -265,9 +313,3 @@ class TestGenerateSynthetic:
         gold = np.array([i.gold for i in insts])
         assert (pred == gold).mean() > 0.9
 
-
-def test_pool_tokens_means_over_token_axis():
-    tokens = np.arange(12.0).reshape(4, 3)
-    np.testing.assert_allclose(ft.pool_tokens(tokens), tokens.mean(axis=0))
-    with pytest.raises(ft.FormatError):
-        ft.pool_tokens(np.zeros(3))

@@ -321,11 +321,7 @@ class TestTrain:
         result, instances, masks = gate_run
         gaps = []
         for inst, mask in zip(instances, masks):
-            gates, _ = gate_forward(
-                result.model,
-                inst.video.astype(np.float64),
-                inst.question.astype(np.float64),
-            )
+            gates, _ = gate_forward(result.model, inst.video, inst.question)
             gaps.append(gates[mask].mean() - gates[~mask].mean())
         assert float(np.mean(gaps)) > 0.01
 
@@ -340,11 +336,11 @@ class TestTrain:
             split = CausalSplit(mask=mask, gates=mask.astype(np.float64))
             triplet, _ = build_triplet_cached(
                 result.model,
-                inst.video.astype(np.float64),
-                inst.question.astype(np.float64),
+                inst.video,
+                inst.question,
                 split,
                 result.bank,
-                instances[0].question.astype(np.float64),
+                instances[0].question,
                 icfg,
                 rng,
                 exclude_video_id=inst.video_id,
@@ -434,7 +430,7 @@ class TestProtocol:
             videos.append(
                 mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k=1, seed=9)
             )
-            assert np.array_equal(videos[-1], inst.video.astype(np.float64))
+            assert np.array_equal(videos[-1], inst.video)
         replaced = evaluate(model, instances, videos)
         assert replaced.corrects == clean.corrects
 
@@ -470,6 +466,45 @@ class TestProtocol:
         assert shifted.data.synthetic.seed == cfg.data.synthetic.seed + 5
         assert shifted.model.seed == cfg.model.seed + 5
         assert shifted.optimizer.seed == cfg.optimizer.seed + 5
+
+
+class TestInstancesStayImmutable:
+    """Training and the protocol read instance features and never write them."""
+
+    @staticmethod
+    def _snapshot(instances):
+        return [(i.video.tobytes(), i.question.tobytes(), i.answers.tobytes()) for i in instances]
+
+    @staticmethod
+    def _assert_unchanged(instances, before):
+        assert TestInstancesStayImmutable._snapshot(instances) == before
+        for inst in instances:
+            for arr in (inst.video, inst.question, inst.answers):
+                assert arr.dtype == np.float64 and not arr.flags.writeable
+
+    def test_contrastive_train_and_protocol_leave_instances_untouched(self):
+        instances, saliencies, masks = synth(24, seed=8)
+        before = self._snapshot(instances)
+        cfg = replace(
+            erm_config(steps=3),
+            intervention=replace(GATE_RECIPE.intervention, memory_source=MemorySource.MNSE),
+            bank=BankConfig(regime=Regime.F3_DYNAMIC_MIXUP),
+        )
+        result = train(cfg, dataset=(instances, saliencies, masks))
+        assert result.report.curves[-1].cl_loss > 0.0
+        self._assert_unchanged(instances, before)
+
+        bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+        bank.populate(instance_scenes(instances)).freeze()
+        seen_unseen_protocol(
+            result.model, small_model(), instances, np.asarray(masks), bank, neighbor_k=3
+        )
+        self._assert_unchanged(instances, before)
+
+    def test_writing_into_features_raises(self):
+        inst = synth(1)[0][0]
+        with pytest.raises(ValueError, match="read-only"):
+            inst.video[0, 0] = 1.0
 
 
 # -- shortcut probe ----------------------------------------------------------------

@@ -63,14 +63,16 @@ class TestGate:
     def test_zero_init_gates_are_exactly_half(self, rng):
         model = make_model()
         inst = make_instance(rng)
-        split = iv.estimate_causal_mask(model, inst)
+        gates, _ = iv.gate_forward(model, inst.video, inst.question)
+        split = iv.split_from_gates(gates)
         np.testing.assert_array_equal(split.gates, np.full(6, 0.5))
         assert split.mask.all()  # ties resolve causal
 
     def test_topk_with_k_equal_n_clips_is_all_true(self, rng):
         model = make_model()
         inst = make_instance(rng)
-        split = iv.estimate_causal_mask(model, inst, topk_mode=True, k=6)
+        gates, _ = iv.gate_forward(model, inst.video, inst.question)
+        split = iv.split_from_gates(gates, topk_mode=True, k=6)
         assert split.mask.all()
 
     def test_topk_marks_exactly_k_largest(self):
@@ -122,9 +124,9 @@ class TestMixup:
         x, xp = make_instance(rng, video_id="a"), make_instance(rng, video_id="b", gold=2)
         sx, sxp = make_split(rng), make_split(rng)
         r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=1.0)
-        np.testing.assert_array_equal(r.c_star, x.video.astype(np.float64)[sx.mask])
-        np.testing.assert_array_equal(r.q_star, x.question.astype(np.float64))
-        np.testing.assert_array_equal(r.a_star, x.answers.astype(np.float64)[x.gold])
+        np.testing.assert_array_equal(r.c_star, x.video[sx.mask])
+        np.testing.assert_array_equal(r.q_star, x.question)
+        np.testing.assert_array_equal(r.a_star, x.answers[x.gold])
         assert r.partner_id == "b"
 
     def test_lambda0_zero_reproduces_partner(self, rng):
@@ -132,8 +134,8 @@ class TestMixup:
         x, xp = make_instance(rng), make_instance(rng, gold=3)
         sx, sxp = make_split(rng, n_causal=3), make_split(rng, n_causal=3)
         r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=0.0)
-        np.testing.assert_array_equal(r.q_star, xp.question.astype(np.float64))
-        np.testing.assert_array_equal(r.a_star, xp.answers.astype(np.float64)[xp.gold])
+        np.testing.assert_array_equal(r.q_star, xp.question)
+        np.testing.assert_array_equal(r.a_star, xp.answers[xp.gold])
 
     def test_midpoint_of_ones_and_zeros(self, rng):
         cfg = iv.InterventionConfig()
@@ -151,12 +153,10 @@ class TestMixup:
             sx = make_split(rng, n_causal=int(rng.integers(1, 6)))
             sxp = make_split(rng, n_causal=int(rng.integers(1, 6)))
             r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng)
-            video = x.video.astype(np.float64)
-            pvideo = xp.video.astype(np.float64)
-            c_hat = video[sx.mask]
-            c_pr = pvideo[sxp.mask][np.arange(c_hat.shape[0]) % int(sxp.mask.sum())]
-            t_hat = video[~sx.mask]
-            t_pr = pvideo[~sxp.mask][np.arange(t_hat.shape[0]) % int((~sxp.mask).sum())]
+            c_hat = x.video[sx.mask]
+            c_pr = xp.video[sxp.mask][np.arange(c_hat.shape[0]) % int(sxp.mask.sum())]
+            t_hat = x.video[~sx.mask]
+            t_pr = xp.video[~sxp.mask][np.arange(t_hat.shape[0]) % int((~sxp.mask).sum())]
             for star, a, b in ((r.c_star, c_hat, c_pr), (r.t_star, t_hat, t_pr)):
                 lo = np.minimum(a, b) - 1e-12
                 hi = np.maximum(a, b) + 1e-12
@@ -238,7 +238,7 @@ class TestTriplet:
         bank = MemoryBank(bank_dim=VIDEO_DIM)
         comp = split.complement_indices
         bank.populate([(v_star[i], "self", int(i)) for i in comp])
-        triplet = iv.build_triplet(
+        triplet, _ = iv.build_triplet_cached(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
         np.testing.assert_array_equal(triplet.positive, triplet.anchor)
@@ -258,7 +258,7 @@ class TestTriplet:
         model, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)
         for n in (1, 2, 5):
             c = iv.InterventionConfig(n_negatives=n)
-            t = iv.build_triplet(
+            t, _ = iv.build_triplet_cached(
                 model, v_star, q_star, split, bank, q_r, c, np.random.default_rng(1)
             )
             assert len(t.negatives) == n
@@ -266,7 +266,7 @@ class TestTriplet:
     def test_empty_bank_raises(self, rng):
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
         with pytest.raises(ValueError, match="empty"):
-            iv.build_triplet(
+            iv.build_triplet_cached(
                 model, v_star, q_star, split, MemoryBank(bank_dim=VIDEO_DIM), q_r,
                 cfg, np.random.default_rng(0),
             )

@@ -260,7 +260,7 @@ class TestInterventions:
             for i, (inst, mask) in enumerate(zip(insts, masks)):
                 if count >= 500:
                     break
-                video = inst.video.astype(np.float64)
+                video = inst.video
                 out = do_fn(video, mask, i)
                 for r in np.flatnonzero(~mask):
                     a, b = out[r], video[r]
@@ -408,3 +408,36 @@ class TestColumnViewRefresh:
         bank.push_batch(*batch(2))  # evicts batch 0 and its planted nearest scenes
         assert all(not e.video_id.startswith("b0") for e in bank.entries())
         self._assert_matches_entries(bank, queries, "b1v0", seed=11)
+
+
+class TestCallerArraysNotAliased:
+    """The bank keeps its own copy of every scene vector."""
+
+    @staticmethod
+    def _bank_and_scenes():
+        a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
+        bank = MemoryBank(bank_dim=2).populate([(a, "a", 0), (b, "b", 0)])
+        return bank, a
+
+    @staticmethod
+    def _nearest(bank):
+        (hit,) = bank.query_knn(NeighborQuery(vector=np.array([1.0, 0.1]), k=1))
+        return hit
+
+    def _assert_original(self, hit):
+        assert hit.entry.video_id == "a"
+        np.testing.assert_array_equal(hit.entry.vector, [1.0, 0.0])
+        assert hit.score == pytest.approx(1.0 / math.sqrt(1.01), abs=1e-15)
+        assert not hit.entry.vector.flags.writeable
+
+    def test_mutation_after_first_query(self):
+        bank, a = self._bank_and_scenes()
+        self._assert_original(self._nearest(bank))
+        a[:] = [0.0, -1.0]
+        self._assert_original(self._nearest(bank))
+
+    def test_mutation_before_first_query(self):
+        bank, a = self._bank_and_scenes()
+        a[:] = [0.0, -1.0]
+        self._assert_original(self._nearest(bank))
+        np.testing.assert_array_equal(bank.entries()[0].vector, [1.0, 0.0])

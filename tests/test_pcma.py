@@ -57,16 +57,16 @@ class TestLayer:
         model = pcma.PcmaModel(cfg)
         zero_attention_outputs(model.store)
         v = rng.normal(size=(4, cfg.model_dim))
-        q = rng.normal(size=cfg.model_dim)
-        out = pcma.pcma_layer(v, q, model.store, "layer0", cfg.n_heads)
+        q = rng.normal(size=(1, cfg.model_dim))
+        out, _ = pcma.pcma_layer_forward(v, q, model.store, "layer0", cfg.n_heads)
         np.testing.assert_array_equal(out, v)
 
     def test_single_clip_shape(self, rng):
         cfg = small_cfg()
         model = pcma.PcmaModel(cfg)
         v = rng.normal(size=(1, cfg.model_dim))
-        q = rng.normal(size=cfg.model_dim)
-        out = pcma.pcma_layer(v, q, model.store, "layer0", cfg.n_heads)
+        q = rng.normal(size=(1, cfg.model_dim))
+        out, _ = pcma.pcma_layer_forward(v, q, model.store, "layer0", cfg.n_heads)
         assert out.shape == (1, cfg.model_dim)
 
     def test_question_gradient_nonzero_and_matches(self, rng):
