@@ -94,7 +94,12 @@ def _cmd_train(raw: dict) -> tuple[Path, dict]:
     result = train(cfg)
     save_checkpoint(result.model, out_dir / "checkpoint")
     write_curves(result.report.curves, out_dir / "curves.csv")
-    payload = {"command": "train", **result.report.to_dict()}
+    payload = {
+        "command": "train",
+        **result.report.to_dict(),
+        "skipped_interventions": result.skipped_interventions,
+        "skipped_mixups": result.skipped_mixups,
+    }
     if result.report.curves:
         last = result.report.curves[-1]
         payload["final"] = {

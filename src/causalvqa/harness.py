@@ -32,6 +32,7 @@ from .intervention import (
     InfoNceGrads,
     InterventionConfig,
     MemorySource,
+    MixupResult,
     build_triplet_cached,
     gate_backward,
     gate_forward,
@@ -49,6 +50,9 @@ from . import samplers as sm
 Array = np.ndarray
 
 METRICS_VERSION = 1
+# Instances per stacked pass in evaluate and rl_train: bounds the caches one
+# pass holds, so scoring a large set does not raise peak memory.
+EVAL_CHUNK = 32
 CURVE_HEADER = "step,erm_loss,cl_loss,total_loss"
 OUTPUT_DIR_ENV = "CAUSALVQA_OUTPUT_DIR"
 
@@ -356,6 +360,37 @@ def _report_from_predictions(
     )
 
 
+def _stack(insts: Sequence[VideoQAInstance], rows: Sequence[int], videos: Sequence[Array]):
+    """Stacked (videos, questions, answers, golds) of the instances at rows."""
+    return (
+        np.stack([videos[r] for r in rows]),
+        np.stack([insts[r].question for r in rows]),
+        np.stack([insts[r].answers for r in rows]),
+        np.array([insts[r].gold for r in rows]),
+    )
+
+
+def _shape_groups(videos: Sequence[Array], size: int | None = None) -> list[list[int]]:
+    """Positions of same-shape videos, grouped in first-appearance order and
+    split into runs of at most size; each run can go through one stacked pass."""
+    groups: dict[tuple, list[int]] = {}
+    for i, video in enumerate(videos):
+        groups.setdefault(np.shape(video), []).append(i)
+    step = size or max(1, len(videos))
+    return [rows[s : s + step] for rows in groups.values() for s in range(0, len(rows), step)]
+
+
+def _scored_chunks(
+    model: PcmaModel, instances: Sequence[VideoQAInstance], videos: Sequence[Array]
+):
+    """(positions, AnswerScores) for stacked passes of at most EVAL_CHUNK
+    same-shape instances: the chunk bounds the size of one pass's caches."""
+    for rows in _shape_groups(videos, EVAL_CHUNK):
+        video, question, answers, _ = _stack(instances, rows, videos)
+        result, _ = model.forward_full(video, question, answers)
+        yield rows, result
+
+
 def evaluate(
     model: PcmaModel,
     instances: Sequence[VideoQAInstance],
@@ -363,11 +398,11 @@ def evaluate(
 ) -> MetricsReport:
     """Argmax-score accuracy per question type; videos can be overridden
     row-for-row to evaluate under interventions."""
-    predictions = []
-    for i, inst in enumerate(instances):
-        video = inst.video if videos is None else nc.as_f64(videos[i])
-        result, _ = model.forward_full(video, inst.question, inst.answers)
-        predictions.append(result.predicted)
+    if videos is None:
+        videos = [inst.video for inst in instances]
+    predictions = np.empty(len(instances), dtype=np.int64)
+    for rows, result in _scored_chunks(model, instances, [nc.as_f64(v) for v in videos]):
+        predictions[rows] = result.predicted
     return _report_from_predictions(instances, predictions)
 
 
@@ -378,6 +413,8 @@ class TrainResult(NamedTuple):
     model: PcmaModel
     report: MetricsReport
     bank: MemoryBank | None
+    skipped_interventions: int  # samples with no eligible bank scene
+    skipped_mixups: int  # samples dropped on a degenerate causal split
 
 
 def _batch_order(n: int, batch_size: int, rng: np.random.Generator):
@@ -392,24 +429,145 @@ def _batch_order(n: int, batch_size: int, rng: np.random.Generator):
         pos += batch_size
 
 
-def _split_for(
-    model: PcmaModel,
-    inst: VideoQAInstance,
-    icfg: InterventionConfig,
-    oracle_mask: Array | None,
-) -> tuple[CausalSplit, dict | None]:
-    """Causal split from the oracle mask when given, else from the learned
-    gates (returning the gate cache for backprop)."""
-    if oracle_mask is not None:
-        mask = np.asarray(oracle_mask, dtype=bool)
-        return CausalSplit(mask=mask, gates=mask.astype(np.float64)), None
-    gates, cache = gate_forward(model, inst.video, inst.question)
-    return split_from_gates(gates, topk_mode=icfg.topk_mode, k=icfg.k), cache
-
-
 def _scale_grads(store: nc.ParamStore, factor: float) -> None:
     for name in store.names():
         store.grad(name)[...] *= factor
+
+
+def _batch_splits(
+    model: PcmaModel,
+    insts: list[VideoQAInstance],
+    icfg: InterventionConfig,
+    masks: list[Array] | None,
+) -> tuple[list[CausalSplit], list[tuple[list[int], dict]] | None]:
+    """Causal splits from the oracle masks when given, else from the
+    learned gates: one gate_forward per same-shape group, whose (batch
+    positions, gate cache) pairs are returned for backprop."""
+    if masks is not None:
+        bool_masks = [np.asarray(m, dtype=bool) for m in masks]
+        return [CausalSplit(mask=m, gates=m.astype(np.float64)) for m in bool_masks], None
+    videos = [inst.video for inst in insts]
+    splits: list = [None] * len(insts)
+    groups = []
+    for rows in _shape_groups(videos):
+        video, question, _, _ = _stack(insts, rows, videos)
+        gates, cache = gate_forward(model, video, question)
+        for r, g in zip(rows, gates):
+            splits[r] = split_from_gates(g, topk_mode=icfg.topk_mode, k=icfg.k)
+        groups.append((rows, cache))
+    return splits, groups
+
+
+def _mixed_samples(
+    insts: list[VideoQAInstance],
+    splits: list[CausalSplit],
+    icfg: InterventionConfig,
+    rng: np.random.Generator,
+) -> tuple[list[tuple | None], list[tuple[Array, str, int]]]:
+    """Each sample blended with the next one in the batch (the last with the
+    first): (split, mixup, mixed video), or None when a split is degenerate;
+    plus the mixed clip rows as bank scenes with "a+b" provenance."""
+    prepared: list[tuple | None] = []
+    mixup_rows = []
+    for j, inst in enumerate(insts):
+        partner = (j + 1) % len(insts)
+        try:
+            mix = mixup_intervene(inst, splits[j], insts[partner], splits[partner], icfg, rng)
+        except DegenerateSplitError:
+            prepared.append(None)
+            continue
+        v_star = assemble_video(splits[j].mask, mix.c_star, mix.t_star)
+        prepared.append((splits[j], mix, v_star))
+        blend_id = f"{inst.video_id}+{mix.partner_id}"
+        mixup_rows.extend((row, blend_id, r) for r, row in enumerate(v_star))
+    return prepared, mixup_rows
+
+
+def _clean_pass(
+    model: PcmaModel, insts: list[VideoQAInstance], gates: list[Array | None]
+) -> tuple[Array, list[Array | None]]:
+    """Answer losses of the clean samples, one stacked pass per same-shape
+    group. A sample given gates is scored on gate-weighted clip rows and
+    gets a gate gradient, so answering pressure teaches the gates which
+    clips matter. Weights are mean-normalized: only relative gate values
+    count, not the overall input scale."""
+    weights = [None if g is None else g / g.mean() for g in gates]
+    videos = [
+        inst.video if w is None else w[:, None] * inst.video for inst, w in zip(insts, weights)
+    ]
+    losses = np.empty(len(insts))
+    dgates: list[Array | None] = [None] * len(insts)
+    for rows in _shape_groups(videos):
+        loss, _, igrads = model.loss_and_grads(*_stack(insts, rows, videos))
+        losses[rows] = loss
+        for r, dvideo in zip(rows, igrads.video):
+            w = weights[r]
+            if w is not None:
+                dweights = (dvideo * insts[r].video).sum(axis=1)
+                dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
+    return losses, dgates
+
+
+def _intervened_sample(
+    model: PcmaModel,
+    icfg: InterventionConfig,
+    bank: MemoryBank,
+    instances: Sequence[VideoQAInstance],
+    i: int,
+    prepared: tuple[CausalSplit, MixupResult, Array],
+    rng: np.random.Generator,
+) -> tuple[Array, float | None, Array | None]:
+    """One mixed sample's augmented and do-intervened answer passes, as one
+    stacked pass, then its contrastive triplet.
+
+    Returns (answer losses, contrastive loss, triplet gate gradient). With
+    no eligible bank scene for the sample, the do-pass and the triplet are
+    skipped and the last two are None.
+    """
+    inst = instances[i]
+    split, mix, v_star = prepared
+    # the intervened sample also carries the answering loss: the mixed
+    # gold answer replaces the gold row at its position
+    answers_aug = inst.answers.copy()
+    answers_aug[inst.gold] = mix.a_star
+    views = [(v_star, mix.q_star, answers_aug)]
+    eligible = len(bank.eligible(inst.video_id)) > 0
+    if eligible:
+        # do-intervened sample: complement rows swapped for bank scenes,
+        # gold unchanged, training the head itself to be invariant
+        seed = int(rng.integers(2**32))
+        if icfg.memory_source is MemorySource.MNSE:
+            v_do = mnse_do(
+                inst.video, split.mask, bank, Target.COMPLEMENT,
+                k=icfg.neighbor_k, seed=seed, exclude_video_id=inst.video_id,
+            )
+        else:
+            v_do = random_do(
+                inst.video, split.mask, bank, Target.COMPLEMENT,
+                seed=seed, exclude_video_id=inst.video_id,
+            )
+        views.append((v_do, inst.question, inst.answers))
+    videos, questions, answers = (np.stack(column) for column in zip(*views))
+    losses, _, _ = model.loss_and_grads(
+        videos, questions, answers, np.full(len(views), inst.gold)
+    )
+    if not eligible:
+        return losses, None, None
+    r_idx = int(rng.integers(0, len(instances)))
+    if len(instances) > 1 and r_idx == i:
+        r_idx = (r_idx + 1) % len(instances)
+    triplet, tcache = build_triplet_cached(
+        model, v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
+        exclude_video_id=inst.video_id,
+        answers=inst.answers if model.cfg.answer_conditioning else None,
+    )
+    cl, grads = infonce_loss(triplet)
+    scaled = InfoNceGrads(
+        anchor=icfg.beta_cl * grads.anchor,
+        positive=icfg.beta_cl * grads.positive,
+        negatives=[icfg.beta_cl * g for g in grads.negatives],
+    )
+    return losses, cl, triplet_backward(model, scaled, tcache)
 
 
 def train(
@@ -418,6 +576,13 @@ def train(
 ) -> TrainResult:
     """Adam on the answering loss, plus the weighted contrastive loss when
     an intervention config with beta_cl > 0 is present.
+
+    Each step runs one gate pass and one clean answer pass over the whole
+    batch, then per mixed sample one stacked augmented + do-intervened pass
+    and one stacked triplet pass. A sample whose causal split is degenerate
+    is left out of mixup (counted in skipped_mixups); one with no eligible
+    bank scene keeps its answer passes but skips its do-pass and triplet
+    (counted in skipped_interventions).
 
     Deterministic given the config; aborts with the step number if the
     loss goes non-finite.
@@ -435,7 +600,7 @@ def train(
     loss_cfg = icfg if use_cl else InterventionConfig(beta_cl=0.0)
     if use_cl and not cfg.use_oracle_masks:
         # touch the gate parameters up front so Adam state covers them
-        gate_forward(model, instances[0].video, instances[0].question)
+        gate_forward(model, instances[0].video[None], instances[0].question[None])
 
     bank = None
     if use_cl:
@@ -450,113 +615,55 @@ def train(
     rng = np.random.default_rng(opt.seed)
     batches = _batch_order(len(instances), opt.batch_size, rng)
     curves: list[CurveRow] = []
+    skipped_interventions = 0
+    skipped_mixups = 0
 
     for step in range(opt.steps):
         try:
             batch = next(batches)
+            insts = [instances[i] for i in batch]
             store = model.store
             store.zero_grads()
-            erm_sum = 0.0
-            cl_sum = 0.0
 
-            prepared = []
+            prepared: list[tuple | None] = [None] * len(batch)
+            gate_groups = None
             if use_cl:
-                mixup_rows: list[tuple[Array, str, int]] = []
-                for j, i in enumerate(batch):
-                    inst = instances[i]
-                    partner = instances[batch[(j + 1) % len(batch)]]
-                    split, gcache = _split_for(
-                        model, inst, icfg, masks[i] if cfg.use_oracle_masks else None
-                    )
-                    psplit, _ = _split_for(
-                        model, partner, icfg,
-                        masks[batch[(j + 1) % len(batch)]] if cfg.use_oracle_masks else None,
-                    )
-                    try:
-                        mix = mixup_intervene(inst, split, partner, psplit, icfg, rng)
-                    except DegenerateSplitError:
-                        prepared.append(None)
-                        continue
-                    v_star = assemble_video(split.mask, mix.c_star, mix.t_star)
-                    prepared.append((inst, split, gcache, mix, v_star))
-                    blend_id = f"{inst.video_id}+{mix.partner_id}"
-                    for r in range(v_star.shape[0]):
-                        mixup_rows.append((v_star[r], blend_id, r))
+                splits, gate_groups = _batch_splits(
+                    model, insts, icfg,
+                    [masks[i] for i in batch] if cfg.use_oracle_masks else None,
+                )
+                prepared, mixup_rows = _mixed_samples(insts, splits, icfg, rng)
+                skipped_mixups += sum(entry is None for entry in prepared)
                 if cfg.bank.regime is not Regime.F1_STATIC:
-                    scenes = instance_scenes([instances[i] for i in batch])
                     bank.push_batch(
-                        scenes,
+                        instance_scenes(insts),
                         mixup_rows if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP else None,
                     )
 
+            clean, dgates = _clean_pass(model, insts, [
+                entry[0].gates if gate_groups is not None and entry is not None else None
+                for entry in prepared
+            ])
+            erm_sum = 0.0
+            cl_sum = 0.0
             for j, i in enumerate(batch):
-                inst = instances[i]
-                video_clean = inst.video
-                entry = prepared[j] if use_cl else None
-                dgates_erm = None
-                if entry is not None and entry[2] is not None:
-                    # joint training: prediction consumes gate-weighted clip rows,
-                    # so answering pressure teaches the gates which clips matter.
-                    # Weights are mean-normalized: only relative gate values count,
-                    # not the overall input scale.
-                    gates_j = entry[1].gates
-                    gbar = gates_j.mean()
-                    weights = gates_j / gbar
-                    erm, _, igrads = model.loss_and_grads(
-                        weights[:, None] * video_clean, inst.question, inst.answers, inst.gold
-                    )
-                    dweights = (igrads.video * video_clean).sum(axis=1)
-                    dgates_erm = (dweights - weights @ dweights / len(weights)) / gbar
-                else:
-                    erm, _, _ = model.loss_and_grads(
-                        video_clean, inst.question, inst.answers, inst.gold
-                    )
-                erm_sum += erm
-                if entry is None:
+                erm_sum += clean[j]
+                if prepared[j] is None:
                     continue
-                _, split, gcache, mix, v_star = entry
-                # the intervened sample also carries the answering loss: the
-                # mixed gold answer replaces the gold row at its position
-                answers_aug = inst.answers.copy()
-                answers_aug[inst.gold] = mix.a_star
-                erm_aug, _, _ = model.loss_and_grads(
-                    v_star, mix.q_star, answers_aug, inst.gold
+                losses, cl, dgates_cl = _intervened_sample(
+                    model, icfg, bank, instances, i, prepared[j], rng
                 )
-                erm_sum += erm_aug
-                # do-intervened sample: complement rows swapped for bank scenes,
-                # gold unchanged, training the head itself to be invariant
-                if icfg.memory_source is MemorySource.MNSE:
-                    v_do = mnse_do(
-                        video_clean, split.mask, bank, Target.COMPLEMENT,
-                        k=icfg.neighbor_k, seed=int(rng.integers(2**32)),
-                        exclude_video_id=inst.video_id,
-                    )
-                else:
-                    v_do = random_do(
-                        video_clean, split.mask, bank, Target.COMPLEMENT,
-                        seed=int(rng.integers(2**32)), exclude_video_id=inst.video_id,
-                    )
-                erm_do, _, _ = model.loss_and_grads(v_do, inst.question, inst.answers, inst.gold)
-                erm_sum += erm_do
-                r_idx = int(rng.integers(0, len(instances)))
-                if len(instances) > 1 and r_idx == i:
-                    r_idx = (r_idx + 1) % len(instances)
-                q_r = instances[r_idx].question
-                answers = inst.answers if model.cfg.answer_conditioning else None
-                triplet, tcache = build_triplet_cached(
-                    model, v_star, mix.q_star, split, bank, q_r, icfg, rng,
-                    exclude_video_id=inst.video_id, answers=answers,
-                )
-                cl, grads = infonce_loss(triplet)
+                for loss in losses:
+                    erm_sum += loss
+                if cl is None:
+                    skipped_interventions += 1
+                    continue
                 cl_sum += cl
-                scaled = InfoNceGrads(
-                    anchor=icfg.beta_cl * grads.anchor,
-                    positive=icfg.beta_cl * grads.positive,
-                    negatives=[icfg.beta_cl * g for g in grads.negatives],
-                )
-                dgates = triplet_backward(model, scaled, tcache)
-                if gcache is not None:
-                    gate_backward(model, dgates + dgates_erm, gcache)
+                if gate_groups is not None:
+                    dgates[j] = dgates_cl + dgates[j]
+            for rows, gcache in gate_groups or ():
+                dg = [np.zeros(insts[r].n_clips) if dgates[r] is None else dgates[r] for r in rows]
+                gate_backward(model, np.stack(dg), gcache)
 
             n_batch = len(batch)
             erm_mean = erm_sum / n_batch
@@ -572,7 +679,7 @@ def train(
     report = MetricsReport(
         counts=report.counts, corrects=report.corrects, curves=tuple(curves)
     )
-    return TrainResult(model=model, report=report, bank=bank)
+    return TrainResult(model, report, bank, skipped_interventions, skipped_mixups)
 
 
 # -- checkpoints ----------------------------------------------------------------
@@ -582,10 +689,11 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model.store.save(out / "params.json")
-    (out / "model.json").write_text(
+    nc.write_atomic(
+        out / "model.json",
         json.dumps({"version": nc.CHECKPOINT_VERSION, "pcma": asdict(model.cfg)},
                    sort_keys=True, indent=2)
-        + "\n"
+        + "\n",
     )
     return out
 
@@ -753,9 +861,9 @@ def shortcut_probe(instances: Sequence[VideoQAInstance]) -> MetricsReport:
     features."""
     predictions = []
     for inst in instances:
-        center = inst.video.mean(axis=0)
-        sims = [nc.cosine_similarity(center, answer).value for answer in inst.answers]
-        predictions.append(int(np.argmax(sims)))
+        center = np.broadcast_to(inst.video.mean(axis=0), inst.answers.shape)
+        sims, _ = nc.cosine_forward(center, inst.answers)
+        predictions.append(int(np.argmax(sims.value)))
     return _report_from_predictions(instances, predictions)
 
 
@@ -775,9 +883,11 @@ def _pred_loss(model: PcmaModel, inst: VideoQAInstance, selected: Sequence[int])
     scores as an uninformed uniform guess."""
     if len(selected) == 0:
         return float(np.log(inst.answers.shape[0]))
-    result, _ = model.forward_full(inst.video[sorted(selected)], inst.question, inst.answers)
-    loss, _ = pcma_loss(result, inst.gold, model.cfg.tau)
-    return float(loss)
+    result, _ = model.forward_full(
+        inst.video[sorted(selected)][None], inst.question[None], inst.answers[None]
+    )
+    loss, _ = pcma_loss(result, [inst.gold], model.cfg.tau)
+    return float(loss[0])
 
 
 def rl_train(
@@ -814,14 +924,16 @@ def rl_train(
         if ep_idx >= episodes - tail:
             tail_frac.append(episode.n_selected / max(1, inst.n_clips))
             tail_loss.append(loss)
-    all_frames = float(
-        np.mean([_pred_loss(backbone, inst, range(inst.n_clips)) for inst in instances])
-    )
+    # the all-frames reference loss, scored in stacked chunks
+    all_frames = np.empty(len(instances))
+    for rows, result in _scored_chunks(backbone, instances, [inst.video for inst in instances]):
+        golds = [instances[r].gold for r in rows]
+        all_frames[rows], _ = pcma_loss(result, golds, backbone.cfg.tau)
     return RlTrainResult(
         sampler=sampler,
         mean_selected_fraction=float(np.mean(tail_frac)),
         mean_pred_loss=float(np.mean(tail_loss)),
-        all_frames_loss=all_frames,
+        all_frames_loss=float(np.mean(all_frames)),
         rewards=tuple(rewards),
     )
 
@@ -840,16 +952,12 @@ def resolve_output_dir(cfg_dir: str | None) -> Path:
 
 
 def write_metrics(payload: dict, path: str | Path) -> Path:
-    path = Path(path)
     body = json.dumps({"version": METRICS_VERSION, **payload}, sort_keys=True, indent=2)
-    path.write_text(body + "\n")
-    return path
+    return nc.write_atomic(path, body + "\n")
 
 
 def write_curves(rows: Sequence[CurveRow], path: str | Path) -> Path:
-    path = Path(path)
     lines = [CURVE_HEADER]
     for r in rows:
         lines.append(f"{r.step},{r.erm_loss!r},{r.cl_loss!r},{r.total_loss!r}")
-    path.write_text("\n".join(lines) + "\n")
-    return path
+    return nc.write_atomic(path, "\n".join(lines) + "\n")

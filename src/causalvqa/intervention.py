@@ -115,19 +115,23 @@ def ensure_gate_params(model: PcmaModel) -> None:
 
 
 def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array, dict]:
-    """Per-clip gate scores in (0,1): sigmoid of a question-attended readout."""
+    """Per-clip gate scores [B, n_clips] in (0,1) for video [B, n_clips,
+    video_dim] and question [B, text_dim]: sigmoid of a question-attended
+    readout."""
     ensure_gate_params(model)
     cfg = model.cfg
     video = nc.as_f64(video)
     question = nc.as_f64(question)
-    if video.ndim != 2 or video.shape[1] != cfg.video_dim:
-        raise nc.DimMismatch(f"video shape {video.shape}, expected [*, {cfg.video_dim}]")
-    if question.shape != (cfg.text_dim,):
-        raise nc.DimMismatch(f"question shape {question.shape}, expected ({cfg.text_dim},)")
+    if video.ndim != 3 or video.shape[2] != cfg.video_dim:
+        raise nc.DimMismatch(f"video shape {video.shape}, expected [batch, *, {cfg.video_dim}]")
+    if question.shape != (video.shape[0], cfg.text_dim):
+        raise nc.DimMismatch(
+            f"question shape {question.shape}, expected ({video.shape[0]}, {cfg.text_dim})"
+        )
     store = model.store
     vp, c_v = nc.linear_forward(video, store["video_proj.w"], store["video_proj.b"])
-    qp, c_q = nc.linear_forward(question, store["text_proj.w"], store["text_proj.b"])
-    attn, c_a = nc.mha_forward(vp, qp[None, :], store, "gate.attn", cfg.n_heads)
+    qp, c_q = nc.linear_forward(question[:, None, :], store["text_proj.w"], store["text_proj.b"])
+    attn, c_a = nc.mha_forward(vp, qp, store, "gate.attn", cfg.n_heads)
     u = vp + attn
     scores = u @ store["gate.w"] + store["gate.b"][0]
     gates = _sigmoid(scores)
@@ -136,22 +140,24 @@ def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array
 
 
 def gate_backward(model: PcmaModel, dgates: Array, cache: dict) -> tuple[Array, Array]:
-    """Backprop through the gate scorer; accumulates parameter gradients."""
+    """Backprop through the gate scorer; accumulates parameter gradients
+    summed over the batch and returns (dvideo, dquestion)."""
     store = model.store
     g = cache["gates"]
     ds = dgates * g * (1.0 - g)
-    store.accumulate("gate.w", cache["u"].T @ ds)
+    u = cache["u"]
+    store.accumulate("gate.w", u.reshape(-1, u.shape[-1]).T @ ds.reshape(-1))
     store.accumulate("gate.b", np.array([ds.sum()]))
-    du = np.outer(ds, store["gate.w"])
+    du = ds[..., None] * store["gate.w"]
     dvp_attn, dqp = nc.mha_backward(du, cache["c_a"], store)
     dvp = du + dvp_attn
     dvideo, dwv, dbv = nc.linear_backward(dvp, cache["c_v"])
     store.accumulate("video_proj.w", dwv)
     store.accumulate("video_proj.b", dbv)
-    dquestion, dwt, dbt = nc.linear_backward(dqp[0], cache["c_q"])
+    dquestion, dwt, dbt = nc.linear_backward(dqp, cache["c_q"])
     store.accumulate("text_proj.w", dwt)
     store.accumulate("text_proj.b", dbt)
-    return dvideo, dquestion
+    return dvideo, dquestion[:, 0]
 
 
 def split_from_gates(gates: Array, topk_mode: bool = False, k: int | None = None) -> CausalSplit:
@@ -309,6 +315,8 @@ def build_triplet_cached(
     The positive substitutes complement rows; each of the first
     n_negatives-1 negatives substitutes causal rows with fresh draws; the
     final negative pairs the untouched v_star with the random question q_r.
+    Every substitute is drawn first (positive, then negatives in order);
+    then all n_negatives+2 views go through one stacked aggregate pass.
     """
     v_star = nc.as_f64(v_star)
     q_star = nc.as_f64(q_star)
@@ -316,55 +324,42 @@ def build_triplet_cached(
     comp = split.complement_indices
     caus = split.causal_indices
 
-    anchor, anchor_cache = backbone.aggregate_forward(v_star, q_star, answers)
+    def draw(rows: Array) -> Array:
+        if not rows.size:
+            return v_star[:0]
+        return _draw_substitutes(v_star[rows], bank, cfg, rng, exclude_video_id)
 
-    g_comp = split.gates[comp][:, None]
-    subs_pos = (
-        _draw_substitutes(v_star[comp], bank, cfg, rng, exclude_video_id)
-        if comp.size
-        else v_star[:0]
-    )
-    v_plus = v_star.copy()
+    subs_pos = draw(comp)
+    neg_subs = [draw(caus) for _ in range(cfg.n_negatives - 1)]
+
+    # views: anchor, positive, substituted negatives, question swap
+    views = np.repeat(v_star[None], cfg.n_negatives + 2, axis=0)
     if comp.size:
-        v_plus[comp] = _blend(v_star[comp], subs_pos, g_comp)
-    positive, positive_cache = backbone.aggregate_forward(v_plus, q_star, answers)
+        views[1, comp] = _blend(v_star[comp], subs_pos, split.gates[comp][:, None])
+    if caus.size:
+        keep = 1.0 - split.gates[caus][:, None]
+        for i, subs in enumerate(neg_subs):
+            views[2 + i, caus] = _blend(v_star[caus], subs, keep)
+    questions = np.repeat(q_star[None], len(views), axis=0)
+    questions[-1] = q_r
+    if answers is not None:
+        answers = np.repeat(nc.as_f64(answers)[None], len(views), axis=0)
+    aggs, views_cache = backbone.aggregate_forward(views, questions, answers)
 
-    negatives: list[Array] = []
-    negative_caches: list[dict] = []
-    neg_subs: list[Array] = []
-    g_caus = split.gates[caus][:, None]
-    for _ in range(cfg.n_negatives - 1):
-        subs_neg = (
-            _draw_substitutes(v_star[caus], bank, cfg, rng, exclude_video_id)
-            if caus.size
-            else v_star[:0]
-        )
-        v_minus = v_star.copy()
-        if caus.size:
-            v_minus[caus] = _blend(v_star[caus], subs_neg, 1.0 - g_caus)
-        neg, neg_cache = backbone.aggregate_forward(v_minus, q_star, answers)
-        negatives.append(neg)
-        negative_caches.append(neg_cache)
-        neg_subs.append(subs_neg)
-    qr_neg, qr_cache = backbone.aggregate_forward(v_star, q_r, answers)
-    negatives.append(qr_neg)
-
-    triplet = ContrastiveTriplet(anchor=anchor, positive=positive, negatives=negatives)
+    triplet = ContrastiveTriplet(anchor=aggs[0], positive=aggs[1], negatives=list(aggs[2:]))
     cache = {
         "v_star": v_star,
         "split": split,
-        "anchor": anchor_cache,
-        "positive": positive_cache,
         "subs_pos": subs_pos,
-        "negative_caches": negative_caches,
         "neg_subs": neg_subs,
-        "qr": qr_cache,
+        "views": views_cache,
     }
     return triplet, cache
 
 
 def triplet_backward(backbone: PcmaModel, grads: InfoNceGrads, cache: dict) -> Array:
-    """Backprop the triplet; returns gate gradients [n_clips].
+    """Backprop the triplet through one stacked pass; returns gate
+    gradients [n_clips].
 
     Backbone parameter gradients accumulate on the store. Gradients into
     the mixed video and questions stop there (they are data), except for
@@ -376,22 +371,15 @@ def triplet_backward(backbone: PcmaModel, grads: InfoNceGrads, cache: dict) -> A
     caus = split.causal_indices
     dgates = np.zeros(split.n_clips)
 
-    backbone.aggregate_backward(grads.anchor, cache["anchor"])
-
-    pos_in = backbone.aggregate_backward(grads.positive, cache["positive"])
+    dagg = np.stack([grads.anchor, grads.positive, *grads.negatives])
+    dviews = backbone.aggregate_backward(dagg, cache["views"]).video
     if comp.size:
-        dv = pos_in.video[comp]
+        dv = dviews[1, comp]
         dgates[comp] += np.sum(dv * (v_star[comp] - cache["subs_pos"]), axis=1)
-
-    for dneg, neg_cache, subs in zip(
-        grads.negatives[:-1], cache["negative_caches"], cache["neg_subs"]
-    ):
-        neg_in = backbone.aggregate_backward(dneg, neg_cache)
-        if caus.size:
-            dv = neg_in.video[caus]
+    if caus.size:
+        for i, subs in enumerate(cache["neg_subs"]):
+            dv = dviews[2 + i, caus]
             dgates[caus] += np.sum(dv * (subs - v_star[caus]), axis=1)
-
-    backbone.aggregate_backward(grads.negatives[-1], cache["qr"])
     return dgates
 
 

@@ -69,20 +69,32 @@ class NeighborQuery:
             raise ValueError("k must be >= 1")
 
 
+class _Block(NamedTuple):
+    """Scenes added by one populate or push_batch call: a private read-only
+    float64 matrix and entries whose vectors are its rows."""
+
+    matrix: Array  # [n, bank_dim]
+    rows: list[BankEntry]
+
+
 class _Columns(NamedTuple):
     """Column view of the bank's entries, rebuilt once after each change."""
 
     rows: list[BankEntry]  # the read view, in entries() order
-    matrix: Array  # [n, bank_dim] float64
+    matrix: Array  # [n, bank_dim] float64; the block itself when there is one
     norms: Array  # [n] row L2 norms
     parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
     part_ids: dict[str, int]
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
 
 
-def _build_columns(rows: list[BankEntry], bank_dim: int) -> _Columns:
+def _build_columns(rows: list[BankEntry], blocks: list[Array], bank_dim: int) -> _Columns:
+    """Columns over rows, the entries of the row-stacked blocks."""
     n = len(rows)
-    matrix = np.stack([e.vector for e in rows]) if rows else np.empty((0, bank_dim))
+    if len(blocks) == 1:
+        matrix = blocks[0]  # a single populate keeps one copy of each scene
+    else:
+        matrix = np.concatenate([np.empty((0, bank_dim))] + blocks)
     names = sorted({e.video_id for e in rows})
     name_index = {v: i for i, v in enumerate(names)}
     by_name = np.array([name_index[e.video_id] for e in rows], dtype=np.int64)
@@ -120,25 +132,25 @@ class MemoryBank:
         self.metric = Metric(metric)
         self.regime = Regime(regime)
         self.window = window
-        self._base: list[BankEntry] = []
-        self._batches: deque[list[BankEntry]] = deque(maxlen=window)
+        self._base: list[_Block] = []
+        self._batches: deque[list[_Block]] = deque(maxlen=window)
         self._frozen = False
         self._cols: _Columns | None = None
 
     def __len__(self) -> int:
-        return len(self._base) + sum(len(b) for b in self._batches)
+        return sum(len(b.rows) for b in self._blocks())
+
+    def _blocks(self) -> list[_Block]:
+        return self._base + [b for batch in self._batches for b in batch]
 
     def entries(self) -> list[BankEntry]:
-        out = list(self._base)
-        for batch in self._batches:
-            out.extend(batch)
-        return out
+        return [e for b in self._blocks() for e in b.rows]
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
-    def _coerce(self, scenes: Iterable[tuple[Array, str, int]]) -> list[BankEntry]:
+    def _coerce(self, scenes: Iterable[tuple[Array, str, int]]) -> _Block:
         """Validated entries whose vectors are rows of one private read-only
         float64 copy, so a caller may reuse or change its arrays afterwards."""
         scenes = list(scenes)
@@ -153,12 +165,13 @@ class MemoryBank:
             _, video_id, clip_index = scenes[int(np.argmin(finite))]
             raise ValueError(f"scene vector for {video_id}:{clip_index} is non-finite")
         matrix.flags.writeable = False
-        return [BankEntry(row, str(v), int(c)) for row, (_, v, c) in zip(matrix, scenes)]
+        rows = [BankEntry(row, str(v), int(c)) for row, (_, v, c) in zip(matrix, scenes)]
+        return _Block(matrix, rows)
 
     def populate(self, scenes: Iterable[tuple[Array, str, int]]) -> "MemoryBank":
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
-        self._base.extend(self._coerce(scenes))
+        self._base.append(self._coerce(scenes))
         self._cols = None
         return self
 
@@ -176,11 +189,11 @@ class MemoryBank:
         """Refresh with one batch; evicts batches older than the window."""
         if self.regime is Regime.F1_STATIC:
             raise RegimeError("per-batch refresh requires a dynamic regime")
-        batch = self._coerce(scenes)
+        batch = [self._coerce(scenes)]
         if mixup_scenes is not None:
             if self.regime is not Regime.F3_DYNAMIC_MIXUP:
                 raise RegimeError("mixup rows are stored only under the dynamic-mixup regime")
-            batch.extend(self._coerce(mixup_scenes))
+            batch.append(self._coerce(mixup_scenes))
         self._batches.append(batch)
         self._cols = None
         return self
@@ -189,7 +202,8 @@ class MemoryBank:
 
     def _columns(self) -> _Columns:
         if self._cols is None:
-            self._cols = _build_columns(self.entries(), self.bank_dim)
+            blocks = [b.matrix for b in self._blocks()]
+            self._cols = _build_columns(self.entries(), blocks, self.bank_dim)
         return self._cols
 
     def eligible(self, exclude_video_id: str | None) -> Array:

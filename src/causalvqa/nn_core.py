@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from pathlib import Path
 from typing import NamedTuple
 
@@ -46,6 +47,22 @@ def check_checkpoint_version(path: Path, found) -> None:
         raise ValueError(
             f"{path}: unsupported checkpoint version {found!r}, expected {CHECKPOINT_VERSION}"
         )
+
+
+def write_atomic(path: str | Path, data: str | bytes) -> Path:
+    """Write a file through a temp file in its directory and os.replace,
+    so the path holds the previous contents or the new ones, never a part.
+    Strings are written as UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
 
 
 class ParamStore:
@@ -124,10 +141,11 @@ class ParamStore:
             "tensors": [{"name": n, "shape": list(self._params[n].shape)} for n in order],
         }
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        manifest_path.write_text(json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        with open(manifest_path.parent / payload_name, "wb") as fh:
-            for n in order:
-                fh.write(self._params[n].astype("<f4").tobytes())
+        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        write_atomic(
+            manifest_path.parent / payload_name,
+            b"".join(self._params[n].astype("<f4").tobytes() for n in order),
+        )
 
     @classmethod
     def load(cls, manifest_path: str | Path) -> "ParamStore":
@@ -162,18 +180,19 @@ class ParamStore:
 
 
 def linear_forward(x: Array, w: Array, b: Array) -> tuple[Array, tuple]:
-    """y = x @ w + b for x [m, i], w [i, o], b [o]."""
+    """y = x @ w + b for x [..., i], w [i, o], b [o]."""
     if x.shape[-1] != w.shape[0]:
         raise DimMismatch(f"linear: input dim {x.shape[-1]} vs weight dim {w.shape[0]}")
     return x @ w + b, (x, w)
 
 
 def linear_backward(dy: Array, cache: tuple) -> tuple[Array, Array, Array]:
+    """dx plus weight and bias gradients summed over every leading axis."""
     x, w = cache
     dx = dy @ w.T
-    dw = x.T @ dy if x.ndim == 2 else np.outer(x, dy)
-    db = dy.sum(axis=0) if dy.ndim == 2 else dy
-    return dx, dw, db
+    rows = dy.reshape(-1, dy.shape[-1])
+    dw = x.reshape(-1, x.shape[-1]).T @ rows
+    return dx, dw, rows.sum(axis=0)
 
 
 # -- softmax ---------------------------------------------------------------
@@ -250,13 +269,15 @@ def init_mha_params(store: ParamStore, prefix: str, dim: int) -> None:
 
 
 def _split_heads(x: Array, n_heads: int) -> Array:
-    m, d = x.shape
-    return x.reshape(m, n_heads, d // n_heads).transpose(1, 0, 2)
+    """[..., m, d] -> [..., h, m, d/h]."""
+    *lead, m, d = x.shape
+    return x.reshape(*lead, m, n_heads, d // n_heads).swapaxes(-2, -3)
 
 
 def _merge_heads(x: Array) -> Array:
-    h, m, dh = x.shape
-    return x.transpose(1, 0, 2).reshape(m, h * dh)
+    """[..., h, m, dh] -> [..., m, h*dh]."""
+    *lead, h, m, dh = x.shape
+    return x.swapaxes(-2, -3).reshape(*lead, m, h * dh)
 
 
 def mha_forward(
@@ -264,13 +285,14 @@ def mha_forward(
 ) -> tuple[Array, tuple]:
     """Scaled dot-product multi-head attention; softmax over the key axis.
 
-    q_in [m, d] attends to kv_in [n, d]; output [m, d]. Scores are scaled
-    by 1/sqrt(head_dim). The per-head attention weights live in the cache
-    (used both for backprop and as a frame-mass readout).
+    q_in [..., m, d] attends to kv_in [..., n, d] with the same leading
+    axes; output [..., m, d]. Scores are scaled by 1/sqrt(head_dim). The
+    per-head attention weights live in the cache (used both for backprop
+    and as a frame-mass readout).
     """
-    d = q_in.shape[1]
-    if kv_in.shape[1] != d:
-        raise DimMismatch(f"attention: query dim {d} vs key/value dim {kv_in.shape[1]}")
+    d = q_in.shape[-1]
+    if kv_in.shape[-1] != d:
+        raise DimMismatch(f"attention: query dim {d} vs key/value dim {kv_in.shape[-1]}")
     if d % n_heads != 0:
         raise DimMismatch(f"attention: dim {d} not divisible by {n_heads} heads")
     p = {nm: store[f"{prefix}.{nm}"] for nm in MHA_WEIGHTS + MHA_BIASES}
@@ -279,9 +301,9 @@ def mha_forward(
     v, cv = linear_forward(kv_in, p["wv"], p["bv"])
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(d // n_heads)
-    scores = qh @ kh.transpose(0, 2, 1) * scale  # [h, m, n]
+    scores = qh @ kh.swapaxes(-1, -2) * scale  # [..., h, m, n]
     attn = softmax(scores, axis=-1)
-    ctx = attn @ vh  # [h, m, dh]
+    ctx = attn @ vh  # [..., h, m, dh]
     merged = _merge_heads(ctx)
     out, co = linear_forward(merged, p["wo"], p["bo"])
     cache = (prefix, n_heads, scale, cq, ck, cv, co, qh, kh, vh, attn)
@@ -293,11 +315,11 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, A
     prefix, n_heads, scale, cq, ck, cv, co, qh, kh, vh, attn = cache
     dmerged, dwo, dbo = linear_backward(dout, co)
     dctx = _split_heads(dmerged, n_heads)
-    dattn = dctx @ vh.transpose(0, 2, 1)
-    dvh = attn.transpose(0, 2, 1) @ dctx
+    dattn = dctx @ vh.swapaxes(-1, -2)
+    dvh = attn.swapaxes(-1, -2) @ dctx
     dscores = softmax_backward(dattn, attn, axis=-1) * scale
     dqh = dscores @ kh
-    dkh = dscores.transpose(0, 2, 1) @ qh
+    dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), cq)
     dk, dwk, dbk = linear_backward(_merge_heads(dkh), ck)
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), cv)
@@ -310,7 +332,7 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, A
 
 
 def mha_attention_weights(cache: tuple) -> Array:
-    """Per-head attention weights [h, m, n] from a forward cache."""
+    """Per-head attention weights [..., h, m, n] from a forward cache."""
     return cache[10]
 
 
@@ -318,32 +340,45 @@ def mha_attention_weights(cache: tuple) -> Array:
 
 
 class CosineResult(NamedTuple):
-    value: float
-    degenerate: bool  # true when either input had zero norm
+    value: Array  # cosine per row of the last axis, in [-1, 1]
+    degenerate: Array  # true where either input row had zero norm
+
+
+def _rowdot(a: Array, b: Array) -> Array:
+    """Dot products of matching rows over the last axis, each one BLAS dot
+    product as for a pair of vectors."""
+    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
 
 
 def cosine_forward(a: Array, b: Array) -> tuple[CosineResult, tuple]:
+    """Cosine between matching rows of same-shape a and b [..., d].
+
+    Scalar fields for 1-D inputs, arrays over the leading axes otherwise.
+    """
     a = as_f64(a)
     b = as_f64(b)
-    if a.shape != b.shape or a.ndim != 1:
+    if a.shape != b.shape or a.ndim == 0:
         raise DimMismatch(f"cosine: incompatible shapes {a.shape} vs {b.shape}")
     require_finite("cosine input a", a)
     require_finite("cosine input b", b)
-    na = float(np.linalg.norm(a))
-    nb = float(np.linalg.norm(b))
-    if na == 0.0 or nb == 0.0:
-        return CosineResult(0.0, True), (a, b, na, nb, 0.0, True)
-    raw = float(a @ b / (na * nb))
-    value = min(1.0, max(-1.0, raw))
-    return CosineResult(value, False), (a, b, na, nb, raw, False)
+    na = np.sqrt(_rowdot(a, a))
+    nb = np.sqrt(_rowdot(b, b))
+    degenerate = (na == 0.0) | (nb == 0.0)
+    # unit norms on degenerate rows keep the divisions finite; their
+    # value and gradient are zeroed
+    na = np.where(degenerate, 1.0, na)
+    nb = np.where(degenerate, 1.0, nb)
+    raw = np.where(degenerate, 0.0, _rowdot(a, b) / (na * nb))
+    value = np.clip(raw, -1.0, 1.0)
+    return CosineResult(value[()], degenerate[()]), (a, b, na, nb, raw, degenerate)
 
 
-def cosine_backward(dvalue: float, cache: tuple) -> tuple[Array, Array]:
+def cosine_backward(dvalue: Array, cache: tuple) -> tuple[Array, Array]:
     a, b, na, nb, raw, degenerate = cache
-    if degenerate:
-        return np.zeros_like(a), np.zeros_like(b)
-    da = dvalue * (b / (na * nb) - raw * a / (na * na))
-    db = dvalue * (a / (na * nb) - raw * b / (nb * nb))
+    scale = np.where(degenerate, 0.0, dvalue)[..., None]
+    na, nb, raw = na[..., None], nb[..., None], raw[..., None]
+    da = scale * (b / (na * nb) - raw * a / (na * na))
+    db = scale * (a / (na * nb) - raw * b / (nb * nb))
     return da, db
 
 
@@ -356,24 +391,26 @@ def cosine_similarity(a: Array, b: Array) -> CosineResult:
 # -- cross entropy -----------------------------------------------------------
 
 
-def softmax_cross_entropy(logits: Array, gold: int) -> tuple[float, Array]:
-    """Stable cross-entropy of softmax(logits) against a gold index.
+def softmax_cross_entropy(logits: Array, gold) -> tuple[Array, Array]:
+    """Stable cross-entropy of softmax(logits) against gold indices.
 
-    Returns (loss, gradient) where gradient = softmax(logits) - onehot(gold).
+    logits [..., k] with gold of the leading shape. Returns (loss, gradient)
+    where gradient = softmax(logits) - onehot(gold); the loss is a scalar
+    for one vector of logits, else an array over the leading axes.
     """
     z = as_f64(logits)
-    if z.ndim != 1:
-        raise DimMismatch("logits must be a vector")
+    gold = np.asarray(gold)
+    if z.ndim == 0 or gold.shape != z.shape[:-1]:
+        raise DimMismatch(f"logits {z.shape} do not match gold indices {gold.shape}")
     require_finite("logits", z)
-    if not 0 <= gold < z.shape[0]:
-        raise IndexError(f"gold index {gold} out of range for {z.shape[0]} logits")
-    m = float(z.max())
+    if np.any((gold < 0) | (gold >= z.shape[-1])):
+        raise IndexError(f"gold index {gold} out of range for {z.shape[-1]} logits")
+    onehot = np.arange(z.shape[-1]) == gold[..., None]
+    m = z.max(axis=-1, keepdims=True)
     e = np.exp(z - m)
-    total = float(e.sum())
-    loss = m + math.log(total) - float(z[gold])
-    grad = e / total
-    grad[gold] -= 1.0
-    return loss, grad
+    total = e.sum(axis=-1, keepdims=True)
+    loss = (m + np.log(total))[..., 0] - z[onehot].reshape(gold.shape)
+    return loss[()], e / total - onehot
 
 
 def kl_divergence(p: Array, q: Array) -> float:

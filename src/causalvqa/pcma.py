@@ -5,6 +5,10 @@ through residual cross-modal + self-modal attention layers, mean-pooled
 into one aggregated video vector, and scored against each answer by
 cosine similarity. The aggregated vector doubles as the representation
 used by the contrastive intervention objective.
+
+Every model pass takes a leading batch axis: B videos of one clip count,
+with their questions and answers, go through one stacked pass, and
+parameter gradients are summed over the batch.
 """
 
 from __future__ import annotations
@@ -45,15 +49,15 @@ class PcmaConfig:
 
 
 class AnswerScores(NamedTuple):
-    scores: Array  # [N_ANSWERS] cosine values in [-1, 1]
-    predicted: int  # argmax, lowest index wins ties
-    aggregated_video: Array  # [model_dim]
+    scores: Array  # [B, N_ANSWERS] cosine values in [-1, 1]
+    predicted: Array  # [B] argmax, lowest index wins ties
+    aggregated_video: Array  # [B, model_dim]
 
 
 class InputGrads(NamedTuple):
-    video: Array  # [n_clips, video_dim]
-    question: Array  # [text_dim]
-    answers: Array  # [N_ANSWERS, text_dim]
+    video: Array  # [B, n_clips, video_dim]
+    question: Array  # [B, text_dim]
+    answers: Array  # [B, N_ANSWERS, text_dim]
 
 
 def pcma_layer_forward(
@@ -101,42 +105,56 @@ class PcmaModel:
     def aggregate_forward(
         self, video: Array, question: Array, answers: Array | None = None
     ) -> tuple[Array, dict]:
-        """Aggregated video vector for one (video, question) pair.
+        """Aggregated video vectors [B, model_dim] for B (video, question)
+        pairs: video [B, n_clips, video_dim], question [B, text_dim].
 
-        answers is consulted only under answer_conditioning, where the
-        projected answers become extra cross-attention keys/values.
+        answers [B, N_ANSWERS, text_dim] is consulted only under
+        answer_conditioning, where the projected answers become extra
+        cross-attention keys/values.
         """
         cfg = self.cfg
         video = nc.as_f64(video)
         question = nc.as_f64(question)
-        if video.ndim != 2 or video.shape[1] != cfg.video_dim:
-            raise nc.DimMismatch(f"video shape {video.shape}, expected [*, {cfg.video_dim}]")
-        if question.shape != (cfg.text_dim,):
-            raise nc.DimMismatch(f"question shape {question.shape}, expected ({cfg.text_dim},)")
+        if video.ndim != 3 or video.shape[2] != cfg.video_dim:
+            raise nc.DimMismatch(
+                f"video shape {video.shape}, expected [batch, *, {cfg.video_dim}]"
+            )
+        batch = video.shape[0]
+        if question.shape != (batch, cfg.text_dim):
+            raise nc.DimMismatch(
+                f"question shape {question.shape}, expected ({batch}, {cfg.text_dim})"
+            )
+        if answers is not None:
+            answers = nc.as_f64(answers)
+            if answers.shape != (batch, N_ANSWERS, cfg.text_dim):
+                raise nc.DimMismatch(
+                    f"answers shape {answers.shape}, "
+                    f"expected ({batch}, {N_ANSWERS}, {cfg.text_dim})"
+                )
         vp, c_v = nc.linear_forward(video, self.store["video_proj.w"], self.store["video_proj.b"])
-        qp, c_q = nc.linear_forward(
-            question, self.store["text_proj.w"], self.store["text_proj.b"]
+        # [B, 1, text_dim] rows: every projection is one product per sample,
+        # so a row's result does not depend on the rest of the batch
+        kv, c_q = nc.linear_forward(
+            question[:, None, :], self.store["text_proj.w"], self.store["text_proj.b"]
         )
-        kv = qp[None, :]
         c_akv = None
         if cfg.answer_conditioning:
             if answers is None:
                 raise ValueError("answer_conditioning requires answers")
-            answers = nc.as_f64(answers)
             # Answers skip the projection bias so cosine scoring stays
             # exactly invariant to positive rescaling of an answer.
             ap = answers @ self.store["text_proj.w"]
-            kv = np.vstack([kv, ap])
+            kv = np.concatenate([kv, ap], axis=1)
             c_akv = answers
         h = vp
         layer_caches = []
         for layer in range(cfg.n_layers):
             h, cache = pcma_layer_forward(h, kv, self.store, f"layer{layer}", cfg.n_heads)
             layer_caches.append(cache)
-        agg = h.mean(axis=0)
+        agg = h.mean(axis=1)
         nc.require_finite("aggregated video", agg)
         cache = {
-            "n_clips": video.shape[0],
+            "n_clips": video.shape[1],
             "c_v": c_v,
             "c_q": c_q,
             "c_akv": c_akv,
@@ -145,13 +163,14 @@ class PcmaModel:
         return agg, cache
 
     def aggregate_backward(self, dagg: Array, cache: dict) -> InputGrads:
-        """Backprop through aggregation; accumulates parameter gradients.
+        """Backprop through aggregation; accumulates parameter gradients
+        summed over the batch.
 
         The returned answer gradient is zero unless answer_conditioning fed
         answers into the keys/values.
         """
         n = cache["n_clips"]
-        dh = np.tile(dagg / n, (n, 1))
+        dh = np.repeat(dagg[:, None, :] / n, n, axis=1)
         dkv_total = None
         for layer_cache in reversed(cache["layers"]):
             dh, dkv = pcma_layer_backward(dh, layer_cache, self.store)
@@ -159,68 +178,58 @@ class PcmaModel:
         dvideo, dwv, dbv = nc.linear_backward(dh, cache["c_v"])
         self.store.accumulate("video_proj.w", dwv)
         self.store.accumulate("video_proj.b", dbv)
-        dqp = dkv_total[0]
-        danswers = np.zeros((N_ANSWERS, self.cfg.text_dim))
+        danswers = np.zeros((len(dagg), N_ANSWERS, self.cfg.text_dim))
         if cache["c_akv"] is not None:
-            dap = dkv_total[1:]
-            danswers = dap @ self.store["text_proj.w"].T
-            self.store.accumulate("text_proj.w", cache["c_akv"].T @ dap)
-        dquestion, dwt, dbt = nc.linear_backward(dqp, cache["c_q"])
+            danswers, dw, _ = nc.linear_backward(
+                dkv_total[:, 1:], (cache["c_akv"], self.store["text_proj.w"])
+            )
+            self.store.accumulate("text_proj.w", dw)
+        dquestion, dwt, dbt = nc.linear_backward(dkv_total[:, :1], cache["c_q"])
         self.store.accumulate("text_proj.w", dwt)
         self.store.accumulate("text_proj.b", dbt)
-        return InputGrads(video=dvideo, question=dquestion, answers=danswers)
+        return InputGrads(video=dvideo, question=dquestion[:, 0], answers=danswers)
 
     # -- full scoring path ---------------------------------------------------
 
     def forward_full(
         self, video: Array, question: Array, answers: Array
     ) -> tuple[AnswerScores, dict]:
+        """Cosine scores of every answer against the aggregated video, for
+        a batch shaped as in aggregate_forward."""
         answers = nc.as_f64(answers)
-        if answers.shape != (N_ANSWERS, self.cfg.text_dim):
-            raise nc.DimMismatch(
-                f"answers shape {answers.shape}, expected ({N_ANSWERS}, {self.cfg.text_dim})"
-            )
         agg, agg_cache = self.aggregate_forward(video, question, answers)
         ap = answers @ self.store["text_proj.w"]
-        scores = np.empty(N_ANSWERS)
-        cos_caches = []
-        for i in range(N_ANSWERS):
-            res, c = nc.cosine_forward(agg, ap[i])
-            scores[i] = res.value
-            cos_caches.append(c)
+        cos, cos_cache = nc.cosine_forward(np.broadcast_to(agg[:, None, :], ap.shape), ap)
         result = AnswerScores(
-            scores=scores, predicted=int(np.argmax(scores)), aggregated_video=agg
+            scores=cos.value, predicted=np.argmax(cos.value, axis=1), aggregated_video=agg
         )
-        cache = {"agg": agg_cache, "cos": cos_caches, "answers": answers}
+        cache = {"agg": agg_cache, "cos": cos_cache, "answers": answers}
         return result, cache
 
     def backward_full(self, dscores: Array, cache: dict) -> InputGrads:
-        """Backprop from per-answer score gradients; accumulates param grads."""
-        dagg = np.zeros(self.cfg.model_dim)
-        dap = np.zeros((N_ANSWERS, self.cfg.model_dim))
-        for i in range(N_ANSWERS):
-            da, db = nc.cosine_backward(float(dscores[i]), cache["cos"][i])
-            dagg += da
-            dap[i] = db
-        answers = cache["answers"]
-        danswers = dap @ self.store["text_proj.w"].T
-        self.store.accumulate("text_proj.w", answers.T @ dap)
-        grads = self.aggregate_backward(dagg, cache["agg"])
+        """Backprop from per-answer score gradients [B, N_ANSWERS];
+        accumulates parameter gradients summed over the batch."""
+        dagg, dap = nc.cosine_backward(dscores, cache["cos"])
+        danswers, dw, _ = nc.linear_backward(dap, (cache["answers"], self.store["text_proj.w"]))
+        self.store.accumulate("text_proj.w", dw)
+        grads = self.aggregate_backward(dagg.sum(axis=1), cache["agg"])
         return InputGrads(
             video=grads.video, question=grads.question, answers=grads.answers + danswers
         )
 
     def loss_and_grads(
-        self, video: Array, question: Array, answers: Array, gold: int
-    ) -> tuple[float, AnswerScores, InputGrads]:
-        """Cross-entropy training loss; accumulates parameter gradients."""
+        self, video: Array, question: Array, answers: Array, gold: Array
+    ) -> tuple[Array, AnswerScores, InputGrads]:
+        """Per-row cross-entropy losses [B] for gold indices [B]; accumulates
+        parameter gradients summed over the batch."""
         result, cache = self.forward_full(video, question, answers)
         loss, dscores = pcma_loss(result, gold, self.cfg.tau)
         return loss, result, self.backward_full(dscores, cache)
 
 
-def pcma_loss(scores: AnswerScores, gold: int, tau: float) -> tuple[float, Array]:
-    """Cross-entropy over cosine scores scaled to logits by 1/tau.
+def pcma_loss(scores: AnswerScores, gold, tau: float) -> tuple[Array, Array]:
+    """Cross-entropy over cosine scores scaled to logits by 1/tau, per row
+    of scores, against gold indices of the leading shape.
 
     Returns (loss, gradient with respect to the raw scores).
     """

@@ -284,9 +284,9 @@ def s3_distill_grads(
 def teacher_frame_distribution(model: PcmaModel, video: Array, question: Array) -> Array:
     """Frozen backbone's frame mass: final self-attention weights averaged
     over heads and queries, renormalized."""
-    _, cache = model.aggregate_forward(nc.as_f64(video), nc.as_f64(question))
+    _, cache = model.aggregate_forward(nc.as_f64(video)[None], nc.as_f64(question)[None])
     _, c_self = cache["layers"][-1]
-    attn = nc.mha_attention_weights(c_self)  # [heads, n, n]
+    attn = nc.mha_attention_weights(c_self)[0]  # [heads, n, n]
     mass = attn.mean(axis=(0, 1))
     return mass / mass.sum()
 

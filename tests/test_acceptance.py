@@ -92,27 +92,28 @@ def test_criterion_1_gradient_suite():
         assert_grad_matches(layer_loss, model.store[name], model.store.grad(name),
                             rng, f"attention.{name}")
 
-    # full answering loss
-    video = rng.normal(size=(4, cfg.video_dim))
-    question = rng.normal(size=cfg.text_dim)
-    answers = rng.normal(size=(5, cfg.text_dim))
-    gold = 1
+    # full answering loss, for one sample and for a stacked batch of three
+    for batch, gold in ((1, [1]), (3, [1, 4, 0])):
+        video = rng.normal(size=(batch, 4, cfg.video_dim))
+        question = rng.normal(size=(batch, cfg.text_dim))
+        answers = rng.normal(size=(batch, 5, cfg.text_dim))
 
-    def full_loss():
-        result, _ = model.forward_full(video, question, answers)
-        val, _ = pcma.pcma_loss(result, gold, cfg.tau)
-        return val
+        def full_loss():
+            result, _ = model.forward_full(video, question, answers)
+            val, _ = pcma.pcma_loss(result, gold, cfg.tau)
+            return float(val.sum())
 
-    model.store.zero_grads()
-    result, cache = model.forward_full(video, question, answers)
-    _, dscores = pcma.pcma_loss(result, gold, cfg.tau)
-    grads = model.backward_full(dscores, cache)
-    assert_grad_matches(full_loss, video, grads.video, rng, "loss.video")
-    assert_grad_matches(full_loss, question, grads.question, rng, "loss.question")
-    assert_grad_matches(full_loss, answers, grads.answers, rng, "loss.answers")
-    for name in ("video_proj.w", "layer1.cross.wk"):
-        assert_grad_matches(full_loss, model.store[name], model.store.grad(name),
-                            rng, f"loss.{name}")
+        model.store.zero_grads()
+        result, cache = model.forward_full(video, question, answers)
+        _, dscores = pcma.pcma_loss(result, gold, cfg.tau)
+        grads = model.backward_full(dscores, cache)
+        label = f"loss[B={batch}]"
+        assert_grad_matches(full_loss, video, grads.video, rng, f"{label}.video")
+        assert_grad_matches(full_loss, question, grads.question, rng, f"{label}.question")
+        assert_grad_matches(full_loss, answers, grads.answers, rng, f"{label}.answers")
+        for name in ("video_proj.w", "layer1.cross.wk"):
+            assert_grad_matches(full_loss, model.store[name], model.store.grad(name),
+                                rng, f"{label}.{name}")
 
     # contrastive loss
     a = rng.normal(size=16) * 0.3
@@ -132,17 +133,17 @@ def test_criterion_1_gradient_suite():
 
     # gate scorer
     gmodel = PcmaModel(cfg)
-    gvideo = rng.normal(size=(5, cfg.video_dim))
-    gquestion = rng.normal(size=cfg.text_dim)
+    gvideo = rng.normal(size=(1, 5, cfg.video_dim))
+    gquestion = rng.normal(size=(1, cfg.text_dim))
     probe = rng.normal(size=5)
 
     def gate_loss():
         g, _ = iv.gate_forward(gmodel, gvideo, gquestion)
-        return float(g @ probe)
+        return float(g[0] @ probe)
 
     gmodel.store.zero_grads()
     _, gcache = iv.gate_forward(gmodel, gvideo, gquestion)
-    dgv, dgq = iv.gate_backward(gmodel, probe, gcache)
+    dgv, dgq = iv.gate_backward(gmodel, probe[None], gcache)
     assert_grad_matches(gate_loss, gvideo, dgv, rng, "gate.video")
     assert_grad_matches(gate_loss, gquestion, dgq, rng, "gate.question")
     for name in ("gate.w", "gate.attn.wq"):

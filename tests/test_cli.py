@@ -77,6 +77,25 @@ class TestTrainCommand:
         metrics = json.loads((out_dir / "metrics.json").read_text())
         assert metrics["final"]["cl_loss"] > 0.0
 
+    def test_skip_counts_reported(self, tmp_path, out_dir):
+        # batch size 1 under f2: at step 0 only the sample's own scenes are
+        # in the bank, so its do-pass and triplet are skipped
+        cfg = write_cfg(
+            tmp_path / "train.json",
+            {
+                "data": DATA,
+                "model": MODEL,
+                "optimizer": {**OPT, "batch_size": 1},
+                "intervention": {"beta_cl": 0.2, "topk_mode": True, "k": 3,
+                                 "n_negatives": 2, "memory_source": "mnse",
+                                 "neighbor_k": 200},
+                "bank": {"regime": "f2"},
+            },
+        )
+        assert cli_main(["train", "--config", cfg]) == 0
+        metrics = json.loads((out_dir / "metrics.json").read_text())
+        assert (metrics["skipped_interventions"], metrics["skipped_mixups"]) == (1, 0)
+
 
 class TestEvalCommand:
     def test_eval_matches_train_report(self, tmp_path, monkeypatch):

@@ -3,6 +3,7 @@ the seen/unseen robustness protocol, the shortcut probe, RL sampler
 training, and artifact writers."""
 
 import json
+import os
 import warnings
 from dataclasses import replace
 from fractions import Fraction
@@ -147,6 +148,41 @@ class TestEvaluate:
         base = evaluate(model, instances)
         same = evaluate(model, instances, [i.video for i in instances])
         assert base.counts == same.counts and base.corrects == same.corrects
+
+    @staticmethod
+    def _one_at_a_time(model, instances):
+        """Reference predictions: one single-sample pass per instance."""
+        preds = []
+        for inst in instances:
+            result, _ = model.forward_full(
+                inst.video[None], inst.question[None], inst.answers[None]
+            )
+            preds.append(int(result.predicted[0]))
+        return preds
+
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 65])
+    def test_chunked_predictions_match_single_passes(self, n, monkeypatch):
+        instances, _, _ = synth(n, seed=13) if n else ([], None, None)
+        model = small_model(seed=4)
+        seen = []
+        monkeypatch.setattr(
+            hn, "_report_from_predictions", lambda insts, preds: seen.append(list(preds))
+        )
+        evaluate(model, instances)
+        assert seen == [self._one_at_a_time(model, instances)]
+
+    def test_mixed_clip_counts(self, monkeypatch):
+        eight, _, _ = synth(40, seed=1, n_clips=8)
+        three, _, _ = synth(30, seed=2, n_clips=3)
+        # interleaved clip counts; the 8-clip group spans two chunks
+        instances = [inst for pair in zip(eight, three) for inst in pair] + eight[30:]
+        model = small_model(seed=4)
+        seen = []
+        monkeypatch.setattr(
+            hn, "_report_from_predictions", lambda insts, preds: seen.append(list(preds))
+        )
+        evaluate(model, instances)
+        assert seen == [self._one_at_a_time(model, instances)]
 
 
 # -- config parsing ----------------------------------------------------------------
@@ -321,8 +357,8 @@ class TestTrain:
         result, instances, masks = gate_run
         gaps = []
         for inst, mask in zip(instances, masks):
-            gates, _ = gate_forward(result.model, inst.video, inst.question)
-            gaps.append(gates[mask].mean() - gates[~mask].mean())
+            gates, _ = gate_forward(result.model, inst.video[None], inst.question[None])
+            gaps.append(gates[0][mask].mean() - gates[0][~mask].mean())
         assert float(np.mean(gaps)) > 0.01
 
     def test_trained_triplets_separate_positive_from_negatives(self, gate_run):
@@ -381,6 +417,40 @@ class TestTrain:
         curves = train(cfg).report.curves
         assert len(curves) == 3
         assert all(np.isfinite(r.total_loss) and r.cl_loss > 0.0 for r in curves)
+
+    @pytest.mark.parametrize("source", [MemorySource.MNSE, MemorySource.RANDOM_BANK])
+    @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
+    def test_empty_eligible_pool_skips_the_intervention(self, regime, source):
+        # batch size 1: at step 0 the bank holds only the sample's own scenes
+        # (and under f3 its "a+a" blend), so no scene is eligible for it
+        base = erm_config(steps=2)
+        cfg = replace(
+            base,
+            optimizer=replace(base.optimizer, batch_size=1),
+            intervention=replace(
+                GATE_RECIPE.intervention, memory_source=source, neighbor_k=200
+            ),
+            bank=BankConfig(regime=regime),
+        )
+        result = train(cfg)
+        assert (result.skipped_interventions, result.skipped_mixups) == (1, 0)
+        step0, step1 = result.report.curves
+        assert step0.cl_loss == 0.0 and np.isfinite(step0.erm_loss)
+        assert step1.cl_loss > 0.0
+
+    def test_degenerate_splits_are_counted(self):
+        instances, saliencies, masks = synth(6, seed=8)
+        cfg = replace(
+            erm_config(steps=3),
+            intervention=replace(GATE_RECIPE.intervention, memory_source=MemorySource.MNSE),
+            bank=BankConfig(regime=Regime.F1_STATIC),
+            use_oracle_masks=True,
+        )
+        no_causal = np.zeros_like(np.asarray(masks, dtype=bool))
+        result = train(cfg, dataset=(instances, saliencies, no_causal))
+        assert result.skipped_mixups == 3 * 6
+        assert result.skipped_interventions == 0
+        assert all(r.cl_loss == 0.0 and r.erm_loss > 0.0 for r in result.report.curves)
 
     def test_checkpoint_round_trip(self, tmp_path):
         result = train(erm_config(steps=6))
@@ -590,6 +660,30 @@ class TestArtifacts:
             assert float(erm) == row.erm_loss
             assert float(cl) == row.cl_loss
             assert float(total) == row.total_loss
+
+    @pytest.mark.parametrize("artifact", ["metrics", "curves", "checkpoint"])
+    def test_failed_write_keeps_previous_files(self, tmp_path, monkeypatch, artifact):
+        def write(value):
+            if artifact == "metrics":
+                write_metrics({"value": value}, tmp_path / "metrics.json")
+            elif artifact == "curves":
+                write_curves([hn.CurveRow(0, value, value, value)], tmp_path / "curves.csv")
+            else:
+                save_checkpoint(small_model(seed=value), tmp_path / "ckpt")
+
+        def snapshot():
+            return {p: p.read_bytes() for p in tmp_path.rglob("*") if p.is_file()}
+
+        write(1)
+        before = snapshot()
+
+        def fail(src, dst):
+            raise OSError("disk full")
+
+        monkeypatch.setattr(os, "replace", fail)
+        with pytest.raises(OSError, match="disk full"):
+            write(2)
+        assert snapshot() == before  # previous files intact, no temp file left
 
     def test_output_dir_env_override(self, tmp_path, monkeypatch):
         monkeypatch.setenv(hn.OUTPUT_DIR_ENV, str(tmp_path / "env_dir"))

@@ -63,16 +63,16 @@ class TestGate:
     def test_zero_init_gates_are_exactly_half(self, rng):
         model = make_model()
         inst = make_instance(rng)
-        gates, _ = iv.gate_forward(model, inst.video, inst.question)
-        split = iv.split_from_gates(gates)
+        gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
+        split = iv.split_from_gates(gates[0])
         np.testing.assert_array_equal(split.gates, np.full(6, 0.5))
         assert split.mask.all()  # ties resolve causal
 
     def test_topk_with_k_equal_n_clips_is_all_true(self, rng):
         model = make_model()
         inst = make_instance(rng)
-        gates, _ = iv.gate_forward(model, inst.video, inst.question)
-        split = iv.split_from_gates(gates, topk_mode=True, k=6)
+        gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
+        split = iv.split_from_gates(gates[0], topk_mode=True, k=6)
         assert split.mask.all()
 
     def test_topk_marks_exactly_k_largest(self):
@@ -100,13 +100,14 @@ class TestGate:
 
     def test_gate_gradients(self, rng):
         model = make_model()
-        video = rng.normal(size=(5, VIDEO_DIM))
-        question = rng.normal(size=TEXT_DIM)
-        probe = rng.normal(size=5)
+        batch = 2  # gradients are summed over the stacked samples
+        video = rng.normal(size=(batch, 5, VIDEO_DIM))
+        question = rng.normal(size=(batch, TEXT_DIM))
+        probe = rng.normal(size=(batch, 5))
 
         def loss():
             g, _ = iv.gate_forward(model, video, question)
-            return float(g @ probe)
+            return float((g * probe).sum())
 
         model.store.zero_grads()
         gates, cache = iv.gate_forward(model, video, question)
@@ -250,9 +251,9 @@ class TestTriplet:
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
         assert len(triplet.negatives) == 1
-        assert cache["negative_caches"] == []
-        direct, _ = model.aggregate_forward(v_star, q_r)
-        np.testing.assert_array_equal(triplet.negatives[0], direct)
+        assert cache["neg_subs"] == []
+        direct, _ = model.aggregate_forward(v_star[None], q_r[None])
+        np.testing.assert_array_equal(triplet.negatives[0], direct[0])
 
     def test_negative_count_matches_config(self, rng):
         model, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)

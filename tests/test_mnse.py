@@ -441,3 +441,28 @@ class TestCallerArraysNotAliased:
         a[:] = [0.0, -1.0]
         self._assert_original(self._nearest(bank))
         np.testing.assert_array_equal(bank.entries()[0].vector, [1.0, 0.0])
+
+
+class TestOneCopyPerScene:
+    """The column matrix of a single populate is the entries' own block."""
+
+    def test_static_bank_matrix_shares_the_entry_vectors(self, rng):
+        bank = random_bank(rng, n=50, dim=6).freeze()
+        bank.query_knn(NeighborQuery(vector=rng.normal(size=6), k=3))
+        cols = bank._columns()
+        entries = bank.entries()
+        assert all(np.shares_memory(cols.matrix, e.vector) for e in entries)
+        np.testing.assert_array_equal(cols.matrix, np.stack([e.vector for e in entries]))
+
+    def test_several_blocks_are_concatenated_in_entry_order(self, rng):
+        bank = MemoryBank(bank_dim=4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
+        for step in range(3):
+            bank.push_batch(
+                [(rng.normal(size=4), f"v{step}", c) for c in range(3)],
+                [(rng.normal(size=4), f"v{step}+w", c) for c in range(2)],
+            )
+        entries = bank.entries()
+        assert len(entries) == 2 * 5
+        np.testing.assert_array_equal(
+            bank._columns().matrix, np.stack([e.vector for e in entries])
+        )

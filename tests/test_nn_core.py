@@ -114,6 +114,24 @@ class TestLinear:
         assert_grad_matches(loss, b, db, rng, "b")
 
 
+    def test_leading_axes_sum_weight_gradients(self, rng):
+        x = rng.normal(size=(2, 4, 3))
+        w = rng.normal(size=(3, 5))
+        b = rng.normal(size=5)
+        probe = rng.normal(size=(2, 4, 5))
+
+        def loss():
+            y, _ = nc.linear_forward(x, w, b)
+            return float((y * probe).sum())
+
+        y, cache = nc.linear_forward(x, w, b)
+        np.testing.assert_array_equal(y[1], nc.linear_forward(x[1], w, b)[0])
+        dx, dw, db = nc.linear_backward(probe, cache)
+        assert_grad_matches(loss, x, dx, rng, "x")
+        assert_grad_matches(loss, w, dw, rng, "w")
+        assert_grad_matches(loss, b, db, rng, "b")
+
+
 class TestSoftmax:
     def test_uniform_input_gives_uniform_output(self):
         y = nc.softmax(np.zeros(5))
@@ -240,6 +258,27 @@ class TestAttention:
             full = f"attn.{nm}"
             assert_grad_matches(loss, store[full], store.grad(full), rng, full)
 
+    def test_leading_axes_match_per_slice_calls(self, rng):
+        store, _, _ = self._setup(rng)
+        q = rng.normal(size=(3, 5, 16))
+        kv = rng.normal(size=(3, 2, 16))
+        probe = rng.normal(size=(3, 5, 16))
+
+        def loss():
+            out, _ = nc.mha_forward(q, kv, store, "attn", 4)
+            return float((out * probe).sum())
+
+        out, cache = nc.mha_forward(q, kv, store, "attn", 4)
+        assert nc.mha_attention_weights(cache).shape == (3, 4, 5, 2)
+        for i in range(3):
+            np.testing.assert_array_equal(out[i], nc.mha_forward(q[i], kv[i], store, "attn", 4)[0])
+        store.zero_grads()
+        dq, dkv = nc.mha_backward(probe, cache, store)
+        assert_grad_matches(loss, q, dq, rng, "q_in")
+        assert_grad_matches(loss, kv, dkv, rng, "kv_in")
+        for full in ("attn.wv", "attn.bo"):
+            assert_grad_matches(loss, store[full], store.grad(full), rng, full)
+
     def test_identity_projections_give_hand_computed_softmax(self):
         d = 3
         store = nc.ParamStore(seed=0)
@@ -329,6 +368,30 @@ class TestCosine:
         np.testing.assert_array_equal(db, np.zeros(3))
 
 
+    def test_rows_match_vector_calls(self, rng):
+        a = rng.normal(size=(3, 4, 6))
+        b = rng.normal(size=(3, 4, 6))
+        b[2, 1] = 0.0
+        res, cache = nc.cosine_forward(a, b)
+        assert res.value.shape == res.degenerate.shape == (3, 4)
+        for i in range(3):
+            for j in range(4):
+                one = nc.cosine_similarity(a[i, j], b[i, j])
+                assert res.value[i, j] == one.value
+                assert res.degenerate[i, j] == one.degenerate
+        assert res.value[2, 1] == 0.0 and res.degenerate.sum() == 1
+        probe = rng.normal(size=(3, 4))
+
+        def loss():
+            r, _ = nc.cosine_forward(a, b)
+            return float((r.value * probe).sum())
+
+        da, db = nc.cosine_backward(probe, cache)
+        np.testing.assert_array_equal(db[2, 1], 0.0)
+        assert_grad_matches(loss, a, da, rng, "a")
+        assert_grad_matches(loss, b, db, rng, "b")
+
+
 class TestCrossEntropy:
     def test_uniform_logits_give_log_n(self):
         loss, _ = nc.softmax_cross_entropy(np.zeros(5), gold=2)
@@ -356,6 +419,18 @@ class TestCrossEntropy:
         loss, grad = nc.softmax_cross_entropy(np.array([1e5, 0.0]), gold=1)
         assert np.isfinite(loss)
         assert np.all(np.isfinite(grad))
+
+    def test_rows_match_vector_calls(self, rng):
+        z = rng.normal(size=(4, 5)) * 3.0
+        gold = np.array([0, 4, 2, 2])
+        loss, grad = nc.softmax_cross_entropy(z, gold)
+        assert loss.shape == (4,)
+        for i in range(4):
+            one_loss, one_grad = nc.softmax_cross_entropy(z[i], int(gold[i]))
+            assert loss[i] == pytest.approx(one_loss, abs=1e-15)
+            np.testing.assert_array_equal(grad[i], one_grad)
+        with pytest.raises(nc.DimMismatch):
+            nc.softmax_cross_entropy(z, gold[:3])
 
     def test_gold_out_of_range_raises(self):
         with pytest.raises(IndexError):

@@ -4,6 +4,8 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalvqa import nn_core as nc
 from causalvqa import pcma
@@ -17,10 +19,11 @@ def small_cfg(**kw):
     return pcma.PcmaConfig(**base)
 
 
-def random_inputs(cfg, rng, n_clips=4):
-    video = rng.normal(size=(n_clips, cfg.video_dim))
-    question = rng.normal(size=cfg.text_dim)
-    answers = rng.normal(size=(N_ANSWERS, cfg.text_dim))
+def random_inputs(cfg, rng, n_clips=4, batch=1):
+    """A batch of (video, question, answers): [B, n, vd], [B, td], [B, 5, td]."""
+    video = rng.normal(size=(batch, n_clips, cfg.video_dim))
+    question = rng.normal(size=(batch, cfg.text_dim))
+    answers = rng.normal(size=(batch, N_ANSWERS, cfg.text_dim))
     return video, question, answers
 
 
@@ -91,17 +94,17 @@ class TestForward:
         cfg = small_cfg()
         model = pcma.PcmaModel(cfg)
         video, question, answers = random_inputs(cfg, rng)
-        answers = np.tile(answers[2], (N_ANSWERS, 1))
+        answers = np.tile(answers[:, 2:3], (1, N_ANSWERS, 1))
         result, _ = model.forward_full(video, question, answers)
-        assert np.all(result.scores == result.scores[0])
-        assert result.predicted == 0
+        assert np.all(result.scores == result.scores[0, 0])
+        assert result.predicted.tolist() == [0]
 
     def test_answer_rescaling_leaves_scores_unchanged(self, rng):
         cfg = small_cfg()
         model = pcma.PcmaModel(cfg)
         video, question, answers = random_inputs(cfg, rng)
         base, _ = model.forward_full(video, question, answers)
-        scales = np.array([3.0, 0.1, 7.5, 1.0, 42.0])[:, None]
+        scales = np.array([3.0, 0.1, 7.5, 1.0, 42.0])[None, :, None]
         scaled, _ = model.forward_full(video, question, answers * scales)
         np.testing.assert_allclose(scaled.scores, base.scores, atol=1e-12)
         assert scaled.predicted == base.predicted
@@ -112,13 +115,13 @@ class TestForward:
         video, question, answers = random_inputs(cfg, rng)
         base, _ = model.forward_full(video, question, answers)
         perm = np.array([3, 0, 4, 1, 2])
-        permuted, _ = model.forward_full(video, question, answers[perm])
-        np.testing.assert_allclose(permuted.scores, base.scores[perm], atol=1e-12)
+        permuted, _ = model.forward_full(video, question, answers[:, perm])
+        np.testing.assert_allclose(permuted.scores, base.scores[:, perm], atol=1e-12)
         gold = 2
-        base_loss, _ = pcma.pcma_loss(base, gold, cfg.tau)
+        base_loss, _ = pcma.pcma_loss(base, [gold], cfg.tau)
         new_gold = int(np.flatnonzero(perm == gold)[0])
-        perm_loss, _ = pcma.pcma_loss(permuted, new_gold, cfg.tau)
-        assert perm_loss == pytest.approx(base_loss, abs=1e-12)
+        perm_loss, _ = pcma.pcma_loss(permuted, [new_gold], cfg.tau)
+        assert perm_loss[0] == pytest.approx(base_loss[0], abs=1e-12)
 
     def test_clip_permutation_leaves_aggregate_unchanged(self, rng):
         cfg = small_cfg()
@@ -126,7 +129,7 @@ class TestForward:
         video, question, answers = random_inputs(cfg, rng, n_clips=6)
         base, _ = model.aggregate_forward(video, question)
         perm = rng.permutation(6)
-        permuted, _ = model.aggregate_forward(video[perm], question)
+        permuted, _ = model.aggregate_forward(video[:, perm], question)
         np.testing.assert_allclose(permuted, base, atol=1e-12)
 
     def test_residual_identity_path(self, rng):
@@ -135,25 +138,27 @@ class TestForward:
         zero_attention_outputs(model.store)
         video, question, answers = random_inputs(cfg, rng)
         result, _ = model.forward_full(video, question, answers)
-        vp = video @ model.store["video_proj.w"] + model.store["video_proj.b"]
+        vp = video[0] @ model.store["video_proj.w"] + model.store["video_proj.b"]
         agg = vp.mean(axis=0)
-        ap = answers @ model.store["text_proj.w"]
+        ap = answers[0] @ model.store["text_proj.w"]
         expect = np.array(
-            [nc.cosine_similarity(agg, ap[i]).value for i in range(N_ANSWERS)]
+            [[nc.cosine_similarity(agg, ap[i]).value for i in range(N_ANSWERS)]]
         )
         np.testing.assert_allclose(result.scores, expect, atol=1e-12)
-        np.testing.assert_allclose(result.aggregated_video, agg, atol=1e-12)
+        np.testing.assert_allclose(result.aggregated_video, agg[None], atol=1e-12)
 
     def test_dim_mismatch(self, rng):
         cfg = small_cfg()
         model = pcma.PcmaModel(cfg)
         video, question, answers = random_inputs(cfg, rng)
         with pytest.raises(nc.DimMismatch):
-            model.forward_full(video[:, :-1], question, answers)
+            model.forward_full(video[:, :, :-1], question, answers)
         with pytest.raises(nc.DimMismatch):
-            model.forward_full(video, question[:-1], answers)
+            model.forward_full(video, question[:, :-1], answers)
         with pytest.raises(nc.DimMismatch):
-            model.forward_full(video, question, answers[:, :-1])
+            model.forward_full(video, question, answers[:, :, :-1])
+        with pytest.raises(nc.DimMismatch):
+            model.forward_full(video[0], question[0], answers[0])
 
 
 class TestLoss:
@@ -190,12 +195,12 @@ class TestGradients:
         cfg = small_cfg(answer_conditioning=conditioning)
         model = pcma.PcmaModel(cfg)
         video, question, answers = random_inputs(cfg, rng)
-        gold = 1
+        gold = [1]
 
         def loss():
             result, cache = model.forward_full(video, question, answers)
             val, _ = pcma.pcma_loss(result, gold, cfg.tau)
-            return val
+            return float(val[0])
 
         model.store.zero_grads()
         result, cache = model.forward_full(video, question, answers)
@@ -214,11 +219,11 @@ class TestGradients:
         cfg = small_cfg()
         model = pcma.PcmaModel(cfg)
         video, question, _ = random_inputs(cfg, rng)
-        probe = rng.normal(size=cfg.model_dim)
+        probe = rng.normal(size=(1, cfg.model_dim))
 
         def loss():
             agg, _ = model.aggregate_forward(video, question)
-            return float(agg @ probe)
+            return float((agg * probe).sum())
 
         model.store.zero_grads()
         _, cache = model.aggregate_forward(video, question)
@@ -238,3 +243,69 @@ class TestGradients:
         agg3, _ = base.aggregate_forward(video, question, answers)
         agg4, _ = base.aggregate_forward(video, question, answers + 0.5)
         np.testing.assert_array_equal(agg3, agg4)
+
+
+class TestBatchAxis:
+    """A stacked pass over B samples equals B separate single-sample passes."""
+
+    @given(
+        batch=st.integers(1, 6),
+        n_clips=st.integers(1, 6),
+        conditioning=st.booleans(),
+        seed=st.integers(0, 2**32 - 1),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_stacked_pass_equals_per_row_passes(self, batch, n_clips, conditioning, seed):
+        g = np.random.default_rng(seed)
+        cfg = small_cfg(answer_conditioning=conditioning)
+        model = pcma.PcmaModel(cfg)
+        video, question, answers = random_inputs(cfg, g, n_clips=n_clips, batch=batch)
+        gold = g.integers(0, N_ANSWERS, size=batch)
+
+        model.store.zero_grads()
+        losses, result, grads = model.loss_and_grads(video, question, answers, gold)
+        stacked = {n: model.store.grad(n).copy() for n in model.store.names()}
+
+        model.store.zero_grads()
+        for b in range(batch):
+            rows = slice(b, b + 1)
+            loss_b, result_b, grads_b = model.loss_and_grads(
+                video[rows], question[rows], answers[rows], gold[rows]
+            )
+            np.testing.assert_allclose(losses[rows], loss_b, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(result.scores[rows], result_b.scores, rtol=0, atol=1e-12)
+            assert result.predicted[b] == result_b.predicted[0]
+            for field in ("video", "question", "answers"):
+                np.testing.assert_allclose(
+                    getattr(grads, field)[rows], getattr(grads_b, field), rtol=0, atol=1e-12
+                )
+        for name, g_stacked in stacked.items():
+            np.testing.assert_allclose(
+                g_stacked, model.store.grad(name), rtol=1e-12, atol=1e-12, err_msg=name
+            )
+
+    def test_zero_norm_answer_scores_zero_and_is_flagged(self, rng):
+        cfg = small_cfg()
+        model = pcma.PcmaModel(cfg)
+        video, question, answers = random_inputs(cfg, rng, batch=3)
+        answers[1, 2] = 0.0
+        result, cache = model.forward_full(video, question, answers)
+        assert result.scores[1, 2] == 0.0
+        assert np.count_nonzero(result.scores == 0.0) == 1
+        degenerate = cache["cos"][-1]
+        assert degenerate.tolist() == [[i == 1 and j == 2 for j in range(N_ANSWERS)]
+                                       for i in range(3)]
+        grads = model.backward_full(np.ones((3, N_ANSWERS)), cache)
+        np.testing.assert_array_equal(grads.answers[1, 2], 0.0)
+
+    @pytest.mark.parametrize(
+        "field, message",
+        [("video", "aggregated video"), ("answers", "cosine input b")],
+    )
+    def test_non_finite_row_raises_for_the_batch(self, rng, field, message):
+        cfg = small_cfg()
+        model = pcma.PcmaModel(cfg)
+        inputs = dict(zip(("video", "question", "answers"), random_inputs(cfg, rng, batch=4)))
+        inputs[field][2, 0] = np.nan
+        with pytest.raises(nc.NumericsError, match=f"^{message} contains non-finite values$"):
+            model.forward_full(inputs["video"], inputs["question"], inputs["answers"])
