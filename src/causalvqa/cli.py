@@ -20,6 +20,7 @@ from . import samplers as sm
 from .features import FormatError, SyntheticSpec, generate_synthetic, save_dataset
 from .harness import (
     ConfigError,
+    build_section,
     evaluate,
     load_checkpoint,
     load_data,
@@ -63,10 +64,7 @@ def _cmd_gen_data(raw: dict) -> tuple[Path, dict]:
     if not isinstance(raw.get("synthetic"), dict):
         problems.append("synthetic: required section")
     else:
-        try:
-            spec = SyntheticSpec(**raw["synthetic"])
-        except (TypeError, ValueError) as exc:
-            problems.append(f"synthetic: {exc}")
+        spec = build_section(problems, "synthetic", SyntheticSpec, raw["synthetic"])
     manifest_name = raw.get("manifest", "dataset.json")
     if not isinstance(manifest_name, str) or not manifest_name:
         problems.append("manifest: expected nonempty string path")
@@ -132,8 +130,8 @@ def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
     if not isinstance(neighbor_k, int) or neighbor_k < 1:
         problems.append("neighbor_k: expected positive integer")
     seed = raw.get("seed", 0)
-    if not isinstance(seed, int):
-        problems.append("seed: expected integer")
+    if not isinstance(seed, int) or seed < 0:
+        problems.append("seed: expected nonnegative integer")
     if problems:
         raise ConfigError(problems)
 

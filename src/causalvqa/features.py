@@ -158,6 +158,8 @@ class SyntheticSpec:
     def __post_init__(self) -> None:
         if self.n_instances < 0:
             raise ValueError("n_instances must be nonnegative")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if not 0.0 < self.causal_fraction <= 1.0:
             raise ValueError("causal_fraction must be in (0, 1]")
         if self.noise_std < 0.0:

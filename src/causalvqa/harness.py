@@ -11,8 +11,9 @@ from __future__ import annotations
 import json
 import os
 from dataclasses import asdict, dataclass, field, replace
+from functools import cache, partial
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -86,6 +87,8 @@ class OptimizerConfig:
             problems.append("steps must be nonnegative")
         if self.batch_size < 1:
             problems.append("batch_size must be >= 1")
+        if self.seed < 0:
+            problems.append("seed must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             problems.append("Adam betas must lie in [0, 1)")
         if problems:
@@ -153,6 +156,9 @@ class ModelConfig:
     answer_conditioning: bool = False
     seed: int = 0
 
+    def __post_init__(self) -> None:
+        self.pcma(1, 1)  # PcmaConfig's rules; the real dims come from the dataset
+
     def pcma(self, video_dim: int, text_dim: int) -> PcmaConfig:
         return PcmaConfig(
             video_dim=video_dim,
@@ -194,6 +200,41 @@ def load_data(
 # -- config parsing (JSON dict -> ExperimentConfig) -----------------------------
 
 
+_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", type(None): "null"}
+_field_types = cache(get_type_hints)  # evaluating annotations takes ~0.1 ms a class
+
+
+def _json_type_ok(value, kind) -> bool:
+    """int takes no bool or float, float takes ints, bool only true/false;
+    enum and nested-spec fields are converted before the section is built."""
+    if kind in (int, float):
+        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+    return isinstance(value, kind) if kind in _JSON_KINDS else True
+
+
+def build_section(problems: list[str], section: str, factory: Callable, kwargs: dict | None):
+    """factory(**kwargs) for one config section, or None with one message
+    appended per JSON value whose type does not match its dataclass field,
+    else one for the factory's own rejection."""
+    if kwargs is None:
+        return None
+    hints = _field_types(factory)
+    mismatched = []
+    for key, value in kwargs.items():
+        kinds = get_args(hints.get(key)) or (hints.get(key),)
+        if not any(_json_type_ok(value, kind) for kind in kinds):
+            expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            mismatched.append(f"{section}.{key}: expected {expected}, got {json.dumps(value)}")
+    if mismatched:
+        problems.extend(mismatched)
+        return None
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{section}: {exc}")
+        return None
+
+
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """Build a validated config from a JSON dict.
 
@@ -201,14 +242,7 @@ def parse_experiment_config(raw: dict) -> ExperimentConfig:
     """
     problems: list[str] = []
 
-    def build(section: str, factory: Callable, kwargs: dict | None):
-        if kwargs is None:
-            return None
-        try:
-            return factory(**kwargs)
-        except (TypeError, ValueError) as exc:
-            problems.append(f"{section}: {exc}")
-            return None
+    build = partial(build_section, problems)
 
     def section(parent: dict, key: str, name: str | None = None) -> dict | None:
         """A copy of parent[key] ({} when absent), or None if not an object."""
@@ -360,35 +394,29 @@ def _report_from_predictions(
     )
 
 
-def _stack(insts: Sequence[VideoQAInstance], rows: Sequence[int], videos: Sequence[Array]):
-    """Stacked (videos, questions, answers, golds) of the instances at rows."""
+def _stacked(insts: Sequence[VideoQAInstance], videos: Sequence[Array] | None = None):
+    """(videos, questions, answers, golds) of the instances stacked for one
+    pass, videos overriding the instances' own row for row. A run has one
+    clip count: np.stack raises ValueError on a mix."""
     return (
-        np.stack([videos[r] for r in rows]),
-        np.stack([insts[r].question for r in rows]),
-        np.stack([insts[r].answers for r in rows]),
-        np.array([insts[r].gold for r in rows]),
+        np.stack([inst.video for inst in insts] if videos is None else videos),
+        np.stack([inst.question for inst in insts]),
+        np.stack([inst.answers for inst in insts]),
+        np.array([inst.gold for inst in insts]),
     )
 
 
-def _shape_groups(videos: Sequence[Array], size: int | None = None) -> list[list[int]]:
-    """Positions of same-shape videos, grouped in first-appearance order and
-    split into runs of at most size; each run can go through one stacked pass."""
-    groups: dict[tuple, list[int]] = {}
-    for i, video in enumerate(videos):
-        groups.setdefault(np.shape(video), []).append(i)
-    step = size or max(1, len(videos))
-    return [rows[s : s + step] for rows in groups.values() for s in range(0, len(rows), step)]
-
-
-def _scored_chunks(
-    model: PcmaModel, instances: Sequence[VideoQAInstance], videos: Sequence[Array]
-):
-    """(positions, AnswerScores) for stacked passes of at most EVAL_CHUNK
-    same-shape instances: the chunk bounds the size of one pass's caches."""
-    for rows in _shape_groups(videos, EVAL_CHUNK):
-        video, question, answers, _ = _stack(instances, rows, videos)
-        result, _ = model.forward_full(video, question, answers)
-        yield rows, result
+def _scored_chunks(model: PcmaModel, instances: Sequence[VideoQAInstance], videos=None):
+    """(slice, AnswerScores, golds) per stacked pass over EVAL_CHUNK
+    consecutive instances: stacking per chunk bounds one pass's arrays and
+    caches."""
+    for start in range(0, len(instances), EVAL_CHUNK):
+        chunk = slice(start, start + EVAL_CHUNK)
+        video, question, answers, golds = _stacked(
+            instances[chunk], None if videos is None else videos[chunk]
+        )
+        # drop the cache at once, so no two chunks' caches are alive together
+        yield chunk, model.forward_full(video, question, answers)[0], golds
 
 
 def evaluate(
@@ -398,11 +426,9 @@ def evaluate(
 ) -> MetricsReport:
     """Argmax-score accuracy per question type; videos can be overridden
     row-for-row to evaluate under interventions."""
-    if videos is None:
-        videos = [inst.video for inst in instances]
     predictions = np.empty(len(instances), dtype=np.int64)
-    for rows, result in _scored_chunks(model, instances, [nc.as_f64(v) for v in videos]):
-        predictions[rows] = result.predicted
+    for chunk, result, _ in _scored_chunks(model, instances, videos):
+        predictions[chunk] = result.predicted
     return _report_from_predictions(instances, predictions)
 
 
@@ -439,23 +465,16 @@ def _batch_splits(
     insts: list[VideoQAInstance],
     icfg: InterventionConfig,
     masks: list[Array] | None,
-) -> tuple[list[CausalSplit], list[tuple[list[int], dict]] | None]:
+) -> tuple[list[CausalSplit], dict | None]:
     """Causal splits from the oracle masks when given, else from the
-    learned gates: one gate_forward per same-shape group, whose (batch
-    positions, gate cache) pairs are returned for backprop."""
+    learned gates of one gate_forward over the batch, whose cache is
+    returned for backprop."""
     if masks is not None:
         bool_masks = [np.asarray(m, dtype=bool) for m in masks]
         return [CausalSplit(mask=m, gates=m.astype(np.float64)) for m in bool_masks], None
-    videos = [inst.video for inst in insts]
-    splits: list = [None] * len(insts)
-    groups = []
-    for rows in _shape_groups(videos):
-        video, question, _, _ = _stack(insts, rows, videos)
-        gates, cache = gate_forward(model, video, question)
-        for r, g in zip(rows, gates):
-            splits[r] = split_from_gates(g, topk_mode=icfg.topk_mode, k=icfg.k)
-        groups.append((rows, cache))
-    return splits, groups
+    video, question, _, _ = _stacked(insts)
+    gates, cache = gate_forward(model, video, question)
+    return [split_from_gates(g, topk_mode=icfg.topk_mode, k=icfg.k) for g in gates], cache
 
 
 def _mixed_samples(
@@ -485,27 +504,33 @@ def _mixed_samples(
 
 def _clean_pass(
     model: PcmaModel, insts: list[VideoQAInstance], gates: list[Array | None]
-) -> tuple[Array, list[Array | None]]:
-    """Answer losses of the clean samples, one stacked pass per same-shape
-    group. A sample given gates is scored on gate-weighted clip rows and
-    gets a gate gradient, so answering pressure teaches the gates which
-    clips matter. Weights are mean-normalized: only relative gate values
-    count, not the overall input scale."""
+) -> tuple[Array, Array]:
+    """Answer losses of the clean samples in one stacked pass, and gate
+    gradients [B, n_clips], zero for samples given no gates. A sample given
+    gates is scored on gate-weighted clip rows, so answering pressure
+    teaches the gates which clips matter. Weights are mean-normalized: only
+    relative gate values count, not the overall input scale."""
     weights = [None if g is None else g / g.mean() for g in gates]
     videos = [
         inst.video if w is None else w[:, None] * inst.video for inst, w in zip(insts, weights)
     ]
-    losses = np.empty(len(insts))
-    dgates: list[Array | None] = [None] * len(insts)
-    for rows in _shape_groups(videos):
-        loss, _, igrads = model.loss_and_grads(*_stack(insts, rows, videos))
-        losses[rows] = loss
-        for r, dvideo in zip(rows, igrads.video):
-            w = weights[r]
-            if w is not None:
-                dweights = (dvideo * insts[r].video).sum(axis=1)
-                dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
+    losses, _, igrads = model.loss_and_grads(*_stacked(insts, videos))
+    dgates = np.zeros(igrads.video.shape[:2])
+    for r, w in enumerate(weights):
+        if w is not None:
+            dweights = (igrads.video[r] * insts[r].video).sum(axis=1)
+            dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
     return losses, dgates
+
+
+def _do_complement(
+    inst: VideoQAInstance, mask: Array, bank: MemoryBank, source: MemorySource, k: int, seed: int
+) -> Array:
+    """The instance's video with its complement rows replaced by bank scenes
+    of other videos: drawn among each row's k nearest for MNSE, else uniform."""
+    if source is MemorySource.MNSE:
+        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id)
+    return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
 
 
 def _intervened_sample(
@@ -535,17 +560,9 @@ def _intervened_sample(
     if eligible:
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
-        seed = int(rng.integers(2**32))
-        if icfg.memory_source is MemorySource.MNSE:
-            v_do = mnse_do(
-                inst.video, split.mask, bank, Target.COMPLEMENT,
-                k=icfg.neighbor_k, seed=seed, exclude_video_id=inst.video_id,
-            )
-        else:
-            v_do = random_do(
-                inst.video, split.mask, bank, Target.COMPLEMENT,
-                seed=seed, exclude_video_id=inst.video_id,
-            )
+        v_do = _do_complement(
+            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k, int(rng.integers(2**32))
+        )
         views.append((v_do, inst.question, inst.answers))
     videos, questions, answers = (np.stack(column) for column in zip(*views))
     losses, _, _ = model.loss_and_grads(
@@ -626,9 +643,9 @@ def train(
             store.zero_grads()
 
             prepared: list[tuple | None] = [None] * len(batch)
-            gate_groups = None
+            gate_cache = None
             if use_cl:
-                splits, gate_groups = _batch_splits(
+                splits, gate_cache = _batch_splits(
                     model, insts, icfg,
                     [masks[i] for i in batch] if cfg.use_oracle_masks else None,
                 )
@@ -641,7 +658,7 @@ def train(
                     )
 
             clean, dgates = _clean_pass(model, insts, [
-                entry[0].gates if gate_groups is not None and entry is not None else None
+                entry[0].gates if gate_cache is not None and entry is not None else None
                 for entry in prepared
             ])
             erm_sum = 0.0
@@ -659,11 +676,10 @@ def train(
                     skipped_interventions += 1
                     continue
                 cl_sum += cl
-                if gate_groups is not None:
-                    dgates[j] = dgates_cl + dgates[j]
-            for rows, gcache in gate_groups or ():
-                dg = [np.zeros(insts[r].n_clips) if dgates[r] is None else dgates[r] for r in rows]
-                gate_backward(model, np.stack(dg), gcache)
+                if gate_cache is not None:
+                    dgates[j] += dgates_cl
+            if gate_cache is not None:
+                gate_backward(model, dgates, gate_cache)
 
             n_batch = len(batch)
             erm_mean = erm_sum / n_batch
@@ -717,27 +733,6 @@ class ProtocolResult(NamedTuple):
     deltas: dict[str, float]
 
 
-def _intervened_videos(
-    instances: Sequence[VideoQAInstance],
-    masks: Array,
-    bank: MemoryBank,
-    do: str,
-    seed: int,
-    k: int = 1,
-) -> list[Array]:
-    videos = []
-    for i, inst in enumerate(instances):
-        video = inst.video
-        if do == "mnse":
-            out = mnse_do(video, masks[i], bank, Target.COMPLEMENT, k=k,
-                          seed=seed * 1009 + i, exclude_video_id=inst.video_id)
-        else:
-            out = random_do(video, masks[i], bank, Target.COMPLEMENT,
-                            seed=seed * 1009 + i, exclude_video_id=inst.video_id)
-        videos.append(out)
-    return videos
-
-
 def seen_unseen_protocol(
     model_a: PcmaModel,
     model_b: PcmaModel,
@@ -754,8 +749,11 @@ def seen_unseen_protocol(
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")
     masks = np.asarray(masks, dtype=bool)
-    mnse_videos = _intervened_videos(instances, masks, bank, "mnse", seed, neighbor_k)
-    random_videos = _intervened_videos(instances, masks, bank, "random", seed)
+    mnse_videos, random_videos = (
+        [_do_complement(inst, masks[i], bank, source, neighbor_k, seed * 1009 + i)
+         for i, inst in enumerate(instances)]
+        for source in (MemorySource.MNSE, MemorySource.RANDOM_BANK)
+    )
 
     clean = (evaluate(model_a, instances), evaluate(model_b, instances))
     seen = (
@@ -859,12 +857,12 @@ def shortcut_probe(instances: Sequence[VideoQAInstance]) -> MetricsReport:
     """Parameter-free diagnostic: answer choice nearest (by cosine) to the
     mean video row. High accuracy exposes answer leakage into the video
     features."""
-    predictions = []
-    for inst in instances:
-        center = np.broadcast_to(inst.video.mean(axis=0), inst.answers.shape)
-        sims, _ = nc.cosine_forward(center, inst.answers)
-        predictions.append(int(np.argmax(sims.value)))
-    return _report_from_predictions(instances, predictions)
+    if not instances:
+        return _report_from_predictions(instances, [])
+    centers = np.stack([inst.video.mean(axis=0) for inst in instances])
+    answers = np.stack([inst.answers for inst in instances])
+    sims, _ = nc.cosine_forward(np.broadcast_to(centers[:, None, :], answers.shape), answers)
+    return _report_from_predictions(instances, np.argmax(sims.value, axis=1))
 
 
 # -- RL sampler training -------------------------------------------------------------
@@ -926,9 +924,8 @@ def rl_train(
             tail_loss.append(loss)
     # the all-frames reference loss, scored in stacked chunks
     all_frames = np.empty(len(instances))
-    for rows, result in _scored_chunks(backbone, instances, [inst.video for inst in instances]):
-        golds = [instances[r].gold for r in rows]
-        all_frames[rows], _ = pcma_loss(result, golds, backbone.cfg.tau)
+    for chunk, result, golds in _scored_chunks(backbone, instances):
+        all_frames[chunk], _ = pcma_loss(result, golds, backbone.cfg.tau)
     return RlTrainResult(
         sampler=sampler,
         mean_selected_fraction=float(np.mean(tail_frac)),

@@ -61,6 +61,8 @@ class InterventionConfig:
             raise ValueError("n_negatives must be >= 1")
         if self.neighbor_k < 1:
             raise ValueError("neighbor_k must be >= 1")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
         if self.topk_mode and (self.k is None or self.k < 1):
             raise ValueError("topk_mode requires k >= 1")
 

@@ -62,7 +62,6 @@ class NeighborQuery:
     vector: Array
     k: int = 1
     exclude_video_id: str | None = None
-    seed: int = 0
 
     def __post_init__(self) -> None:
         if self.k < 1:
@@ -286,12 +285,6 @@ class MemoryBank:
         top, scores = self._ranked(qv[None, :], q.k, pool)
         rows = self._columns().rows
         return [ScoredNeighbor(rows[i], float(s)) for i, s in zip(top[0], scores[0])]
-
-    def sample_neighbor_scene(self, q: NeighborQuery) -> ScoredNeighbor:
-        """Uniform seeded choice among the top-k neighbors."""
-        top = self.query_knn(q)
-        rng = np.random.default_rng(q.seed)
-        return top[int(rng.integers(0, len(top)))]
 
 
 def instance_scenes(

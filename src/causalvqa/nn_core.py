@@ -382,12 +382,6 @@ def cosine_backward(dvalue: Array, cache: tuple) -> tuple[Array, Array]:
     return da, db
 
 
-def cosine_similarity(a: Array, b: Array) -> CosineResult:
-    """Cosine of the angle between two vectors; zero-norm inputs map to 0, flagged."""
-    result, _ = cosine_forward(a, b)
-    return result
-
-
 # -- cross entropy -----------------------------------------------------------
 
 

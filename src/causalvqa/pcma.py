@@ -46,6 +46,8 @@ class PcmaConfig:
             )
         if self.tau <= 0:
             raise ValueError("tau must be positive")
+        if self.seed < 0:
+            raise ValueError("seed must be >= 0")
 
 
 class AnswerScores(NamedTuple):

@@ -251,6 +251,73 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == f"config error: {section}: expected a JSON object\n"
 
+    @staticmethod
+    def _train_with(tmp_path, section, key, value) -> str:
+        """A valid train config with one field of one section replaced."""
+        raw = {"data": json.loads(json.dumps(DATA)), "model": dict(MODEL),
+               "optimizer": dict(OPT), "intervention": {"beta_cl": 0.2}, "bank": {}}
+        target = raw
+        for part in section.split("."):
+            target = target[part]
+        target[key] = value
+        return write_cfg(tmp_path / "bad.json", raw)
+
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [
+            ("optimizer", "steps", 1.5),
+            ("optimizer", "batch_size", 2.5),
+            ("optimizer", "seed", "x"),
+            ("data.synthetic", "n_clips", 2.5),
+            ("data.synthetic", "seed", 1.5),
+            ("intervention", "n_negatives", 2.5),
+            ("intervention", "neighbor_k", 1.5),
+            ("bank", "window", 2.5),
+            ("model", "n_layers", "2"),
+            ("model", "model_dim", "x"),
+            ("model", "seed", "x"),
+            ("model", "seed", 1.5),
+            ("model", "n_heads", 2.0),
+            ("model", "answer_conditioning", "yes"),
+            ("model", "answer_conditioning", 1),
+        ],
+    )
+    def test_field_of_the_wrong_type(self, tmp_path, out_dir, capsys, section, key, value):
+        cfg = self._train_with(tmp_path, section, key, value)
+        assert cli_main(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1
+        assert lines[0].startswith(f"config error: {section}.{key}: expected ")
+        assert lines[0].endswith(f"got {json.dumps(value)}")
+
+    @pytest.mark.parametrize("section", ["optimizer", "model", "data.synthetic", "intervention"])
+    def test_negative_seed(self, tmp_path, out_dir, capsys, section):
+        cfg = self._train_with(tmp_path, section, "seed", -1)
+        assert cli_main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {section}: seed must be >= 0\n"
+
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"model_dim": 30, "n_heads": 4}, "model_dim 30 not divisible by n_heads 4"),
+            ({"tau": 0}, "tau must be positive"),
+            ({"n_layers": 0}, "dims, n_heads and n_layers must be positive"),
+        ],
+        ids=["heads", "tau", "layers"],
+    )
+    def test_model_rules_checked_at_parse(self, tmp_path, out_dir, capsys, fields, message):
+        raw = {"data": DATA, "model": {**MODEL, **fields}, "optimizer": OPT}
+        cfg = write_cfg(tmp_path / "bad.json", raw)
+        assert cli_main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: model: {message}\n"
+
+    def test_gen_data_field_of_the_wrong_type(self, tmp_path, out_dir, capsys):
+        spec = {**DATA["synthetic"], "n_clips": 2.5}
+        cfg = write_cfg(tmp_path / "gen.json", {"synthetic": spec})
+        assert cli_main(["gen-data", "--config", cfg]) == 1
+        err = capsys.readouterr().err
+        assert err == "config error: synthetic.n_clips: expected an integer, got 2.5\n"
+
     @pytest.mark.parametrize("name", ["model.json", "params.json"])
     def test_unknown_checkpoint_version(self, tmp_path, out_dir, capsys, name):
         train_cfg = write_cfg(tmp_path / "train.json",

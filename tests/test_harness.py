@@ -5,7 +5,7 @@ training, and artifact writers."""
 import json
 import os
 import warnings
-from dataclasses import replace
+from dataclasses import fields, replace
 from fractions import Fraction
 
 import numpy as np
@@ -171,18 +171,17 @@ class TestEvaluate:
         evaluate(model, instances)
         assert seen == [self._one_at_a_time(model, instances)]
 
-    def test_mixed_clip_counts(self, monkeypatch):
-        eight, _, _ = synth(40, seed=1, n_clips=8)
-        three, _, _ = synth(30, seed=2, n_clips=3)
-        # interleaved clip counts; the 8-clip group spans two chunks
-        instances = [inst for pair in zip(eight, three) for inst in pair] + eight[30:]
-        model = small_model(seed=4)
-        seen = []
-        monkeypatch.setattr(
-            hn, "_report_from_predictions", lambda insts, preds: seen.append(list(preds))
-        )
-        evaluate(model, instances)
-        assert seen == [self._one_at_a_time(model, instances)]
+    def test_mixed_clip_counts_raise(self):
+        # a run has one clip count; a stacked pass over a mix cannot be built
+        eight, _, _ = synth(3, seed=1, n_clips=8)
+        three, _, _ = synth(3, seed=2, n_clips=3)
+        instances = eight + three
+        with pytest.raises(ValueError, match="same shape"):
+            evaluate(small_model(seed=4), instances)
+        # one batch covers the whole set, so the first step mixes the counts
+        cfg = replace(erm_config(steps=1), optimizer=OptimizerConfig(batch_size=6, steps=1))
+        with pytest.raises(ValueError, match="same shape"):
+            train(cfg, dataset=(instances, None, None))
 
 
 # -- config parsing ----------------------------------------------------------------
@@ -231,6 +230,59 @@ class TestConfigParsing:
         with pytest.raises(ConfigError) as err:
             parse_experiment_config({})
         assert any("data" in p for p in err.value.problems)
+
+
+# JSON values for the config property; integers stay small so that a model
+# built from them stays small
+JSON_VALUES = st.recursive(
+    st.none()
+    | st.booleans()
+    | st.integers(-3, 64)
+    | st.floats(-3, 64, allow_nan=False)
+    | st.sampled_from(["x", "f1", "f3", "mnse", "random", "l2"]),
+    lambda inner: st.lists(inner, max_size=2)
+    | st.dictionaries(st.text(max_size=3), inner, max_size=2),
+    max_leaves=4,
+)
+
+
+def json_section(cls):
+    """JSON objects over the field names of one config dataclass."""
+    names = [f.name for f in fields(cls)]
+    return st.dictionaries(st.sampled_from(names), JSON_VALUES, max_size=len(names))
+
+
+EXPERIMENT_JSON = st.fixed_dictionaries(
+    {
+        "data": st.fixed_dictionaries(
+            {"synthetic": json_section(SyntheticSpec).map(lambda d: {"n_instances": 4, **d})}
+        )
+        | st.fixed_dictionaries({"manifest": JSON_VALUES})
+        | JSON_VALUES,
+    },
+    optional={
+        "model": json_section(ModelConfig) | JSON_VALUES,
+        "optimizer": json_section(OptimizerConfig) | JSON_VALUES,
+        "intervention": json_section(InterventionConfig) | JSON_VALUES,
+        "bank": json_section(BankConfig) | JSON_VALUES,
+        "use_oracle_masks": JSON_VALUES,
+        "output_dir": JSON_VALUES,
+    },
+)
+
+
+class TestConfigBoundary:
+    @settings(max_examples=300, deadline=None)
+    @given(raw=EXPERIMENT_JSON)
+    def test_parsed_config_constructs_or_raises_config_error(self, raw):
+        try:
+            cfg = parse_experiment_config(raw)
+        except ConfigError:
+            return
+        PcmaModel(cfg.model.pcma(4, 4))
+        np.random.default_rng(cfg.optimizer.seed)
+        if cfg.data.synthetic is not None:
+            np.random.default_rng(cfg.data.synthetic.seed)
 
 
 # -- optimizer ---------------------------------------------------------------------
@@ -590,6 +642,19 @@ class TestShortcutProbe:
     def test_clean_data_scores_at_chance(self):
         instances, _, _ = synth(1000, seed=9, n_clips=16, video_dim=64, text_dim=64)
         assert 0.17 <= shortcut_probe(instances).overall <= 0.23
+
+    def test_stacked_predictions_match_per_instance_cosine(self, monkeypatch):
+        instances, _, _ = synth(40, seed=5, leak_strength=0.5)
+        seen = []
+        monkeypatch.setattr(
+            hn, "_report_from_predictions", lambda insts, preds: seen.append(list(preds))
+        )
+        shortcut_probe(instances)
+        want = []
+        for inst in instances:
+            center = np.broadcast_to(inst.video.mean(axis=0), inst.answers.shape)
+            want.append(int(np.argmax(nc.cosine_forward(center, inst.answers)[0].value)))
+        assert seen == [want]
 
     def test_positive_answer_rescale_is_invariant(self):
         instances, _, _ = synth(50, seed=12)

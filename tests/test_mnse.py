@@ -177,30 +177,7 @@ class TestQueryKnn:
 
 
 class TestSampleNeighbor:
-    def test_k1_is_deterministic_nearest(self, rng):
-        bank = random_bank(rng, n=30)
-        qv = rng.normal(size=16)
-        best = bank.query_knn(NeighborQuery(vector=qv, k=1))[0]
-        for seed in range(5):
-            got = bank.sample_neighbor_scene(NeighborQuery(vector=qv, k=1, seed=seed))
-            assert got == best
-
-    def test_top3_sampled_uniformly(self, rng):
-        bank = random_bank(rng, n=40)
-        qv = rng.normal(size=16)
-        top3 = {
-            (n.entry.video_id, n.entry.clip_index)
-            for n in bank.query_knn(NeighborQuery(vector=qv, k=3))
-        }
-        counts: dict[tuple, int] = {}
-        n_draws = 3000
-        for seed in range(n_draws):
-            got = bank.sample_neighbor_scene(NeighborQuery(vector=qv, k=3, seed=seed))
-            key = (got.entry.video_id, got.entry.clip_index)
-            counts[key] = counts.get(key, 0) + 1
-        assert set(counts) == top3
-        for c in counts.values():
-            assert abs(c / n_draws - 1.0 / 3.0) < 0.03
+    """The top-k pools that nearest-scene draws sample from."""
 
     def test_top3_subset_of_top5(self, rng):
         bank = random_bank(rng, n=50)
@@ -208,11 +185,6 @@ class TestSampleNeighbor:
         t3 = {(n.entry.video_id, n.entry.clip_index) for n in bank.query_knn(NeighborQuery(vector=qv, k=3))}
         t5 = {(n.entry.video_id, n.entry.clip_index) for n in bank.query_knn(NeighborQuery(vector=qv, k=5))}
         assert t3 <= t5
-
-    def test_same_seed_same_draw(self, rng):
-        bank = random_bank(rng, n=30)
-        q = NeighborQuery(vector=rng.normal(size=16), k=5, seed=99)
-        assert bank.sample_neighbor_scene(q) == bank.sample_neighbor_scene(q)
 
 
 class TestInterventions:

@@ -314,29 +314,29 @@ class TestAttention:
 class TestCosine:
     def test_identical_vectors_give_one(self, rng):
         v = rng.normal(size=12)
-        res = nc.cosine_similarity(v, v)
+        res = nc.cosine_forward(v, v)[0]
         assert res.value == pytest.approx(1.0, abs=1e-12)
         assert not res.degenerate
 
     def test_known_geometry(self):
-        assert nc.cosine_similarity([1.0, 0.0], [0.0, 1.0]).value == pytest.approx(0.0)
-        assert nc.cosine_similarity([1.0, 0.0], [-2.0, 0.0]).value == pytest.approx(-1.0)
-        assert nc.cosine_similarity([3.0, 0.0], [5.0, 0.0]).value == pytest.approx(1.0)
-        got = nc.cosine_similarity([1.0, 2.0, 3.0], [4.0, 5.0, 6.0]).value
+        assert nc.cosine_forward([1.0, 0.0], [0.0, 1.0])[0].value == pytest.approx(0.0)
+        assert nc.cosine_forward([1.0, 0.0], [-2.0, 0.0])[0].value == pytest.approx(-1.0)
+        assert nc.cosine_forward([3.0, 0.0], [5.0, 0.0])[0].value == pytest.approx(1.0)
+        got = nc.cosine_forward([1.0, 2.0, 3.0], [4.0, 5.0, 6.0])[0].value
         expect = 32.0 / math.sqrt(14.0 * 77.0)
         assert got == pytest.approx(expect, abs=1e-12)
         assert got == pytest.approx(0.9746318, abs=1e-7)
 
     def test_zero_norm_is_degenerate_zero(self):
-        res = nc.cosine_similarity(np.zeros(4), np.ones(4))
+        res = nc.cosine_forward(np.zeros(4), np.ones(4))[0]
         assert res.value == 0.0
         assert res.degenerate
 
     def test_scale_invariance(self, rng):
         a = rng.normal(size=6)
         b = rng.normal(size=6)
-        r1 = nc.cosine_similarity(a, b).value
-        r2 = nc.cosine_similarity(3.7 * a, 0.2 * b).value
+        r1 = nc.cosine_forward(a, b)[0].value
+        r2 = nc.cosine_forward(3.7 * a, 0.2 * b)[0].value
         assert r1 == pytest.approx(r2, abs=1e-12)
 
     @given(st.integers(0, 2**32 - 1))
@@ -345,7 +345,7 @@ class TestCosine:
         g = np.random.default_rng(seed)
         a = g.normal(size=5) * 10.0 ** g.integers(-6, 6)
         b = g.normal(size=5) * 10.0 ** g.integers(-6, 6)
-        res = nc.cosine_similarity(a, b)
+        res = nc.cosine_forward(a, b)[0]
         assert -1.0 <= res.value <= 1.0
 
     def test_gradients(self, rng):
@@ -376,7 +376,7 @@ class TestCosine:
         assert res.value.shape == res.degenerate.shape == (3, 4)
         for i in range(3):
             for j in range(4):
-                one = nc.cosine_similarity(a[i, j], b[i, j])
+                one = nc.cosine_forward(a[i, j], b[i, j])[0]
                 assert res.value[i, j] == one.value
                 assert res.degenerate[i, j] == one.degenerate
         assert res.value[2, 1] == 0.0 and res.degenerate.sum() == 1

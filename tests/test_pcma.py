@@ -142,7 +142,7 @@ class TestForward:
         agg = vp.mean(axis=0)
         ap = answers[0] @ model.store["text_proj.w"]
         expect = np.array(
-            [[nc.cosine_similarity(agg, ap[i]).value for i in range(N_ANSWERS)]]
+            [[nc.cosine_forward(agg, ap[i])[0].value for i in range(N_ANSWERS)]]
         )
         np.testing.assert_allclose(result.scores, expect, atol=1e-12)
         np.testing.assert_allclose(result.aggregated_video, agg[None], atol=1e-12)
