@@ -11,6 +11,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from dataclasses import dataclass
 from pathlib import Path
 from typing import Sequence
 
@@ -20,6 +21,7 @@ from . import samplers as sm
 from .features import FormatError, SyntheticSpec, generate_synthetic, save_dataset
 from .harness import (
     ConfigError,
+    FieldError,
     build_section,
     evaluate,
     load_checkpoint,
@@ -36,6 +38,42 @@ from .harness import (
 from .mnse import MemoryBank, Metric, Regime, instance_scenes
 
 SAMPLER_KINDS = ("mar16", "mar32", "pcma80")
+
+
+@dataclass(frozen=True)
+class SamplerConfig:
+    """sample's sampler section."""
+
+    kind: str
+    seed: int = 0
+    subsample: int | None = None  # pcma80 only; 16 when absent
+
+    def __post_init__(self) -> None:
+        if self.kind not in SAMPLER_KINDS:
+            raise FieldError(
+                "kind", f"unknown {self.kind!r} (choose from {', '.join(SAMPLER_KINDS)})"
+            )
+        if self.seed < 0:
+            raise FieldError("seed", "must be >= 0")
+        if self.subsample is not None:
+            if self.kind != "pcma80":
+                raise FieldError("subsample", f"not a {self.kind} field")
+            if self.subsample < 1:
+                raise FieldError("subsample", "must be >= 1")
+
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """intervene-eval's top-level protocol keys."""
+
+    neighbor_k: int = 1
+    seed: int = 0
+
+    def __post_init__(self) -> None:
+        if self.neighbor_k < 1:
+            raise FieldError("neighbor_k", "must be >= 1")
+        if self.seed < 0:
+            raise FieldError("seed", "must be >= 0")
 
 
 def _read_config(path: str) -> dict:
@@ -126,12 +164,9 @@ def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
     problems: list[str] = []
     checkpoint_a = _require_str(raw, "checkpoint_a", problems)
     checkpoint_b = _require_str(raw, "checkpoint_b", problems)
-    neighbor_k = raw.get("neighbor_k", 1)
-    if not isinstance(neighbor_k, int) or neighbor_k < 1:
-        problems.append("neighbor_k: expected positive integer")
-    seed = raw.get("seed", 0)
-    if not isinstance(seed, int) or seed < 0:
-        problems.append("seed: expected nonnegative integer")
+    protocol = build_section(
+        problems, "", ProtocolConfig, {k: raw[k] for k in ("neighbor_k", "seed") if k in raw}
+    )
     if problems:
         raise ConfigError(problems)
 
@@ -153,8 +188,8 @@ def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
         instances,
         np.asarray(masks, dtype=bool),
         bank,
-        seed=seed,
-        neighbor_k=neighbor_k,
+        seed=protocol.seed,
+        neighbor_k=protocol.neighbor_k,
     )
     payload = {
         "command": "intervene-eval",
@@ -185,36 +220,21 @@ def _output_dict(video_id: str, out: sm.SamplerOutput) -> dict:
     }
 
 
-def _sampler_int(params: dict, key: str, default: int) -> int:
-    value = params.pop(key, default)
-    if not isinstance(value, int):
-        raise ConfigError([f"sampler.{key}: expected integer"])
-    return value
-
-
-def _reject_leftovers(params: dict) -> None:
-    if params:
-        raise ConfigError([f"sampler: unknown fields {sorted(params)}"])
-
-
-def _run_sampler(kind: str, params: dict, instances, saliencies) -> list[dict]:
-    seed = _sampler_int(params, "seed", 0)
+def _run_sampler(sampler: SamplerConfig, instances, saliencies) -> list[dict]:
     selections = []
-
-    if kind in ("mar16", "mar32"):
-        _reject_leftovers(params)
-        if saliencies is None:
-            raise ConfigError(["data: saliency annotations required for mar sampling"])
-        factory = sm.mar16 if kind == "mar16" else sm.mar32
-        for i, (inst, annotation) in enumerate(zip(instances, saliencies)):
-            out = sm.mar_sample(annotation, factory(seed=seed + i))
-            selections.append(_output_dict(inst.video_id, out))
-    else:  # pcma80
-        subsample = _sampler_int(params, "subsample", 16)
-        _reject_leftovers(params)
+    if sampler.kind == "pcma80":
         for i, inst in enumerate(instances):
-            _, out = sm.pcma80_resample(inst.video, seed + i, subsample=subsample)
+            _, out = sm.pcma80_resample(
+                inst.video, sampler.seed + i, subsample=sampler.subsample or 16
+            )
             selections.append(_output_dict(inst.video_id, out))
+        return selections
+    if saliencies is None:
+        raise ConfigError(["data: saliency annotations required for mar sampling"])
+    factory = sm.mar16 if sampler.kind == "mar16" else sm.mar32
+    for i, (inst, annotation) in enumerate(zip(instances, saliencies)):
+        out = sm.mar_sample(annotation, factory(seed=sampler.seed + i))
+        selections.append(_output_dict(inst.video_id, out))
     return selections
 
 
@@ -223,18 +243,16 @@ def _cmd_sample(raw: dict) -> tuple[Path, dict]:
     sampler_raw = raw.get("sampler")
     if not isinstance(sampler_raw, dict) or "kind" not in sampler_raw:
         raise ConfigError(["sampler: required section with kind " + "|".join(SAMPLER_KINDS)])
-    kind = sampler_raw["kind"]
-    if kind not in SAMPLER_KINDS:
-        raise ConfigError(
-            [f"sampler.kind: unknown {kind!r} (choose from {', '.join(SAMPLER_KINDS)})"]
-        )
+    problems: list[str] = []
+    sampler = build_section(problems, "sampler", SamplerConfig, sampler_raw)
+    if problems:
+        raise ConfigError(problems)
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, saliencies, _ = load_data(cfg.data)
     if not instances:
         raise ConfigError(["data: empty dataset"])
-    params = {k: v for k, v in sampler_raw.items() if k != "kind"}
-    selections = _run_sampler(kind, params, instances, saliencies)
-    return out_dir, {"command": "sample", "sampler": kind, "selections": selections}
+    selections = _run_sampler(sampler, instances, saliencies)
+    return out_dir, {"command": "sample", "sampler": sampler.kind, "selections": selections}
 
 
 _HANDLERS = {

@@ -23,7 +23,7 @@ N_ANSWERS = 5
 
 
 class FormatError(ValueError):
-    """Manifest or payload violates the dataset file format."""
+    """A saved dataset or checkpoint file violates its format."""
 
 
 class Qtype(IntEnum):

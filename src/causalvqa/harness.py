@@ -19,6 +19,7 @@ import numpy as np
 
 from . import nn_core as nc
 from .features import (
+    FormatError,
     Qtype,
     SyntheticSpec,
     VideoQAInstance,
@@ -33,8 +34,9 @@ from .intervention import (
     InfoNceGrads,
     InterventionConfig,
     MemorySource,
-    MixupResult,
+    TripletDraw,
     build_triplet_cached,
+    draw_triplet,
     gate_backward,
     gate_forward,
     infonce_loss,
@@ -64,6 +66,14 @@ class ConfigError(ValueError):
     def __init__(self, problems: list[str]):
         self.problems = list(problems)
         super().__init__("; ".join(self.problems))
+
+
+class FieldError(ValueError):
+    """A config dataclass's rejection of one named field."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -213,25 +223,29 @@ def _json_type_ok(value, kind) -> bool:
 
 
 def build_section(problems: list[str], section: str, factory: Callable, kwargs: dict | None):
-    """factory(**kwargs) for one config section, or None with one message
-    appended per JSON value whose type does not match its dataclass field,
-    else one for the factory's own rejection."""
+    """factory(**kwargs) for one config section ("" for the top level), or
+    None with one message appended per JSON value whose type does not match
+    its dataclass field, else one for the factory's own rejection."""
     if kwargs is None:
         return None
+
+    def where(key: str | None) -> str:
+        return ".".join(part for part in (section, key) if part)
+
     hints = _field_types(factory)
     mismatched = []
     for key, value in kwargs.items():
         kinds = get_args(hints.get(key)) or (hints.get(key),)
         if not any(_json_type_ok(value, kind) for kind in kinds):
             expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
-            mismatched.append(f"{section}.{key}: expected {expected}, got {json.dumps(value)}")
+            mismatched.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
     if mismatched:
         problems.extend(mismatched)
         return None
     try:
         return factory(**kwargs)
     except (TypeError, ValueError) as exc:
-        problems.append(f"{section}: {exc}")
+        problems.append(f"{where(exc.name if isinstance(exc, FieldError) else None)}: {exc}")
         return None
 
 
@@ -533,58 +547,99 @@ def _do_complement(
     return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
 
 
-def _intervened_sample(
+class _Draws(NamedTuple):
+    """Every random draw of one step's interventions, in batch order."""
+
+    views: list[tuple]  # (batch position, video, question, answers, gold) per answer view
+    triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
+
+
+def _draw_interventions(
     model: PcmaModel,
     icfg: InterventionConfig,
     bank: MemoryBank,
     instances: Sequence[VideoQAInstance],
-    i: int,
-    prepared: tuple[CausalSplit, MixupResult, Array],
+    batch: list[int],
+    prepared: list[tuple | None],
     rng: np.random.Generator,
-) -> tuple[Array, float | None, Array | None]:
-    """One mixed sample's augmented and do-intervened answer passes, as one
-    stacked pass, then its contrastive triplet.
-
-    Returns (answer losses, contrastive loss, triplet gate gradient). With
-    no eligible bank scene for the sample, the do-pass and the triplet are
-    skipped and the last two are None.
-    """
-    inst = instances[i]
-    split, mix, v_star = prepared
-    # the intervened sample also carries the answering loss: the mixed
-    # gold answer replaces the gold row at its position
-    answers_aug = inst.answers.copy()
-    answers_aug[inst.gold] = mix.a_star
-    views = [(v_star, mix.q_star, answers_aug)]
-    eligible = len(bank.eligible(inst.video_id)) > 0
-    if eligible:
+) -> _Draws:
+    """Each mixed sample's augmented view and, when the bank holds a scene
+    it may draw, its do-intervened view and triplet. Per such sample the
+    draws come in one order: the do seed and do-video, the random
+    question's index, then the triplet substitutes. A sample with no
+    eligible scene draws nothing."""
+    views, triplets = [], []
+    for j, entry in enumerate(prepared):
+        if entry is None:
+            continue
+        inst = instances[batch[j]]
+        split, mix, v_star = entry
+        # the intervened sample also carries the answering loss: the mixed
+        # gold answer replaces the gold row at its position
+        answers_aug = inst.answers.copy()
+        answers_aug[inst.gold] = mix.a_star
+        views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
+        if not len(bank.eligible(inst.video_id)):
+            continue
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
         v_do = _do_complement(
             inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k, int(rng.integers(2**32))
         )
-        views.append((v_do, inst.question, inst.answers))
-    videos, questions, answers = (np.stack(column) for column in zip(*views))
-    losses, _, _ = model.loss_and_grads(
-        videos, questions, answers, np.full(len(views), inst.gold)
-    )
-    if not eligible:
-        return losses, None, None
-    r_idx = int(rng.integers(0, len(instances)))
-    if len(instances) > 1 and r_idx == i:
-        r_idx = (r_idx + 1) % len(instances)
-    triplet, tcache = build_triplet_cached(
-        model, v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
-        exclude_video_id=inst.video_id,
-        answers=inst.answers if model.cfg.answer_conditioning else None,
-    )
-    cl, grads = infonce_loss(triplet)
-    scaled = InfoNceGrads(
-        anchor=icfg.beta_cl * grads.anchor,
-        positive=icfg.beta_cl * grads.positive,
-        negatives=[icfg.beta_cl * g for g in grads.negatives],
-    )
-    return losses, cl, triplet_backward(model, scaled, tcache)
+        views.append((j, v_do, inst.question, inst.answers, inst.gold))
+        r_idx = int(rng.integers(0, len(instances)))
+        if len(instances) > 1 and r_idx == batch[j]:
+            r_idx = (r_idx + 1) % len(instances)
+        triplets.append((j, draw_triplet(
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
+            exclude_video_id=inst.video_id,
+            answers=inst.answers if model.cfg.answer_conditioning else None,
+        )))
+    return _Draws(views, triplets)
+
+
+class _Intervened(NamedTuple):
+    """A step's intervened passes over its mixed samples."""
+
+    losses: list[list]  # per batch position: augmented, then do answer loss
+    cl_losses: list[float]  # per triplet, in batch order
+    positions: list[int]  # batch position of each triplet
+    dgates: Array  # [n_triplets, n_clips] gate gradients of the triplets
+
+
+def _intervened_passes(
+    model: PcmaModel,
+    icfg: InterventionConfig,
+    bank: MemoryBank,
+    instances: Sequence[VideoQAInstance],
+    batch: list[int],
+    prepared: list[tuple | None],
+    rng: np.random.Generator,
+) -> _Intervened:
+    """Draw every intervention of the batch, then run one stacked augmented
+    + do pass and one stacked triplet pass, each cache dropped once its
+    backward is done. Backbone gradients accumulate on the store."""
+    draws = _draw_interventions(model, icfg, bank, instances, batch, prepared, rng)
+    losses: list[list] = [[] for _ in batch]
+    if draws.views:
+        positions, *columns, golds = zip(*draws.views)
+        view_losses, _, _ = model.loss_and_grads(
+            *(np.stack(column) for column in columns), np.array(golds)
+        )
+        for j, loss in zip(positions, view_losses):
+            losses[j].append(loss)
+    if not draws.triplets:
+        return _Intervened(losses, [], [], np.zeros((0, instances[batch[0]].n_clips)))
+    positions, triplet_draws = zip(*draws.triplets)
+    triplets, cache = build_triplet_cached(model, triplet_draws)
+    cl_losses, grads = zip(*(infonce_loss(triplet) for triplet in triplets))
+    beta = icfg.beta_cl
+    scaled = [
+        InfoNceGrads(beta * g.anchor, beta * g.positive, [beta * n for n in g.negatives])
+        for g in grads
+    ]
+    dgates = triplet_backward(model, scaled, cache)
+    return _Intervened(losses, list(cl_losses), list(positions), dgates)
 
 
 def train(
@@ -595,8 +650,9 @@ def train(
     an intervention config with beta_cl > 0 is present.
 
     Each step runs one gate pass and one clean answer pass over the whole
-    batch, then per mixed sample one stacked augmented + do-intervened pass
-    and one stacked triplet pass. A sample whose causal split is degenerate
+    batch, draws every intervention of the batch, then runs one stacked
+    augmented + do-intervened pass and one stacked triplet pass over all
+    mixed samples. A sample whose causal split is degenerate
     is left out of mixup (counted in skipped_mixups); one with no eligible
     bank scene keeps its answer passes but skips its do-pass and triplet
     (counted in skipped_interventions).
@@ -661,26 +717,27 @@ def train(
                 entry[0].gates if gate_cache is not None and entry is not None else None
                 for entry in prepared
             ])
-            erm_sum = 0.0
-            cl_sum = 0.0
-            for j, i in enumerate(batch):
-                erm_sum += clean[j]
-                if prepared[j] is None:
-                    continue
-                losses, cl, dgates_cl = _intervened_sample(
-                    model, icfg, bank, instances, i, prepared[j], rng
+            view_losses: list[list] = [[] for _ in batch]
+            cl_losses: list[float] = []
+            if use_cl:
+                out = _intervened_passes(model, icfg, bank, instances, batch, prepared, rng)
+                view_losses, cl_losses = out.losses, out.cl_losses
+                skipped_interventions += (
+                    sum(entry is not None for entry in prepared) - len(out.positions)
                 )
-                for loss in losses:
-                    erm_sum += loss
-                if cl is None:
-                    skipped_interventions += 1
-                    continue
-                cl_sum += cl
                 if gate_cache is not None:
-                    dgates[j] += dgates_cl
-            if gate_cache is not None:
-                gate_backward(model, dgates, gate_cache)
-
+                    dgates[out.positions] += out.dgates
+                    gate_backward(model, dgates, gate_cache)
+            # summed sample by sample (clean, augmented, do): one fixed order
+            # keeps each step's loss reproducible to the bit
+            erm_sum = 0.0
+            for j, loss in enumerate(clean):
+                erm_sum += loss
+                for view_loss in view_losses[j]:
+                    erm_sum += view_loss
+            cl_sum = 0.0
+            for cl in cl_losses:
+                cl_sum += cl
             n_batch = len(batch)
             erm_mean = erm_sum / n_batch
             cl_mean = cl_sum / n_batch
@@ -715,11 +772,20 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
 
 
 def load_checkpoint(out_dir: str | Path) -> PcmaModel:
-    out = Path(out_dir)
-    meta = json.loads((out / "model.json").read_text())
-    nc.check_checkpoint_version(out / "model.json", meta.get("version"))
-    cfg = PcmaConfig(**meta["pcma"])
-    store = nc.ParamStore.load(out / "params.json")
+    """The model saved in out_dir; FormatError names model.json when its
+    pcma section lacks a field, has an unknown one, or holds a value
+    PcmaConfig rejects."""
+    path = Path(out_dir) / "model.json"
+    meta = json.loads(path.read_text())
+    if not isinstance(meta, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    nc.check_checkpoint_version(path, meta.get("version"))
+    problems: list[str] = []
+    pcma = meta.get("pcma")
+    cfg = build_section(problems, "pcma", PcmaConfig, pcma) if isinstance(pcma, dict) else None
+    if cfg is None:
+        raise FormatError(f"{path}: " + ("; ".join(problems) or "pcma: expected a JSON object"))
+    store = nc.ParamStore.load(path.parent / "params.json")
     return PcmaModel(cfg, store=store)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -277,31 +277,23 @@ class InfoNceGrads(NamedTuple):
     negatives: list[Array]
 
 
-def _draw_substitutes(
-    rows: Array,
-    bank: MemoryBank,
-    cfg: InterventionConfig,
-    rng: np.random.Generator,
-    exclude_video_id: str | None,
-) -> Array:
-    """One substitute scene per row, per the configured memory source."""
-    if cfg.memory_source is MemorySource.MNSE:
-        # one seed per row, in row order
-        rngs = [np.random.default_rng(int(rng.integers(2**32))) for _ in range(rows.shape[0])]
-        return bank.draw(rows, rngs, exclude_video_id, cfg.neighbor_k)
-    return bank.draw(rows, [rng] * rows.shape[0], exclude_video_id)
+class TripletDraw(NamedTuple):
+    """One mixed sample's triplet inputs, every substitute already drawn.
+
+    Substituted videos are whole: rows outside the substituted partition
+    hold v_star's own rows, which the blend leaves untouched.
+    """
+
+    v_star: Array  # [n_clips, video_dim]
+    q_star: Array  # [text_dim]
+    q_r: Array  # [text_dim] random question of the last negative
+    gates: Array  # [n_clips]
+    positive: Array  # [n_clips, video_dim] complement rows substituted
+    negatives: Array  # [n_negatives - 1, n_clips, video_dim] causal rows substituted
+    answers: Array | None  # [N_ANSWERS, text_dim] under answer conditioning
 
 
-def _blend(orig: Array, subs: Array, keep: Array) -> Array:
-    """keep*orig + (1-keep)*subs, bit-exact identity when subs == orig."""
-    out = keep * orig + (1.0 - keep) * subs
-    same = np.all(subs == orig, axis=1)
-    out[same] = orig[same]
-    return out
-
-
-def build_triplet_cached(
-    backbone: PcmaModel,
+def draw_triplet(
     v_star: Array,
     q_star: Array,
     split: CausalSplit,
@@ -311,77 +303,95 @@ def build_triplet_cached(
     rng: np.random.Generator,
     exclude_video_id: str | None = None,
     answers: Array | None = None,
-) -> tuple[ContrastiveTriplet, dict]:
-    """Anchor/positive/negatives with the caches needed for backprop.
-
-    The positive substitutes complement rows; each of the first
-    n_negatives-1 negatives substitutes causal rows with fresh draws; the
-    final negative pairs the untouched v_star with the random question q_r.
-    Every substitute is drawn first (positive, then negatives in order);
-    then all n_negatives+2 views go through one stacked aggregate pass.
-    """
+) -> TripletDraw:
+    """Draw the positive's complement substitutes, then each substituted
+    negative's causal ones, in that order. Nearest-scene sourcing ranks each
+    partition's rows once and draws every copy from that ranking, one seed
+    per row in row order; random sourcing draws uniformly from rng."""
     v_star = nc.as_f64(v_star)
-    q_star = nc.as_f64(q_star)
-    q_r = nc.as_f64(q_r)
-    comp = split.complement_indices
-    caus = split.causal_indices
 
-    def draw(rows: Array) -> Array:
-        if not rows.size:
-            return v_star[:0]
-        return _draw_substitutes(v_star[rows], bank, cfg, rng, exclude_video_id)
+    def substituted(rows: Array, copies: int) -> Array:
+        out = np.repeat(v_star[None], copies, axis=0)
+        if not rows.size or not copies:
+            return out
+        if cfg.memory_source is MemorySource.MNSE:
+            ranked = bank.topk(v_star[rows], cfg.neighbor_k, exclude_video_id)
+            for video in out:
+                seeds = [int(rng.integers(2**32)) for _ in rows]
+                video[rows] = bank.pick(ranked, [np.random.default_rng(s) for s in seeds])
+        else:
+            for video in out:
+                video[rows] = bank.draw(v_star[rows], [rng] * rows.size, exclude_video_id)
+        return out
 
-    subs_pos = draw(comp)
-    neg_subs = [draw(caus) for _ in range(cfg.n_negatives - 1)]
-
-    # views: anchor, positive, substituted negatives, question swap
-    views = np.repeat(v_star[None], cfg.n_negatives + 2, axis=0)
-    if comp.size:
-        views[1, comp] = _blend(v_star[comp], subs_pos, split.gates[comp][:, None])
-    if caus.size:
-        keep = 1.0 - split.gates[caus][:, None]
-        for i, subs in enumerate(neg_subs):
-            views[2 + i, caus] = _blend(v_star[caus], subs, keep)
-    questions = np.repeat(q_star[None], len(views), axis=0)
-    questions[-1] = q_r
-    if answers is not None:
-        answers = np.repeat(nc.as_f64(answers)[None], len(views), axis=0)
-    aggs, views_cache = backbone.aggregate_forward(views, questions, answers)
-
-    triplet = ContrastiveTriplet(anchor=aggs[0], positive=aggs[1], negatives=list(aggs[2:]))
-    cache = {
-        "v_star": v_star,
-        "split": split,
-        "subs_pos": subs_pos,
-        "neg_subs": neg_subs,
-        "views": views_cache,
-    }
-    return triplet, cache
+    positive = substituted(split.complement_indices, 1)[0]
+    negatives = substituted(split.causal_indices, cfg.n_negatives - 1)
+    return TripletDraw(
+        v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives,
+        None if answers is None else nc.as_f64(answers),
+    )
 
 
-def triplet_backward(backbone: PcmaModel, grads: InfoNceGrads, cache: dict) -> Array:
-    """Backprop the triplet through one stacked pass; returns gate
-    gradients [n_clips].
+def _blend(orig: Array, subs: Array, keep: Array) -> Array:
+    """keep*orig + (1-keep)*subs, bit-exact identity on rows where subs == orig."""
+    out = keep * orig + (1.0 - keep) * subs
+    return np.where(np.all(subs == orig, axis=-1, keepdims=True), orig, out)
+
+
+def build_triplet_cached(
+    backbone: PcmaModel, draws: Sequence[TripletDraw]
+) -> tuple[list[ContrastiveTriplet], dict]:
+    """Anchor/positive/negatives of every drawn triplet, through one stacked
+    aggregate pass, with the cache needed for backprop.
+
+    Per triplet the views are the anchor v_star, the positive (complement
+    rows blended toward their substitutes by gate confidence), each
+    substituted negative (causal rows blended by 1 - gate), and v_star
+    paired with the random question q_r.
+    """
+    v_star = np.stack([d.v_star for d in draws])[:, None]  # [S, 1, n_clips, dim]
+    gates = np.stack([d.gates for d in draws])[:, None, :, None]
+    subs = np.stack([np.concatenate([d.positive[None], d.negatives]) for d in draws])
+    views = np.concatenate([
+        v_star,
+        _blend(v_star, subs[:, :1], gates),
+        _blend(v_star, subs[:, 1:], 1.0 - gates),
+        v_star,
+    ], axis=1)
+    n_triplets, n_views = views.shape[:2]
+    questions = np.repeat(np.stack([d.q_star for d in draws])[:, None], n_views, axis=1)
+    questions[:, -1] = np.stack([d.q_r for d in draws])
+    answers = None
+    if draws[0].answers is not None:
+        answers = np.repeat(np.stack([d.answers for d in draws])[:, None], n_views, axis=1)
+        answers = answers.reshape(-1, *answers.shape[2:])
+    aggs, views_cache = backbone.aggregate_forward(
+        views.reshape(-1, *views.shape[2:]), questions.reshape(-1, questions.shape[-1]), answers
+    )
+    aggs = aggs.reshape(n_triplets, n_views, -1)
+    triplets = [ContrastiveTriplet(a[0], a[1], list(a[2:])) for a in aggs]
+    return triplets, {"v_star": v_star, "subs": subs, "views": views_cache}
+
+
+def triplet_backward(
+    backbone: PcmaModel, grads: Sequence[InfoNceGrads], cache: dict
+) -> Array:
+    """Backprop every triplet through one stacked pass; returns gate
+    gradients [n_triplets, n_clips].
 
     Backbone parameter gradients accumulate on the store. Gradients into
-    the mixed video and questions stop there (they are data), except for
+    the mixed videos and questions stop there (they are data), except for
     the substitution blends, whose gate dependence is returned.
     """
-    split: CausalSplit = cache["split"]
-    v_star = cache["v_star"]
-    comp = split.complement_indices
-    caus = split.causal_indices
-    dgates = np.zeros(split.n_clips)
-
-    dagg = np.stack([grads.anchor, grads.positive, *grads.negatives])
+    v_star, subs = cache["v_star"], cache["subs"]
+    dagg = np.stack([v for g in grads for v in (g.anchor, g.positive, *g.negatives)])
     dviews = backbone.aggregate_backward(dagg, cache["views"]).video
-    if comp.size:
-        dv = dviews[1, comp]
-        dgates[comp] += np.sum(dv * (v_star[comp] - cache["subs_pos"]), axis=1)
-    if caus.size:
-        for i, subs in enumerate(cache["neg_subs"]):
-            dv = dviews[2 + i, caus]
-            dgates[caus] += np.sum(dv * (subs - v_star[caus]), axis=1)
+    dviews = dviews.reshape(len(subs), -1, *dviews.shape[1:])
+    # the positive blends by gate, each negative by 1 - gate; rows a view
+    # leaves unsubstituted add zero
+    dgates = np.sum(dviews[:, 1] * (v_star[:, 0] - subs[:, 0]), axis=-1)
+    for i in range(1, subs.shape[1]):
+        dgates += np.sum(dviews[:, 1 + i] * (subs[:, i] - v_star[:, 0]), axis=-1)
     return dgates
 
 

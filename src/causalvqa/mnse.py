@@ -85,6 +85,7 @@ class _Columns(NamedTuple):
     parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
     part_ids: dict[str, int]
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
+    pools: dict  # the last eligible() answer, {exclude_video_id: read-only indices}
 
 
 def _build_columns(rows: list[BankEntry], blocks: list[Array], bank_dim: int) -> _Columns:
@@ -109,7 +110,7 @@ def _build_columns(rows: list[BankEntry], blocks: list[Array], bank_dim: int) ->
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     return _Columns(
-        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank
+        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank, {}
     )
 
 
@@ -206,16 +207,35 @@ class MemoryBank:
         return self._cols
 
     def eligible(self, exclude_video_id: str | None) -> Array:
-        """Indices of the entries a query excluding this video may return.
+        """Read-only indices of the entries a query excluding this video may
+        return.
 
         Mixup rows carry compound provenance "a+b"; excluding either parent
-        excludes the blend.
+        excludes the blend. The column view keeps the last answer, so the
+        draws of one sample compute its pool once; a frozen bank thus holds
+        one pool, not one per video.
         """
         cols = self._columns()
-        code = None if exclude_video_id is None else cols.part_ids.get(exclude_video_id)
-        if code is None:
-            return np.arange(len(cols.rows))
-        return np.flatnonzero((cols.parents != code).all(axis=1))
+        if exclude_video_id not in cols.pools:
+            code = None if exclude_video_id is None else cols.part_ids.get(exclude_video_id)
+            if code is None:
+                pool = np.arange(len(cols.rows))
+            else:
+                pool = np.flatnonzero((cols.parents != code).all(axis=1))
+            pool.flags.writeable = False
+            cols.pools.clear()
+            cols.pools[exclude_video_id] = pool
+        return cols.pools[exclude_video_id]
+
+    def _pool(self, exclude_video_id: str | None) -> Array:
+        """The eligible pool of a draw, which must not be empty."""
+        pool = self.eligible(exclude_video_id)
+        if not len(pool):
+            raise ValueError(
+                "memory bank is empty" if not len(self) else
+                f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
+            )
+        return pool
 
     def _ranked(self, queries: Array, k: int, pool: Array) -> tuple[Array, Array]:
         """Exact top-k of the pool for every query row, best first, ties
@@ -243,6 +263,24 @@ class MemoryBank:
             top[i] = cand[np.lexsort((rank[cand], row[cand]))[:k]]
         return pool[top], np.take_along_axis(scores, top, axis=1)
 
+    def topk(self, queries: Array, k: int, exclude_video_id: str | None = None) -> Array:
+        """Bank indices of each query row's k nearest eligible scenes, best
+        first, k clamped to the eligible count: [n_queries, k]."""
+        if k < 1:
+            raise ValueError("k must be >= 1")
+        pool = self._pool(exclude_video_id)
+        top, _ = self._ranked(as_f64(queries), min(k, len(pool)), pool)
+        return top
+
+    def pick(self, candidates: Array, rngs: Sequence[np.random.Generator]) -> Array:
+        """One scene vector per generator, uniform among that row's
+        candidates: candidates is [len(rngs), m] bank indices, or one [m]
+        list every row shares. Returns [len(rngs), bank_dim]."""
+        picks = [int(r.integers(0, candidates.shape[-1])) for r in rngs]
+        if candidates.ndim == 1:
+            return self._columns().matrix[candidates[picks]]
+        return self._columns().matrix[candidates[np.arange(len(picks)), picks]]
+
     def draw(
         self,
         queries: Array,
@@ -252,24 +290,13 @@ class MemoryBank:
     ) -> Array:
         """One substitute scene per query row, chosen by that row's generator.
 
-        With k, uniform among the row's k nearest eligible scenes, k clamped
-        to the eligible count; without k, uniform among all eligible scenes.
+        With k, uniform among the row's k nearest eligible scenes (topk);
+        without k, uniform among all eligible scenes.
         Returns the scene vectors, [n_queries, bank_dim].
         """
-        pool = self.eligible(exclude_video_id)
-        if not len(pool):
-            raise ValueError(
-                "memory bank is empty" if not len(self) else
-                f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
-            )
         if k is None:
-            picks = [pool[int(r.integers(0, len(pool)))] for r in rngs]
-        elif k < 1:
-            raise ValueError("k must be >= 1")
-        else:
-            top, _ = self._ranked(as_f64(queries), min(k, len(pool)), pool)
-            picks = [row[int(r.integers(0, len(row)))] for row, r in zip(top, rngs)]
-        return self._columns().matrix[picks]
+            return self.pick(self._pool(exclude_video_id), rngs)
+        return self.pick(self.topk(queries, k, exclude_video_id), rngs)
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric; ties broken by (video_id, clip_index)."""

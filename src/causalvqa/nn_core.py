@@ -19,6 +19,8 @@ from typing import NamedTuple
 
 import numpy as np
 
+from .features import FormatError
+
 Array = np.ndarray
 
 CHECKPOINT_VERSION = 1
@@ -44,7 +46,7 @@ def require_finite(name: str, x: Array) -> None:
 def check_checkpoint_version(path: Path, found) -> None:
     """Reject a checkpoint file written in a format version this code does not know."""
     if found != CHECKPOINT_VERSION:
-        raise ValueError(
+        raise FormatError(
             f"{path}: unsupported checkpoint version {found!r}, expected {CHECKPOINT_VERSION}"
         )
 
@@ -149,12 +151,16 @@ class ParamStore:
 
     @classmethod
     def load(cls, manifest_path: str | Path) -> "ParamStore":
+        """The store saved at manifest_path; FormatError names the file at
+        fault when the payload does not match the manifest or holds a
+        non-finite value."""
         manifest_path = Path(manifest_path)
         manifest = json.loads(manifest_path.read_text())
         check_checkpoint_version(manifest_path, manifest.get("version"))
         if manifest.get("dtype") != "float32" or manifest.get("endianness") != "little":
-            raise ValueError("unsupported checkpoint dtype/endianness")
-        raw = (manifest_path.parent / manifest["file"]).read_bytes()
+            raise FormatError(f"{manifest_path}: unsupported checkpoint dtype/endianness")
+        payload = manifest_path.parent / manifest["file"]
+        raw = payload.read_bytes()
         store = cls(seed=0)
         offset = 0
         for spec in manifest["tensors"]:
@@ -163,16 +169,19 @@ class ParamStore:
             n_bytes = n_items * 4
             chunk = raw[offset : offset + n_bytes]
             if len(chunk) != n_bytes:
-                raise ValueError(
-                    f"checkpoint payload truncated: expected {n_bytes} bytes for "
+                raise FormatError(
+                    f"{payload}: checkpoint payload truncated: expected {n_bytes} bytes for "
                     f"{spec['name']}, found {len(chunk)}"
                 )
-            arr = np.frombuffer(chunk, dtype="<f4").reshape(shape).astype(np.float64)
+            values = np.frombuffer(chunk, dtype="<f4")
+            if not np.isfinite(values).all():
+                raise FormatError(f"{payload}: tensor {spec['name']} holds non-finite values")
+            arr = values.reshape(shape).astype(np.float64)
             store._params[spec["name"]] = arr
             store._grads[spec["name"]] = np.zeros(shape)
             offset += n_bytes
         if offset != len(raw):
-            raise ValueError(f"checkpoint payload has {len(raw) - offset} trailing bytes")
+            raise FormatError(f"{payload}: {len(raw) - offset} trailing bytes")
         return store
 
 

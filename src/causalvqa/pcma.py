@@ -44,7 +44,7 @@ class PcmaConfig:
             raise nc.DimMismatch(
                 f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}"
             )
-        if self.tau <= 0:
+        if not self.tau > 0:  # NaN too
             raise ValueError("tau must be positive")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")

@@ -335,6 +335,91 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error:")
         assert name in lines[0] and "version 2" in lines[0] and "expected 1" in lines[0]
 
+    @pytest.mark.parametrize(
+        "params, line",
+        [
+            ({"subsample": -3}, "sampler.subsample: must be >= 1"),
+            ({"subsample": 0}, "sampler.subsample: must be >= 1"),
+            ({"subsample": 2.0}, "sampler.subsample: expected an integer or null, got 2.0"),
+            ({"seed": True}, "sampler.seed: expected an integer, got true"),
+            ({"seed": -1}, "sampler.seed: must be >= 0"),
+        ],
+        ids=["subsample-negative", "subsample-zero", "subsample-float", "seed-bool",
+             "seed-negative"],
+    )
+    def test_sampler_field_rejected(self, tmp_path, out_dir, capsys, params, line):
+        cfg = write_cfg(tmp_path / "sample.json",
+                        {"data": DATA, "sampler": {"kind": "pcma80", "seed": 5, **params}})
+        assert cli_main(["sample", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
+    def test_subsample_is_a_pcma80_field(self, tmp_path, out_dir, capsys):
+        cfg = write_cfg(tmp_path / "sample.json",
+                        {"data": DATA, "sampler": {"kind": "mar16", "subsample": 4}})
+        assert cli_main(["sample", "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: sampler.subsample: not a mar16 field\n"
+
+    @pytest.mark.parametrize(
+        "key, value, line",
+        [
+            ("neighbor_k", True, "neighbor_k: expected an integer, got true"),
+            ("neighbor_k", 0, "neighbor_k: must be >= 1"),
+            ("seed", True, "seed: expected an integer, got true"),
+            ("seed", -1, "seed: must be >= 0"),
+        ],
+        ids=["k-bool", "k-zero", "seed-bool", "seed-negative"],
+    )
+    def test_intervene_eval_key_rejected(self, tmp_path, out_dir, capsys, key, value, line):
+        # rejected at parse time, before either checkpoint is opened
+        cfg = write_cfg(tmp_path / "iev.json",
+                        {"data": DATA, "checkpoint_a": "a", "checkpoint_b": "b", key: value})
+        assert cli_main(["intervene-eval", "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+
+    @staticmethod
+    def _trained_checkpoint(tmp_path, out_dir):
+        train_cfg = write_cfg(tmp_path / "train.json",
+                              {"data": DATA, "model": MODEL, "optimizer": OPT})
+        assert cli_main(["train", "--config", train_cfg]) == 0
+        eval_cfg = write_cfg(tmp_path / "eval.json",
+                             {"data": DATA, "checkpoint": str(out_dir / "checkpoint")})
+        return out_dir / "checkpoint", eval_cfg
+
+    @pytest.mark.parametrize(
+        "edit, reason",
+        [
+            (lambda pcma: pcma.pop("video_dim"), "missing 1 required"),
+            (lambda pcma: pcma.update(depth=3), "unexpected keyword argument 'depth'"),
+            (lambda pcma: pcma.update(n_heads=3), "not divisible by n_heads 3"),
+            (lambda pcma: pcma.update(tau=float("nan")), "tau must be positive"),
+            (lambda pcma: pcma.update(model_dim="16"), "pcma.model_dim: expected an integer"),
+        ],
+        ids=["missing", "unknown", "rejected", "nan-tau", "wrong-type"],
+    )
+    def test_bad_model_json_names_the_file(self, tmp_path, out_dir, capsys, edit, reason):
+        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
+        body = json.loads((ckpt / "model.json").read_text())
+        edit(body["pcma"])
+        (ckpt / "model.json").write_text(json.dumps(body))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "model.json" in lines[0] and reason in lines[0]
+
+    def test_non_finite_params_name_the_tensor(self, tmp_path, out_dir, capsys):
+        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
+        payload = np.fromfile(ckpt / "params.f32", dtype="<f4")
+        payload[0] = np.nan  # the first tensor in sorted-name order
+        payload.tofile(ckpt / "params.f32")
+        first = json.loads((ckpt / "params.json").read_text())["tensors"][0]["name"]
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "params.f32" in lines[0] and f"tensor {first} " in lines[0]
+        assert "non-finite" in lines[0]
+
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cli_main(["train", "--config", str(missing)]) == 1

@@ -4,9 +4,11 @@ training, and artifact writers."""
 
 import json
 import os
+import tempfile
 import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -16,7 +18,7 @@ from hypothesis import strategies as st
 import causalvqa.harness as hn
 import causalvqa.nn_core as nc
 import causalvqa.samplers as sm
-from causalvqa.features import Qtype, SyntheticSpec, generate_synthetic
+from causalvqa.features import FormatError, Qtype, SyntheticSpec, generate_synthetic
 from causalvqa.harness import (
     AdamState,
     BankConfig,
@@ -43,6 +45,7 @@ from causalvqa.intervention import (
     InterventionConfig,
     MemorySource,
     build_triplet_cached,
+    draw_triplet,
     gate_forward,
 )
 from causalvqa.mnse import (
@@ -53,7 +56,8 @@ from causalvqa.mnse import (
     instance_scenes,
     mnse_do,
 )
-from causalvqa.pcma import PcmaModel
+from causalvqa.pcma import PcmaConfig, PcmaModel
+from reference_step import reference_passes
 
 
 def small_model(seed: int = 3, video_dim: int = 24, text_dim: int = 24) -> PcmaModel:
@@ -285,6 +289,59 @@ class TestConfigBoundary:
             np.random.default_rng(cfg.data.synthetic.seed)
 
 
+@pytest.fixture(scope="module")
+def saved_checkpoint(tmp_path_factory) -> dict[str, bytes]:
+    out = save_checkpoint(small_model(seed=2), tmp_path_factory.mktemp("saved") / "ckpt")
+    return {p.name: p.read_bytes() for p in out.iterdir()}
+
+
+# a model.json edit: (key, value), where the key is a pcma field, "version",
+# the whole "pcma" section or an unknown pcma field, and a value of None
+# deletes the key
+MODEL_JSON_EDITS = st.tuples(
+    st.sampled_from([f.name for f in fields(PcmaConfig)] + ["version", "pcma", "extra"]),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.integers(), max_size=2),
+)
+
+
+class TestCheckpointBoundary:
+    @settings(max_examples=200, deadline=None)
+    @given(
+        flips=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), max_size=4),
+        edits=st.lists(MODEL_JSON_EDITS, max_size=2),
+    )
+    def test_mutated_checkpoint_loads_or_raises_format_error(self, saved_checkpoint, flips, edits):
+        files = dict(saved_checkpoint)
+        payload = bytearray(files["params.f32"])
+        for offset, byte in flips:
+            payload[offset % len(payload)] = byte
+        files["params.f32"] = bytes(payload)
+        meta = json.loads(files["model.json"])
+        for key, value in edits:
+            target = meta if key in ("version", "pcma") else meta.get("pcma")
+            if not isinstance(target, dict):
+                continue
+            if value is None:
+                target.pop(key, None)
+            else:
+                target[key] = value
+        files["model.json"] = json.dumps(meta).encode()
+        with tempfile.TemporaryDirectory() as tmp:
+            for name, body in files.items():
+                (Path(tmp) / name).write_bytes(body)
+            try:
+                model = load_checkpoint(tmp)
+            except FormatError:
+                return
+        assert all(np.isfinite(model.store[name]).all() for name in model.store.names())
+
+
 # -- optimizer ---------------------------------------------------------------------
 
 
@@ -422,8 +479,7 @@ class TestTrain:
             from causalvqa.intervention import CausalSplit
 
             split = CausalSplit(mask=mask, gates=mask.astype(np.float64))
-            triplet, _ = build_triplet_cached(
-                result.model,
+            drawn = draw_triplet(
                 inst.video,
                 inst.question,
                 split,
@@ -433,6 +489,7 @@ class TestTrain:
                 rng,
                 exclude_video_id=inst.video_id,
             )
+            (triplet,), _ = build_triplet_cached(result.model, [drawn])
 
             def cos(a, b):
                 return float(
@@ -522,6 +579,119 @@ class TestTrain:
         r1 = evaluate(loaded, instances)
         r2 = evaluate(loaded2, instances)
         assert r1.corrects == r2.corrects
+
+
+class TestStackedStep:
+    """The stacked intervened passes against the one-sample-at-a-time
+    reference: the same draws in the same order, bit-identical per-row
+    losses, and parameter and gate gradients equal up to summation order."""
+
+    @staticmethod
+    def _inputs(source, oracle, regime, answer_conditioning, batch_size=4, degenerate=()):
+        instances, _, masks = synth(10, seed=11)
+        masks = np.asarray(masks, dtype=bool).copy()
+        masks[list(degenerate)] = False
+        model = PcmaModel(ModelConfig(
+            model_dim=16, n_heads=2, n_layers=1, seed=5, answer_conditioning=answer_conditioning
+        ).pcma(24, 24))
+        icfg = InterventionConfig(
+            alpha=2.0, beta_cl=0.7, n_negatives=3, memory_source=source, topk_mode=True, k=4,
+            neighbor_k=5,
+        )
+        bank = MemoryBank(24, regime=regime)
+        if regime is Regime.F1_STATIC:
+            bank.populate(instance_scenes(instances)).freeze()
+        rng = np.random.default_rng(7)
+        batch = [int(i) for i in rng.permutation(len(instances))[:batch_size]]
+        insts = [instances[i] for i in batch]
+        splits, _ = hn._batch_splits(
+            model, insts, icfg, [masks[i] for i in batch] if oracle else None
+        )
+        prepared, mixup_rows = hn._mixed_samples(insts, splits, icfg, rng)
+        if regime is not Regime.F1_STATIC:
+            bank.push_batch(
+                instance_scenes(insts),
+                mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None,
+            )
+        return model, icfg, bank, instances, batch, prepared, rng
+
+    @staticmethod
+    def _compare(model, icfg, bank, instances, batch, prepared, rng):
+        start = rng.bit_generator.state
+
+        def at_start():
+            g = np.random.default_rng()
+            g.bit_generator.state = start
+            return g
+
+        store = model.store
+        store.zero_grads()
+        ref_rng = at_start()
+        ref = reference_passes(model, icfg, bank, instances, batch, prepared, ref_rng)
+        ref_grads = {name: store.grad(name).copy() for name in store.names()}
+
+        draws = hn._draw_interventions(model, icfg, bank, instances, batch, prepared, at_start())
+        do_videos = {}
+        for j, video, *_ in draws.views:
+            do_videos.setdefault(j, [])
+            do_videos[j].append(video)
+        videos = []
+        for j, drawn in draws.triplets:
+            videos += [do_videos[j][1], drawn.positive, *drawn.negatives]
+        assert len(videos) == len(ref.videos)
+        for got, want in zip(videos, ref.videos):
+            np.testing.assert_array_equal(got, want)
+
+        store.zero_grads()
+        new_rng = at_start()
+        new = hn._intervened_passes(model, icfg, bank, instances, batch, prepared, new_rng)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
+        assert new.positions == ref.positions
+        assert [[float(x) for x in row] for row in new.losses] == [
+            [float(x) for x in row] for row in ref.losses
+        ]
+        assert new.cl_losses == ref.cl_losses
+        assert new.dgates.shape == (len(ref.positions), instances[0].n_clips)
+        for got, want in zip(new.dgates, ref.dgates):
+            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        for name, want in ref_grads.items():
+            np.testing.assert_allclose(store.grad(name), want, rtol=0, atol=1e-12)
+        return new
+
+    @pytest.mark.parametrize("answer_conditioning", [False, True], ids=["plain", "answers"])
+    @pytest.mark.parametrize("regime", list(Regime))
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "learned"])
+    @pytest.mark.parametrize("source", list(MemorySource))
+    def test_matches_per_sample_reference(self, source, oracle, regime, answer_conditioning):
+        inputs = self._inputs(source, oracle, regime, answer_conditioning)
+        new = self._compare(*inputs)
+        assert len(new.positions) == 4
+        assert all(len(row) == 2 for row in new.losses)
+
+    @pytest.mark.parametrize("source", list(MemorySource))
+    def test_f2_batch_of_one_skips_its_intervention(self, source):
+        # the bank holds only the sample's own scenes: no do view, no triplet
+        inputs = self._inputs(source, True, Regime.F2_DYNAMIC, False, batch_size=1)
+        new = self._compare(*inputs)
+        assert new.positions == [] and new.cl_losses == []
+        assert [len(row) for row in new.losses] == [1]
+
+    def test_degenerate_split_leaves_the_sample_out(self):
+        model, icfg, bank, instances, batch, prepared, rng = self._inputs(
+            MemorySource.MNSE, True, Regime.F1_STATIC, False
+        )
+        prepared[1] = None
+        new = self._compare(model, icfg, bank, instances, batch, prepared, rng)
+        assert new.positions == [0, 2, 3]
+        assert new.losses[1] == []
+
+    def test_every_split_degenerate(self):
+        inputs = self._inputs(
+            MemorySource.RANDOM_BANK, True, Regime.F3_DYNAMIC_MIXUP, False, degenerate=range(10)
+        )
+        assert inputs[5] == [None] * 4
+        new = self._compare(*inputs)
+        assert new.positions == [] and new.losses == [[]] * 4
 
 
 # -- robustness protocol -----------------------------------------------------------

@@ -223,6 +223,13 @@ class TestAssemble:
             iv.assemble_video(np.array([True, False]), np.zeros((2, 3)), np.zeros((1, 3)))
 
 
+def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng, **kw):
+    """One drawn triplet through the stacked forward: (triplet, cache, draw)."""
+    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, **kw)
+    (triplet,), cache = iv.build_triplet_cached(model, [drawn])
+    return triplet, cache, drawn
+
+
 class TestTriplet:
     def _pipeline(self, rng, cfg=None, model=None):
         model = model or make_model()
@@ -239,7 +246,7 @@ class TestTriplet:
         bank = MemoryBank(bank_dim=VIDEO_DIM)
         comp = split.complement_indices
         bank.populate([(v_star[i], "self", int(i)) for i in comp])
-        triplet, _ = iv.build_triplet_cached(
+        triplet, _, _ = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
         np.testing.assert_array_equal(triplet.positive, triplet.anchor)
@@ -247,11 +254,11 @@ class TestTriplet:
     def test_single_negative_is_question_swap(self, rng):
         model, _, v_star, q_star, q_r, split, bank = self._pipeline(rng)
         cfg = iv.InterventionConfig(n_negatives=1)
-        triplet, cache = iv.build_triplet_cached(
+        triplet, _, drawn = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
         assert len(triplet.negatives) == 1
-        assert cache["neg_subs"] == []
+        assert drawn.negatives.shape == (0, *v_star.shape)
         direct, _ = model.aggregate_forward(v_star[None], q_r[None])
         np.testing.assert_array_equal(triplet.negatives[0], direct[0])
 
@@ -259,7 +266,7 @@ class TestTriplet:
         model, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)
         for n in (1, 2, 5):
             c = iv.InterventionConfig(n_negatives=n)
-            t, _ = iv.build_triplet_cached(
+            t, _, _ = build_one(
                 model, v_star, q_star, split, bank, q_r, c, np.random.default_rng(1)
             )
             assert len(t.negatives) == n
@@ -267,8 +274,8 @@ class TestTriplet:
     def test_empty_bank_raises(self, rng):
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
         with pytest.raises(ValueError, match="empty"):
-            iv.build_triplet_cached(
-                model, v_star, q_star, split, MemoryBank(bank_dim=VIDEO_DIM), q_r,
+            iv.draw_triplet(
+                v_star, q_star, split, MemoryBank(bank_dim=VIDEO_DIM), q_r,
                 cfg, np.random.default_rng(0),
             )
 
@@ -278,7 +285,7 @@ class TestTriplet:
         cfg = iv.InterventionConfig(n_negatives=3, memory_source=source, neighbor_k=2)
 
         def run():
-            t, cache = iv.build_triplet_cached(
+            t, cache, _ = build_one(
                 model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(42)
             )
             loss, grads = iv.infonce_loss(t)
@@ -289,11 +296,43 @@ class TestTriplet:
 
         model.store.zero_grads()
         loss, grads, cache = run()
-        dgates = iv.triplet_backward(model, grads, cache)
+        (dgates,) = iv.triplet_backward(model, [grads], cache)
         assert np.abs(dgates).max() > 0
         assert_grad_matches(f, split.gates, dgates, rng, "gates")
         for name in ("layer0.cross.wq", "video_proj.w", "text_proj.w", "layer0.self.wo"):
             assert_grad_matches(f, model.store[name], model.store.grad(name), rng, name)
+
+    @pytest.mark.parametrize("answer_conditioning", [False, True])
+    def test_stacked_triplets_match_one_at_a_time(self, rng, answer_conditioning):
+        # three triplets of different splits through one stacked pass give
+        # each triplet's own views bit for bit, and the same gradients
+        model = make_model(answer_conditioning=answer_conditioning)
+        cfg = iv.InterventionConfig(n_negatives=3, neighbor_k=3)
+        bank = make_bank(rng)
+        draws = [
+            iv.draw_triplet(
+                rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM), make_split(rng, n_causal=c),
+                bank, rng.normal(size=TEXT_DIM), cfg, np.random.default_rng(c),
+                answers=rng.normal(size=(5, TEXT_DIM)) if answer_conditioning else None,
+            )
+            for c in (1, 3, 6)
+        ]
+        model.store.zero_grads()
+        triplets, cache = iv.build_triplet_cached(model, draws)
+        grads = [iv.infonce_loss(t)[1] for t in triplets]
+        dgates = iv.triplet_backward(model, grads, cache)
+        stacked = {n: model.store.grad(n).copy() for n in model.store.names()}
+        model.store.zero_grads()
+        for drawn, t, g, row in zip(draws, triplets, grads, dgates):
+            (single,), single_cache = iv.build_triplet_cached(model, [drawn])
+            for got, want in zip((t.anchor, t.positive, *t.negatives),
+                                 (single.anchor, single.positive, *single.negatives)):
+                np.testing.assert_array_equal(got, want)
+            np.testing.assert_allclose(
+                iv.triplet_backward(model, [g], single_cache)[0], row, rtol=0, atol=1e-12
+            )
+        for name, grad in stacked.items():
+            np.testing.assert_allclose(grad, model.store.grad(name), rtol=0, atol=1e-12)
 
 
 class TestInfoNce:

@@ -382,6 +382,104 @@ class TestColumnViewRefresh:
         self._assert_matches_entries(bank, queries, "b1v0", seed=11)
 
 
+class TestRankThenPick:
+    """draw is topk (one ranking per query set) followed by pick, and the
+    eligible pool a draw starts from is memoized until the bank changes."""
+
+    @staticmethod
+    def _fresh_pool(bank, exclude):
+        return [i for i, e in enumerate(bank.entries())
+                if exclude is None or exclude not in e.video_id.split("+")]
+
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    @pytest.mark.parametrize("exclude", [None, "vid1", "absent"])
+    def test_topk_then_pick_equals_the_nearest_scene_draw(self, rng, metric, exclude):
+        bank = random_bank(rng, n=60, dim=6, metric=metric)
+        entries = bank.entries()
+        queries = rng.normal(size=(5, 6))
+        for k in (1, 4, 10**6):
+            top = bank.topk(queries, k, exclude)
+            pool = self._fresh_pool(bank, exclude)
+            assert top.shape == (len(queries), min(k, len(pool)))
+            seeds = [int(s) for s in rng.integers(2**32, size=len(queries))]
+            got = bank.pick(top, [np.random.default_rng(s) for s in seeds])
+            drawn = bank.draw(queries, [np.random.default_rng(s) for s in seeds], exclude, k)
+            np.testing.assert_array_equal(got, drawn)
+            for qv, row, seed, vector in zip(queries, top, seeds, got):
+                want = oracle_knn(entries, qv, min(k, len(pool)), metric, exclude)
+                assert _ids(entries[i] for i in row) == _ids(e for e, _ in want)
+                chosen, _ = want[int(np.random.default_rng(seed).integers(0, len(want)))]
+                np.testing.assert_array_equal(vector, chosen.vector)
+
+    def test_one_ranking_serves_every_draw(self, rng):
+        bank = random_bank(rng, n=60, dim=6)
+        queries = rng.normal(size=(3, 6))
+        top = bank.topk(queries, 5, "vid2")
+        for seed in range(5):
+            rngs = lambda: [np.random.default_rng(seed * 7 + r) for r in range(3)]  # noqa: E731
+            np.testing.assert_array_equal(
+                bank.pick(top, rngs()), bank.draw(queries, rngs(), "vid2", 5)
+            )
+
+    def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
+        bank = random_bank(rng, n=40, dim=6)
+        pool = bank.eligible("vid1")
+        got = bank.pick(pool, [np.random.default_rng(3)] * 4)
+        oracle = np.random.default_rng(3)
+        want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
+        np.testing.assert_array_equal(got, np.stack(want))
+        np.testing.assert_array_equal(
+            got, bank.draw(np.zeros((4, 6)), [np.random.default_rng(3)] * 4, "vid1")
+        )
+
+    def test_topk_rejects_k_below_one_and_an_empty_pool(self):
+        bank = MemoryBank(bank_dim=2).populate([(np.ones(2), "only", 0)])
+        with pytest.raises(ValueError, match="k must be"):
+            bank.topk(np.ones((1, 2)), 0)
+        with pytest.raises(ValueError, match="eligible"):
+            bank.topk(np.ones((1, 2)), 1, "only")
+
+    def test_eligible_is_memoized_and_read_only(self, rng):
+        bank = random_bank(rng, n=40, dim=6)
+        pool = bank.eligible("vid1")
+        assert bank.eligible("vid1") is pool
+        assert list(pool) == self._fresh_pool(bank, "vid1")
+        with pytest.raises(ValueError):
+            pool[0] = 0
+        # one pool at a time: a frozen bank does not keep one per video
+        other = bank.eligible("vid2")
+        assert list(bank._columns().pools) == ["vid2"]
+        assert list(other) == self._fresh_pool(bank, "vid2")
+        assert list(bank.eligible("vid1")) == list(pool)
+
+    def test_memo_is_refreshed_after_populate(self, rng):
+        bank = random_bank(rng, n=30, dim=6)
+        before = bank.eligible("vid1")
+        bank.populate([(rng.normal(size=6), "new", i) for i in range(3)])
+        after = bank.eligible("vid1")
+        assert len(after) == len(before) + 3
+        assert list(after) == self._fresh_pool(bank, "vid1")
+
+    @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
+    def test_memo_is_refreshed_after_an_evicting_push_batch(self, rng, regime):
+        bank = MemoryBank(bank_dim=4, regime=regime, window=2)
+
+        def push(t, n):
+            mixup = None
+            if regime is Regime.F3_DYNAMIC_MIXUP:
+                mixup = [(rng.normal(size=4), f"b{t}+x", 0)]
+            bank.push_batch([(rng.normal(size=4), f"b{t}", c) for c in range(n)], mixup)
+
+        push(0, 5)
+        push(1, 2)
+        before = bank.eligible("x")
+        push(2, 1)  # evicts batch 0
+        after = bank.eligible("x")
+        assert len(after) == len(before) - 4
+        assert list(after) == self._fresh_pool(bank, "x")
+        assert list(bank.eligible(None)) == list(range(len(bank)))
+
+
 class TestCallerArraysNotAliased:
     """The bank keeps its own copy of every scene vector."""
 
