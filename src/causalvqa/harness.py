@@ -12,6 +12,7 @@ import json
 import os
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
+from itertools import chain, islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -39,6 +40,7 @@ from .intervention import (
     draw_triplet,
     gate_backward,
     gate_forward,
+    gate_layout,
     infonce_loss,
     mixup_intervene,
     assemble_video,
@@ -47,7 +49,7 @@ from .intervention import (
     triplet_backward,
 )
 from .mnse import MemoryBank, Metric, Regime, Target, instance_scenes, mnse_do, random_do
-from .pcma import PcmaConfig, PcmaModel, pcma_loss
+from .pcma import PcmaConfig, PcmaModel, param_layout, pcma_loss
 from . import samplers as sm
 
 Array = np.ndarray
@@ -106,29 +108,30 @@ class OptimizerConfig:
 
 
 class AdamState:
-    """First/second moment accumulators keyed by parameter name."""
+    """First/second moments aligned with a store's flat params buffer; the
+    first step allocates them and fixes the store's layout."""
 
     def __init__(self) -> None:
         self.t = 0
-        self.m: dict[str, Array] = {}
-        self.v: dict[str, Array] = {}
+        self.m = np.zeros(0)
+        self.v = np.zeros(0)
 
 
 def adam_step(store: nc.ParamStore, state: AdamState, cfg: OptimizerConfig) -> None:
-    """One bias-corrected Adam update over every parameter in the store."""
+    """One bias-corrected Adam update over the store's whole params buffer
+    (Kingma & Ba, arXiv:1412.6980), element by element as per tensor."""
+    g = store.flat_grads
+    if state.t == 0:
+        store.fix_layout()
+        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.t += 1
-    for name in store.names():
-        g = store.grad(name)
-        m = state.m.setdefault(name, np.zeros_like(g))
-        v = state.v.setdefault(name, np.zeros_like(g))
-        m[...] = cfg.beta1 * m + (1.0 - cfg.beta1) * g
-        v[...] = cfg.beta2 * v + (1.0 - cfg.beta2) * g * g
-        if cfg.lr == 0.0:
-            continue  # parameters must stay bit-identical
-        mhat = m / (1.0 - cfg.beta1**state.t)
-        vhat = v / (1.0 - cfg.beta2**state.t)
-        param = store[name]
-        param -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    if cfg.lr == 0.0:
+        return  # parameters must stay bit-identical
+    mhat = state.m / (1.0 - cfg.beta1**state.t)
+    vhat = state.v / (1.0 - cfg.beta2**state.t)
+    store.flat_params -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
 
 # -- experiment config ---------------------------------------------------------
@@ -469,11 +472,6 @@ def _batch_order(n: int, batch_size: int, rng: np.random.Generator):
         pos += batch_size
 
 
-def _scale_grads(store: nc.ParamStore, factor: float) -> None:
-    for name in store.names():
-        store.grad(name)[...] *= factor
-
-
 def _batch_splits(
     model: PcmaModel,
     insts: list[VideoQAInstance],
@@ -672,7 +670,7 @@ def train(
     # without the contrastive term the total is the answering loss alone
     loss_cfg = icfg if use_cl else InterventionConfig(beta_cl=0.0)
     if use_cl and not cfg.use_oracle_masks:
-        # touch the gate parameters up front so Adam state covers them
+        # create the gate parameters before the first Adam step fixes the layout
         gate_forward(model, instances[0].video[None], instances[0].question[None])
 
     bank = None
@@ -742,7 +740,7 @@ def train(
             erm_mean = erm_sum / n_batch
             cl_mean = cl_sum / n_batch
             total = total_loss(erm_mean, cl_mean, loss_cfg)
-            _scale_grads(store, 1.0 / n_batch)
+            store.flat_grads *= 1.0 / n_batch
             adam_step(store, state, opt)
             curves.append(CurveRow(step, float(erm_mean), float(cl_mean), total))
         except nc.NumericsError as exc:
@@ -774,18 +772,30 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
 def load_checkpoint(out_dir: str | Path) -> PcmaModel:
     """The model saved in out_dir; FormatError names model.json when its
     pcma section lacks a field, has an unknown one, or holds a value
-    PcmaConfig rejects."""
+    PcmaConfig rejects, and names params.json and the tensor when the
+    stored tensors differ in name or shape from those the pcma section
+    builds (with the gate tensors when gate.w is stored)."""
     path = Path(out_dir) / "model.json"
-    meta = json.loads(path.read_text())
-    if not isinstance(meta, dict):
-        raise FormatError(f"{path}: expected a JSON object")
+    meta = nc.read_checkpoint_json(path)
     nc.check_checkpoint_version(path, meta.get("version"))
     problems: list[str] = []
     pcma = meta.get("pcma")
     cfg = build_section(problems, "pcma", PcmaConfig, pcma) if isinstance(pcma, dict) else None
     if cfg is None:
         raise FormatError(f"{path}: " + ("; ".join(problems) or "pcma: expected a JSON object"))
-    store = nc.ParamStore.load(path.parent / "params.json")
+    params = path.parent / "params.json"
+    store = nc.ParamStore.load(params)
+    have = {name: store[name].shape for name in store.names()}
+    layout = chain(param_layout(cfg), gate_layout(cfg.model_dim) if "gate.w" in store else ())
+    # one tensor past the stored count is enough to find a mismatch, so
+    # outsized pcma dims or layer counts cost nothing here
+    want = {name: shape for name, shape, _ in islice(layout, len(have) + 1)}
+    for name in sorted(have.keys() | want.keys()):
+        if have.get(name) != want.get(name):
+            raise FormatError(
+                f"{params}: tensor {name}: stored shape {have.get(name, 'none')}, "
+                f"{path.name} shape {want.get(name, 'none')}"
+            )
     return PcmaModel(cfg, store=store)
 
 

@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,17 +103,19 @@ def _sigmoid(x: Array) -> Array:
     return out
 
 
-def ensure_gate_params(model: PcmaModel) -> None:
-    """Create the gate scorer parameters on the model's store once.
+def gate_layout(model_dim: int) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
+    """(name, shape, fan_in) of the gate scorer tensors. The scorer weight
+    and bias start at zero (fan_in None) so initial gates are exactly 0.5
+    everywhere."""
+    yield from nc.mha_layout("gate.attn", model_dim)
+    yield "gate.w", (model_dim,), None
+    yield "gate.b", (1,), None
 
-    The scorer weight and bias start at zero so initial gates are exactly
-    0.5 everywhere.
-    """
-    if "gate.w" in model.store:
-        return
-    nc.init_mha_params(model.store, "gate.attn", model.cfg.model_dim)
-    model.store.add_zeros("gate.w", (model.cfg.model_dim,))
-    model.store.add_zeros("gate.b", (1,))
+
+def ensure_gate_params(model: PcmaModel) -> None:
+    """Create the gate scorer parameters on the model's store once."""
+    if "gate.w" not in model.store:
+        model.store.add_layout(gate_layout(model.cfg.model_dim))
 
 
 def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array, dict]:

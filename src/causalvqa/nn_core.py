@@ -15,7 +15,7 @@ import json
 import math
 import os
 from pathlib import Path
-from typing import NamedTuple
+from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -51,6 +51,18 @@ def check_checkpoint_version(path: Path, found) -> None:
         )
 
 
+def read_checkpoint_json(path: Path) -> dict:
+    """The JSON object in a checkpoint file; FormatError names the file
+    when it is not valid JSON or holds another JSON value."""
+    try:
+        body = json.loads(path.read_text())
+    except json.JSONDecodeError as exc:
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(body, dict):
+        raise FormatError(f"{path}: expected a JSON object")
+    return body
+
+
 def write_atomic(path: str | Path, data: str | bytes) -> Path:
     """Write a file through a temp file in its directory and os.replace,
     so the path holds the previous contents or the new ones, never a part.
@@ -68,48 +80,81 @@ def write_atomic(path: str | Path, data: str | bytes) -> Path:
 
 
 class ParamStore:
-    """Named float64 parameter tensors with paired gradient buffers.
+    """Named float64 parameter tensors with paired gradient tensors.
 
-    Parameters are created in construction order from a seeded stream, so a
-    fixed seed yields bit-identical initial values. Reads are safe to share;
-    gradient accumulation and optimizer steps are single-writer.
+    Every tensor is a reshaped view into one contiguous params buffer and
+    its gradient the matching view into one grads buffer, laid out in
+    construction order, so optimizers, zeroing and gradient scaling each
+    run as one operation over flat_params or flat_grads. Parameters are
+    created in construction order from a seeded stream, so a fixed seed
+    yields bit-identical initial values. Reads are safe to share; gradient
+    accumulation and optimizer steps are single-writer.
     """
 
     def __init__(self, seed: int = 0):
+        self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (offset, shape)
         self._params: dict[str, Array] = {}
         self._grads: dict[str, Array] = {}
+        # the buffers keep spare room at their ends; flat_params and
+        # flat_grads are their used parts
+        self._pbuf = self._gbuf = self.flat_params = self.flat_grads = np.zeros(0)
+        self._fixed = False
         self._rng = np.random.default_rng(seed)
 
     def __contains__(self, name: str) -> bool:
-        return name in self._params
+        return name in self._layout
 
     def __getitem__(self, name: str) -> Array:
         return self._params[name]
 
-    def __len__(self) -> int:
-        return len(self._params)
-
     def names(self) -> list[str]:
-        return sorted(self._params)
+        return sorted(self._layout)
 
-    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> Array:
+    def fix_layout(self) -> None:
+        """Refuse further tensors, once optimizer state mirrors the buffers."""
+        self._fixed = True
+
+    def _bind(self, size: int, names) -> None:
+        """Take the first size values of the buffers as flat_params and
+        flat_grads, and bind the named tensors' views."""
+        self.flat_params, self.flat_grads = self._pbuf[:size], self._gbuf[:size]
+        for name in names:
+            start, shape = self._layout[name]
+            end = start + math.prod(shape)
+            self._params[name] = self._pbuf[start:end].reshape(shape)
+            self._grads[name] = self._gbuf[start:end].reshape(shape)
+
+    def add_zeros(self, name: str, shape: tuple[int, ...]) -> None:
+        if name in self._layout:
+            raise ValueError(f"duplicate parameter name {name!r}")
+        if self._fixed:
+            raise ValueError(f"cannot add {name!r}: an optimizer has stepped on this store")
+        start = self.flat_params.size
+        size = start + math.prod(shape)
+        self._layout[name] = (start, tuple(shape))
+        names = [name]
+        if size > self._pbuf.size:
+            # doubling keeps building a store linear in its size; every view moves
+            spare = np.zeros(2 * size - start)
+            self._pbuf = np.concatenate((self.flat_params, spare))
+            self._gbuf = np.concatenate((self.flat_grads, spare))
+            names = self._layout
+        self._bind(size, names)
+
+    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> None:
         """Create a parameter initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if fan_in is None:
-            fan_in = shape[0]
-        bound = 1.0 / math.sqrt(fan_in)
-        value = self._rng.uniform(-bound, bound, size=shape)
-        self._params[name] = value
-        self._grads[name] = np.zeros(shape)
-        return value
+        self.add_zeros(name, shape)
+        bound = 1.0 / math.sqrt(shape[0] if fan_in is None else fan_in)
+        self._params[name][...] = self._rng.uniform(-bound, bound, size=shape)
 
-    def add_zeros(self, name: str, shape: tuple[int, ...]) -> Array:
-        if name in self._params:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        self._params[name] = np.zeros(shape)
-        self._grads[name] = np.zeros(shape)
-        return self._params[name]
+    def add_layout(self, layout: Iterable[tuple[str, tuple[int, ...], int | None]]) -> None:
+        """Create each (name, shape, fan_in) in order; a fan_in of None
+        makes a zero tensor."""
+        for name, shape, fan_in in layout:
+            if fan_in is None:
+                self.add_zeros(name, shape)
+            else:
+                self.add(name, shape, fan_in)
 
     def set_(self, name: str, value: Array) -> None:
         """Overwrite a parameter in place (shape-checked)."""
@@ -126,8 +171,7 @@ class ParamStore:
         self._grads[name] += g
 
     def zero_grads(self) -> None:
-        for g in self._grads.values():
-            g[...] = 0.0
+        self.flat_grads[...] = 0.0
 
     # -- checkpoint I/O (manifest JSON + raw little-endian f32 payload) ----
 
@@ -144,45 +188,71 @@ class ParamStore:
         }
         manifest_path.parent.mkdir(parents=True, exist_ok=True)
         write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
+        values = self.flat_params.astype("<f4")  # one conversion, written in name order
+        spans = (self._layout[n] for n in order)
         write_atomic(
             manifest_path.parent / payload_name,
-            b"".join(self._params[n].astype("<f4").tobytes() for n in order),
+            b"".join(values[start : start + math.prod(shape)].tobytes() for start, shape in spans),
         )
 
     @classmethod
     def load(cls, manifest_path: str | Path) -> "ParamStore":
-        """The store saved at manifest_path; FormatError names the file at
-        fault when the payload does not match the manifest or holds a
-        non-finite value."""
+        """The store saved at manifest_path, laid out in manifest order.
+
+        FormatError names the manifest when it lacks its payload file name
+        or tensor list, or holds a malformed shape or a repeated name; it
+        names the payload and the first tensor at fault when the payload is
+        short or holds a non-finite value.
+        """
         manifest_path = Path(manifest_path)
-        manifest = json.loads(manifest_path.read_text())
+        manifest = read_checkpoint_json(manifest_path)
         check_checkpoint_version(manifest_path, manifest.get("version"))
         if manifest.get("dtype") != "float32" or manifest.get("endianness") != "little":
             raise FormatError(f"{manifest_path}: unsupported checkpoint dtype/endianness")
-        payload = manifest_path.parent / manifest["file"]
+        payload_name, specs = manifest.get("file"), manifest.get("tensors")
+        if not isinstance(payload_name, str) or not isinstance(specs, list):
+            raise FormatError(f"{manifest_path}: expected a string 'file' and a list 'tensors'")
+        store, size = cls(seed=0), 0
+        for i, spec in enumerate(specs):
+            entry = spec if isinstance(spec, dict) else {}
+            name, shape = entry.get("name"), entry.get("shape")
+            if not (
+                isinstance(name, str)
+                and isinstance(shape, list)
+                and all(type(d) is int and d >= 0 for d in shape)
+            ):
+                raise FormatError(
+                    f"{manifest_path}: tensors[{i}] needs a string name and a list of "
+                    "non-negative integer dims as its shape"
+                )
+            if name in store._layout:
+                raise FormatError(f"{manifest_path}: tensor {name} listed twice")
+            store._layout[name] = (size, tuple(shape))
+            size += math.prod(shape)
+        payload = manifest_path.parent / payload_name
         raw = payload.read_bytes()
-        store = cls(seed=0)
-        offset = 0
-        for spec in manifest["tensors"]:
-            shape = tuple(spec["shape"])
-            n_items = int(np.prod(shape)) if shape else 1
-            n_bytes = n_items * 4
-            chunk = raw[offset : offset + n_bytes]
+        values = np.frombuffer(raw, dtype="<f4", count=size) if len(raw) >= 4 * size else None
+        if values is None or not np.isfinite(values).all():
+            store._payload_fault(payload, raw)
+        if len(raw) != 4 * size:
+            raise FormatError(f"{payload}: {len(raw) - 4 * size} trailing bytes")
+        store._pbuf, store._gbuf = values.astype(np.float64), np.zeros(size)
+        store._bind(size, store._layout)
+        return store
+
+    def _payload_fault(self, payload: Path, raw: bytes) -> None:
+        """Raise for the first tensor, in layout order, that the payload
+        cuts short or that holds a non-finite value."""
+        for name, (start, shape) in self._layout.items():
+            n_bytes = 4 * math.prod(shape)
+            chunk = raw[4 * start : 4 * start + n_bytes]
             if len(chunk) != n_bytes:
                 raise FormatError(
                     f"{payload}: checkpoint payload truncated: expected {n_bytes} bytes for "
-                    f"{spec['name']}, found {len(chunk)}"
+                    f"{name}, found {len(chunk)}"
                 )
-            values = np.frombuffer(chunk, dtype="<f4")
-            if not np.isfinite(values).all():
-                raise FormatError(f"{payload}: tensor {spec['name']} holds non-finite values")
-            arr = values.reshape(shape).astype(np.float64)
-            store._params[spec["name"]] = arr
-            store._grads[spec["name"]] = np.zeros(shape)
-            offset += n_bytes
-        if offset != len(raw):
-            raise FormatError(f"{payload}: {len(raw) - offset} trailing bytes")
-        return store
+            if not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all():
+                raise FormatError(f"{payload}: tensor {name} holds non-finite values")
 
 
 # -- linear ----------------------------------------------------------------
@@ -269,12 +339,13 @@ MHA_WEIGHTS = ("wq", "wk", "wv", "wo")
 MHA_BIASES = ("bq", "bk", "bv", "bo")
 
 
-def init_mha_params(store: ParamStore, prefix: str, dim: int) -> None:
-    """Register the eight projection tensors of one attention block."""
+def mha_layout(prefix: str, dim: int) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of the eight projection tensors of one
+    attention block, for ParamStore.add_layout."""
     for nm in MHA_WEIGHTS:
-        store.add(f"{prefix}.{nm}", (dim, dim))
+        yield f"{prefix}.{nm}", (dim, dim), dim
     for nm in MHA_BIASES:
-        store.add(f"{prefix}.{nm}", (dim,), fan_in=dim)
+        yield f"{prefix}.{nm}", (dim,), dim
 
 
 def _split_heads(x: Array, n_heads: int) -> Array:

@@ -14,7 +14,7 @@ parameter gradients are summed over the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import Iterator, NamedTuple
 
 import numpy as np
 
@@ -82,6 +82,17 @@ def pcma_layer_backward(
     return du + dh_cross, dkv
 
 
+def param_layout(cfg: PcmaConfig) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of every backbone tensor, in construction order."""
+    yield "video_proj.w", (cfg.video_dim, cfg.model_dim), cfg.video_dim
+    yield "video_proj.b", (cfg.model_dim,), cfg.video_dim
+    yield "text_proj.w", (cfg.text_dim, cfg.model_dim), cfg.text_dim
+    yield "text_proj.b", (cfg.model_dim,), cfg.text_dim
+    for layer in range(cfg.n_layers):
+        yield from nc.mha_layout(f"layer{layer}.cross", cfg.model_dim)
+        yield from nc.mha_layout(f"layer{layer}.self", cfg.model_dim)
+
+
 class PcmaModel:
     """Question-conditioned video aggregator with cosine answer scoring."""
 
@@ -89,18 +100,8 @@ class PcmaModel:
         self.cfg = cfg
         if store is None:
             store = nc.ParamStore(seed=cfg.seed)
-            store.add("video_proj.w", (cfg.video_dim, cfg.model_dim))
-            store.add("video_proj.b", (cfg.model_dim,), fan_in=cfg.video_dim)
-            store.add("text_proj.w", (cfg.text_dim, cfg.model_dim))
-            store.add("text_proj.b", (cfg.model_dim,), fan_in=cfg.text_dim)
-            for layer in range(cfg.n_layers):
-                nc.init_mha_params(store, f"layer{layer}.cross", cfg.model_dim)
-                nc.init_mha_params(store, f"layer{layer}.self", cfg.model_dim)
+            store.add_layout(param_layout(cfg))
         self.store = store
-
-    @property
-    def params(self) -> nc.ParamStore:
-        return self.store
 
     # -- aggregation path --------------------------------------------------
 

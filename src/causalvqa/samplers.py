@@ -195,7 +195,7 @@ class StudentSampler:
             store.add("text_proj.w", (cfg.text_dim, cfg.model_dim))
             store.add("text_proj.b", (cfg.model_dim,), fan_in=cfg.text_dim)
             for layer in range(cfg.n_layers):
-                nc.init_mha_params(store, f"layer{layer}.cross", cfg.model_dim)
+                store.add_layout(nc.mha_layout(f"layer{layer}.cross", cfg.model_dim))
             store.add_zeros("head.w", (cfg.model_dim,))
             store.add_zeros("head.b", (1,))
         self.store = store
@@ -352,7 +352,7 @@ class RlSampler:
             store.add("video_proj.b", (cfg.model_dim,), fan_in=cfg.video_dim)
             store.add("text_proj.w", (cfg.text_dim, cfg.model_dim))
             store.add("text_proj.b", (cfg.model_dim,), fan_in=cfg.text_dim)
-            nc.init_mha_params(store, "state.attn", cfg.model_dim)
+            store.add_layout(nc.mha_layout("state.attn", cfg.model_dim))
             store.add_zeros("state.ln.gamma", (cfg.model_dim,))
             store.set_("state.ln.gamma", np.ones(cfg.model_dim))
             store.add_zeros("state.ln.beta", (cfg.model_dim,))

@@ -407,6 +407,39 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "model.json" in lines[0] and reason in lines[0]
 
+    @pytest.mark.parametrize("name", ["model.json", "params.json"])
+    def test_invalid_checkpoint_json_names_the_file(self, tmp_path, out_dir, capsys, name):
+        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
+        (ckpt / name).write_text("{")
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert name in lines[0] and "invalid JSON" in lines[0]
+
+    def test_manifest_without_tensors_names_params_json(self, tmp_path, out_dir, capsys):
+        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
+        body = json.loads((ckpt / "params.json").read_text())
+        del body["tensors"]
+        (ckpt / "params.json").write_text(json.dumps(body))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "params.json" in lines[0] and "tensors" in lines[0]
+
+    def test_model_json_dims_checked_against_stored_shapes(self, tmp_path, out_dir, capsys):
+        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
+        body = json.loads((ckpt / "model.json").read_text())
+        body["pcma"]["video_dim"] += 1
+        (ckpt / "model.json").write_text(json.dumps(body))
+        capsys.readouterr()
+        assert cli_main(["eval", "--config", eval_cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert "params.json" in lines[0] and "tensor video_proj.w:" in lines[0]
+        assert "(16, 16)" in lines[0] and "(17, 16)" in lines[0]
+
     def test_non_finite_params_name_the_tensor(self, tmp_path, out_dir, capsys):
         ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
         payload = np.fromfile(ckpt / "params.f32", dtype="<f4")

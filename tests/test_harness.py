@@ -46,6 +46,7 @@ from causalvqa.intervention import (
     MemorySource,
     build_triplet_cached,
     draw_triplet,
+    ensure_gate_params,
     gate_forward,
 )
 from causalvqa.mnse import (
@@ -57,6 +58,7 @@ from causalvqa.mnse import (
     mnse_do,
 )
 from causalvqa.pcma import PcmaConfig, PcmaModel
+from reference_adam import ReferenceAdam
 from reference_step import reference_passes
 
 
@@ -311,6 +313,27 @@ MODEL_JSON_EDITS = st.tuples(
 
 
 class TestCheckpointBoundary:
+    def test_gated_save_load_save_is_byte_identical(self, tmp_path):
+        model = small_model(seed=5)
+        ensure_gate_params(model)
+        model.store.set_("gate.w", np.linspace(-1.0, 1.0, model.cfg.model_dim))
+        first = save_checkpoint(model, tmp_path / "a")
+        second = save_checkpoint(load_checkpoint(first), tmp_path / "b")
+        for name in ("params.f32", "params.json", "model.json"):
+            assert (first / name).read_bytes() == (second / name).read_bytes(), name
+
+    def test_stored_tensor_missing_from_the_model_names_it(self, tmp_path):
+        model = small_model()
+        ensure_gate_params(model)
+        out = save_checkpoint(model, tmp_path / "ckpt")
+        manifest = json.loads((out / "params.json").read_text())
+        for spec in manifest["tensors"]:
+            if spec["name"] == "gate.b":
+                spec["name"] = "gate.bias"
+        (out / "params.json").write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match=r"params\.json: tensor gate\.b: stored shape none"):
+            load_checkpoint(out)
+
     @settings(max_examples=200, deadline=None)
     @given(
         flips=st.lists(st.tuples(st.integers(0, 10**9), st.integers(0, 255)), max_size=4),
@@ -362,6 +385,42 @@ class TestAdam:
         store.accumulate("w", np.array([10.0, 10.0, 10.0]))
         adam_step(store, AdamState(), OptimizerConfig(lr=0.0))
         assert store["w"].tobytes() == before.tobytes()
+
+    def test_flat_step_matches_per_tensor_reference(self):
+        flat, ref = small_model(seed=4), small_model(seed=4)
+        for model in (flat, ref):
+            ensure_gate_params(model)  # the store grows after construction
+        names = flat.store.names()
+        rng = np.random.default_rng(0)
+        cfg = OptimizerConfig(lr=0.05)
+        state, reference = AdamState(), ReferenceAdam()
+        for _ in range(4):
+            for model in (flat, ref):
+                model.store.zero_grads()
+            for name in names:
+                g = rng.normal(scale=rng.choice([1e-6, 1.0, 1e3]), size=flat.store[name].shape)
+                flat.store.accumulate(name, g)
+                ref.store.accumulate(name, g)
+            adam_step(flat.store, state, cfg)
+            reference.step(ref.store, cfg)
+        for name in names:
+            assert flat.store[name].tobytes() == ref.store[name].tobytes(), name
+
+    def test_tensors_are_views_of_the_flat_buffers_after_growth(self):
+        model = small_model()
+        ensure_gate_params(model)
+        store = model.store
+        for name in store.names():
+            assert np.shares_memory(store[name], store.flat_params), name
+            assert np.shares_memory(store.grad(name), store.flat_grads), name
+        assert store.flat_params.size == sum(store[name].size for name in store.names())
+
+    def test_growing_after_the_first_step_raises(self):
+        store = nc.ParamStore(seed=0)
+        store.add("w", (3,))
+        adam_step(store, AdamState(), OptimizerConfig())
+        with pytest.raises(ValueError, match="optimizer"):
+            store.add_zeros("b", (2,))
 
     def test_optimizer_config_reports_all_problems(self):
         with pytest.raises(ValueError) as err:

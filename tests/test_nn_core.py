@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import json
 import math
 
 import numpy as np
@@ -8,6 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalvqa import nn_core as nc
+from causalvqa.features import FormatError
 from gradcheck import assert_grad_matches
 
 
@@ -24,8 +26,8 @@ class TestParamStore:
 
     def test_init_respects_fan_in_bound(self):
         s = nc.ParamStore(seed=0)
-        w = s.add("w", (100, 50))
-        assert np.all(np.abs(w) <= 1.0 / math.sqrt(100))
+        s.add("w", (100, 50))
+        assert np.all(np.abs(s["w"]) <= 1.0 / math.sqrt(100))
 
     def test_duplicate_name_rejected(self):
         s = nc.ParamStore(seed=0)
@@ -76,6 +78,29 @@ class TestParamStore:
         payload = tmp_path / "model.f32"
         payload.write_bytes(payload.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
+            nc.ParamStore.load(path)
+
+    @pytest.mark.parametrize(
+        "edit",
+        [
+            lambda m: m.pop("tensors"),
+            lambda m: m.pop("file"),
+            lambda m: m["tensors"][0].update(shape=4),
+            lambda m: m["tensors"][0].update(shape=[-2, -2]),
+            lambda m: m["tensors"][1].update(name=m["tensors"][0]["name"]),
+        ],
+        ids=["no-tensors", "no-file", "shape-not-a-list", "negative-shape", "duplicate-name"],
+    )
+    def test_malformed_manifest_names_the_manifest(self, tmp_path, edit):
+        s = nc.ParamStore(seed=0)
+        s.add("a", (2, 2))
+        s.add("b", (4,))
+        path = tmp_path / "params.json"
+        s.save(path)
+        manifest = json.loads(path.read_text())
+        edit(manifest)
+        path.write_text(json.dumps(manifest))
+        with pytest.raises(FormatError, match="params.json"):
             nc.ParamStore.load(path)
 
     def test_set_checks_shape(self):
@@ -202,7 +227,7 @@ def test_relu_gradient(rng):
 class TestAttention:
     def _setup(self, rng, dim=16, n_heads=4):
         store = nc.ParamStore(seed=11)
-        nc.init_mha_params(store, "attn", dim)
+        store.add_layout(nc.mha_layout("attn", dim))
         q = rng.normal(size=(5, dim))
         kv = rng.normal(size=(7, dim))
         return store, q, kv
