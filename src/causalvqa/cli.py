@@ -299,7 +299,7 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)
         return 1
-    except (FormatError, ValueError, OSError, ArithmeticError, RuntimeError) as exc:
+    except (FormatError, ValueError, OSError, ArithmeticError, RuntimeError, MemoryError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
     path = write_metrics(payload, out_dir / "metrics.json")

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 import math
+import os
 from dataclasses import dataclass, field
 from enum import IntEnum
 from pathlib import Path
@@ -179,12 +180,43 @@ class SyntheticSpec:
 # -- payload helpers ---------------------------------------------------------
 
 
+def write_atomic(path: str | Path, data: str | bytes) -> Path:
+    """Write a file through a temp file in its directory and os.replace,
+    so the path holds the previous contents or the new ones, never a part.
+    Strings are written as UTF-8."""
+    path = Path(path)
+    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(data.encode() if isinstance(data, str) else data)
+        os.replace(tmp, path)
+    except BaseException:
+        tmp.unlink(missing_ok=True)
+        raise
+    return path
+
+
+def read_json(path: Path, expected: type = dict):
+    """The JSON value in a saved file; FormatError names the file when it
+    is missing, is not valid JSON, or holds a value other than a JSON object
+    (expected=dict) or list (expected=list)."""
+    if not path.is_file():
+        raise FormatError(f"{path}: file not found")
+    try:
+        body = json.loads(path.read_text())
+    except ValueError as exc:  # a JSON or UTF-8 decoding error
+        raise FormatError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(body, expected):
+        raise FormatError(f"{path}: expected a JSON {'object' if expected is dict else 'list'}")
+    return body
+
+
 def _read_payload(path: Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
-    if not path.exists():
+    if not path.is_file():
         raise FormatError(f"payload file missing: {path}")
     raw = path.read_bytes()
     itemsize = np.dtype(dtype).itemsize
-    expected = int(np.prod(shape)) * itemsize
+    expected = math.prod(shape) * itemsize
     if len(raw) != expected:
         raise FormatError(
             f"{path.name}: byte length mismatch, expected {expected} bytes "
@@ -267,10 +299,10 @@ def save_dataset(
     root = manifest_path.parent
 
     for name, payload in payloads.items():
-        (root / files[name]).write_bytes(payload)
-    (root / files["gold"]).write_bytes(bytes(i.gold for i in instances))
-    (root / files["qtype"]).write_bytes(bytes(int(i.qtype) for i in instances))
-    (root / files["ids"]).write_text(json.dumps([i.video_id for i in instances]))
+        write_atomic(root / files[name], payload)
+    write_atomic(root / files["gold"], bytes(i.gold for i in instances))
+    write_atomic(root / files["qtype"], bytes(int(i.qtype) for i in instances))
+    write_atomic(root / files["ids"], json.dumps([i.video_id for i in instances]))
     if saliencies is not None:
         blob = [
             {
@@ -280,11 +312,9 @@ def save_dataset(
             }
             for s in saliencies
         ]
-        (root / files["saliency"]).write_text(json.dumps(blob))
+        write_atomic(root / files["saliency"], json.dumps(blob))
     if causal_masks is not None:
-        (root / files["masks"]).write_bytes(
-            np.asarray(causal_masks, dtype=np.uint8).tobytes()
-        )
+        write_atomic(root / files["masks"], np.asarray(causal_masks, dtype=np.uint8).tobytes())
 
     body = {
         "version": manifest.version,
@@ -295,30 +325,34 @@ def save_dataset(
         "n_answers": manifest.n_answers,
         "files": files,
     }
-    manifest_path.write_text(json.dumps(body, indent=2) + "\n")
+    write_atomic(manifest_path, json.dumps(body, indent=2) + "\n")
     return manifest
 
 
+_MANIFEST_INTS = ("version", "count", "n_clips", "video_dim", "text_dim", "n_answers")
+
+
 def read_manifest(manifest_path: str | Path) -> FeatureManifest:
+    """The manifest at manifest_path; FormatError names the file when it
+    is missing, lacks a field, holds a field of the wrong JSON type or a
+    value FeatureManifest rejects."""
     manifest_path = Path(manifest_path)
-    if not manifest_path.exists():
-        raise FormatError(f"manifest not found: {manifest_path}")
+    body = {"n_answers": N_ANSWERS, **read_json(manifest_path)}
+    for key in (*_MANIFEST_INTS, "files"):
+        if key not in body:
+            raise FormatError(f"{manifest_path}: manifest missing field {key!r}")
+    for key in _MANIFEST_INTS:
+        if type(body[key]) is not int:
+            raise FormatError(
+                f"{manifest_path}: {key}: expected an integer, got {json.dumps(body[key])}"
+            )
+    files = body["files"]
+    if not (isinstance(files, dict) and all(isinstance(f, str) for f in files.values())):
+        raise FormatError(f"{manifest_path}: files: expected an object of file names")
     try:
-        body = json.loads(manifest_path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"manifest is not valid JSON: {exc}") from exc
-    try:
-        return FeatureManifest(
-            version=body["version"],
-            count=body["count"],
-            n_clips=body["n_clips"],
-            video_dim=body["video_dim"],
-            text_dim=body["text_dim"],
-            files=body["files"],
-            n_answers=body.get("n_answers", N_ANSWERS),
-        )
-    except KeyError as exc:
-        raise FormatError(f"manifest missing field {exc}") from exc
+        return FeatureManifest(files=files, **{key: body[key] for key in _MANIFEST_INTS})
+    except FormatError as exc:
+        raise FormatError(f"{manifest_path}: {exc}") from None
 
 
 def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
@@ -342,10 +376,11 @@ def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
     for arr in (video, question, answers):
         arr.flags.writeable = False
 
-    if "ids" in m.files and (root / m.files["ids"]).exists():
-        ids = json.loads((root / m.files["ids"]).read_text())
+    ids_path = root / m.files.get("ids", "")
+    if "ids" in m.files and ids_path.is_file():
+        ids = read_json(ids_path, list)
         if len(ids) != m.count:
-            raise FormatError(f"ids file lists {len(ids)} entries, manifest count {m.count}")
+            raise FormatError(f"{ids_path}: lists {len(ids)} entries, manifest count {m.count}")
     else:
         ids = [f"v{i:05d}" for i in range(m.count)]
 
@@ -376,17 +411,23 @@ def load_saliency(manifest_path: str | Path) -> list[SaliencyAnnotation] | None:
     m = read_manifest(manifest_path)
     if "saliency" not in m.files:
         return None
-    blob = json.loads((manifest_path.parent / m.files["saliency"]).read_text())
+    path = manifest_path.parent / m.files["saliency"]
+    blob = read_json(path, list)
     if len(blob) != m.count:
-        raise FormatError(f"saliency file lists {len(blob)} entries, manifest count {m.count}")
-    return [
-        SaliencyAnnotation(
-            scores=np.array(e["scores"], dtype=np.float64),
-            windows=tuple(MomentWindow(int(s), int(t), float(sc)) for s, t, sc in e["windows"]),
-            n_frames=int(e["n_frames"]),
-        )
-        for e in blob
-    ]
+        raise FormatError(f"{path}: lists {len(blob)} entries, manifest count {m.count}")
+    out = []
+    for i, e in enumerate(blob):
+        try:
+            out.append(SaliencyAnnotation(
+                scores=np.array(e["scores"], dtype=np.float64),
+                windows=tuple(MomentWindow(int(s), int(t), float(sc)) for s, t, sc in e["windows"]),
+                n_frames=int(e["n_frames"]),
+            ))
+        except KeyError as exc:
+            raise FormatError(f"{path}: entry {i} lacks {exc}") from None
+        except (TypeError, ValueError, OverflowError) as exc:  # FormatError too
+            raise FormatError(f"{path}: entry {i}: {exc}") from None
+    return out
 
 
 def load_causal_masks(manifest_path: str | Path) -> np.ndarray | None:

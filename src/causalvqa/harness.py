@@ -28,11 +28,12 @@ from .features import (
     load_causal_masks,
     load_dataset,
     load_saliency,
+    read_json,
+    write_atomic,
 )
 from .intervention import (
     CausalSplit,
     DegenerateSplitError,
-    InfoNceGrads,
     InterventionConfig,
     MemorySource,
     TripletDraw,
@@ -166,7 +167,6 @@ class ModelConfig:
     n_heads: int = 4
     n_layers: int = 2
     tau: float = 0.1
-    answer_conditioning: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -180,7 +180,6 @@ class ModelConfig:
             n_heads=self.n_heads,
             n_layers=self.n_layers,
             tau=self.tau,
-            answer_conditioning=self.answer_conditioning,
             seed=self.seed,
         )
 
@@ -553,7 +552,6 @@ class _Draws(NamedTuple):
 
 
 def _draw_interventions(
-    model: PcmaModel,
     icfg: InterventionConfig,
     bank: MemoryBank,
     instances: Sequence[VideoQAInstance],
@@ -589,9 +587,7 @@ def _draw_interventions(
         if len(instances) > 1 and r_idx == batch[j]:
             r_idx = (r_idx + 1) % len(instances)
         triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
-            exclude_video_id=inst.video_id,
-            answers=inst.answers if model.cfg.answer_conditioning else None,
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id
         )))
     return _Draws(views, triplets)
 
@@ -617,7 +613,7 @@ def _intervened_passes(
     """Draw every intervention of the batch, then run one stacked augmented
     + do pass and one stacked triplet pass, each cache dropped once its
     backward is done. Backbone gradients accumulate on the store."""
-    draws = _draw_interventions(model, icfg, bank, instances, batch, prepared, rng)
+    draws = _draw_interventions(icfg, bank, instances, batch, prepared, rng)
     losses: list[list] = [[] for _ in batch]
     if draws.views:
         positions, *columns, golds = zip(*draws.views)
@@ -629,15 +625,10 @@ def _intervened_passes(
     if not draws.triplets:
         return _Intervened(losses, [], [], np.zeros((0, instances[batch[0]].n_clips)))
     positions, triplet_draws = zip(*draws.triplets)
-    triplets, cache = build_triplet_cached(model, triplet_draws)
-    cl_losses, grads = zip(*(infonce_loss(triplet) for triplet in triplets))
-    beta = icfg.beta_cl
-    scaled = [
-        InfoNceGrads(beta * g.anchor, beta * g.positive, [beta * n for n in g.negatives])
-        for g in grads
-    ]
-    dgates = triplet_backward(model, scaled, cache)
-    return _Intervened(losses, list(cl_losses), list(positions), dgates)
+    aggs, cache = build_triplet_cached(model, triplet_draws)
+    cl_losses, daggs = infonce_loss(aggs)
+    dgates = triplet_backward(model, icfg.beta_cl * daggs, cache)
+    return _Intervened(losses, cl_losses.tolist(), list(positions), dgates)
 
 
 def train(
@@ -760,7 +751,7 @@ def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
     model.store.save(out / "params.json")
-    nc.write_atomic(
+    write_atomic(
         out / "model.json",
         json.dumps({"version": nc.CHECKPOINT_VERSION, "pcma": asdict(model.cfg)},
                    sort_keys=True, indent=2)
@@ -776,7 +767,7 @@ def load_checkpoint(out_dir: str | Path) -> PcmaModel:
     stored tensors differ in name or shape from those the pcma section
     builds (with the gate tensors when gate.w is stored)."""
     path = Path(out_dir) / "model.json"
-    meta = nc.read_checkpoint_json(path)
+    meta = read_json(path)
     nc.check_checkpoint_version(path, meta.get("version"))
     problems: list[str] = []
     pcma = meta.get("pcma")
@@ -1026,11 +1017,11 @@ def resolve_output_dir(cfg_dir: str | None) -> Path:
 
 def write_metrics(payload: dict, path: str | Path) -> Path:
     body = json.dumps({"version": METRICS_VERSION, **payload}, sort_keys=True, indent=2)
-    return nc.write_atomic(path, body + "\n")
+    return write_atomic(path, body + "\n")
 
 
 def write_curves(rows: Sequence[CurveRow], path: str | Path) -> Path:
     lines = [CURVE_HEADER]
     for r in rows:
         lines.append(f"{r.step},{r.erm_loss!r},{r.cl_loss!r},{r.total_loss!r}")
-    return nc.write_atomic(path, "\n".join(lines) + "\n")
+    return write_atomic(path, "\n".join(lines) + "\n")

@@ -267,18 +267,6 @@ def assemble_video(mask: Array, c_star: Array, t_star: Array) -> Array:
 # -- triplet construction ------------------------------------------------------
 
 
-class ContrastiveTriplet(NamedTuple):
-    anchor: Array
-    positive: Array
-    negatives: list[Array]
-
-
-class InfoNceGrads(NamedTuple):
-    anchor: Array
-    positive: Array
-    negatives: list[Array]
-
-
 class TripletDraw(NamedTuple):
     """One mixed sample's triplet inputs, every substitute already drawn.
 
@@ -292,7 +280,6 @@ class TripletDraw(NamedTuple):
     gates: Array  # [n_clips]
     positive: Array  # [n_clips, video_dim] complement rows substituted
     negatives: Array  # [n_negatives - 1, n_clips, video_dim] causal rows substituted
-    answers: Array | None  # [N_ANSWERS, text_dim] under answer conditioning
 
 
 def draw_triplet(
@@ -304,7 +291,6 @@ def draw_triplet(
     cfg: InterventionConfig,
     rng: np.random.Generator,
     exclude_video_id: str | None = None,
-    answers: Array | None = None,
 ) -> TripletDraw:
     """Draw the positive's complement substitutes, then each substituted
     negative's causal ones, in that order. Nearest-scene sourcing ranks each
@@ -328,10 +314,7 @@ def draw_triplet(
 
     positive = substituted(split.complement_indices, 1)[0]
     negatives = substituted(split.causal_indices, cfg.n_negatives - 1)
-    return TripletDraw(
-        v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives,
-        None if answers is None else nc.as_f64(answers),
-    )
+    return TripletDraw(v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives)
 
 
 def _blend(orig: Array, subs: Array, keep: Array) -> Array:
@@ -340,11 +323,9 @@ def _blend(orig: Array, subs: Array, keep: Array) -> Array:
     return np.where(np.all(subs == orig, axis=-1, keepdims=True), orig, out)
 
 
-def build_triplet_cached(
-    backbone: PcmaModel, draws: Sequence[TripletDraw]
-) -> tuple[list[ContrastiveTriplet], dict]:
-    """Anchor/positive/negatives of every drawn triplet, through one stacked
-    aggregate pass, with the cache needed for backprop.
+def build_triplet_cached(backbone: PcmaModel, draws: Sequence[TripletDraw]) -> tuple[Array, dict]:
+    """Aggregates [n_triplets, n_views, model_dim] of every drawn triplet,
+    through one stacked aggregate pass, with the cache needed for backprop.
 
     Per triplet the views are the anchor v_star, the positive (complement
     rows blended toward their substitutes by gate confidence), each
@@ -363,31 +344,24 @@ def build_triplet_cached(
     n_triplets, n_views = views.shape[:2]
     questions = np.repeat(np.stack([d.q_star for d in draws])[:, None], n_views, axis=1)
     questions[:, -1] = np.stack([d.q_r for d in draws])
-    answers = None
-    if draws[0].answers is not None:
-        answers = np.repeat(np.stack([d.answers for d in draws])[:, None], n_views, axis=1)
-        answers = answers.reshape(-1, *answers.shape[2:])
     aggs, views_cache = backbone.aggregate_forward(
-        views.reshape(-1, *views.shape[2:]), questions.reshape(-1, questions.shape[-1]), answers
+        views.reshape(-1, *views.shape[2:]), questions.reshape(-1, questions.shape[-1])
     )
-    aggs = aggs.reshape(n_triplets, n_views, -1)
-    triplets = [ContrastiveTriplet(a[0], a[1], list(a[2:])) for a in aggs]
-    return triplets, {"v_star": v_star, "subs": subs, "views": views_cache}
+    cache = {"v_star": v_star, "subs": subs, "views": views_cache}
+    return aggs.reshape(n_triplets, n_views, -1), cache
 
 
-def triplet_backward(
-    backbone: PcmaModel, grads: Sequence[InfoNceGrads], cache: dict
-) -> Array:
-    """Backprop every triplet through one stacked pass; returns gate
-    gradients [n_triplets, n_clips].
+def triplet_backward(backbone: PcmaModel, daggs: Array, cache: dict) -> Array:
+    """Backprop the gradient daggs [n_triplets, n_views, model_dim] of every
+    triplet's aggregates through one stacked pass; returns gate gradients
+    [n_triplets, n_clips].
 
     Backbone parameter gradients accumulate on the store. Gradients into
     the mixed videos and questions stop there (they are data), except for
     the substitution blends, whose gate dependence is returned.
     """
     v_star, subs = cache["v_star"], cache["subs"]
-    dagg = np.stack([v for g in grads for v in (g.anchor, g.positive, *g.negatives)])
-    dviews = backbone.aggregate_backward(dagg, cache["views"]).video
+    dviews, _ = backbone.aggregate_backward(daggs.reshape(-1, daggs.shape[-1]), cache["views"])
     dviews = dviews.reshape(len(subs), -1, *dviews.shape[1:])
     # the positive blends by gate, each negative by 1 - gate; rows a view
     # leaves unsubstituted add zero
@@ -400,32 +374,33 @@ def triplet_backward(
 # -- losses --------------------------------------------------------------------
 
 
-def infonce_loss(t: ContrastiveTriplet) -> tuple[float, InfoNceGrads]:
-    """-log( exp(a.a+) / (exp(a.a+) + sum_n exp(a.a-_n)) ), raw dot products.
+def infonce_loss(aggs: Array) -> tuple[Array, Array]:
+    """-log( exp(a.a+) / (exp(a.a+) + sum_n exp(a.a-_n)) ) per triplet, raw
+    dot products, over aggregates [..., n_views, d] stacked by view: view 0
+    is the anchor a, view 1 the positive a+ and views 2 onward the
+    negatives a-_n. A 2-D input is one triplet.
 
-    Stable via max-subtraction; returns gradients for anchor, positive and
-    every negative.
+    Stable via max-subtraction; returns the losses [...] and the gradient
+    with respect to aggs, of its shape.
     """
-    if len(t.negatives) < 1:
-        raise ValueError("triplet needs at least one negative")
-    a = nc.as_f64(t.anchor)
-    sims = np.empty(1 + len(t.negatives))
-    sims[0] = a @ nc.as_f64(t.positive)
-    for i, neg in enumerate(t.negatives):
-        sims[1 + i] = a @ nc.as_f64(neg)
+    aggs = nc.as_f64(aggs)
+    if aggs.ndim < 2 or aggs.shape[-2] < 3:
+        raise ValueError("a triplet needs an anchor, a positive and at least one negative")
+    anchor, others = aggs[..., 0, :], aggs[..., 1:, :]
+    sims = nc.rowdot(anchor[..., None, :], others)  # [..., n_views - 1], positive first
     nc.require_finite("similarities", sims)
-    m = float(sims.max())
+    m = sims.max(axis=-1, keepdims=True)
     e = np.exp(sims - m)
-    z = float(e.sum())
-    loss = m + np.log(z) - sims[0]
+    z = e.sum(axis=-1, keepdims=True)
+    loss = (m + np.log(z))[..., 0] - sims[..., 0]
     p = e / z
-    danchor = (p[0] - 1.0) * nc.as_f64(t.positive)
-    dnegatives = []
-    for i, neg in enumerate(t.negatives):
-        danchor += p[1 + i] * nc.as_f64(neg)
-        dnegatives.append(p[1 + i] * a)
-    dpositive = (p[0] - 1.0) * a
-    return float(loss), InfoNceGrads(anchor=danchor, positive=dpositive, negatives=dnegatives)
+    p[..., 0] -= 1.0  # the positive enters every gradient with weight p+ - 1
+    grad = np.empty_like(aggs)
+    grad[..., 1:, :] = p[..., None] * anchor[..., None, :]
+    grad[..., 0, :] = p[..., :1] * others[..., 0, :]
+    for i in range(1, p.shape[-1]):
+        grad[..., 0, :] += p[..., i, None] * others[..., i, :]
+    return loss, grad
 
 
 def total_loss(erm: float, cl: float, cfg: InterventionConfig) -> float:

@@ -13,17 +13,16 @@ from __future__ import annotations
 
 import json
 import math
-import os
 from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .features import FormatError
+from .features import FormatError, read_json, write_atomic
 
 Array = np.ndarray
 
-CHECKPOINT_VERSION = 1
+CHECKPOINT_VERSION = 2
 
 
 class NumericsError(ArithmeticError):
@@ -49,34 +48,6 @@ def check_checkpoint_version(path: Path, found) -> None:
         raise FormatError(
             f"{path}: unsupported checkpoint version {found!r}, expected {CHECKPOINT_VERSION}"
         )
-
-
-def read_checkpoint_json(path: Path) -> dict:
-    """The JSON object in a checkpoint file; FormatError names the file
-    when it is not valid JSON or holds another JSON value."""
-    try:
-        body = json.loads(path.read_text())
-    except json.JSONDecodeError as exc:
-        raise FormatError(f"{path}: invalid JSON: {exc}") from None
-    if not isinstance(body, dict):
-        raise FormatError(f"{path}: expected a JSON object")
-    return body
-
-
-def write_atomic(path: str | Path, data: str | bytes) -> Path:
-    """Write a file through a temp file in its directory and os.replace,
-    so the path holds the previous contents or the new ones, never a part.
-    Strings are written as UTF-8."""
-    path = Path(path)
-    tmp = path.with_name(f".{path.name}.{os.getpid()}.tmp")
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(data.encode() if isinstance(data, str) else data)
-        os.replace(tmp, path)
-    except BaseException:
-        tmp.unlink(missing_ok=True)
-        raise
-    return path
 
 
 class ParamStore:
@@ -205,7 +176,7 @@ class ParamStore:
         short or holds a non-finite value.
         """
         manifest_path = Path(manifest_path)
-        manifest = read_checkpoint_json(manifest_path)
+        manifest = read_json(manifest_path)
         check_checkpoint_version(manifest_path, manifest.get("version"))
         if manifest.get("dtype") != "float32" or manifest.get("endianness") != "little":
             raise FormatError(f"{manifest_path}: unsupported checkpoint dtype/endianness")
@@ -424,7 +395,7 @@ class CosineResult(NamedTuple):
     degenerate: Array  # true where either input row had zero norm
 
 
-def _rowdot(a: Array, b: Array) -> Array:
+def rowdot(a: Array, b: Array) -> Array:
     """Dot products of matching rows over the last axis, each one BLAS dot
     product as for a pair of vectors."""
     return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
@@ -441,14 +412,14 @@ def cosine_forward(a: Array, b: Array) -> tuple[CosineResult, tuple]:
         raise DimMismatch(f"cosine: incompatible shapes {a.shape} vs {b.shape}")
     require_finite("cosine input a", a)
     require_finite("cosine input b", b)
-    na = np.sqrt(_rowdot(a, a))
-    nb = np.sqrt(_rowdot(b, b))
+    na = np.sqrt(rowdot(a, a))
+    nb = np.sqrt(rowdot(b, b))
     degenerate = (na == 0.0) | (nb == 0.0)
     # unit norms on degenerate rows keep the divisions finite; their
     # value and gradient are zeroed
     na = np.where(degenerate, 1.0, na)
     nb = np.where(degenerate, 1.0, nb)
-    raw = np.where(degenerate, 0.0, _rowdot(a, b) / (na * nb))
+    raw = np.where(degenerate, 0.0, rowdot(a, b) / (na * nb))
     value = np.clip(raw, -1.0, 1.0)
     return CosineResult(value[()], degenerate[()]), (a, b, na, nb, raw, degenerate)
 

@@ -32,9 +32,6 @@ class PcmaConfig:
     n_heads: int = 4
     n_layers: int = 2
     tau: float = 0.1
-    # When set, answer projections join the question as cross-attention
-    # keys/values, conditioning the video stream on the choices.
-    answer_conditioning: bool = False
     seed: int = 0
 
     def __post_init__(self) -> None:
@@ -105,16 +102,9 @@ class PcmaModel:
 
     # -- aggregation path --------------------------------------------------
 
-    def aggregate_forward(
-        self, video: Array, question: Array, answers: Array | None = None
-    ) -> tuple[Array, dict]:
+    def aggregate_forward(self, video: Array, question: Array) -> tuple[Array, dict]:
         """Aggregated video vectors [B, model_dim] for B (video, question)
-        pairs: video [B, n_clips, video_dim], question [B, text_dim].
-
-        answers [B, N_ANSWERS, text_dim] is consulted only under
-        answer_conditioning, where the projected answers become extra
-        cross-attention keys/values.
-        """
+        pairs: video [B, n_clips, video_dim], question [B, text_dim]."""
         cfg = self.cfg
         video = nc.as_f64(video)
         question = nc.as_f64(question)
@@ -127,28 +117,12 @@ class PcmaModel:
             raise nc.DimMismatch(
                 f"question shape {question.shape}, expected ({batch}, {cfg.text_dim})"
             )
-        if answers is not None:
-            answers = nc.as_f64(answers)
-            if answers.shape != (batch, N_ANSWERS, cfg.text_dim):
-                raise nc.DimMismatch(
-                    f"answers shape {answers.shape}, "
-                    f"expected ({batch}, {N_ANSWERS}, {cfg.text_dim})"
-                )
         vp, c_v = nc.linear_forward(video, self.store["video_proj.w"], self.store["video_proj.b"])
         # [B, 1, text_dim] rows: every projection is one product per sample,
         # so a row's result does not depend on the rest of the batch
         kv, c_q = nc.linear_forward(
             question[:, None, :], self.store["text_proj.w"], self.store["text_proj.b"]
         )
-        c_akv = None
-        if cfg.answer_conditioning:
-            if answers is None:
-                raise ValueError("answer_conditioning requires answers")
-            # Answers skip the projection bias so cosine scoring stays
-            # exactly invariant to positive rescaling of an answer.
-            ap = answers @ self.store["text_proj.w"]
-            kv = np.concatenate([kv, ap], axis=1)
-            c_akv = answers
         h = vp
         layer_caches = []
         for layer in range(cfg.n_layers):
@@ -156,22 +130,12 @@ class PcmaModel:
             layer_caches.append(cache)
         agg = h.mean(axis=1)
         nc.require_finite("aggregated video", agg)
-        cache = {
-            "n_clips": video.shape[1],
-            "c_v": c_v,
-            "c_q": c_q,
-            "c_akv": c_akv,
-            "layers": layer_caches,
-        }
+        cache = {"n_clips": video.shape[1], "c_v": c_v, "c_q": c_q, "layers": layer_caches}
         return agg, cache
 
-    def aggregate_backward(self, dagg: Array, cache: dict) -> InputGrads:
+    def aggregate_backward(self, dagg: Array, cache: dict) -> tuple[Array, Array]:
         """Backprop through aggregation; accumulates parameter gradients
-        summed over the batch.
-
-        The returned answer gradient is zero unless answer_conditioning fed
-        answers into the keys/values.
-        """
+        summed over the batch and returns (dvideo, dquestion)."""
         n = cache["n_clips"]
         dh = np.repeat(dagg[:, None, :] / n, n, axis=1)
         dkv_total = None
@@ -181,16 +145,10 @@ class PcmaModel:
         dvideo, dwv, dbv = nc.linear_backward(dh, cache["c_v"])
         self.store.accumulate("video_proj.w", dwv)
         self.store.accumulate("video_proj.b", dbv)
-        danswers = np.zeros((len(dagg), N_ANSWERS, self.cfg.text_dim))
-        if cache["c_akv"] is not None:
-            danswers, dw, _ = nc.linear_backward(
-                dkv_total[:, 1:], (cache["c_akv"], self.store["text_proj.w"])
-            )
-            self.store.accumulate("text_proj.w", dw)
-        dquestion, dwt, dbt = nc.linear_backward(dkv_total[:, :1], cache["c_q"])
+        dquestion, dwt, dbt = nc.linear_backward(dkv_total, cache["c_q"])
         self.store.accumulate("text_proj.w", dwt)
         self.store.accumulate("text_proj.b", dbt)
-        return InputGrads(video=dvideo, question=dquestion[:, 0], answers=danswers)
+        return dvideo, dquestion[:, 0]
 
     # -- full scoring path ---------------------------------------------------
 
@@ -200,7 +158,10 @@ class PcmaModel:
         """Cosine scores of every answer against the aggregated video, for
         a batch shaped as in aggregate_forward."""
         answers = nc.as_f64(answers)
-        agg, agg_cache = self.aggregate_forward(video, question, answers)
+        expected = (len(video), N_ANSWERS, self.cfg.text_dim)
+        if answers.shape != expected:
+            raise nc.DimMismatch(f"answers shape {answers.shape}, expected {expected}")
+        agg, agg_cache = self.aggregate_forward(video, question)
         ap = answers @ self.store["text_proj.w"]
         cos, cos_cache = nc.cosine_forward(np.broadcast_to(agg[:, None, :], ap.shape), ap)
         result = AnswerScores(
@@ -215,10 +176,8 @@ class PcmaModel:
         dagg, dap = nc.cosine_backward(dscores, cache["cos"])
         danswers, dw, _ = nc.linear_backward(dap, (cache["answers"], self.store["text_proj.w"]))
         self.store.accumulate("text_proj.w", dw)
-        grads = self.aggregate_backward(dagg.sum(axis=1), cache["agg"])
-        return InputGrads(
-            video=grads.video, question=grads.question, answers=grads.answers + danswers
-        )
+        dvideo, dquestion = self.aggregate_backward(dagg.sum(axis=1), cache["agg"])
+        return InputGrads(video=dvideo, question=dquestion, answers=danswers)
 
     def loss_and_grads(
         self, video: Array, question: Array, answers: Array, gold: Array

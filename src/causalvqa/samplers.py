@@ -7,7 +7,7 @@ Four families:
 - Pool resampling: draw a fresh random subset of a larger frame pool
   each training iteration to wash out a fixed-grid sampling bias.
 - Teacher-student: a small cross-attention student scores frames with a
-  softmax and distills a frozen backbone's attention mass.
+  softmax and distills a given teacher frame distribution.
 - RL: an agent grows a buffer of chosen frames (seeded with the question
   embedding) and a policy over remaining frames plus STOP, trained by
   REINFORCE against a sparse terminal reward.
@@ -21,7 +21,6 @@ import numpy as np
 
 from . import nn_core as nc
 from .features import SaliencyAnnotation
-from .pcma import PcmaModel
 
 Array = np.ndarray
 
@@ -281,16 +280,6 @@ def s3_distill_grads(
     return float(lam * kl)
 
 
-def teacher_frame_distribution(model: PcmaModel, video: Array, question: Array) -> Array:
-    """Frozen backbone's frame mass: final self-attention weights averaged
-    over heads and queries, renormalized."""
-    _, cache = model.aggregate_forward(nc.as_f64(video)[None], nc.as_f64(question)[None])
-    _, c_self = cache["layers"][-1]
-    attn = nc.mha_attention_weights(c_self)[0]  # [heads, n, n]
-    mass = attn.mean(axis=(0, 1))
-    return mass / mass.sum()
-
-
 # -- RL sampler ------------------------------------------------------------------
 
 
@@ -459,11 +448,6 @@ def run_episode(
     while not episode.done:
         s3_rl_step(sampler, episode, rng)
     return episode
-
-
-def rl_output(episode: RlEpisodeState) -> SamplerOutput:
-    idx = tuple(sorted(episode.selected))
-    return SamplerOutput(indices=idx, provenance=tuple("policy" for _ in idx))
 
 
 def s3_rl_reward(

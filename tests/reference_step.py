@@ -1,10 +1,10 @@
 """The contrastive step one mixed sample at a time, kept as the reference
 the stacked step in harness is checked against.
 
-Each sample runs its own augmented + do pass and its own triplet pass, and
-every substitute draw ranks its query rows afresh (one kNN ranking per
-negative). The draws, their order and the arithmetic of every row are
-those the stacked step must reproduce.
+Each sample runs its own augmented + do pass, its own triplet pass and its
+own InfoNCE over one vector per view, and every substitute draw ranks its
+query rows afresh (one kNN ranking per negative). The draws, their order
+and the arithmetic of every row are those the stacked step must reproduce.
 """
 
 from __future__ import annotations
@@ -15,12 +15,7 @@ import numpy as np
 
 from causalvqa import nn_core as nc
 from causalvqa.harness import _do_complement
-from causalvqa.intervention import (
-    ContrastiveTriplet,
-    InfoNceGrads,
-    MemorySource,
-    infonce_loss,
-)
+from causalvqa.intervention import MemorySource
 
 Array = np.ndarray
 
@@ -31,6 +26,26 @@ class ReferenceStep(NamedTuple):
     positions: list[int]
     dgates: list[Array]  # [n_clips] per triplet
     videos: list[Array]  # every drawn video in draw order: do-video, positive, negatives
+
+
+def reference_infonce(anchor, positive, negatives):
+    """InfoNCE of one triplet, one dot product per similarity:
+    (loss, danchor, dpositive, [dnegative per negative])."""
+    sims = np.empty(1 + len(negatives))
+    sims[0] = anchor @ positive
+    for i, neg in enumerate(negatives):
+        sims[1 + i] = anchor @ neg
+    m = float(sims.max())
+    e = np.exp(sims - m)
+    z = float(e.sum())
+    loss = m + np.log(z) - sims[0]
+    p = e / z
+    danchor = (p[0] - 1.0) * positive
+    dnegatives = []
+    for i, neg in enumerate(negatives):
+        danchor += p[1 + i] * neg
+        dnegatives.append(p[1 + i] * anchor)
+    return float(loss), danchor, (p[0] - 1.0) * anchor, dnegatives
 
 
 def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
@@ -47,7 +62,7 @@ def _blend(orig, subs, keep):
     return out
 
 
-def _build_triplet(backbone, v_star, q_star, split, bank, q_r, cfg, rng, exclude_video_id, answers):
+def _build_triplet(backbone, v_star, q_star, split, bank, q_r, cfg, rng, exclude_video_id):
     comp = split.complement_indices
     caus = split.causal_indices
 
@@ -67,10 +82,7 @@ def _build_triplet(backbone, v_star, q_star, split, bank, q_r, cfg, rng, exclude
             views[2 + i, caus] = _blend(v_star[caus], subs, keep)
     questions = np.repeat(q_star[None], len(views), axis=0)
     questions[-1] = q_r
-    if answers is not None:
-        answers = np.repeat(answers[None], len(views), axis=0)
-    aggs, views_cache = backbone.aggregate_forward(views, questions, answers)
-    triplet = ContrastiveTriplet(anchor=aggs[0], positive=aggs[1], negatives=list(aggs[2:]))
+    aggs, views_cache = backbone.aggregate_forward(views, questions)
     drawn = []
     for rows, subs in [(comp, subs_pos)] + [(caus, s) for s in neg_subs]:
         video = v_star.copy()
@@ -78,16 +90,15 @@ def _build_triplet(backbone, v_star, q_star, split, bank, q_r, cfg, rng, exclude
         drawn.append(video)
     cache = {"split": split, "v_star": v_star, "subs_pos": subs_pos, "neg_subs": neg_subs,
              "views": views_cache}
-    return triplet, cache, drawn
+    return aggs, cache, drawn
 
 
-def _triplet_backward(backbone, grads, cache):
+def _triplet_backward(backbone, dagg, cache):
     split, v_star = cache["split"], cache["v_star"]
     comp = split.complement_indices
     caus = split.causal_indices
     dgates = np.zeros(split.n_clips)
-    dagg = np.stack([grads.anchor, grads.positive, *grads.negatives])
-    dviews = backbone.aggregate_backward(dagg, cache["views"]).video
+    dviews, _ = backbone.aggregate_backward(dagg, cache["views"])
     if comp.size:
         dgates[comp] += np.sum(dviews[1, comp] * (v_star[comp] - cache["subs_pos"]), axis=1)
     if caus.size:
@@ -126,19 +137,14 @@ def reference_passes(model, icfg, bank, instances, batch, prepared, rng) -> Refe
         r_idx = int(rng.integers(0, len(instances)))
         if len(instances) > 1 and r_idx == i:
             r_idx = (r_idx + 1) % len(instances)
-        triplet, tcache, drawn = _build_triplet(
+        aggs, tcache, drawn = _build_triplet(
             model, nc.as_f64(v_star), nc.as_f64(mix.q_star), split, bank,
             instances[r_idx].question, icfg, rng, inst.video_id,
-            inst.answers if model.cfg.answer_conditioning else None,
         )
         out.videos.extend(drawn)
-        cl, grads = infonce_loss(triplet)
-        scaled = InfoNceGrads(
-            anchor=icfg.beta_cl * grads.anchor,
-            positive=icfg.beta_cl * grads.positive,
-            negatives=[icfg.beta_cl * g for g in grads.negatives],
-        )
+        cl, danchor, dpositive, dnegatives = reference_infonce(aggs[0], aggs[1], list(aggs[2:]))
+        dagg = np.stack([icfg.beta_cl * g for g in (danchor, dpositive, *dnegatives)])
         out.cl_losses.append(cl)
         out.positions.append(j)
-        out.dgates.append(_triplet_backward(model, scaled, tcache))
+        out.dgates.append(_triplet_backward(model, dagg, tcache))
     return out

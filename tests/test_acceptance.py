@@ -115,21 +115,16 @@ def test_criterion_1_gradient_suite():
             assert_grad_matches(full_loss, model.store[name], model.store.grad(name),
                                 rng, f"{label}.{name}")
 
-    # contrastive loss
-    a = rng.normal(size=16) * 0.3
-    pos = rng.normal(size=16) * 0.3
-    negs = [rng.normal(size=16) * 0.3 for _ in range(4)]
+    # contrastive loss over stacked views: anchor, positive, four negatives
+    views = rng.normal(size=(6, 16)) * 0.3
 
     def nce_loss():
-        val, _ = iv.infonce_loss(
-            iv.ContrastiveTriplet(anchor=a, positive=pos, negatives=negs))
-        return val
+        return float(iv.infonce_loss(views)[0])
 
-    _, nce_grads = iv.infonce_loss(
-        iv.ContrastiveTriplet(anchor=a, positive=pos, negatives=negs))
-    assert_grad_matches(nce_loss, a, nce_grads.anchor, rng, "infonce.anchor")
-    assert_grad_matches(nce_loss, pos, nce_grads.positive, rng, "infonce.positive")
-    assert_grad_matches(nce_loss, negs[0], nce_grads.negatives[0], rng, "infonce.neg0")
+    _, nce_grad = iv.infonce_loss(views)
+    assert_grad_matches(nce_loss, views[0], nce_grad[0], rng, "infonce.anchor")
+    assert_grad_matches(nce_loss, views[1], nce_grad[1], rng, "infonce.positive")
+    assert_grad_matches(nce_loss, views[2], nce_grad[2], rng, "infonce.neg0")
 
     # gate scorer
     gmodel = PcmaModel(cfg)
@@ -297,10 +292,7 @@ def test_criterion_3_intervention_algebra():
         assert np.array_equal(other.a_star, out.a_star)
 
     for n in (1, 4, 8):
-        v = np.full(9, 0.37)
-        t = iv.ContrastiveTriplet(anchor=v, positive=v.copy(),
-                                  negatives=[v.copy() for _ in range(n)])
-        loss, _ = iv.infonce_loss(t)
+        loss, _ = iv.infonce_loss(np.full((2 + n, 9), 0.37))
         assert abs(loss - math.log(1 + n)) <= 1e-12
 
     zero = iv.InterventionConfig(beta_cl=0.0)

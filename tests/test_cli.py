@@ -3,13 +3,20 @@ error reporting, and byte-identical reruns."""
 
 import hashlib
 import json
+import os
+import resource
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import causalvqa
 from causalvqa.cli import cli_main
-from causalvqa.features import SyntheticSpec, generate_synthetic
+from causalvqa.features import SyntheticSpec, generate_synthetic, save_dataset
 from causalvqa.harness import shortcut_probe
+from causalvqa.nn_core import CHECKPOINT_VERSION
 
 
 def write_cfg(path, payload) -> str:
@@ -278,8 +285,8 @@ class TestErrorPaths:
             ("model", "seed", "x"),
             ("model", "seed", 1.5),
             ("model", "n_heads", 2.0),
-            ("model", "answer_conditioning", "yes"),
-            ("model", "answer_conditioning", 1),
+            ("intervention", "topk_mode", "yes"),
+            ("intervention", "topk_mode", 1),
         ],
     )
     def test_field_of_the_wrong_type(self, tmp_path, out_dir, capsys, section, key, value):
@@ -333,7 +340,9 @@ class TestErrorPaths:
         assert cli_main(["eval", "--config", eval_cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        assert name in lines[0] and "version 2" in lines[0] and "expected 1" in lines[0]
+        found, expected = CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION
+        assert name in lines[0] and f"version {found}" in lines[0]
+        assert f"expected {expected}" in lines[0]
 
     @pytest.mark.parametrize(
         "params, line",
@@ -452,6 +461,50 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "params.f32" in lines[0] and f"tensor {first} " in lines[0]
         assert "non-finite" in lines[0]
+
+    @pytest.mark.parametrize(
+        "name, edit",
+        [
+            ("d.json", lambda body: {**body, "count": "6"}),
+            ("d.json", lambda body: list(body)),
+            ("d.ids.json", lambda body: 5),
+            ("d.saliency.json", lambda body: [{}, *body[1:]]),
+            ("d.json", lambda body: {**body, "files": {**body["files"], "video": 5}}),
+        ],
+        ids=["count-string", "manifest-list", "ids-number", "saliency-entry", "file-number"],
+    )
+    def test_unusable_dataset_file_names_it(self, tmp_path, out_dir, capsys, name, edit):
+        instances, saliencies, masks = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
+        manifest = tmp_path / "data" / "d.json"
+        save_dataset(instances, manifest, saliencies=saliencies, causal_masks=masks)
+        path = manifest.parent / name
+        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        cfg = write_cfg(tmp_path / "probe.json", {"data": {"manifest": str(manifest)}})
+        assert cli_main(["probe", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(path) in lines[0]
+
+    def test_outsized_model_dim_exits_with_one_line(self, tmp_path):
+        # the parameters would take over 100 TiB; the child runs under a
+        # 4 GiB address-space cap so the allocation fails without touching
+        # the machine's memory
+        model = {**MODEL, "model_dim": 2**40, "n_heads": 4}
+        cfg = write_cfg(tmp_path / "huge.json", {
+            "data": DATA, "model": model, "optimizer": OPT, "output_dir": str(tmp_path / "out"),
+        })
+        cap = 4 << 30
+        env = {**os.environ, "PYTHONPATH": str(Path(causalvqa.__file__).parents[1]),
+               "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": "1"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "causalvqa", "train", "--config", cfg],
+            capture_output=True, text=True, env=env, timeout=300,
+            preexec_fn=lambda: resource.setrlimit(resource.RLIMIT_AS, (cap, cap)),
+        )
+        lines = proc.stderr.splitlines()
+        assert proc.returncode == 1, proc.stderr
+        assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
+        assert "Traceback" not in proc.stderr
 
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"

@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+import os
 import tempfile
 from pathlib import Path
 
@@ -147,6 +149,18 @@ class TestRoundTrip:
             ft.save_dataset([inst, bad], tmp_path / "d.json")
         assert not list(tmp_path.iterdir())
 
+    def test_failed_save_keeps_the_previous_files(self, tmp_path, monkeypatch):
+        ft.save_dataset(make_instances(3, seed=0), tmp_path / "d.json")
+        before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="d.video.f32"):
+            ft.save_dataset(make_instances(3, seed=1), tmp_path / "d.json")
+        assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
+
     def test_save_rejects_mixed_dims(self, tmp_path):
         insts = make_instances(2, video_dim=6) + make_instances(1, video_dim=8)
         with pytest.raises(ft.FormatError, match="heterogeneous"):
@@ -181,7 +195,62 @@ class TestRoundTrip:
             assert a.gold == b.gold
 
 
+@pytest.fixture(scope="module")
+def saved_dataset(tmp_path_factory) -> dict[str, bytes]:
+    spec = ft.SyntheticSpec(n_instances=4, seed=1, n_clips=4, video_dim=6, text_dim=6)
+    insts, sals, masks = ft.generate_synthetic(spec)
+    root = tmp_path_factory.mktemp("saved")
+    ft.save_dataset(insts, root / "d.json", saliencies=sals, causal_masks=masks)
+    return {p.name: p.read_bytes() for p in root.iterdir()}
+
+
+# a manifest edit: (key, value), where the key is a manifest field, an entry
+# of its files map, an unknown field or "" for the whole manifest, and a
+# value of None deletes the key
+MANIFEST_EDITS = st.tuples(
+    st.sampled_from([
+        "version", "count", "n_clips", "video_dim", "text_dim", "n_answers", "files", "extra",
+        "files.video", "files.gold", "files.ids", "files.saliency", "files.masks", "",
+    ]),
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.text(max_size=3)
+    | st.sampled_from(["d.json", "d.video.f32", "d.ids.json", "d.saliency.json", "d.gold.u8"])
+    | st.lists(st.integers(), max_size=2)
+    | st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
+)
+
+
 class TestLoadErrors:
+    @settings(max_examples=200, deadline=None)
+    @given(edits=st.lists(MANIFEST_EDITS, min_size=1, max_size=3))
+    def test_mutated_manifest_loads_or_raises_format_error(self, saved_dataset, edits):
+        body = json.loads(saved_dataset["d.json"])
+        for key, value in edits:
+            if not key:
+                body = value
+                continue
+            section, _, name = key.rpartition(".")
+            target = body.get(section) if section and isinstance(body, dict) else body
+            if not isinstance(target, dict):
+                continue
+            if value is None:
+                target.pop(name, None)
+            else:
+                target[name] = value
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for name, raw in saved_dataset.items():
+                (root / name).write_bytes(raw)
+            (root / "d.json").write_text(json.dumps(body))
+            for load in (ft.load_dataset, ft.load_saliency, ft.load_causal_masks):
+                try:
+                    load(root / "d.json")
+                except ft.FormatError:
+                    pass
+
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ft.FormatError, match="not found"):
             ft.load_dataset(tmp_path / "nope.json")

@@ -11,14 +11,14 @@ from causalvqa.features import Qtype, VideoQAInstance
 from causalvqa.mnse import MemoryBank
 from causalvqa.pcma import PcmaConfig, PcmaModel
 from gradcheck import assert_grad_matches
+from reference_step import reference_infonce
 
 VIDEO_DIM, TEXT_DIM = 10, 8
 
 
-def make_model(seed=3, **kw):
+def make_model(seed=3):
     cfg = PcmaConfig(
-        video_dim=VIDEO_DIM, text_dim=TEXT_DIM, model_dim=16, n_heads=4,
-        n_layers=1, seed=seed, **kw,
+        video_dim=VIDEO_DIM, text_dim=TEXT_DIM, model_dim=16, n_heads=4, n_layers=1, seed=seed
     )
     return PcmaModel(cfg)
 
@@ -224,10 +224,11 @@ class TestAssemble:
 
 
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng, **kw):
-    """One drawn triplet through the stacked forward: (triplet, cache, draw)."""
+    """One drawn triplet through the stacked forward: (aggregates [n_views,
+    model_dim], cache, draw)."""
     drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, **kw)
-    (triplet,), cache = iv.build_triplet_cached(model, [drawn])
-    return triplet, cache, drawn
+    (aggs,), cache = iv.build_triplet_cached(model, [drawn])
+    return aggs, cache, drawn
 
 
 class TestTriplet:
@@ -246,30 +247,30 @@ class TestTriplet:
         bank = MemoryBank(bank_dim=VIDEO_DIM)
         comp = split.complement_indices
         bank.populate([(v_star[i], "self", int(i)) for i in comp])
-        triplet, _, _ = build_one(
+        aggs, _, _ = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
-        np.testing.assert_array_equal(triplet.positive, triplet.anchor)
+        np.testing.assert_array_equal(aggs[1], aggs[0])
 
     def test_single_negative_is_question_swap(self, rng):
         model, _, v_star, q_star, q_r, split, bank = self._pipeline(rng)
         cfg = iv.InterventionConfig(n_negatives=1)
-        triplet, _, drawn = build_one(
+        aggs, _, drawn = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
-        assert len(triplet.negatives) == 1
+        assert len(aggs) == 3
         assert drawn.negatives.shape == (0, *v_star.shape)
         direct, _ = model.aggregate_forward(v_star[None], q_r[None])
-        np.testing.assert_array_equal(triplet.negatives[0], direct[0])
+        np.testing.assert_array_equal(aggs[2], direct[0])
 
     def test_negative_count_matches_config(self, rng):
         model, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)
         for n in (1, 2, 5):
             c = iv.InterventionConfig(n_negatives=n)
-            t, _, _ = build_one(
+            aggs, _, _ = build_one(
                 model, v_star, q_star, split, bank, q_r, c, np.random.default_rng(1)
             )
-            assert len(t.negatives) == n
+            assert len(aggs) == 2 + n
 
     def test_empty_bank_raises(self, rng):
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
@@ -285,51 +286,48 @@ class TestTriplet:
         cfg = iv.InterventionConfig(n_negatives=3, memory_source=source, neighbor_k=2)
 
         def run():
-            t, cache, _ = build_one(
+            aggs, cache, _ = build_one(
                 model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(42)
             )
-            loss, grads = iv.infonce_loss(t)
-            return loss, grads, cache
+            loss, grad = iv.infonce_loss(aggs)
+            return float(loss), grad, cache
 
         def f():
             return run()[0]
 
         model.store.zero_grads()
-        loss, grads, cache = run()
-        (dgates,) = iv.triplet_backward(model, [grads], cache)
+        loss, grad, cache = run()
+        (dgates,) = iv.triplet_backward(model, grad[None], cache)
         assert np.abs(dgates).max() > 0
         assert_grad_matches(f, split.gates, dgates, rng, "gates")
         for name in ("layer0.cross.wq", "video_proj.w", "text_proj.w", "layer0.self.wo"):
             assert_grad_matches(f, model.store[name], model.store.grad(name), rng, name)
 
-    @pytest.mark.parametrize("answer_conditioning", [False, True])
-    def test_stacked_triplets_match_one_at_a_time(self, rng, answer_conditioning):
+    def test_stacked_triplets_match_one_at_a_time(self, rng):
         # three triplets of different splits through one stacked pass give
         # each triplet's own views bit for bit, and the same gradients
-        model = make_model(answer_conditioning=answer_conditioning)
+        model = make_model()
         cfg = iv.InterventionConfig(n_negatives=3, neighbor_k=3)
         bank = make_bank(rng)
         draws = [
             iv.draw_triplet(
-                rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM), make_split(rng, n_causal=c),
-                bank, rng.normal(size=TEXT_DIM), cfg, np.random.default_rng(c),
-                answers=rng.normal(size=(5, TEXT_DIM)) if answer_conditioning else None,
+                rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM),
+                make_split(rng, n_causal=c), bank, rng.normal(size=TEXT_DIM), cfg,
+                np.random.default_rng(c),
             )
             for c in (1, 3, 6)
         ]
         model.store.zero_grads()
-        triplets, cache = iv.build_triplet_cached(model, draws)
-        grads = [iv.infonce_loss(t)[1] for t in triplets]
+        aggs, cache = iv.build_triplet_cached(model, draws)
+        _, grads = iv.infonce_loss(aggs)
         dgates = iv.triplet_backward(model, grads, cache)
         stacked = {n: model.store.grad(n).copy() for n in model.store.names()}
         model.store.zero_grads()
-        for drawn, t, g, row in zip(draws, triplets, grads, dgates):
+        for drawn, views, g, row in zip(draws, aggs, grads, dgates):
             (single,), single_cache = iv.build_triplet_cached(model, [drawn])
-            for got, want in zip((t.anchor, t.positive, *t.negatives),
-                                 (single.anchor, single.positive, *single.negatives)):
-                np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(views, single)
             np.testing.assert_allclose(
-                iv.triplet_backward(model, [g], single_cache)[0], row, rtol=0, atol=1e-12
+                iv.triplet_backward(model, g[None], single_cache)[0], row, rtol=0, atol=1e-12
             )
         for name, grad in stacked.items():
             np.testing.assert_allclose(grad, model.store.grad(name), rtol=0, atol=1e-12)
@@ -340,61 +338,67 @@ class TestInfoNce:
     def test_equal_similarities_give_log_1_plus_n(self, rng, n):
         a = rng.normal(size=16)
         other = rng.normal(size=16)
-        t = iv.ContrastiveTriplet(anchor=a, positive=other, negatives=[other] * n)
-        loss, _ = iv.infonce_loss(t)
+        loss, _ = iv.infonce_loss(np.stack([a, other, *[other] * n]))
         assert loss == pytest.approx(math.log(1.0 + n), abs=1e-12)
 
     def test_dominant_positive_drives_loss_to_zero(self):
         a = np.array([1.0, 0.0])
         pos = np.array([30.0, 0.0])  # similarity 30
         neg = np.array([0.0, 30.0])  # similarity 0
-        loss, _ = iv.infonce_loss(
-            iv.ContrastiveTriplet(anchor=a, positive=pos, negatives=[neg])
-        )
+        loss, _ = iv.infonce_loss(np.stack([a, pos, neg]))
         assert 0.0 < loss < 1e-9
         # and a still larger gap underflows cleanly to exactly zero
-        huge, _ = iv.infonce_loss(
-            iv.ContrastiveTriplet(anchor=a, positive=np.array([200.0, 0.0]), negatives=[neg])
-        )
+        huge, _ = iv.infonce_loss(np.stack([a, [200.0, 0.0], neg]))
         assert huge == 0.0
 
     def test_matches_direct_formula_evaluation(self, rng):
         a = rng.normal(size=16) * 0.3
         pos = rng.normal(size=16) * 0.3
         negs = [rng.normal(size=16) * 0.3 for _ in range(8)]
-        t = iv.ContrastiveTriplet(anchor=a, positive=pos, negatives=negs)
-        loss, grads = iv.infonce_loss(t)
+        aggs = np.stack([a, pos, *negs])
+        loss, grad = iv.infonce_loss(aggs)
+        assert grad.shape == aggs.shape
         # independent evaluation, no max-subtraction
         num = math.exp(float(a @ pos))
         den = num + sum(math.exp(float(a @ n)) for n in negs)
         assert loss == pytest.approx(-math.log(num / den), abs=1e-10)
 
         def f():
-            val, _ = iv.infonce_loss(
-                iv.ContrastiveTriplet(anchor=a, positive=pos, negatives=negs)
-            )
-            return val
+            return float(iv.infonce_loss(aggs)[0])
 
-        assert_grad_matches(f, a, grads.anchor, rng, "anchor")
-        assert_grad_matches(f, pos, grads.positive, rng, "positive")
-        for i in (0, 3, 7):
-            assert_grad_matches(f, negs[i], grads.negatives[i], rng, f"negative{i}")
+        # each view of aggs is perturbed in place through its row view
+        for view, label in ((0, "anchor"), (1, "positive"), (2, "negative0"), (5, "negative3"),
+                            (9, "negative7")):
+            assert_grad_matches(f, aggs[view], grad[view], rng, label)
 
     def test_loss_is_positive_and_finite(self, rng):
-        for _ in range(20):
-            t = iv.ContrastiveTriplet(
-                anchor=rng.normal(size=8),
-                positive=rng.normal(size=8),
-                negatives=[rng.normal(size=8) for _ in range(3)],
-            )
-            loss, _ = iv.infonce_loss(t)
-            assert 0.0 < loss < math.inf
+        losses, _ = iv.infonce_loss(rng.normal(size=(20, 5, 8)))
+        assert losses.shape == (20,)
+        assert np.all((0.0 < losses) & (losses < math.inf))
 
-    def test_requires_a_negative(self, rng):
-        with pytest.raises(ValueError):
-            iv.infonce_loss(
-                iv.ContrastiveTriplet(anchor=np.ones(3), positive=np.ones(3), negatives=[])
-            )
+    def test_batched_matches_per_triplet_reference(self, rng):
+        # stacked triplets give every triplet's loss and gradients bit for
+        # bit as the one-vector-per-view loop, over batch shapes and view
+        # counts on both sides of numpy's eight-term pairwise summation
+        for _ in range(100):
+            lead = tuple(rng.integers(1, 4, size=rng.integers(0, 3)))
+            n_views, dim = int(rng.integers(3, 13)), int(rng.integers(1, 40))
+            aggs = rng.normal(size=(*lead, n_views, dim)) * rng.uniform(0.1, 3.0)
+            losses, grads = iv.infonce_loss(aggs)
+            assert losses.shape == lead and grads.shape == aggs.shape
+            for idx in np.ndindex(*lead):
+                views = aggs[idx]
+                loss, danchor, dpositive, dnegatives = reference_infonce(
+                    views[0], views[1], list(views[2:])
+                )
+                assert float(losses[idx]) == loss
+                want = np.stack([danchor, dpositive, *dnegatives])
+                np.testing.assert_array_equal(grads[idx], want)
+
+    def test_requires_a_negative(self):
+        for shape in ((2, 3), (4, 2, 3), (3,)):
+            with pytest.raises(ValueError):
+                iv.infonce_loss(np.ones(shape))
 
 
 class TestTotalLoss:
