@@ -355,10 +355,14 @@ def read_manifest(manifest_path: str | Path) -> FeatureManifest:
         raise FormatError(f"{manifest_path}: {exc}") from None
 
 
-def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
-    """Load instances described by a manifest; validates shapes and values."""
+def load_dataset(
+    manifest_path: str | Path, manifest: FeatureManifest | None = None
+) -> list[VideoQAInstance]:
+    """Load instances described by a manifest (read from manifest_path
+    unless already parsed); validates shapes and values. A declared ids
+    sidecar must exist."""
     manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path)
+    m = read_manifest(manifest_path) if manifest is None else manifest
     root = manifest_path.parent
     video = _read_payload(
         root / m.files["video"], "<f4", (m.count, m.n_clips, m.video_dim)
@@ -376,8 +380,8 @@ def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
     for arr in (video, question, answers):
         arr.flags.writeable = False
 
-    ids_path = root / m.files.get("ids", "")
-    if "ids" in m.files and ids_path.is_file():
+    if "ids" in m.files:
+        ids_path = root / m.files["ids"]
         ids = read_json(ids_path, list)
         if len(ids) != m.count:
             raise FormatError(f"{ids_path}: lists {len(ids)} entries, manifest count {m.count}")
@@ -405,10 +409,13 @@ def load_dataset(manifest_path: str | Path) -> list[VideoQAInstance]:
     return out
 
 
-def load_saliency(manifest_path: str | Path) -> list[SaliencyAnnotation] | None:
-    """Load the saliency sidecar if the manifest declares one."""
+def load_saliency(
+    manifest_path: str | Path, manifest: FeatureManifest | None = None
+) -> list[SaliencyAnnotation] | None:
+    """Load the saliency sidecar if the manifest (read from manifest_path
+    unless already parsed) declares one."""
     manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path)
+    m = read_manifest(manifest_path) if manifest is None else manifest
     if "saliency" not in m.files:
         return None
     path = manifest_path.parent / m.files["saliency"]
@@ -430,10 +437,13 @@ def load_saliency(manifest_path: str | Path) -> list[SaliencyAnnotation] | None:
     return out
 
 
-def load_causal_masks(manifest_path: str | Path) -> np.ndarray | None:
-    """Load ground-truth causal masks if present: bool [count, n_clips]."""
+def load_causal_masks(
+    manifest_path: str | Path, manifest: FeatureManifest | None = None
+) -> np.ndarray | None:
+    """Load ground-truth causal masks if the manifest (read from
+    manifest_path unless already parsed) declares them: bool [count, n_clips]."""
     manifest_path = Path(manifest_path)
-    m = read_manifest(manifest_path)
+    m = read_manifest(manifest_path) if manifest is None else manifest
     if "masks" not in m.files:
         return None
     raw = _read_payload(manifest_path.parent / m.files["masks"], "u1", (m.count, m.n_clips))

@@ -18,7 +18,7 @@ from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
-from . import nn_core as nc
+from . import features, nn_core as nc
 from .features import (
     FormatError,
     Qtype,
@@ -205,8 +205,14 @@ def load_data(
     """Instances plus optional saliency and causal-mask sidecars."""
     if cfg.synthetic is not None:
         return generate_synthetic(cfg.synthetic)
-    instances = load_dataset(cfg.manifest)
-    return instances, load_saliency(cfg.manifest), load_causal_masks(cfg.manifest)
+    # one parse of the manifest serves the payloads and both sidecars; it is
+    # looked up on the features module, where the benchmark's tracer counts it
+    manifest = features.read_manifest(cfg.manifest)
+    return (
+        load_dataset(cfg.manifest, manifest),
+        load_saliency(cfg.manifest, manifest),
+        load_causal_masks(cfg.manifest, manifest),
+    )
 
 
 # -- config parsing (JSON dict -> ExperimentConfig) -----------------------------
@@ -535,12 +541,19 @@ def _clean_pass(
 
 
 def _do_complement(
-    inst: VideoQAInstance, mask: Array, bank: MemoryBank, source: MemorySource, k: int, seed: int
+    inst: VideoQAInstance,
+    mask: Array,
+    bank: MemoryBank,
+    source: MemorySource,
+    k: int,
+    seed: int,
+    ranked: Array | None = None,
 ) -> Array:
     """The instance's video with its complement rows replaced by bank scenes
-    of other videos: drawn among each row's k nearest for MNSE, else uniform."""
+    of other videos: drawn among each row's k nearest for MNSE (from ranked,
+    that topk, when given), else uniform."""
     if source is MemorySource.MNSE:
-        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id)
+        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id, ranked)
     return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
 
 
@@ -549,6 +562,24 @@ class _Draws(NamedTuple):
 
     views: list[tuple]  # (batch position, video, question, answers, gold) per answer view
     triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
+
+
+def _rank_substitutes(
+    icfg: InterventionConfig, bank: MemoryBank, drawable: list[tuple]
+) -> list[tuple[Array | None, tuple[Array, Array] | None]]:
+    """Per drawable sample, the topk of its do rows and of v_star's
+    complement and causal rows, all ranked in one topk call; (None, None)
+    each under random sourcing, which ranks nothing."""
+    if icfg.memory_source is not MemorySource.MNSE or not drawable:
+        return [(None, None)] * len(drawable)
+    blocks, ids = [], []
+    for _, inst, split, _, v_star in drawable:
+        comp, caus = split.complement_indices, split.causal_indices
+        blocks += [inst.video[comp], v_star[comp], v_star[caus]]
+        ids += [inst.video_id] * (2 * len(comp) + len(caus))
+    top = bank.topk(np.concatenate(blocks), icfg.neighbor_k, ids)
+    parts = np.split(top, np.cumsum([len(b) for b in blocks])[:-1])
+    return [(do, (pos, neg)) for do, pos, neg in zip(parts[::3], parts[1::3], parts[2::3])]
 
 
 def _draw_interventions(
@@ -560,34 +591,39 @@ def _draw_interventions(
     rng: np.random.Generator,
 ) -> _Draws:
     """Each mixed sample's augmented view and, when the bank holds a scene
-    it may draw, its do-intervened view and triplet. Per such sample the
+    it may draw, its do-intervened view and triplet. Every row those draws
+    substitute is ranked first, in one call; then per such sample the
     draws come in one order: the do seed and do-video, the random
     question's index, then the triplet substitutes. A sample with no
     eligible scene draws nothing."""
+    mixed = [(j, instances[batch[j]], *entry) for j, entry in enumerate(prepared)
+             if entry is not None]
+    counts = bank.eligible_counts([inst.video_id for _, inst, *_ in mixed])
+    drawable = [m for m, count in zip(mixed, counts) if count]
+    ranked = dict(zip((m[0] for m in drawable), _rank_substitutes(icfg, bank, drawable)))
     views, triplets = [], []
-    for j, entry in enumerate(prepared):
-        if entry is None:
-            continue
-        inst = instances[batch[j]]
-        split, mix, v_star = entry
+    for j, inst, split, mix, v_star in mixed:
         # the intervened sample also carries the answering loss: the mixed
         # gold answer replaces the gold row at its position
         answers_aug = inst.answers.copy()
         answers_aug[inst.gold] = mix.a_star
         views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
-        if not len(bank.eligible(inst.video_id)):
+        if j not in ranked:
             continue
+        do_ranked, triplet_ranked = ranked[j]
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
         v_do = _do_complement(
-            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k, int(rng.integers(2**32))
+            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k,
+            int(rng.integers(2**32)), do_ranked,
         )
         views.append((j, v_do, inst.question, inst.answers, inst.gold))
         r_idx = int(rng.integers(0, len(instances)))
         if len(instances) > 1 and r_idx == batch[j]:
             r_idx = (r_idx + 1) % len(instances)
         triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id,
+            triplet_ranked,
         )))
     return _Draws(views, triplets)
 
@@ -811,16 +847,18 @@ def seen_unseen_protocol(
 ) -> ProtocolResult:
     """Cross-regime robustness: model A's intervener is nearest-scene
     replacement, model B's is random replacement. Seen = own intervener,
-    unseen = the other's. Gold labels never change; only complement rows do.
+    unseen = the other's. Gold labels never change; only complement rows do:
+    video i draws with seed seed * 1009 + i, excluding itself, and one
+    nearest-scene ranking covers every video's complement rows.
     """
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")
+    videos = np.stack([inst.video for inst in instances])
     masks = np.asarray(masks, dtype=bool)
-    mnse_videos, random_videos = (
-        [_do_complement(inst, masks[i], bank, source, neighbor_k, seed * 1009 + i)
-         for i, inst in enumerate(instances)]
-        for source in (MemorySource.MNSE, MemorySource.RANDOM_BANK)
-    )
+    seeds = [seed * 1009 + i for i in range(len(instances))]
+    ids = [inst.video_id for inst in instances]
+    mnse_videos = mnse_do(videos, masks, bank, Target.COMPLEMENT, neighbor_k, seeds, ids)
+    random_videos = random_do(videos, masks, bank, Target.COMPLEMENT, seeds, ids)
 
     clean = (evaluate(model_a, instances), evaluate(model_b, instances))
     seen = (
@@ -874,12 +912,13 @@ def robustness_experiment(
     rows = []
     for s in seeds:
         cfg_a = _reseeded(base, int(s))
-        cfg_b = replace(cfg_a, intervention=baseline)
-        res_a = train(cfg_a)
-        res_b = train(cfg_b)
-        instances, _, masks = load_data(cfg_a.data)
+        dataset = load_data(cfg_a.data)
+        instances, _, masks = dataset
         if masks is None:
             raise ValueError("robustness_experiment needs causal masks")
+        # B differs from A only in its intervention: both train on one load
+        res_a = train(cfg_a, dataset)
+        res_b = train(replace(cfg_a, intervention=baseline), dataset)
         proto = seen_unseen_protocol(
             res_a.model,
             res_b.model,

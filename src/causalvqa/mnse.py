@@ -3,8 +3,10 @@
 The bank stores clip-level scene vectors with provenance and answers
 top-k nearest-scene queries by exact full scan, in the manner of a flat
 index: a column view (float64 matrix, cached row norms, parent-id and
-tie-rank columns) is built once per change, and all replaced rows of a
-video are scored in one matrix product. Three refresh regimes:
+tie-rank columns) is built once per change, and any number of query rows,
+each with its own excluded video, is ranked in one pass of fixed-size
+row chunks: one matrix product and one top-k selection per chunk, no
+loop over rows. Three refresh regimes:
 F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
@@ -24,6 +26,11 @@ from .features import VideoQAInstance
 from .nn_core import as_f64
 
 Array = np.ndarray
+
+# Ranking keys per chunk of query rows (rows x bank size, times bank_dim for
+# L2; at least one row): each float64 temporary of a ranking pass stays near
+# 256 KB, so ranking many rows at once adds little to peak memory.
+RANK_CHUNK = 1 << 15
 
 
 class Metric(str, Enum):
@@ -85,6 +92,7 @@ class _Columns(NamedTuple):
     parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
     part_ids: dict[str, int]
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
+    order: Array  # [n] the entries in that order, the inverse of rank
     pools: dict  # the last eligible() answer, {exclude_video_id: read-only indices}
 
 
@@ -110,8 +118,40 @@ def _build_columns(rows: list[BankEntry], blocks: list[Array], bank_dim: int) ->
     rank = np.empty(n, dtype=np.int64)
     rank[order] = np.arange(n)
     return _Columns(
-        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank, {}
+        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank, order,
+        {},
     )
+
+
+def _first_k(keys: Array, k: Array, cols: _Columns) -> tuple[Array, Array]:
+    """Bank indices and keys of each row's k[row] smallest keys, ordered by
+    (key, tie rank) and padded with -1 and NaN to the largest k.
+
+    A window of each row's smallest keys, one more than the largest k, is
+    put in tie-rank order, then stably sorted by key. A row whose k-th key
+    equals its window's last may tie with keys outside; the window then
+    widens once, past every key at or below any row's k-th, which holds
+    every tie.
+    """
+    n = keys.shape[1]
+    rows = np.arange(len(keys))[:, None]
+    width = int(k.max()) + 1
+    for _ in range(2):
+        if width < n:
+            idx = np.argpartition(keys, width - 1, axis=1)[:, :width]
+        else:
+            idx = np.broadcast_to(np.arange(n), keys.shape)
+        idx = cols.order[np.sort(cols.rank[idx], axis=1)]
+        window = keys[rows, idx]
+        by_key = np.argsort(window, axis=1, kind="stable")
+        idx, window = idx[rows, by_key], window[rows, by_key]
+        kth = window[rows[:, 0], k - 1]
+        if width >= n or (kth < window[:, -1]).all():
+            break
+        width = int(np.count_nonzero(keys <= kth[:, None], axis=1).max()) + 1
+    size = int(k.max())
+    keep = np.arange(size) < k[:, None]
+    return np.where(keep, idx[:, :size], -1), np.where(keep, window[:, :size], np.nan)
 
 
 class MemoryBank:
@@ -206,80 +246,120 @@ class MemoryBank:
             self._cols = _build_columns(self.entries(), blocks, self.bank_dim)
         return self._cols
 
+    def _excluded(self, exclude_video_ids: Sequence[str | None]) -> Array:
+        """[len(exclude_video_ids), n] mask of the entries a query excluding
+        each video may not return. Mixup rows carry compound provenance
+        "a+b"; excluding either parent excludes the blend."""
+        cols = self._columns()
+        codes = np.array([cols.part_ids.get(v, -2) for v in exclude_video_ids], dtype=np.int64)
+        excluded = cols.parents[:, 0] == codes[:, None]
+        for part in cols.parents.T[1:]:
+            excluded |= part == codes[:, None]
+        return excluded
+
+    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
+        """How many entries a query excluding each video may return."""
+        return len(self._columns().rows) - self._excluded(exclude_video_ids).sum(axis=1)
+
     def eligible(self, exclude_video_id: str | None) -> Array:
         """Read-only indices of the entries a query excluding this video may
         return.
 
-        Mixup rows carry compound provenance "a+b"; excluding either parent
-        excludes the blend. The column view keeps the last answer, so the
-        draws of one sample compute its pool once; a frozen bank thus holds
-        one pool, not one per video.
+        The column view keeps the last answer, so the draws of one sample
+        compute its pool once; a frozen bank thus holds one pool, not one
+        per video.
         """
         cols = self._columns()
         if exclude_video_id not in cols.pools:
-            code = None if exclude_video_id is None else cols.part_ids.get(exclude_video_id)
-            if code is None:
-                pool = np.arange(len(cols.rows))
-            else:
-                pool = np.flatnonzero((cols.parents != code).all(axis=1))
+            pool = np.flatnonzero(~self._excluded([exclude_video_id])[0])
             pool.flags.writeable = False
             cols.pools.clear()
             cols.pools[exclude_video_id] = pool
         return cols.pools[exclude_video_id]
 
+    def _none_eligible(self, exclude_video_id: str | None) -> ValueError:
+        return ValueError(
+            "memory bank is empty" if not len(self) else
+            f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
+        )
+
     def _pool(self, exclude_video_id: str | None) -> Array:
         """The eligible pool of a draw, which must not be empty."""
         pool = self.eligible(exclude_video_id)
         if not len(pool):
-            raise ValueError(
-                "memory bank is empty" if not len(self) else
-                f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
-            )
+            raise self._none_eligible(exclude_video_id)
         return pool
 
-    def _ranked(self, queries: Array, k: int, pool: Array) -> tuple[Array, Array]:
-        """Exact top-k of the pool for every query row, best first, ties
-        broken by (video_id, clip_index). Returns bank indices and scores,
-        both [n_queries, k].
+    def _ranked(
+        self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]
+    ) -> tuple[Array, Array]:
+        """Exact top-k of each query row among the scenes its exclude id
+        leaves eligible, best first, ties broken by (video_id, clip_index),
+        k clamped to the row's eligible count. Returns bank indices and
+        scores, both [n_queries, k], padded with -1 and NaN past a row's
+        clamped k.
 
-        One scan scores all rows; each row then keeps the candidates at or
-        inside its k-th key and orders only those.
+        Rows are keyed RANK_CHUNK keys at a time (lower is closer), and an
+        excluded scene's key is +inf.
         """
+        if not np.isfinite(queries).all():
+            raise ValueError("query vectors must be finite")
         cols = self._columns()
-        if self.metric is Metric.COSINE:
-            raw = queries @ cols.matrix.T
-            denom = np.linalg.norm(queries, axis=1)[:, None] * cols.norms
-            scores = np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)[:, pool]
-            keys = -scores
-        else:
-            members = cols.matrix[pool]
-            scores = np.stack([np.linalg.norm(members - q, axis=1) for q in queries])
-            keys = scores
-        kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-        rank = cols.rank[pool]
-        top = np.empty((len(queries), k), dtype=np.int64)
-        for i, row in enumerate(keys):
-            cand = np.flatnonzero(row <= kth[i])
-            top[i] = cand[np.lexsort((rank[cand], row[cand]))[:k]]
-        return pool[top], np.take_along_axis(scores, top, axis=1)
+        n = len(cols.rows)
+        top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
+        keys_at = np.full(top.shape, np.nan)
+        step = max(1, RANK_CHUNK // max(1, n * (self.bank_dim if self.metric is Metric.L2 else 1)))
+        neg_norms = -np.linalg.norm(queries, axis=1)
+        # a denominator below is zero only where a norm is zero or a product
+        # of norms underflows; without such, no division needs a mask
+        masked = neg_norms.max(initial=-1.0) * cols.norms.min(initial=1.0) == 0
+        for start in range(0, len(queries), step):
+            q, rows = queries[start : start + step], slice(start, start + step)
+            if self.metric is Metric.COSINE:
+                # the negated cosine, bit-exact as a / -b == -(a / b); a zero
+                # denominator is -0.0, which stays as the key
+                keys = np.multiply.outer(neg_norms[rows], cols.norms)
+                np.divide(q @ cols.matrix.T, keys, out=keys, where=keys < 0 if masked else True)
+            else:
+                keys = np.linalg.norm(cols.matrix[None] - q[:, None], axis=2)
+            excluded = self._excluded(exclude_video_ids[rows])
+            keys[excluded] = np.inf
+            counts = n - excluded.sum(axis=1)
+            if not counts.all():
+                raise self._none_eligible(exclude_video_ids[start + int(np.argmin(counts))])
+            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), cols)
+            top[rows, : chunk_top.shape[1]] = chunk_top
+            keys_at[rows, : chunk_top.shape[1]] = chunk_keys
+        used = int((top >= 0).sum(axis=1).max(initial=0))
+        scores = -keys_at if self.metric is Metric.COSINE else keys_at
+        return top[:, :used], scores[:, :used]
 
-    def topk(self, queries: Array, k: int, exclude_video_id: str | None = None) -> Array:
+    def topk(
+        self, queries: Array, k: int, exclude_video_id: str | None | Sequence[str | None] = None
+    ) -> Array:
         """Bank indices of each query row's k nearest eligible scenes, best
-        first, k clamped to the eligible count: [n_queries, k]."""
+        first: [n_queries, k]. exclude_video_id is one id for every row or
+        one per row; k is clamped to each row's eligible count, and a row
+        with fewer eligible scenes than the widest is padded with -1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        pool = self._pool(exclude_video_id)
-        top, _ = self._ranked(as_f64(queries), min(k, len(pool)), pool)
+        queries = as_f64(queries)
+        if exclude_video_id is None or isinstance(exclude_video_id, str):
+            exclude_video_id = [exclude_video_id] * len(queries)
+        top, _ = self._ranked(queries, k, exclude_video_id)
         return top
 
     def pick(self, candidates: Array, rngs: Sequence[np.random.Generator]) -> Array:
         """One scene vector per generator, uniform among that row's
-        candidates: candidates is [len(rngs), m] bank indices, or one [m]
-        list every row shares. Returns [len(rngs), bank_dim]."""
-        picks = [int(r.integers(0, candidates.shape[-1])) for r in rngs]
+        candidates: candidates is [len(rngs), m] bank indices, a row's
+        padding -1 at its end, or one [m] list every row shares. Returns
+        [len(rngs), bank_dim]."""
+        matrix = self._columns().matrix
         if candidates.ndim == 1:
-            return self._columns().matrix[candidates[picks]]
-        return self._columns().matrix[candidates[np.arange(len(picks)), picks]]
+            return matrix[candidates[[int(r.integers(0, len(candidates))) for r in rngs]]]
+        counts = (candidates >= 0).sum(axis=1)
+        picks = [int(r.integers(0, m)) for r, m in zip(rngs, counts)]
+        return matrix[candidates[np.arange(len(picks)), picks]]
 
     def draw(
         self,
@@ -309,7 +389,7 @@ class MemoryBank:
                 f"k={q.k} exceeds {len(pool)} eligible entries "
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
-        top, scores = self._ranked(qv[None, :], q.k, pool)
+        top, scores = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
         rows = self._columns().rows
         return [ScoredNeighbor(rows[i], float(s)) for i, s in zip(top[0], scores[0])]
 
@@ -326,14 +406,24 @@ def instance_scenes(
 
 
 def _target_rows(
-    video: Array, causal_mask: Array, bank: MemoryBank, target: Target
-) -> tuple[Array, Array]:
-    """A float64 copy of the video and the indices of its target rows."""
-    video = as_f64(video).copy()
-    if video.shape[1] != bank.bank_dim:
-        raise ValueError(f"video rows have dim {video.shape[1]}, bank dim {bank.bank_dim}")
+    video: Array,
+    causal_mask: Array,
+    bank: MemoryBank,
+    target: Target,
+    seed: int | Sequence[int],
+    exclude_video_id: str | None | Sequence[str | None],
+) -> tuple[Array, Array, Array, list, list]:
+    """A float64 copy of the video(s) and its [B, n_clips, dim] view (an
+    unbatched video is a batch of one), the [B, n_clips] target-row mask,
+    and one seed and one exclude id per video."""
+    out = as_f64(video).copy()
+    if out.shape[-1] != bank.bank_dim:
+        raise ValueError(f"video rows have dim {out.shape[-1]}, bank dim {bank.bank_dim}")
     mask = np.asarray(causal_mask, dtype=bool)
-    return video, np.flatnonzero(mask if target is Target.CAUSAL else ~mask)
+    chosen = mask if target is Target.CAUSAL else ~mask
+    if out.ndim == 2:
+        return out, out[None], chosen[None], [seed], [exclude_video_id]
+    return out, out, chosen, list(seed), list(exclude_video_id)
 
 
 def mnse_do(
@@ -342,20 +432,32 @@ def mnse_do(
     bank: MemoryBank,
     target: Target,
     k: int = 1,
-    seed: int = 0,
-    exclude_video_id: str | None = None,
+    seed: int | Sequence[int] = 0,
+    exclude_video_id: str | None | Sequence[str | None] = None,
+    ranked: Array | None = None,
 ) -> Array:
     """Replace target-partition rows with sampled nearest-neighbor scenes.
 
-    Each replaced row queries with itself and draws among its own k nearest
-    scenes (k clamped to the eligible count) with its own seed; non-target
-    rows are returned bit-identical.
+    video is [n_clips, dim], or [B, n_clips, dim] with a [B, n_clips] mask
+    and one seed and exclude id per video. The target rows of every video
+    are ranked in one topk call, unless ranked already holds that topk (rows
+    in row-major order). Row idx of a video with seed s then draws among
+    its own k nearest scenes (k clamped to the eligible count) with the
+    generator seeded s * 100003 + idx; non-target rows are returned
+    bit-identical.
     """
-    video, rows = _target_rows(video, causal_mask, bank, target)
+    out, videos, chosen, seeds, excludes = _target_rows(
+        video, causal_mask, bank, target, seed, exclude_video_id
+    )
+    which, rows = np.nonzero(chosen)
     if len(rows):
-        rngs = [np.random.default_rng(seed * 100003 + int(idx)) for idx in rows]
-        video[rows] = bank.draw(video[rows], rngs, exclude_video_id, k)
-    return video
+        if ranked is None:
+            ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
+        rngs = [
+            np.random.default_rng(int(seeds[i]) * 100003 + int(idx)) for i, idx in zip(which, rows)
+        ]
+        videos[which, rows] = bank.pick(ranked, rngs)
+    return out
 
 
 def random_do(
@@ -363,12 +465,17 @@ def random_do(
     causal_mask: Array,
     bank: MemoryBank,
     target: Target,
-    seed: int = 0,
-    exclude_video_id: str | None = None,
+    seed: int | Sequence[int] = 0,
+    exclude_video_id: str | None | Sequence[str | None] = None,
 ) -> Array:
-    """Baseline intervention: target rows replaced by uniform bank draws."""
-    video, rows = _target_rows(video, causal_mask, bank, target)
-    if len(rows):
-        rng = np.random.default_rng(seed)
-        video[rows] = bank.draw(video[rows], [rng] * len(rows), exclude_video_id)
-    return video
+    """Baseline intervention: each video's target rows replaced by uniform
+    draws among its eligible scenes, from one generator seeded with the
+    video's seed. Batched as mnse_do."""
+    out, videos, chosen, seeds, excludes = _target_rows(
+        video, causal_mask, bank, target, seed, exclude_video_id
+    )
+    for rows, v, s, excluded in zip(chosen, videos, seeds, excludes):
+        if rows.any():
+            rng = np.random.default_rng(s)
+            v[rows] = bank.draw(v[rows], [rng] * int(rows.sum()), excluded)
+    return out

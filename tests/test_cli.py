@@ -485,6 +485,17 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert str(path) in lines[0]
 
+    def test_missing_ids_sidecar_names_it(self, tmp_path, out_dir, capsys):
+        instances, _, _ = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
+        manifest = tmp_path / "data" / "d.json"
+        save_dataset(instances, manifest)
+        (manifest.parent / "d.ids.json").unlink()
+        cfg = write_cfg(tmp_path / "probe.json", {"data": {"manifest": str(manifest)}})
+        assert cli_main(["probe", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(manifest.parent / "d.ids.json") in lines[0]
+
     def test_outsized_model_dim_exits_with_one_line(self, tmp_path):
         # the parameters would take over 100 TiB; the child runs under a
         # 4 GiB address-space cap so the allocation fails without touching

@@ -280,6 +280,29 @@ class TestLoadErrors:
         with pytest.raises(ft.FormatError, match="gold index 7.*instance 1"):
             ft.load_dataset(tmp_path / "d.json")
 
+    def test_declared_ids_sidecar_missing_names_it(self, tmp_path):
+        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        (tmp_path / "d.ids.json").unlink()
+        with pytest.raises(ft.FormatError, match="d.ids.json: file not found"):
+            ft.load_dataset(tmp_path / "d.json")
+
+    def test_a_parsed_manifest_is_not_read_again(self, tmp_path, monkeypatch):
+        instances, saliencies, masks = ft.generate_synthetic(
+            ft.SyntheticSpec(n_instances=3, n_clips=4, video_dim=6, text_dim=6)
+        )
+        ft.save_dataset(instances, tmp_path / "d.json", saliencies=saliencies, causal_masks=masks)
+        manifest = ft.read_manifest(tmp_path / "d.json")
+        reads = []
+        monkeypatch.setattr(ft, "read_manifest", lambda path: reads.append(path))
+        loads = (ft.load_dataset, ft.load_saliency, ft.load_causal_masks)
+        loaded = [load(tmp_path / "d.json", manifest) for load in loads]
+        monkeypatch.undo()
+        assert reads == []
+        from_path = [load(tmp_path / "d.json") for load in loads]
+        assert [i.video_id for i in loaded[0]] == [i.video_id for i in from_path[0]]
+        assert [s.scores.tolist() for s in loaded[1]] == [s.scores.tolist() for s in from_path[1]]
+        np.testing.assert_array_equal(loaded[2], from_path[2])
+
     def test_missing_payload_file(self, tmp_path):
         ft.save_dataset(make_instances(2), tmp_path / "d.json")
         (tmp_path / "d.answers.f32").unlink()

@@ -9,6 +9,7 @@ import warnings
 from dataclasses import fields, replace
 from fractions import Fraction
 from pathlib import Path
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -16,9 +17,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import causalvqa.harness as hn
+import causalvqa.mnse as mnse
 import causalvqa.nn_core as nc
 import causalvqa.samplers as sm
-from causalvqa.features import FormatError, Qtype, SyntheticSpec, generate_synthetic
+from causalvqa import features
+from causalvqa.features import FormatError, Qtype, SyntheticSpec, generate_synthetic, save_dataset
 from causalvqa.harness import (
     AdamState,
     BankConfig,
@@ -59,6 +62,7 @@ from causalvqa.mnse import (
 )
 from causalvqa.pcma import PcmaConfig, PcmaModel
 from reference_adam import ReferenceAdam
+from reference_protocol import reference_protocol, reference_protocol_videos
 from reference_step import reference_passes
 
 
@@ -71,6 +75,22 @@ def synth(n: int, seed: int = 0, **kw) -> tuple:
     defaults = dict(n_clips=8, video_dim=24, text_dim=24, noise_std=0.1)
     defaults.update(kw)
     return generate_synthetic(SyntheticSpec(n_instances=n, seed=seed, **defaults))
+
+
+class TestLoadData:
+    def test_a_manifest_is_parsed_once_per_load(self, tmp_path, monkeypatch):
+        instances, saliencies, masks = synth(5, seed=2)
+        save_dataset(instances, tmp_path / "d.json", saliencies=saliencies, causal_masks=masks)
+        reads = []
+        read = features.read_manifest
+        monkeypatch.setattr(features, "read_manifest", lambda p: reads.append(p) or read(p))
+        loaded, loaded_saliencies, loaded_masks = load_data(
+            DataConfig(manifest=str(tmp_path / "d.json"))
+        )
+        assert reads == [str(tmp_path / "d.json")]
+        assert [i.video_id for i in loaded] == [i.video_id for i in instances]
+        assert len(loaded_saliencies) == 5
+        np.testing.assert_array_equal(loaded_masks, masks)
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -753,6 +773,18 @@ class TestStackedStep:
 # -- robustness protocol -----------------------------------------------------------
 
 
+@pytest.fixture(scope="module")
+def trained_f3_bank():
+    """The f3 bank after three contrastive steps on erm_config's data: two
+    batches of scenes and their mixup blends in the window."""
+    cfg = replace(
+        erm_config(steps=3),
+        intervention=replace(GATE_RECIPE.intervention, memory_source=MemorySource.MNSE),
+        bank=BankConfig(regime=Regime.F3_DYNAMIC_MIXUP, window=2),
+    )
+    return train(cfg).bank
+
+
 class TestProtocol:
     def test_all_causal_masks_are_no_ops(self):
         instances, _, _ = synth(25, seed=3)
@@ -803,6 +835,48 @@ class TestProtocol:
             model_a, model_b, instances, np.asarray(masks), bank, seed=3, neighbor_k=2
         )
         assert p1.deltas == p2.deltas
+
+    @pytest.mark.parametrize("rows_per_chunk", [None, 3])
+    @pytest.mark.parametrize("k", [1, 7, 10**6])
+    @pytest.mark.parametrize("bank_kind", ["f1", "trained-f3"])
+    def test_matches_per_video_reference(self, trained_f3_bank, bank_kind, k, rows_per_chunk):
+        # the training data: under f3 some protocol videos and their "a+b"
+        # blends are in the bank, so eligible counts differ row to row
+        instances, _, masks = synth(60, seed=0)
+        if bank_kind == "f1":
+            bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+            bank.populate(instance_scenes(instances)).freeze()
+        else:
+            bank = trained_f3_bank
+        chunk = mnse.RANK_CHUNK if rows_per_chunk is None else len(bank) * rows_per_chunk
+        model_a, model_b = small_model(seed=1), small_model(seed=2)
+        with mock.patch.object(mnse, "RANK_CHUNK", chunk), \
+                mock.patch.object(hn, "evaluate", wraps=hn.evaluate) as scored:
+            got = seen_unseen_protocol(model_a, model_b, instances, masks, bank, 3, k)
+        # evaluate's calls: clean a, clean b, then a on the MNSE videos and
+        # b on the random ones
+        mnse_videos, random_videos = (call.args[2] for call in scored.call_args_list[2:4])
+        want_mnse, want_random = reference_protocol_videos(instances, masks, bank, 3, k)
+        np.testing.assert_array_equal(mnse_videos, np.stack(want_mnse))
+        np.testing.assert_array_equal(random_videos, np.stack(want_random))
+        assert got == reference_protocol(model_a, model_b, instances, masks, bank, 3, k)
+
+    def test_robustness_experiment_loads_each_seed_once(self, monkeypatch):
+        loads = []
+
+        def counted(cfg):
+            loads.append(cfg)
+            return load_data(cfg)
+
+        monkeypatch.setattr(hn, "load_data", counted)
+        base = replace(
+            erm_config(n=16, steps=2),
+            intervention=replace(GATE_RECIPE.intervention, memory_source=MemorySource.MNSE),
+            bank=BankConfig(regime=Regime.F1_STATIC),
+            use_oracle_masks=True,
+        )
+        out = hn.robustness_experiment(base, seeds=[0, 1], neighbor_k_eval=3)
+        assert len(loads) == 2 and [r["seed"] for r in out["rows"]] == [0, 1]
 
     def test_robustness_experiment_requires_intervention(self):
         with pytest.raises(ValueError):

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from causalvqa import mnse
 from causalvqa.features import SyntheticSpec, generate_synthetic
@@ -302,7 +305,7 @@ class TestBatchedTopK:
         pool = bank.eligible(exclude)
         rows = bank.entries()
         for k in (1, 3, 4, 5, 7, len(pool)):
-            top, scores = bank._ranked(queries, k, pool)
+            top, scores = bank._ranked(queries, k, [exclude] * len(queries))
             assert top.shape == scores.shape == (len(queries), k)
             for qv, got, got_scores in zip(queries, top, scores):
                 want = oracle_knn(rows, qv, k, metric, exclude)
@@ -315,7 +318,7 @@ class TestBatchedTopK:
         queries = rng.normal(size=(3, 8))
         bank = self._tied_bank(rng, Metric.COSINE, queries)
         pool = bank.eligible("a")
-        top, _ = bank._ranked(queries, 5, pool)
+        top, _ = bank._ranked(queries, 5, ["a"] * len(queries))
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
             rngs = [np.random.default_rng(seed * 10 + r) for r in range(len(queries))]
@@ -331,6 +334,82 @@ class TestBatchedTopK:
         for k in (None, 3):
             with pytest.raises(ValueError, match="eligible"):
                 bank.draw(np.ones((1, 2)), [np.random.default_rng(0)], "only", k)
+
+
+class TestPerRowExclusion:
+    """topk with one exclude id per row, ranking every row in one pass of
+    row chunks, equals oracle_knn row by row."""
+
+    VIDEOS = ["v0", "v1", "v2", "v3"]
+
+    @settings(max_examples=120, deadline=None)
+    @given(data=st.data())
+    def test_batched_topk_matches_the_oracle_row_by_row(self, data):
+        metric = data.draw(st.sampled_from(list(Metric)), label="metric")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        dim = 4
+        # scene vectors come from a small pool, so exact duplicates (tied
+        # keys) recur under different (video_id, clip_index)
+        pool = rng.normal(size=(data.draw(st.integers(1, 6), label="pool"), dim))
+        if data.draw(st.booleans(), label="zero_scene"):
+            pool[0] = 0.0  # a zero norm: cosine 0 against every query
+        owners = st.sampled_from(self.VIDEOS + ["v0+v1", "v2+v0", "v3+v3"])
+        scenes = data.draw(
+            st.lists(st.tuples(owners, st.integers(0, len(pool) - 1)), min_size=1, max_size=30),
+            label="scenes",
+        )
+        bank = MemoryBank(bank_dim=dim, metric=metric).populate(
+            [(pool[p], vid, c) for c, (vid, p) in enumerate(scenes)]
+        )
+        rows_per_chunk = data.draw(st.integers(1, 4), label="rows_per_chunk")
+        n_queries = data.draw(
+            st.integers(max(1, rows_per_chunk - 1), 2 * rows_per_chunk + 1), label="n_queries"
+        )
+        # queries near pool vectors put duplicate scenes around the k-th key
+        queries = pool[rng.integers(0, len(pool), n_queries)] + 0.3 * rng.normal(
+            size=(n_queries, dim)
+        )
+        if data.draw(st.booleans(), label="zero_query"):
+            queries[0] = 0.0
+        excludes = data.draw(
+            st.lists(st.sampled_from([None, "absent"] + self.VIDEOS),
+                     min_size=n_queries, max_size=n_queries),
+            label="excludes",
+        )
+        k = data.draw(st.integers(1, len(scenes) + 2), label="k")
+        entries = bank.entries()
+        wanted = [oracle_knn(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
+        chunk = len(bank) * rows_per_chunk * (dim if metric is Metric.L2 else 1)
+        with mock.patch.object(mnse, "RANK_CHUNK", chunk):
+            if not all(wanted):
+                with pytest.raises(ValueError, match="eligible"):
+                    bank.topk(queries, k, excludes)
+                return
+            top, scores = bank._ranked(queries, k, excludes)
+            assert np.array_equal(bank.topk(queries, k, excludes), top)
+        assert top.shape == scores.shape == (n_queries, max(map(len, wanted)))
+        for row, row_scores, want in zip(top, scores, wanted):
+            m = len(want)
+            assert _ids(entries[i] for i in row[:m]) == _ids(e for e, _ in want)
+            np.testing.assert_allclose(row_scores[:m], [s for _, s in want], rtol=1e-9, atol=1e-9)
+            assert (row[m:] == -1).all() and np.isnan(row_scores[m:]).all()
+        # each row draws uniformly over its own ranked list, never its padding
+        seeds = rng.integers(2**32, size=n_queries)
+        got = bank.pick(top, [np.random.default_rng(s) for s in seeds])
+        for vector, seed, want in zip(got, seeds, wanted):
+            chosen, _ = want[int(np.random.default_rng(seed).integers(0, len(want)))]
+            np.testing.assert_array_equal(vector, chosen.vector)
+
+
+    @pytest.mark.parametrize("bad", [np.nan, np.inf])
+    def test_a_non_finite_query_raises(self, rng, bad):
+        bank = random_bank(rng, n=20, dim=4)
+        queries = rng.normal(size=(3, 4))
+        queries[1, 2] = bad
+        with pytest.raises(ValueError, match="finite"):
+            bank.topk(queries, 2, ["vid0", None, "vid1"])
+        with pytest.raises(ValueError, match="finite"):
+            bank.query_knn(NeighborQuery(vector=queries[1], k=2))
 
 
 class TestColumnViewRefresh:
