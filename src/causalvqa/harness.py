@@ -541,19 +541,12 @@ def _clean_pass(
 
 
 def _do_complement(
-    inst: VideoQAInstance,
-    mask: Array,
-    bank: MemoryBank,
-    source: MemorySource,
-    k: int,
-    seed: int,
-    ranked: Array | None = None,
+    inst: VideoQAInstance, mask: Array, bank: MemoryBank, source: MemorySource, k: int, seed: int
 ) -> Array:
     """The instance's video with its complement rows replaced by bank scenes
-    of other videos: drawn among each row's k nearest for MNSE (from ranked,
-    that topk, when given), else uniform."""
+    of other videos: drawn among each row's k nearest for MNSE, else uniform."""
     if source is MemorySource.MNSE:
-        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id, ranked)
+        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id)
     return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
 
 
@@ -562,24 +555,6 @@ class _Draws(NamedTuple):
 
     views: list[tuple]  # (batch position, video, question, answers, gold) per answer view
     triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
-
-
-def _rank_substitutes(
-    icfg: InterventionConfig, bank: MemoryBank, drawable: list[tuple]
-) -> list[tuple[Array | None, tuple[Array, Array] | None]]:
-    """Per drawable sample, the topk of its do rows and of v_star's
-    complement and causal rows, all ranked in one topk call; (None, None)
-    each under random sourcing, which ranks nothing."""
-    if icfg.memory_source is not MemorySource.MNSE or not drawable:
-        return [(None, None)] * len(drawable)
-    blocks, ids = [], []
-    for _, inst, split, _, v_star in drawable:
-        comp, caus = split.complement_indices, split.causal_indices
-        blocks += [inst.video[comp], v_star[comp], v_star[caus]]
-        ids += [inst.video_id] * (2 * len(comp) + len(caus))
-    top = bank.topk(np.concatenate(blocks), icfg.neighbor_k, ids)
-    parts = np.split(top, np.cumsum([len(b) for b in blocks])[:-1])
-    return [(do, (pos, neg)) for do, pos, neg in zip(parts[::3], parts[1::3], parts[2::3])]
 
 
 def _draw_interventions(
@@ -591,39 +566,34 @@ def _draw_interventions(
     rng: np.random.Generator,
 ) -> _Draws:
     """Each mixed sample's augmented view and, when the bank holds a scene
-    it may draw, its do-intervened view and triplet. Every row those draws
-    substitute is ranked first, in one call; then per such sample the
+    it may draw, its do-intervened view and triplet. Per such sample the
     draws come in one order: the do seed and do-video, the random
     question's index, then the triplet substitutes. A sample with no
     eligible scene draws nothing."""
-    mixed = [(j, instances[batch[j]], *entry) for j, entry in enumerate(prepared)
-             if entry is not None]
-    counts = bank.eligible_counts([inst.video_id for _, inst, *_ in mixed])
-    drawable = [m for m, count in zip(mixed, counts) if count]
-    ranked = dict(zip((m[0] for m in drawable), _rank_substitutes(icfg, bank, drawable)))
     views, triplets = [], []
-    for j, inst, split, mix, v_star in mixed:
+    for j, entry in enumerate(prepared):
+        if entry is None:
+            continue
+        inst = instances[batch[j]]
+        split, mix, v_star = entry
         # the intervened sample also carries the answering loss: the mixed
         # gold answer replaces the gold row at its position
         answers_aug = inst.answers.copy()
         answers_aug[inst.gold] = mix.a_star
         views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
-        if j not in ranked:
+        if not len(bank.eligible(inst.video_id)):
             continue
-        do_ranked, triplet_ranked = ranked[j]
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
         v_do = _do_complement(
-            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k,
-            int(rng.integers(2**32)), do_ranked,
+            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k, int(rng.integers(2**32))
         )
         views.append((j, v_do, inst.question, inst.answers, inst.gold))
         r_idx = int(rng.integers(0, len(instances)))
         if len(instances) > 1 and r_idx == batch[j]:
             r_idx = (r_idx + 1) % len(instances)
         triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id,
-            triplet_ranked,
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id
         )))
     return _Draws(views, triplets)
 

@@ -31,6 +31,7 @@ Array = np.ndarray
 # L2; at least one row): each float64 temporary of a ranking pass stays near
 # 256 KB, so ranking many rows at once adds little to peak memory.
 RANK_CHUNK = 1 << 15
+_LARGEST = np.finfo(np.float64).max
 
 
 class Metric(str, Enum):
@@ -257,10 +258,6 @@ class MemoryBank:
             excluded |= part == codes[:, None]
         return excluded
 
-    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
-        """How many entries a query excluding each video may return."""
-        return len(self._columns().rows) - self._excluded(exclude_video_ids).sum(axis=1)
-
     def eligible(self, exclude_video_id: str | None) -> Array:
         """Read-only indices of the entries a query excluding this video may
         return.
@@ -299,8 +296,9 @@ class MemoryBank:
         scores, both [n_queries, k], padded with -1 and NaN past a row's
         clamped k.
 
-        Rows are keyed RANK_CHUNK keys at a time (lower is closer), and an
-        excluded scene's key is +inf.
+        Rows are keyed RANK_CHUNK keys at a time (lower is closer). A key
+        that overflows or is NaN ranks as the largest finite float, so only
+        an excluded scene's key is +inf.
         """
         if not np.isfinite(queries).all():
             raise ValueError("query vectors must be finite")
@@ -322,6 +320,7 @@ class MemoryBank:
                 np.divide(q @ cols.matrix.T, keys, out=keys, where=keys < 0 if masked else True)
             else:
                 keys = np.linalg.norm(cols.matrix[None] - q[:, None], axis=2)
+            np.fmin(keys, _LARGEST, out=keys)
             excluded = self._excluded(exclude_video_ids[rows])
             keys[excluded] = np.inf
             counts = n - excluded.sum(axis=1)
@@ -362,34 +361,24 @@ class MemoryBank:
         return matrix[candidates[np.arange(len(picks)), picks]]
 
     def draw(
-        self,
-        queries: Array,
-        rngs: Sequence[np.random.Generator],
-        exclude_video_id: str | None = None,
-        k: int | None = None,
+        self, rngs: Sequence[np.random.Generator], exclude_video_id: str | None = None
     ) -> Array:
-        """One substitute scene per query row, chosen by that row's generator.
-
-        With k, uniform among the row's k nearest eligible scenes (topk);
-        without k, uniform among all eligible scenes.
-        Returns the scene vectors, [n_queries, bank_dim].
-        """
-        if k is None:
-            return self.pick(self._pool(exclude_video_id), rngs)
-        return self.pick(self.topk(queries, k, exclude_video_id), rngs)
+        """One scene vector per generator, uniform among all eligible scenes:
+        [len(rngs), bank_dim]. A draw among each row's k nearest is
+        pick(topk(...), rngs)."""
+        return self.pick(self._pool(exclude_video_id), rngs)
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric; ties broken by (video_id, clip_index)."""
         qv = as_f64(q.vector)
         if qv.shape != (self.bank_dim,):
             raise ValueError(f"query vector shape {qv.shape}, expected ({self.bank_dim},)")
-        pool = self.eligible(q.exclude_video_id)
-        if q.k > len(pool):
+        top, scores = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
+        if top.shape[1] < q.k:
             raise ValueError(
-                f"k={q.k} exceeds {len(pool)} eligible entries "
+                f"k={q.k} exceeds {top.shape[1]} eligible entries "
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
-        top, scores = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
         rows = self._columns().rows
         return [ScoredNeighbor(rows[i], float(s)) for i, s in zip(top[0], scores[0])]
 
@@ -434,16 +423,14 @@ def mnse_do(
     k: int = 1,
     seed: int | Sequence[int] = 0,
     exclude_video_id: str | None | Sequence[str | None] = None,
-    ranked: Array | None = None,
 ) -> Array:
     """Replace target-partition rows with sampled nearest-neighbor scenes.
 
     video is [n_clips, dim], or [B, n_clips, dim] with a [B, n_clips] mask
     and one seed and exclude id per video. The target rows of every video
-    are ranked in one topk call, unless ranked already holds that topk (rows
-    in row-major order). Row idx of a video with seed s then draws among
-    its own k nearest scenes (k clamped to the eligible count) with the
-    generator seeded s * 100003 + idx; non-target rows are returned
+    are ranked in one topk call; row idx of a video with seed s then draws
+    among its own k nearest scenes (k clamped to the eligible count) with
+    the generator seeded s * 100003 + idx. Non-target rows are returned
     bit-identical.
     """
     out, videos, chosen, seeds, excludes = _target_rows(
@@ -451,8 +438,7 @@ def mnse_do(
     )
     which, rows = np.nonzero(chosen)
     if len(rows):
-        if ranked is None:
-            ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
+        ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
         rngs = [
             np.random.default_rng(int(seeds[i]) * 100003 + int(idx)) for i, idx in zip(which, rows)
         ]
@@ -477,5 +463,5 @@ def random_do(
     for rows, v, s, excluded in zip(chosen, videos, seeds, excludes):
         if rows.any():
             rng = np.random.default_rng(s)
-            v[rows] = bank.draw(v[rows], [rng] * int(rows.sum()), excluded)
+            v[rows] = bank.draw([rng] * int(rows.sum()), excluded)
     return out

@@ -322,18 +322,20 @@ class TestBatchedTopK:
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
             rngs = [np.random.default_rng(seed * 10 + r) for r in range(len(queries))]
-            for got, ok in zip(bank.draw(queries, rngs, "a", 5), allowed):
+            for got, ok in zip(bank.pick(bank.topk(queries, 5, "a"), rngs), allowed):
                 assert got.tobytes() in ok
-        clamped = bank.draw(queries, [np.random.default_rng(s) for s in (1, 2, 3)], "a", 10**6)
-        full = bank.draw(queries, [np.random.default_rng(s) for s in (1, 2, 3)], "a", len(pool))
+        rngs = lambda: [np.random.default_rng(s) for s in (1, 2, 3)]  # noqa: E731
+        clamped = bank.pick(bank.topk(queries, 10**6, "a"), rngs())
+        full = bank.pick(bank.topk(queries, len(pool), "a"), rngs())
         np.testing.assert_array_equal(clamped, full)
 
     def test_draw_with_nothing_eligible_raises(self):
         bank = MemoryBank(bank_dim=2)
         bank.populate([(np.ones(2), "only", 0), (np.ones(2), "x+only", 1)])
-        for k in (None, 3):
-            with pytest.raises(ValueError, match="eligible"):
-                bank.draw(np.ones((1, 2)), [np.random.default_rng(0)], "only", k)
+        with pytest.raises(ValueError, match="eligible"):
+            bank.draw([np.random.default_rng(0)], "only")
+        with pytest.raises(ValueError, match="eligible"):
+            bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), [np.random.default_rng(0)])
 
 
 class TestPerRowExclusion:
@@ -400,6 +402,19 @@ class TestPerRowExclusion:
             chosen, _ = want[int(np.random.default_rng(seed).integers(0, len(want)))]
             np.testing.assert_array_equal(vector, chosen.vector)
 
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    def test_an_overflowing_key_never_returns_an_excluded_scene(self, metric):
+        # finite vectors whose L2 distance overflows to inf, or whose cosine
+        # is inf / inf = NaN: the eligible scene still ranks before "a"
+        bank = MemoryBank(bank_dim=1, metric=metric).populate(
+            [(np.array([1e200]), "a", 0), (np.array([-1e200]), "b", 0)]
+        )
+        query = np.array([1e200])
+        with np.errstate(over="ignore", invalid="ignore"):
+            top = bank.topk(query[None], 2, "a")
+            got = bank.query_knn(NeighborQuery(vector=query, k=1, exclude_video_id="a"))
+        assert [bank.entries()[i].video_id for i in top[0]] == ["b"]
+        assert [n.entry.video_id for n in got] == ["b"]
 
     @pytest.mark.parametrize("bad", [np.nan, np.inf])
     def test_a_non_finite_query_raises(self, rng, bad):
@@ -422,14 +437,16 @@ class TestColumnViewRefresh:
             got = bank.query_knn(NeighborQuery(vector=qv, k=3, exclude_video_id=exclude))
             want = oracle_knn(entries, qv, 3, bank.metric, exclude)
             assert _ids(n.entry for n in got) == _ids(e for e, _ in want)
-        nearest = bank.draw(queries, [np.random.default_rng(0)] * len(queries), exclude, 1)
+        nearest = bank.pick(
+            bank.topk(queries, 1, exclude), [np.random.default_rng(0)] * len(queries)
+        )
         for got, qv in zip(nearest, queries):
             best, _ = oracle_knn(entries, qv, 1, bank.metric, exclude)[0]
             np.testing.assert_array_equal(got, best.vector)
         eligible = [e for e in entries if exclude not in e.video_id.split("+")]
         oracle_rng = np.random.default_rng(seed)
         want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
-        got = bank.draw(queries, [np.random.default_rng(seed)] * len(queries), exclude)
+        got = bank.draw([np.random.default_rng(seed)] * len(queries), exclude)
         np.testing.assert_array_equal(got, np.stack(want))
 
     def test_populate_refreshes_columns(self, rng):
@@ -462,8 +479,9 @@ class TestColumnViewRefresh:
 
 
 class TestRankThenPick:
-    """draw is topk (one ranking per query set) followed by pick, and the
-    eligible pool a draw starts from is memoized until the bank changes."""
+    """A nearest-scene draw is topk (one ranking per query set) followed by
+    pick, and the eligible pool a uniform draw starts from is memoized until
+    the bank changes."""
 
     @staticmethod
     def _fresh_pool(bank, exclude):
@@ -482,7 +500,9 @@ class TestRankThenPick:
             assert top.shape == (len(queries), min(k, len(pool)))
             seeds = [int(s) for s in rng.integers(2**32, size=len(queries))]
             got = bank.pick(top, [np.random.default_rng(s) for s in seeds])
-            drawn = bank.draw(queries, [np.random.default_rng(s) for s in seeds], exclude, k)
+            drawn = bank.pick(
+                bank.topk(queries, k, exclude), [np.random.default_rng(s) for s in seeds]
+            )
             np.testing.assert_array_equal(got, drawn)
             for qv, row, seed, vector in zip(queries, top, seeds, got):
                 want = oracle_knn(entries, qv, min(k, len(pool)), metric, exclude)
@@ -497,7 +517,7 @@ class TestRankThenPick:
         for seed in range(5):
             rngs = lambda: [np.random.default_rng(seed * 7 + r) for r in range(3)]  # noqa: E731
             np.testing.assert_array_equal(
-                bank.pick(top, rngs()), bank.draw(queries, rngs(), "vid2", 5)
+                bank.pick(top, rngs()), bank.pick(bank.topk(queries, 5, "vid2"), rngs())
             )
 
     def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
@@ -508,7 +528,7 @@ class TestRankThenPick:
         want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
         np.testing.assert_array_equal(got, np.stack(want))
         np.testing.assert_array_equal(
-            got, bank.draw(np.zeros((4, 6)), [np.random.default_rng(3)] * 4, "vid1")
+            got, bank.draw([np.random.default_rng(3)] * 4, "vid1")
         )
 
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
