@@ -541,12 +541,19 @@ def _clean_pass(
 
 
 def _do_complement(
-    inst: VideoQAInstance, mask: Array, bank: MemoryBank, source: MemorySource, k: int, seed: int
+    inst: VideoQAInstance,
+    mask: Array,
+    bank: MemoryBank,
+    source: MemorySource,
+    k: int,
+    seed: int,
+    ranked: Array | None = None,
 ) -> Array:
     """The instance's video with its complement rows replaced by bank scenes
-    of other videos: drawn among each row's k nearest for MNSE, else uniform."""
+    of other videos: drawn among each row's k nearest for MNSE (from ranked,
+    that topk, when given), else uniform."""
     if source is MemorySource.MNSE:
-        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id)
+        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id, ranked)
     return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
 
 
@@ -555,6 +562,27 @@ class _Draws(NamedTuple):
 
     views: list[tuple]  # (batch position, video, question, answers, gold) per answer view
     triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
+
+
+def _rank_substitutes(
+    icfg: InterventionConfig, bank: MemoryBank, mixed: list[tuple]
+) -> dict[int, tuple[Array, tuple[Array, Array]]]:
+    """For nearest-scene sourcing, per mixed sample with an eligible scene
+    (keyed by batch position): the topk of its do rows, and of v_star's
+    complement and causal rows, all ranked in one topk call."""
+    counts = bank.eligible_counts([inst.video_id for _, inst, *_ in mixed])
+    drawable = [m for m, count in zip(mixed, counts) if count]
+    if not drawable:
+        return {}
+    blocks, ids = [], []
+    for _, inst, split, _, v_star in drawable:
+        comp, caus = split.complement_indices, split.causal_indices
+        blocks += [inst.video[comp], v_star[comp], v_star[caus]]
+        ids += [inst.video_id] * (2 * len(comp) + len(caus))
+    top = bank.topk(np.concatenate(blocks), icfg.neighbor_k, ids)
+    parts = np.split(top, np.cumsum([len(b) for b in blocks])[:-1])
+    return {m[0]: (parts[3 * i], (parts[3 * i + 1], parts[3 * i + 2]))
+            for i, m in enumerate(drawable)}
 
 
 def _draw_interventions(
@@ -566,34 +594,39 @@ def _draw_interventions(
     rng: np.random.Generator,
 ) -> _Draws:
     """Each mixed sample's augmented view and, when the bank holds a scene
-    it may draw, its do-intervened view and triplet. Per such sample the
-    draws come in one order: the do seed and do-video, the random
-    question's index, then the triplet substitutes. A sample with no
-    eligible scene draws nothing."""
+    it may draw, its do-intervened view and triplet. Under nearest-scene
+    sourcing every row those draws substitute is ranked first, in one call.
+    Then per such sample the draws come in one order: the do seed and
+    do-video, the random question's index, then the triplet substitutes.
+    A sample with no eligible scene draws nothing."""
+    mixed = [(j, instances[batch[j]], *entry) for j, entry in enumerate(prepared)
+             if entry is not None]
+    nearest = icfg.memory_source is MemorySource.MNSE
+    ranked = _rank_substitutes(icfg, bank, mixed) if nearest else {}
     views, triplets = [], []
-    for j, entry in enumerate(prepared):
-        if entry is None:
-            continue
-        inst = instances[batch[j]]
-        split, mix, v_star = entry
+    for j, inst, split, mix, v_star in mixed:
         # the intervened sample also carries the answering loss: the mixed
         # gold answer replaces the gold row at its position
         answers_aug = inst.answers.copy()
         answers_aug[inst.gold] = mix.a_star
         views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
-        if not len(bank.eligible(inst.video_id)):
+        # a random draw's eligible pool, computed here, is kept for its draws
+        if not (j in ranked if nearest else len(bank.eligible(inst.video_id))):
             continue
+        do_ranked, triplet_ranked = ranked.get(j, (None, None))
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
         v_do = _do_complement(
-            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k, int(rng.integers(2**32))
+            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k,
+            int(rng.integers(2**32)), do_ranked,
         )
         views.append((j, v_do, inst.question, inst.answers, inst.gold))
         r_idx = int(rng.integers(0, len(instances)))
         if len(instances) > 1 and r_idx == batch[j]:
             r_idx = (r_idx + 1) % len(instances)
         triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id,
+            triplet_ranked,
         )))
     return _Draws(views, triplets)
 

@@ -291,29 +291,33 @@ def draw_triplet(
     cfg: InterventionConfig,
     rng: np.random.Generator,
     exclude_video_id: str | None = None,
+    ranked: tuple[Array, Array] | None = None,
 ) -> TripletDraw:
     """Draw the positive's complement substitutes, then each substituted
-    negative's causal ones, in that order. Nearest-scene sourcing ranks each
-    partition's rows once and draws every copy from that ranking, one seed
-    per row in row order; random sourcing draws uniformly from rng."""
+    negative's causal ones, in that order. Nearest-scene sourcing draws
+    every copy from ranked, the topk of the complement and of the causal
+    rows, one seed per row in row order; random sourcing draws uniformly
+    from rng."""
+    if cfg.memory_source is MemorySource.MNSE and ranked is None:
+        raise ValueError("nearest-scene sourcing needs ranked: the rows' topk")
     v_star = nc.as_f64(v_star)
 
-    def substituted(rows: Array, copies: int) -> Array:
+    def substituted(rows: Array, copies: int, top: Array | None) -> Array:
         out = np.repeat(v_star[None], copies, axis=0)
         if not rows.size or not copies:
             return out
         if cfg.memory_source is MemorySource.MNSE:
-            ranked = bank.topk(v_star[rows], cfg.neighbor_k, exclude_video_id)
             for video in out:
                 seeds = [int(rng.integers(2**32)) for _ in rows]
-                video[rows] = bank.pick(ranked, [np.random.default_rng(s) for s in seeds])
+                video[rows] = bank.pick(top, [np.random.default_rng(s) for s in seeds])
         else:
             for video in out:
                 video[rows] = bank.draw([rng] * rows.size, exclude_video_id)
         return out
 
-    positive = substituted(split.complement_indices, 1)[0]
-    negatives = substituted(split.causal_indices, cfg.n_negatives - 1)
+    comp_top, caus_top = (None, None) if ranked is None else ranked
+    positive = substituted(split.complement_indices, 1, comp_top)[0]
+    negatives = substituted(split.causal_indices, cfg.n_negatives - 1, caus_top)
     return TripletDraw(v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives)
 
 

@@ -258,6 +258,10 @@ class MemoryBank:
             excluded |= part == codes[:, None]
         return excluded
 
+    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
+        """How many entries a query excluding each video may return."""
+        return len(self._columns().rows) - self._excluded(exclude_video_ids).sum(axis=1)
+
     def eligible(self, exclude_video_id: str | None) -> Array:
         """Read-only indices of the entries a query excluding this video may
         return.
@@ -423,14 +427,16 @@ def mnse_do(
     k: int = 1,
     seed: int | Sequence[int] = 0,
     exclude_video_id: str | None | Sequence[str | None] = None,
+    ranked: Array | None = None,
 ) -> Array:
     """Replace target-partition rows with sampled nearest-neighbor scenes.
 
     video is [n_clips, dim], or [B, n_clips, dim] with a [B, n_clips] mask
     and one seed and exclude id per video. The target rows of every video
-    are ranked in one topk call; row idx of a video with seed s then draws
-    among its own k nearest scenes (k clamped to the eligible count) with
-    the generator seeded s * 100003 + idx. Non-target rows are returned
+    are ranked in one topk call, unless ranked already holds that topk (rows
+    in row-major order). Row idx of a video with seed s then draws among
+    its own k nearest scenes (k clamped to the eligible count) with the
+    generator seeded s * 100003 + idx; non-target rows are returned
     bit-identical.
     """
     out, videos, chosen, seeds, excludes = _target_rows(
@@ -438,7 +444,8 @@ def mnse_do(
     )
     which, rows = np.nonzero(chosen)
     if len(rows):
-        ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
+        if ranked is None:
+            ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
         rngs = [
             np.random.default_rng(int(seeds[i]) * 100003 + int(idx)) for i, idx in zip(which, rows)
         ]

@@ -223,10 +223,20 @@ class TestAssemble:
             iv.assemble_video(np.array([True, False]), np.zeros((2, 3)), np.zeros((1, 3)))
 
 
-def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng, **kw):
+def triplet_topk(v_star, split, bank, cfg):
+    """The topk of v_star's complement and causal rows, which nearest-scene
+    sourcing draws a triplet's substitutes from."""
+    rows = (split.complement_indices, split.causal_indices)
+    return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k) for r in rows)
+
+
+def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     """One drawn triplet through the stacked forward: (aggregates [n_views,
     model_dim], cache, draw)."""
-    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, **kw)
+    ranked = None
+    if cfg.memory_source is iv.MemorySource.MNSE:
+        ranked = triplet_topk(v_star, split, bank, cfg)
+    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, ranked=ranked)
     (aggs,), cache = iv.build_triplet_cached(model, [drawn])
     return aggs, cache, drawn
 
@@ -274,11 +284,17 @@ class TestTriplet:
 
     def test_empty_bank_raises(self, rng):
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
+        empty = MemoryBank(bank_dim=VIDEO_DIM)
         with pytest.raises(ValueError, match="empty"):
             iv.draw_triplet(
-                v_star, q_star, split, MemoryBank(bank_dim=VIDEO_DIM), q_r,
-                cfg, np.random.default_rng(0),
+                v_star, q_star, split, empty, q_r, cfg, np.random.default_rng(0),
+                ranked=triplet_topk(v_star, split, empty, cfg),
             )
+
+    def test_nearest_scene_sourcing_needs_the_ranking(self, rng):
+        _, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)
+        with pytest.raises(ValueError, match="ranked"):
+            iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0))
 
     @pytest.mark.parametrize("source", [iv.MemorySource.MNSE, iv.MemorySource.RANDOM_BANK])
     def test_gate_gradients_through_contrastive_loss(self, rng, source):
@@ -309,14 +325,14 @@ class TestTriplet:
         model = make_model()
         cfg = iv.InterventionConfig(n_negatives=3, neighbor_k=3)
         bank = make_bank(rng)
-        draws = [
-            iv.draw_triplet(
-                rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM),
-                make_split(rng, n_causal=c), bank, rng.normal(size=TEXT_DIM), cfg,
-                np.random.default_rng(c),
-            )
-            for c in (1, 3, 6)
-        ]
+        draws = []
+        for c in (1, 3, 6):
+            v_star, q_star = rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM)
+            split = make_split(rng, n_causal=c)
+            draws.append(iv.draw_triplet(
+                v_star, q_star, split, bank, rng.normal(size=TEXT_DIM), cfg,
+                np.random.default_rng(c), ranked=triplet_topk(v_star, split, bank, cfg),
+            ))
         model.store.zero_grads()
         aggs, cache = iv.build_triplet_cached(model, draws)
         _, grads = iv.infonce_loss(aggs)
