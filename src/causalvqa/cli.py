@@ -155,6 +155,8 @@ def _cmd_eval(raw: dict) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     model = load_checkpoint(checkpoint)
     instances, _, _ = load_data(cfg.data)
+    if not instances:
+        raise ConfigError(["data: empty dataset"])
     report = evaluate(model, instances)
     return out_dir, {"command": "eval", **report.to_dict()}
 

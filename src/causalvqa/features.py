@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, field
+from dataclasses import dataclass, fields
 from enum import IntEnum
 from pathlib import Path
 from typing import NamedTuple, Sequence
@@ -355,6 +355,21 @@ def read_manifest(manifest_path: str | Path) -> FeatureManifest:
         raise FormatError(f"{manifest_path}: {exc}") from None
 
 
+_INSTANCE_FIELDS = [f.name for f in fields(VideoQAInstance)]
+
+
+def _loaded_instance(*values) -> VideoQAInstance:
+    """A VideoQAInstance over rows of payloads load_dataset has checked
+    whole and made read-only float64, built without __post_init__'s
+    per-instance checks of the same values. Fields are set one by one, as
+    the dataclass __init__ sets them: writing __dict__ directly would give
+    the instance a slower attribute layout."""
+    inst = object.__new__(VideoQAInstance)
+    for name, value in zip(_INSTANCE_FIELDS, values):
+        object.__setattr__(inst, name, value)
+    return inst
+
+
 def load_dataset(
     manifest_path: str | Path, manifest: FeatureManifest | None = None
 ) -> list[VideoQAInstance]:
@@ -388,25 +403,17 @@ def load_dataset(
     else:
         ids = [f"v{i:05d}" for i in range(m.count)]
 
-    out = []
-    for i in range(m.count):
-        g = int(gold[i])
-        if not 0 <= g < N_ANSWERS:
-            raise FormatError(f"gold index {g} out of range at instance {i}")
-        t = int(qtype[i])
-        if t not in (0, 1, 2):
-            raise FormatError(f"qtype {t} out of range at instance {i}")
-        out.append(
-            VideoQAInstance(
-                video_id=str(ids[i]),
-                video=video[i],
-                question=question[i],
-                answers=answers[i],
-                gold=g,
-                qtype=Qtype(t),
-            )
-        )
-    return out
+    bad = (gold >= N_ANSWERS) | (qtype >= len(Qtype))
+    if bad.any():
+        i = int(np.argmax(bad))
+        if gold[i] >= N_ANSWERS:
+            raise FormatError(f"gold index {gold[i]} out of range at instance {i}")
+        raise FormatError(f"qtype {qtype[i]} out of range at instance {i}")
+    qtypes = list(Qtype)
+    return [
+        _loaded_instance(str(v), vid, q, a, g, qtypes[t])
+        for v, vid, q, a, g, t in zip(ids, video, question, answers, gold.tolist(), qtype.tolist())
+    ]
 
 
 def load_saliency(

@@ -49,7 +49,17 @@ from .intervention import (
     total_loss,
     triplet_backward,
 )
-from .mnse import MemoryBank, Metric, Regime, Target, instance_scenes, mnse_do, random_do
+from .mnse import (
+    MemoryBank,
+    Metric,
+    Regime,
+    Scenes,
+    Target,
+    instance_scenes,
+    mnse_do,
+    random_do,
+    stacked_scenes,
+)
 from .pcma import PcmaConfig, PcmaModel, param_layout, pcma_loss
 from . import samplers as sm
 
@@ -499,12 +509,12 @@ def _mixed_samples(
     splits: list[CausalSplit],
     icfg: InterventionConfig,
     rng: np.random.Generator,
-) -> tuple[list[tuple | None], list[tuple[Array, str, int]]]:
+) -> tuple[list[tuple | None], Scenes]:
     """Each sample blended with the next one in the batch (the last with the
     first): (split, mixup, mixed video), or None when a split is degenerate;
     plus the mixed clip rows as bank scenes with "a+b" provenance."""
     prepared: list[tuple | None] = []
-    mixup_rows = []
+    mixed, blend_ids = [], []
     for j, inst in enumerate(insts):
         partner = (j + 1) % len(insts)
         try:
@@ -514,9 +524,9 @@ def _mixed_samples(
             continue
         v_star = assemble_video(splits[j].mask, mix.c_star, mix.t_star)
         prepared.append((splits[j], mix, v_star))
-        blend_id = f"{inst.video_id}+{mix.partner_id}"
-        mixup_rows.extend((row, blend_id, r) for r, row in enumerate(v_star))
-    return prepared, mixup_rows
+        mixed.append(v_star)
+        blend_ids.append(f"{inst.video_id}+{mix.partner_id}")
+    return prepared, stacked_scenes(mixed, blend_ids)
 
 
 def _clean_pass(

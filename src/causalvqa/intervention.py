@@ -312,7 +312,7 @@ def draw_triplet(
                 video[rows] = bank.pick(top, [np.random.default_rng(s) for s in seeds])
         else:
             for video in out:
-                video[rows] = bank.draw([rng] * rows.size, exclude_video_id)
+                video[rows] = bank.draw(rng, rows.size, exclude_video_id)
         return out
 
     comp_top, caus_top = (None, None) if ranked is None else ranked

@@ -1,12 +1,14 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
-The bank stores clip-level scene vectors with provenance and answers
-top-k nearest-scene queries by exact full scan, in the manner of a flat
-index: a column view (float64 matrix, cached row norms, parent-id and
-tie-rank columns) is built once per change, and any number of query rows,
-each with its own excluded video, is ranked in one pass of fixed-size
-row chunks: one matrix product and one top-k selection per chunk, no
-loop over rows. Three refresh regimes:
+The bank stores clip-level scene vectors with provenance, one block of
+columns (Scenes: matrix, video ids, id codes, clip indices) per populate or
+push_batch call, and answers top-k nearest-scene queries by exact full
+scan, in the manner of a flat index: a column view (float64 matrix, cached
+row norms, parent-id and tie-rank columns) is built from the blocks once
+per change, with Python work per distinct video id, not per row. Any
+number of query rows, each with its own excluded video, is ranked in one
+pass of fixed-size row chunks: one matrix product and one top-k selection
+per chunk, no loop over rows. Three refresh regimes:
 F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
@@ -76,19 +78,55 @@ class NeighborQuery:
             raise ValueError("k must be >= 1")
 
 
-class _Block(NamedTuple):
-    """Scenes added by one populate or push_batch call: a private read-only
-    float64 matrix and entries whose vectors are its rows."""
+class Scenes(NamedTuple):
+    """Scene rows as columns: row i is clip clips[i] of video
+    video_ids[codes[i]]. A bank keeps each populate or push_batch call's
+    scenes as one such block, its matrix read-only float64."""
 
     matrix: Array  # [n, bank_dim]
-    rows: list[BankEntry]
+    video_ids: Sequence[str]
+    codes: Array  # [n] int64 indices into video_ids
+    clips: Array  # [n] int64 clip indices
+
+
+def stacked_scenes(videos: Sequence[Array], video_ids: Sequence[str]) -> Scenes:
+    """Every clip row of each [n_clips, dim] video as a scene of its id."""
+    counts = [len(v) for v in videos]
+    codes = np.repeat(np.arange(len(videos)), counts)
+    starts = np.cumsum([0] + counts[:-1])
+    matrix = np.concatenate(videos, dtype=np.float64) if videos else np.empty((0, 0))
+    return Scenes(
+        _read_only(matrix), list(video_ids), codes, np.arange(len(codes)) - starts[codes]
+    )
+
+
+def _read_only(matrix: Array) -> Array:
+    matrix.flags.writeable = False
+    return matrix
+
+
+def _scenes_of(tuples: Iterable[tuple[Array, str, int]], bank_dim: int) -> Scenes:
+    """(vector, video_id, clip_index) tuples as one block of columns."""
+    tuples = list(tuples)
+    for vector, _, _ in tuples:
+        if np.shape(vector) != (bank_dim,):
+            raise ValueError(f"scene vector shape {np.shape(vector)}, expected ({bank_dim},)")
+    index: dict[str, int] = {}
+    codes = [index.setdefault(str(v), len(index)) for _, v, _ in tuples]
+    matrix = np.array([v for v, _, _ in tuples], dtype=np.float64).reshape(-1, bank_dim)
+    return Scenes(
+        _read_only(matrix), list(index), np.array(codes, dtype=np.int64),
+        np.array([int(c) for _, _, c in tuples], dtype=np.int64),
+    )
 
 
 class _Columns(NamedTuple):
     """Column view of the bank's entries, rebuilt once after each change."""
 
-    rows: list[BankEntry]  # the read view, in entries() order
-    matrix: Array  # [n, bank_dim] float64; the block itself when there is one
+    names: list[str]  # the distinct video ids, sorted
+    by_name: Array  # [n] each entry's index into names
+    clips: Array  # [n] clip indices
+    matrix: Array  # [n, bank_dim] read-only float64; the block itself when there is one
     norms: Array  # [n] row L2 norms
     parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
     part_ids: dict[str, int]
@@ -97,30 +135,38 @@ class _Columns(NamedTuple):
     pools: dict  # the last eligible() answer, {exclude_video_id: read-only indices}
 
 
-def _build_columns(rows: list[BankEntry], blocks: list[Array], bank_dim: int) -> _Columns:
-    """Columns over rows, the entries of the row-stacked blocks."""
-    n = len(rows)
+def _build_columns(blocks: list[Scenes], bank_dim: int) -> _Columns:
+    """Columns over the row-stacked blocks; the Python work is per distinct
+    video id of each block, not per row."""
     if len(blocks) == 1:
-        matrix = blocks[0]  # a single populate keeps one copy of each scene
+        matrix = blocks[0].matrix  # a single populate keeps one copy of each scene
     else:
-        matrix = np.concatenate([np.empty((0, bank_dim))] + blocks)
-    names = sorted({e.video_id for e in rows})
+        matrix = _read_only(np.concatenate([np.empty((0, bank_dim))] + [b.matrix for b in blocks]))
+    ids = [v for b in blocks for v in b.video_ids]
+    offsets = np.cumsum([0] + [len(b.video_ids) for b in blocks])
+    codes = np.concatenate(
+        [np.empty(0, dtype=np.int64)] + [b.codes + o for b, o in zip(blocks, offsets)]
+    )
+    used = np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist()
+    names = sorted({ids[c] for c in used})
     name_index = {v: i for i, v in enumerate(names)}
-    by_name = np.array([name_index[e.video_id] for e in rows], dtype=np.int64)
+    to_name = np.zeros(len(ids), dtype=np.int64)
+    to_name[used] = [name_index[ids[c]] for c in used]
+    by_name = to_name[codes]
+    clips = np.concatenate([np.empty(0, dtype=np.int64)] + [b.clips for b in blocks])
     parts = [v.split("+") for v in names]
-    width = max(map(len, parts), default=1)
+    lengths = np.array([len(ps) for ps in parts], dtype=np.int64)
     part_ids: dict[str, int] = {}
-    name_parents = np.array(
-        [[part_ids.setdefault(p, len(part_ids)) for p in ps] + [-1] * (width - len(ps))
-         for ps in parts],
-        dtype=np.int64,
-    ).reshape(len(names), width)
-    order = np.lexsort((np.array([e.clip_index for e in rows], dtype=np.int64), by_name))
-    rank = np.empty(n, dtype=np.int64)
-    rank[order] = np.arange(n)
+    name_parents = np.full((len(names), int(lengths.max(initial=1))), -1, dtype=np.int64)
+    name_parents[np.arange(name_parents.shape[1]) < lengths[:, None]] = [
+        part_ids.setdefault(p, len(part_ids)) for ps in parts for p in ps
+    ]
+    order = np.lexsort((clips, by_name))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
     return _Columns(
-        rows, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name], part_ids, rank, order,
-        {},
+        names, by_name, clips, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name],
+        part_ids, rank, order, {},
     )
 
 
@@ -173,43 +219,59 @@ class MemoryBank:
         self.metric = Metric(metric)
         self.regime = Regime(regime)
         self.window = window
-        self._base: list[_Block] = []
-        self._batches: deque[list[_Block]] = deque(maxlen=window)
+        self._base: list[Scenes] = []
+        self._batches: deque[list[Scenes]] = deque(maxlen=window)
         self._frozen = False
         self._cols: _Columns | None = None
 
     def __len__(self) -> int:
-        return sum(len(b.rows) for b in self._blocks())
+        return sum(len(b.codes) for b in self._blocks())
 
-    def _blocks(self) -> list[_Block]:
+    def _blocks(self) -> list[Scenes]:
         return self._base + [b for batch in self._batches for b in batch]
 
     def entries(self) -> list[BankEntry]:
-        return [e for b in self._blocks() for e in b.rows]
+        """Every scene in bank order; vectors are read-only rows of the
+        blocks."""
+        return [
+            BankEntry(row, b.video_ids[c], clip)
+            for b in self._blocks()
+            for row, c, clip in zip(b.matrix, b.codes.tolist(), b.clips.tolist())
+        ]
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
-    def _coerce(self, scenes: Iterable[tuple[Array, str, int]]) -> _Block:
-        """Validated entries whose vectors are rows of one private read-only
-        float64 copy, so a caller may reuse or change its arrays afterwards."""
-        scenes = list(scenes)
-        for vector, _, _ in scenes:
-            if np.shape(vector) != (self.bank_dim,):
-                raise ValueError(
-                    f"scene vector shape {np.shape(vector)}, expected ({self.bank_dim},)"
-                )
-        matrix = np.array([v for v, _, _ in scenes], dtype=np.float64).reshape(-1, self.bank_dim)
+    def _coerce(self, scenes: Scenes | Iterable[tuple[Array, str, int]]) -> Scenes:
+        """The scenes as one validated block whose matrix is read-only
+        float64: (vector, video_id, clip_index) tuples are copied into one,
+        as is a writeable or non-float64 matrix, so a caller may reuse or
+        change its arrays afterwards."""
+        if not isinstance(scenes, Scenes):
+            scenes = _scenes_of(scenes, self.bank_dim)
+        matrix, video_ids, codes, clips = scenes
+        codes, clips = np.asarray(codes, dtype=np.int64), np.asarray(clips, dtype=np.int64)
+        if not len(codes):
+            matrix = np.empty((0, self.bank_dim))
+        if np.shape(matrix) != (len(codes), self.bank_dim) or clips.shape != codes.shape:
+            raise ValueError(
+                f"scene matrix shape {np.shape(matrix)} with {len(codes)} ids and "
+                f"{len(clips)} clip indices, expected ({len(codes)}, {self.bank_dim})"
+            )
+        if len(codes) and not 0 <= codes.min() <= codes.max() < len(video_ids):
+            raise ValueError(f"scene id codes outside the {len(video_ids)} video ids")
+        matrix = np.asarray(matrix)
+        if matrix.dtype != np.float64 or matrix.flags.writeable:
+            matrix = matrix.astype(np.float64)
+            matrix.flags.writeable = False
         finite = np.isfinite(matrix).all(axis=1)
         if not finite.all():
-            _, video_id, clip_index = scenes[int(np.argmin(finite))]
-            raise ValueError(f"scene vector for {video_id}:{clip_index} is non-finite")
-        matrix.flags.writeable = False
-        rows = [BankEntry(row, str(v), int(c)) for row, (_, v, c) in zip(matrix, scenes)]
-        return _Block(matrix, rows)
+            i = int(np.argmin(finite))
+            raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
+        return Scenes(matrix, [str(v) for v in video_ids], codes, clips)
 
-    def populate(self, scenes: Iterable[tuple[Array, str, int]]) -> "MemoryBank":
+    def populate(self, scenes: Scenes | Iterable[tuple[Array, str, int]]) -> "MemoryBank":
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
         self._base.append(self._coerce(scenes))
@@ -224,8 +286,8 @@ class MemoryBank:
 
     def push_batch(
         self,
-        scenes: Iterable[tuple[Array, str, int]],
-        mixup_scenes: Iterable[tuple[Array, str, int]] | None = None,
+        scenes: Scenes | Iterable[tuple[Array, str, int]],
+        mixup_scenes: Scenes | Iterable[tuple[Array, str, int]] | None = None,
     ) -> "MemoryBank":
         """Refresh with one batch; evicts batches older than the window."""
         if self.regime is Regime.F1_STATIC:
@@ -243,8 +305,7 @@ class MemoryBank:
 
     def _columns(self) -> _Columns:
         if self._cols is None:
-            blocks = [b.matrix for b in self._blocks()]
-            self._cols = _build_columns(self.entries(), blocks, self.bank_dim)
+            self._cols = _build_columns(self._blocks(), self.bank_dim)
         return self._cols
 
     def _excluded(self, exclude_video_ids: Sequence[str | None]) -> Array:
@@ -260,7 +321,7 @@ class MemoryBank:
 
     def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
         """How many entries a query excluding each video may return."""
-        return len(self._columns().rows) - self._excluded(exclude_video_ids).sum(axis=1)
+        return len(self) - self._excluded(exclude_video_ids).sum(axis=1)
 
     def eligible(self, exclude_video_id: str | None) -> Array:
         """Read-only indices of the entries a query excluding this video may
@@ -307,7 +368,7 @@ class MemoryBank:
         if not np.isfinite(queries).all():
             raise ValueError("query vectors must be finite")
         cols = self._columns()
-        n = len(cols.rows)
+        n = len(cols.matrix)
         top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
         keys_at = np.full(top.shape, np.nan)
         step = max(1, RANK_CHUNK // max(1, n * (self.bank_dim if self.metric is Metric.L2 else 1)))
@@ -355,22 +416,19 @@ class MemoryBank:
     def pick(self, candidates: Array, rngs: Sequence[np.random.Generator]) -> Array:
         """One scene vector per generator, uniform among that row's
         candidates: candidates is [len(rngs), m] bank indices, a row's
-        padding -1 at its end, or one [m] list every row shares. Returns
-        [len(rngs), bank_dim]."""
-        matrix = self._columns().matrix
-        if candidates.ndim == 1:
-            return matrix[candidates[[int(r.integers(0, len(candidates))) for r in rngs]]]
+        padding -1 at its end. Returns [len(rngs), bank_dim]."""
         counts = (candidates >= 0).sum(axis=1)
         picks = [int(r.integers(0, m)) for r, m in zip(rngs, counts)]
-        return matrix[candidates[np.arange(len(picks)), picks]]
+        return self._columns().matrix[candidates[np.arange(len(picks)), picks]]
 
     def draw(
-        self, rngs: Sequence[np.random.Generator], exclude_video_id: str | None = None
+        self, rng: np.random.Generator, n: int, exclude_video_id: str | None = None
     ) -> Array:
-        """One scene vector per generator, uniform among all eligible scenes:
-        [len(rngs), bank_dim]. A draw among each row's k nearest is
+        """n scene vectors drawn with rng, uniform among all eligible scenes:
+        [n, bank_dim]. A draw among each row's k nearest is
         pick(topk(...), rngs)."""
-        return self.pick(self._pool(exclude_video_id), rngs)
+        pool = self._pool(exclude_video_id)
+        return self._columns().matrix[pool[rng.integers(0, len(pool), size=n)]]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric; ties broken by (video_id, clip_index)."""
@@ -383,19 +441,19 @@ class MemoryBank:
                 f"k={q.k} exceeds {top.shape[1]} eligible entries "
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
-        rows = self._columns().rows
-        return [ScoredNeighbor(rows[i], float(s)) for i, s in zip(top[0], scores[0])]
+        cols = self._columns()
+        return [
+            ScoredNeighbor(
+                BankEntry(cols.matrix[i], cols.names[cols.by_name[i]], int(cols.clips[i])),
+                float(s),
+            )
+            for i, s in zip(top[0], scores[0])
+        ]
 
 
-def instance_scenes(
-    instances: Sequence[VideoQAInstance],
-) -> list[tuple[Array, str, int]]:
-    """Flatten instances into (clip row, video_id, clip_index) scene tuples."""
-    out = []
-    for inst in instances:
-        for c in range(inst.n_clips):
-            out.append((inst.video[c], inst.video_id, c))
-    return out
+def instance_scenes(instances: Sequence[VideoQAInstance]) -> Scenes:
+    """Every clip row of the instances as a scene of its video."""
+    return stacked_scenes([i.video for i in instances], [i.video_id for i in instances])
 
 
 def _target_rows(
@@ -470,5 +528,5 @@ def random_do(
     for rows, v, s, excluded in zip(chosen, videos, seeds, excludes):
         if rows.any():
             rng = np.random.default_rng(s)
-            v[rows] = bank.draw([rng] * int(rows.sum()), excluded)
+            v[rows] = bank.draw(rng, int(rows.sum()), excluded)
     return out

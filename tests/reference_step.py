@@ -52,7 +52,7 @@ def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
     if cfg.memory_source is MemorySource.MNSE:
         rngs = [np.random.default_rng(int(rng.integers(2**32))) for _ in range(rows.shape[0])]
         return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rngs)
-    return bank.draw([rng] * rows.shape[0], exclude_video_id)
+    return bank.draw(rng, rows.shape[0], exclude_video_id)
 
 
 def _blend(orig, subs, keep):

@@ -517,6 +517,24 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize("command", ["eval", "intervene-eval", "probe", "sample"])
+    def test_empty_dataset_is_config_error(self, tmp_path, out_dir, capsys, command):
+        train_cfg = write_cfg(tmp_path / "train.json",
+                              {"data": DATA, "model": MODEL, "optimizer": OPT})
+        assert cli_main(["train", "--config", train_cfg]) == 0
+        ckpt = str(out_dir / "checkpoint")
+        keys = {
+            "eval": {"checkpoint": ckpt},
+            "intervene-eval": {"checkpoint_a": ckpt, "checkpoint_b": ckpt},
+            "probe": {},
+            "sample": {"sampler": {"kind": "mar16", "seed": 5}},
+        }[command]
+        empty = {"synthetic": {**DATA["synthetic"], "n_instances": 0}}
+        cfg = write_cfg(tmp_path / "empty.json", {"data": empty, **keys})
+        capsys.readouterr()
+        assert cli_main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == "config error: data: empty dataset\n"
+
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cli_main(["train", "--config", str(missing)]) == 1

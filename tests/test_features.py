@@ -137,6 +137,37 @@ class TestRoundTrip:
             with pytest.raises(ValueError):
                 inst.video[0, 0] = 0.0
 
+    def test_loaded_instances_equal_validated_ones(self, tmp_path):
+        # load_dataset checks whole payloads, then builds each instance
+        # without __post_init__; the result must be what it would build
+        ft.save_dataset(make_instances(4, n_clips=3), tmp_path / "d.json")
+        payload = {
+            name: np.fromfile(tmp_path / f"d.{name}.f32", dtype="<f4").reshape(4, *shape)
+            for name, shape in (("video", (3, 6)), ("question", (5,)),
+                                ("answers", (ft.N_ANSWERS, 5)))
+        }
+        gold = np.fromfile(tmp_path / "d.gold.u8", dtype="u1")
+        qtype = np.fromfile(tmp_path / "d.qtype.u8", dtype="u1")
+        loaded = ft.load_dataset(tmp_path / "d.json")
+        assert len(loaded) == 4
+        for i, got in enumerate(loaded):
+            want = ft.VideoQAInstance(
+                video_id=f"vid{i}",
+                **{name: rows[i] for name, rows in payload.items()},
+                gold=int(gold[i]),
+                qtype=ft.Qtype(int(qtype[i])),
+            )
+            assert type(got) is ft.VideoQAInstance
+            assert type(got.video_id) is str and got.video_id == want.video_id
+            for name in payload:
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype == np.float64
+                assert a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable and not b.flags.writeable
+            assert type(got.gold) is int and got.gold == want.gold
+            assert type(got.qtype) is ft.Qtype and got.qtype is want.qtype
+            assert got.n_clips == 3 and got.video_dim == 6 and got.text_dim == 5
+
     def test_save_rejects_values_float32_cannot_hold(self, tmp_path):
         inst = make_instances(1)[0]
         video = inst.video.copy()
@@ -278,6 +309,26 @@ class TestLoadErrors:
         raw[1] = 7
         gold.write_bytes(bytes(raw))
         with pytest.raises(ft.FormatError, match="gold index 7.*instance 1"):
+            ft.load_dataset(tmp_path / "d.json")
+
+    def test_qtype_out_of_range(self, tmp_path):
+        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        qtype = tmp_path / "d.qtype.u8"
+        raw = bytearray(qtype.read_bytes())
+        raw[2] = 3
+        qtype.write_bytes(bytes(raw))
+        with pytest.raises(ft.FormatError, match="qtype 3 out of range at instance 2"):
+            ft.load_dataset(tmp_path / "d.json")
+
+    def test_first_bad_instance_is_named(self, tmp_path):
+        # a bad qtype at instance 1 is reported before a bad gold at instance 2
+        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        for name, i, value in (("gold", 2, 9), ("qtype", 1, 200)):
+            path = tmp_path / f"d.{name}.u8"
+            raw = bytearray(path.read_bytes())
+            raw[i] = value
+            path.write_bytes(bytes(raw))
+        with pytest.raises(ft.FormatError, match="qtype 200 out of range at instance 1"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_declared_ids_sidecar_missing_names_it(self, tmp_path):

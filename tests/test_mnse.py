@@ -17,6 +17,7 @@ from causalvqa.mnse import (
     NeighborQuery,
     Regime,
     RegimeError,
+    Scenes,
     Target,
 )
 
@@ -333,7 +334,7 @@ class TestBatchedTopK:
         bank = MemoryBank(bank_dim=2)
         bank.populate([(np.ones(2), "only", 0), (np.ones(2), "x+only", 1)])
         with pytest.raises(ValueError, match="eligible"):
-            bank.draw([np.random.default_rng(0)], "only")
+            bank.draw(np.random.default_rng(0), 1, "only")
         with pytest.raises(ValueError, match="eligible"):
             bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), [np.random.default_rng(0)])
 
@@ -446,7 +447,7 @@ class TestColumnViewRefresh:
         eligible = [e for e in entries if exclude not in e.video_id.split("+")]
         oracle_rng = np.random.default_rng(seed)
         want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
-        got = bank.draw([np.random.default_rng(seed)] * len(queries), exclude)
+        got = bank.draw(np.random.default_rng(seed), len(queries), exclude)
         np.testing.assert_array_equal(got, np.stack(want))
 
     def test_populate_refreshes_columns(self, rng):
@@ -523,12 +524,12 @@ class TestRankThenPick:
     def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
         bank = random_bank(rng, n=40, dim=6)
         pool = bank.eligible("vid1")
-        got = bank.pick(pool, [np.random.default_rng(3)] * 4)
+        got = bank.draw(np.random.default_rng(3), 4, "vid1")
         oracle = np.random.default_rng(3)
         want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
         np.testing.assert_array_equal(got, np.stack(want))
         np.testing.assert_array_equal(
-            got, bank.draw([np.random.default_rng(3)] * 4, "vid1")
+            got, bank.pick(np.broadcast_to(pool, (4, len(pool))), [np.random.default_rng(3)] * 4)
         )
 
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
@@ -635,3 +636,88 @@ class TestOneCopyPerScene:
         np.testing.assert_array_equal(
             bank._columns().matrix, np.stack([e.vector for e in entries])
         )
+
+
+class TestColumnarScenes:
+    """A bank filled from Scenes blocks is the bank filled from the equal
+    (vector, video_id, clip_index) tuples: same entries, columns, rankings
+    and draws."""
+
+    IDS = ["a", "b", "c", "a+b", "c+a"]
+
+    @staticmethod
+    def _outcome(call):
+        try:
+            return call()
+        except ValueError as exc:
+            return f"ValueError: {exc}"
+
+    def _block(self, data, rng, dim, ids):
+        """Equal scenes as tuples and as Scenes, with repeated ids, exact
+        duplicate vectors and possibly no rows."""
+        keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)), max_size=6))
+        vectors = []
+        for _ in keys:
+            dup = vectors and data.draw(st.booleans())
+            vectors.append(vectors[-1].copy() if dup else rng.normal(size=dim))
+        tuples = [(v, vid, clip) for v, (vid, clip) in zip(vectors, keys)]
+        if data.draw(st.booleans()):  # one id per row, as stacked_scenes gives
+            video_ids = [vid for vid, _ in keys]
+            codes = np.arange(len(keys))
+        else:  # distinct ids in any order, plus an unused one
+            unused = data.draw(st.sampled_from(["0", "zz"]))
+            video_ids = data.draw(st.permutations(sorted({vid for vid, _ in keys} | {unused})))
+            codes = np.array([video_ids.index(vid) for vid, _ in keys], dtype=np.int64)
+        matrix = np.array(vectors).reshape(len(keys), dim)
+        clips = np.array([clip for _, clip in keys], dtype=np.int64)
+        return tuples, Scenes(matrix, video_ids, codes, clips)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_scenes_and_tuples_fill_the_same_bank(self, data):
+        regime = data.draw(st.sampled_from(list(Regime)), label="regime")
+        metric = data.draw(st.sampled_from(list(Metric)), label="metric")
+        dim = data.draw(st.integers(1, 4), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        window = data.draw(st.integers(1, 3), label="window")
+        banks = [MemoryBank(dim, metric=metric, regime=regime, window=window) for _ in range(2)]
+        for _ in range(data.draw(st.integers(1, 5), label="calls")):
+            tuples, scenes = self._block(data, rng, dim, self.IDS[:3])
+            if regime is Regime.F1_STATIC:
+                banks[0].populate(tuples)
+                banks[1].populate(scenes)
+            elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans()):
+                mix_tuples, mix_scenes = self._block(data, rng, dim, self.IDS[3:])
+                banks[0].push_batch(tuples, mix_tuples)
+                banks[1].push_batch(scenes, mix_scenes)
+            else:
+                banks[0].push_batch(tuples)
+                banks[1].push_batch(scenes)
+        by_tuples, by_scenes = banks
+
+        assert len(by_tuples) == len(by_scenes)
+        assert _ids(by_tuples.entries()) == _ids(by_scenes.entries())
+        assert [e.vector.tobytes() for e in by_tuples.entries()] == [
+            e.vector.tobytes() for e in by_scenes.entries()
+        ]
+        if not len(by_tuples):
+            return
+        cols = [b._columns() for b in banks]
+        for name in ("matrix", "norms", "parents", "rank", "order"):
+            np.testing.assert_array_equal(getattr(cols[0], name), getattr(cols[1], name))
+        queries = rng.normal(size=(3, dim))
+        excludes = data.draw(st.lists(st.sampled_from(["a", "b", "c", None]), min_size=3,
+                                      max_size=3), label="excludes")
+        k = data.draw(st.integers(1, len(by_tuples) + 1), label="k")
+        seed = int(rng.integers(2**32))
+        tops = [self._outcome(lambda: b.topk(queries, k, excludes)) for b in banks]
+        draws = [
+            self._outcome(lambda: b.draw(np.random.default_rng(seed), 4, excludes[0]))
+            for b in banks
+        ]
+        for got, want in (tops, draws):
+            assert type(got) is type(want)
+            if isinstance(got, str):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(got, want)
