@@ -2,7 +2,8 @@
 
 Upstream video/text encoders are out of scope; their outputs arrive here as
 files. A dataset on disk is a JSON manifest plus raw little-endian float32
-payloads (row-major), with gold labels and question types as u8 arrays.
+payloads (row-major), with gold labels and question types as u8 arrays and
+saliency annotations as flat int64 and float64 arrays.
 The synthetic generator plants a known causal structure so downstream
 mechanisms can be tested against ground truth.
 """
@@ -19,7 +20,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-FORMAT_VERSION = 1
+FORMAT_VERSION = 2
 N_ANSWERS = 5
 
 
@@ -123,7 +124,10 @@ class FeatureManifest:
 
     def __post_init__(self) -> None:
         if self.version != FORMAT_VERSION:
-            raise FormatError(f"unsupported manifest version {self.version}")
+            raise FormatError(
+                f"unsupported manifest version {self.version} (this release reads "
+                f"version {FORMAT_VERSION}); regenerate the dataset with gen-data"
+            )
         if self.count < 0:
             raise FormatError("count must be nonnegative")
         if min(self.n_clips, self.video_dim, self.text_dim) <= 0:
@@ -211,11 +215,17 @@ def read_json(path: Path, expected: type = dict):
     return body
 
 
-def _read_payload(path: Path, dtype: str, shape: tuple[int, ...]) -> np.ndarray:
+def _read_payload(path: Path, dtype: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
+    """The read-only array in a payload file of the given shape, or of any
+    whole number of items (flat) when shape is None."""
     if not path.is_file():
         raise FormatError(f"payload file missing: {path}")
     raw = path.read_bytes()
     itemsize = np.dtype(dtype).itemsize
+    if shape is None:
+        if len(raw) % itemsize:
+            raise FormatError(f"{path}: byte length {len(raw)} is not a multiple of {itemsize}")
+        return np.frombuffer(raw, dtype=dtype)
     expected = math.prod(shape) * itemsize
     if len(raw) != expected:
         raise FormatError(
@@ -272,7 +282,8 @@ def save_dataset(
     if saliencies is not None:
         if len(saliencies) != len(instances):
             raise FormatError("saliency count does not match instance count")
-        files["saliency"] = f"{stem}.saliency.json"
+        files["saliency"] = f"{stem}.saliency.i8"
+        files["saliency_scores"] = f"{stem}.saliency.f8"
     if causal_masks is not None:
         if causal_masks.shape != (len(instances), n_clips) and len(instances) > 0:
             raise FormatError(
@@ -295,26 +306,35 @@ def save_dataset(
         if not np.array_equal(at_rest, values):
             raise FormatError(f"{name}: values are not exactly representable as float32")
         payloads[name] = at_rest.tobytes()
+    payloads["gold"] = bytes(i.gold for i in instances)
+    payloads["qtype"] = bytes(int(i.qtype) for i in instances)
+    payloads["ids"] = json.dumps([i.video_id for i in instances])
+    if saliencies is not None:
+        windows = [w for s in saliencies for w in s.windows]
+        counts = [(s.n_frames, len(s.windows)) for s in saliencies]
+        bounds = [(w.start_frame, w.end_frame) for w in windows]
+        payloads["saliency"] = np.array(counts + bounds, dtype="<i8").tobytes()
+        scores = [np.asarray(s.scores, "<f8") for s in saliencies]
+        scores.append(np.array([w.score for w in windows], "<f8"))
+        payloads["saliency_scores"] = np.concatenate(scores).tobytes()
+    if causal_masks is not None:
+        payloads["masks"] = np.asarray(causal_masks, dtype=np.uint8).tobytes()
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
     root = manifest_path.parent
 
-    for name, payload in payloads.items():
-        write_atomic(root / files[name], payload)
-    write_atomic(root / files["gold"], bytes(i.gold for i in instances))
-    write_atomic(root / files["qtype"], bytes(int(i.qtype) for i in instances))
-    write_atomic(root / files["ids"], json.dumps([i.video_id for i in instances]))
-    if saliencies is not None:
-        blob = [
-            {
-                "n_frames": s.n_frames,
-                "scores": [float(x) for x in s.scores],
-                "windows": [[w.start_frame, w.end_frame, w.score] for w in s.windows],
-            }
-            for s in saliencies
-        ]
-        write_atomic(root / files["saliency"], json.dumps(blob))
-    if causal_masks is not None:
-        write_atomic(root / files["masks"], np.asarray(causal_masks, dtype=np.uint8).tobytes())
+    # The old manifest goes before any payload is replaced and the new one is
+    # written last, so a save that fails part-way leaves no manifest rather
+    # than one naming a mix of old and new payloads. A failure before the
+    # first replace has changed nothing, so the old manifest is put back.
+    previous = manifest_path.read_bytes() if manifest_path.is_file() else None
+    manifest_path.unlink(missing_ok=True)
+    for done, (name, payload) in enumerate(payloads.items()):
+        try:
+            write_atomic(root / files[name], payload)
+        except BaseException:
+            if done == 0 and previous is not None:
+                manifest_path.write_bytes(previous)
+            raise
 
     body = {
         "version": manifest.version,
@@ -355,19 +375,19 @@ def read_manifest(manifest_path: str | Path) -> FeatureManifest:
         raise FormatError(f"{manifest_path}: {exc}") from None
 
 
-_INSTANCE_FIELDS = [f.name for f in fields(VideoQAInstance)]
+_FIELDS = {cls: [f.name for f in fields(cls)] for cls in (VideoQAInstance, SaliencyAnnotation)}
 
 
-def _loaded_instance(*values) -> VideoQAInstance:
-    """A VideoQAInstance over rows of payloads load_dataset has checked
-    whole and made read-only float64, built without __post_init__'s
-    per-instance checks of the same values. Fields are set one by one, as
-    the dataclass __init__ sets them: writing __dict__ directly would give
-    the instance a slower attribute layout."""
-    inst = object.__new__(VideoQAInstance)
-    for name, value in zip(_INSTANCE_FIELDS, values):
-        object.__setattr__(inst, name, value)
-    return inst
+def _loaded(cls, *values):
+    """A VideoQAInstance or SaliencyAnnotation over values its loader has
+    checked whole (as read-only arrays), built without __post_init__'s
+    per-object checks of the same values. Fields are set one by one, as the
+    dataclass __init__ sets them: writing __dict__ directly would give the
+    object a slower attribute layout."""
+    obj = object.__new__(cls)
+    for name, value in zip(_FIELDS[cls], values):
+        object.__setattr__(obj, name, value)
+    return obj
 
 
 def load_dataset(
@@ -411,7 +431,7 @@ def load_dataset(
         raise FormatError(f"qtype {qtype[i]} out of range at instance {i}")
     qtypes = list(Qtype)
     return [
-        _loaded_instance(str(v), vid, q, a, g, qtypes[t])
+        _loaded(VideoQAInstance, str(v), vid, q, a, g, qtypes[t])
         for v, vid, q, a, g, t in zip(ids, video, question, answers, gold.tolist(), qtype.tolist())
     ]
 
@@ -420,28 +440,78 @@ def load_saliency(
     manifest_path: str | Path, manifest: FeatureManifest | None = None
 ) -> list[SaliencyAnnotation] | None:
     """Load the saliency sidecar if the manifest (read from manifest_path
-    unless already parsed) declares one."""
+    unless already parsed) declares one.
+
+    The int64 payload holds each entry's (n_frames, window count), then each
+    window's (start, end); the float64 payload holds every frame score, then
+    every window score. Both are checked whole, and FormatError names the
+    file and, where there is one, the entry.
+    """
     manifest_path = Path(manifest_path)
     m = read_manifest(manifest_path) if manifest is None else manifest
     if "saliency" not in m.files:
         return None
-    path = manifest_path.parent / m.files["saliency"]
-    blob = read_json(path, list)
-    if len(blob) != m.count:
-        raise FormatError(f"{path}: lists {len(blob)} entries, manifest count {m.count}")
-    out = []
-    for i, e in enumerate(blob):
-        try:
-            out.append(SaliencyAnnotation(
-                scores=np.array(e["scores"], dtype=np.float64),
-                windows=tuple(MomentWindow(int(s), int(t), float(sc)) for s, t, sc in e["windows"]),
-                n_frames=int(e["n_frames"]),
-            ))
-        except KeyError as exc:
-            raise FormatError(f"{path}: entry {i} lacks {exc}") from None
-        except (TypeError, ValueError, OverflowError) as exc:  # FormatError too
-            raise FormatError(f"{path}: entry {i}: {exc}") from None
-    return out
+    if "saliency_scores" not in m.files:
+        raise FormatError(f"{manifest_path}: manifest missing payload entry 'saliency_scores'")
+    ints_path = manifest_path.parent / m.files["saliency"]
+    scores_path = manifest_path.parent / m.files["saliency_scores"]
+    ints = _read_payload(ints_path, "<i8")
+    scores = _read_payload(scores_path, "<f8")
+    if len(ints) < 2 * m.count:
+        raise FormatError(
+            f"{ints_path}: byte length mismatch, {m.count} entries need at least "
+            f"{16 * m.count} bytes, found {8 * len(ints)}"
+        )
+    counts = ints[: 2 * m.count].reshape(m.count, 2)
+    # no count exceeds the number of stored scores, so their sums cannot overflow
+    bad = ((counts < 0) | (counts > len(scores))).any(axis=1)
+    if bad.any():
+        i = int(np.argmax(bad))
+        raise FormatError(
+            f"{ints_path}: entry {i}: n_frames {counts[i, 0]} and window count "
+            f"{counts[i, 1]} must lie in [0, {len(scores)}], the stored score count"
+        )
+    n_frames, n_windows = counts[:, 0], counts[:, 1]
+    n_scores, n_win = int(n_frames.sum()), int(n_windows.sum())
+    if len(ints) != 2 * (m.count + n_win):
+        raise FormatError(
+            f"{ints_path}: byte length mismatch, expected {16 * (m.count + n_win)} bytes "
+            f"for {m.count} entries and {n_win} windows, found {8 * len(ints)}"
+        )
+    if len(scores) != n_scores + n_win:
+        raise FormatError(
+            f"{scores_path}: byte length mismatch, expected {8 * (n_scores + n_win)} bytes "
+            f"for {n_scores} frame and {n_win} window scores, found {8 * len(scores)}"
+        )
+    frame_offsets = np.concatenate(([0], np.cumsum(n_frames)))
+    window_entry = np.repeat(np.arange(m.count), n_windows)
+    finite = np.isfinite(scores)
+    if not finite.all():
+        k = int(np.argmin(finite))
+        i = (
+            np.searchsorted(frame_offsets, k, side="right") - 1
+            if k < n_scores else window_entry[k - n_scores]
+        )
+        raise FormatError(f"{scores_path}: entry {i}: non-finite score at flat offset {k}")
+    start, end = ints[2 * m.count :].reshape(n_win, 2).T
+    inside = (0 <= start) & (start < end) & (end <= n_frames[window_entry])
+    if not inside.all():
+        j = int(np.argmin(inside))
+        i = int(window_entry[j])
+        raise FormatError(
+            f"{ints_path}: entry {i}: moment window [{start[j]}, {end[j]}) out of bounds "
+            f"for {n_frames[i]} frames"
+        )
+
+    frame_offsets = frame_offsets.tolist()
+    window_offsets = np.concatenate(([0], np.cumsum(n_windows))).tolist()
+    windows = list(map(MomentWindow, start.tolist(), end.tolist(), scores[n_scores:].tolist()))
+    return [
+        _loaded(SaliencyAnnotation, scores[f0:f1], tuple(windows[w0:w1]), f1 - f0)
+        for f0, f1, w0, w1 in zip(
+            frame_offsets, frame_offsets[1:], window_offsets, window_offsets[1:]
+        )
+    ]
 
 
 def load_causal_masks(

@@ -228,6 +228,14 @@ class TestIntervenEvalCommand:
         }
 
 
+def _window_end_past_its_video(raw: bytes) -> bytes:
+    # the int64 saliency payload holds (n_frames, window count) per video,
+    # then (start, end) per window; each synthetic video has one window
+    ints = np.frombuffer(raw, dtype="<i8").copy()
+    ints[len(ints) // 2 + 1] = ints[0] + 1
+    return ints.tobytes()
+
+
 class TestErrorPaths:
     def test_bad_config_lists_every_field(self, tmp_path, out_dir, capsys):
         cfg = write_cfg(
@@ -468,17 +476,25 @@ class TestErrorPaths:
             ("d.json", lambda body: {**body, "count": "6"}),
             ("d.json", lambda body: list(body)),
             ("d.ids.json", lambda body: 5),
-            ("d.saliency.json", lambda body: [{}, *body[1:]]),
+            ("d.saliency.i8", _window_end_past_its_video),
             ("d.json", lambda body: {**body, "files": {**body["files"], "video": 5}}),
+            ("d.json", lambda body: {**body, "version": 1}),
         ],
-        ids=["count-string", "manifest-list", "ids-number", "saliency-entry", "file-number"],
+        ids=[
+            "count-string", "manifest-list", "ids-number", "saliency-entry", "file-number",
+            "version-1",
+        ],
     )
     def test_unusable_dataset_file_names_it(self, tmp_path, out_dir, capsys, name, edit):
+        # a JSON file's edit maps its parsed value, a payload's its bytes
         instances, saliencies, masks = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
         manifest = tmp_path / "data" / "d.json"
         save_dataset(instances, manifest, saliencies=saliencies, causal_masks=masks)
         path = manifest.parent / name
-        path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        if path.suffix == ".json":
+            path.write_text(json.dumps(edit(json.loads(path.read_text()))))
+        else:
+            path.write_bytes(edit(path.read_bytes()))
         cfg = write_cfg(tmp_path / "probe.json", {"data": {"manifest": str(manifest)}})
         assert cli_main(["probe", "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()

@@ -192,6 +192,25 @@ class TestRoundTrip:
             ft.save_dataset(make_instances(3, seed=1), tmp_path / "d.json")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
+    def test_failed_resave_leaves_no_loadable_dataset(self, tmp_path, monkeypatch):
+        # the second replace fails after the new video payload is in place;
+        # the old manifest must not pair it with the old question payload
+        ft.save_dataset(make_instances(3, seed=0), tmp_path / "d.json")
+        real_replace, calls = os.replace, []
+
+        def replace_failing_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(f"cannot replace {dst}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_second)
+        with pytest.raises(OSError, match="d.question.f32"):
+            ft.save_dataset(make_instances(3, seed=1), tmp_path / "d.json")
+        monkeypatch.undo()
+        with pytest.raises(ft.FormatError, match="d.json: file not found"):
+            ft.load_dataset(tmp_path / "d.json")
+
     def test_save_rejects_mixed_dims(self, tmp_path):
         insts = make_instances(2, video_dim=6) + make_instances(1, video_dim=8)
         with pytest.raises(ft.FormatError, match="heterogeneous"):
@@ -226,6 +245,91 @@ class TestRoundTrip:
             assert a.gold == b.gold
 
 
+finite = st.floats(allow_nan=False, allow_infinity=False)
+
+
+@st.composite
+def saliency_lists(draw):
+    """Annotations with any n_frames (0 included), entries with no windows
+    and, through an empty list, an empty dataset."""
+    out = []
+    for _ in range(draw(st.integers(0, 4))):
+        n_frames = draw(st.integers(0, 6))
+        spans = st.tuples(st.integers(0, n_frames), st.integers(0, n_frames))
+        windows = tuple(
+            ft.MomentWindow(min(a, b), max(a, b), draw(finite))
+            for a, b in draw(st.lists(spans.filter(lambda ab: ab[0] != ab[1]), max_size=3))
+            if n_frames > 0
+        )
+        scores = np.array(draw(st.lists(finite, min_size=n_frames, max_size=n_frames)))
+        out.append(ft.SaliencyAnnotation(
+            scores=scores.reshape(n_frames), windows=windows, n_frames=n_frames,
+        ))
+    return out
+
+
+class TestSaliencyPayloads:
+    @given(saliency_lists())
+    @settings(max_examples=60, deadline=None)
+    def test_round_trip_is_bit_exact(self, saliencies):
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "d.json"
+            ft.save_dataset(make_instances(len(saliencies)), path, saliencies=saliencies)
+            loaded = ft.load_saliency(path)
+        assert len(loaded) == len(saliencies)
+        for a, b in zip(saliencies, loaded):
+            assert type(b) is ft.SaliencyAnnotation and not b.scores.flags.writeable
+            assert type(b.n_frames) is int and b.n_frames == a.n_frames
+            assert b.scores.dtype == np.float64 and b.scores.tobytes() == a.scores.tobytes()
+            assert [tuple(map(type, w)) for w in b.windows] == [(int, int, float)] * len(a.windows)
+            assert [w[:2] for w in b.windows] == [w[:2] for w in a.windows]
+            assert (np.array([w.score for w in b.windows]).tobytes()
+                    == np.array([w.score for w in a.windows]).tobytes())
+
+    @pytest.mark.parametrize("payload, index, value, message", [
+        ("i8", 1, -1, r"d.saliency.i8: entry 0: n_frames 16 and window count -1 must lie"),
+        ("i8", 2, 10**6, r"d.saliency.i8: entry 1: n_frames 1000000 .* must lie"),
+        ("i8", -1, 17, r"d.saliency.i8: entry 2: moment window \[\d+, 17\) out of bounds for 16"),
+        ("i8", -2, -1, r"d.saliency.i8: entry 2: moment window \[-1, \d+\) out of bounds"),
+        ("i8", 6, 16, r"d.saliency.i8: entry 0: moment window \[16, \d+\) out of bounds"),
+        ("f8", 17, np.nan, r"d.saliency.f8: entry 1: non-finite score at flat offset 17"),
+        ("f8", -1, np.inf, r"d.saliency.f8: entry 2: non-finite score at flat offset 50"),
+    ])
+    def test_bad_value_names_file_and_entry(self, tmp_path, payload, index, value, message):
+        insts, sals, _ = ft.generate_synthetic(
+            ft.SyntheticSpec(n_instances=3, n_clips=4, video_dim=6, text_dim=6)
+        )
+        ft.save_dataset(insts, tmp_path / "d.json", saliencies=sals)
+        path = tmp_path / f"d.saliency.{payload}"
+        arr = np.fromfile(path, dtype=f"<{payload}")
+        arr[index] = value
+        arr.tofile(path)
+        with pytest.raises(ft.FormatError, match=message):
+            ft.load_saliency(tmp_path / "d.json")
+
+    @pytest.mark.parametrize("payload, cut, message", [
+        ("i8", 4, r"d.saliency.i8: byte length 92 is not a multiple of 8"),
+        ("i8", 8, r"d.saliency.i8: byte length mismatch, expected 96 bytes .* found 88"),
+        ("f8", 8, r"d.saliency.f8: byte length mismatch, expected 408 bytes .* found 400"),
+    ])
+    def test_truncated_payload_names_it(self, tmp_path, payload, cut, message):
+        insts, sals, _ = ft.generate_synthetic(
+            ft.SyntheticSpec(n_instances=3, n_clips=4, video_dim=6, text_dim=6)
+        )
+        ft.save_dataset(insts, tmp_path / "d.json", saliencies=sals)
+        path = tmp_path / f"d.saliency.{payload}"
+        path.write_bytes(path.read_bytes()[:-cut])
+        with pytest.raises(ft.FormatError, match=message):
+            ft.load_saliency(tmp_path / "d.json")
+
+    def test_version_1_manifest_is_refused(self, tmp_path):
+        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        body = json.loads((tmp_path / "d.json").read_text())
+        (tmp_path / "d.json").write_text(json.dumps({**body, "version": 1}))
+        with pytest.raises(ft.FormatError, match="d.json: unsupported manifest version 1.*gen-data"):
+            ft.load_dataset(tmp_path / "d.json")
+
+
 @pytest.fixture(scope="module")
 def saved_dataset(tmp_path_factory) -> dict[str, bytes]:
     spec = ft.SyntheticSpec(n_instances=4, seed=1, n_clips=4, video_dim=6, text_dim=6)
@@ -241,14 +345,17 @@ def saved_dataset(tmp_path_factory) -> dict[str, bytes]:
 MANIFEST_EDITS = st.tuples(
     st.sampled_from([
         "version", "count", "n_clips", "video_dim", "text_dim", "n_answers", "files", "extra",
-        "files.video", "files.gold", "files.ids", "files.saliency", "files.masks", "",
+        "files.video", "files.gold", "files.ids", "files.saliency", "files.saliency_scores",
+        "files.masks", "",
     ]),
     st.none()
     | st.booleans()
     | st.integers()
     | st.floats()
     | st.text(max_size=3)
-    | st.sampled_from(["d.json", "d.video.f32", "d.ids.json", "d.saliency.json", "d.gold.u8"])
+    | st.sampled_from([
+        "d.json", "d.video.f32", "d.ids.json", "d.saliency.i8", "d.saliency.f8", "d.gold.u8",
+    ])
     | st.lists(st.integers(), max_size=2)
     | st.dictionaries(st.text(max_size=3), st.text(max_size=3), max_size=2),
 )
@@ -281,6 +388,42 @@ class TestLoadErrors:
                     load(root / "d.json")
                 except ft.FormatError:
                     pass
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        name=st.sampled_from(["d.saliency.i8", "d.saliency.f8"]),
+        edit=st.one_of(
+            st.tuples(st.just("truncate"), st.integers(1, 64)),
+            st.tuples(st.just("extend"), st.binary(min_size=1, max_size=24)),
+            st.tuples(
+                st.just("overwrite"),
+                st.integers(0, 200),
+                st.sampled_from([
+                    np.float64(np.nan), np.float64(np.inf), np.float64(-1.5),
+                    np.int64(-1), np.int64(0), np.int64(1), np.int64(15), np.int64(16),
+                    np.int64(17), np.int64(2**62), np.int64(-(2**63)),
+                ]).map(lambda v: v.tobytes()) | st.binary(min_size=8, max_size=8),
+            ),
+        ),
+    )
+    def test_mutated_saliency_loads_or_raises_format_error(self, saved_dataset, name, edit):
+        raw = saved_dataset[name]
+        if edit[0] == "truncate":
+            raw = raw[: max(0, len(raw) - edit[1])]
+        elif edit[0] == "extend":
+            raw = raw + edit[1]
+        else:
+            at = 8 * (edit[1] % (len(raw) // 8))
+            raw = raw[:at] + edit[2] + raw[at + 8 :]
+        with tempfile.TemporaryDirectory() as tmp:
+            root = Path(tmp)
+            for file, data in saved_dataset.items():
+                (root / file).write_bytes(data)
+            (root / name).write_bytes(raw)
+            try:
+                ft.load_saliency(root / "d.json")
+            except ft.FormatError:
+                pass
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ft.FormatError, match="not found"):
