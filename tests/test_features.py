@@ -322,13 +322,6 @@ class TestSaliencyPayloads:
         with pytest.raises(ft.FormatError, match=message):
             ft.load_saliency(tmp_path / "d.json")
 
-    def test_version_1_manifest_is_refused(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
-        body = json.loads((tmp_path / "d.json").read_text())
-        (tmp_path / "d.json").write_text(json.dumps({**body, "version": 1}))
-        with pytest.raises(ft.FormatError, match="d.json: unsupported manifest version 1.*gen-data"):
-            ft.load_dataset(tmp_path / "d.json")
-
 
 @pytest.fixture(scope="module")
 def saved_dataset(tmp_path_factory) -> dict[str, bytes]:
