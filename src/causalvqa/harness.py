@@ -861,8 +861,9 @@ def seen_unseen_protocol(
     """Cross-regime robustness: model A's intervener is nearest-scene
     replacement, model B's is random replacement. Seen = own intervener,
     unseen = the other's. Gold labels never change; only complement rows do:
-    video i draws with seed seed * 1009 + i, excluding itself, and one
-    nearest-scene ranking covers every video's complement rows.
+    under either operator, video i draws all its rows from one generator
+    seeded seed * 1009 + i, excluding itself, and one nearest-scene ranking
+    covers every video's complement rows.
     """
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")

@@ -294,10 +294,10 @@ def draw_triplet(
     ranked: tuple[Array, Array] | None = None,
 ) -> TripletDraw:
     """Draw the positive's complement substitutes, then each substituted
-    negative's causal ones, in that order. Nearest-scene sourcing draws
-    every copy from ranked, the topk of the complement and of the causal
-    rows, one seed per row in row order; random sourcing draws uniformly
-    from rng."""
+    negative's causal ones, in that order, each copy in row order, all with
+    rng: nearest-scene sourcing picks among ranked, the topk of the
+    complement and of the causal rows, one pick per partition with the
+    candidates tiled over its copies; random sourcing draws uniformly."""
     if cfg.memory_source is MemorySource.MNSE and ranked is None:
         raise ValueError("nearest-scene sourcing needs ranked: the rows' topk")
     v_star = nc.as_f64(v_star)
@@ -307,12 +307,10 @@ def draw_triplet(
         if not rows.size or not copies:
             return out
         if cfg.memory_source is MemorySource.MNSE:
-            for video in out:
-                seeds = [int(rng.integers(2**32)) for _ in rows]
-                video[rows] = bank.pick(top, [np.random.default_rng(s) for s in seeds])
+            subs = bank.pick(np.tile(top, (copies, 1)), rng)
         else:
-            for video in out:
-                video[rows] = bank.draw(rng, rows.size, exclude_video_id)
+            subs = bank.draw(rng, rows.size * copies, exclude_video_id)
+        out[:, rows] = subs.reshape(copies, rows.size, -1)
         return out
 
     comp_top, caus_top = (None, None) if ranked is None else ranked

@@ -12,7 +12,10 @@ per chunk, no loop over rows. Three refresh regimes:
 F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
-random baseline (random_do).
+random baseline (random_do). topk returns each row's exact k-nearest set
+in tie-rank order, and a nearest-scene draw picks uniformly within it,
+every row of one call from one generator in one integers call; only
+query_knn orders its answers by key.
 """
 
 from __future__ import annotations
@@ -20,7 +23,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -105,21 +108,6 @@ def _read_only(matrix: Array) -> Array:
     return matrix
 
 
-def _scenes_of(tuples: Iterable[tuple[Array, str, int]], bank_dim: int) -> Scenes:
-    """(vector, video_id, clip_index) tuples as one block of columns."""
-    tuples = list(tuples)
-    for vector, _, _ in tuples:
-        if np.shape(vector) != (bank_dim,):
-            raise ValueError(f"scene vector shape {np.shape(vector)}, expected ({bank_dim},)")
-    index: dict[str, int] = {}
-    codes = [index.setdefault(str(v), len(index)) for _, v, _ in tuples]
-    matrix = np.array([v for v, _, _ in tuples], dtype=np.float64).reshape(-1, bank_dim)
-    return Scenes(
-        _read_only(matrix), list(index), np.array(codes, dtype=np.int64),
-        np.array([int(c) for _, _, c in tuples], dtype=np.int64),
-    )
-
-
 class _Columns(NamedTuple):
     """Column view of the bank's entries, rebuilt once after each change."""
 
@@ -171,14 +159,14 @@ def _build_columns(blocks: list[Scenes], bank_dim: int) -> _Columns:
 
 
 def _first_k(keys: Array, k: Array, cols: _Columns) -> tuple[Array, Array]:
-    """Bank indices and keys of each row's k[row] smallest keys, ordered by
-    (key, tie rank) and padded with -1 and NaN to the largest k.
+    """Bank indices and keys of each row's k[row] smallest keys, ties at the
+    k-th key broken by tie rank, listed in tie-rank order and padded with -1
+    and NaN to the largest k.
 
-    A window of each row's smallest keys, one more than the largest k, is
-    put in tie-rank order, then stably sorted by key. A row whose k-th key
-    equals its window's last may tie with keys outside; the window then
-    widens once, past every key at or below any row's k-th, which holds
-    every tie.
+    A window of each row's smallest keys, one more than the largest k, gives
+    the k-th key by a sort of its values. A row whose k-th key equals its
+    window's last may tie with keys outside; the window then widens once,
+    past every key at or below any row's k-th, which holds every tie.
     """
     n = keys.shape[1]
     rows = np.arange(len(keys))[:, None]
@@ -188,17 +176,21 @@ def _first_k(keys: Array, k: Array, cols: _Columns) -> tuple[Array, Array]:
             idx = np.argpartition(keys, width - 1, axis=1)[:, :width]
         else:
             idx = np.broadcast_to(np.arange(n), keys.shape)
-        idx = cols.order[np.sort(cols.rank[idx], axis=1)]
-        window = keys[rows, idx]
-        by_key = np.argsort(window, axis=1, kind="stable")
-        idx, window = idx[rows, by_key], window[rows, by_key]
-        kth = window[rows[:, 0], k - 1]
-        if width >= n or (kth < window[:, -1]).all():
+        window = np.sort(keys[rows, idx], axis=1)
+        kth = window[rows, k[:, None] - 1]
+        if width >= n or (kth[:, 0] < window[:, -1]).all():
             break
-        width = int(np.count_nonzero(keys <= kth[:, None], axis=1).max()) + 1
-    size = int(k.max())
-    keep = np.arange(size) < k[:, None]
-    return np.where(keep, idx[:, :size], -1), np.where(keep, window[:, :size], np.nan)
+        width = int(np.count_nonzero(keys <= kth, axis=1).max()) + 1
+    idx = cols.order[np.sort(cols.rank[idx], axis=1)]
+    window = keys[rows, idx]
+    below, ties = window < kth, window == kth
+    taken = below | ties & (np.cumsum(ties, axis=1) <= (k - below.sum(axis=1))[:, None])
+    keep = np.arange(int(k.max())) < k[:, None]
+    top = np.full(keep.shape, -1, dtype=np.int64)
+    top[keep] = idx[taken]
+    at = np.full(keep.shape, np.nan)
+    at[keep] = window[taken]
+    return top, at
 
 
 class MemoryBank:
@@ -243,13 +235,10 @@ class MemoryBank:
     def frozen(self) -> bool:
         return self._frozen
 
-    def _coerce(self, scenes: Scenes | Iterable[tuple[Array, str, int]]) -> Scenes:
+    def _coerce(self, scenes: Scenes) -> Scenes:
         """The scenes as one validated block whose matrix is read-only
-        float64: (vector, video_id, clip_index) tuples are copied into one,
-        as is a writeable or non-float64 matrix, so a caller may reuse or
-        change its arrays afterwards."""
-        if not isinstance(scenes, Scenes):
-            scenes = _scenes_of(scenes, self.bank_dim)
+        float64: a writeable or non-float64 matrix is copied into one, so a
+        caller may reuse or change its arrays afterwards."""
         matrix, video_ids, codes, clips = scenes
         codes, clips = np.asarray(codes, dtype=np.int64), np.asarray(clips, dtype=np.int64)
         if not len(codes):
@@ -271,7 +260,7 @@ class MemoryBank:
             raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
         return Scenes(matrix, [str(v) for v in video_ids], codes, clips)
 
-    def populate(self, scenes: Scenes | Iterable[tuple[Array, str, int]]) -> "MemoryBank":
+    def populate(self, scenes: Scenes) -> "MemoryBank":
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
         self._base.append(self._coerce(scenes))
@@ -284,11 +273,7 @@ class MemoryBank:
         self._frozen = True
         return self
 
-    def push_batch(
-        self,
-        scenes: Scenes | Iterable[tuple[Array, str, int]],
-        mixup_scenes: Scenes | Iterable[tuple[Array, str, int]] | None = None,
-    ) -> "MemoryBank":
+    def push_batch(self, scenes: Scenes, mixup_scenes: Scenes | None = None) -> "MemoryBank":
         """Refresh with one batch; evicts batches older than the window."""
         if self.regime is Regime.F1_STATIC:
             raise RegimeError("per-batch refresh requires a dynamic regime")
@@ -355,11 +340,11 @@ class MemoryBank:
     def _ranked(
         self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]
     ) -> tuple[Array, Array]:
-        """Exact top-k of each query row among the scenes its exclude id
-        leaves eligible, best first, ties broken by (video_id, clip_index),
-        k clamped to the row's eligible count. Returns bank indices and
-        scores, both [n_queries, k], padded with -1 and NaN past a row's
-        clamped k.
+        """Exact top-k set of each query row among the scenes its exclude id
+        leaves eligible, ties at the k-th key broken by (video_id,
+        clip_index), listed in that tie-rank order, k clamped to the row's
+        eligible count. Returns bank indices and scores, both
+        [n_queries, k], padded with -1 and NaN past a row's clamped k.
 
         Rows are keyed RANK_CHUNK keys at a time (lower is closer). A key
         that overflows or is NaN ranks as the largest finite float, so only
@@ -401,10 +386,11 @@ class MemoryBank:
     def topk(
         self, queries: Array, k: int, exclude_video_id: str | None | Sequence[str | None] = None
     ) -> Array:
-        """Bank indices of each query row's k nearest eligible scenes, best
-        first: [n_queries, k]. exclude_video_id is one id for every row or
-        one per row; k is clamped to each row's eligible count, and a row
-        with fewer eligible scenes than the widest is padded with -1."""
+        """Bank indices of each query row's k nearest eligible scenes, in
+        (video_id, clip_index) order: [n_queries, k]. exclude_video_id is
+        one id for every row or one per row; k is clamped to each row's
+        eligible count, and a row with fewer eligible scenes than the widest
+        is padded with -1."""
         if k < 1:
             raise ValueError("k must be >= 1")
         queries = as_f64(queries)
@@ -413,12 +399,11 @@ class MemoryBank:
         top, _ = self._ranked(queries, k, exclude_video_id)
         return top
 
-    def pick(self, candidates: Array, rngs: Sequence[np.random.Generator]) -> Array:
-        """One scene vector per generator, uniform among that row's
-        candidates: candidates is [len(rngs), m] bank indices, a row's
-        padding -1 at its end. Returns [len(rngs), bank_dim]."""
-        counts = (candidates >= 0).sum(axis=1)
-        picks = [int(r.integers(0, m)) for r, m in zip(rngs, counts)]
+    def pick(self, candidates: Array, rng: np.random.Generator) -> Array:
+        """One scene vector per row of candidates ([n, m] bank indices, a
+        row's padding -1 at its end), uniform among that row's members, all
+        n drawn with rng in one integers call: [n, bank_dim]."""
+        picks = rng.integers(0, (candidates >= 0).sum(axis=1))
         return self._columns().matrix[candidates[np.arange(len(picks)), picks]]
 
     def draw(
@@ -426,12 +411,13 @@ class MemoryBank:
     ) -> Array:
         """n scene vectors drawn with rng, uniform among all eligible scenes:
         [n, bank_dim]. A draw among each row's k nearest is
-        pick(topk(...), rngs)."""
+        pick(topk(...), rng)."""
         pool = self._pool(exclude_video_id)
         return self._columns().matrix[pool[rng.integers(0, len(pool), size=n)]]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
-        """Exact top-k by metric; ties broken by (video_id, clip_index)."""
+        """Exact top-k by metric, best first; ties broken by (video_id,
+        clip_index)."""
         qv = as_f64(q.vector)
         if qv.shape != (self.bank_dim,):
             raise ValueError(f"query vector shape {qv.shape}, expected ({self.bank_dim},)")
@@ -442,12 +428,14 @@ class MemoryBank:
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
         cols = self._columns()
+        # a stable sort by key of the tie-rank-ordered row: (key, tie rank)
+        best = np.argsort(-scores[0] if self.metric is Metric.COSINE else scores[0], kind="stable")
         return [
             ScoredNeighbor(
                 BankEntry(cols.matrix[i], cols.names[cols.by_name[i]], int(cols.clips[i])),
                 float(s),
             )
-            for i, s in zip(top[0], scores[0])
+            for i, s in zip(top[0, best], scores[0, best])
         ]
 
 
@@ -492,10 +480,10 @@ def mnse_do(
     video is [n_clips, dim], or [B, n_clips, dim] with a [B, n_clips] mask
     and one seed and exclude id per video. The target rows of every video
     are ranked in one topk call, unless ranked already holds that topk (rows
-    in row-major order). Row idx of a video with seed s then draws among
-    its own k nearest scenes (k clamped to the eligible count) with the
-    generator seeded s * 100003 + idx; non-target rows are returned
-    bit-identical.
+    in row-major order). Each target row then draws among its own k nearest
+    scenes (k clamped to the eligible count): a video's rows, in row order,
+    in one pick with the generator seeded with the video's seed, as
+    random_do draws. Non-target rows are returned bit-identical.
     """
     out, videos, chosen, seeds, excludes = _target_rows(
         video, causal_mask, bank, target, seed, exclude_video_id
@@ -504,10 +492,10 @@ def mnse_do(
     if len(rows):
         if ranked is None:
             ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
-        rngs = [
-            np.random.default_rng(int(seeds[i]) * 100003 + int(idx)) for i, idx in zip(which, rows)
-        ]
-        videos[which, rows] = bank.pick(ranked, rngs)
+        parts = np.split(ranked, np.cumsum(chosen.sum(axis=1))[:-1])
+        videos[which, rows] = np.concatenate([
+            bank.pick(part, np.random.default_rng(s)) for part, s in zip(parts, seeds) if len(part)
+        ])
     return out
 
 

@@ -3,8 +3,10 @@ batched protocol in harness is checked against.
 
 Each video's complement rows are ranked on their own: the video's
 eligible pool is gathered from the bank's columns, scored, cut at the
-k-th key and ordered row by row with (score, video_id, clip_index)
-ties. The seeds, the draws and their order are those the batched
+k-th key with (score, video_id, clip_index) ties, and each row's set is
+listed in (video_id, clip_index) order. Each video draws its rows in
+order, one scalar draw at a time from the generator seeded with its
+seed. The seeds, the draws and their order are those the batched
 protocol must reproduce bit for bit.
 """
 
@@ -17,8 +19,8 @@ from causalvqa.mnse import Metric
 
 
 def reference_topk(bank, queries, k, exclude_video_id):
-    """Bank indices of each query row's k nearest eligible scenes, k
-    clamped to the pool size: [n_queries, k]."""
+    """Bank indices of each query row's k nearest eligible scenes in tie-rank
+    order, k clamped to the pool size: [n_queries, k]."""
     cols = bank._columns()
     pool = bank.eligible(exclude_video_id)
     if not len(pool):
@@ -36,7 +38,8 @@ def reference_topk(bank, queries, k, exclude_video_id):
     top = np.empty((len(queries), k), dtype=np.int64)
     for i, row in enumerate(keys):
         cand = np.flatnonzero(row <= kth[i])
-        top[i] = cand[np.lexsort((rank[cand], row[cand]))[:k]]
+        chosen = cand[np.lexsort((rank[cand], row[cand]))[:k]]
+        top[i] = chosen[np.argsort(rank[chosen])]
     return pool[top]
 
 
@@ -45,10 +48,8 @@ def reference_mnse_do(video, mask, bank, k, seed, exclude_video_id):
     rows = np.flatnonzero(~mask)
     if len(rows):
         top = reference_topk(bank, video[rows], k, exclude_video_id)
-        picks = [
-            int(np.random.default_rng(seed * 100003 + int(idx)).integers(0, top.shape[1]))
-            for idx in rows
-        ]
+        rng = np.random.default_rng(seed)
+        picks = [int(rng.integers(0, top.shape[1])) for _ in rows]
         video[rows] = bank._columns().matrix[top[np.arange(len(rows)), picks]]
     return video
 

@@ -3,8 +3,9 @@ the stacked step in harness is checked against.
 
 Each sample runs its own augmented + do pass, its own triplet pass and its
 own InfoNCE over one vector per view, and every substitute draw ranks its
-query rows afresh (one kNN ranking per negative). The draws, their order
-and the arithmetic of every row are those the stacked step must reproduce.
+query rows afresh (one kNN ranking per negative) and picks among them with
+the step's generator, one copy at a time. The draws, their order and the
+arithmetic of every row are those the stacked step must reproduce.
 """
 
 from __future__ import annotations
@@ -50,8 +51,7 @@ def reference_infonce(anchor, positive, negatives):
 
 def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
     if cfg.memory_source is MemorySource.MNSE:
-        rngs = [np.random.default_rng(int(rng.integers(2**32))) for _ in range(rows.shape[0])]
-        return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rngs)
+        return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rng)
     return bank.draw(rng, rows.shape[0], exclude_video_id)
 
 

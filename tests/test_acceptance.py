@@ -48,6 +48,7 @@ from causalvqa.mnse import (
     Metric,
     NeighborQuery,
     Regime,
+    Scenes,
     Target,
     instance_scenes,
     mnse_do,
@@ -204,8 +205,8 @@ def test_criterion_2_knn_matches_brute_force():
             dim = int(rng.integers(2, 129))
         metric = Metric.COSINE if b % 2 == 0 else Metric.L2
         vectors = rng.normal(size=(size, dim))
-        scenes = [(vectors[i], f"v{i % (size // 4 + 1)}", i % 7)
-                  for i in range(size)]
+        ids = [f"v{i % (size // 4 + 1)}" for i in range(size)]
+        scenes = Scenes(vectors, ids, np.arange(size), np.arange(size) % 7)
         bank = MemoryBank(dim, metric=metric, regime=Regime.F1_STATIC)
         bank.populate(scenes).freeze()
         entries = bank.entries()

@@ -8,7 +8,7 @@ import pytest
 from causalvqa import intervention as iv
 from causalvqa import nn_core as nc
 from causalvqa.features import Qtype, VideoQAInstance
-from causalvqa.mnse import MemoryBank
+from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel
 from gradcheck import assert_grad_matches
 from reference_step import reference_infonce
@@ -43,7 +43,8 @@ def make_split(rng, n_clips=6, n_causal=3):
 
 def make_bank(rng, n=40, dim=VIDEO_DIM):
     bank = MemoryBank(bank_dim=dim)
-    bank.populate([(rng.normal(size=dim), f"bankvid{i % 11}", i) for i in range(n)])
+    ids = [f"bankvid{i % 11}" for i in range(n)]
+    bank.populate(Scenes(rng.normal(size=(n, dim)), ids, np.arange(n), np.arange(n)))
     return bank
 
 
@@ -256,7 +257,7 @@ class TestTriplet:
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
         bank = MemoryBank(bank_dim=VIDEO_DIM)
         comp = split.complement_indices
-        bank.populate([(v_star[i], "self", int(i)) for i in comp])
+        bank.populate(Scenes(v_star[comp], ["self"], np.zeros(len(comp), dtype=np.int64), comp))
         aggs, _, _ = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )

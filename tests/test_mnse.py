@@ -5,7 +5,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 from causalvqa import mnse
@@ -42,13 +42,24 @@ def oracle_knn(entries, qv, k, metric, exclude=None):
     return [(e, s) for _, e, s in scored[:k]]
 
 
+def oracle_set(entries, qv, k, metric, exclude=None):
+    """oracle_knn's k nearest in the bank's tie-rank order: (video_id,
+    clip_index), then bank order."""
+    at = {id(e): i for i, e in enumerate(entries)}
+    want = oracle_knn(entries, qv, k, metric, exclude)
+    return sorted(want, key=lambda t: (t[0].video_id, t[0].clip_index, at[id(t[0])]))
+
+
+def scenes(vectors, video_ids, clips):
+    """The rows as one Scenes block, one video id per row."""
+    matrix = np.array(vectors, dtype=np.float64).reshape(len(video_ids), -1)
+    return Scenes(matrix, list(video_ids), np.arange(len(video_ids)), np.array(clips))
+
+
 def random_bank(rng, n=200, dim=16, metric=Metric.COSINE, regime=Regime.F1_STATIC):
     bank = MemoryBank(bank_dim=dim, metric=metric, regime=regime)
-    scenes = [
-        (rng.normal(size=dim), f"vid{int(rng.integers(0, max(2, n // 8)))}", i)
-        for i in range(n)
-    ]
-    bank.populate(scenes)
+    rows = [(rng.normal(size=dim), f"vid{int(rng.integers(0, max(2, n // 8)))}") for _ in range(n)]
+    bank.populate(scenes([v for v, _ in rows], [vid for _, vid in rows], range(n)))
     return bank
 
 
@@ -62,12 +73,12 @@ class TestRegimes:
         bank.freeze()
         assert bank.frozen
         with pytest.raises(RegimeError):
-            bank.populate([(np.zeros(16), "x", 0)])
+            bank.populate(scenes([np.zeros(16)], ["x"], [0]))
 
     def test_static_bank_rejects_push_batch(self, rng):
         bank = random_bank(rng, n=10)
         with pytest.raises(RegimeError):
-            bank.push_batch([(np.zeros(16), "x", 0)])
+            bank.push_batch(scenes([np.zeros(16)], ["x"], [0]))
 
     def test_freeze_requires_static_regime(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC)
@@ -77,14 +88,12 @@ class TestRegimes:
     def test_dynamic_window_evicts_old_batches(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC, window=2)
         for t in range(5):
-            bank.push_batch([(rng.normal(size=4), f"batch{t}", 0)])
+            bank.push_batch(scenes([rng.normal(size=4)], [f"batch{t}"], [0]))
         ids = {e.video_id for e in bank.entries()}
         assert ids == {"batch3", "batch4"}
 
     def test_dynamic_contents_are_pure_function_of_window(self, rng):
-        batches = [
-            [(rng.normal(size=4), f"b{t}", i) for i in range(3)] for t in range(4)
-        ]
+        batches = [scenes(rng.normal(size=(3, 4)), [f"b{t}"] * 3, range(3)) for t in range(4)]
         a = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC, window=2)
         for b in batches:
             a.push_batch(b)
@@ -101,8 +110,8 @@ class TestRegimes:
         v_a, v_b = rng.normal(size=8), rng.normal(size=8)
         vstar = lam * v_a + (1.0 - lam) * v_b
         bank.push_batch(
-            [(v_a, "a", 0), (v_b, "b", 0)],
-            mixup_scenes=[(vstar, "a+b", 0)],
+            scenes([v_a, v_b], ["a", "b"], [0, 0]),
+            mixup_scenes=scenes([vstar], ["a+b"], [0]),
         )
         stored = [e for e in bank.entries() if e.video_id == "a+b"]
         assert len(stored) == 1
@@ -112,12 +121,14 @@ class TestRegimes:
     def test_f2_rejects_mixup_rows(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC)
         with pytest.raises(RegimeError):
-            bank.push_batch([(np.zeros(4), "a", 0)], mixup_scenes=[(np.ones(4), "a+b", 0)])
+            bank.push_batch(
+                scenes([np.zeros(4)], ["a"], [0]), mixup_scenes=scenes([np.ones(4)], ["a+b"], [0])
+            )
 
     def test_dim_mismatch_rejected(self, rng):
         bank = MemoryBank(bank_dim=4)
         with pytest.raises(ValueError):
-            bank.populate([(np.zeros(5), "x", 0)])
+            bank.populate(scenes([np.zeros(5)], ["x"], [0]))
 
 
 class TestQueryKnn:
@@ -152,13 +163,13 @@ class TestQueryKnn:
 
     def test_exclusion_covers_mixup_parents(self, rng):
         bank = MemoryBank(bank_dim=4)
-        bank.populate([(rng.normal(size=4), "a+b", 0), (rng.normal(size=4), "c", 0)])
+        bank.populate(scenes([rng.normal(size=4), rng.normal(size=4)], ["a+b", "c"], [0, 0]))
         out = bank.query_knn(NeighborQuery(vector=np.ones(4), k=1, exclude_video_id="b"))
         assert out[0].entry.video_id == "c"
 
     def test_k_exceeding_eligible_entries_raises(self, rng):
         bank = MemoryBank(bank_dim=4)
-        bank.populate([(rng.normal(size=4), "only", i) for i in range(3)])
+        bank.populate(scenes(rng.normal(size=(3, 4)), ["only"] * 3, range(3)))
         with pytest.raises(ValueError, match="eligible"):
             bank.query_knn(NeighborQuery(vector=np.ones(4), k=1, exclude_video_id="only"))
         with pytest.raises(ValueError, match="eligible"):
@@ -167,14 +178,14 @@ class TestQueryKnn:
     def test_exact_duplicates_tie_break_lexicographically(self):
         v = np.array([1.0, 2.0, 3.0])
         bank = MemoryBank(bank_dim=3)
-        bank.populate([(v, "zeta", 4), (v, "alpha", 9), (v, "alpha", 2)])
+        bank.populate(scenes([v, v, v], ["zeta", "alpha", "alpha"], [4, 9, 2]))
         out = bank.query_knn(NeighborQuery(vector=v, k=3))
         order = [(n.entry.video_id, n.entry.clip_index) for n in out]
         assert order == [("alpha", 2), ("alpha", 9), ("zeta", 4)]
 
     def test_zero_norm_entries_score_zero_under_cosine(self, rng):
         bank = MemoryBank(bank_dim=3)
-        bank.populate([(np.zeros(3), "z", 0), (np.array([1.0, 0, 0]), "a", 0)])
+        bank.populate(scenes([np.zeros(3), [1.0, 0, 0]], ["z", "a"], [0, 0]))
         out = bank.query_knn(NeighborQuery(vector=np.array([1.0, 0, 0]), k=2))
         assert out[0].entry.video_id == "a"
         assert out[1].score == 0.0
@@ -215,8 +226,8 @@ class TestInterventions:
         dim, n_clips = 8, 4
         video = rng.normal(size=(n_clips, dim))
         bank = MemoryBank(bank_dim=dim)
-        bank.populate([(video[i], "self", i) for i in range(n_clips)])
-        bank.populate([(rng.normal(size=dim), "other", i) for i in range(20)])
+        bank.populate(scenes(video, ["self"] * n_clips, range(n_clips)))
+        bank.populate(scenes([rng.normal(size=dim) for _ in range(20)], ["other"] * 20, range(20)))
         mask = np.array([True, True, False, False])
         out = mnse.mnse_do(video, mask, bank, Target.CAUSAL, k=1, seed=3)
         np.testing.assert_array_equal(out, video)
@@ -284,18 +295,18 @@ class TestBatchedTopK:
         # under shuffled (video_id, clip_index), so every k in 3..7 cuts
         # through the tie; background rows and mixup provenance around them
         bank = MemoryBank(bank_dim=queries.shape[1], metric=metric)
-        scenes = [(rng.normal(size=queries.shape[1]), f"v{i % 5}", i) for i in range(40)]
-        scenes += [(rng.normal(size=queries.shape[1]), pair, i)
-                   for i, pair in enumerate(["a+b", "b+c", "c+v1", "a+v2"] * 3)]
+        rows = [(rng.normal(size=queries.shape[1]), f"v{i % 5}", i) for i in range(40)]
+        rows += [(rng.normal(size=queries.shape[1]), pair, i)
+                 for i, pair in enumerate(["a+b", "b+c", "c+v1", "a+v2"] * 3)]
         for j, q in enumerate(queries):
             delta = 0.05 * rng.normal(size=q.shape)
-            scenes += [(q + 0.25 * delta, "c", 100 + j), (q + 0.5 * delta, "a", 100 + j)]
+            rows += [(q + 0.25 * delta, "c", 100 + j), (q + 0.5 * delta, "a", 100 + j)]
             dup = q + delta
             for vid, clip in [("zeta", j), ("a+b", j), ("alpha", 9 + j), ("b", j),
                               ("alpha", 2 + j), ("c+a", j)]:
-                scenes.append((dup.copy(), vid, clip))
-        order = rng.permutation(len(scenes))
-        bank.populate([scenes[i] for i in order])
+                rows.append((dup.copy(), vid, clip))
+        order = rng.permutation(len(rows))
+        bank.populate(scenes(*zip(*(rows[i] for i in order))))
         return bank
 
     @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
@@ -309,7 +320,7 @@ class TestBatchedTopK:
             top, scores = bank._ranked(queries, k, [exclude] * len(queries))
             assert top.shape == scores.shape == (len(queries), k)
             for qv, got, got_scores in zip(queries, top, scores):
-                want = oracle_knn(rows, qv, k, metric, exclude)
+                want = oracle_set(rows, qv, k, metric, exclude)
                 assert _ids(rows[i] for i in got) == _ids(e for e, _ in want)
                 np.testing.assert_allclose(
                     got_scores, [s for _, s in want], rtol=1e-9, atol=1e-9
@@ -322,21 +333,20 @@ class TestBatchedTopK:
         top, _ = bank._ranked(queries, 5, ["a"] * len(queries))
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
-            rngs = [np.random.default_rng(seed * 10 + r) for r in range(len(queries))]
-            for got, ok in zip(bank.pick(bank.topk(queries, 5, "a"), rngs), allowed):
+            draw_rng = np.random.default_rng(seed)
+            for got, ok in zip(bank.pick(bank.topk(queries, 5, "a"), draw_rng), allowed):
                 assert got.tobytes() in ok
-        rngs = lambda: [np.random.default_rng(s) for s in (1, 2, 3)]  # noqa: E731
-        clamped = bank.pick(bank.topk(queries, 10**6, "a"), rngs())
-        full = bank.pick(bank.topk(queries, len(pool), "a"), rngs())
+        clamped = bank.pick(bank.topk(queries, 10**6, "a"), np.random.default_rng(1))
+        full = bank.pick(bank.topk(queries, len(pool), "a"), np.random.default_rng(1))
         np.testing.assert_array_equal(clamped, full)
 
     def test_draw_with_nothing_eligible_raises(self):
         bank = MemoryBank(bank_dim=2)
-        bank.populate([(np.ones(2), "only", 0), (np.ones(2), "x+only", 1)])
+        bank.populate(scenes(np.ones((2, 2)), ["only", "x+only"], [0, 1]))
         with pytest.raises(ValueError, match="eligible"):
             bank.draw(np.random.default_rng(0), 1, "only")
         with pytest.raises(ValueError, match="eligible"):
-            bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), [np.random.default_rng(0)])
+            bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), np.random.default_rng(0))
 
 
 class TestPerRowExclusion:
@@ -357,12 +367,12 @@ class TestPerRowExclusion:
         if data.draw(st.booleans(), label="zero_scene"):
             pool[0] = 0.0  # a zero norm: cosine 0 against every query
         owners = st.sampled_from(self.VIDEOS + ["v0+v1", "v2+v0", "v3+v3"])
-        scenes = data.draw(
+        rows = data.draw(
             st.lists(st.tuples(owners, st.integers(0, len(pool) - 1)), min_size=1, max_size=30),
             label="scenes",
         )
         bank = MemoryBank(bank_dim=dim, metric=metric).populate(
-            [(pool[p], vid, c) for c, (vid, p) in enumerate(scenes)]
+            scenes([pool[p] for _, p in rows], [vid for vid, _ in rows], range(len(rows)))
         )
         rows_per_chunk = data.draw(st.integers(1, 4), label="rows_per_chunk")
         n_queries = data.draw(
@@ -379,9 +389,9 @@ class TestPerRowExclusion:
                      min_size=n_queries, max_size=n_queries),
             label="excludes",
         )
-        k = data.draw(st.integers(1, len(scenes) + 2), label="k")
+        k = data.draw(st.integers(1, len(rows) + 2), label="k")
         entries = bank.entries()
-        wanted = [oracle_knn(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
+        wanted = [oracle_set(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
         chunk = len(bank) * rows_per_chunk * (dim if metric is Metric.L2 else 1)
         with mock.patch.object(mnse, "RANK_CHUNK", chunk):
             if not all(wanted):
@@ -396,11 +406,13 @@ class TestPerRowExclusion:
             assert _ids(entries[i] for i in row[:m]) == _ids(e for e, _ in want)
             np.testing.assert_allclose(row_scores[:m], [s for _, s in want], rtol=1e-9, atol=1e-9)
             assert (row[m:] == -1).all() and np.isnan(row_scores[m:]).all()
-        # each row draws uniformly over its own ranked list, never its padding
-        seeds = rng.integers(2**32, size=n_queries)
-        got = bank.pick(top, [np.random.default_rng(s) for s in seeds])
-        for vector, seed, want in zip(got, seeds, wanted):
-            chosen, _ = want[int(np.random.default_rng(seed).integers(0, len(want)))]
+        # each row draws uniformly over its own ranked list, never its
+        # padding: one generator, one draw per row in row order
+        seed = int(rng.integers(2**32))
+        got = bank.pick(top, np.random.default_rng(seed))
+        oracle_rng = np.random.default_rng(seed)
+        for vector, want in zip(got, wanted):
+            chosen, _ = want[int(oracle_rng.integers(0, len(want)))]
             np.testing.assert_array_equal(vector, chosen.vector)
 
     @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
@@ -408,7 +420,7 @@ class TestPerRowExclusion:
         # finite vectors whose L2 distance overflows to inf, or whose cosine
         # is inf / inf = NaN: the eligible scene still ranks before "a"
         bank = MemoryBank(bank_dim=1, metric=metric).populate(
-            [(np.array([1e200]), "a", 0), (np.array([-1e200]), "b", 0)]
+            scenes([[1e200], [-1e200]], ["a", "b"], [0, 0])
         )
         query = np.array([1e200])
         with np.errstate(over="ignore", invalid="ignore"):
@@ -438,9 +450,7 @@ class TestColumnViewRefresh:
             got = bank.query_knn(NeighborQuery(vector=qv, k=3, exclude_video_id=exclude))
             want = oracle_knn(entries, qv, 3, bank.metric, exclude)
             assert _ids(n.entry for n in got) == _ids(e for e, _ in want)
-        nearest = bank.pick(
-            bank.topk(queries, 1, exclude), [np.random.default_rng(0)] * len(queries)
-        )
+        nearest = bank.pick(bank.topk(queries, 1, exclude), np.random.default_rng(0))
         for got, qv in zip(nearest, queries):
             best, _ = oracle_knn(entries, qv, 1, bank.metric, exclude)[0]
             np.testing.assert_array_equal(got, best.vector)
@@ -454,7 +464,7 @@ class TestColumnViewRefresh:
         bank = random_bank(rng, n=30, dim=6)
         queries = rng.normal(size=(4, 6))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
-        bank.populate([(q, f"new{i}", i) for i, q in enumerate(queries)])
+        bank.populate(scenes(queries, [f"new{i}" for i in range(len(queries))], range(len(queries))))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
 
     @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
@@ -463,13 +473,16 @@ class TestColumnViewRefresh:
         queries = rng.normal(size=(4, 6))
 
         def batch(t, planted=None):
-            scenes = [(rng.normal(size=6), f"b{t}v{i % 3}", i) for i in range(9)]
+            vectors, ids = list(rng.normal(size=(9, 6))), [f"b{t}v{i % 3}" for i in range(9)]
+            clips = list(range(9))
             if planted is not None:
-                scenes += [(q, f"b{t}q", i) for i, q in enumerate(planted)]
+                vectors += list(planted)
+                ids += [f"b{t}q"] * len(planted)
+                clips += list(range(len(planted)))
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = [(rng.normal(size=6), f"b{t}v0+b{t}v1", i) for i in range(4)]
-            return scenes, mixup
+                mixup = scenes(rng.normal(size=(4, 6)), [f"b{t}v0+b{t}v1"] * 4, range(4))
+            return scenes(vectors, ids, clips), mixup
 
         bank.push_batch(*batch(0, planted=queries))
         bank.push_batch(*batch(1))
@@ -499,16 +512,15 @@ class TestRankThenPick:
             top = bank.topk(queries, k, exclude)
             pool = self._fresh_pool(bank, exclude)
             assert top.shape == (len(queries), min(k, len(pool)))
-            seeds = [int(s) for s in rng.integers(2**32, size=len(queries))]
-            got = bank.pick(top, [np.random.default_rng(s) for s in seeds])
-            drawn = bank.pick(
-                bank.topk(queries, k, exclude), [np.random.default_rng(s) for s in seeds]
-            )
+            seed = int(rng.integers(2**32))
+            got = bank.pick(top, np.random.default_rng(seed))
+            drawn = bank.pick(bank.topk(queries, k, exclude), np.random.default_rng(seed))
             np.testing.assert_array_equal(got, drawn)
-            for qv, row, seed, vector in zip(queries, top, seeds, got):
-                want = oracle_knn(entries, qv, min(k, len(pool)), metric, exclude)
+            oracle_rng = np.random.default_rng(seed)
+            for qv, row, vector in zip(queries, top, got):
+                want = oracle_set(entries, qv, min(k, len(pool)), metric, exclude)
                 assert _ids(entries[i] for i in row) == _ids(e for e, _ in want)
-                chosen, _ = want[int(np.random.default_rng(seed).integers(0, len(want)))]
+                chosen, _ = want[int(oracle_rng.integers(0, len(want)))]
                 np.testing.assert_array_equal(vector, chosen.vector)
 
     def test_one_ranking_serves_every_draw(self, rng):
@@ -516,9 +528,9 @@ class TestRankThenPick:
         queries = rng.normal(size=(3, 6))
         top = bank.topk(queries, 5, "vid2")
         for seed in range(5):
-            rngs = lambda: [np.random.default_rng(seed * 7 + r) for r in range(3)]  # noqa: E731
             np.testing.assert_array_equal(
-                bank.pick(top, rngs()), bank.pick(bank.topk(queries, 5, "vid2"), rngs())
+                bank.pick(top, np.random.default_rng(seed)),
+                bank.pick(bank.topk(queries, 5, "vid2"), np.random.default_rng(seed)),
             )
 
     def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
@@ -529,11 +541,11 @@ class TestRankThenPick:
         want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
         np.testing.assert_array_equal(got, np.stack(want))
         np.testing.assert_array_equal(
-            got, bank.pick(np.broadcast_to(pool, (4, len(pool))), [np.random.default_rng(3)] * 4)
+            got, bank.pick(np.broadcast_to(pool, (4, len(pool))), np.random.default_rng(3))
         )
 
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
-        bank = MemoryBank(bank_dim=2).populate([(np.ones(2), "only", 0)])
+        bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)], ["only"], [0]))
         with pytest.raises(ValueError, match="k must be"):
             bank.topk(np.ones((1, 2)), 0)
         with pytest.raises(ValueError, match="eligible"):
@@ -555,7 +567,7 @@ class TestRankThenPick:
     def test_memo_is_refreshed_after_populate(self, rng):
         bank = random_bank(rng, n=30, dim=6)
         before = bank.eligible("vid1")
-        bank.populate([(rng.normal(size=6), "new", i) for i in range(3)])
+        bank.populate(scenes(rng.normal(size=(3, 6)), ["new"] * 3, range(3)))
         after = bank.eligible("vid1")
         assert len(after) == len(before) + 3
         assert list(after) == self._fresh_pool(bank, "vid1")
@@ -567,8 +579,8 @@ class TestRankThenPick:
         def push(t, n):
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = [(rng.normal(size=4), f"b{t}+x", 0)]
-            bank.push_batch([(rng.normal(size=4), f"b{t}", c) for c in range(n)], mixup)
+                mixup = scenes([rng.normal(size=4)], [f"b{t}+x"], [0])
+            bank.push_batch(scenes(rng.normal(size=(n, 4)), [f"b{t}"] * n, range(n)), mixup)
 
         push(0, 5)
         push(1, 2)
@@ -586,7 +598,7 @@ class TestCallerArraysNotAliased:
     @staticmethod
     def _bank_and_scenes():
         a, b = np.array([1.0, 0.0]), np.array([0.0, 1.0])
-        bank = MemoryBank(bank_dim=2).populate([(a, "a", 0), (b, "b", 0)])
+        bank = MemoryBank(bank_dim=2).populate(scenes([a, b], ["a", "b"], [0, 0]))
         return bank, a
 
     @staticmethod
@@ -628,8 +640,8 @@ class TestOneCopyPerScene:
         bank = MemoryBank(bank_dim=4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
         for step in range(3):
             bank.push_batch(
-                [(rng.normal(size=4), f"v{step}", c) for c in range(3)],
-                [(rng.normal(size=4), f"v{step}+w", c) for c in range(2)],
+                scenes(rng.normal(size=(3, 4)), [f"v{step}"] * 3, range(3)),
+                scenes(rng.normal(size=(2, 4)), [f"v{step}+w"] * 2, range(2)),
             )
         entries = bank.entries()
         assert len(entries) == 2 * 5
@@ -638,86 +650,121 @@ class TestOneCopyPerScene:
         )
 
 
-class TestColumnarScenes:
-    """A bank filled from Scenes blocks is the bank filled from the equal
-    (vector, video_id, clip_index) tuples: same entries, columns, rankings
-    and draws."""
+class TestTopKProperties:
+    """topk is the brute-force k-nearest set in tie-rank order on banks of
+    Scenes blocks with duplicates planted across the k-th key; pick stays
+    inside its rows; a batched mnse_do is one call per video."""
 
-    IDS = ["a", "b", "c", "a+b", "c+a"]
+    IDS = ["a", "b", "c"]
+    BLENDS = ["a+b", "c+a"]
 
     @staticmethod
-    def _outcome(call):
-        try:
-            return call()
-        except ValueError as exc:
-            return f"ValueError: {exc}"
-
-    def _block(self, data, rng, dim, ids):
-        """Equal scenes as tuples and as Scenes, with repeated ids, exact
-        duplicate vectors and possibly no rows."""
-        keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)), max_size=6))
-        vectors = []
-        for _ in keys:
-            dup = vectors and data.draw(st.booleans())
-            vectors.append(vectors[-1].copy() if dup else rng.normal(size=dim))
-        tuples = [(v, vid, clip) for v, (vid, clip) in zip(vectors, keys)]
-        if data.draw(st.booleans()):  # one id per row, as stacked_scenes gives
-            video_ids = [vid for vid, _ in keys]
-            codes = np.arange(len(keys))
-        else:  # distinct ids in any order, plus an unused one
+    def _block(data, rng, dim, ids, queries):
+        """Rows around the queries: near ones, a run of exact duplicates
+        and far ones, under repeated (video_id, clip_index) keys; one video
+        id per row, or codes into the distinct ids plus an unused one."""
+        n_near, n_dup, n_far = (data.draw(st.integers(0, m)) for m in (3, 6, 4))
+        q = queries[data.draw(st.integers(0, len(queries) - 1))]
+        dup = q + 0.3 * rng.normal(size=dim)
+        vectors = [q + 0.05 * rng.normal(size=dim) for _ in range(n_near)]
+        vectors += [dup.copy() for _ in range(n_dup)]
+        vectors += [rng.normal(size=dim) for _ in range(n_far)]
+        keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)),
+                                  min_size=len(vectors), max_size=len(vectors)))
+        if data.draw(st.booleans()):
+            video_ids, codes = [vid for vid, _ in keys], np.arange(len(keys))
+        else:
             unused = data.draw(st.sampled_from(["0", "zz"]))
             video_ids = data.draw(st.permutations(sorted({vid for vid, _ in keys} | {unused})))
             codes = np.array([video_ids.index(vid) for vid, _ in keys], dtype=np.int64)
         matrix = np.array(vectors).reshape(len(keys), dim)
-        clips = np.array([clip for _, clip in keys], dtype=np.int64)
-        return tuples, Scenes(matrix, video_ids, codes, clips)
+        return Scenes(matrix, video_ids, codes, np.array([c for _, c in keys], dtype=np.int64))
 
-    @settings(max_examples=80, deadline=None)
+    @settings(max_examples=150, deadline=None)
     @given(data=st.data())
-    def test_scenes_and_tuples_fill_the_same_bank(self, data):
+    def test_topk_is_the_brute_force_set_in_tie_rank_order(self, data):
         regime = data.draw(st.sampled_from(list(Regime)), label="regime")
         metric = data.draw(st.sampled_from(list(Metric)), label="metric")
         dim = data.draw(st.integers(1, 4), label="dim")
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
-        window = data.draw(st.integers(1, 3), label="window")
-        banks = [MemoryBank(dim, metric=metric, regime=regime, window=window) for _ in range(2)]
-        for _ in range(data.draw(st.integers(1, 5), label="calls")):
-            tuples, scenes = self._block(data, rng, dim, self.IDS[:3])
+        queries = rng.normal(size=(data.draw(st.integers(1, 5), label="n_queries"), dim))
+        bank = MemoryBank(dim, metric=metric, regime=regime, window=3)
+        for _ in range(data.draw(st.integers(1, 3), label="calls")):
+            block = self._block(data, rng, dim, self.IDS + self.BLENDS, queries)
             if regime is Regime.F1_STATIC:
-                banks[0].populate(tuples)
-                banks[1].populate(scenes)
+                bank.populate(block)
             elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans()):
-                mix_tuples, mix_scenes = self._block(data, rng, dim, self.IDS[3:])
-                banks[0].push_batch(tuples, mix_tuples)
-                banks[1].push_batch(scenes, mix_scenes)
+                bank.push_batch(block, self._block(data, rng, dim, self.BLENDS, queries))
             else:
-                banks[0].push_batch(tuples)
-                banks[1].push_batch(scenes)
-        by_tuples, by_scenes = banks
-
-        assert len(by_tuples) == len(by_scenes)
-        assert _ids(by_tuples.entries()) == _ids(by_scenes.entries())
-        assert [e.vector.tobytes() for e in by_tuples.entries()] == [
-            e.vector.tobytes() for e in by_scenes.entries()
-        ]
-        if not len(by_tuples):
+                bank.push_batch(block)
+        if not len(bank):
             return
-        cols = [b._columns() for b in banks]
-        for name in ("matrix", "norms", "parents", "rank", "order"):
-            np.testing.assert_array_equal(getattr(cols[0], name), getattr(cols[1], name))
-        queries = rng.normal(size=(3, dim))
-        excludes = data.draw(st.lists(st.sampled_from(["a", "b", "c", None]), min_size=3,
-                                      max_size=3), label="excludes")
-        k = data.draw(st.integers(1, len(by_tuples) + 1), label="k")
-        seed = int(rng.integers(2**32))
-        tops = [self._outcome(lambda: b.topk(queries, k, excludes)) for b in banks]
-        draws = [
-            self._outcome(lambda: b.draw(np.random.default_rng(seed), 4, excludes[0]))
-            for b in banks
-        ]
-        for got, want in (tops, draws):
-            assert type(got) is type(want)
-            if isinstance(got, str):
-                assert got == want
-            else:
-                np.testing.assert_array_equal(got, want)
+        excludes = data.draw(st.lists(st.sampled_from(self.IDS + [None, "absent"]),
+                                      min_size=len(queries), max_size=len(queries)),
+                             label="excludes")
+        k = data.draw(st.integers(1, len(bank) + 2), label="k")
+        entries = bank.entries()
+        wanted = [oracle_set(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
+        if not all(wanted):
+            with pytest.raises(ValueError, match="eligible"):
+                bank.topk(queries, k, excludes)
+            return
+        top, scores = bank._ranked(queries, k, excludes)
+        assert np.array_equal(bank.topk(queries, k, excludes), top)
+        assert top.shape == scores.shape == (len(queries), max(map(len, wanted)))
+        for row, row_scores, want in zip(top, scores, wanted):
+            m = len(want)
+            assert _ids(entries[i] for i in row[:m]) == _ids(e for e, _ in want)
+            assert [entries[i].vector.tobytes() for i in row[:m]] == [
+                e.vector.tobytes() for e, _ in want
+            ]
+            np.testing.assert_allclose(row_scores[:m], [s for _, s in want], rtol=1e-9, atol=1e-9)
+            assert (row[m:] == -1).all() and np.isnan(row_scores[m:]).all()
+        # the case the window widens for: a row's k-th key equals the last
+        # of a window one wider than the largest k
+        width = top.shape[1] + 1
+        for q, ex, want in zip(queries, excludes, wanted):
+            keys = sorted(s if metric is Metric.L2 else -s
+                          for _, s in oracle_knn(entries, q, len(bank), metric, ex))
+            keys += [math.inf] * (len(bank) - len(keys))
+            if width < len(bank) and keys[len(want) - 1] == keys[width - 1]:
+                event("the window widens")
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pick_returns_only_members_of_its_row(self, data):
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        n = data.draw(st.integers(1, 12), label="bank size")
+        bank = MemoryBank(3).populate(scenes(rng.normal(size=(n, 3)), ["v"] * n, range(n)))
+        lengths = data.draw(st.lists(st.integers(1, n), min_size=1, max_size=6), label="lengths")
+        candidates = np.full((len(lengths), max(lengths)), -1, dtype=np.int64)
+        for row, m in zip(candidates, lengths):
+            row[:m] = rng.choice(n, size=m, replace=False)
+        got = bank.pick(candidates, np.random.default_rng(data.draw(st.integers(0, 99))))
+        matrix = bank._columns().matrix
+        assert got.shape == (len(lengths), 3)
+        for vector, row, m in zip(got, candidates, lengths):
+            assert any(np.array_equal(vector, matrix[i]) for i in row[:m])
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_batched_mnse_do_is_one_call_per_video(self, data):
+        insts, _, masks = generate_synthetic(SyntheticSpec(
+            n_instances=12, seed=data.draw(st.integers(0, 99), label="data seed"), n_clips=5,
+            video_dim=6, text_dim=6, causal_fraction=0.4,
+        ))
+        bank = MemoryBank(bank_dim=6).populate(mnse.instance_scenes(insts))
+        subset = data.draw(st.lists(st.integers(0, len(insts) - 1), min_size=1, max_size=6,
+                                    unique=True), label="videos")
+        target = data.draw(st.sampled_from(list(Target)), label="target")
+        k = data.draw(st.integers(1, 70), label="k")
+        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(subset),
+                                   max_size=len(subset)), label="seeds")
+        masks = np.asarray(masks, dtype=bool)[subset]
+        if data.draw(st.booleans(), label="one video untouched"):
+            masks[0] = target is Target.COMPLEMENT
+        ids = [insts[i].video_id for i in subset]
+        videos = np.stack([insts[i].video for i in subset])
+        got = mnse.mnse_do(videos, masks, bank, target, k, seeds, ids)
+        for one, video, mask, seed, vid in zip(got, videos, masks, seeds, ids):
+            np.testing.assert_array_equal(one, mnse.mnse_do(video, mask, bank, target, k, seed, vid))
