@@ -13,9 +13,9 @@ F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
 random baseline (random_do). topk returns each row's exact k-nearest set
-in tie-rank order, and a nearest-scene draw picks uniformly within it,
-every row of one call from one generator in one integers call; only
-query_knn orders its answers by key.
+in tie-rank order, and a nearest-scene draw picks uniformly within it:
+each pick draws all its rows from one generator in one integers call.
+Only query_knn orders its answers by key.
 """
 
 from __future__ import annotations

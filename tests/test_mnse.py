@@ -464,7 +464,8 @@ class TestColumnViewRefresh:
         bank = random_bank(rng, n=30, dim=6)
         queries = rng.normal(size=(4, 6))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
-        bank.populate(scenes(queries, [f"new{i}" for i in range(len(queries))], range(len(queries))))
+        n = len(queries)
+        bank.populate(scenes(queries, [f"new{i}" for i in range(n)], range(n)))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
 
     @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
@@ -767,4 +768,5 @@ class TestTopKProperties:
         videos = np.stack([insts[i].video for i in subset])
         got = mnse.mnse_do(videos, masks, bank, target, k, seeds, ids)
         for one, video, mask, seed, vid in zip(got, videos, masks, seeds, ids):
-            np.testing.assert_array_equal(one, mnse.mnse_do(video, mask, bank, target, k, seed, vid))
+            alone = mnse.mnse_do(video, mask, bank, target, k, seed, vid)
+            np.testing.assert_array_equal(one, alone)
