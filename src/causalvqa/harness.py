@@ -10,9 +10,10 @@ from __future__ import annotations
 
 import json
 import os
+import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from itertools import chain, islice
+from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -41,7 +42,6 @@ from .intervention import (
     draw_triplet,
     gate_backward,
     gate_forward,
-    gate_layout,
     infonce_loss,
     mixup_intervene,
     assemble_video,
@@ -60,7 +60,7 @@ from .mnse import (
     random_do,
     stacked_scenes,
 )
-from .pcma import PcmaConfig, PcmaModel, param_layout, pcma_loss
+from .pcma import PcmaConfig, PcmaModel, model_layout, pcma_loss
 from . import samplers as sm
 
 Array = np.ndarray
@@ -114,13 +114,15 @@ class OptimizerConfig:
             problems.append("seed must be >= 0")
         if not (0 <= self.beta1 < 1 and 0 <= self.beta2 < 1):
             problems.append("Adam betas must lie in [0, 1)")
+        if not self.eps > 0:
+            problems.append("eps must be positive")
         if problems:
             raise ValueError("; ".join(problems))
 
 
 class AdamState:
     """First/second moments aligned with a store's flat params buffer; the
-    first step allocates them and fixes the store's layout."""
+    first step allocates them."""
 
     def __init__(self) -> None:
         self.t = 0
@@ -133,7 +135,6 @@ def adam_step(store: nc.ParamStore, state: AdamState, cfg: OptimizerConfig) -> N
     (Kingma & Ba, arXiv:1412.6980), element by element as per tensor."""
     g = store.flat_grads
     if state.t == 0:
-        store.fix_layout()
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.t += 1
     state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
@@ -228,15 +229,21 @@ def load_data(
 # -- config parsing (JSON dict -> ExperimentConfig) -----------------------------
 
 
-_JSON_KINDS = {bool: "true or false", int: "an integer", float: "a number", type(None): "null"}
+_JSON_KINDS = {
+    bool: "true or false", int: "an integer", float: "a finite number", type(None): "null"
+}
 _field_types = cache(get_type_hints)  # evaluating annotations takes ~0.1 ms a class
 
 
 def _json_type_ok(value, kind) -> bool:
-    """int takes no bool or float, float takes ints, bool only true/false;
-    enum and nested-spec fields are converted before the section is built."""
+    """int takes no bool or float; float takes ints, but only finite values
+    (no NaN, Infinity, or 1e400, which json parses as Infinity); bool only
+    true/false; enum and nested-spec fields are converted before the
+    section is built."""
     if kind in (int, float):
-        return isinstance(value, (int, kind)) and not isinstance(value, bool)
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            return False
+        return kind is int or abs(value) <= sys.float_info.max  # false for NaN
     return isinstance(value, kind) if kind in _JSON_KINDS else True
 
 
@@ -704,14 +711,13 @@ def train(
     if cfg.use_oracle_masks and masks is None:
         raise ConfigError(["use_oracle_masks: dataset has no causal-mask sidecar"])
     video_dim, text_dim = instances[0].video_dim, instances[0].text_dim
-    model = PcmaModel(cfg.model.pcma(video_dim, text_dim))
     icfg = cfg.intervention
     use_cl = cfg.contrastive
+    model = PcmaModel(
+        cfg.model.pcma(video_dim, text_dim), gated=use_cl and not cfg.use_oracle_masks
+    )
     # without the contrastive term the total is the answering loss alone
     loss_cfg = icfg if use_cl else InterventionConfig(beta_cl=0.0)
-    if use_cl and not cfg.use_oracle_masks:
-        # create the gate parameters before the first Adam step fixes the layout
-        gate_forward(model, instances[0].video[None], instances[0].question[None])
 
     bank = None
     if use_cl:
@@ -826,10 +832,10 @@ def load_checkpoint(out_dir: str | Path) -> PcmaModel:
     params = path.parent / "params.json"
     store = nc.ParamStore.load(params)
     have = {name: store[name].shape for name in store.names()}
-    layout = chain(param_layout(cfg), gate_layout(cfg.model_dim) if "gate.w" in store else ())
     # one tensor past the stored count is enough to find a mismatch, so
     # outsized pcma dims or layer counts cost nothing here
-    want = {name: shape for name, shape, _ in islice(layout, len(have) + 1)}
+    layout = islice(model_layout(cfg, "gate.w" in store), len(have) + 1)
+    want = {name: shape for name, shape, _ in layout}
     for name in sorted(have.keys() | want.keys()):
         if have.get(name) != want.get(name):
             raise FormatError(

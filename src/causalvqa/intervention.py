@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import Iterator, NamedTuple, Sequence
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -103,26 +103,12 @@ def _sigmoid(x: Array) -> Array:
     return out
 
 
-def gate_layout(model_dim: int) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
-    """(name, shape, fan_in) of the gate scorer tensors. The scorer weight
-    and bias start at zero (fan_in None) so initial gates are exactly 0.5
-    everywhere."""
-    yield from nc.mha_layout("gate.attn", model_dim)
-    yield "gate.w", (model_dim,), None
-    yield "gate.b", (1,), None
-
-
-def ensure_gate_params(model: PcmaModel) -> None:
-    """Create the gate scorer parameters on the model's store once."""
-    if "gate.w" not in model.store:
-        model.store.add_layout(gate_layout(model.cfg.model_dim))
-
-
 def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array, dict]:
     """Per-clip gate scores [B, n_clips] in (0,1) for video [B, n_clips,
     video_dim] and question [B, text_dim]: sigmoid of a question-attended
-    readout."""
-    ensure_gate_params(model)
+    readout. ValueError if the model was built without gates."""
+    if "gate.w" not in model.store:
+        raise ValueError("gate_forward needs a model built with gated=True")
     cfg = model.cfg
     video = nc.as_f64(video)
     question = nc.as_f64(question)

@@ -51,26 +51,38 @@ def check_checkpoint_version(path: Path, found) -> None:
 
 
 class ParamStore:
-    """Named float64 parameter tensors with paired gradient tensors.
+    """Named float64 parameter tensors with paired gradient tensors, laid
+    out once at construction.
 
-    Every tensor is a reshaped view into one contiguous params buffer and
-    its gradient the matching view into one grads buffer, laid out in
-    construction order, so optimizers, zeroing and gradient scaling each
-    run as one operation over flat_params or flat_grads. Parameters are
-    created in construction order from a seeded stream, so a fixed seed
-    yields bit-identical initial values. Reads are safe to share; gradient
-    accumulation and optimizer steps are single-writer.
+    layout lists each tensor as (name, shape, fan_in). Every tensor is a
+    reshaped view into one contiguous params buffer and its gradient the
+    matching view into one grads buffer, in layout order, so optimizers,
+    zeroing and gradient scaling each run as one operation over
+    flat_params or flat_grads. Each tensor with an int fan_in is drawn
+    uniform(-1/sqrt(fan_in), +1/sqrt(fan_in)) from one default_rng(seed),
+    in layout order, so a fixed seed yields bit-identical initial values;
+    a fan_in of None gives a zero tensor. Reads are safe to share;
+    gradient accumulation and optimizer steps are single-writer.
     """
 
-    def __init__(self, seed: int = 0):
+    def __init__(self, layout: Iterable[tuple[str, tuple[int, ...], int | None]], seed: int = 0):
+        layout = [(name, tuple(shape), fan_in) for name, shape, fan_in in layout]
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        self.flat_params, self.flat_grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
         self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (offset, shape)
         self._params: dict[str, Array] = {}
         self._grads: dict[str, Array] = {}
-        # the buffers keep spare room at their ends; flat_params and
-        # flat_grads are their used parts
-        self._pbuf = self._gbuf = self.flat_params = self.flat_grads = np.zeros(0)
-        self._fixed = False
-        self._rng = np.random.default_rng(seed)
+        rng, start = np.random.default_rng(seed), 0
+        for (name, shape, fan_in), size in zip(layout, sizes):
+            if name in self._layout:
+                raise ValueError(f"duplicate parameter name {name!r}")
+            self._layout[name] = (start, shape)
+            self._params[name] = self.flat_params[start : start + size].reshape(shape)
+            self._grads[name] = self.flat_grads[start : start + size].reshape(shape)
+            if fan_in is not None:
+                bound = 1.0 / math.sqrt(fan_in)
+                self._params[name][...] = rng.uniform(-bound, bound, size=shape)
+            start += size
 
     def __contains__(self, name: str) -> bool:
         return name in self._layout
@@ -80,60 +92,6 @@ class ParamStore:
 
     def names(self) -> list[str]:
         return sorted(self._layout)
-
-    def fix_layout(self) -> None:
-        """Refuse further tensors, once optimizer state mirrors the buffers."""
-        self._fixed = True
-
-    def _bind(self, size: int, names) -> None:
-        """Take the first size values of the buffers as flat_params and
-        flat_grads, and bind the named tensors' views."""
-        self.flat_params, self.flat_grads = self._pbuf[:size], self._gbuf[:size]
-        for name in names:
-            start, shape = self._layout[name]
-            end = start + math.prod(shape)
-            self._params[name] = self._pbuf[start:end].reshape(shape)
-            self._grads[name] = self._gbuf[start:end].reshape(shape)
-
-    def add_zeros(self, name: str, shape: tuple[int, ...]) -> None:
-        if name in self._layout:
-            raise ValueError(f"duplicate parameter name {name!r}")
-        if self._fixed:
-            raise ValueError(f"cannot add {name!r}: an optimizer has stepped on this store")
-        start = self.flat_params.size
-        size = start + math.prod(shape)
-        self._layout[name] = (start, tuple(shape))
-        names = [name]
-        if size > self._pbuf.size:
-            # doubling keeps building a store linear in its size; every view moves
-            spare = np.zeros(2 * size - start)
-            self._pbuf = np.concatenate((self.flat_params, spare))
-            self._gbuf = np.concatenate((self.flat_grads, spare))
-            names = self._layout
-        self._bind(size, names)
-
-    def add(self, name: str, shape: tuple[int, ...], fan_in: int | None = None) -> None:
-        """Create a parameter initialized uniform(-1/sqrt(fan_in), +1/sqrt(fan_in))."""
-        self.add_zeros(name, shape)
-        bound = 1.0 / math.sqrt(shape[0] if fan_in is None else fan_in)
-        self._params[name][...] = self._rng.uniform(-bound, bound, size=shape)
-
-    def add_layout(self, layout: Iterable[tuple[str, tuple[int, ...], int | None]]) -> None:
-        """Create each (name, shape, fan_in) in order; a fan_in of None
-        makes a zero tensor."""
-        for name, shape, fan_in in layout:
-            if fan_in is None:
-                self.add_zeros(name, shape)
-            else:
-                self.add(name, shape, fan_in)
-
-    def set_(self, name: str, value: Array) -> None:
-        """Overwrite a parameter in place (shape-checked)."""
-        cur = self._params[name]
-        value = as_f64(value)
-        if value.shape != cur.shape:
-            raise DimMismatch(f"{name}: expected shape {cur.shape}, got {value.shape}")
-        cur[...] = value
 
     def grad(self, name: str) -> Array:
         return self._grads[name]
@@ -183,7 +141,7 @@ class ParamStore:
         payload_name, specs = manifest.get("file"), manifest.get("tensors")
         if not isinstance(payload_name, str) or not isinstance(specs, list):
             raise FormatError(f"{manifest_path}: expected a string 'file' and a list 'tensors'")
-        store, size = cls(seed=0), 0
+        layout: dict[str, tuple[int, ...]] = {}
         for i, spec in enumerate(specs):
             entry = spec if isinstance(spec, dict) else {}
             name, shape = entry.get("name"), entry.get("shape")
@@ -196,37 +154,49 @@ class ParamStore:
                     f"{manifest_path}: tensors[{i}] needs a string name and a list of "
                     "non-negative integer dims as its shape"
                 )
-            if name in store._layout:
+            if name in layout:
                 raise FormatError(f"{manifest_path}: tensor {name} listed twice")
-            store._layout[name] = (size, tuple(shape))
-            size += math.prod(shape)
+            layout[name] = tuple(shape)
+        # the payload is checked against the declared sizes before anything
+        # is allocated, so a manifest declaring a huge shape costs nothing
+        size = sum(math.prod(shape) for shape in layout.values())
         payload = manifest_path.parent / payload_name
         raw = payload.read_bytes()
         values = np.frombuffer(raw, dtype="<f4", count=size) if len(raw) >= 4 * size else None
         if values is None or not np.isfinite(values).all():
-            store._payload_fault(payload, raw)
+            _payload_fault(payload, raw, layout)
         if len(raw) != 4 * size:
             raise FormatError(f"{payload}: {len(raw) - 4 * size} trailing bytes")
-        store._pbuf, store._gbuf = values.astype(np.float64), np.zeros(size)
-        store._bind(size, store._layout)
+        store = cls((name, shape, None) for name, shape in layout.items())
+        store.flat_params[...] = values
         return store
 
-    def _payload_fault(self, payload: Path, raw: bytes) -> None:
-        """Raise for the first tensor, in layout order, that the payload
-        cuts short or that holds a non-finite value."""
-        for name, (start, shape) in self._layout.items():
-            n_bytes = 4 * math.prod(shape)
-            chunk = raw[4 * start : 4 * start + n_bytes]
-            if len(chunk) != n_bytes:
-                raise FormatError(
-                    f"{payload}: checkpoint payload truncated: expected {n_bytes} bytes for "
-                    f"{name}, found {len(chunk)}"
-                )
-            if not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all():
-                raise FormatError(f"{payload}: tensor {name} holds non-finite values")
+
+def _payload_fault(payload: Path, raw: bytes, layout: dict[str, tuple[int, ...]]) -> None:
+    """Raise for the first tensor, in layout order, that the payload cuts
+    short or that holds a non-finite value."""
+    start = 0
+    for name, shape in layout.items():
+        n_bytes = 4 * math.prod(shape)
+        chunk = raw[start : start + n_bytes]
+        start += n_bytes
+        if len(chunk) != n_bytes:
+            raise FormatError(
+                f"{payload}: checkpoint payload truncated: expected {n_bytes} bytes for "
+                f"{name}, found {len(chunk)}"
+            )
+        if not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all():
+            raise FormatError(f"{payload}: tensor {name} holds non-finite values")
 
 
 # -- linear ----------------------------------------------------------------
+
+
+def linear_layout(prefix: str, in_dim: int, out_dim: int) -> Iterator[tuple]:
+    """(name, shape, fan_in) of a linear map's weight [in_dim, out_dim] and
+    bias [out_dim], both drawn with fan_in in_dim, for a ParamStore layout."""
+    yield f"{prefix}.w", (in_dim, out_dim), in_dim
+    yield f"{prefix}.b", (out_dim,), in_dim
 
 
 def linear_forward(x: Array, w: Array, b: Array) -> tuple[Array, tuple]:
@@ -312,7 +282,7 @@ MHA_BIASES = ("bq", "bk", "bv", "bo")
 
 def mha_layout(prefix: str, dim: int) -> Iterator[tuple[str, tuple[int, ...], int]]:
     """(name, shape, fan_in) of the eight projection tensors of one
-    attention block, for ParamStore.add_layout."""
+    attention block, for a ParamStore layout."""
     for nm in MHA_WEIGHTS:
         yield f"{prefix}.{nm}", (dim, dim), dim
     for nm in MHA_BIASES:
@@ -338,8 +308,8 @@ def mha_forward(
 
     q_in [..., m, d] attends to kv_in [..., n, d] with the same leading
     axes; output [..., m, d]. Scores are scaled by 1/sqrt(head_dim). The
-    per-head attention weights live in the cache (used both for backprop
-    and as a frame-mass readout).
+    per-head attention weights [..., h, m, n] are the cache's last entry,
+    kept for backprop.
     """
     d = q_in.shape[-1]
     if kv_in.shape[-1] != d:
@@ -380,11 +350,6 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, A
     ):
         store.accumulate(f"{prefix}.{nm}", g)
     return dq, dk + dv
-
-
-def mha_attention_weights(cache: tuple) -> Array:
-    """Per-head attention weights [..., h, m, n] from a forward cache."""
-    return cache[10]
 
 
 # -- cosine similarity -------------------------------------------------------

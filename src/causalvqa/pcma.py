@@ -81,24 +81,36 @@ def pcma_layer_backward(
 
 def param_layout(cfg: PcmaConfig) -> Iterator[tuple[str, tuple[int, ...], int]]:
     """(name, shape, fan_in) of every backbone tensor, in construction order."""
-    yield "video_proj.w", (cfg.video_dim, cfg.model_dim), cfg.video_dim
-    yield "video_proj.b", (cfg.model_dim,), cfg.video_dim
-    yield "text_proj.w", (cfg.text_dim, cfg.model_dim), cfg.text_dim
-    yield "text_proj.b", (cfg.model_dim,), cfg.text_dim
+    yield from nc.linear_layout("video_proj", cfg.video_dim, cfg.model_dim)
+    yield from nc.linear_layout("text_proj", cfg.text_dim, cfg.model_dim)
     for layer in range(cfg.n_layers):
         yield from nc.mha_layout(f"layer{layer}.cross", cfg.model_dim)
         yield from nc.mha_layout(f"layer{layer}.self", cfg.model_dim)
 
 
-class PcmaModel:
-    """Question-conditioned video aggregator with cosine answer scoring."""
+def gate_layout(model_dim: int) -> Iterator[tuple[str, tuple[int, ...], int | None]]:
+    """(name, shape, fan_in) of the gate scorer tensors. The scorer weight
+    and bias start at zero (fan_in None) so initial gates are exactly 0.5
+    everywhere."""
+    yield from nc.mha_layout("gate.attn", model_dim)
+    yield "gate.w", (model_dim,), None
+    yield "gate.b", (1,), None
 
-    def __init__(self, cfg: PcmaConfig, store: nc.ParamStore | None = None):
+
+def model_layout(cfg: PcmaConfig, gated: bool) -> Iterator[tuple]:
+    """The backbone layout, then the gate scorer's when gated."""
+    yield from param_layout(cfg)
+    if gated:
+        yield from gate_layout(cfg.model_dim)
+
+
+class PcmaModel:
+    """Question-conditioned video aggregator with cosine answer scoring;
+    a gated model's store also holds the gate scorer (see gate_layout)."""
+
+    def __init__(self, cfg: PcmaConfig, store: nc.ParamStore | None = None, gated: bool = False):
         self.cfg = cfg
-        if store is None:
-            store = nc.ParamStore(seed=cfg.seed)
-            store.add_layout(param_layout(cfg))
-        self.store = store
+        self.store = nc.ParamStore(model_layout(cfg, gated), cfg.seed) if store is None else store
 
     # -- aggregation path --------------------------------------------------
 

@@ -188,15 +188,14 @@ class StudentSampler:
     def __init__(self, cfg: StudentConfig, store: nc.ParamStore | None = None):
         self.cfg = cfg
         if store is None:
-            store = nc.ParamStore(seed=cfg.seed)
-            store.add("video_proj.w", (cfg.video_dim, cfg.model_dim))
-            store.add("video_proj.b", (cfg.model_dim,), fan_in=cfg.video_dim)
-            store.add("text_proj.w", (cfg.text_dim, cfg.model_dim))
-            store.add("text_proj.b", (cfg.model_dim,), fan_in=cfg.text_dim)
+            layout = [
+                *nc.linear_layout("video_proj", cfg.video_dim, cfg.model_dim),
+                *nc.linear_layout("text_proj", cfg.text_dim, cfg.model_dim),
+            ]
             for layer in range(cfg.n_layers):
-                store.add_layout(nc.mha_layout(f"layer{layer}.cross", cfg.model_dim))
-            store.add_zeros("head.w", (cfg.model_dim,))
-            store.add_zeros("head.b", (1,))
+                layout += nc.mha_layout(f"layer{layer}.cross", cfg.model_dim)
+            layout += [("head.w", (cfg.model_dim,), None), ("head.b", (1,), None)]
+            store = nc.ParamStore(layout, cfg.seed)
         self.store = store
 
     def probs_forward(self, video: Array, question: Array) -> tuple[Array, dict]:
@@ -336,20 +335,19 @@ class RlSampler:
         self.cfg = cfg
         n_actions = cfg.n_frames + 1  # frames plus STOP
         if store is None:
-            store = nc.ParamStore(seed=cfg.seed)
-            store.add("video_proj.w", (cfg.video_dim, cfg.model_dim))
-            store.add("video_proj.b", (cfg.model_dim,), fan_in=cfg.video_dim)
-            store.add("text_proj.w", (cfg.text_dim, cfg.model_dim))
-            store.add("text_proj.b", (cfg.model_dim,), fan_in=cfg.text_dim)
-            store.add_layout(nc.mha_layout("state.attn", cfg.model_dim))
-            store.add_zeros("state.ln.gamma", (cfg.model_dim,))
-            store.set_("state.ln.gamma", np.ones(cfg.model_dim))
-            store.add_zeros("state.ln.beta", (cfg.model_dim,))
-            store.add("policy.w1", (cfg.model_dim, cfg.hidden_dim))
-            store.add("policy.b1", (cfg.hidden_dim,), fan_in=cfg.model_dim)
-            # zero head: a fresh policy is uniform over available actions
-            store.add_zeros("policy.w2", (cfg.hidden_dim, n_actions))
-            store.add_zeros("policy.b2", (n_actions,))
+            store = nc.ParamStore([
+                *nc.linear_layout("video_proj", cfg.video_dim, cfg.model_dim),
+                *nc.linear_layout("text_proj", cfg.text_dim, cfg.model_dim),
+                *nc.mha_layout("state.attn", cfg.model_dim),
+                ("state.ln.gamma", (cfg.model_dim,), None),
+                ("state.ln.beta", (cfg.model_dim,), None),
+                ("policy.w1", (cfg.model_dim, cfg.hidden_dim), cfg.model_dim),
+                ("policy.b1", (cfg.hidden_dim,), cfg.model_dim),
+                # zero head: a fresh policy is uniform over available actions
+                ("policy.w2", (cfg.hidden_dim, n_actions), None),
+                ("policy.b2", (n_actions,), None),
+            ], cfg.seed)
+            store["state.ln.gamma"][...] = 1.0
         self.store = store
 
     def new_episode(self, question: Array, frame_pool: Array) -> RlEpisodeState:

@@ -128,7 +128,7 @@ def test_criterion_1_gradient_suite():
     assert_grad_matches(nce_loss, views[2], nce_grad[2], rng, "infonce.neg0")
 
     # gate scorer
-    gmodel = PcmaModel(cfg)
+    gmodel = PcmaModel(cfg, gated=True)
     gvideo = rng.normal(size=(1, 5, cfg.video_dim))
     gquestion = rng.normal(size=(1, cfg.text_dim))
     probe = rng.normal(size=5)

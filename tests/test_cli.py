@@ -305,6 +305,41 @@ class TestErrorPaths:
         assert lines[0].startswith(f"config error: {section}.{key}: expected ")
         assert lines[0].endswith(f"got {json.dumps(value)}")
 
+    @pytest.mark.parametrize(
+        "section, key, token",
+        [
+            ("intervention", "beta_cl", "Infinity"),
+            ("intervention", "beta_cl", "NaN"),
+            ("intervention", "alpha", "NaN"),
+            ("data.synthetic", "leak_strength", "NaN"),
+            ("optimizer", "lr", "1e400"),
+            ("model", "tau", "-Infinity"),
+            ("optimizer", "eps", "-1"),
+            ("optimizer", "eps", "0"),
+        ],
+    )
+    def test_non_finite_or_out_of_range_float(self, tmp_path, out_dir, capsys, section, key, token):
+        # json parses NaN, Infinity and 1e400 (as Infinity); the token is
+        # written into the file as is
+        path = Path(self._train_with(tmp_path, section, key, "TOKEN"))
+        path.write_text(path.read_text().replace('"TOKEN"', token))
+        assert cli_main(["train", "--config", str(path)]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {section}"), lines
+        assert key in lines[0]
+        assert not (out_dir / "metrics.json").exists()
+
+    @pytest.mark.parametrize("token", ["NaN", "Infinity", "1e400"])
+    def test_gen_data_non_finite_float(self, tmp_path, out_dir, capsys, token):
+        spec = {**DATA["synthetic"], "noise_std": "TOKEN"}
+        cfg = tmp_path / "gen.json"
+        cfg.write_text(json.dumps({"synthetic": spec}).replace('"TOKEN"', token))
+        assert cli_main(["gen-data", "--config", str(cfg)]) == 1
+        shown = "Infinity" if token == "1e400" else token
+        assert capsys.readouterr().err == (
+            f"config error: synthetic.noise_std: expected a finite number, got {shown}\n"
+        )
+
     @pytest.mark.parametrize("section", ["optimizer", "model", "data.synthetic", "intervention"])
     def test_negative_seed(self, tmp_path, out_dir, capsys, section):
         cfg = self._train_with(tmp_path, section, "seed", -1)
@@ -408,7 +443,7 @@ class TestErrorPaths:
             (lambda pcma: pcma.pop("video_dim"), "missing 1 required"),
             (lambda pcma: pcma.update(depth=3), "unexpected keyword argument 'depth'"),
             (lambda pcma: pcma.update(n_heads=3), "not divisible by n_heads 3"),
-            (lambda pcma: pcma.update(tau=float("nan")), "tau must be positive"),
+            (lambda pcma: pcma.update(tau=float("nan")), "pcma.tau: expected a finite number"),
             (lambda pcma: pcma.update(model_dim="16"), "pcma.model_dim: expected an integer"),
         ],
         ids=["missing", "unknown", "rejected", "nan-tau", "wrong-type"],

@@ -49,7 +49,6 @@ from causalvqa.intervention import (
     MemorySource,
     build_triplet_cached,
     draw_triplet,
-    ensure_gate_params,
     gate_forward,
 )
 from causalvqa.mnse import (
@@ -66,9 +65,11 @@ from reference_protocol import reference_protocol, reference_protocol_videos
 from reference_step import reference_passes
 
 
-def small_model(seed: int = 3, video_dim: int = 24, text_dim: int = 24) -> PcmaModel:
+def small_model(
+    seed: int = 3, video_dim: int = 24, text_dim: int = 24, gated: bool = False
+) -> PcmaModel:
     cfg = ModelConfig(model_dim=32, n_heads=4, n_layers=1, seed=seed)
-    return PcmaModel(cfg.pcma(video_dim, text_dim))
+    return PcmaModel(cfg.pcma(video_dim, text_dim), gated=gated)
 
 
 def synth(n: int, seed: int = 0, **kw) -> tuple:
@@ -334,17 +335,15 @@ MODEL_JSON_EDITS = st.tuples(
 
 class TestCheckpointBoundary:
     def test_gated_save_load_save_is_byte_identical(self, tmp_path):
-        model = small_model(seed=5)
-        ensure_gate_params(model)
-        model.store.set_("gate.w", np.linspace(-1.0, 1.0, model.cfg.model_dim))
+        model = small_model(seed=5, gated=True)
+        model.store["gate.w"][...] = np.linspace(-1.0, 1.0, model.cfg.model_dim)
         first = save_checkpoint(model, tmp_path / "a")
         second = save_checkpoint(load_checkpoint(first), tmp_path / "b")
         for name in ("params.f32", "params.json", "model.json"):
             assert (first / name).read_bytes() == (second / name).read_bytes(), name
 
     def test_stored_tensor_missing_from_the_model_names_it(self, tmp_path):
-        model = small_model()
-        ensure_gate_params(model)
+        model = small_model(gated=True)
         out = save_checkpoint(model, tmp_path / "ckpt")
         manifest = json.loads((out / "params.json").read_text())
         for spec in manifest["tensors"]:
@@ -390,26 +389,22 @@ class TestCheckpointBoundary:
 
 class TestAdam:
     def test_gradient_step_moves_against_gradient(self):
-        store = nc.ParamStore(seed=0)
-        store.add_zeros("w", (3,))
+        store = nc.ParamStore([("w", (3,), None)])
         store.accumulate("w", np.array([1.0, -2.0, 0.0]))
         adam_step(store, AdamState(), OptimizerConfig(lr=0.1))
         w = store["w"]
         assert w[0] < 0 and w[1] > 0 and w[2] == 0.0
 
     def test_lr_zero_keeps_params_bit_identical(self):
-        store = nc.ParamStore(seed=0)
-        store.add_zeros("w", (3,))
-        store.set_("w", np.array([0.5, -1.5, 2.0]))
+        store = nc.ParamStore([("w", (3,), None)])
+        store["w"][...] = [0.5, -1.5, 2.0]
         before = store["w"].copy()
         store.accumulate("w", np.array([10.0, 10.0, 10.0]))
         adam_step(store, AdamState(), OptimizerConfig(lr=0.0))
         assert store["w"].tobytes() == before.tobytes()
 
     def test_flat_step_matches_per_tensor_reference(self):
-        flat, ref = small_model(seed=4), small_model(seed=4)
-        for model in (flat, ref):
-            ensure_gate_params(model)  # the store grows after construction
+        flat, ref = small_model(seed=4, gated=True), small_model(seed=4, gated=True)
         names = flat.store.names()
         rng = np.random.default_rng(0)
         cfg = OptimizerConfig(lr=0.05)
@@ -427,20 +422,12 @@ class TestAdam:
             assert flat.store[name].tobytes() == ref.store[name].tobytes(), name
 
     def test_tensors_are_views_of_the_flat_buffers_after_growth(self):
-        model = small_model()
-        ensure_gate_params(model)
-        store = model.store
+        # a gated store: the gate tensors follow the backbone's in one buffer
+        store = small_model(gated=True).store
         for name in store.names():
             assert np.shares_memory(store[name], store.flat_params), name
             assert np.shares_memory(store.grad(name), store.flat_grads), name
         assert store.flat_params.size == sum(store[name].size for name in store.names())
-
-    def test_growing_after_the_first_step_raises(self):
-        store = nc.ParamStore(seed=0)
-        store.add("w", (3,))
-        adam_step(store, AdamState(), OptimizerConfig())
-        with pytest.raises(ValueError, match="optimizer"):
-            store.add_zeros("b", (2,))
 
     def test_optimizer_config_reports_all_problems(self):
         with pytest.raises(ValueError) as err:
@@ -670,7 +657,10 @@ class TestStackedStep:
         instances, _, masks = synth(10, seed=11)
         masks = np.asarray(masks, dtype=bool).copy()
         masks[list(degenerate)] = False
-        model = PcmaModel(ModelConfig(model_dim=16, n_heads=2, n_layers=1, seed=5).pcma(24, 24))
+        model = PcmaModel(
+            ModelConfig(model_dim=16, n_heads=2, n_layers=1, seed=5).pcma(24, 24),
+            gated=not oracle,
+        )
         icfg = InterventionConfig(
             alpha=2.0, beta_cl=0.7, n_negatives=3, memory_source=source, topk_mode=True, k=4,
             neighbor_k=5,

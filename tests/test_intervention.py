@@ -16,11 +16,11 @@ from reference_step import reference_infonce
 VIDEO_DIM, TEXT_DIM = 10, 8
 
 
-def make_model(seed=3):
+def make_model(seed=3, gated=False):
     cfg = PcmaConfig(
         video_dim=VIDEO_DIM, text_dim=TEXT_DIM, model_dim=16, n_heads=4, n_layers=1, seed=seed
     )
-    return PcmaModel(cfg)
+    return PcmaModel(cfg, gated=gated)
 
 
 def make_instance(rng, n_clips=6, video_id="x", gold=0, video=None):
@@ -62,7 +62,7 @@ class TestConfig:
 
 class TestGate:
     def test_zero_init_gates_are_exactly_half(self, rng):
-        model = make_model()
+        model = make_model(gated=True)
         inst = make_instance(rng)
         gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
         split = iv.split_from_gates(gates[0])
@@ -70,7 +70,7 @@ class TestGate:
         assert split.mask.all()  # ties resolve causal
 
     def test_topk_with_k_equal_n_clips_is_all_true(self, rng):
-        model = make_model()
+        model = make_model(gated=True)
         inst = make_instance(rng)
         gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
         split = iv.split_from_gates(gates[0], topk_mode=True, k=6)
@@ -92,15 +92,15 @@ class TestGate:
         split = iv.split_from_gates(np.array([0.5, 0.49, 0.51]))
         np.testing.assert_array_equal(split.mask, [True, False, True])
 
-    def test_ensure_gate_params_is_idempotent(self):
+    def test_gate_forward_on_an_ungated_model_raises(self, rng):
         model = make_model()
-        iv.ensure_gate_params(model)
-        names = model.store.names()
-        iv.ensure_gate_params(model)
-        assert model.store.names() == names
+        inst = make_instance(rng)
+        with pytest.raises(ValueError, match="gated=True"):
+            iv.gate_forward(model, inst.video[None], inst.question[None])
+        assert "gate.w" not in model.store
 
     def test_gate_gradients(self, rng):
-        model = make_model()
+        model = make_model(gated=True)
         batch = 2  # gradients are summed over the stacked samples
         video = rng.normal(size=(batch, 5, VIDEO_DIM))
         question = rng.normal(size=(batch, TEXT_DIM))

@@ -272,6 +272,28 @@ class TestInterventions:
         )
         assert mnse_mean > rand_mean
 
+    def test_nearest_scene_draws_cover_the_k_set_evenly(self):
+        # k=5 over 2,000 seeds: each replaced row draws every member of its
+        # k nearest scenes, each 400 times in expectation, within 5 sigma
+        rng = np.random.default_rng(2024)
+        bank, video, mask = self._bank_and_video(rng)
+        k, n_seeds = 5, 2000
+        rows = np.flatnonzero(~mask)
+        members = [
+            np.array([e.vector for e, _ in oracle_set(bank.entries(), video[r], k, Metric.COSINE)])
+            for r in rows
+        ]
+        counts = np.zeros((len(rows), k), dtype=int)
+        for seed in range(n_seeds):
+            out = mnse.mnse_do(video, mask, bank, Target.COMPLEMENT, k=k, seed=seed)
+            for i, r in enumerate(rows):
+                hit = np.flatnonzero((members[i] == out[r]).all(axis=1))
+                assert len(hit) == 1, f"seed {seed}, row {r}: drew outside its k-set"
+                counts[i, hit[0]] += 1
+        sigma = math.sqrt(n_seeds * (1 / k) * (1 - 1 / k))
+        assert counts.min() > 0
+        assert np.abs(counts - n_seeds / k).max() <= 5 * sigma, counts
+
     def test_deterministic_given_seed(self, rng):
         bank, video, mask = self._bank_and_video(rng)
         a = mnse.mnse_do(video, mask, bank, Target.CAUSAL, k=3, seed=7)

@@ -13,33 +13,67 @@ from causalvqa.features import FormatError
 from gradcheck import assert_grad_matches
 
 
+# (name, shape, fan_in) layouts: distinct names, shapes with zero-size dims,
+# fan_in None (a zero tensor) or an int
+LAYOUTS = st.lists(
+    st.tuples(
+        st.text("abc.", min_size=1, max_size=4),
+        st.lists(st.integers(0, 4), max_size=3).map(tuple),
+        st.none() | st.integers(1, 50),
+    ),
+    max_size=6,
+    unique_by=lambda entry: entry[0],
+)
+
+
 class TestParamStore:
     def test_seeded_init_is_deterministic(self):
-        a = nc.ParamStore(seed=7)
-        b = nc.ParamStore(seed=7)
-        a.add("w", (4, 3))
-        b.add("w", (4, 3))
+        a = nc.ParamStore([("w", (4, 3), 4)], seed=7)
+        b = nc.ParamStore([("w", (4, 3), 4)], seed=7)
         np.testing.assert_array_equal(a["w"], b["w"])
-        c = nc.ParamStore(seed=8)
-        c.add("w", (4, 3))
+        c = nc.ParamStore([("w", (4, 3), 4)], seed=8)
         assert not np.array_equal(a["w"], c["w"])
 
     def test_init_respects_fan_in_bound(self):
-        s = nc.ParamStore(seed=0)
-        s.add("w", (100, 50))
+        s = nc.ParamStore([("w", (100, 50), 100)], seed=0)
         assert np.all(np.abs(s["w"]) <= 1.0 / math.sqrt(100))
 
     def test_duplicate_name_rejected(self):
-        s = nc.ParamStore(seed=0)
-        s.add("w", (2, 2))
         with pytest.raises(ValueError):
-            s.add("w", (2, 2))
+            nc.ParamStore([("w", (2, 2), 2), ("w", (2, 2), 2)])
         with pytest.raises(ValueError):
-            s.add_zeros("w", (2, 2))
+            nc.ParamStore([("w", (2, 2), 2), ("w", (2, 2), None)])
+
+    @settings(max_examples=200, deadline=None)
+    @given(layout=LAYOUTS, seed=st.integers(0, 2**32 - 1))
+    def test_store_matches_a_scalar_reference(self, layout, seed):
+        s = nc.ParamStore(layout, seed)
+        rng = np.random.default_rng(seed)
+        for name, shape, fan_in in layout:
+            want = np.zeros(shape)
+            if fan_in is not None:
+                bound = 1.0 / math.sqrt(fan_in)
+                for idx in np.ndindex(shape):
+                    want[idx] = rng.uniform(-bound, bound)
+            assert s[name].tobytes() == want.tobytes() and s[name].shape == shape, name
+            assert not s.grad(name).any() and s.grad(name).shape == shape, name
+        sizes = [math.prod(shape) for _, shape, _ in layout]
+        assert s.flat_params.size == s.flat_grads.size == sum(sizes)
+        assert s.names() == sorted(name for name, _, _ in layout)
+        # every tensor and gradient is a view of the flat buffers, in layout order
+        s.flat_params[...] = np.arange(sum(sizes))
+        s.flat_grads[...] = -np.arange(sum(sizes))
+        start = 0
+        for (name, _, _), size in zip(layout, sizes):
+            np.testing.assert_array_equal(s[name].ravel(), np.arange(start, start + size))
+            np.testing.assert_array_equal(s.grad(name).ravel(), -np.arange(start, start + size))
+            if size:
+                assert np.shares_memory(s[name], s.flat_params), name
+                assert np.shares_memory(s.grad(name), s.flat_grads), name
+            start += size
 
     def test_grad_accumulate_and_zero(self):
-        s = nc.ParamStore(seed=0)
-        s.add("w", (2, 2))
+        s = nc.ParamStore([("w", (2, 2), 2)], seed=0)
         s.accumulate("w", np.ones((2, 2)))
         s.accumulate("w", np.ones((2, 2)))
         np.testing.assert_array_equal(s.grad("w"), 2 * np.ones((2, 2)))
@@ -47,10 +81,8 @@ class TestParamStore:
         np.testing.assert_array_equal(s.grad("w"), np.zeros((2, 2)))
 
     def test_checkpoint_roundtrip_is_exact_at_f32(self, tmp_path):
-        s = nc.ParamStore(seed=3)
-        s.add("layer.w", (3, 5))
-        s.add("layer.b", (5,), fan_in=3)
-        s.add_zeros("gate.w", (4,))
+        s = nc.ParamStore([("layer.w", (3, 5), 3), ("layer.b", (5,), 3), ("gate.w", (4,), None)],
+                          seed=3)
         path = tmp_path / "model.json"
         s.save(path)
         loaded = nc.ParamStore.load(path)
@@ -61,8 +93,7 @@ class TestParamStore:
             )
 
     def test_checkpoint_save_load_save_is_byte_identical(self, tmp_path):
-        s = nc.ParamStore(seed=3)
-        s.add("w", (7, 7))
+        s = nc.ParamStore([("w", (7, 7), 7)], seed=3)
         p1 = tmp_path / "a.json"
         s.save(p1)
         loaded = nc.ParamStore.load(p1)
@@ -71,14 +102,29 @@ class TestParamStore:
         assert (tmp_path / "a.f32").read_bytes() == (tmp_path / "b.f32").read_bytes()
 
     def test_truncated_payload_is_an_error(self, tmp_path):
-        s = nc.ParamStore(seed=0)
-        s.add("w", (4, 4))
+        s = nc.ParamStore([("w", (4, 4), 4)], seed=0)
         path = tmp_path / "model.json"
         s.save(path)
         payload = tmp_path / "model.f32"
         payload.write_bytes(payload.read_bytes()[:-8])
         with pytest.raises(ValueError, match="truncated"):
             nc.ParamStore.load(path)
+
+    def test_huge_declared_shape_is_truncated_before_any_allocation(self, tmp_path, monkeypatch):
+        s = nc.ParamStore([("a", (2, 2), 2), ("b", (4,), 4)], seed=0)
+        path = tmp_path / "params.json"
+        s.save(path)
+        manifest = json.loads(path.read_text())
+        manifest["tensors"][1]["shape"] = [2**40, 2**30]  # 2**70 floats
+        path.write_text(json.dumps(manifest))
+
+        def no_alloc(*args, **kwargs):
+            raise AssertionError("load allocated before checking the payload length")
+
+        monkeypatch.setattr(nc.np, "zeros", no_alloc)
+        with pytest.raises(FormatError, match=r"params\.f32: checkpoint payload truncated") as err:
+            nc.ParamStore.load(path)
+        assert "for b," in str(err.value)
 
     @pytest.mark.parametrize(
         "edit",
@@ -92,9 +138,7 @@ class TestParamStore:
         ids=["no-tensors", "no-file", "shape-not-a-list", "negative-shape", "duplicate-name"],
     )
     def test_malformed_manifest_names_the_manifest(self, tmp_path, edit):
-        s = nc.ParamStore(seed=0)
-        s.add("a", (2, 2))
-        s.add("b", (4,))
+        s = nc.ParamStore([("a", (2, 2), 2), ("b", (4,), 4)], seed=0)
         path = tmp_path / "params.json"
         s.save(path)
         manifest = json.loads(path.read_text())
@@ -102,12 +146,6 @@ class TestParamStore:
         path.write_text(json.dumps(manifest))
         with pytest.raises(FormatError, match="params.json"):
             nc.ParamStore.load(path)
-
-    def test_set_checks_shape(self):
-        s = nc.ParamStore(seed=0)
-        s.add("w", (2, 3))
-        with pytest.raises(nc.DimMismatch):
-            s.set_("w", np.zeros((3, 2)))
 
 
 class TestLinear:
@@ -226,17 +264,15 @@ def test_relu_gradient(rng):
 
 class TestAttention:
     def _setup(self, rng, dim=16, n_heads=4):
-        store = nc.ParamStore(seed=11)
-        store.add_layout(nc.mha_layout("attn", dim))
+        store = nc.ParamStore(nc.mha_layout("attn", dim), seed=11)
         q = rng.normal(size=(5, dim))
         kv = rng.normal(size=(7, dim))
         return store, q, kv
 
     def test_output_shape(self, rng):
         store, q, kv = self._setup(rng)
-        out, cache = nc.mha_forward(q, kv, store, "attn", 4)
+        out, (*_, attn) = nc.mha_forward(q, kv, store, "attn", 4)
         assert out.shape == (5, 16)
-        attn = nc.mha_attention_weights(cache)
         assert attn.shape == (4, 5, 7)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
@@ -294,7 +330,8 @@ class TestAttention:
             return float((out * probe).sum())
 
         out, cache = nc.mha_forward(q, kv, store, "attn", 4)
-        assert nc.mha_attention_weights(cache).shape == (3, 4, 5, 2)
+        *_, attn = cache
+        assert attn.shape == (3, 4, 5, 2)
         for i in range(3):
             np.testing.assert_array_equal(out[i], nc.mha_forward(q[i], kv[i], store, "attn", 4)[0])
         store.zero_grads()
@@ -306,33 +343,29 @@ class TestAttention:
 
     def test_identity_projections_give_hand_computed_softmax(self):
         d = 3
-        store = nc.ParamStore(seed=0)
+        store = nc.ParamStore((name, shape, None) for name, shape, _ in nc.mha_layout("attn", d))
         for nm in nc.MHA_WEIGHTS:
-            store.add_zeros(f"attn.{nm}", (d, d))
-            store.set_(f"attn.{nm}", np.eye(d))
-        for nm in nc.MHA_BIASES:
-            store.add_zeros(f"attn.{nm}", (d,))
+            store[f"attn.{nm}"][...] = np.eye(d)
         x = np.eye(d)  # orthonormal one-hot rows
-        out, cache = nc.mha_forward(x, x, store, "attn", 1)
+        out, (*_, attn) = nc.mha_forward(x, x, store, "attn", 1)
         scale = 1.0 / math.sqrt(d)
         # brute-force softmax of the score matrix x @ x.T * scale == I * scale
         diag = math.exp(scale) / (math.exp(scale) + (d - 1))
         off = 1.0 / (math.exp(scale) + (d - 1))
         expect = np.full((d, d), off) + np.eye(d) * (diag - off)
-        attn = nc.mha_attention_weights(cache)[0]
-        np.testing.assert_allclose(attn, expect, atol=1e-12)
+        np.testing.assert_allclose(attn[0], expect, atol=1e-12)
         np.testing.assert_allclose(out, expect @ x, atol=1e-12)
         # non-orthogonal rows break the within-row off-diagonal uniformity
         x2 = x.copy()
         x2[0] = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-        _, cache2 = nc.mha_forward(x2, x2, store, "attn", 1)
-        attn2 = nc.mha_attention_weights(cache2)[0]
+        _, (*_, attn2) = nc.mha_forward(x2, x2, store, "attn", 1)
+        attn2 = attn2[0]
         assert abs(attn2[1, 0] - attn2[1, 2]) > 1e-3
         # unequal norms break the uniformity across rows
         x3 = x.copy()
         x3[0] *= 2.0
-        _, cache3 = nc.mha_forward(x3, x3, store, "attn", 1)
-        attn3 = nc.mha_attention_weights(cache3)[0]
+        _, (*_, attn3) = nc.mha_forward(x3, x3, store, "attn", 1)
+        attn3 = attn3[0]
         assert abs(attn3[0, 1] - attn3[1, 2]) > 1e-3
 
 

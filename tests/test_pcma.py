@@ -30,7 +30,7 @@ def random_inputs(cfg, rng, n_clips=4, batch=1):
 def zero_attention_outputs(store):
     for name in store.names():
         if name.endswith(".wo") or name.endswith(".bo"):
-            store.set_(name, np.zeros(store[name].shape))
+            store[name][...] = 0.0
 
 
 class TestConfig:

@@ -222,7 +222,7 @@ def test_student_single_frame_probability_one():
 def test_student_top_s_selects_highest_mass():
     student, video, question = student_fixture()
     rng = np.random.default_rng(5)
-    student.store.set_("head.w", rng.normal(size=8))
+    student.store["head.w"][...] = rng.normal(size=8)
     out = sm.s3_student_probs(student, video, question, top_s=2)
     ranked = np.argsort(-out.probs, kind="stable")
     assert set(out.indices) == set(int(i) for i in ranked[:2])
@@ -236,7 +236,7 @@ def test_student_top_s_clamps_to_frame_count():
 
 def test_student_probs_sum_to_one_and_deterministic():
     student, video, question = student_fixture(seed=2)
-    student.store.set_("head.w", np.random.default_rng(8).normal(size=8))
+    student.store["head.w"][...] = np.random.default_rng(8).normal(size=8)
     a = sm.s3_student_probs(student, video, question)
     b = sm.s3_student_probs(student, video, question)
     assert abs(a.probs.sum() - 1.0) < 1e-12
@@ -263,7 +263,7 @@ def test_student_loss_degenerate_weights():
 def test_distill_gradients_match_finite_differences(rng):
     student, video, question = student_fixture(n_frames=5)
     store = student.store
-    store.set_("head.w", np.random.default_rng(3).normal(size=8) * 0.3)
+    store["head.w"][...] = np.random.default_rng(3).normal(size=8) * 0.3
     teacher = np.random.default_rng(4).dirichlet(np.ones(5))
     lam = 0.7
 
@@ -405,8 +405,8 @@ def test_reinforce_gradients_match_replay_finite_differences(rng):
     store = sampler.store
     # non-degenerate policy head so masked softmax is informative
     head_rng = np.random.default_rng(9)
-    store.set_("policy.w2", head_rng.normal(size=store["policy.w2"].shape) * 0.3)
-    store.set_("policy.b2", head_rng.normal(size=store["policy.b2"].shape) * 0.3)
+    store["policy.w2"][...] = head_rng.normal(size=store["policy.w2"].shape) * 0.3
+    store["policy.b2"][...] = head_rng.normal(size=store["policy.b2"].shape) * 0.3
     actions = [2, 0, 4, sampler.cfg.n_frames]
 
     def replay():
