@@ -9,11 +9,11 @@ same config produce byte-identical metrics and curves.
 from __future__ import annotations
 
 import json
+import math
 import os
 import sys
 from dataclasses import asdict, dataclass, field, replace
 from functools import cache, partial
-from itertools import islice
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -137,12 +137,17 @@ def adam_step(store: nc.ParamStore, state: AdamState, cfg: OptimizerConfig) -> N
     if state.t == 0:
         state.m, state.v = np.zeros_like(g), np.zeros_like(g)
     state.t += 1
-    state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-    state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+    # a gradient whose square overflows would leave its parameter frozen at
+    # m / inf = 0; one check of the bias-corrected second moment catches it
+    with np.errstate(over="ignore", invalid="ignore"):
+        state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
+        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
+        vhat = state.v / (1.0 - cfg.beta2**state.t)
+    if not np.isfinite(vhat).all():
+        raise nc.NumericsError("Adam second moment overflows: gradients too large")
     if cfg.lr == 0.0:
         return  # parameters must stay bit-identical
     mhat = state.m / (1.0 - cfg.beta1**state.t)
-    vhat = state.v / (1.0 - cfg.beta2**state.t)
     store.flat_params -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
 
 
@@ -710,12 +715,15 @@ def train(
         raise ValueError("training needs at least one instance")
     if cfg.use_oracle_masks and masks is None:
         raise ConfigError(["use_oracle_masks: dataset has no causal-mask sidecar"])
-    video_dim, text_dim = instances[0].video_dim, instances[0].text_dim
+    video_dim, text_dim, n_clips = (
+        instances[0].video_dim, instances[0].text_dim, instances[0].n_clips
+    )
     icfg = cfg.intervention
     use_cl = cfg.contrastive
-    model = PcmaModel(
-        cfg.model.pcma(video_dim, text_dim), gated=use_cl and not cfg.use_oracle_masks
-    )
+    gated = use_cl and not cfg.use_oracle_masks
+    if gated and icfg.topk_mode and icfg.k > n_clips:
+        raise ConfigError([f"intervention.k: {icfg.k} is more than the data's {n_clips} clips"])
+    model = PcmaModel(cfg.model.pcma(video_dim, text_dim), gated=gated)
     # without the contrastive term the total is the answering loss alone
     loss_cfg = icfg if use_cl else InterventionConfig(beta_cl=0.0)
 
@@ -802,46 +810,59 @@ def train(
 # -- checkpoints ----------------------------------------------------------------
 
 
+# model.json holds {"version", "pcma": the PcmaConfig fields, "gated"}, and
+# params.f32 the store's flat params buffer as little-endian float32 in
+# model_layout order
+CHECKPOINT_VERSION = 3
+
+
 def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    model.store.save(out / "params.json")
-    write_atomic(
-        out / "model.json",
-        json.dumps({"version": nc.CHECKPOINT_VERSION, "pcma": asdict(model.cfg)},
-                   sort_keys=True, indent=2)
-        + "\n",
-    )
+    write_atomic(out / "params.f32", model.store.flat_params.astype("<f4").tobytes())
+    gated = "gate.w" in model.store
+    meta = {"version": CHECKPOINT_VERSION, "pcma": asdict(model.cfg), "gated": gated}
+    write_atomic(out / "model.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
     return out
 
 
 def load_checkpoint(out_dir: str | Path) -> PcmaModel:
-    """The model saved in out_dir; FormatError names model.json when its
-    pcma section lacks a field, has an unknown one, or holds a value
-    PcmaConfig rejects, and names params.json and the tensor when the
-    stored tensors differ in name or shape from those the pcma section
-    builds (with the gate tensors when gate.w is stored)."""
+    """The model saved in out_dir. FormatError names model.json when its
+    version is not CHECKPOINT_VERSION, gated is not true or false, or the
+    pcma section lacks a field, has an unknown one or holds a value
+    PcmaConfig rejects; it names params.f32 when the payload is missing,
+    holds a non-finite value, or holds more or fewer floats than the
+    layout model.json describes."""
     path = Path(out_dir) / "model.json"
     meta = read_json(path)
-    nc.check_checkpoint_version(path, meta.get("version"))
-    problems: list[str] = []
-    pcma = meta.get("pcma")
-    cfg = build_section(problems, "pcma", PcmaConfig, pcma) if isinstance(pcma, dict) else None
-    if cfg is None:
-        raise FormatError(f"{path}: " + ("; ".join(problems) or "pcma: expected a JSON object"))
-    params = path.parent / "params.json"
-    store = nc.ParamStore.load(params)
-    have = {name: store[name].shape for name in store.names()}
-    # one tensor past the stored count is enough to find a mismatch, so
-    # outsized pcma dims or layer counts cost nothing here
-    layout = islice(model_layout(cfg, "gate.w" in store), len(have) + 1)
-    want = {name: shape for name, shape, _ in layout}
-    for name in sorted(have.keys() | want.keys()):
-        if have.get(name) != want.get(name):
-            raise FormatError(
-                f"{params}: tensor {name}: stored shape {have.get(name, 'none')}, "
-                f"{path.name} shape {want.get(name, 'none')}"
-            )
+    if meta.get("version") != CHECKPOINT_VERSION:
+        raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')!r}, "
+                          f"expected {CHECKPOINT_VERSION}; retrain to write this version")
+    pcma, gated = meta.get("pcma"), meta.get("gated")
+    problems = [] if isinstance(pcma, dict) else ["pcma: expected a JSON object"]
+    cfg = build_section(problems, "pcma", PcmaConfig, pcma) if not problems else None
+    if not isinstance(gated, bool):
+        problems.append(f"gated: expected true or false, got {json.dumps(gated)}")
+    if problems:
+        raise FormatError(f"{path}: " + "; ".join(problems))
+    payload = path.parent / "params.f32"
+    values = features._read_payload(payload, "<f4")
+    # the walk stops once it passes the stored float count, so outsized pcma
+    # dims or layer counts cost nothing here
+    layout, size = [], 0
+    for name, shape, _ in model_layout(cfg, gated):
+        layout.append((name, shape, None))
+        size += math.prod(shape)
+        if size > values.size:
+            break
+    if size != values.size:
+        relation = "fewer" if size > values.size else "more"
+        raise FormatError(
+            f"{payload}: holds {values.size} floats, {relation} than {path.name} lays out"
+        )
+    features._require_finite_payload(str(payload), values)
+    store = nc.ParamStore(layout)
+    store.flat_params[...] = values
     return PcmaModel(cfg, store=store)
 
 

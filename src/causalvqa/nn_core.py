@@ -6,23 +6,18 @@ gradient plus that cache. Models own a fixed, known graph and chain the
 backwards explicitly in reverse order; there is no tape.
 
 Training math runs at float64 so finite-difference checks can be tight.
-File I/O (checkpoints, feature payloads) is the float32 boundary.
+This module does no file I/O: checkpoints (harness) and feature payloads
+(features) are stored as float32 and upcast once at load.
 """
 
 from __future__ import annotations
 
-import json
 import math
-from pathlib import Path
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
 
-from .features import FormatError, read_json, write_atomic
-
 Array = np.ndarray
-
-CHECKPOINT_VERSION = 2
 
 
 class NumericsError(ArithmeticError):
@@ -40,14 +35,6 @@ def as_f64(x) -> Array:
 def require_finite(name: str, x: Array) -> None:
     if not np.all(np.isfinite(x)):
         raise NumericsError(f"{name} contains non-finite values")
-
-
-def check_checkpoint_version(path: Path, found) -> None:
-    """Reject a checkpoint file written in a format version this code does not know."""
-    if found != CHECKPOINT_VERSION:
-        raise FormatError(
-            f"{path}: unsupported checkpoint version {found!r}, expected {CHECKPOINT_VERSION}"
-        )
 
 
 class ParamStore:
@@ -69,14 +56,12 @@ class ParamStore:
         layout = [(name, tuple(shape), fan_in) for name, shape, fan_in in layout]
         sizes = [math.prod(shape) for _, shape, _ in layout]
         self.flat_params, self.flat_grads = np.zeros(sum(sizes)), np.zeros(sum(sizes))
-        self._layout: dict[str, tuple[int, tuple[int, ...]]] = {}  # name -> (offset, shape)
         self._params: dict[str, Array] = {}
         self._grads: dict[str, Array] = {}
         rng, start = np.random.default_rng(seed), 0
         for (name, shape, fan_in), size in zip(layout, sizes):
-            if name in self._layout:
+            if name in self._params:
                 raise ValueError(f"duplicate parameter name {name!r}")
-            self._layout[name] = (start, shape)
             self._params[name] = self.flat_params[start : start + size].reshape(shape)
             self._grads[name] = self.flat_grads[start : start + size].reshape(shape)
             if fan_in is not None:
@@ -85,13 +70,13 @@ class ParamStore:
             start += size
 
     def __contains__(self, name: str) -> bool:
-        return name in self._layout
+        return name in self._params
 
     def __getitem__(self, name: str) -> Array:
         return self._params[name]
 
     def names(self) -> list[str]:
-        return sorted(self._layout)
+        return sorted(self._params)
 
     def grad(self, name: str) -> Array:
         return self._grads[name]
@@ -101,92 +86,6 @@ class ParamStore:
 
     def zero_grads(self) -> None:
         self.flat_grads[...] = 0.0
-
-    # -- checkpoint I/O (manifest JSON + raw little-endian f32 payload) ----
-
-    def save(self, manifest_path: str | Path) -> None:
-        manifest_path = Path(manifest_path)
-        payload_name = manifest_path.stem + ".f32"
-        order = self.names()
-        manifest = {
-            "version": CHECKPOINT_VERSION,
-            "dtype": "float32",
-            "endianness": "little",
-            "file": payload_name,
-            "tensors": [{"name": n, "shape": list(self._params[n].shape)} for n in order],
-        }
-        manifest_path.parent.mkdir(parents=True, exist_ok=True)
-        write_atomic(manifest_path, json.dumps(manifest, indent=2, sort_keys=True) + "\n")
-        values = self.flat_params.astype("<f4")  # one conversion, written in name order
-        spans = (self._layout[n] for n in order)
-        write_atomic(
-            manifest_path.parent / payload_name,
-            b"".join(values[start : start + math.prod(shape)].tobytes() for start, shape in spans),
-        )
-
-    @classmethod
-    def load(cls, manifest_path: str | Path) -> "ParamStore":
-        """The store saved at manifest_path, laid out in manifest order.
-
-        FormatError names the manifest when it lacks its payload file name
-        or tensor list, or holds a malformed shape or a repeated name; it
-        names the payload and the first tensor at fault when the payload is
-        short or holds a non-finite value.
-        """
-        manifest_path = Path(manifest_path)
-        manifest = read_json(manifest_path)
-        check_checkpoint_version(manifest_path, manifest.get("version"))
-        if manifest.get("dtype") != "float32" or manifest.get("endianness") != "little":
-            raise FormatError(f"{manifest_path}: unsupported checkpoint dtype/endianness")
-        payload_name, specs = manifest.get("file"), manifest.get("tensors")
-        if not isinstance(payload_name, str) or not isinstance(specs, list):
-            raise FormatError(f"{manifest_path}: expected a string 'file' and a list 'tensors'")
-        layout: dict[str, tuple[int, ...]] = {}
-        for i, spec in enumerate(specs):
-            entry = spec if isinstance(spec, dict) else {}
-            name, shape = entry.get("name"), entry.get("shape")
-            if not (
-                isinstance(name, str)
-                and isinstance(shape, list)
-                and all(type(d) is int and d >= 0 for d in shape)
-            ):
-                raise FormatError(
-                    f"{manifest_path}: tensors[{i}] needs a string name and a list of "
-                    "non-negative integer dims as its shape"
-                )
-            if name in layout:
-                raise FormatError(f"{manifest_path}: tensor {name} listed twice")
-            layout[name] = tuple(shape)
-        # the payload is checked against the declared sizes before anything
-        # is allocated, so a manifest declaring a huge shape costs nothing
-        size = sum(math.prod(shape) for shape in layout.values())
-        payload = manifest_path.parent / payload_name
-        raw = payload.read_bytes()
-        values = np.frombuffer(raw, dtype="<f4", count=size) if len(raw) >= 4 * size else None
-        if values is None or not np.isfinite(values).all():
-            _payload_fault(payload, raw, layout)
-        if len(raw) != 4 * size:
-            raise FormatError(f"{payload}: {len(raw) - 4 * size} trailing bytes")
-        store = cls((name, shape, None) for name, shape in layout.items())
-        store.flat_params[...] = values
-        return store
-
-
-def _payload_fault(payload: Path, raw: bytes, layout: dict[str, tuple[int, ...]]) -> None:
-    """Raise for the first tensor, in layout order, that the payload cuts
-    short or that holds a non-finite value."""
-    start = 0
-    for name, shape in layout.items():
-        n_bytes = 4 * math.prod(shape)
-        chunk = raw[start : start + n_bytes]
-        start += n_bytes
-        if len(chunk) != n_bytes:
-            raise FormatError(
-                f"{payload}: checkpoint payload truncated: expected {n_bytes} bytes for "
-                f"{name}, found {len(chunk)}"
-            )
-        if not np.isfinite(np.frombuffer(chunk, dtype="<f4")).all():
-            raise FormatError(f"{payload}: tensor {name} holds non-finite values")
 
 
 # -- linear ----------------------------------------------------------------

@@ -43,6 +43,8 @@ class PcmaConfig:
             )
         if not self.tau > 0:  # NaN too
             raise ValueError("tau must be positive")
+        if not np.isfinite(1.0 / self.tau):  # logits are scores / tau
+            raise ValueError(f"tau {self.tau!r} is too small: 1/tau overflows")
         if self.seed < 0:
             raise ValueError("seed must be >= 0")
 

@@ -7,6 +7,7 @@ import os
 import resource
 import subprocess
 import sys
+import warnings
 from pathlib import Path
 
 import numpy as np
@@ -15,8 +16,7 @@ import pytest
 import causalvqa
 from causalvqa.cli import cli_main
 from causalvqa.features import SyntheticSpec, generate_synthetic, save_dataset
-from causalvqa.harness import shortcut_probe
-from causalvqa.nn_core import CHECKPOINT_VERSION
+from causalvqa.harness import CHECKPOINT_VERSION, shortcut_probe
 
 
 def write_cfg(path, payload) -> str:
@@ -61,8 +61,9 @@ class TestTrainCommand:
         curves = (out_dir / "curves.csv").read_text().splitlines()
         assert curves[0] == "step,erm_loss,cl_loss,total_loss"
         assert len(curves) == 1 + OPT["steps"]
-        assert (out_dir / "checkpoint" / "params.json").exists()
-        assert (out_dir / "checkpoint" / "model.json").exists()
+        assert sorted(p.name for p in (out_dir / "checkpoint").iterdir()) == [
+            "model.json", "params.f32"
+        ]
 
         first = sha_tree(out_dir)
         assert cli_main(["train", "--config", cfg]) == 0
@@ -352,14 +353,39 @@ class TestErrorPaths:
             ({"model_dim": 30, "n_heads": 4}, "model_dim 30 not divisible by n_heads 4"),
             ({"tau": 0}, "tau must be positive"),
             ({"n_layers": 0}, "dims, n_heads and n_layers must be positive"),
+            ({"tau": 1e-320}, "tau 1e-320 is too small: 1/tau overflows"),
         ],
-        ids=["heads", "tau", "layers"],
+        ids=["heads", "tau", "layers", "tiny-tau"],
     )
     def test_model_rules_checked_at_parse(self, tmp_path, out_dir, capsys, fields, message):
         raw = {"data": DATA, "model": {**MODEL, **fields}, "optimizer": OPT}
         cfg = write_cfg(tmp_path / "bad.json", raw)
         assert cli_main(["train", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"config error: model: {message}\n"
+
+    def test_top_k_beyond_the_clip_count_is_config_error(self, tmp_path, out_dir, capsys):
+        # learned gates split each 8-clip video; oracle masks never read k
+        raw = {"data": DATA, "model": MODEL, "optimizer": OPT,
+               "intervention": {"beta_cl": 0.2, "topk_mode": True, "k": 100}}
+        cfg = write_cfg(tmp_path / "gates.json", raw)
+        assert cli_main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            "config error: intervention.k: 100 is more than the data's 8 clips\n"
+        )
+        assert not (out_dir / "metrics.json").exists()
+        cfg = write_cfg(tmp_path / "oracle.json", {**raw, "use_oracle_masks": True})
+        assert cli_main(["train", "--config", cfg]) == 0
+
+    def test_overflowing_adam_moment_stops_at_step_0(self, tmp_path, out_dir, capsys):
+        # beta_cl 1e300 scales the contrastive gradients until their squares
+        # overflow float64; training must stop rather than freeze them
+        cfg = self._train_with(tmp_path, "intervention", "beta_cl", 1e300)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            assert cli_main(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert lines == ["error: step 0: Adam second moment overflows: gradients too large"]
+        assert not (out_dir / "metrics.json").exists()
 
     def test_gen_data_field_of_the_wrong_type(self, tmp_path, out_dir, capsys):
         spec = {**DATA["synthetic"], "n_clips": 2.5}
@@ -368,14 +394,19 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "config error: synthetic.n_clips: expected an integer, got 2.5\n"
 
-    @pytest.mark.parametrize("name", ["model.json", "params.json"])
+    # the next version, the one before, a string and none at all
+    @pytest.mark.parametrize("name", ["model.json", "version-2", "version-string", "no-version"])
     def test_unknown_checkpoint_version(self, tmp_path, out_dir, capsys, name):
         train_cfg = write_cfg(tmp_path / "train.json",
                               {"data": DATA, "model": MODEL, "optimizer": OPT})
         assert cli_main(["train", "--config", train_cfg]) == 0
-        path = out_dir / "checkpoint" / name
+        path = out_dir / "checkpoint" / "model.json"
         body = json.loads(path.read_text())
-        body["version"] += 1
+        found = {"model.json": CHECKPOINT_VERSION + 1, "version-2": 2,
+                 "version-string": str(CHECKPOINT_VERSION), "no-version": None}[name]
+        body["version"] = found
+        if found is None:
+            del body["version"]
         path.write_text(json.dumps(body))
         eval_cfg = write_cfg(tmp_path / "eval.json",
                              {"data": DATA, "checkpoint": str(out_dir / "checkpoint")})
@@ -383,9 +414,8 @@ class TestErrorPaths:
         assert cli_main(["eval", "--config", eval_cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error:")
-        found, expected = CHECKPOINT_VERSION + 1, CHECKPOINT_VERSION
-        assert name in lines[0] and f"version {found}" in lines[0]
-        assert f"expected {expected}" in lines[0]
+        assert "model.json" in lines[0] and f"version {found!r}" in lines[0]
+        assert f"expected {CHECKPOINT_VERSION}" in lines[0] and "retrain" in lines[0]
 
     @pytest.mark.parametrize(
         "params, line",
@@ -440,18 +470,25 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            (lambda pcma: pcma.pop("video_dim"), "missing 1 required"),
-            (lambda pcma: pcma.update(depth=3), "unexpected keyword argument 'depth'"),
-            (lambda pcma: pcma.update(n_heads=3), "not divisible by n_heads 3"),
-            (lambda pcma: pcma.update(tau=float("nan")), "pcma.tau: expected a finite number"),
-            (lambda pcma: pcma.update(model_dim="16"), "pcma.model_dim: expected an integer"),
+            (lambda body: body["pcma"].pop("video_dim"), "missing 1 required"),
+            (lambda body: body["pcma"].update(depth=3), "unexpected keyword argument 'depth'"),
+            (lambda body: body["pcma"].update(n_heads=3), "not divisible by n_heads 3"),
+            (lambda body: body["pcma"].update(tau=float("nan")),
+             "pcma.tau: expected a finite number"),
+            (lambda body: body["pcma"].update(model_dim="16"),
+             "pcma.model_dim: expected an integer"),
+            (lambda body: body["pcma"].update(tau=1e-320), "pcma: tau 1e-320 is too small"),
+            (lambda body: body.pop("gated"), "gated: expected true or false, got null"),
+            (lambda body: body.update(gated=1), "gated: expected true or false, got 1"),
+            (lambda body: body.update(pcma=[16]), "pcma: expected a JSON object"),
         ],
-        ids=["missing", "unknown", "rejected", "nan-tau", "wrong-type"],
+        ids=["missing", "unknown", "rejected", "nan-tau", "wrong-type", "tiny-tau",
+             "no-gated", "gated-int", "pcma-list"],
     )
     def test_bad_model_json_names_the_file(self, tmp_path, out_dir, capsys, edit, reason):
         ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
         body = json.loads((ckpt / "model.json").read_text())
-        edit(body["pcma"])
+        edit(body)
         (ckpt / "model.json").write_text(json.dumps(body))
         capsys.readouterr()
         assert cli_main(["eval", "--config", eval_cfg]) == 1
@@ -459,7 +496,7 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert "model.json" in lines[0] and reason in lines[0]
 
-    @pytest.mark.parametrize("name", ["model.json", "params.json"])
+    @pytest.mark.parametrize("name", ["model.json"])
     def test_invalid_checkpoint_json_names_the_file(self, tmp_path, out_dir, capsys, name):
         ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
         (ckpt / name).write_text("{")
@@ -468,17 +505,6 @@ class TestErrorPaths:
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
         assert name in lines[0] and "invalid JSON" in lines[0]
-
-    def test_manifest_without_tensors_names_params_json(self, tmp_path, out_dir, capsys):
-        ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
-        body = json.loads((ckpt / "params.json").read_text())
-        del body["tensors"]
-        (ckpt / "params.json").write_text(json.dumps(body))
-        capsys.readouterr()
-        assert cli_main(["eval", "--config", eval_cfg]) == 1
-        lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "params.json" in lines[0] and "tensors" in lines[0]
 
     def test_model_json_dims_checked_against_stored_shapes(self, tmp_path, out_dir, capsys):
         ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
@@ -489,21 +515,20 @@ class TestErrorPaths:
         assert cli_main(["eval", "--config", eval_cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "params.json" in lines[0] and "tensor video_proj.w:" in lines[0]
-        assert "(16, 16)" in lines[0] and "(17, 16)" in lines[0]
+        floats = (ckpt / "params.f32").stat().st_size // 4
+        assert lines[0] == (
+            f"error: {ckpt / 'params.f32'}: holds {floats} floats, fewer than model.json lays out"
+        )
 
-    def test_non_finite_params_name_the_tensor(self, tmp_path, out_dir, capsys):
+    def test_non_finite_params_name_the_offset(self, tmp_path, out_dir, capsys):
         ckpt, eval_cfg = self._trained_checkpoint(tmp_path, out_dir)
         payload = np.fromfile(ckpt / "params.f32", dtype="<f4")
-        payload[0] = np.nan  # the first tensor in sorted-name order
+        payload[5] = np.nan
         payload.tofile(ckpt / "params.f32")
-        first = json.loads((ckpt / "params.json").read_text())["tensors"][0]["name"]
         capsys.readouterr()
         assert cli_main(["eval", "--config", eval_cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert "params.f32" in lines[0] and f"tensor {first} " in lines[0]
-        assert "non-finite" in lines[0]
+        assert lines == [f"error: {ckpt / 'params.f32'}: non-finite value at flat offset 5"]
 
     @pytest.mark.parametrize(
         "name, edit",

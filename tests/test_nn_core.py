@@ -1,6 +1,5 @@
 from __future__ import annotations
 
-import json
 import math
 
 import numpy as np
@@ -9,7 +8,6 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from causalvqa import nn_core as nc
-from causalvqa.features import FormatError
 from gradcheck import assert_grad_matches
 
 
@@ -79,73 +77,6 @@ class TestParamStore:
         np.testing.assert_array_equal(s.grad("w"), 2 * np.ones((2, 2)))
         s.zero_grads()
         np.testing.assert_array_equal(s.grad("w"), np.zeros((2, 2)))
-
-    def test_checkpoint_roundtrip_is_exact_at_f32(self, tmp_path):
-        s = nc.ParamStore([("layer.w", (3, 5), 3), ("layer.b", (5,), 3), ("gate.w", (4,), None)],
-                          seed=3)
-        path = tmp_path / "model.json"
-        s.save(path)
-        loaded = nc.ParamStore.load(path)
-        assert loaded.names() == s.names()
-        for n in s.names():
-            np.testing.assert_array_equal(
-                loaded[n], s[n].astype(np.float32).astype(np.float64)
-            )
-
-    def test_checkpoint_save_load_save_is_byte_identical(self, tmp_path):
-        s = nc.ParamStore([("w", (7, 7), 7)], seed=3)
-        p1 = tmp_path / "a.json"
-        s.save(p1)
-        loaded = nc.ParamStore.load(p1)
-        p2 = tmp_path / "b.json"
-        loaded.save(p2)
-        assert (tmp_path / "a.f32").read_bytes() == (tmp_path / "b.f32").read_bytes()
-
-    def test_truncated_payload_is_an_error(self, tmp_path):
-        s = nc.ParamStore([("w", (4, 4), 4)], seed=0)
-        path = tmp_path / "model.json"
-        s.save(path)
-        payload = tmp_path / "model.f32"
-        payload.write_bytes(payload.read_bytes()[:-8])
-        with pytest.raises(ValueError, match="truncated"):
-            nc.ParamStore.load(path)
-
-    def test_huge_declared_shape_is_truncated_before_any_allocation(self, tmp_path, monkeypatch):
-        s = nc.ParamStore([("a", (2, 2), 2), ("b", (4,), 4)], seed=0)
-        path = tmp_path / "params.json"
-        s.save(path)
-        manifest = json.loads(path.read_text())
-        manifest["tensors"][1]["shape"] = [2**40, 2**30]  # 2**70 floats
-        path.write_text(json.dumps(manifest))
-
-        def no_alloc(*args, **kwargs):
-            raise AssertionError("load allocated before checking the payload length")
-
-        monkeypatch.setattr(nc.np, "zeros", no_alloc)
-        with pytest.raises(FormatError, match=r"params\.f32: checkpoint payload truncated") as err:
-            nc.ParamStore.load(path)
-        assert "for b," in str(err.value)
-
-    @pytest.mark.parametrize(
-        "edit",
-        [
-            lambda m: m.pop("tensors"),
-            lambda m: m.pop("file"),
-            lambda m: m["tensors"][0].update(shape=4),
-            lambda m: m["tensors"][0].update(shape=[-2, -2]),
-            lambda m: m["tensors"][1].update(name=m["tensors"][0]["name"]),
-        ],
-        ids=["no-tensors", "no-file", "shape-not-a-list", "negative-shape", "duplicate-name"],
-    )
-    def test_malformed_manifest_names_the_manifest(self, tmp_path, edit):
-        s = nc.ParamStore([("a", (2, 2), 2), ("b", (4,), 4)], seed=0)
-        path = tmp_path / "params.json"
-        s.save(path)
-        manifest = json.loads(path.read_text())
-        edit(manifest)
-        path.write_text(json.dumps(manifest))
-        with pytest.raises(FormatError, match="params.json"):
-            nc.ParamStore.load(path)
 
 
 class TestLinear:
