@@ -22,11 +22,11 @@ from .features import FormatError, SyntheticSpec, generate_synthetic, save_datas
 from .harness import (
     ConfigError,
     FieldError,
-    build_section,
     evaluate,
     load_checkpoint,
     load_data,
     parse_experiment_config,
+    read_section,
     resolve_output_dir,
     save_checkpoint,
     seen_unseen_protocol,
@@ -63,13 +63,49 @@ class SamplerConfig:
 
 
 @dataclass(frozen=True)
-class ProtocolConfig:
-    """intervene-eval's top-level protocol keys."""
+class GenDataConfig:
+    """gen-data's top-level keys."""
 
+    synthetic: SyntheticSpec
+    manifest: str = "dataset.json"
+    output_dir: str | None = None
+
+    def __post_init__(self) -> None:
+        if not self.manifest:
+            raise FieldError("manifest", "must be a nonempty path")
+
+
+@dataclass(frozen=True)
+class EvalConfig:
+    """eval's top-level key besides the experiment's."""
+
+    checkpoint: str
+
+    def __post_init__(self) -> None:
+        if not self.checkpoint:
+            raise FieldError("checkpoint", "must be a nonempty path")
+
+
+@dataclass(frozen=True)
+class SampleConfig:
+    """sample's top-level key besides the experiment's."""
+
+    sampler: SamplerConfig
+
+
+@dataclass(frozen=True)
+class ProtocolConfig:
+    """intervene-eval's top-level keys besides the experiment's."""
+
+    checkpoint_a: str
+    checkpoint_b: str
     neighbor_k: int = 1
     seed: int = 0
 
     def __post_init__(self) -> None:
+        for name in ("checkpoint_a", "checkpoint_b"):
+            if not getattr(self, name):
+                raise FieldError(name, "must be a nonempty path")
         if self.neighbor_k < 1:
             raise FieldError("neighbor_k", "must be >= 1")
         if self.seed < 0:
@@ -88,38 +124,17 @@ def _read_config(path: str) -> dict:
     return raw
 
 
-def _require_str(raw: dict, key: str, problems: list[str]) -> str | None:
-    value = raw.get(key)
-    if not isinstance(value, str) or not value:
-        problems.append(f"{key}: required string path")
-        return None
-    return value
-
-
 def _cmd_gen_data(raw: dict) -> tuple[Path, dict]:
-    problems: list[str] = []
-    spec = None
-    if not isinstance(raw.get("synthetic"), dict):
-        problems.append("synthetic: required section")
-    else:
-        spec = build_section(problems, "synthetic", SyntheticSpec, raw["synthetic"])
-    manifest_name = raw.get("manifest", "dataset.json")
-    if not isinstance(manifest_name, str) or not manifest_name:
-        problems.append("manifest: expected nonempty string path")
-    if problems:
-        raise ConfigError(problems)
-
-    out_dir = resolve_output_dir(raw.get("output_dir"))
-    manifest = Path(manifest_name)
-    if not manifest.is_absolute():
-        manifest = out_dir / manifest
-    instances, saliencies, masks = generate_synthetic(spec)
-    save_dataset(instances, manifest, saliencies=saliencies, causal_masks=masks)
+    cfg = read_section(raw, GenDataConfig)
+    out_dir = resolve_output_dir(cfg.output_dir)
+    instances, saliencies, masks = generate_synthetic(cfg.synthetic)
+    # an absolute manifest path replaces out_dir in the join
+    save_dataset(instances, out_dir / cfg.manifest, saliencies=saliencies, causal_masks=masks)
     payload = {
         "command": "gen-data",
         "count": len(instances),
-        "n_clips": spec.n_clips,
-        "manifest": manifest_name,
+        "n_clips": cfg.synthetic.n_clips,
+        "manifest": cfg.manifest,
     }
     return out_dir, payload
 
@@ -148,10 +163,7 @@ def _cmd_train(raw: dict) -> tuple[Path, dict]:
 
 def _cmd_eval(raw: dict) -> tuple[Path, dict]:
     cfg = parse_experiment_config(raw)
-    problems: list[str] = []
-    checkpoint = _require_str(raw, "checkpoint", problems)
-    if problems:
-        raise ConfigError(problems)
+    checkpoint = read_section(raw, EvalConfig).checkpoint
     out_dir = resolve_output_dir(cfg.output_dir)
     model = load_checkpoint(checkpoint)
     instances, _, _ = load_data(cfg.data)
@@ -163,18 +175,10 @@ def _cmd_eval(raw: dict) -> tuple[Path, dict]:
 
 def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
     cfg = parse_experiment_config(raw)
-    problems: list[str] = []
-    checkpoint_a = _require_str(raw, "checkpoint_a", problems)
-    checkpoint_b = _require_str(raw, "checkpoint_b", problems)
-    protocol = build_section(
-        problems, "", ProtocolConfig, {k: raw[k] for k in ("neighbor_k", "seed") if k in raw}
-    )
-    if problems:
-        raise ConfigError(problems)
-
+    protocol = read_section(raw, ProtocolConfig)
     out_dir = resolve_output_dir(cfg.output_dir)
-    model_a = load_checkpoint(checkpoint_a)
-    model_b = load_checkpoint(checkpoint_b)
+    model_a = load_checkpoint(protocol.checkpoint_a)
+    model_b = load_checkpoint(protocol.checkpoint_b)
     instances, _, masks = load_data(cfg.data)
     if not instances:
         raise ConfigError(["data: empty dataset"])
@@ -242,13 +246,7 @@ def _run_sampler(sampler: SamplerConfig, instances, saliencies) -> list[dict]:
 
 def _cmd_sample(raw: dict) -> tuple[Path, dict]:
     cfg = parse_experiment_config(raw)
-    sampler_raw = raw.get("sampler")
-    if not isinstance(sampler_raw, dict) or "kind" not in sampler_raw:
-        raise ConfigError(["sampler: required section with kind " + "|".join(SAMPLER_KINDS)])
-    problems: list[str] = []
-    sampler = build_section(problems, "sampler", SamplerConfig, sampler_raw)
-    if problems:
-        raise ConfigError(problems)
+    sampler = read_section(raw, SampleConfig).sampler
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, saliencies, _ = load_data(cfg.data)
     if not instances:

@@ -200,6 +200,24 @@ def write_atomic(path: str | Path, data: str | bytes) -> Path:
     return path
 
 
+def write_indexed(index: Path, payloads: dict[Path, str | bytes], body: str) -> None:
+    """Write each payload, then the index file naming them. The old index
+    goes before any payload is replaced and the new one is written last, so
+    a save that fails part-way leaves no index rather than one naming a mix
+    of old and new payloads. A failure before the first replace has changed
+    nothing, so the old index is put back."""
+    previous = index.read_bytes() if index.is_file() else None
+    index.unlink(missing_ok=True)
+    for done, (path, payload) in enumerate(payloads.items()):
+        try:
+            write_atomic(path, payload)
+        except BaseException:
+            if done == 0 and previous is not None:
+                index.write_bytes(previous)
+            raise
+    write_atomic(index, body)
+
+
 def read_json(path: Path, expected: type = dict):
     """The JSON value in a saved file; FormatError names the file when it
     is missing, is not valid JSON, or holds a value other than a JSON object
@@ -320,22 +338,6 @@ def save_dataset(
     if causal_masks is not None:
         payloads["masks"] = np.asarray(causal_masks, dtype=np.uint8).tobytes()
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    root = manifest_path.parent
-
-    # The old manifest goes before any payload is replaced and the new one is
-    # written last, so a save that fails part-way leaves no manifest rather
-    # than one naming a mix of old and new payloads. A failure before the
-    # first replace has changed nothing, so the old manifest is put back.
-    previous = manifest_path.read_bytes() if manifest_path.is_file() else None
-    manifest_path.unlink(missing_ok=True)
-    for done, (name, payload) in enumerate(payloads.items()):
-        try:
-            write_atomic(root / files[name], payload)
-        except BaseException:
-            if done == 0 and previous is not None:
-                manifest_path.write_bytes(previous)
-            raise
-
     body = {
         "version": manifest.version,
         "count": manifest.count,
@@ -345,7 +347,11 @@ def save_dataset(
         "n_answers": manifest.n_answers,
         "files": files,
     }
-    write_atomic(manifest_path, json.dumps(body, indent=2) + "\n")
+    write_indexed(
+        manifest_path,
+        {manifest_path.parent / files[name]: payload for name, payload in payloads.items()},
+        json.dumps(body, indent=2) + "\n",
+    )
     return manifest
 
 

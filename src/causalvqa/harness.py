@@ -12,8 +12,9 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass, field, replace
-from functools import cache, partial
+from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
+from enum import Enum
+from functools import cache
 from pathlib import Path
 from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
@@ -231,46 +232,74 @@ def load_data(
     )
 
 
-# -- config parsing (JSON dict -> ExperimentConfig) -----------------------------
+# -- config parsing (JSON sections -> config dataclasses) ------------------------
 
 
 _JSON_KINDS = {
-    bool: "true or false", int: "an integer", float: "a finite number", type(None): "null"
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+    type(None): "null",
 }
-_field_types = cache(get_type_hints)  # evaluating annotations takes ~0.1 ms a class
+
+
+@cache  # evaluating annotations takes ~0.1 ms a class, and parsing runs per config
+def _schema(factory: Callable) -> tuple[dict[str, tuple], tuple[str, ...]]:
+    """The accepted kinds of each of a dataclass's fields, and the names of
+    the fields with no default."""
+    hints = get_type_hints(factory)
+    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(factory)}
+    required = tuple(
+        f.name for f in fields(factory) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return kinds, required
 
 
 def _json_type_ok(value, kind) -> bool:
     """int takes no bool or float; float takes ints, but only finite values
     (no NaN, Infinity, or 1e400, which json parses as Infinity); bool only
-    true/false; enum and nested-spec fields are converted before the
-    section is built."""
+    true/false."""
     if kind in (int, float):
         if isinstance(value, bool) or not isinstance(value, (int, kind)):
             return False
         return kind is int or abs(value) <= sys.float_info.max  # false for NaN
-    return isinstance(value, kind) if kind in _JSON_KINDS else True
+    return isinstance(value, kind)
 
 
-def build_section(problems: list[str], section: str, factory: Callable, kwargs: dict | None):
-    """factory(**kwargs) for one config section ("" for the top level), or
-    None with one message appended per JSON value whose type does not match
-    its dataclass field, else one for the factory's own rejection."""
-    if kwargs is None:
-        return None
+def build_section(problems: list[str], section: str, factory: Callable, raw: dict):
+    """factory(**raw) for one JSON section ("" for the top level), each
+    field read by its type hint: a dataclass field is a nested section, an
+    Enum field is converted from its value, null is taken only where the
+    hint allows None. Keys that name no field go to the factory, which
+    rejects them. Returns None with one message appended per missing
+    required field or value that does not fit its field, else one for the
+    factory's own rejection."""
 
     def where(key: str | None) -> str:
         return ".".join(part for part in (section, key) if part)
 
-    hints = _field_types(factory)
-    mismatched = []
-    for key, value in kwargs.items():
-        kinds = get_args(hints.get(key)) or (hints.get(key),)
-        if not any(_json_type_ok(value, kind) for kind in kinds):
+    kinds_of, required = _schema(factory)
+    reported = len(problems)
+    problems.extend(f"{where(key)}: required" for key in required if key not in raw)
+    kwargs = {}
+    for key, value in raw.items():
+        kinds = kinds_of.get(key, ())
+        nested = [kind for kind in kinds if is_dataclass(kind)]
+        if not kinds or (value is None and type(None) in kinds):
+            kwargs[key] = value
+        elif nested and isinstance(value, dict):
+            kwargs[key] = build_section(problems, where(key), nested[0], value)
+        elif nested:
+            problems.append(f"{where(key)}: expected a JSON object")
+        elif issubclass(kinds[0], Enum):
+            try:
+                kwargs[key] = kinds[0](value)
+            except ValueError:
+                problems.append(f"{where(key)}: unknown {value!r}")
+        elif any(_json_type_ok(value, kind) for kind in kinds):
+            kwargs[key] = value
+        else:
             expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
-            mismatched.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
-    if mismatched:
-        problems.extend(mismatched)
+            problems.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
+    if len(problems) > reported:
         return None
     try:
         return factory(**kwargs)
@@ -279,76 +308,19 @@ def build_section(problems: list[str], section: str, factory: Callable, kwargs: 
         return None
 
 
-def parse_experiment_config(raw: dict) -> ExperimentConfig:
-    """Build a validated config from a JSON dict.
-
-    Collects one message per invalid field and reports them all at once.
-    """
+def read_section(raw: dict, factory: Callable):
+    """factory built from the top-level keys of raw that name its fields;
+    ConfigError lists every problem at once."""
     problems: list[str] = []
-
-    build = partial(build_section, problems)
-
-    def section(parent: dict, key: str, name: str | None = None) -> dict | None:
-        """A copy of parent[key] ({} when absent), or None if not an object."""
-        value = parent.get(key, {})
-        if not isinstance(value, dict):
-            problems.append(f"{name or key}: expected a JSON object")
-            return None
-        return dict(value)
-
-    def enum_field(kwargs: dict | None, key: str, enum_cls, name: str) -> None:
-        if kwargs is not None and key in kwargs:
-            try:
-                kwargs[key] = enum_cls(kwargs[key])
-            except ValueError:
-                problems.append(f"{name}.{key}: unknown {kwargs.pop(key)!r}")
-
-    data = None
-    data_raw = section(raw, "data")
-    if data_raw is None:
-        pass  # reported by section()
-    elif "synthetic" in data_raw:
-        spec = build(
-            "data.synthetic", SyntheticSpec, section(data_raw, "synthetic", "data.synthetic")
-        )
-        data = build("data", DataConfig, {"synthetic": spec}) if spec else None
-    elif "manifest" in data_raw:
-        data = build("data", DataConfig, {"manifest": str(data_raw["manifest"])})
-    else:
-        problems.append("data: required section with synthetic | manifest")
-
-    model = build("model", ModelConfig, section(raw, "model"))
-    optimizer = build("optimizer", OptimizerConfig, section(raw, "optimizer"))
-
-    ikw = section(raw, "intervention") if "intervention" in raw else None
-    enum_field(ikw, "memory_source", MemorySource, "intervention")
-    intervention = build("intervention", InterventionConfig, ikw)
-
-    bkw = section(raw, "bank")
-    enum_field(bkw, "regime", Regime, "bank")
-    enum_field(bkw, "metric", Metric, "bank")
-    bank = build("bank", BankConfig, bkw)
-
-    use_oracle = raw.get("use_oracle_masks", False)
-    if not isinstance(use_oracle, bool):
-        problems.append("use_oracle_masks: expected true/false")
-        use_oracle = False
-    output_dir = raw.get("output_dir")
-    if output_dir is not None and not isinstance(output_dir, str):
-        problems.append("output_dir: expected string path")
-        output_dir = None
-
+    names = _schema(factory)[0]
+    built = build_section(problems, "", factory, {k: v for k, v in raw.items() if k in names})
     if problems:
         raise ConfigError(problems)
-    return ExperimentConfig(
-        data=data,
-        model=model,
-        optimizer=optimizer,
-        intervention=intervention,
-        bank=bank,
-        use_oracle_masks=use_oracle,
-        output_dir=output_dir,
-    )
+    return built
+
+
+def parse_experiment_config(raw: dict) -> ExperimentConfig:
+    return read_section(raw, ExperimentConfig)
 
 
 # -- metrics ---------------------------------------------------------------------
@@ -422,10 +394,7 @@ class MetricsReport:
 
 
 def _report_from_predictions(
-    instances: Sequence[VideoQAInstance],
-    predictions: Sequence[int],
-    curves: tuple[CurveRow, ...] = (),
-    deltas: dict[str, float] | None = None,
+    instances: Sequence[VideoQAInstance], predictions: Sequence[int]
 ) -> MetricsReport:
     counts = {name: 0 for name in QTYPE_NAMES.values()}
     corrects = {name: 0 for name in QTYPE_NAMES.values()}
@@ -433,9 +402,7 @@ def _report_from_predictions(
         name = QTYPE_NAMES[Qtype(inst.qtype)]
         counts[name] += 1
         corrects[name] += int(pred == inst.gold)
-    return MetricsReport(
-        counts=counts, corrects=corrects, curves=curves, deltas=deltas or {}
-    )
+    return MetricsReport(counts=counts, corrects=corrects)
 
 
 def _stacked(insts: Sequence[VideoQAInstance], videos: Sequence[Array] | None = None):
@@ -819,32 +786,40 @@ CHECKPOINT_VERSION = 3
 def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:
     out = Path(out_dir)
     out.mkdir(parents=True, exist_ok=True)
-    write_atomic(out / "params.f32", model.store.flat_params.astype("<f4").tobytes())
-    gated = "gate.w" in model.store
-    meta = {"version": CHECKPOINT_VERSION, "pcma": asdict(model.cfg), "gated": gated}
-    write_atomic(out / "model.json", json.dumps(meta, sort_keys=True, indent=2) + "\n")
+    meta = {"version": CHECKPOINT_VERSION, "pcma": asdict(model.cfg),
+            "gated": "gate.w" in model.store}
+    features.write_indexed(
+        out / "model.json",
+        {out / "params.f32": model.store.flat_params.astype("<f4").tobytes()},
+        json.dumps(meta, sort_keys=True, indent=2) + "\n",
+    )
     return out
 
 
+@dataclass(frozen=True)
+class _ModelJson:
+    """model.json's sections besides its version."""
+
+    pcma: PcmaConfig
+    gated: bool
+
+
 def load_checkpoint(out_dir: str | Path) -> PcmaModel:
-    """The model saved in out_dir. FormatError names model.json when its
-    version is not CHECKPOINT_VERSION, gated is not true or false, or the
-    pcma section lacks a field, has an unknown one or holds a value
-    PcmaConfig rejects; it names params.f32 when the payload is missing,
-    holds a non-finite value, or holds more or fewer floats than the
-    layout model.json describes."""
+    """The model saved in out_dir. FormatError names model.json when it is
+    missing, its version is not CHECKPOINT_VERSION, or its pcma and gated
+    sections do not read as PcmaConfig and a bool; it names params.f32
+    when the payload is missing, holds a non-finite value, or holds more or
+    fewer floats than the layout model.json describes."""
     path = Path(out_dir) / "model.json"
     meta = read_json(path)
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')!r}, "
                           f"expected {CHECKPOINT_VERSION}; retrain to write this version")
-    pcma, gated = meta.get("pcma"), meta.get("gated")
-    problems = [] if isinstance(pcma, dict) else ["pcma: expected a JSON object"]
-    cfg = build_section(problems, "pcma", PcmaConfig, pcma) if not problems else None
-    if not isinstance(gated, bool):
-        problems.append(f"gated: expected true or false, got {json.dumps(gated)}")
-    if problems:
-        raise FormatError(f"{path}: " + "; ".join(problems))
+    try:
+        saved = read_section(meta, _ModelJson)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
+    cfg, gated = saved.pcma, saved.gated
     payload = path.parent / "params.f32"
     values = features._read_payload(payload, "<f4")
     # the walk stops once it passes the stored float count, so outsized pcma

@@ -255,17 +255,6 @@ def s3_student_probs(
     )
 
 
-def s3_student_loss(
-    student_probs: Array, teacher: Array, task_loss: float, lam: float
-) -> float:
-    """task_loss + lam * KL(teacher || student)."""
-    if lam < 0:
-        raise ValueError("lambda must be nonnegative")
-    if lam == 0.0:
-        return float(task_loss)
-    return float(task_loss + lam * nc.kl_divergence(teacher, student_probs))
-
-
 def s3_distill_grads(
     student: StudentSampler, video: Array, question: Array, teacher: Array, lam: float
 ) -> float:

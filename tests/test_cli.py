@@ -14,9 +14,9 @@ import numpy as np
 import pytest
 
 import causalvqa
-from causalvqa.cli import cli_main
+from causalvqa.cli import EvalConfig, GenDataConfig, ProtocolConfig, SampleConfig, cli_main
 from causalvqa.features import SyntheticSpec, generate_synthetic, save_dataset
-from causalvqa.harness import CHECKPOINT_VERSION, shortcut_probe
+from causalvqa.harness import CHECKPOINT_VERSION, ExperimentConfig, read_section, shortcut_probe
 
 
 def write_cfg(path, payload) -> str:
@@ -43,6 +43,30 @@ def sha_tree(root) -> dict:
         for p in sorted(root.rglob("*"))
         if p.is_file()
     }
+
+
+# each sample config's subcommand, and the sections each subcommand reads
+CONFIG_COMMANDS = {
+    "gen_data": "gen-data", "train": "train", "train_contrastive": "train", "eval": "eval",
+    "intervene_eval": "intervene-eval", "probe": "probe", "sample": "sample",
+}
+COMMAND_READERS = {
+    "gen-data": [GenDataConfig],
+    "train": [ExperimentConfig],
+    "eval": [ExperimentConfig, EvalConfig],
+    "intervene-eval": [ExperimentConfig, ProtocolConfig],
+    "probe": [ExperimentConfig],
+    "sample": [ExperimentConfig, SampleConfig],
+}
+
+
+def test_every_sample_config_reads_under_its_command():
+    configs = Path(__file__).parents[1] / "configs"
+    assert sorted(p.stem for p in configs.glob("*.json")) == sorted(CONFIG_COMMANDS)
+    for stem, command in CONFIG_COMMANDS.items():
+        raw = json.loads((configs / f"{stem}.json").read_text())
+        for factory in COMMAND_READERS[command]:
+            read_section(raw, factory)
 
 
 class TestTrainCommand:
@@ -296,6 +320,7 @@ class TestErrorPaths:
             ("model", "n_heads", 2.0),
             ("intervention", "topk_mode", "yes"),
             ("intervention", "topk_mode", 1),
+            ("data", "manifest", 5),
         ],
     )
     def test_field_of_the_wrong_type(self, tmp_path, out_dir, capsys, section, key, value):
@@ -425,9 +450,10 @@ class TestErrorPaths:
             ({"subsample": 2.0}, "sampler.subsample: expected an integer or null, got 2.0"),
             ({"seed": True}, "sampler.seed: expected an integer, got true"),
             ({"seed": -1}, "sampler.seed: must be >= 0"),
+            ({"kind": 5}, "sampler.kind: expected a string, got 5"),
         ],
         ids=["subsample-negative", "subsample-zero", "subsample-float", "seed-bool",
-             "seed-negative"],
+             "seed-negative", "kind-int"],
     )
     def test_sampler_field_rejected(self, tmp_path, out_dir, capsys, params, line):
         cfg = write_cfg(tmp_path / "sample.json",
@@ -448,8 +474,10 @@ class TestErrorPaths:
             ("neighbor_k", 0, "neighbor_k: must be >= 1"),
             ("seed", True, "seed: expected an integer, got true"),
             ("seed", -1, "seed: must be >= 0"),
+            ("checkpoint_a", "", "checkpoint_a: must be a nonempty path"),
+            ("checkpoint_b", 5, "checkpoint_b: expected a string, got 5"),
         ],
-        ids=["k-bool", "k-zero", "seed-bool", "seed-negative"],
+        ids=["k-bool", "k-zero", "seed-bool", "seed-negative", "path-empty", "path-int"],
     )
     def test_intervene_eval_key_rejected(self, tmp_path, out_dir, capsys, key, value, line):
         # rejected at parse time, before either checkpoint is opened
@@ -457,6 +485,36 @@ class TestErrorPaths:
                         {"data": DATA, "checkpoint_a": "a", "checkpoint_b": "b", key: value})
         assert cli_main(["intervene-eval", "--config", cfg]) == 1
         assert capsys.readouterr().err == f"config error: {line}\n"
+
+    @pytest.mark.parametrize(
+        "command, raw, line",
+        [
+            ("train", {}, "data: required"),
+            ("train", {"data": {**DATA, "manifest": "d.json"}},
+             "data: exactly one of synthetic | manifest must be set"),
+            ("train", {"data": DATA, "use_oracle_masks": 1},
+             "use_oracle_masks: expected true or false, got 1"),
+            ("train", {"data": DATA, "output_dir": 5},
+             "output_dir: expected a string or null, got 5"),
+            ("eval", {"data": DATA}, "checkpoint: required"),
+            ("eval", {"data": DATA, "checkpoint": ""}, "checkpoint: must be a nonempty path"),
+            ("intervene-eval", {"data": DATA, "checkpoint_a": "a"}, "checkpoint_b: required"),
+            ("sample", {"data": DATA}, "sampler: required"),
+            ("sample", {"data": DATA, "sampler": {"seed": 5}}, "sampler.kind: required"),
+            ("gen-data", {"manifest": "d.json"}, "synthetic: required"),
+            ("gen-data", {**DATA, "manifest": ""}, "manifest: must be a nonempty path"),
+            ("gen-data", {**DATA, "output_dir": ["a"]},
+             'output_dir: expected a string or null, got ["a"]'),
+        ],
+        ids=["no-data", "data-both", "oracle-int", "output-dir-int", "no-checkpoint",
+             "checkpoint-empty", "no-checkpoint-b", "no-sampler", "no-kind",
+             "no-synthetic", "manifest-empty", "gen-output-dir-list"],
+    )
+    def test_top_level_key_rejected(self, tmp_path, out_dir, capsys, command, raw, line):
+        cfg = write_cfg(tmp_path / "cfg.json", raw)
+        assert cli_main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out_dir.exists()
 
     @staticmethod
     def _trained_checkpoint(tmp_path, out_dir):
@@ -470,7 +528,7 @@ class TestErrorPaths:
     @pytest.mark.parametrize(
         "edit, reason",
         [
-            (lambda body: body["pcma"].pop("video_dim"), "missing 1 required"),
+            (lambda body: body["pcma"].pop("video_dim"), "model.json: pcma.video_dim: required"),
             (lambda body: body["pcma"].update(depth=3), "unexpected keyword argument 'depth'"),
             (lambda body: body["pcma"].update(n_heads=3), "not divisible by n_heads 3"),
             (lambda body: body["pcma"].update(tau=float("nan")),
@@ -478,7 +536,7 @@ class TestErrorPaths:
             (lambda body: body["pcma"].update(model_dim="16"),
              "pcma.model_dim: expected an integer"),
             (lambda body: body["pcma"].update(tau=1e-320), "pcma: tau 1e-320 is too small"),
-            (lambda body: body.pop("gated"), "gated: expected true or false, got null"),
+            (lambda body: body.pop("gated"), "model.json: gated: required"),
             (lambda body: body.update(gated=1), "gated: expected true or false, got 1"),
             (lambda body: body.update(pcma=[16]), "pcma: expected a JSON object"),
         ],

@@ -7,8 +7,10 @@ import os
 import tempfile
 import warnings
 from dataclasses import fields, replace
+from enum import Enum
 from fractions import Fraction
 from pathlib import Path
+from typing import get_args, get_type_hints
 from unittest import mock
 
 import numpy as np
@@ -21,6 +23,7 @@ import causalvqa.mnse as mnse
 import causalvqa.nn_core as nc
 import causalvqa.samplers as sm
 from causalvqa import features
+from causalvqa.cli import cli_main
 from causalvqa.features import FormatError, Qtype, SyntheticSpec, generate_synthetic, save_dataset
 from causalvqa.harness import (
     AdamState,
@@ -256,7 +259,15 @@ class TestConfigParsing:
     def test_data_section_required(self):
         with pytest.raises(ConfigError) as err:
             parse_experiment_config({})
-        assert any("data" in p for p in err.value.problems)
+        assert err.value.problems == ["data: required"]
+
+    def test_null_takes_the_place_of_an_optional_section_only(self):
+        data = {"synthetic": {"n_instances": 2, "video_dim": 8, "text_dim": 8}}
+        cfg = parse_experiment_config({"data": data, "intervention": None, "output_dir": None})
+        assert cfg.intervention is None and cfg.output_dir is None
+        with pytest.raises(ConfigError) as err:
+            parse_experiment_config({"data": data, "model": None, "bank": {"metric": None}})
+        assert err.value.problems == ["model: expected a JSON object", "bank.metric: unknown None"]
 
 
 # JSON values for the config property; integers stay small so that a model
@@ -298,6 +309,56 @@ EXPERIMENT_JSON = st.fixed_dictionaries(
 )
 
 
+# small in-range values of each field kind, so that most configs drawn
+# from these sections get past parsing and train
+KIND_VALUES = {
+    bool: st.booleans(), int: st.integers(1, 8), float: st.floats(0.01, 0.99),
+    type(None): st.none(),
+}
+
+
+def typed_section(cls):
+    """JSON objects over the fields of one config dataclass, each value of
+    a kind its field's type hint takes."""
+    hints = get_type_hints(cls)
+
+    def values(hint):
+        return st.one_of([
+            st.sampled_from([m.value for m in kind]) if issubclass(kind, Enum)
+            else KIND_VALUES[kind]
+            for kind in get_args(hint) or (hint,)
+        ])
+
+    return st.fixed_dictionaries({}, optional={f.name: values(hints[f.name]) for f in fields(cls)})
+
+
+TYPED_EXPERIMENT_JSON = st.fixed_dictionaries(
+    {"data": st.fixed_dictionaries(
+        {"synthetic": typed_section(SyntheticSpec).map(lambda d: {"n_instances": 4, **d})}
+    )},
+    optional={
+        "model": typed_section(ModelConfig),
+        "optimizer": typed_section(OptimizerConfig),
+        "intervention": typed_section(InterventionConfig),
+        "bank": typed_section(BankConfig),
+        "use_oracle_masks": st.booleans(),
+    },
+)
+
+
+def _capped(raw: dict) -> dict:
+    """raw with its training steps, instance count, clip count and feature
+    dims capped, so that a run on it stays small."""
+    caps = {"steps": 2, "n_instances": 8, "n_clips": 8, "video_dim": 8, "text_dim": 8}
+    data = raw["data"]
+    sections = [raw.get("optimizer"), data.get("synthetic") if isinstance(data, dict) else None]
+    for section in sections:
+        for key, value in section.items() if isinstance(section, dict) else ():
+            if key in caps and type(value) is int:
+                section[key] = min(value, caps[key])
+    return raw
+
+
 class TestConfigBoundary:
     @settings(max_examples=300, deadline=None)
     @given(raw=EXPERIMENT_JSON)
@@ -310,6 +371,16 @@ class TestConfigBoundary:
         np.random.default_rng(cfg.optimizer.seed)
         if cfg.data.synthetic is not None:
             np.random.default_rng(cfg.data.synthetic.seed)
+
+    @settings(max_examples=40, deadline=None)
+    @given(raw=(EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON).map(_capped))
+    def test_cli_train_exits_0_or_1(self, raw):
+        # in process: the run either writes its artifacts or reports why not
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "train.json"
+            path.write_text(json.dumps(raw))
+            with mock.patch.dict(os.environ, {hn.OUTPUT_DIR_ENV: str(Path(tmp) / "out")}):
+                assert cli_main(["train", "--config", str(path)]) in (0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -370,6 +441,40 @@ class TestCheckpointBoundary:
         for name in model.store.names():
             want = model.store[name].astype(np.float32).astype(np.float64)
             np.testing.assert_array_equal(loaded.store[name], want)
+
+    def test_failed_resave_leaves_no_loadable_checkpoint(self, tmp_path, monkeypatch):
+        # the new payload is in place when writing model.json fails; the old
+        # model.json must not pair the old config with the new parameters
+        out = save_checkpoint(small_model(seed=1), tmp_path / "ckpt")
+        real_replace, calls = os.replace, []
+
+        def replace_failing_second(src, dst):
+            calls.append(dst)
+            if len(calls) == 2:
+                raise OSError(f"cannot replace {dst}")
+            real_replace(src, dst)
+
+        monkeypatch.setattr(os, "replace", replace_failing_second)
+        with pytest.raises(OSError, match="model.json"):
+            save_checkpoint(small_model(seed=2), out)
+        monkeypatch.undo()
+        with pytest.raises(FormatError, match=r"model\.json: file not found"):
+            load_checkpoint(out)
+
+    def test_resave_failing_at_the_payload_keeps_the_old_checkpoint(self, tmp_path, monkeypatch):
+        old = load_checkpoint(save_checkpoint(small_model(seed=1), tmp_path / "old"))
+        out = save_checkpoint(old, tmp_path / "ckpt")
+
+        def failing_replace(src, dst):
+            raise OSError(f"cannot replace {dst}")
+
+        monkeypatch.setattr(os, "replace", failing_replace)
+        with pytest.raises(OSError, match="params.f32"):
+            save_checkpoint(small_model(seed=2), out)
+        monkeypatch.undo()
+        loaded = load_checkpoint(out)
+        assert loaded.cfg == old.cfg
+        np.testing.assert_array_equal(loaded.store.flat_params, old.store.flat_params)
 
     def test_stored_tensor_missing_from_the_model_names_it(self, tmp_path):
         # a gated payload read as ungated has floats no tensor takes, and

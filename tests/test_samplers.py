@@ -243,23 +243,6 @@ def test_student_probs_sum_to_one_and_deterministic():
     np.testing.assert_array_equal(a.probs, b.probs)
 
 
-def test_student_loss_known_value():
-    teacher = np.array([0.7, 0.3])
-    student_probs = np.array([0.5, 0.5])
-    kl = sm.s3_student_loss(student_probs, teacher, task_loss=0.0, lam=1.0)
-    assert abs(kl - 0.08228) < 1e-4
-    combined = sm.s3_student_loss(student_probs, teacher, task_loss=1.25, lam=2.0)
-    assert abs(combined - (1.25 + 2.0 * kl)) < 1e-12
-
-
-def test_student_loss_degenerate_weights():
-    teacher = np.array([0.7, 0.3])
-    assert sm.s3_student_loss(np.array([0.5, 0.5]), teacher, 3.5, lam=0.0) == 3.5
-    assert sm.s3_student_loss(teacher, teacher, 3.5, lam=4.0) == pytest.approx(3.5)
-    with pytest.raises(ValueError, match="nonnegative"):
-        sm.s3_student_loss(teacher, teacher, 0.0, lam=-1.0)
-
-
 def test_distill_gradients_match_finite_differences(rng):
     student, video, question = student_fixture(n_frames=5)
     store = student.store
