@@ -167,8 +167,6 @@ def _cmd_eval(raw: dict) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     model = load_checkpoint(checkpoint)
     instances, _, _ = load_data(cfg.data)
-    if not instances:
-        raise ConfigError(["data: empty dataset"])
     report = evaluate(model, instances)
     return out_dir, {"command": "eval", **report.to_dict()}
 
@@ -180,8 +178,6 @@ def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
     model_a = load_checkpoint(protocol.checkpoint_a)
     model_b = load_checkpoint(protocol.checkpoint_b)
     instances, _, masks = load_data(cfg.data)
-    if not instances:
-        raise ConfigError(["data: empty dataset"])
     if masks is None:
         raise ConfigError(["data: causal masks required for intervene-eval"])
     bank = MemoryBank(
@@ -211,8 +207,6 @@ def _cmd_probe(raw: dict) -> tuple[Path, dict]:
     cfg = parse_experiment_config(raw)
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, _, _ = load_data(cfg.data)
-    if not instances:
-        raise ConfigError(["data: empty dataset"])
     report = shortcut_probe(instances)
     return out_dir, {"command": "probe", **report.to_dict()}
 
@@ -249,8 +243,6 @@ def _cmd_sample(raw: dict) -> tuple[Path, dict]:
     sampler = read_section(raw, SampleConfig).sampler
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, saliencies, _ = load_data(cfg.data)
-    if not instances:
-        raise ConfigError(["data: empty dataset"])
     selections = _run_sampler(sampler, instances, saliencies)
     return out_dir, {"command": "sample", "sampler": sampler.kind, "selections": selections}
 

@@ -219,17 +219,22 @@ class ExperimentConfig:
 def load_data(
     cfg: DataConfig,
 ) -> tuple[list[VideoQAInstance], list | None, Array | None]:
-    """Instances plus optional saliency and causal-mask sidecars."""
+    """Instances plus optional saliency and causal-mask sidecars;
+    ConfigError if there are no instances."""
     if cfg.synthetic is not None:
-        return generate_synthetic(cfg.synthetic)
-    # one parse of the manifest serves the payloads and both sidecars; it is
-    # looked up on the features module, where the benchmark's tracer counts it
-    manifest = features.read_manifest(cfg.manifest)
-    return (
-        load_dataset(cfg.manifest, manifest),
-        load_saliency(cfg.manifest, manifest),
-        load_causal_masks(cfg.manifest, manifest),
-    )
+        data = generate_synthetic(cfg.synthetic)
+    else:
+        # one parse of the manifest serves the payloads and both sidecars; it is
+        # looked up on the features module, where the benchmark's tracer counts it
+        manifest = features.read_manifest(cfg.manifest)
+        data = (
+            load_dataset(cfg.manifest, manifest),
+            load_saliency(cfg.manifest, manifest),
+            load_causal_masks(cfg.manifest, manifest),
+        )
+    if not data[0]:
+        raise ConfigError(["data: empty dataset"])
+    return data
 
 
 # -- config parsing (JSON sections -> config dataclasses) ------------------------
@@ -678,8 +683,6 @@ def train(
     loss goes non-finite.
     """
     instances, _, masks = load_data(cfg.data) if dataset is None else dataset
-    if not instances:
-        raise ValueError("training needs at least one instance")
     if cfg.use_oracle_masks and masks is None:
         raise ConfigError(["use_oracle_masks: dataset has no causal-mask sidecar"])
     video_dim, text_dim, n_clips = (
@@ -780,7 +783,7 @@ def train(
 # model.json holds {"version", "pcma": the PcmaConfig fields, "gated"}, and
 # params.f32 the store's flat params buffer as little-endian float32 in
 # model_layout order
-CHECKPOINT_VERSION = 3
+CHECKPOINT_VERSION = 4
 
 
 def save_checkpoint(model: PcmaModel, out_dir: str | Path) -> Path:

@@ -105,8 +105,10 @@ def _sigmoid(x: Array) -> Array:
 
 def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array, dict]:
     """Per-clip gate scores [B, n_clips] in (0,1) for video [B, n_clips,
-    video_dim] and question [B, text_dim]: sigmoid of a question-attended
-    readout. ValueError if the model was built without gates."""
+    video_dim] and question [B, text_dim]: sigmoid of a linear readout of
+    each projected clip plus the gate's one-key attention vector of the
+    question, which shifts every clip's score by the same amount.
+    ValueError if the model was built without gates."""
     if "gate.w" not in model.store:
         raise ValueError("gate_forward needs a model built with gated=True")
     cfg = model.cfg
@@ -121,7 +123,7 @@ def gate_forward(model: PcmaModel, video: Array, question: Array) -> tuple[Array
     store = model.store
     vp, c_v = nc.linear_forward(video, store["video_proj.w"], store["video_proj.b"])
     qp, c_q = nc.linear_forward(question[:, None, :], store["text_proj.w"], store["text_proj.b"])
-    attn, c_a = nc.mha_forward(vp, qp, store, "gate.attn", cfg.n_heads)
+    attn, c_a = nc.single_key_forward(qp, store, "gate.attn")
     u = vp + attn
     scores = u @ store["gate.w"] + store["gate.b"][0]
     gates = _sigmoid(scores)
@@ -139,9 +141,8 @@ def gate_backward(model: PcmaModel, dgates: Array, cache: dict) -> tuple[Array, 
     store.accumulate("gate.w", u.reshape(-1, u.shape[-1]).T @ ds.reshape(-1))
     store.accumulate("gate.b", np.array([ds.sum()]))
     du = ds[..., None] * store["gate.w"]
-    dvp_attn, dqp = nc.mha_backward(du, cache["c_a"], store)
-    dvp = du + dvp_attn
-    dvideo, dwv, dbv = nc.linear_backward(dvp, cache["c_v"])
+    dqp = nc.single_key_backward(du, cache["c_a"], store)
+    dvideo, dwv, dbv = nc.linear_backward(du, cache["c_v"])
     store.accumulate("video_proj.w", dwv)
     store.accumulate("video_proj.b", dbv)
     dquestion, dwt, dbt = nc.linear_backward(dqp, cache["c_q"])

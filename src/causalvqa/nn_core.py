@@ -173,19 +173,22 @@ def relu_backward(dy: Array, mask: Array) -> Array:
     return dy * mask
 
 
-# -- multi-head attention ----------------------------------------------------
+# -- attention ---------------------------------------------------------------
 
-MHA_WEIGHTS = ("wq", "wk", "wv", "wo")
-MHA_BIASES = ("bq", "bk", "bv", "bo")
+# no key bias: it adds the same score to every key of a query, which the
+# softmax cancels
+MHA_PARAMS = ("wq", "wk", "wv", "wo", "bq", "bv", "bo")
+# attention into one key row needs only its value and output projections
+SINGLE_KEY_PARAMS = ("wv", "wo", "bv", "bo")
 
 
-def mha_layout(prefix: str, dim: int) -> Iterator[tuple[str, tuple[int, ...], int]]:
-    """(name, shape, fan_in) of the eight projection tensors of one
-    attention block, for a ParamStore layout."""
-    for nm in MHA_WEIGHTS:
-        yield f"{prefix}.{nm}", (dim, dim), dim
-    for nm in MHA_BIASES:
-        yield f"{prefix}.{nm}", (dim,), dim
+def mha_layout(
+    prefix: str, dim: int, names: tuple[str, ...] = MHA_PARAMS
+) -> Iterator[tuple[str, tuple[int, ...], int]]:
+    """(name, shape, fan_in) of an attention block's projection tensors,
+    weights [dim, dim] and biases [dim], for a ParamStore layout."""
+    for nm in names:
+        yield f"{prefix}.{nm}", (dim, dim) if nm.startswith("w") else (dim,), dim
 
 
 def _split_heads(x: Array, n_heads: int) -> Array:
@@ -200,28 +203,22 @@ def _merge_heads(x: Array) -> Array:
     return x.swapaxes(-2, -3).reshape(*lead, m, h * dh)
 
 
-def mha_forward(
-    q_in: Array, kv_in: Array, store: ParamStore, prefix: str, n_heads: int
-) -> tuple[Array, tuple]:
-    """Scaled dot-product multi-head attention; softmax over the key axis.
-
-    q_in [..., m, d] attends to kv_in [..., n, d] with the same leading
-    axes; output [..., m, d]. Scores are scaled by 1/sqrt(head_dim). The
-    per-head attention weights [..., h, m, n] are the cache's last entry,
-    kept for backprop.
+def mha_forward(x: Array, store: ParamStore, prefix: str, n_heads: int) -> tuple[Array, tuple]:
+    """Scaled dot-product multi-head self-attention over x [..., m, d];
+    output [..., m, d]. Scores are scaled by 1/sqrt(head_dim). The per-head
+    attention weights [..., h, m, m] are the cache's last entry, kept for
+    backprop.
     """
-    d = q_in.shape[-1]
-    if kv_in.shape[-1] != d:
-        raise DimMismatch(f"attention: query dim {d} vs key/value dim {kv_in.shape[-1]}")
+    d = x.shape[-1]
     if d % n_heads != 0:
         raise DimMismatch(f"attention: dim {d} not divisible by {n_heads} heads")
-    p = {nm: store[f"{prefix}.{nm}"] for nm in MHA_WEIGHTS + MHA_BIASES}
-    q, cq = linear_forward(q_in, p["wq"], p["bq"])
-    k, ck = linear_forward(kv_in, p["wk"], p["bk"])
-    v, cv = linear_forward(kv_in, p["wv"], p["bv"])
+    p = {nm: store[f"{prefix}.{nm}"] for nm in MHA_PARAMS}
+    q, cq = linear_forward(x, p["wq"], p["bq"])
+    k, ck = x @ p["wk"], (x, p["wk"])
+    v, cv = linear_forward(x, p["wv"], p["bv"])
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(d // n_heads)
-    scores = qh @ kh.swapaxes(-1, -2) * scale  # [..., h, m, n]
+    scores = qh @ kh.swapaxes(-1, -2) * scale  # [..., h, m, m]
     attn = softmax(scores, axis=-1)
     ctx = attn @ vh  # [..., h, m, dh]
     merged = _merge_heads(ctx)
@@ -230,8 +227,8 @@ def mha_forward(
     return out, cache
 
 
-def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, Array]:
-    """Accumulate block gradients into the store; return (dq_in, dkv_in)."""
+def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> Array:
+    """Accumulate block gradients into the store; return dx."""
     prefix, n_heads, scale, cq, ck, cv, co, qh, kh, vh, attn = cache
     dmerged, dwo, dbo = linear_backward(dout, co)
     dctx = _split_heads(dmerged, n_heads)
@@ -241,14 +238,38 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> tuple[Array, A
     dqh = dscores @ kh
     dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), cq)
-    dk, dwk, dbk = linear_backward(_merge_heads(dkh), ck)
+    dk, dwk, _ = linear_backward(_merge_heads(dkh), ck)
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), cv)
     for nm, g in (
-        ("wq", dwq), ("bq", dbq), ("wk", dwk), ("bk", dbk),
-        ("wv", dwv), ("bv", dbv), ("wo", dwo), ("bo", dbo),
+        ("wq", dwq), ("bq", dbq), ("wk", dwk), ("wv", dwv), ("bv", dbv), ("wo", dwo), ("bo", dbo),
     ):
         store.accumulate(f"{prefix}.{nm}", g)
-    return dq, dk + dv
+    return dq + dk + dv
+
+
+def single_key_forward(kv: Array, store: ParamStore, prefix: str) -> tuple[Array, tuple]:
+    """Multi-head attention of any number of queries into one key row kv
+    [..., 1, d]. A softmax over one key is exactly 1 in every head, so every
+    query receives the same output (kv @ wv + bv) @ wo + bo [..., 1, d],
+    which the caller broadcasts over its queries. Query and key projections
+    could never receive a gradient, so the block has none (see
+    SINGLE_KEY_PARAMS).
+    """
+    v, cv = linear_forward(kv, store[f"{prefix}.wv"], store[f"{prefix}.bv"])
+    out, co = linear_forward(v, store[f"{prefix}.wo"], store[f"{prefix}.bo"])
+    return out, (prefix, cv, co)
+
+
+def single_key_backward(dout: Array, cache: tuple, store: ParamStore) -> Array:
+    """Backprop the gradient dout [..., m, d] of the output as broadcast
+    over m queries; accumulates block gradients into the store and returns
+    dkv [..., 1, d]."""
+    prefix, cv, co = cache
+    dv, dwo, dbo = linear_backward(dout.sum(axis=-2, keepdims=True), co)
+    dkv, dwv, dbv = linear_backward(dv, cv)
+    for nm, g in (("wv", dwv), ("bv", dbv), ("wo", dwo), ("bo", dbo)):
+        store.accumulate(f"{prefix}.{nm}", g)
+    return dkv
 
 
 # -- cosine similarity -------------------------------------------------------

@@ -3,8 +3,10 @@
 Video clip rows and text vectors are projected to a shared width, run
 through residual cross-modal + self-modal attention layers, mean-pooled
 into one aggregated video vector, and scored against each answer by
-cosine similarity. The aggregated vector doubles as the representation
-used by the contrastive intervention objective.
+cosine similarity. The question is one key row, so each cross-modal block
+adds one projected question vector to every clip (see
+nn_core.single_key_forward). The aggregated vector doubles as the
+representation used by the contrastive intervention objective.
 
 Every model pass takes a leading batch axis: B videos of one clip count,
 with their questions and answers, go through one stacked pass, and
@@ -64,10 +66,11 @@ class InputGrads(NamedTuple):
 def pcma_layer_forward(
     h: Array, kv: Array, store: nc.ParamStore, prefix: str, n_heads: int
 ) -> tuple[Array, tuple]:
-    """One residual layer: cross-modal attention into kv, then self-modal."""
-    cross, c_cross = nc.mha_forward(h, kv, store, f"{prefix}.cross", n_heads)
+    """One residual layer: cross-modal attention of the clips h [..., m, d]
+    into the question row kv [..., 1, d], then self-modal."""
+    cross, c_cross = nc.single_key_forward(kv, store, f"{prefix}.cross")
     u = h + cross
-    self_out, c_self = nc.mha_forward(u, u, store, f"{prefix}.self", n_heads)
+    self_out, c_self = nc.mha_forward(u, store, f"{prefix}.self", n_heads)
     return u + self_out, (c_cross, c_self)
 
 
@@ -75,10 +78,8 @@ def pcma_layer_backward(
     dout: Array, cache: tuple, store: nc.ParamStore
 ) -> tuple[Array, Array]:
     c_cross, c_self = cache
-    dq_self, dkv_self = nc.mha_backward(dout, c_self, store)
-    du = dout + dq_self + dkv_self
-    dh_cross, dkv = nc.mha_backward(du, c_cross, store)
-    return du + dh_cross, dkv
+    du = dout + nc.mha_backward(dout, c_self, store)
+    return du, nc.single_key_backward(du, c_cross, store)
 
 
 def param_layout(cfg: PcmaConfig) -> Iterator[tuple[str, tuple[int, ...], int]]:
@@ -86,7 +87,7 @@ def param_layout(cfg: PcmaConfig) -> Iterator[tuple[str, tuple[int, ...], int]]:
     yield from nc.linear_layout("video_proj", cfg.video_dim, cfg.model_dim)
     yield from nc.linear_layout("text_proj", cfg.text_dim, cfg.model_dim)
     for layer in range(cfg.n_layers):
-        yield from nc.mha_layout(f"layer{layer}.cross", cfg.model_dim)
+        yield from nc.mha_layout(f"layer{layer}.cross", cfg.model_dim, nc.SINGLE_KEY_PARAMS)
         yield from nc.mha_layout(f"layer{layer}.self", cfg.model_dim)
 
 
@@ -94,7 +95,7 @@ def gate_layout(model_dim: int) -> Iterator[tuple[str, tuple[int, ...], int | No
     """(name, shape, fan_in) of the gate scorer tensors. The scorer weight
     and bias start at zero (fan_in None) so initial gates are exactly 0.5
     everywhere."""
-    yield from nc.mha_layout("gate.attn", model_dim)
+    yield from nc.mha_layout("gate.attn", model_dim, nc.SINGLE_KEY_PARAMS)
     yield "gate.w", (model_dim,), None
     yield "gate.b", (1,), None
 

@@ -6,8 +6,9 @@ Four families:
   moment window and tops up from equal temporal segments.
 - Pool resampling: draw a fresh random subset of a larger frame pool
   each training iteration to wash out a fixed-grid sampling bias.
-- Teacher-student: a small cross-attention student scores frames with a
-  softmax and distills a given teacher frame distribution.
+- Teacher-student: a small linear student scores frames by their video
+  features alone, with a softmax over frames, and distills a given teacher
+  frame distribution.
 - RL: an agent grows a buffer of chosen frames (seeded with the question
   embedding) and a policy over remaining frames plus STOP, trained by
   REINFORCE against a sparse terminal reward.
@@ -161,89 +162,55 @@ def pcma80_resample(
 @dataclass(frozen=True)
 class StudentConfig:
     video_dim: int
-    text_dim: int
     model_dim: int = 32
-    n_heads: int = 4
-    n_layers: int = 1
     top_s: int = 16
     seed: int = 0
 
     def __post_init__(self) -> None:
-        if min(self.video_dim, self.text_dim, self.model_dim, self.n_heads,
-               self.n_layers, self.top_s) <= 0:
+        if min(self.video_dim, self.model_dim, self.top_s) <= 0:
             raise ValueError("all dims and counts must be positive")
-        if self.model_dim % self.n_heads != 0:
-            raise nc.DimMismatch(
-                f"model_dim {self.model_dim} not divisible by n_heads {self.n_heads}"
-            )
 
 
 class StudentSampler:
-    """Cross-attention frame scorer trained to match a teacher distribution.
+    """Linear frame scorer trained to match a teacher distribution.
 
-    The scoring head starts at zero so an untrained student is exactly
-    uniform over frames.
+    Scores are video @ video_proj.w @ head.w per frame. Anything added to
+    every frame's score alike (a projection bias, a head bias, a question
+    vector) cancels in the softmax over frames, so the student has none.
+    The head starts at zero so an untrained student is exactly uniform
+    over frames.
     """
 
     def __init__(self, cfg: StudentConfig, store: nc.ParamStore | None = None):
         self.cfg = cfg
         if store is None:
-            layout = [
-                *nc.linear_layout("video_proj", cfg.video_dim, cfg.model_dim),
-                *nc.linear_layout("text_proj", cfg.text_dim, cfg.model_dim),
-            ]
-            for layer in range(cfg.n_layers):
-                layout += nc.mha_layout(f"layer{layer}.cross", cfg.model_dim)
-            layout += [("head.w", (cfg.model_dim,), None), ("head.b", (1,), None)]
-            store = nc.ParamStore(layout, cfg.seed)
+            store = nc.ParamStore([
+                ("video_proj.w", (cfg.video_dim, cfg.model_dim), cfg.video_dim),
+                ("head.w", (cfg.model_dim,), None),
+            ], cfg.seed)
         self.store = store
 
-    def probs_forward(self, video: Array, question: Array) -> tuple[Array, dict]:
-        cfg = self.cfg
+    def probs_forward(self, video: Array) -> tuple[Array, dict]:
+        """Frame distribution for video [n_frames, video_dim]."""
         video = nc.as_f64(video)
-        question = nc.as_f64(question)
-        if video.ndim != 2 or video.shape[1] != cfg.video_dim:
-            raise nc.DimMismatch(f"video shape {video.shape}, expected [*, {cfg.video_dim}]")
-        if question.shape != (cfg.text_dim,):
-            raise nc.DimMismatch(f"question shape {question.shape}")
-        store = self.store
-        h, c_v = nc.linear_forward(video, store["video_proj.w"], store["video_proj.b"])
-        qp, c_q = nc.linear_forward(question, store["text_proj.w"], store["text_proj.b"])
-        kv = qp[None, :]
-        layer_caches = []
-        for layer in range(cfg.n_layers):
-            attn, c_a = nc.mha_forward(h, kv, store, f"layer{layer}.cross", cfg.n_heads)
-            h = h + attn
-            layer_caches.append(c_a)
-        scores = h @ store["head.w"] + store["head.b"][0]
-        probs = nc.softmax(scores)
-        cache = {"c_v": c_v, "c_q": c_q, "layers": layer_caches, "h": h, "probs": probs}
-        return probs, cache
+        if video.ndim != 2 or video.shape[1] != self.cfg.video_dim:
+            raise nc.DimMismatch(f"video shape {video.shape}, expected [*, {self.cfg.video_dim}]")
+        h = video @ self.store["video_proj.w"]
+        probs = nc.softmax(h @ self.store["head.w"])
+        return probs, {"video": video, "h": h, "probs": probs}
 
     def probs_backward(self, dprobs: Array, cache: dict) -> None:
         store = self.store
         dscores = nc.softmax_backward(dprobs, cache["probs"])
         store.accumulate("head.w", cache["h"].T @ dscores)
-        store.accumulate("head.b", np.array([dscores.sum()]))
-        dh = np.outer(dscores, store["head.w"])
-        dkv_total = None
-        for c_a in reversed(cache["layers"]):
-            dh_attn, dkv = nc.mha_backward(dh, c_a, store)
-            dh = dh + dh_attn
-            dkv_total = dkv if dkv_total is None else dkv_total + dkv
-        _, dwv, dbv = nc.linear_backward(dh, cache["c_v"])
-        store.accumulate("video_proj.w", dwv)
-        store.accumulate("video_proj.b", dbv)
-        _, dwt, dbt = nc.linear_backward(dkv_total[0], cache["c_q"])
-        store.accumulate("text_proj.w", dwt)
-        store.accumulate("text_proj.b", dbt)
+        store.accumulate("video_proj.w", np.outer(cache["video"].T @ dscores, store["head.w"]))
 
 
 def s3_student_probs(
-    student: StudentSampler, video: Array, question: Array, top_s: int | None = None
+    student: StudentSampler, video: Array, top_s: int | None = None
 ) -> SamplerOutput:
     """Frame distribution plus the top-S selection (ties to lowest index)."""
-    probs, _ = student.probs_forward(video, question)
+    probs, _ = student.probs_forward(video)
     s = student.cfg.top_s if top_s is None else top_s
     s = min(s, probs.shape[0])
     order = np.lexsort((np.arange(probs.shape[0]), -probs))
@@ -255,11 +222,9 @@ def s3_student_probs(
     )
 
 
-def s3_distill_grads(
-    student: StudentSampler, video: Array, question: Array, teacher: Array, lam: float
-) -> float:
+def s3_distill_grads(student: StudentSampler, video: Array, teacher: Array, lam: float) -> float:
     """Distillation term lam * KL(teacher || student); accumulates gradients."""
-    probs, cache = student.probs_forward(video, question)
+    probs, cache = student.probs_forward(video)
     if teacher.shape != probs.shape:
         raise nc.DimMismatch("teacher distribution length must match frame count")
     kl = nc.kl_divergence(teacher, probs)
@@ -362,7 +327,7 @@ class RlSampler:
     def _policy_forward(self, episode: RlEpisodeState) -> tuple[Array, dict]:
         store = self.store
         buf = np.stack(episode.buffer)
-        attn, c_attn = nc.mha_forward(buf, buf, store, "state.attn", self.cfg.n_heads)
+        attn, c_attn = nc.mha_forward(buf, store, "state.attn", self.cfg.n_heads)
         h = buf + attn
         state, c_ln = nc.layer_norm_forward(
             h[-1], store["state.ln.gamma"], store["state.ln.beta"]
@@ -471,8 +436,7 @@ def reinforce_backward(sampler: RlSampler, episode: RlEpisodeState, advantage: f
         n_rows = cache["n_rows"]
         dh = np.zeros((n_rows, sampler.cfg.model_dim))
         dh[-1] = dh_last
-        dq, dkv = nc.mha_backward(dh, cache["c_attn"], store)
-        dbuf = dh + dq + dkv
+        dbuf = dh + nc.mha_backward(dh, cache["c_attn"], store)
         for i in range(n_rows):
             dbuf_rows[i] += dbuf[i]
     for drow, (kind, c_row) in zip(dbuf_rows, episode.row_caches):

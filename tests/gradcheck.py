@@ -60,3 +60,10 @@ def assert_grad_matches(
             f"{label}{list(idx)}: analytic {ana:.10g} vs numeric {num:.10g} "
             f"(rel err {rel:.3g})"
         )
+
+
+def dead_tensors(store, names, floor: float = 1e-9) -> list[str]:
+    """The names among names whose gradient in store has no entry above
+    floor in magnitude. The floor sits far above rounding noise (about
+    1e-16 here), which a gradient that cancels exactly leaves behind."""
+    return [name for name in names if not np.abs(store.grad(name)).max() > floor]

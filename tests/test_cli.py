@@ -419,15 +419,17 @@ class TestErrorPaths:
         err = capsys.readouterr().err
         assert err == "config error: synthetic.n_clips: expected an integer, got 2.5\n"
 
-    # the next version, the one before, a string and none at all
-    @pytest.mark.parametrize("name", ["model.json", "version-2", "version-string", "no-version"])
+    # the next version, older ones, a string and none at all
+    @pytest.mark.parametrize(
+        "name", ["model.json", "version-2", "version-3", "version-string", "no-version"]
+    )
     def test_unknown_checkpoint_version(self, tmp_path, out_dir, capsys, name):
         train_cfg = write_cfg(tmp_path / "train.json",
                               {"data": DATA, "model": MODEL, "optimizer": OPT})
         assert cli_main(["train", "--config", train_cfg]) == 0
         path = out_dir / "checkpoint" / "model.json"
         body = json.loads(path.read_text())
-        found = {"model.json": CHECKPOINT_VERSION + 1, "version-2": 2,
+        found = {"model.json": CHECKPOINT_VERSION + 1, "version-2": 2, "version-3": 3,
                  "version-string": str(CHECKPOINT_VERSION), "no-version": None}[name]
         body["version"] = found
         if found is None:
@@ -651,13 +653,14 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
-    @pytest.mark.parametrize("command", ["eval", "intervene-eval", "probe", "sample"])
+    @pytest.mark.parametrize("command", ["train", "eval", "intervene-eval", "probe", "sample"])
     def test_empty_dataset_is_config_error(self, tmp_path, out_dir, capsys, command):
         train_cfg = write_cfg(tmp_path / "train.json",
                               {"data": DATA, "model": MODEL, "optimizer": OPT})
         assert cli_main(["train", "--config", train_cfg]) == 0
         ckpt = str(out_dir / "checkpoint")
         keys = {
+            "train": {},
             "eval": {"checkpoint": ckpt},
             "intervene-eval": {"checkpoint_a": ckpt, "checkpoint_b": ckpt},
             "probe": {},

@@ -159,18 +159,25 @@ class TestMetricsReport:
 
 class TestEvaluate:
     def test_untrained_model_scores_at_chance(self):
+        # one initialisation alone scores anywhere in about [0.15, 0.27] on
+        # this data, so chance is asserted of the mean over twelve
         instances, _, _ = synth(2000, seed=42)
-        rep = evaluate(small_model(seed=3), instances)
-        assert 0.17 <= rep.overall <= 0.23
+        overall = np.mean([evaluate(small_model(seed=s), instances).overall for s in range(12)])
+        assert 0.17 <= overall <= 0.23
 
     def test_single_causal_instance_report(self):
         instances, _, _ = synth(1, seed=22)
-        assert instances[0].qtype is Qtype.CAUSAL
-        rep = evaluate(small_model(seed=3), instances)
-        assert rep.overall == 1.0
-        assert rep.acc_causal == 1.0
-        assert rep.acc_temporal is None
-        assert rep.acc_descriptive is None
+        inst = instances[0]
+        assert inst.qtype is Qtype.CAUSAL
+        model = small_model(seed=3)
+        scores, _ = model.forward_full(inst.video[None], inst.question[None], inst.answers[None])
+        predicted = int(scores.predicted[0])
+        for gold, acc in ((predicted, 1.0), ((predicted + 1) % len(inst.answers), 0.0)):
+            rep = evaluate(model, [replace(inst, gold=gold)])
+            assert rep.overall == acc
+            assert rep.acc_causal == acc
+            assert rep.acc_temporal is None
+            assert rep.acc_descriptive is None
 
     def test_video_override_with_originals_is_identity(self):
         instances, _, _ = synth(20, seed=7)

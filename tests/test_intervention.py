@@ -9,8 +9,8 @@ from causalvqa import intervention as iv
 from causalvqa import nn_core as nc
 from causalvqa.features import Qtype, VideoQAInstance
 from causalvqa.mnse import MemoryBank, Scenes
-from causalvqa.pcma import PcmaConfig, PcmaModel
-from gradcheck import assert_grad_matches
+from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
+from gradcheck import assert_grad_matches, dead_tensors
 from reference_step import reference_infonce
 
 VIDEO_DIM, TEXT_DIM = 10, 8
@@ -110,13 +110,16 @@ class TestGate:
             g, _ = iv.gate_forward(model, video, question)
             return float((g * probe).sum())
 
+        # gate.w starts at zero, which zeroes every gradient behind it
+        model.store["gate.w"][...] = rng.normal(size=16)
         model.store.zero_grads()
         gates, cache = iv.gate_forward(model, video, question)
         assert np.all((gates > 0) & (gates < 1))
         dvideo, dquestion = iv.gate_backward(model, probe, cache)
         assert_grad_matches(loss, video, dvideo, rng, "video")
         assert_grad_matches(loss, question, dquestion, rng, "question")
-        for name in ("gate.w", "gate.b", "gate.attn.wq", "gate.attn.wo", "video_proj.w"):
+        for name in ("gate.w", "gate.b", "gate.attn.wv", "gate.attn.wo", "gate.attn.bo",
+                     "video_proj.w"):
             assert_grad_matches(loss, model.store[name], model.store.grad(name), rng, name)
 
 
@@ -317,8 +320,25 @@ class TestTriplet:
         (dgates,) = iv.triplet_backward(model, grad[None], cache)
         assert np.abs(dgates).max() > 0
         assert_grad_matches(f, split.gates, dgates, rng, "gates")
-        for name in ("layer0.cross.wq", "video_proj.w", "text_proj.w", "layer0.self.wo"):
+        for name in ("layer0.cross.wv", "video_proj.w", "text_proj.w", "layer0.self.wo"):
             assert_grad_matches(f, model.store[name], model.store.grad(name), rng, name)
+
+    def test_every_gate_tensor_gets_a_gradient(self, rng):
+        model = make_model(gated=True)
+        # gate.w starts at zero, which zeroes every gradient behind it until
+        # a first step moves it
+        model.store["gate.w"][...] = rng.normal(size=16)
+        _, cfg, v_star, q_star, q_r, _, bank = self._pipeline(rng, model=model)
+        gates, gate_cache = iv.gate_forward(model, v_star[None], q_star[None])
+        split = iv.split_from_gates(gates[0], topk_mode=True, k=3)
+        aggs, cache, _ = build_one(
+            model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
+        )
+        _, grad = iv.infonce_loss(aggs)
+        model.store.zero_grads()
+        iv.gate_backward(model, iv.triplet_backward(model, grad[None], cache), gate_cache)
+        names = [name for name, _, _ in gate_layout(model.cfg.model_dim)]
+        assert dead_tensors(model.store, names) == []
 
     def test_stacked_triplets_match_one_at_a_time(self, rng):
         # three triplets of different splits through one stacked pass give

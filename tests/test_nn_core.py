@@ -196,89 +196,102 @@ def test_relu_gradient(rng):
 class TestAttention:
     def _setup(self, rng, dim=16, n_heads=4):
         store = nc.ParamStore(nc.mha_layout("attn", dim), seed=11)
-        q = rng.normal(size=(5, dim))
-        kv = rng.normal(size=(7, dim))
-        return store, q, kv
+        x = rng.normal(size=(5, dim))
+        return store, x
 
     def test_output_shape(self, rng):
-        store, q, kv = self._setup(rng)
-        out, (*_, attn) = nc.mha_forward(q, kv, store, "attn", 4)
+        store, x = self._setup(rng)
+        out, (*_, attn) = nc.mha_forward(x, store, "attn", 4)
         assert out.shape == (5, 16)
-        assert attn.shape == (4, 5, 7)
+        assert attn.shape == (4, 5, 5)
         np.testing.assert_allclose(attn.sum(axis=-1), 1.0, atol=1e-9)
 
     def test_single_key_output_ignores_query_content(self, rng):
-        store, q, kv = self._setup(rng)
-        single = kv[:1]
-        out, _ = nc.mha_forward(q, single, store, "attn", 4)
-        # softmax over one key is 1, so every output row is the single
-        # value row mapped through the output projection
-        np.testing.assert_allclose(out, np.tile(out[0], (5, 1)), atol=1e-12)
-        q2 = rng.normal(size=q.shape)
-        out2, _ = nc.mha_forward(q2, single, store, "attn", 4)
-        np.testing.assert_allclose(out2, out, atol=1e-12)
-        p = {nm: store[f"attn.{nm}"] for nm in nc.MHA_WEIGHTS + nc.MHA_BIASES}
-        v_row = single[0] @ p["wv"] + p["bv"]
-        np.testing.assert_allclose(out[0], v_row @ p["wo"] + p["bo"], atol=1e-12)
-
-    def test_query_rows_are_independent(self, rng):
-        store, q, kv = self._setup(rng)
-        out, _ = nc.mha_forward(q, kv, store, "attn", 4)
-        perm = rng.permutation(5)
-        out_p, _ = nc.mha_forward(q[perm], kv, store, "attn", 4)
-        np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
-
-    def test_dim_mismatch_raises(self, rng):
-        store, q, kv = self._setup(rng)
-        with pytest.raises(nc.DimMismatch):
-            nc.mha_forward(q, kv[:, :8], store, "attn", 4)
-
-    def test_gradients_all_tensors(self, rng):
-        store, q, kv = self._setup(rng)
+        """single_key_forward equals multi-head attention of any queries
+        into one key row, computed in full with its query and key
+        projections, and its gradients pass finite differences."""
+        store, q = self._setup(rng)
+        kv = rng.normal(size=(1, 16))
+        p = {nm: store[f"attn.{nm}"] for nm in nc.MHA_PARAMS}
+        out, cache = nc.single_key_forward(kv, store, "attn")
+        assert out.shape == (1, 16)
+        for queries in (q, rng.normal(size=(3, 16))):
+            heads = lambda t: t.reshape(len(t), 4, 4).swapaxes(0, 1)  # [h, rows, 4]
+            scores = heads(queries @ p["wq"] + p["bq"]) @ heads(kv @ p["wk"]).swapaxes(1, 2)
+            attn = nc.softmax(scores / 2.0)
+            ctx = (attn @ heads(kv @ p["wv"] + p["bv"])).swapaxes(0, 1).reshape(len(queries), 16)
+            np.testing.assert_allclose(ctx @ p["wo"] + p["bo"], np.broadcast_to(out, queries.shape),
+                                       atol=1e-12)
         probe = rng.normal(size=(5, 16))
 
         def loss():
-            out, _ = nc.mha_forward(q, kv, store, "attn", 4)
+            return float((nc.single_key_forward(kv, store, "attn")[0] * probe).sum())
+
+        store.zero_grads()
+        dkv = nc.single_key_backward(probe, cache, store)
+        assert_grad_matches(loss, kv, dkv, rng, "kv_in")
+        for nm in nc.SINGLE_KEY_PARAMS:
+            full = f"attn.{nm}"
+            assert_grad_matches(loss, store[full], store.grad(full), rng, full)
+        assert not store.grad("attn.wq").any() and not store.grad("attn.wk").any()
+
+    def test_permuting_rows_permutes_outputs(self, rng):
+        store, x = self._setup(rng)
+        out, _ = nc.mha_forward(x, store, "attn", 4)
+        perm = rng.permutation(5)
+        out_p, _ = nc.mha_forward(x[perm], store, "attn", 4)
+        np.testing.assert_allclose(out_p, out[perm], atol=1e-12)
+
+    def test_dim_mismatch_raises(self, rng):
+        store, x = self._setup(rng)
+        with pytest.raises(nc.DimMismatch):
+            nc.mha_forward(x[:, :8], store, "attn", 4)
+        with pytest.raises(nc.DimMismatch):
+            nc.mha_forward(x, store, "attn", 3)
+
+    def test_gradients_all_tensors(self, rng):
+        store, x = self._setup(rng)
+        probe = rng.normal(size=(5, 16))
+
+        def loss():
+            out, _ = nc.mha_forward(x, store, "attn", 4)
             return float((out * probe).sum())
 
         store.zero_grads()
-        _, cache = nc.mha_forward(q, kv, store, "attn", 4)
-        dq, dkv = nc.mha_backward(probe, cache, store)
-        assert_grad_matches(loss, q, dq, rng, "q_in")
-        assert_grad_matches(loss, kv, dkv, rng, "kv_in")
-        for nm in nc.MHA_WEIGHTS + nc.MHA_BIASES:
+        _, cache = nc.mha_forward(x, store, "attn", 4)
+        dx = nc.mha_backward(probe, cache, store)
+        assert_grad_matches(loss, x, dx, rng, "x_in")
+        for nm in nc.MHA_PARAMS:
             full = f"attn.{nm}"
             assert_grad_matches(loss, store[full], store.grad(full), rng, full)
 
     def test_leading_axes_match_per_slice_calls(self, rng):
-        store, _, _ = self._setup(rng)
-        q = rng.normal(size=(3, 5, 16))
-        kv = rng.normal(size=(3, 2, 16))
+        store, _ = self._setup(rng)
+        x = rng.normal(size=(3, 5, 16))
         probe = rng.normal(size=(3, 5, 16))
 
         def loss():
-            out, _ = nc.mha_forward(q, kv, store, "attn", 4)
+            out, _ = nc.mha_forward(x, store, "attn", 4)
             return float((out * probe).sum())
 
-        out, cache = nc.mha_forward(q, kv, store, "attn", 4)
+        out, cache = nc.mha_forward(x, store, "attn", 4)
         *_, attn = cache
-        assert attn.shape == (3, 4, 5, 2)
+        assert attn.shape == (3, 4, 5, 5)
         for i in range(3):
-            np.testing.assert_array_equal(out[i], nc.mha_forward(q[i], kv[i], store, "attn", 4)[0])
+            np.testing.assert_array_equal(out[i], nc.mha_forward(x[i], store, "attn", 4)[0])
         store.zero_grads()
-        dq, dkv = nc.mha_backward(probe, cache, store)
-        assert_grad_matches(loss, q, dq, rng, "q_in")
-        assert_grad_matches(loss, kv, dkv, rng, "kv_in")
+        dx = nc.mha_backward(probe, cache, store)
+        assert_grad_matches(loss, x, dx, rng, "x_in")
         for full in ("attn.wv", "attn.bo"):
             assert_grad_matches(loss, store[full], store.grad(full), rng, full)
 
     def test_identity_projections_give_hand_computed_softmax(self):
         d = 3
         store = nc.ParamStore((name, shape, None) for name, shape, _ in nc.mha_layout("attn", d))
-        for nm in nc.MHA_WEIGHTS:
+        for nm in ("wq", "wk", "wv", "wo"):
             store[f"attn.{nm}"][...] = np.eye(d)
         x = np.eye(d)  # orthonormal one-hot rows
-        out, (*_, attn) = nc.mha_forward(x, x, store, "attn", 1)
+        out, (*_, attn) = nc.mha_forward(x, store, "attn", 1)
         scale = 1.0 / math.sqrt(d)
         # brute-force softmax of the score matrix x @ x.T * scale == I * scale
         diag = math.exp(scale) / (math.exp(scale) + (d - 1))
@@ -289,13 +302,13 @@ class TestAttention:
         # non-orthogonal rows break the within-row off-diagonal uniformity
         x2 = x.copy()
         x2[0] = np.array([1.0, 1.0, 0.0]) / math.sqrt(2.0)
-        _, (*_, attn2) = nc.mha_forward(x2, x2, store, "attn", 1)
+        _, (*_, attn2) = nc.mha_forward(x2, store, "attn", 1)
         attn2 = attn2[0]
         assert abs(attn2[1, 0] - attn2[1, 2]) > 1e-3
         # unequal norms break the uniformity across rows
         x3 = x.copy()
         x3[0] *= 2.0
-        _, (*_, attn3) = nc.mha_forward(x3, x3, store, "attn", 1)
+        _, (*_, attn3) = nc.mha_forward(x3, store, "attn", 1)
         attn3 = attn3[0]
         assert abs(attn3[0, 1] - attn3[1, 2]) > 1e-3
 

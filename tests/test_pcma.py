@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 from causalvqa import nn_core as nc
 from causalvqa import pcma
 from causalvqa.features import N_ANSWERS
-from gradcheck import assert_grad_matches
+from gradcheck import assert_grad_matches, dead_tensors
 
 
 def small_cfg(**kw):
@@ -210,9 +210,19 @@ class TestGradients:
         assert_grad_matches(loss, answers, grads.answers, rng, "answers")
         for name in (
             "video_proj.w", "video_proj.b", "text_proj.w", "text_proj.b",
-            "layer0.cross.wq", "layer0.self.wv", "layer1.cross.wo", "layer1.self.bq",
+            "layer0.cross.wv", "layer0.self.wv", "layer1.cross.wo", "layer1.self.bq",
+            "layer0.cross.bv", "layer1.cross.bo",
         ):
             assert_grad_matches(loss, model.store[name], model.store.grad(name), rng, name)
+
+    def test_every_backbone_tensor_gets_a_gradient(self, rng):
+        cfg = small_cfg()
+        model = pcma.PcmaModel(cfg)
+        video, question, answers = random_inputs(cfg, rng, batch=2)
+        model.loss_and_grads(video, question, answers, np.array([1, 3]))
+        names = [name for name, _, _ in pcma.model_layout(cfg, gated=False)]
+        assert model.store.names() == sorted(names)
+        assert dead_tensors(model.store, names) == []
 
     def test_aggregate_path_gradients(self, rng):
         cfg = small_cfg()
