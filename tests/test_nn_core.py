@@ -215,8 +215,11 @@ class TestAttention:
         p = {nm: store[f"attn.{nm}"] for nm in nc.MHA_PARAMS}
         out, cache = nc.single_key_forward(kv, store, "attn")
         assert out.shape == (1, 16)
+
+        def heads(t):  # [rows, 16] -> [4 heads, rows, 4]
+            return t.reshape(len(t), 4, 4).swapaxes(0, 1)
+
         for queries in (q, rng.normal(size=(3, 16))):
-            heads = lambda t: t.reshape(len(t), 4, 4).swapaxes(0, 1)  # [h, rows, 4]
             scores = heads(queries @ p["wq"] + p["bq"]) @ heads(kv @ p["wk"]).swapaxes(1, 2)
             attn = nc.softmax(scores / 2.0)
             ctx = (attn @ heads(kv @ p["wv"] + p["bv"])).swapaxes(0, 1).reshape(len(queries), 16)
