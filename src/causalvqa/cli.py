@@ -286,7 +286,10 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
         return int(exc.code or 0)
     try:
         raw = _read_config(args.config)
-        out_dir, payload = _HANDLERS[args.command](raw)
+        # every non-finite result is checked and raised, so NumPy's warnings
+        # would only repeat the one error line
+        with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+            out_dir, payload = _HANDLERS[args.command](raw)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

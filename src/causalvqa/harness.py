@@ -55,11 +55,11 @@ from .mnse import (
     Metric,
     Regime,
     Scenes,
-    Target,
     instance_scenes,
     mnse_do,
     random_do,
     stacked_scenes,
+    swap_rows,
 )
 from .pcma import PcmaConfig, PcmaModel, model_layout, pcma_loss
 from . import samplers as sm
@@ -534,23 +534,6 @@ def _clean_pass(
     return losses, dgates
 
 
-def _do_complement(
-    inst: VideoQAInstance,
-    mask: Array,
-    bank: MemoryBank,
-    source: MemorySource,
-    k: int,
-    seed: int,
-    ranked: Array | None = None,
-) -> Array:
-    """The instance's video with its complement rows replaced by bank scenes
-    of other videos: drawn among each row's k nearest for MNSE (from ranked,
-    that topk, when given), else uniform."""
-    if source is MemorySource.MNSE:
-        return mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k, seed, inst.video_id, ranked)
-    return random_do(inst.video, mask, bank, Target.COMPLEMENT, seed, inst.video_id)
-
-
 class _Draws(NamedTuple):
     """Every random draw of one step's interventions, in batch order."""
 
@@ -558,14 +541,18 @@ class _Draws(NamedTuple):
     triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
 
 
-def _rank_substitutes(
+def _substitute_candidates(
     icfg: InterventionConfig, bank: MemoryBank, mixed: list[tuple]
-) -> dict[int, tuple[Array, tuple[Array, Array]]]:
-    """For nearest-scene sourcing, per mixed sample with an eligible scene
-    (keyed by batch position): the topk of its do rows, and of v_star's
-    complement and causal rows, all ranked in one topk call."""
-    counts = bank.eligible_counts([inst.video_id for _, inst, *_ in mixed])
-    drawable = [m for m, count in zip(mixed, counts) if count]
+) -> dict[int, tuple[Array, Array, Array]]:
+    """Per mixed sample with an eligible scene (keyed by batch position), the
+    candidates of its do rows and of v_star's complement and causal rows:
+    the video's eligible pool for all three under random sourcing; under
+    nearest-scene sourcing each row's topk, every sample's rows ranked in
+    one topk call."""
+    pools = {j: bank.eligible(inst.video_id) for j, inst, *_ in mixed}
+    drawable = [m for m in mixed if len(pools[m[0]])]
+    if icfg.memory_source is MemorySource.RANDOM_BANK:
+        return {j: (pools[j],) * 3 for j, *_ in drawable}
     if not drawable:
         return {}
     blocks, ids = [], []
@@ -575,8 +562,7 @@ def _rank_substitutes(
         ids += [inst.video_id] * (2 * len(comp) + len(caus))
     top = bank.topk(np.concatenate(blocks), icfg.neighbor_k, ids)
     parts = np.split(top, np.cumsum([len(b) for b in blocks])[:-1])
-    return {m[0]: (parts[3 * i], (parts[3 * i + 1], parts[3 * i + 2]))
-            for i, m in enumerate(drawable)}
+    return {m[0]: tuple(parts[3 * i : 3 * i + 3]) for i, m in enumerate(drawable)}
 
 
 def _draw_interventions(
@@ -588,15 +574,14 @@ def _draw_interventions(
     rng: np.random.Generator,
 ) -> _Draws:
     """Each mixed sample's augmented view and, when the bank holds a scene
-    it may draw, its do-intervened view and triplet. Under nearest-scene
-    sourcing every row those draws substitute is ranked first, in one call.
-    Then per such sample the draws come in one order: the do seed and
-    do-video, the random question's index, then the triplet substitutes.
-    A sample with no eligible scene draws nothing."""
+    it may draw, its do-intervened view and triplet. The candidates of
+    every row those draws substitute come first, from one ranking under
+    nearest-scene sourcing. Then per such sample the draws come in one
+    order: the do seed and do-video, the random question's index, then the
+    triplet substitutes. A sample with no eligible scene draws nothing."""
     mixed = [(j, instances[batch[j]], *entry) for j, entry in enumerate(prepared)
              if entry is not None]
-    nearest = icfg.memory_source is MemorySource.MNSE
-    ranked = _rank_substitutes(icfg, bank, mixed) if nearest else {}
+    candidates = _substitute_candidates(icfg, bank, mixed)
     views, triplets = [], []
     for j, inst, split, mix, v_star in mixed:
         # the intervened sample also carries the answering loss: the mixed
@@ -604,23 +589,20 @@ def _draw_interventions(
         answers_aug = inst.answers.copy()
         answers_aug[inst.gold] = mix.a_star
         views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
-        # a random draw's eligible pool, computed here, is kept for its draws
-        if not (j in ranked if nearest else len(bank.eligible(inst.video_id))):
+        if j not in candidates:
             continue
-        do_ranked, triplet_ranked = ranked.get(j, (None, None))
+        do_rows, complement, causal = candidates[j]
         # do-intervened sample: complement rows swapped for bank scenes,
         # gold unchanged, training the head itself to be invariant
-        v_do = _do_complement(
-            inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k,
-            int(rng.integers(2**32)), do_ranked,
-        )
+        seed = int(rng.integers(2**32))
+        v_do = swap_rows(inst.video.copy(), ~split.mask, bank, do_rows, np.random.default_rng(seed))
         views.append((j, v_do, inst.question, inst.answers, inst.gold))
         r_idx = int(rng.integers(0, len(instances)))
         if len(instances) > 1 and r_idx == batch[j]:
             r_idx = (r_idx + 1) % len(instances)
         triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng, inst.video_id,
-            triplet_ranked,
+            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
+            (complement, causal),
         )))
     return _Draws(views, triplets)
 
@@ -876,8 +858,8 @@ def seen_unseen_protocol(
     masks = np.asarray(masks, dtype=bool)
     seeds = [seed * 1009 + i for i in range(len(instances))]
     ids = [inst.video_id for inst in instances]
-    mnse_videos = mnse_do(videos, masks, bank, Target.COMPLEMENT, neighbor_k, seeds, ids)
-    random_videos = random_do(videos, masks, bank, Target.COMPLEMENT, seeds, ids)
+    mnse_videos = mnse_do(videos, ~masks, bank, neighbor_k, seeds, ids)
+    random_videos = random_do(videos, ~masks, bank, seeds, ids)
 
     clean = (evaluate(model_a, instances), evaluate(model_b, instances))
     seen = (

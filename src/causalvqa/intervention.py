@@ -26,7 +26,7 @@ import numpy as np
 
 from . import nn_core as nc
 from .features import VideoQAInstance
-from .mnse import MemoryBank
+from .mnse import MemoryBank, swap_rows
 from .pcma import PcmaModel
 
 Array = np.ndarray
@@ -277,32 +277,18 @@ def draw_triplet(
     q_r: Array,
     cfg: InterventionConfig,
     rng: np.random.Generator,
-    exclude_video_id: str | None = None,
-    ranked: tuple[Array, Array] | None = None,
+    candidates: tuple[Array, Array],
 ) -> TripletDraw:
     """Draw the positive's complement substitutes, then each substituted
     negative's causal ones, in that order, each copy in row order, all with
-    rng: nearest-scene sourcing picks among ranked, the topk of the
-    complement and of the causal rows, one pick per partition with the
-    candidates tiled over its copies; random sourcing draws uniformly."""
-    if cfg.memory_source is MemorySource.MNSE and ranked is None:
-        raise ValueError("nearest-scene sourcing needs ranked: the rows' topk")
+    rng, each partition in one pick among its candidates: the (complement,
+    causal) rows' topk, which every negative's copy cycles through, or the
+    video's eligible pool for both."""
     v_star = nc.as_f64(v_star)
-
-    def substituted(rows: Array, copies: int, top: Array | None) -> Array:
-        out = np.repeat(v_star[None], copies, axis=0)
-        if not rows.size or not copies:
-            return out
-        if cfg.memory_source is MemorySource.MNSE:
-            subs = bank.pick(np.tile(top, (copies, 1)), rng)
-        else:
-            subs = bank.draw(rng, rows.size * copies, exclude_video_id)
-        out[:, rows] = subs.reshape(copies, rows.size, -1)
-        return out
-
-    comp_top, caus_top = (None, None) if ranked is None else ranked
-    positive = substituted(split.complement_indices, 1, comp_top)[0]
-    negatives = substituted(split.causal_indices, cfg.n_negatives - 1, caus_top)
+    complement, causal = candidates
+    positive = swap_rows(v_star.copy(), ~split.mask, bank, complement, rng)
+    negatives = np.repeat(v_star[None], cfg.n_negatives - 1, axis=0)
+    swap_rows(negatives, np.broadcast_to(split.mask, negatives.shape[:2]), bank, causal, rng)
     return TripletDraw(v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives)
 
 

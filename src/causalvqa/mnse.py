@@ -13,9 +13,10 @@ F1 fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
 random baseline (random_do). topk returns each row's exact k-nearest set
-in tie-rank order, and a nearest-scene draw picks uniformly within it:
-each pick draws all its rows from one generator in one integers call.
-Only query_knn orders its answers by key.
+in tie-rank order, and eligible a video's pool of every scene it may
+draw. Every draw, nearest or uniform, is one pick over such candidates:
+all its rows from one generator in one integers call. Only query_knn
+orders its answers by key.
 """
 
 from __future__ import annotations
@@ -48,11 +49,6 @@ class Regime(str, Enum):
     F1_STATIC = "f1"
     F2_DYNAMIC = "f2"
     F3_DYNAMIC_MIXUP = "f3"
-
-
-class Target(str, Enum):
-    CAUSAL = "causal"
-    COMPLEMENT = "complement"
 
 
 class RegimeError(RuntimeError):
@@ -120,7 +116,6 @@ class _Columns(NamedTuple):
     part_ids: dict[str, int]
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
     order: Array  # [n] the entries in that order, the inverse of rank
-    pools: dict  # the last eligible() answer, {exclude_video_id: read-only indices}
 
 
 def _build_columns(blocks: list[Scenes], bank_dim: int) -> _Columns:
@@ -154,7 +149,7 @@ def _build_columns(blocks: list[Scenes], bank_dim: int) -> _Columns:
     rank[order] = np.arange(len(order))
     return _Columns(
         names, by_name, clips, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name],
-        part_ids, rank, order, {},
+        part_ids, rank, order,
     )
 
 
@@ -304,38 +299,16 @@ class MemoryBank:
             excluded |= part == codes[:, None]
         return excluded
 
-    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
-        """How many entries a query excluding each video may return."""
-        return len(self) - self._excluded(exclude_video_ids).sum(axis=1)
-
     def eligible(self, exclude_video_id: str | None) -> Array:
-        """Read-only indices of the entries a query excluding this video may
-        return.
-
-        The column view keeps the last answer, so the draws of one sample
-        compute its pool once; a frozen bank thus holds one pool, not one
-        per video.
-        """
-        cols = self._columns()
-        if exclude_video_id not in cols.pools:
-            pool = np.flatnonzero(~self._excluded([exclude_video_id])[0])
-            pool.flags.writeable = False
-            cols.pools.clear()
-            cols.pools[exclude_video_id] = pool
-        return cols.pools[exclude_video_id]
+        """Indices of the entries a query excluding this video may return:
+        the pool a uniform draw for the video picks from."""
+        return np.flatnonzero(~self._excluded([exclude_video_id])[0])
 
     def _none_eligible(self, exclude_video_id: str | None) -> ValueError:
         return ValueError(
             "memory bank is empty" if not len(self) else
             f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
         )
-
-    def _pool(self, exclude_video_id: str | None) -> Array:
-        """The eligible pool of a draw, which must not be empty."""
-        pool = self.eligible(exclude_video_id)
-        if not len(pool):
-            raise self._none_eligible(exclude_video_id)
-        return pool
 
     def _ranked(
         self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]
@@ -399,21 +372,19 @@ class MemoryBank:
         top, _ = self._ranked(queries, k, exclude_video_id)
         return top
 
-    def pick(self, candidates: Array, rng: np.random.Generator) -> Array:
-        """One scene vector per row of candidates ([n, m] bank indices, a
-        row's padding -1 at its end), uniform among that row's members, all
-        n drawn with rng in one integers call: [n, bank_dim]."""
-        picks = rng.integers(0, (candidates >= 0).sum(axis=1))
-        return self._columns().matrix[candidates[np.arange(len(picks)), picks]]
-
-    def draw(
-        self, rng: np.random.Generator, n: int, exclude_video_id: str | None = None
-    ) -> Array:
-        """n scene vectors drawn with rng, uniform among all eligible scenes:
-        [n, bank_dim]. A draw among each row's k nearest is
-        pick(topk(...), rng)."""
-        pool = self._pool(exclude_video_id)
-        return self._columns().matrix[pool[rng.integers(0, len(pool), size=n)]]
+    def pick(self, candidates: Array, rng: np.random.Generator, n: int | None = None) -> Array:
+        """n scene vectors, each uniform among its candidates, drawn with rng
+        in one integers call: [n, bank_dim]. candidates is a 1-D pool of bank
+        indices that every draw shares, or [rows, m] bank indices (a row's
+        padding -1 at its end) with draw i among row i % rows and n
+        defaulting to rows. n draws from a pool leave rng as a draw per row
+        over n copies of it would."""
+        if candidates.ndim == 1:
+            chosen = candidates[rng.integers(0, len(candidates), size=n)]
+        else:
+            rows = np.arange(len(candidates) if n is None else n) % len(candidates)
+            chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
+        return self._columns().matrix[chosen]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric, best first; ties broken by (video_id,
@@ -444,77 +415,60 @@ def instance_scenes(instances: Sequence[VideoQAInstance]) -> Scenes:
     return stacked_scenes([i.video for i in instances], [i.video_id for i in instances])
 
 
-def _target_rows(
-    video: Array,
-    causal_mask: Array,
-    bank: MemoryBank,
-    target: Target,
-    seed: int | Sequence[int],
-    exclude_video_id: str | None | Sequence[str | None],
-) -> tuple[Array, Array, Array, list, list]:
-    """A float64 copy of the video(s) and its [B, n_clips, dim] view (an
-    unbatched video is a batch of one), the [B, n_clips] target-row mask,
-    and one seed and one exclude id per video."""
-    out = as_f64(video).copy()
-    if out.shape[-1] != bank.bank_dim:
-        raise ValueError(f"video rows have dim {out.shape[-1]}, bank dim {bank.bank_dim}")
-    mask = np.asarray(causal_mask, dtype=bool)
-    chosen = mask if target is Target.CAUSAL else ~mask
-    if out.ndim == 2:
-        return out, out[None], chosen[None], [seed], [exclude_video_id]
-    return out, out, chosen, list(seed), list(exclude_video_id)
+def swap_rows(
+    videos: Array, rows: Array, bank: MemoryBank, candidates: Array, rng: np.random.Generator
+) -> Array:
+    """Replace in place the rows of videos [..., n_clips, dim] that the bool
+    mask rows marks, in row-major order, by one pick among candidates with
+    rng, and return videos. A mask that marks no row draws nothing."""
+    n = int(rows.sum())
+    if n:
+        videos[rows] = bank.pick(candidates, rng, n)
+    return videos
 
 
 def mnse_do(
-    video: Array,
-    causal_mask: Array,
+    videos: Array,
+    rows: Array,
     bank: MemoryBank,
-    target: Target,
-    k: int = 1,
-    seed: int | Sequence[int] = 0,
-    exclude_video_id: str | None | Sequence[str | None] = None,
-    ranked: Array | None = None,
+    k: int,
+    seeds: Sequence[int],
+    exclude_video_ids: Sequence[str | None],
 ) -> Array:
-    """Replace target-partition rows with sampled nearest-neighbor scenes.
+    """A float64 copy of videos [B, n_clips, dim] with the rows the mask
+    rows [B, n_clips] marks replaced by sampled nearest-neighbor scenes.
 
-    video is [n_clips, dim], or [B, n_clips, dim] with a [B, n_clips] mask
-    and one seed and exclude id per video. The target rows of every video
-    are ranked in one topk call, unless ranked already holds that topk (rows
-    in row-major order). Each target row then draws among its own k nearest
-    scenes (k clamped to the eligible count): a video's rows, in row order,
-    in one pick with the generator seeded with the video's seed, as
-    random_do draws. Non-target rows are returned bit-identical.
+    Every marked row of every video is ranked in one topk call, video i
+    excluding exclude_video_ids[i]; each row then draws among its own k
+    nearest scenes (k clamped to the eligible count), a video's rows in
+    row order in one pick with the generator seeded seeds[i], as random_do
+    draws. Unmarked rows are returned bit-identical.
     """
-    out, videos, chosen, seeds, excludes = _target_rows(
-        video, causal_mask, bank, target, seed, exclude_video_id
-    )
-    which, rows = np.nonzero(chosen)
-    if len(rows):
-        if ranked is None:
-            ranked = bank.topk(videos[which, rows], k, [excludes[i] for i in which])
-        parts = np.split(ranked, np.cumsum(chosen.sum(axis=1))[:-1])
-        videos[which, rows] = np.concatenate([
-            bank.pick(part, np.random.default_rng(s)) for part, s in zip(parts, seeds) if len(part)
-        ])
+    out = as_f64(videos).copy()
+    which, clips = np.nonzero(rows)
+    if len(which):
+        top = bank.topk(out[which, clips], k, [exclude_video_ids[i] for i in which])
+        parts = np.split(top, np.cumsum(rows.sum(axis=1))[:-1])
+        for video, marked, part, seed in zip(out, rows, parts, seeds):
+            swap_rows(video, marked, bank, part, np.random.default_rng(seed))
     return out
 
 
 def random_do(
-    video: Array,
-    causal_mask: Array,
+    videos: Array,
+    rows: Array,
     bank: MemoryBank,
-    target: Target,
-    seed: int | Sequence[int] = 0,
-    exclude_video_id: str | None | Sequence[str | None] = None,
+    seeds: Sequence[int],
+    exclude_video_ids: Sequence[str | None],
 ) -> Array:
-    """Baseline intervention: each video's target rows replaced by uniform
+    """Baseline intervention: each video's marked rows replaced by uniform
     draws among its eligible scenes, from one generator seeded with the
     video's seed. Batched as mnse_do."""
-    out, videos, chosen, seeds, excludes = _target_rows(
-        video, causal_mask, bank, target, seed, exclude_video_id
-    )
-    for rows, v, s, excluded in zip(chosen, videos, seeds, excludes):
-        if rows.any():
-            rng = np.random.default_rng(s)
-            v[rows] = bank.draw(rng, int(rows.sum()), excluded)
+    out = as_f64(videos).copy()
+    for video, marked, seed, excluded in zip(out, rows, seeds, exclude_video_ids):
+        if marked.any():
+            pool = bank.eligible(excluded)
+            if not len(pool):
+                raise bank._none_eligible(excluded)
+            swap_rows(video, marked, bank, pool, np.random.default_rng(seed))
     return out

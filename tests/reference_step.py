@@ -15,8 +15,8 @@ from typing import NamedTuple
 import numpy as np
 
 from causalvqa import nn_core as nc
-from causalvqa.harness import _do_complement
 from causalvqa.intervention import MemorySource
+from causalvqa.mnse import mnse_do, random_do
 
 Array = np.ndarray
 
@@ -52,7 +52,7 @@ def reference_infonce(anchor, positive, negatives):
 def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
     if cfg.memory_source is MemorySource.MNSE:
         return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rng)
-    return bank.draw(rng, rows.shape[0], exclude_video_id)
+    return bank.pick(bank.eligible(exclude_video_id), rng, rows.shape[0])
 
 
 def _blend(orig, subs, keep):
@@ -121,10 +121,12 @@ def reference_passes(model, icfg, bank, instances, batch, prepared, rng) -> Refe
         views = [(v_star, mix.q_star, answers_aug)]
         eligible = len(bank.eligible(inst.video_id)) > 0
         if eligible:
-            v_do = _do_complement(
-                inst, split.mask, bank, icfg.memory_source, icfg.neighbor_k,
-                int(rng.integers(2**32)),
-            )
+            seed = int(rng.integers(2**32))
+            stack = (inst.video[None], ~split.mask[None], bank)
+            if icfg.memory_source is MemorySource.MNSE:
+                v_do = mnse_do(*stack, icfg.neighbor_k, [seed], [inst.video_id])[0]
+            else:
+                v_do = random_do(*stack, [seed], [inst.video_id])[0]
             views.append((v_do, inst.question, inst.answers))
             out.videos.append(v_do)
         videos, questions, answers = (np.stack(column) for column in zip(*views))

@@ -49,7 +49,6 @@ from causalvqa.mnse import (
     NeighborQuery,
     Regime,
     Scenes,
-    Target,
     instance_scenes,
     mnse_do,
     random_do,
@@ -340,6 +339,8 @@ def test_criterion_4_sampler_contracts():
 
     rng = np.random.default_rng(2)
     student = sm.StudentSampler(sm.StudentConfig(video_dim=12, model_dim=8, top_s=4, seed=3))
+    # a fresh head is zero, which makes every distribution exactly uniform
+    student.store["head.w"][...] = np.random.default_rng(4).normal(size=8)
     for _ in range(50):
         out = sm.s3_student_probs(student, rng.normal(size=(9, 12)))
         assert abs(float(np.sum(out.probs)) - 1.0) <= 1e-6
@@ -423,8 +424,8 @@ def test_criterion_7_mnse_proximity():
         vals = []
         for i, inst in enumerate(instances):
             video = inst.video.astype(np.float64)
-            out = do_fn(video, masks[i], bank, Target.COMPLEMENT,
-                        seed=17 * i + 1, exclude_video_id=inst.video_id, **kw)
+            out = do_fn(video[None], ~masks[i][None], bank,
+                        seeds=[17 * i + 1], exclude_video_ids=[inst.video_id], **kw)[0]
             for r in np.flatnonzero(~masks[i]):
                 a, b = video[r], out[r]
                 vals.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))

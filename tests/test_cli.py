@@ -653,6 +653,25 @@ class TestErrorPaths:
         assert len(lines) == 1 and lines[0].startswith("error: "), proc.stderr
         assert "Traceback" not in proc.stderr
 
+    @pytest.mark.parametrize(
+        "section, key, value",
+        [("optimizer", "lr", 1e300), ("model", "tau", 1e-308),
+         ("data.synthetic", "leak_strength", 1e300)],
+        ids=["lr", "tau", "leak_strength"],
+    )
+    def test_numeric_failure_prints_one_error_line(
+        self, tmp_path, out_dir, capsys, section, key, value
+    ):
+        # the run dies on a non-finite value it checks; no NumPy warning
+        # comes before its one line
+        cfg = self._train_with(tmp_path, section, key, value)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli_main(["train", "--config", cfg]) == 1
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), lines
+        assert [str(w.message) for w in caught] == []
+
     @pytest.mark.parametrize("command", ["train", "eval", "intervene-eval", "probe", "sample"])
     def test_empty_dataset_is_config_error(self, tmp_path, out_dir, capsys, command):
         train_cfg = write_cfg(tmp_path / "train.json",

@@ -15,7 +15,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import event, given, settings
 from hypothesis import strategies as st
 
 import causalvqa.harness as hn
@@ -58,7 +58,6 @@ from causalvqa.mnse import (
     MemoryBank,
     Metric,
     Regime,
-    Target,
     instance_scenes,
     mnse_do,
 )
@@ -353,12 +352,28 @@ TYPED_EXPERIMENT_JSON = st.fixed_dictionaries(
 )
 
 
+# gen-data's keys, and the sampler section sample reads besides the
+# experiment's
+GEN_DATA_JSON = st.fixed_dictionaries(
+    {"synthetic": (json_section(SyntheticSpec) | typed_section(SyntheticSpec))
+     .map(lambda d: {"n_instances": 4, **d})},
+    optional={"manifest": JSON_VALUES, "output_dir": JSON_VALUES},
+)
+SAMPLER_JSON = st.fixed_dictionaries({
+    "kind": st.sampled_from(["mar16", "mar32", "pcma80"]) | JSON_VALUES,
+}, optional={
+    "seed": st.integers(-1, 8) | JSON_VALUES,
+    "subsample": st.none() | st.integers(0, 20) | JSON_VALUES,
+}) | JSON_VALUES
+
+
 def _capped(raw: dict) -> dict:
     """raw with its training steps, instance count, clip count and feature
     dims capped, so that a run on it stays small."""
     caps = {"steps": 2, "n_instances": 8, "n_clips": 8, "video_dim": 8, "text_dim": 8}
-    data = raw["data"]
-    sections = [raw.get("optimizer"), data.get("synthetic") if isinstance(data, dict) else None]
+    data = raw.get("data")
+    sections = [raw.get("optimizer"), raw.get("synthetic"),
+                data.get("synthetic") if isinstance(data, dict) else None]
     for section in sections:
         for key, value in section.items() if isinstance(section, dict) else ():
             if key in caps and type(value) is int:
@@ -388,6 +403,27 @@ class TestConfigBoundary:
             path.write_text(json.dumps(raw))
             with mock.patch.dict(os.environ, {hn.OUTPUT_DIR_ENV: str(Path(tmp) / "out")}):
                 assert cli_main(["train", "--config", str(path)]) in (0, 1)
+
+    @settings(max_examples=100, deadline=None)
+    @given(run=st.one_of(
+        st.tuples(st.just("probe"), EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON),
+        st.tuples(
+            st.just("sample"),
+            st.tuples(EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON, SAMPLER_JSON)
+            .map(lambda pair: {**pair[0], "sampler": pair[1]}),
+        ),
+        st.tuples(st.just("gen-data"), GEN_DATA_JSON),
+    ))
+    def test_cli_probe_sample_gen_data_exit_0_or_1(self, run):
+        # the subcommands that need no checkpoint, on drawn configs
+        command, raw = run
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(_capped(raw)))
+            with mock.patch.dict(os.environ, {hn.OUTPUT_DIR_ENV: str(Path(tmp) / "out")}):
+                code = cli_main([command, "--config", str(path)])
+        event(f"{command} exits {code}")
+        assert code in (0, 1)
 
 
 @pytest.fixture(scope="module")
@@ -765,7 +801,7 @@ class TestTrain:
                 instances[0].question,
                 icfg,
                 rng,
-                exclude_video_id=inst.video_id,
+                candidates=(result.bank.eligible(inst.video_id),) * 2,
             )
             (aggs,), _ = build_triplet_cached(result.model, [drawn])
 
@@ -1010,7 +1046,8 @@ class TestProtocol:
             bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
             bank.populate(instance_scenes([inst])).freeze()
             videos.append(
-                mnse_do(inst.video, mask, bank, Target.COMPLEMENT, k=1, seed=9)
+                mnse_do(inst.video[None], ~mask[None], bank, k=1, seeds=[9],
+                        exclude_video_ids=[None])[0]
             )
             assert np.array_equal(videos[-1], inst.video)
         replaced = evaluate(model, instances, videos)
@@ -1024,6 +1061,20 @@ class TestProtocol:
         empty = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
         with pytest.raises(ValueError):
             seen_unseen_protocol(model, model, instances, np.asarray(masks), empty)
+
+    def test_video_with_no_eligible_scene_raises(self):
+        # the bank holds only the protocol video's own scenes
+        instances, _, masks = synth(1, seed=4)
+        masks = np.asarray(masks, dtype=bool)
+        assert not masks.all()
+        bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+        bank.populate(instance_scenes(instances)).freeze()
+        model = small_model()
+        with pytest.raises(ValueError, match="^no eligible bank entries: "):
+            seen_unseen_protocol(model, model, instances, masks, bank)
+        with pytest.raises(ValueError, match="^no eligible bank entries: "):
+            mnse.random_do(np.stack([instances[0].video]), ~masks, bank, [0],
+                           [instances[0].video_id])
 
     def test_protocol_deterministic(self):
         instances, _, masks = synth(12, seed=6)

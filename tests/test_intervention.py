@@ -237,10 +237,10 @@ def triplet_topk(v_star, split, bank, cfg):
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     """One drawn triplet through the stacked forward: (aggregates [n_views,
     model_dim], cache, draw)."""
-    ranked = None
+    candidates = (bank.eligible(None),) * 2
     if cfg.memory_source is iv.MemorySource.MNSE:
-        ranked = triplet_topk(v_star, split, bank, cfg)
-    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, ranked=ranked)
+        candidates = triplet_topk(v_star, split, bank, cfg)
+    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, candidates=candidates)
     (aggs,), cache = iv.build_triplet_cached(model, [drawn])
     return aggs, cache, drawn
 
@@ -292,13 +292,8 @@ class TestTriplet:
         with pytest.raises(ValueError, match="empty"):
             iv.draw_triplet(
                 v_star, q_star, split, empty, q_r, cfg, np.random.default_rng(0),
-                ranked=triplet_topk(v_star, split, empty, cfg),
+                candidates=triplet_topk(v_star, split, empty, cfg),
             )
-
-    def test_nearest_scene_sourcing_needs_the_ranking(self, rng):
-        _, cfg, v_star, q_star, q_r, split, bank = self._pipeline(rng)
-        with pytest.raises(ValueError, match="ranked"):
-            iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0))
 
     @pytest.mark.parametrize("source", [iv.MemorySource.MNSE, iv.MemorySource.RANDOM_BANK])
     def test_gate_gradients_through_contrastive_loss(self, rng, source):
@@ -352,7 +347,7 @@ class TestTriplet:
             split = make_split(rng, n_causal=c)
             draws.append(iv.draw_triplet(
                 v_star, q_star, split, bank, rng.normal(size=TEXT_DIM), cfg,
-                np.random.default_rng(c), ranked=triplet_topk(v_star, split, bank, cfg),
+                np.random.default_rng(c), candidates=triplet_topk(v_star, split, bank, cfg),
             ))
         model.store.zero_grads()
         aggs, cache = iv.build_triplet_cached(model, draws)

@@ -18,7 +18,6 @@ from causalvqa.mnse import (
     Regime,
     RegimeError,
     Scenes,
-    Target,
 )
 
 
@@ -213,12 +212,12 @@ class TestInterventions:
     def test_empty_target_partition_returns_input(self, rng):
         bank, video, _ = self._bank_and_video(rng)
         all_causal = np.ones(video.shape[0], dtype=bool)
-        out = mnse.mnse_do(video, all_causal, bank, Target.COMPLEMENT)
+        out = mnse.mnse_do(video[None], ~all_causal[None], bank, 1, [0], [None])[0]
         np.testing.assert_array_equal(out, video)
 
     def test_nontarget_rows_bit_identical(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        out = mnse.mnse_do(video, mask, bank, Target.COMPLEMENT, k=3, seed=1)
+        out = mnse.mnse_do(video[None], ~mask[None], bank, 3, [1], [None])[0]
         np.testing.assert_array_equal(out[mask], video[mask])
         assert np.any(out[~mask] != video[~mask])
 
@@ -229,7 +228,7 @@ class TestInterventions:
         bank.populate(scenes(video, ["self"] * n_clips, range(n_clips)))
         bank.populate(scenes([rng.normal(size=dim) for _ in range(20)], ["other"] * 20, range(20)))
         mask = np.array([True, True, False, False])
-        out = mnse.mnse_do(video, mask, bank, Target.CAUSAL, k=1, seed=3)
+        out = mnse.mnse_do(video[None], mask[None], bank, 1, [3], [None])[0]
         np.testing.assert_array_equal(out, video)
 
     def test_mnse_do_closer_than_random_do(self, rng):
@@ -258,16 +257,16 @@ class TestInterventions:
 
         mnse_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.mnse_do(
-                v, m, bank, Target.COMPLEMENT, k=1, seed=i,
-                exclude_video_id=insts[i].video_id,
-            ),
+                v[None], ~m[None], bank, k=1, seeds=[i],
+                exclude_video_ids=[insts[i].video_id],
+            )[0],
             0,
         )
         rand_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.random_do(
-                v, m, bank, Target.COMPLEMENT, seed=i,
-                exclude_video_id=insts[i].video_id,
-            ),
+                v[None], ~m[None], bank, seeds=[i],
+                exclude_video_ids=[insts[i].video_id],
+            )[0],
             0,
         )
         assert mnse_mean > rand_mean
@@ -285,7 +284,7 @@ class TestInterventions:
         ]
         counts = np.zeros((len(rows), k), dtype=int)
         for seed in range(n_seeds):
-            out = mnse.mnse_do(video, mask, bank, Target.COMPLEMENT, k=k, seed=seed)
+            out = mnse.mnse_do(video[None], ~mask[None], bank, k, [seed], [None])[0]
             for i, r in enumerate(rows):
                 hit = np.flatnonzero((members[i] == out[r]).all(axis=1))
                 assert len(hit) == 1, f"seed {seed}, row {r}: drew outside its k-set"
@@ -296,11 +295,11 @@ class TestInterventions:
 
     def test_deterministic_given_seed(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        a = mnse.mnse_do(video, mask, bank, Target.CAUSAL, k=3, seed=7)
-        b = mnse.mnse_do(video, mask, bank, Target.CAUSAL, k=3, seed=7)
+        a = mnse.mnse_do(video[None], mask[None], bank, 3, [7], [None])[0]
+        b = mnse.mnse_do(video[None], mask[None], bank, 3, [7], [None])[0]
         np.testing.assert_array_equal(a, b)
-        c = mnse.random_do(video, mask, bank, Target.CAUSAL, seed=7)
-        d = mnse.random_do(video, mask, bank, Target.CAUSAL, seed=7)
+        c = mnse.random_do(video[None], mask[None], bank, [7], [None])[0]
+        d = mnse.random_do(video[None], mask[None], bank, [7], [None])[0]
         np.testing.assert_array_equal(c, d)
 
 
@@ -310,7 +309,7 @@ def _ids(entries):
 
 
 class TestBatchedTopK:
-    """The batched ranking behind MemoryBank.draw equals oracle_knn row by row."""
+    """The batched ranking behind MemoryBank.topk equals oracle_knn row by row."""
 
     def _tied_bank(self, rng, metric, queries):
         # per query: two strictly closer scenes, then six exact duplicates
@@ -366,7 +365,7 @@ class TestBatchedTopK:
         bank = MemoryBank(bank_dim=2)
         bank.populate(scenes(np.ones((2, 2)), ["only", "x+only"], [0, 1]))
         with pytest.raises(ValueError, match="eligible"):
-            bank.draw(np.random.default_rng(0), 1, "only")
+            mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank, [0], ["only"])
         with pytest.raises(ValueError, match="eligible"):
             bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), np.random.default_rng(0))
 
@@ -479,7 +478,7 @@ class TestColumnViewRefresh:
         eligible = [e for e in entries if exclude not in e.video_id.split("+")]
         oracle_rng = np.random.default_rng(seed)
         want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
-        got = bank.draw(np.random.default_rng(seed), len(queries), exclude)
+        got = bank.pick(bank.eligible(exclude), np.random.default_rng(seed), len(queries))
         np.testing.assert_array_equal(got, np.stack(want))
 
     def test_populate_refreshes_columns(self, rng):
@@ -517,8 +516,8 @@ class TestColumnViewRefresh:
 
 class TestRankThenPick:
     """A nearest-scene draw is topk (one ranking per query set) followed by
-    pick, and the eligible pool a uniform draw starts from is memoized until
-    the bank changes."""
+    pick, and a uniform draw is pick over the eligible pool, which follows
+    every change of the bank."""
 
     @staticmethod
     def _fresh_pool(bank, exclude):
@@ -559,7 +558,7 @@ class TestRankThenPick:
     def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
         bank = random_bank(rng, n=40, dim=6)
         pool = bank.eligible("vid1")
-        got = bank.draw(np.random.default_rng(3), 4, "vid1")
+        got = bank.pick(pool, np.random.default_rng(3), 4)
         oracle = np.random.default_rng(3)
         want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
         np.testing.assert_array_equal(got, np.stack(want))
@@ -574,18 +573,40 @@ class TestRankThenPick:
         with pytest.raises(ValueError, match="eligible"):
             bank.topk(np.ones((1, 2)), 1, "only")
 
-    def test_eligible_is_memoized_and_read_only(self, rng):
+    def test_eligible_is_the_pool_of_each_video(self, rng):
         bank = random_bank(rng, n=40, dim=6)
         pool = bank.eligible("vid1")
-        assert bank.eligible("vid1") is pool
         assert list(pool) == self._fresh_pool(bank, "vid1")
-        with pytest.raises(ValueError):
-            pool[0] = 0
-        # one pool at a time: a frozen bank does not keep one per video
         other = bank.eligible("vid2")
-        assert list(bank._columns().pools) == ["vid2"]
         assert list(other) == self._fresh_pool(bank, "vid2")
         assert list(bank.eligible("vid1")) == list(pool)
+
+    @pytest.mark.parametrize("n, m", [(1, 1), (4, 7), (9, 2), (16, 40), (33, 200)])
+    def test_a_pool_pick_is_the_uniform_draw(self, rng, n, m):
+        # n draws over a 1-D pool are the scenes the uniform draw
+        # pool[integers(0, len(pool), size=n)] takes, and leave the generator
+        # as n per-row picks over copies of the pool do
+        bank = random_bank(rng, n=2 * m + 1, dim=4)
+        pool = np.sort(rng.permutation(len(bank))[:m])
+        matrix = bank._columns().matrix
+        for seed in range(5):
+            got_rng, want_rng, rows_rng = (np.random.default_rng(seed) for _ in range(3))
+            got = bank.pick(pool, got_rng, n)
+            np.testing.assert_array_equal(
+                got, matrix[pool[want_rng.integers(0, len(pool), size=n)]]
+            )
+            np.testing.assert_array_equal(got, bank.pick(np.tile(pool, (n, 1)), rows_rng))
+            assert got_rng.bit_generator.state == want_rng.bit_generator.state
+            assert got_rng.bit_generator.state == rows_rng.bit_generator.state
+
+    def test_more_draws_than_rows_cycle_through_the_rows(self, rng):
+        bank = random_bank(rng, n=60, dim=6)
+        top = bank.topk(rng.normal(size=(3, 6)), 5, "vid2")
+        for seed in range(5):
+            np.testing.assert_array_equal(
+                bank.pick(top, np.random.default_rng(seed), 4 * len(top)),
+                bank.pick(np.tile(top, (4, 1)), np.random.default_rng(seed)),
+            )
 
     def test_memo_is_refreshed_after_populate(self, rng):
         bank = random_bank(rng, n=30, dim=6)
@@ -779,16 +800,17 @@ class TestTopKProperties:
         bank = MemoryBank(bank_dim=6).populate(mnse.instance_scenes(insts))
         subset = data.draw(st.lists(st.integers(0, len(insts) - 1), min_size=1, max_size=6,
                                     unique=True), label="videos")
-        target = data.draw(st.sampled_from(list(Target)), label="target")
+        target = data.draw(st.sampled_from(["causal", "complement"]), label="target")
         k = data.draw(st.integers(1, 70), label="k")
         seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(subset),
                                    max_size=len(subset)), label="seeds")
         masks = np.asarray(masks, dtype=bool)[subset]
+        rows = masks if target == "causal" else ~masks
         if data.draw(st.booleans(), label="one video untouched"):
-            masks[0] = target is Target.COMPLEMENT
+            rows[0] = False
         ids = [insts[i].video_id for i in subset]
         videos = np.stack([insts[i].video for i in subset])
-        got = mnse.mnse_do(videos, masks, bank, target, k, seeds, ids)
-        for one, video, mask, seed, vid in zip(got, videos, masks, seeds, ids):
-            alone = mnse.mnse_do(video, mask, bank, target, k, seed, vid)
+        got = mnse.mnse_do(videos, rows, bank, k, seeds, ids)
+        for one, video, row, seed, vid in zip(got, videos, rows, seeds, ids):
+            alone = mnse.mnse_do(video[None], row[None], bank, k, [seed], [vid])[0]
             np.testing.assert_array_equal(one, alone)
