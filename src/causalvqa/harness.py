@@ -513,27 +513,6 @@ def _mixed_samples(
     return prepared, stacked_scenes(mixed, blend_ids)
 
 
-def _clean_pass(
-    model: PcmaModel, insts: list[VideoQAInstance], gates: list[Array | None]
-) -> tuple[Array, Array]:
-    """Answer losses of the clean samples in one stacked pass, and gate
-    gradients [B, n_clips], zero for samples given no gates. A sample given
-    gates is scored on gate-weighted clip rows, so answering pressure
-    teaches the gates which clips matter. Weights are mean-normalized: only
-    relative gate values count, not the overall input scale."""
-    weights = [None if g is None else g / g.mean() for g in gates]
-    videos = [
-        inst.video if w is None else w[:, None] * inst.video for inst, w in zip(insts, weights)
-    ]
-    losses, _, igrads = model.loss_and_grads(*_stacked(insts, videos))
-    dgates = np.zeros(igrads.video.shape[:2])
-    for r, w in enumerate(weights):
-        if w is not None:
-            dweights = (igrads.video[r] * insts[r].video).sum(axis=1)
-            dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
-    return losses, dgates
-
-
 class _Draws(NamedTuple):
     """Every random draw of one step's interventions, in batch order."""
 
@@ -549,7 +528,8 @@ def _substitute_candidates(
     the video's eligible pool for all three under random sourcing; under
     nearest-scene sourcing each row's topk, every sample's rows ranked in
     one topk call."""
-    pools = {j: bank.eligible(inst.video_id) for j, inst, *_ in mixed}
+    excluded = bank._excluded([inst.video_id for _, inst, *_ in mixed])
+    pools = {m[0]: np.flatnonzero(~row) for m, row in zip(mixed, excluded)}
     drawable = [m for m in mixed if len(pools[m[0]])]
     if icfg.memory_source is MemorySource.RANDOM_BANK:
         return {j: (pools[j],) * 3 for j, *_ in drawable}
@@ -607,43 +587,78 @@ def _draw_interventions(
     return _Draws(views, triplets)
 
 
-class _Intervened(NamedTuple):
-    """A step's intervened passes over its mixed samples."""
+class _Step(NamedTuple):
+    """One step's losses and gate gradients."""
 
-    losses: list[list]  # per batch position: augmented, then do answer loss
+    losses: list[list]  # per batch position: clean, then augmented and do answer losses
     cl_losses: list[float]  # per triplet, in batch order
     positions: list[int]  # batch position of each triplet
-    dgates: Array  # [n_triplets, n_clips] gate gradients of the triplets
+    dgates: Array  # [B, n_clips] gate gradients of the clean rows plus each triplet's
 
 
-def _intervened_passes(
+def _stacked_step(
     model: PcmaModel,
-    icfg: InterventionConfig,
-    bank: MemoryBank,
-    instances: Sequence[VideoQAInstance],
-    batch: list[int],
-    prepared: list[tuple | None],
-    rng: np.random.Generator,
-) -> _Intervened:
-    """Draw every intervention of the batch, then run one stacked augmented
-    + do pass and one stacked triplet pass, each cache dropped once its
-    backward is done. Backbone gradients accumulate on the store."""
-    draws = _draw_interventions(icfg, bank, instances, batch, prepared, rng)
-    losses: list[list] = [[] for _ in batch]
-    if draws.views:
-        positions, *columns, golds = zip(*draws.views)
-        view_losses, _, _ = model.loss_and_grads(
-            *(np.stack(column) for column in columns), np.array(golds)
+    insts: list[VideoQAInstance],
+    gates: list[Array | None],
+    draws: _Draws,
+    beta_cl: float,
+) -> _Step:
+    """One backbone pass, forward and backward, over the clean samples, the
+    augmented and do views, and each triplet's views past its anchor, which
+    is its sample's augmented view row. A clean sample given gates is
+    scored on clip rows weighted by gates / mean(gates), so answering
+    pressure teaches the gates which clips matter and only relative gate
+    values count. beta_cl times InfoNCE's gradient joins the anchor rows'
+    answer gradient, and both sets of gate gradients, through the weights
+    and through the blends, come off the pass's one video gradient.
+    Parameter gradients accumulate on the store."""
+    weights = [None if g is None else g / g.mean() for g in gates]
+    answered = [
+        (inst.video if w is None else w[:, None] * inst.video, inst.question, inst.answers,
+         inst.gold)
+        for inst, w in zip(insts, weights)
+    ] + [view[1:] for view in draws.views]
+    *columns, golds = zip(*answered)
+    video, question, answers = (np.stack(column) for column in columns)
+    golds = np.array(golds)
+    view_positions = [view[0] for view in draws.views]
+    positions = [j for j, _ in draws.triplets]
+    extra, cl_losses = None, []
+    if positions:
+        # a triplet's anchor is its sample's augmented view, the sample's
+        # first view row
+        anchors = [len(insts) + view_positions.index(j) for j in positions]
+        views, view_questions, triplet_cache = build_triplet_cached(
+            [drawn for _, drawn in draws.triplets]
         )
-        for j, loss in zip(positions, view_losses):
-            losses[j].append(loss)
-    if not draws.triplets:
-        return _Intervened(losses, [], [], np.zeros((0, instances[batch[0]].n_clips)))
-    positions, triplet_draws = zip(*draws.triplets)
-    aggs, cache = build_triplet_cached(model, triplet_draws)
-    cl_losses, daggs = infonce_loss(aggs)
-    dgates = triplet_backward(model, icfg.beta_cl * daggs, cache)
-    return _Intervened(losses, cl_losses.tolist(), list(positions), dgates)
+        video = np.concatenate([video, views.reshape(-1, *video.shape[1:])])
+        question = np.concatenate([question, view_questions.reshape(-1, question.shape[1])])
+
+        def extra(aggs: Array) -> Array:
+            past_anchor = aggs[len(answered):].reshape(*views.shape[:2], -1)
+            losses, daggs = infonce_loss(np.concatenate([aggs[anchors, None], past_anchor], 1))
+            cl_losses.extend(losses.tolist())
+            daggs = beta_cl * daggs
+            dagg = np.zeros_like(aggs)
+            dagg[anchors] = daggs[:, 0]
+            dagg[len(answered):] = daggs[:, 1:].reshape(-1, aggs.shape[1])
+            return dagg
+
+    losses, _, igrads = model.loss_and_grads(video, question, answers, golds, extra)
+
+    step_losses = [[loss] for loss in losses[: len(insts)]]
+    for j, loss in zip(view_positions, losses[len(insts):]):
+        step_losses[j].append(loss)
+    dvideo = igrads.video
+    dgates = np.zeros((len(insts), dvideo.shape[1]))
+    for r, w in enumerate(weights):
+        if w is not None:
+            dweights = (dvideo[r] * insts[r].video).sum(axis=1)
+            dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
+    if positions:
+        dviews = dvideo[len(answered):].reshape(views.shape)
+        dgates[positions] += triplet_backward(dviews, triplet_cache)
+    return _Step(step_losses, cl_losses, positions, dgates)
 
 
 def train(
@@ -653,13 +668,14 @@ def train(
     """Adam on the answering loss, plus the weighted contrastive loss when
     an intervention config with beta_cl > 0 is present.
 
-    Each step runs one gate pass and one clean answer pass over the whole
-    batch, draws every intervention of the batch, then runs one stacked
-    augmented + do-intervened pass and one stacked triplet pass over all
-    mixed samples. A sample whose causal split is degenerate
-    is left out of mixup (counted in skipped_mixups); one with no eligible
-    bank scene keeps its answer passes but skips its do-pass and triplet
-    (counted in skipped_interventions).
+    Each step runs one gate pass over the batch, draws every intervention
+    of the batch, then runs one stacked backbone pass, forward and
+    backward, over the clean samples, their augmented and do-intervened
+    views and their triplets (see _stacked_step); answer-only training
+    runs the same pass over the clean samples alone. A sample whose causal
+    split is degenerate is left out of mixup (counted in skipped_mixups);
+    one with no eligible bank scene keeps its answer rows but skips its
+    do view and triplet (counted in skipped_interventions).
 
     Deterministic given the config; aborts with the step number if the
     loss goes non-finite.
@@ -702,8 +718,8 @@ def train(
             store = model.store
             store.zero_grads()
 
-            prepared: list[tuple | None] = [None] * len(batch)
-            gate_cache = None
+            gates: list[Array | None] = [None] * len(batch)
+            draws, gate_cache = _Draws([], []), None
             if use_cl:
                 splits, gate_cache = _batch_splits(
                     model, insts, icfg,
@@ -716,31 +732,23 @@ def train(
                         instance_scenes(insts),
                         mixup_rows if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP else None,
                     )
-
-            clean, dgates = _clean_pass(model, insts, [
-                entry[0].gates if gate_cache is not None and entry is not None else None
-                for entry in prepared
-            ])
-            view_losses: list[list] = [[] for _ in batch]
-            cl_losses: list[float] = []
-            if use_cl:
-                out = _intervened_passes(model, icfg, bank, instances, batch, prepared, rng)
-                view_losses, cl_losses = out.losses, out.cl_losses
+                draws = _draw_interventions(icfg, bank, instances, batch, prepared, rng)
                 skipped_interventions += (
-                    sum(entry is not None for entry in prepared) - len(out.positions)
+                    sum(entry is not None for entry in prepared) - len(draws.triplets)
                 )
                 if gate_cache is not None:
-                    dgates[out.positions] += out.dgates
-                    gate_backward(model, dgates, gate_cache)
+                    gates = [None if entry is None else entry[0].gates for entry in prepared]
+            out = _stacked_step(model, insts, gates, draws, loss_cfg.beta_cl)
+            if gate_cache is not None:
+                gate_backward(model, out.dgates, gate_cache)
             # summed sample by sample (clean, augmented, do): one fixed order
             # keeps each step's loss reproducible to the bit
             erm_sum = 0.0
-            for j, loss in enumerate(clean):
-                erm_sum += loss
-                for view_loss in view_losses[j]:
-                    erm_sum += view_loss
+            for sample_losses in out.losses:
+                for loss in sample_losses:
+                    erm_sum += loss
             cl_sum = 0.0
-            for cl in cl_losses:
+            for cl in out.cl_losses:
                 cl_sum += cl
             n_batch = len(batch)
             erm_mean = erm_sum / n_batch

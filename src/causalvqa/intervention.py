@@ -298,51 +298,43 @@ def _blend(orig: Array, subs: Array, keep: Array) -> Array:
     return np.where(np.all(subs == orig, axis=-1, keepdims=True), orig, out)
 
 
-def build_triplet_cached(backbone: PcmaModel, draws: Sequence[TripletDraw]) -> tuple[Array, dict]:
-    """Aggregates [n_triplets, n_views, model_dim] of every drawn triplet,
-    through one stacked aggregate pass, with the cache needed for backprop.
+def build_triplet_cached(draws: Sequence[TripletDraw]) -> tuple[Array, Array, dict]:
+    """The backbone inputs of every drawn triplet past its anchor: videos
+    [n_triplets, n_views, n_clips, video_dim] and questions [n_triplets,
+    n_views, text_dim], with the cache triplet_backward reads.
 
-    Per triplet the views are the anchor v_star, the positive (complement
-    rows blended toward their substitutes by gate confidence), each
-    substituted negative (causal rows blended by 1 - gate), and v_star
-    paired with the random question q_r.
+    Per triplet the views are the positive (complement rows blended toward
+    their substitutes by gate confidence), each substituted negative
+    (causal rows blended by 1 - gate), and v_star paired with the random
+    question q_r. The anchor, v_star with q_star, is the caller's own row.
     """
     v_star = np.stack([d.v_star for d in draws])[:, None]  # [S, 1, n_clips, dim]
     gates = np.stack([d.gates for d in draws])[:, None, :, None]
     subs = np.stack([np.concatenate([d.positive[None], d.negatives]) for d in draws])
     views = np.concatenate([
-        v_star,
         _blend(v_star, subs[:, :1], gates),
         _blend(v_star, subs[:, 1:], 1.0 - gates),
         v_star,
     ], axis=1)
-    n_triplets, n_views = views.shape[:2]
-    questions = np.repeat(np.stack([d.q_star for d in draws])[:, None], n_views, axis=1)
+    questions = np.repeat(np.stack([d.q_star for d in draws])[:, None], views.shape[1], axis=1)
     questions[:, -1] = np.stack([d.q_r for d in draws])
-    aggs, views_cache = backbone.aggregate_forward(
-        views.reshape(-1, *views.shape[2:]), questions.reshape(-1, questions.shape[-1])
-    )
-    cache = {"v_star": v_star, "subs": subs, "views": views_cache}
-    return aggs.reshape(n_triplets, n_views, -1), cache
+    return views, questions, {"v_star": v_star[:, 0], "subs": subs}
 
 
-def triplet_backward(backbone: PcmaModel, daggs: Array, cache: dict) -> Array:
-    """Backprop the gradient daggs [n_triplets, n_views, model_dim] of every
-    triplet's aggregates through one stacked pass; returns gate gradients
-    [n_triplets, n_clips].
+def triplet_backward(dviews: Array, cache: dict) -> Array:
+    """Gate gradients [n_triplets, n_clips] from the gradient dviews of the
+    loss with respect to the views build_triplet_cached built.
 
-    Backbone parameter gradients accumulate on the store. Gradients into
-    the mixed videos and questions stop there (they are data), except for
-    the substitution blends, whose gate dependence is returned.
+    Gradients into the mixed videos and questions stop there (they are
+    data), except for the substitution blends, whose gate dependence is
+    returned.
     """
     v_star, subs = cache["v_star"], cache["subs"]
-    dviews, _ = backbone.aggregate_backward(daggs.reshape(-1, daggs.shape[-1]), cache["views"])
-    dviews = dviews.reshape(len(subs), -1, *dviews.shape[1:])
     # the positive blends by gate, each negative by 1 - gate; rows a view
     # leaves unsubstituted add zero
-    dgates = np.sum(dviews[:, 1] * (v_star[:, 0] - subs[:, 0]), axis=-1)
+    dgates = np.sum(dviews[:, 0] * (v_star - subs[:, 0]), axis=-1)
     for i in range(1, subs.shape[1]):
-        dgates += np.sum(dviews[:, 1 + i] * (subs[:, i] - v_star[:, 0]), axis=-1)
+        dgates += np.sum(dviews[:, i] * (subs[:, i] - v_star), axis=-1)
     return dgates
 
 

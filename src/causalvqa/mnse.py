@@ -3,13 +3,15 @@
 The bank stores clip-level scene vectors with provenance, one block of
 columns (Scenes: matrix, video ids, id codes, clip indices) per populate or
 push_batch call, and answers top-k nearest-scene queries by exact full
-scan, in the manner of a flat index: a column view (float64 matrix, cached
-row norms, parent-id and tie-rank columns) is built from the blocks once
-per change, with Python work per distinct video id, not per row. Any
-number of query rows, each with its own excluded video, is ranked in one
-pass of fixed-size row chunks: one matrix product and one top-k selection
-per chunk, no loop over rows. Three refresh regimes:
-F1 fills once and freezes; F2 refreshes per batch over a sliding window
+scan, in the manner of a flat index. A block's row norms and parent part
+ids are computed once, by the first column view that holds it; the view
+(float64 matrix, norms, parent-id columns) concatenates the live blocks'
+pieces once per change, and its tie-rank columns are built from them on
+the first ranking that needs them, with Python work per distinct video
+id, not per row. Any number of query rows, each with its own excluded video,
+is ranked in one pass of fixed-size row chunks: one matrix product and one
+top-k selection per chunk, no loop over rows. Three refresh regimes: F1
+fills once and freezes; F2 refreshes per batch over a sliding window
 of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
 random baseline (random_do). topk returns each row's exact k-nearest set
@@ -23,6 +25,7 @@ from __future__ import annotations
 
 from collections import deque
 from dataclasses import dataclass
+from functools import cached_property
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -104,56 +107,86 @@ def _read_only(matrix: Array) -> Array:
     return matrix
 
 
-class _Columns(NamedTuple):
-    """Column view of the bank's entries, rebuilt once after each change."""
+class _Block:
+    """One populate or push_batch call's scenes, with the pieces of the
+    bank's column view they give, each computed once, by the first view
+    that holds the block. It holds the bank's part-id table, not the bank."""
 
+    def __init__(self, scenes: Scenes, part_ids: dict[str, int]):
+        self.scenes = scenes
+        self.part_ids = part_ids
+
+    @cached_property
+    def norms(self) -> Array:
+        """[n] row L2 norms."""
+        return np.linalg.norm(self.scenes.matrix, axis=1)
+
+    @cached_property
+    def parents(self) -> Array:
+        """[n, p] table ids of the parts of each row's "+"-joined video_id,
+        -1 when absent."""
+        table, ids = self.part_ids, self.scenes.video_ids
+        parts = [table.setdefault(p, len(table)) for v in ids for p in v.split("+")]
+        lengths = np.array([v.count("+") + 1 for v in ids], dtype=np.int64)
+        parents = np.full((len(ids), int(lengths.max(initial=1))), -1, dtype=np.int64)
+        parents[np.arange(parents.shape[1]) < lengths[:, None]] = parts
+        return parents[self.scenes.codes]
+
+
+class _TieRanks(NamedTuple):
     names: list[str]  # the distinct video ids, sorted
     by_name: Array  # [n] each entry's index into names
-    clips: Array  # [n] clip indices
-    matrix: Array  # [n, bank_dim] read-only float64; the block itself when there is one
-    norms: Array  # [n] row L2 norms
-    parents: Array  # [n, p] part ids of each "+"-joined video_id, -1 when absent
-    part_ids: dict[str, int]
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
     order: Array  # [n] the entries in that order, the inverse of rank
 
 
-def _build_columns(blocks: list[Scenes], bank_dim: int) -> _Columns:
-    """Columns over the row-stacked blocks; the Python work is per distinct
-    video id of each block, not per row."""
-    if len(blocks) == 1:
-        matrix = blocks[0].matrix  # a single populate keeps one copy of each scene
-    else:
-        matrix = _read_only(np.concatenate([np.empty((0, bank_dim))] + [b.matrix for b in blocks]))
-    ids = [v for b in blocks for v in b.video_ids]
-    offsets = np.cumsum([0] + [len(b.video_ids) for b in blocks])
-    codes = np.concatenate(
-        [np.empty(0, dtype=np.int64)] + [b.codes + o for b, o in zip(blocks, offsets)]
-    )
-    used = np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist()
-    names = sorted({ids[c] for c in used})
-    name_index = {v: i for i, v in enumerate(names)}
-    to_name = np.zeros(len(ids), dtype=np.int64)
-    to_name[used] = [name_index[ids[c]] for c in used]
-    by_name = to_name[codes]
-    clips = np.concatenate([np.empty(0, dtype=np.int64)] + [b.clips for b in blocks])
-    parts = [v.split("+") for v in names]
-    lengths = np.array([len(ps) for ps in parts], dtype=np.int64)
-    part_ids: dict[str, int] = {}
-    name_parents = np.full((len(names), int(lengths.max(initial=1))), -1, dtype=np.int64)
-    name_parents[np.arange(name_parents.shape[1]) < lengths[:, None]] = [
-        part_ids.setdefault(p, len(part_ids)) for ps in parts for p in ps
-    ]
-    order = np.lexsort((clips, by_name))
-    rank = np.empty(len(order), dtype=np.int64)
-    rank[order] = np.arange(len(order))
-    return _Columns(
-        names, by_name, clips, matrix, np.linalg.norm(matrix, axis=1), name_parents[by_name],
-        part_ids, rank, order,
-    )
+class _Columns:
+    """Column view of the bank's live blocks: their pieces concatenated
+    once after each change, and the tie-rank columns built on the first
+    ranking that needs them. It holds the blocks, never the bank, so a
+    dropped bank is freed by reference counting alone."""
+
+    def __init__(self, blocks: list[_Block], bank_dim: int):
+        self.blocks = blocks
+        if len(blocks) == 1:
+            self.matrix = blocks[0].scenes.matrix  # a single populate keeps one copy
+        else:
+            self.matrix = _read_only(
+                np.concatenate([np.empty((0, bank_dim))] + [b.scenes.matrix for b in blocks])
+            )
+        self.norms = np.concatenate([np.empty(0)] + [b.norms for b in blocks])
+        self.clips = np.concatenate([np.empty(0, np.int64)] + [b.scenes.clips for b in blocks])
+        self.parents = np.full(
+            (len(self.norms), max((b.parents.shape[1] for b in blocks), default=1)), -1
+        )
+        start = 0
+        for b in blocks:
+            self.parents[start : start + len(b.parents), : b.parents.shape[1]] = b.parents
+            start += len(b.parents)
+
+    @cached_property
+    def ties(self) -> _TieRanks:
+        """The tie-rank columns; the Python work is per distinct video id
+        of each block, not per row."""
+        ids = [v for b in self.blocks for v in b.scenes.video_ids]
+        offsets = np.cumsum([0] + [len(b.scenes.video_ids) for b in self.blocks])
+        codes = np.concatenate(
+            [np.empty(0, dtype=np.int64)]
+            + [b.scenes.codes + o for b, o in zip(self.blocks, offsets)]
+        )
+        used = np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist()
+        names = sorted({ids[c] for c in used})
+        name_index = {v: i for i, v in enumerate(names)}
+        to_name = np.zeros(len(ids), dtype=np.int64)
+        to_name[used] = [name_index[ids[c]] for c in used]
+        by_name = to_name[codes]
+        order = np.lexsort((self.clips, by_name))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return _TieRanks(names, by_name, rank, order)
 
 
-def _first_k(keys: Array, k: Array, cols: _Columns) -> tuple[Array, Array]:
+def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
     """Bank indices and keys of each row's k[row] smallest keys, ties at the
     k-th key broken by tie rank, listed in tie-rank order and padded with -1
     and NaN to the largest k.
@@ -176,7 +209,7 @@ def _first_k(keys: Array, k: Array, cols: _Columns) -> tuple[Array, Array]:
         if width >= n or (kth[:, 0] < window[:, -1]).all():
             break
         width = int(np.count_nonzero(keys <= kth, axis=1).max()) + 1
-    idx = cols.order[np.sort(cols.rank[idx], axis=1)]
+    idx = ties.order[np.sort(ties.rank[idx], axis=1)]
     window = keys[rows, idx]
     below, ties = window < kth, window == kth
     taken = below | ties & (np.cumsum(ties, axis=1) <= (k - below.sum(axis=1))[:, None])
@@ -206,31 +239,32 @@ class MemoryBank:
         self.metric = Metric(metric)
         self.regime = Regime(regime)
         self.window = window
-        self._base: list[Scenes] = []
-        self._batches: deque[list[Scenes]] = deque(maxlen=window)
+        self._base: list[_Block] = []
+        self._batches: deque[list[_Block]] = deque(maxlen=window)
+        self._part_ids: dict[str, int] = {}  # every video id part the bank has seen
         self._frozen = False
         self._cols: _Columns | None = None
 
     def __len__(self) -> int:
-        return sum(len(b.codes) for b in self._blocks())
+        return sum(len(b.scenes.codes) for b in self._blocks())
 
-    def _blocks(self) -> list[Scenes]:
+    def _blocks(self) -> list[_Block]:
         return self._base + [b for batch in self._batches for b in batch]
 
     def entries(self) -> list[BankEntry]:
         """Every scene in bank order; vectors are read-only rows of the
         blocks."""
         return [
-            BankEntry(row, b.video_ids[c], clip)
-            for b in self._blocks()
-            for row, c, clip in zip(b.matrix, b.codes.tolist(), b.clips.tolist())
+            BankEntry(row, s.video_ids[c], clip)
+            for s in (b.scenes for b in self._blocks())
+            for row, c, clip in zip(s.matrix, s.codes.tolist(), s.clips.tolist())
         ]
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
-    def _coerce(self, scenes: Scenes) -> Scenes:
+    def _block(self, scenes: Scenes) -> _Block:
         """The scenes as one validated block whose matrix is read-only
         float64: a writeable or non-float64 matrix is copied into one, so a
         caller may reuse or change its arrays afterwards."""
@@ -253,12 +287,12 @@ class MemoryBank:
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
-        return Scenes(matrix, [str(v) for v in video_ids], codes, clips)
+        return _Block(Scenes(matrix, [str(v) for v in video_ids], codes, clips), self._part_ids)
 
     def populate(self, scenes: Scenes) -> "MemoryBank":
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
-        self._base.append(self._coerce(scenes))
+        self._base.append(self._block(scenes))
         self._cols = None
         return self
 
@@ -272,11 +306,11 @@ class MemoryBank:
         """Refresh with one batch; evicts batches older than the window."""
         if self.regime is Regime.F1_STATIC:
             raise RegimeError("per-batch refresh requires a dynamic regime")
-        batch = [self._coerce(scenes)]
+        batch = [self._block(scenes)]
         if mixup_scenes is not None:
             if self.regime is not Regime.F3_DYNAMIC_MIXUP:
                 raise RegimeError("mixup rows are stored only under the dynamic-mixup regime")
-            batch.append(self._coerce(mixup_scenes))
+            batch.append(self._block(mixup_scenes))
         self._batches.append(batch)
         self._cols = None
         return self
@@ -285,7 +319,7 @@ class MemoryBank:
 
     def _columns(self) -> _Columns:
         if self._cols is None:
-            self._cols = _build_columns(self._blocks(), self.bank_dim)
+            self._cols = _Columns(self._blocks(), self.bank_dim)
         return self._cols
 
     def _excluded(self, exclude_video_ids: Sequence[str | None]) -> Array:
@@ -293,7 +327,7 @@ class MemoryBank:
         each video may not return. Mixup rows carry compound provenance
         "a+b"; excluding either parent excludes the blend."""
         cols = self._columns()
-        codes = np.array([cols.part_ids.get(v, -2) for v in exclude_video_ids], dtype=np.int64)
+        codes = np.array([self._part_ids.get(v, -2) for v in exclude_video_ids], dtype=np.int64)
         excluded = cols.parents[:, 0] == codes[:, None]
         for part in cols.parents.T[1:]:
             excluded |= part == codes[:, None]
@@ -349,7 +383,7 @@ class MemoryBank:
             counts = n - excluded.sum(axis=1)
             if not counts.all():
                 raise self._none_eligible(exclude_video_ids[start + int(np.argmin(counts))])
-            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), cols)
+            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), cols.ties)
             top[rows, : chunk_top.shape[1]] = chunk_top
             keys_at[rows, : chunk_top.shape[1]] = chunk_keys
         used = int((top >= 0).sum(axis=1).max(initial=0))
@@ -399,11 +433,12 @@ class MemoryBank:
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
         cols = self._columns()
+        names, by_name = cols.ties.names, cols.ties.by_name
         # a stable sort by key of the tie-rank-ordered row: (key, tie rank)
         best = np.argsort(-scores[0] if self.metric is Metric.COSINE else scores[0], kind="stable")
         return [
             ScoredNeighbor(
-                BankEntry(cols.matrix[i], cols.names[cols.by_name[i]], int(cols.clips[i])),
+                BankEntry(cols.matrix[i], names[by_name[i]], int(cols.clips[i])),
                 float(s),
             )
             for i, s in zip(top[0, best], scores[0, best])

@@ -16,7 +16,7 @@ parameter gradients are summed over the batch.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Iterator, NamedTuple
+from typing import Callable, Iterator, NamedTuple
 
 import numpy as np
 
@@ -171,37 +171,56 @@ class PcmaModel:
         self, video: Array, question: Array, answers: Array
     ) -> tuple[AnswerScores, dict]:
         """Cosine scores of every answer against the aggregated video, for
-        a batch shaped as in aggregate_forward."""
+        a batch shaped as in aggregate_forward whose first A = len(answers)
+        rows are answered (usually all of them). The cache holds every
+        row's aggregate under "aggs"."""
         answers = nc.as_f64(answers)
-        expected = (len(video), N_ANSWERS, self.cfg.text_dim)
+        agg, agg_cache = self.aggregate_forward(video, question)
+        expected = (min(len(answers), len(agg)), N_ANSWERS, self.cfg.text_dim)
         if answers.shape != expected:
             raise nc.DimMismatch(f"answers shape {answers.shape}, expected {expected}")
-        agg, agg_cache = self.aggregate_forward(video, question)
         ap = answers @ self.store["text_proj.w"]
-        cos, cos_cache = nc.cosine_forward(np.broadcast_to(agg[:, None, :], ap.shape), ap)
+        scored = agg[: len(answers)]
+        cos, cos_cache = nc.cosine_forward(np.broadcast_to(scored[:, None, :], ap.shape), ap)
         result = AnswerScores(
-            scores=cos.value, predicted=np.argmax(cos.value, axis=1), aggregated_video=agg
+            scores=cos.value, predicted=np.argmax(cos.value, axis=1), aggregated_video=scored
         )
-        cache = {"agg": agg_cache, "cos": cos_cache, "answers": answers}
+        cache = {"agg": agg_cache, "aggs": agg, "cos": cos_cache, "answers": answers}
         return result, cache
 
-    def backward_full(self, dscores: Array, cache: dict) -> InputGrads:
-        """Backprop from per-answer score gradients [B, N_ANSWERS];
-        accumulates parameter gradients summed over the batch."""
-        dagg, dap = nc.cosine_backward(dscores, cache["cos"])
+    def backward_full(self, dscores: Array, cache: dict, dagg: Array | None = None) -> InputGrads:
+        """Backprop from per-answer score gradients [A, N_ANSWERS], plus
+        dagg [B, model_dim] when given: the gradient of a further loss with
+        respect to every row's aggregate, to which the answered rows'
+        gradient is added in place. Accumulates parameter gradients summed
+        over the batch."""
+        dscored, dap = nc.cosine_backward(dscores, cache["cos"])
         danswers, dw, _ = nc.linear_backward(dap, (cache["answers"], self.store["text_proj.w"]))
         self.store.accumulate("text_proj.w", dw)
-        dvideo, dquestion = self.aggregate_backward(dagg.sum(axis=1), cache["agg"])
+        if dagg is None:
+            dagg = dscored.sum(axis=1)
+        else:
+            dagg[: len(dscored)] += dscored.sum(axis=1)
+        dvideo, dquestion = self.aggregate_backward(dagg, cache["agg"])
         return InputGrads(video=dvideo, question=dquestion, answers=danswers)
 
     def loss_and_grads(
-        self, video: Array, question: Array, answers: Array, gold: Array
+        self,
+        video: Array,
+        question: Array,
+        answers: Array,
+        gold: Array,
+        extra: Callable[[Array], Array] | None = None,
     ) -> tuple[Array, AnswerScores, InputGrads]:
-        """Per-row cross-entropy losses [B] for gold indices [B]; accumulates
-        parameter gradients summed over the batch."""
+        """Per-row cross-entropy losses [A] for gold indices [A] of the A
+        answered rows, through one forward and one backward pass; extra,
+        when given, maps every row's aggregate [B, model_dim] to the
+        gradient of a further loss on them, which joins the backward pass.
+        Accumulates parameter gradients summed over the batch."""
         result, cache = self.forward_full(video, question, answers)
         loss, dscores = pcma_loss(result, gold, self.cfg.tau)
-        return loss, result, self.backward_full(dscores, cache)
+        dagg = None if extra is None else extra(cache["aggs"])
+        return loss, result, self.backward_full(dscores, cache, dagg)
 
 
 def pcma_loss(scores: AnswerScores, gold, tau: float) -> tuple[Array, Array]:

@@ -34,7 +34,7 @@ def reference_topk(bank, queries, k, exclude_video_id):
         members = cols.matrix[pool]
         keys = np.stack([np.linalg.norm(members - q, axis=1) for q in queries])
     kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-    rank = cols.rank[pool]
+    rank = cols.ties.rank[pool]
     top = np.empty((len(queries), k), dtype=np.int64)
     for i, row in enumerate(keys):
         cand = np.flatnonzero(row <= kth[i])

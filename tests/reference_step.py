@@ -1,11 +1,14 @@
-"""The contrastive step one mixed sample at a time, kept as the reference
-the stacked step in harness is checked against.
+"""The training step one sample at a time, kept as the reference the
+stacked step in harness is checked against.
 
-Each sample runs its own augmented + do pass, its own triplet pass and its
-own InfoNCE over one vector per view, and every substitute draw ranks its
-query rows afresh (one kNN ranking per negative) and picks among them with
-the step's generator, one copy at a time. The draws, their order and the
-arithmetic of every row are those the stacked step must reproduce.
+Each sample runs its own clean pass (on gate-weighted clip rows when it has
+gates, with those gates' gradients through the weights written as a
+Jacobian product), its own augmented + do pass, its own triplet pass with
+its own anchor row, and its own InfoNCE over one vector per view; every
+substitute draw ranks its query rows afresh (one kNN ranking per negative)
+and picks among them with the step's generator, one copy at a time. The
+draws, their order and the arithmetic of every row are those the stacked
+step must reproduce.
 """
 
 from __future__ import annotations
@@ -14,6 +17,7 @@ from typing import NamedTuple
 
 import numpy as np
 
+from causalvqa import intervention as iv
 from causalvqa import nn_core as nc
 from causalvqa.intervention import MemorySource
 from causalvqa.mnse import mnse_do, random_do
@@ -22,10 +26,10 @@ Array = np.ndarray
 
 
 class ReferenceStep(NamedTuple):
-    losses: list[list]  # per batch position: augmented, then do answer loss
+    losses: list[list]  # per batch position: clean, augmented, then do answer loss
     cl_losses: list[float]
     positions: list[int]
-    dgates: list[Array]  # [n_clips] per triplet
+    dgates: Array  # [B, n_clips]: the clean pass's plus each triplet's at its position
     videos: list[Array]  # every drawn video in draw order: do-video, positive, negatives
 
 
@@ -47,6 +51,29 @@ def reference_infonce(anchor, positive, negatives):
         danchor += p[1 + i] * neg
         dnegatives.append(p[1 + i] * anchor)
     return float(loss), danchor, (p[0] - 1.0) * anchor, dnegatives
+
+
+def triplet_aggregates(model, draws):
+    """Aggregates [n_triplets, n_views, model_dim] of drawn triplets, each
+    triplet's anchor (v_star with q_star) first and then the views
+    build_triplet_cached builds, through one aggregate pass; with the
+    caches triplet_gate_grads reads."""
+    views, questions, cache = iv.build_triplet_cached(draws)
+    videos = np.concatenate([np.stack([d.v_star for d in draws])[:, None], views], axis=1)
+    questions = np.concatenate([np.stack([d.q_star for d in draws])[:, None], questions], axis=1)
+    aggs, agg_cache = model.aggregate_forward(
+        videos.reshape(-1, *videos.shape[2:]), questions.reshape(-1, questions.shape[-1])
+    )
+    return aggs.reshape(*videos.shape[:2], -1), (agg_cache, cache)
+
+
+def triplet_gate_grads(model, daggs, caches):
+    """Gate gradients [n_triplets, n_clips] of the gradient daggs of
+    triplet_aggregates' output, through one aggregate backward; backbone
+    gradients accumulate on the store."""
+    agg_cache, cache = caches
+    dvideo, _ = model.aggregate_backward(daggs.reshape(-1, daggs.shape[-1]), agg_cache)
+    return iv.triplet_backward(dvideo.reshape(*daggs.shape[:2], *dvideo.shape[1:])[:, 1:], cache)
 
 
 def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
@@ -107,9 +134,32 @@ def _triplet_backward(backbone, dagg, cache):
     return dgates
 
 
-def reference_passes(model, icfg, bank, instances, batch, prepared, rng) -> ReferenceStep:
-    """The intervened passes of one step, sample by sample."""
-    out = ReferenceStep([[] for _ in batch], [], [], [], [])
+def _clean_pass(model, inst, gates):
+    """One sample's answer loss on its clip rows weighted by gates / mean(gates)
+    (its own rows without gates), and the gradient of that loss with respect
+    to the gates (zero without gates)."""
+    n = inst.n_clips
+    if gates is None:
+        video, dgates = inst.video, np.zeros(n)
+    else:
+        video = (gates / gates.mean())[:, None] * inst.video
+    loss, _, grads = model.loss_and_grads(
+        video[None], inst.question[None], inst.answers[None], np.array([inst.gold])
+    )
+    if gates is not None:
+        dweights = (grads.video[0] * inst.video).sum(axis=1)
+        m = gates.mean()
+        # d(g_i / m)/d g_k = [i == k] / m - g_i / (n m^2)
+        jacobian = np.eye(n) / m - np.outer(gates, np.ones(n)) / (n * m * m)
+        dgates = jacobian.T @ dweights
+    return loss[0], dgates
+
+
+def reference_step(model, icfg, bank, instances, batch, prepared, gates, rng) -> ReferenceStep:
+    """One step's passes, sample by sample: every sample's clean pass, given
+    gates[j] or None, then the intervened passes of every mixed sample."""
+    clean = [_clean_pass(model, instances[i], g) for i, g in zip(batch, gates)]
+    out = ReferenceStep([[loss] for loss, _ in clean], [], [], np.stack([g for _, g in clean]), [])
     for j, entry in enumerate(prepared):
         if entry is None:
             continue
@@ -148,5 +198,5 @@ def reference_passes(model, icfg, bank, instances, batch, prepared, rng) -> Refe
         dagg = np.stack([icfg.beta_cl * g for g in (danchor, dpositive, *dnegatives)])
         out.cl_losses.append(cl)
         out.positions.append(j)
-        out.dgates.append(_triplet_backward(model, dagg, tcache))
+        out.dgates[j] += _triplet_backward(model, dagg, tcache)
     return out

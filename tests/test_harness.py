@@ -50,7 +50,6 @@ from causalvqa.harness import (
 from causalvqa.intervention import (
     InterventionConfig,
     MemorySource,
-    build_triplet_cached,
     draw_triplet,
     gate_forward,
 )
@@ -64,7 +63,8 @@ from causalvqa.mnse import (
 from causalvqa.pcma import PcmaConfig, PcmaModel
 from reference_adam import ReferenceAdam
 from reference_protocol import reference_protocol, reference_protocol_videos
-from reference_step import reference_passes
+from gradcheck import assert_grad_matches
+from reference_step import reference_step, triplet_aggregates
 
 
 def small_model(
@@ -803,7 +803,7 @@ class TestTrain:
                 rng,
                 candidates=(result.bank.eligible(inst.video_id),) * 2,
             )
-            (aggs,), _ = build_triplet_cached(result.model, [drawn])
+            (aggs,), _ = triplet_aggregates(result.model, [drawn])
 
             def cos(a, b):
                 return float(
@@ -896,9 +896,9 @@ class TestTrain:
 
 
 class TestStackedStep:
-    """The stacked intervened passes against the one-sample-at-a-time
-    reference: the same draws in the same order, bit-identical per-row
-    losses, and parameter and gate gradients equal up to summation order."""
+    """The one-pass step against the one-sample-at-a-time reference: the
+    same draws in the same order, bit-identical per-row losses, and
+    parameter and gate gradients equal up to summation order."""
 
     @staticmethod
     def _inputs(source, oracle, regime, batch_size=4, degenerate=()):
@@ -931,7 +931,15 @@ class TestStackedStep:
         return model, icfg, bank, instances, batch, prepared, rng
 
     @staticmethod
-    def _compare(model, icfg, bank, instances, batch, prepared, rng):
+    def _gates(model, prepared):
+        """The gates a step scores its clean rows with: a learned split's,
+        none for an oracle mask or a degenerate split."""
+        gated = "gate.w" in model.store
+        return [entry[0].gates if gated and entry is not None else None for entry in prepared]
+
+    @classmethod
+    def _compare(cls, model, icfg, bank, instances, batch, prepared, rng):
+        gates = cls._gates(model, prepared)
         start = rng.bit_generator.state
 
         def at_start():
@@ -942,10 +950,14 @@ class TestStackedStep:
         store = model.store
         store.zero_grads()
         ref_rng = at_start()
-        ref = reference_passes(model, icfg, bank, instances, batch, prepared, ref_rng)
+        ref = reference_step(model, icfg, bank, instances, batch, prepared, gates, ref_rng)
         ref_grads = {name: store.grad(name).copy() for name in store.names()}
 
-        draws = hn._draw_interventions(icfg, bank, instances, batch, prepared, at_start())
+        store.zero_grads()
+        new_rng = at_start()
+        draws = hn._draw_interventions(icfg, bank, instances, batch, prepared, new_rng)
+        new = hn._stacked_step(model, [instances[i] for i in batch], gates, draws, icfg.beta_cl)
+        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         do_videos = {}
         for j, video, *_ in draws.views:
             do_videos.setdefault(j, [])
@@ -957,18 +969,13 @@ class TestStackedStep:
         for got, want in zip(videos, ref.videos):
             np.testing.assert_array_equal(got, want)
 
-        store.zero_grads()
-        new_rng = at_start()
-        new = hn._intervened_passes(model, icfg, bank, instances, batch, prepared, new_rng)
-        assert new_rng.bit_generator.state == ref_rng.bit_generator.state
         assert new.positions == ref.positions
         assert [[float(x) for x in row] for row in new.losses] == [
             [float(x) for x in row] for row in ref.losses
         ]
         assert new.cl_losses == ref.cl_losses
-        assert new.dgates.shape == (len(ref.positions), instances[0].n_clips)
-        for got, want in zip(new.dgates, ref.dgates):
-            np.testing.assert_allclose(got, want, rtol=0, atol=1e-12)
+        assert new.dgates.shape == (len(batch), instances[0].n_clips)
+        np.testing.assert_allclose(new.dgates, ref.dgates, rtol=0, atol=1e-12)
         for name, want in ref_grads.items():
             np.testing.assert_allclose(store.grad(name), want, rtol=0, atol=1e-12)
         return new
@@ -980,7 +987,7 @@ class TestStackedStep:
         inputs = self._inputs(source, oracle, regime)
         new = self._compare(*inputs)
         assert len(new.positions) == 4
-        assert all(len(row) == 2 for row in new.losses)
+        assert all(len(row) == 3 for row in new.losses)
 
     @pytest.mark.parametrize("source", list(MemorySource))
     def test_f2_batch_of_one_skips_its_intervention(self, source):
@@ -988,7 +995,7 @@ class TestStackedStep:
         inputs = self._inputs(source, True, Regime.F2_DYNAMIC, batch_size=1)
         new = self._compare(*inputs)
         assert new.positions == [] and new.cl_losses == []
-        assert [len(row) for row in new.losses] == [1]
+        assert [len(row) for row in new.losses] == [2]
 
     def test_degenerate_split_leaves_the_sample_out(self):
         model, icfg, bank, instances, batch, prepared, rng = self._inputs(
@@ -997,7 +1004,7 @@ class TestStackedStep:
         prepared[1] = None
         new = self._compare(model, icfg, bank, instances, batch, prepared, rng)
         assert new.positions == [0, 2, 3]
-        assert new.losses[1] == []
+        assert len(new.losses[1]) == 1
 
     def test_every_split_degenerate(self):
         inputs = self._inputs(
@@ -1005,7 +1012,77 @@ class TestStackedStep:
         )
         assert inputs[5] == [None] * 4
         new = self._compare(*inputs)
-        assert new.positions == [] and new.losses == [[]] * 4
+        assert new.positions == [] and [len(row) for row in new.losses] == [1] * 4
+
+    @pytest.mark.parametrize("source", list(MemorySource))
+    def test_shared_anchor_row_gradients(self, source):
+        # each mixed sample's augmented view is one row that carries both its
+        # answering loss and its triplet's anchor; the step's total loss
+        # (every answer loss plus beta_cl times every InfoNCE loss) against
+        # central differences, draws held fixed
+        model, icfg, bank, instances, batch, prepared, rng = self._inputs(
+            source, False, Regime.F1_STATIC
+        )
+        check = np.random.default_rng(3)
+        gates = self._gates(model, prepared)
+        for g in gates:  # an untrained gate scorer gives 0.5 everywhere
+            g[...] = check.uniform(0.1, 0.9, size=g.shape)
+        insts = [instances[i] for i in batch]
+        draws = hn._draw_interventions(icfg, bank, instances, batch, prepared, rng)
+        assert draws.triplets
+
+        def total():
+            out = hn._stacked_step(model, insts, gates, draws, icfg.beta_cl)
+            return sum(sum(row) for row in out.losses) + icfg.beta_cl * sum(out.cl_losses)
+
+        model.store.zero_grads()
+        out = hn._stacked_step(model, insts, gates, draws, icfg.beta_cl)
+        grads = {name: model.store.grad(name).copy() for name in model.store.names()}
+        for j in out.positions:
+            assert_grad_matches(total, gates[j], out.dgates[j], check, f"gates[{j}]")
+        for name in ("video_proj.w", "text_proj.w", "layer0.cross.wv", "layer0.self.wo"):
+            assert_grad_matches(total, model.store[name], grads[name], check, name)
+
+
+class TestStepPasses:
+    """A step runs one backbone pass, forward and backward, and a gated
+    step one gate pass."""
+
+    @staticmethod
+    def _per_step_calls(cfg, monkeypatch):
+        names = [(PcmaModel, "aggregate_forward"), (PcmaModel, "aggregate_backward"),
+                 (hn, "gate_forward"), (hn, "gate_backward")]
+        counts = {}
+
+        def counted(owner, attr):
+            original = getattr(owner, attr)
+
+            def wrapper(*args, **kwargs):
+                counts[attr] += 1
+                return original(*args, **kwargs)
+
+            return wrapper
+
+        for owner, attr in names:
+            monkeypatch.setattr(owner, attr, counted(owner, attr))
+        per_run = []
+        for steps in (2, 5):
+            counts.update({attr: 0 for _, attr in names})
+            train(replace(cfg, optimizer=replace(cfg.optimizer, steps=steps)))
+            per_run.append(dict(counts))
+        # the final evaluation is the same in both runs
+        return {attr: (per_run[1][attr] - per_run[0][attr]) / 3 for _, attr in names}
+
+    def test_gated_contrastive_step(self, monkeypatch):
+        cfg = replace(GATE_RECIPE, optimizer=replace(GATE_RECIPE.optimizer, batch_size=4))
+        assert self._per_step_calls(cfg, monkeypatch) == {
+            "aggregate_forward": 1, "aggregate_backward": 1, "gate_forward": 1, "gate_backward": 1,
+        }
+
+    def test_answer_only_step(self, monkeypatch):
+        assert self._per_step_calls(erm_config(), monkeypatch) == {
+            "aggregate_forward": 1, "aggregate_backward": 1, "gate_forward": 0, "gate_backward": 0,
+        }
 
 
 # -- robustness protocol -----------------------------------------------------------

@@ -11,7 +11,7 @@ from causalvqa.features import Qtype, VideoQAInstance
 from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
 from gradcheck import assert_grad_matches, dead_tensors
-from reference_step import reference_infonce
+from reference_step import reference_infonce, triplet_aggregates, triplet_gate_grads
 
 VIDEO_DIM, TEXT_DIM = 10, 8
 
@@ -241,7 +241,7 @@ def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     if cfg.memory_source is iv.MemorySource.MNSE:
         candidates = triplet_topk(v_star, split, bank, cfg)
     drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, candidates=candidates)
-    (aggs,), cache = iv.build_triplet_cached(model, [drawn])
+    (aggs,), cache = triplet_aggregates(model, [drawn])
     return aggs, cache, drawn
 
 
@@ -312,7 +312,7 @@ class TestTriplet:
 
         model.store.zero_grads()
         loss, grad, cache = run()
-        (dgates,) = iv.triplet_backward(model, grad[None], cache)
+        (dgates,) = triplet_gate_grads(model, grad[None], cache)
         assert np.abs(dgates).max() > 0
         assert_grad_matches(f, split.gates, dgates, rng, "gates")
         for name in ("layer0.cross.wv", "video_proj.w", "text_proj.w", "layer0.self.wo"):
@@ -331,7 +331,7 @@ class TestTriplet:
         )
         _, grad = iv.infonce_loss(aggs)
         model.store.zero_grads()
-        iv.gate_backward(model, iv.triplet_backward(model, grad[None], cache), gate_cache)
+        iv.gate_backward(model, triplet_gate_grads(model, grad[None], cache), gate_cache)
         names = [name for name, _, _ in gate_layout(model.cfg.model_dim)]
         assert dead_tensors(model.store, names) == []
 
@@ -350,16 +350,16 @@ class TestTriplet:
                 np.random.default_rng(c), candidates=triplet_topk(v_star, split, bank, cfg),
             ))
         model.store.zero_grads()
-        aggs, cache = iv.build_triplet_cached(model, draws)
+        aggs, cache = triplet_aggregates(model, draws)
         _, grads = iv.infonce_loss(aggs)
-        dgates = iv.triplet_backward(model, grads, cache)
+        dgates = triplet_gate_grads(model, grads, cache)
         stacked = {n: model.store.grad(n).copy() for n in model.store.names()}
         model.store.zero_grads()
         for drawn, views, g, row in zip(draws, aggs, grads, dgates):
-            (single,), single_cache = iv.build_triplet_cached(model, [drawn])
+            (single,), single_cache = triplet_aggregates(model, [drawn])
             np.testing.assert_array_equal(views, single)
             np.testing.assert_allclose(
-                iv.triplet_backward(model, g[None], single_cache)[0], row, rtol=0, atol=1e-12
+                triplet_gate_grads(model, g[None], single_cache)[0], row, rtol=0, atol=1e-12
             )
         for name, grad in stacked.items():
             np.testing.assert_allclose(grad, model.store.grad(name), rtol=0, atol=1e-12)

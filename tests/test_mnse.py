@@ -1,6 +1,9 @@
 from __future__ import annotations
 
+import gc
 import math
+import weakref
+from collections import deque
 from unittest import mock
 
 import numpy as np
@@ -814,3 +817,88 @@ class TestTopKProperties:
         for one, video, row, seed, vid in zip(got, videos, rows, seeds, ids):
             alone = mnse.mnse_do(video[None], row[None], bank, k, [seed], [vid])[0]
             np.testing.assert_array_equal(one, alone)
+
+
+def _outcome(call):
+    """call()'s result, or the type and message of the ValueError it raises."""
+    try:
+        return call()
+    except ValueError as exc:
+        return type(exc), str(exc)
+
+
+def _neighbors(found):
+    return [(n.entry.vector.tobytes(), n.entry.video_id, n.entry.clip_index, n.score)
+            for n in found] if isinstance(found, list) else found
+
+
+class TestKeptColumns:
+    """The column view kept per block answers as one built afresh, and
+    holds no reference back to its bank."""
+
+    IDS = TestTopKProperties.IDS
+    BLENDS = TestTopKProperties.BLENDS
+
+    @staticmethod
+    def _assert_same_answers(bank, fresh, queries, excludes):
+        np.testing.assert_array_equal(bank._excluded(excludes), fresh._excluded(excludes))
+        for ex in excludes:
+            np.testing.assert_array_equal(bank.eligible(ex), fresh.eligible(ex))
+        for k in (1, 3):
+            got = _outcome(lambda: bank.topk(queries, k, excludes))
+            want = _outcome(lambda: fresh.topk(queries, k, excludes))
+            if isinstance(want, tuple):
+                assert got == want
+            else:
+                np.testing.assert_array_equal(got, want)
+        for q, ex in zip(queries, excludes):
+            query = NeighborQuery(vector=q, k=max(1, min(2, len(fresh.eligible(ex)))),
+                                  exclude_video_id=ex)
+            assert _neighbors(_outcome(lambda: bank.query_knn(query))) == _neighbors(
+                _outcome(lambda: fresh.query_knn(query))
+            )
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_pushes_answer_as_a_fresh_bank_of_the_live_blocks(self, data):
+        regime = data.draw(st.sampled_from([Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP]),
+                           label="regime")
+        metric = data.draw(st.sampled_from(list(Metric)), label="metric")
+        window = data.draw(st.integers(1, 3), label="window")
+        dim = data.draw(st.integers(1, 3), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        queries = rng.normal(size=(3, dim))
+        bank = MemoryBank(dim, metric=metric, regime=regime, window=window)
+        live: deque[list[Scenes]] = deque(maxlen=window)
+        block = TestTopKProperties._block
+        for _ in range(data.draw(st.integers(1, 5), label="pushes")):
+            if data.draw(st.booleans(), label="rank before the push"):
+                _outcome(lambda: bank.topk(queries, 2, None))
+            batch = [block(data, rng, dim, self.IDS + self.BLENDS, queries)]
+            if regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="mixup"):
+                batch.append(block(data, rng, dim, self.BLENDS, queries))
+            bank.push_batch(*batch)
+            live.append(batch)
+            fresh = MemoryBank(dim, metric=metric)
+            for scenes_block in (b for pushed in live for b in pushed):
+                fresh.populate(scenes_block)
+            assert len(bank) == len(fresh)
+            excludes = data.draw(st.lists(st.sampled_from(self.IDS + self.BLENDS + [None, "x"]),
+                                          min_size=len(queries), max_size=len(queries)),
+                                 label="excludes")
+            self._assert_same_answers(bank, fresh, queries, excludes)
+
+    def test_a_dropped_bank_is_freed_by_reference_counting(self, rng):
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
+            bank.push_batch(scenes(rng.normal(size=(3, 4)), ["a"] * 3, range(3)),
+                            scenes(rng.normal(size=(2, 4)), ["a+b"] * 2, range(2)))
+            bank.topk(rng.normal(size=(2, 4)), 2, "b")
+            ref = weakref.ref(bank)
+            del bank
+            assert ref() is None
+        finally:
+            if enabled:
+                gc.enable()
