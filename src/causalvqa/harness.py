@@ -34,19 +34,15 @@ from .features import (
     write_atomic,
 )
 from .intervention import (
-    CausalSplit,
-    DegenerateSplitError,
     InterventionConfig,
     MemorySource,
-    TripletDraw,
+    Mixup,
     build_triplet_cached,
-    draw_triplet,
+    causal_mask,
     gate_backward,
     gate_forward,
     infonce_loss,
     mixup_intervene,
-    assemble_video,
-    split_from_gates,
     total_loss,
     triplet_backward,
 )
@@ -59,7 +55,6 @@ from .mnse import (
     mnse_do,
     random_do,
     stacked_scenes,
-    swap_rows,
 )
 from .pcma import PcmaConfig, PcmaModel, model_layout, pcma_loss
 from . import samplers as sm
@@ -473,76 +468,50 @@ def _batch_order(n: int, batch_size: int, rng: np.random.Generator):
 
 def _batch_splits(
     model: PcmaModel,
-    insts: list[VideoQAInstance],
+    video: Array,
+    question: Array,
     icfg: InterventionConfig,
-    masks: list[Array] | None,
-) -> tuple[list[CausalSplit], dict | None]:
-    """Causal splits from the oracle masks when given, else from the
-    learned gates of one gate_forward over the batch, whose cache is
-    returned for backprop."""
+    masks: Array | None,
+) -> tuple[Array, Array, dict | None]:
+    """The batch's causal masks [B, n_clips] and gates: the oracle masks
+    and their 0/1 gates when given, else the learned gates of one
+    gate_forward over the batch, split by causal_mask, with the gate cache
+    for backprop."""
     if masks is not None:
-        bool_masks = [np.asarray(m, dtype=bool) for m in masks]
-        return [CausalSplit(mask=m, gates=m.astype(np.float64)) for m in bool_masks], None
-    video, question, _, _ = _stacked(insts)
+        return masks, masks.astype(np.float64), None
     gates, cache = gate_forward(model, video, question)
-    return [split_from_gates(g, topk_mode=icfg.topk_mode, k=icfg.k) for g in gates], cache
+    return causal_mask(gates, icfg.topk_mode, icfg.k), gates, cache
 
 
 def _mixed_samples(
-    insts: list[VideoQAInstance],
-    splits: list[CausalSplit],
-    icfg: InterventionConfig,
-    rng: np.random.Generator,
-) -> tuple[list[tuple | None], Scenes]:
-    """Each sample blended with the next one in the batch (the last with the
-    first): (split, mixup, mixed video), or None when a split is degenerate;
-    plus the mixed clip rows as bank scenes with "a+b" provenance."""
-    prepared: list[tuple | None] = []
-    mixed, blend_ids = [], []
-    for j, inst in enumerate(insts):
-        partner = (j + 1) % len(insts)
-        try:
-            mix = mixup_intervene(inst, splits[j], insts[partner], splits[partner], icfg, rng)
-        except DegenerateSplitError:
-            prepared.append(None)
-            continue
-        v_star = assemble_video(splits[j].mask, mix.c_star, mix.t_star)
-        prepared.append((splits[j], mix, v_star))
-        mixed.append(v_star)
-        blend_ids.append(f"{inst.video_id}+{mix.partner_id}")
-    return prepared, stacked_scenes(mixed, blend_ids)
+    stacked: tuple, ids: list[str], masks: Array, icfg: InterventionConfig, rng: np.random.Generator
+) -> tuple[Mixup, Scenes]:
+    """Every sample of the stacked batch blended with the next one (the
+    last with the first) in one mixup_intervene call, plus the valid
+    samples' mixed clip rows as bank scenes with "a+b" provenance."""
+    video, question, answers, golds = stacked
+    mix = mixup_intervene(
+        video, question, answers[np.arange(len(golds)), golds], masks, icfg, rng
+    )
+    mixed = np.flatnonzero(mix.valid)
+    blend_ids = [f"{ids[j]}+{ids[(j + 1) % len(ids)]}" for j in mixed]
+    return mix, stacked_scenes(mix.v_star[mixed], blend_ids)
 
 
 class _Draws(NamedTuple):
-    """Every random draw of one step's interventions, in batch order."""
+    """One step's interventions as batch arrays, every random draw made."""
 
-    views: list[tuple]  # (batch position, video, question, answers, gold) per answer view
-    triplets: list[tuple[int, TripletDraw]]  # (batch position, drawn triplet)
+    mix: Mixup  # valid marks the samples with an augmented view
+    gates: Array  # [B, n_clips] the split's gates
+    drawn: Array  # [D] batch positions of the mixed samples with a do view and a triplet
+    q_r: Array  # [D, text_dim] each triplet's random question
+    views: Array  # [D, n_negatives + 1, n_clips, video_dim]: do view, positive, negatives
 
 
-def _substitute_candidates(
-    icfg: InterventionConfig, bank: MemoryBank, mixed: list[tuple]
-) -> dict[int, tuple[Array, Array, Array]]:
-    """Per mixed sample with an eligible scene (keyed by batch position), the
-    candidates of its do rows and of v_star's complement and causal rows:
-    the video's eligible pool for all three under random sourcing; under
-    nearest-scene sourcing each row's topk, every sample's rows ranked in
-    one topk call."""
-    excluded = bank._excluded([inst.video_id for _, inst, *_ in mixed])
-    pools = {m[0]: np.flatnonzero(~row) for m, row in zip(mixed, excluded)}
-    drawable = [m for m in mixed if len(pools[m[0]])]
-    if icfg.memory_source is MemorySource.RANDOM_BANK:
-        return {j: (pools[j],) * 3 for j, *_ in drawable}
-    if not drawable:
-        return {}
-    blocks, ids = [], []
-    for _, inst, split, _, v_star in drawable:
-        comp, caus = split.complement_indices, split.causal_indices
-        blocks += [inst.video[comp], v_star[comp], v_star[caus]]
-        ids += [inst.video_id] * (2 * len(comp) + len(caus))
-    top = bank.topk(np.concatenate(blocks), icfg.neighbor_k, ids)
-    parts = np.split(top, np.cumsum([len(b) for b in blocks])[:-1])
-    return {m[0]: tuple(parts[3 * i : 3 * i + 3]) for i, m in enumerate(drawable)}
+def _other_index(raw: Array, own: Array) -> Array:
+    """Instance indices from raw draws in [0, N - 1), skipping each draw's
+    own index: every other instance is hit by exactly one raw value."""
+    return raw + (raw >= own)
 
 
 def _draw_interventions(
@@ -550,41 +519,56 @@ def _draw_interventions(
     bank: MemoryBank,
     instances: Sequence[VideoQAInstance],
     batch: list[int],
-    prepared: list[tuple | None],
+    video: Array,
+    masks: Array,
+    gates: Array,
+    mix: Mixup,
     rng: np.random.Generator,
 ) -> _Draws:
-    """Each mixed sample's augmented view and, when the bank holds a scene
-    it may draw, its do-intervened view and triplet. The candidates of
-    every row those draws substitute come first, from one ranking under
-    nearest-scene sourcing. Then per such sample the draws come in one
-    order: the do seed and do-video, the random question's index, then the
-    triplet substitutes. A sample with no eligible scene draws nothing."""
-    mixed = [(j, instances[batch[j]], *entry) for j, entry in enumerate(prepared)
-             if entry is not None]
-    candidates = _substitute_candidates(icfg, bank, mixed)
-    views, triplets = [], []
-    for j, inst, split, mix, v_star in mixed:
-        # the intervened sample also carries the answering loss: the mixed
-        # gold answer replaces the gold row at its position
-        answers_aug = inst.answers.copy()
-        answers_aug[inst.gold] = mix.a_star
-        views.append((j, v_star, mix.q_star, answers_aug, inst.gold))
-        if j not in candidates:
-            continue
-        do_rows, complement, causal = candidates[j]
-        # do-intervened sample: complement rows swapped for bank scenes,
-        # gold unchanged, training the head itself to be invariant
-        seed = int(rng.integers(2**32))
-        v_do = swap_rows(inst.video.copy(), ~split.mask, bank, do_rows, np.random.default_rng(seed))
-        views.append((j, v_do, inst.question, inst.answers, inst.gold))
-        r_idx = int(rng.integers(0, len(instances)))
-        if len(instances) > 1 and r_idx == batch[j]:
-            r_idx = (r_idx + 1) % len(instances)
-        triplets.append((j, draw_triplet(
-            v_star, mix.q_star, split, bank, instances[r_idx].question, icfg, rng,
-            (complement, causal),
-        )))
-    return _Draws(views, triplets)
+    """The do view and triplet of each mixed sample the bank holds a scene
+    for that it may draw, from two integers calls: one random question per
+    such sample, then one pick for every substituted row, per sample in
+    batch order its do view's complement rows, the positive's complement
+    rows and each substituted negative's causal rows, each in clip order.
+    Each draw names its candidate row: the sample's eligible pool under
+    random sourcing; under nearest-scene sourcing the row's topk, from one
+    ranking of the do views' complement rows and every v_star row, whose
+    causal rows every negative draws from again."""
+    mixed = np.flatnonzero(mix.valid)
+    eligible = ~bank._excluded([instances[batch[j]].video_id for j in mixed])
+    has = eligible.any(axis=1)
+    drawn, eligible = mixed[has], eligible[has]
+    # every bank scene comes from the instances, so a sample that may draw
+    # one has another instance to take a question from
+    raw = rng.integers(0, len(instances) - 1, size=len(drawn))
+    others = _other_index(raw, np.asarray(batch)[drawn])
+    q_r = np.array([instances[i].question for i in others])
+    q_r = q_r.reshape(len(drawn), mix.q_star.shape[1])
+
+    m = masks[drawn]
+    n_views = icfg.n_negatives + 1
+    swapped = np.concatenate(
+        [np.repeat(~m[:, None], 2, axis=1), np.repeat(m[:, None], n_views - 2, axis=1)], axis=1
+    )  # [D, n_views, n_clips]
+    views = np.empty((len(drawn), n_views, *video.shape[1:]))
+    views[:, 0] = video[drawn]
+    views[:, 1:] = mix.v_star[drawn, None]
+    which, view, clip = np.nonzero(swapped)
+    if icfg.memory_source is MemorySource.RANDOM_BANK:
+        counts = eligible.sum(axis=1)
+        candidates = np.full((len(drawn), counts.max(initial=0)), -1)
+        candidates[np.arange(candidates.shape[1]) < counts[:, None]] = np.nonzero(eligible)[1]
+        rows = which
+    else:
+        queried = np.stack([~m, np.ones_like(m)], axis=1)  # do rows, then every v_star row
+        index = np.full(queried.shape, -1)
+        index[queried] = np.arange(np.count_nonzero(queried))
+        ids = [instances[batch[drawn[s]]].video_id for s in np.nonzero(queried)[0]]
+        sources = np.stack([video[drawn], mix.v_star[drawn]], axis=1)
+        candidates = bank.topk(sources[queried], icfg.neighbor_k, ids)
+        rows = index[which, np.minimum(view, 1), clip]
+    views[swapped] = bank.pick(candidates, rng, rows)
+    return _Draws(mix, gates, drawn, q_r, views)
 
 
 class _Step(NamedTuple):
@@ -598,67 +582,85 @@ class _Step(NamedTuple):
 
 def _stacked_step(
     model: PcmaModel,
-    insts: list[VideoQAInstance],
-    gates: list[Array | None],
-    draws: _Draws,
+    stacked: tuple,
+    draws: _Draws | None,
     beta_cl: float,
+    weigh: bool,
 ) -> _Step:
-    """One backbone pass, forward and backward, over the clean samples, the
-    augmented and do views, and each triplet's views past its anchor, which
-    is its sample's augmented view row. A clean sample given gates is
-    scored on clip rows weighted by gates / mean(gates), so answering
-    pressure teaches the gates which clips matter and only relative gate
-    values count. beta_cl times InfoNCE's gradient joins the anchor rows'
-    answer gradient, and both sets of gate gradients, through the weights
-    and through the blends, come off the pass's one video gradient.
-    Parameter gradients accumulate on the store."""
-    weights = [None if g is None else g / g.mean() for g in gates]
-    answered = [
-        (inst.video if w is None else w[:, None] * inst.video, inst.question, inst.answers,
-         inst.gold)
-        for inst, w in zip(insts, weights)
-    ] + [view[1:] for view in draws.views]
-    *columns, golds = zip(*answered)
-    video, question, answers = (np.stack(column) for column in columns)
-    golds = np.array(golds)
-    view_positions = [view[0] for view in draws.views]
-    positions = [j for j, _ in draws.triplets]
+    """One backbone pass, forward and backward, over the stacked clean
+    samples, the mixed samples' augmented views, the do views, and each
+    triplet's views past its anchor, which is its sample's augmented view
+    row. With weigh, a mixed sample's clean row is scored on clip rows
+    weighted by gates / mean(gates), so answering pressure teaches the
+    gates which clips matter and only relative gate values count. beta_cl
+    times InfoNCE's gradient joins the anchor rows' answer gradient, and
+    both sets of gate gradients, through the weights and through the
+    blends, come off the pass's one video gradient. Parameter gradients
+    accumulate on the store."""
+    video, question, answers, golds = stacked
+    b, n_clips = video.shape[:2]
+    groups = [(video, question, answers, golds)]
+    mixed = drawn = np.empty(0, dtype=np.int64)
+    weighted = np.zeros(b, dtype=bool)
+    if draws is not None:
+        mix, drawn = draws.mix, draws.drawn
+        mixed = np.flatnonzero(mix.valid)
+        if weigh:
+            weighted = mix.valid
+            mean = draws.gates.mean(axis=1, keepdims=True)
+            weights = draws.gates / mean
+            groups[0] = (np.where(weighted[:, None, None], weights[..., None] * video, video),
+                         question, answers, golds)
+        # the intervened sample also carries the answering loss: the mixed
+        # gold answer replaces the gold row at its position
+        answers_aug = answers[mixed].copy()
+        answers_aug[np.arange(len(mixed)), golds[mixed]] = mix.a_star[mixed]
+        groups += [
+            (mix.v_star[mixed], mix.q_star[mixed], answers_aug, golds[mixed]),
+            (draws.views[:, 0], question[drawn], answers[drawn], golds[drawn]),
+        ]
+    rows_video, rows_question, rows_answers, rows_golds = (
+        np.concatenate(column) for column in zip(*groups)
+    )
+    answered = len(rows_golds)
     extra, cl_losses = None, []
-    if positions:
-        # a triplet's anchor is its sample's augmented view, the sample's
-        # first view row
-        anchors = [len(insts) + view_positions.index(j) for j in positions]
+    if len(drawn):
+        anchors = b + np.searchsorted(mixed, drawn)
         views, view_questions, triplet_cache = build_triplet_cached(
-            [drawn for _, drawn in draws.triplets]
+            mix.v_star[drawn], mix.q_star[drawn], draws.q_r, draws.gates[drawn],
+            draws.views[:, 1:],
         )
-        video = np.concatenate([video, views.reshape(-1, *video.shape[1:])])
-        question = np.concatenate([question, view_questions.reshape(-1, question.shape[1])])
+        rows_video = np.concatenate([rows_video, views.reshape(-1, *video.shape[1:])])
+        rows_question = np.concatenate(
+            [rows_question, view_questions.reshape(-1, question.shape[1])]
+        )
 
         def extra(aggs: Array) -> Array:
-            past_anchor = aggs[len(answered):].reshape(*views.shape[:2], -1)
+            past_anchor = aggs[answered:].reshape(*views.shape[:2], -1)
             losses, daggs = infonce_loss(np.concatenate([aggs[anchors, None], past_anchor], 1))
             cl_losses.extend(losses.tolist())
             daggs = beta_cl * daggs
             dagg = np.zeros_like(aggs)
             dagg[anchors] = daggs[:, 0]
-            dagg[len(answered):] = daggs[:, 1:].reshape(-1, aggs.shape[1])
+            dagg[answered:] = daggs[:, 1:].reshape(-1, aggs.shape[1])
             return dagg
 
-    losses, _, igrads = model.loss_and_grads(video, question, answers, golds, extra)
+    losses, _, igrads = model.loss_and_grads(
+        rows_video, rows_question, rows_answers, rows_golds, extra
+    )
 
-    step_losses = [[loss] for loss in losses[: len(insts)]]
-    for j, loss in zip(view_positions, losses[len(insts):]):
+    step_losses = [[loss] for loss in losses[:b]]
+    for j, loss in zip(np.concatenate([mixed, drawn]).tolist(), losses[b:]):
         step_losses[j].append(loss)
     dvideo = igrads.video
-    dgates = np.zeros((len(insts), dvideo.shape[1]))
-    for r, w in enumerate(weights):
-        if w is not None:
-            dweights = (dvideo[r] * insts[r].video).sum(axis=1)
-            dgates[r] = (dweights - w @ dweights / len(w)) / gates[r].mean()
-    if positions:
-        dviews = dvideo[len(answered):].reshape(views.shape)
-        dgates[positions] += triplet_backward(dviews, triplet_cache)
-    return _Step(step_losses, cl_losses, positions, dgates)
+    dgates = np.zeros((b, n_clips))
+    if weighted.any():
+        dweights = (dvideo[:b] * video).sum(axis=2)
+        dclean = (dweights - (weights * dweights).sum(axis=1, keepdims=True) / n_clips) / mean
+        dgates[weighted] = dclean[weighted]
+    if len(drawn):
+        dgates[drawn] += triplet_backward(dvideo[answered:].reshape(views.shape), triplet_cache)
+    return _Step(step_losses, cl_losses, drawn.tolist(), dgates)
 
 
 def train(
@@ -668,14 +670,18 @@ def train(
     """Adam on the answering loss, plus the weighted contrastive loss when
     an intervention config with beta_cl > 0 is present.
 
-    Each step runs one gate pass over the batch, draws every intervention
-    of the batch, then runs one stacked backbone pass, forward and
-    backward, over the clean samples, their augmented and do-intervened
-    views and their triplets (see _stacked_step); answer-only training
-    runs the same pass over the clean samples alone. A sample whose causal
-    split is degenerate is left out of mixup (counted in skipped_mixups);
-    one with no eligible bank scene keeps its answer rows but skips its
-    do view and triplet (counted in skipped_interventions).
+    Each step stacks its batch, runs one gate pass over it, and draws
+    every intervention of the batch from the step's generator in one
+    order: each sample's mixup ratios, lam0 then lam1, in batch order;
+    one integers call for every drawable sample's random question; one
+    pick for every substituted row (see _draw_interventions). Then one
+    stacked backbone pass, forward and backward, runs over the clean
+    samples, their augmented and do-intervened views and their triplets
+    (see _stacked_step); answer-only training runs the same pass over the
+    clean samples alone. A sample whose causal split is degenerate is left
+    out of mixup (counted in skipped_mixups); one with no eligible bank
+    scene keeps its answer rows but skips its do view and triplet (counted
+    in skipped_interventions).
 
     Deterministic given the config; aborts with the step number if the
     loss goes non-finite.
@@ -702,6 +708,7 @@ def train(
         )
         if cfg.bank.regime is Regime.F1_STATIC:
             bank.populate(instance_scenes(instances)).freeze()
+    oracle = np.asarray(masks, dtype=bool) if cfg.use_oracle_masks else None
 
     opt = cfg.optimizer
     state = AdamState()
@@ -715,30 +722,28 @@ def train(
         try:
             batch = next(batches)
             insts = [instances[i] for i in batch]
+            stacked = _stacked(insts)
             store = model.store
             store.zero_grads()
 
-            gates: list[Array | None] = [None] * len(batch)
-            draws, gate_cache = _Draws([], []), None
+            draws, gate_cache = None, None
             if use_cl:
-                splits, gate_cache = _batch_splits(
-                    model, insts, icfg,
-                    [masks[i] for i in batch] if cfg.use_oracle_masks else None,
+                ids = [inst.video_id for inst in insts]
+                split, gates, gate_cache = _batch_splits(
+                    model, *stacked[:2], icfg, None if oracle is None else oracle[batch]
                 )
-                prepared, mixup_rows = _mixed_samples(insts, splits, icfg, rng)
-                skipped_mixups += sum(entry is None for entry in prepared)
+                mix, mixup_rows = _mixed_samples(stacked, ids, split, icfg, rng)
+                skipped_mixups += int(np.count_nonzero(~mix.valid))
                 if cfg.bank.regime is not Regime.F1_STATIC:
                     bank.push_batch(
-                        instance_scenes(insts),
+                        stacked_scenes(stacked[0], ids),
                         mixup_rows if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP else None,
                     )
-                draws = _draw_interventions(icfg, bank, instances, batch, prepared, rng)
-                skipped_interventions += (
-                    sum(entry is not None for entry in prepared) - len(draws.triplets)
+                draws = _draw_interventions(
+                    icfg, bank, instances, batch, stacked[0], split, gates, mix, rng
                 )
-                if gate_cache is not None:
-                    gates = [None if entry is None else entry[0].gates for entry in prepared]
-            out = _stacked_step(model, insts, gates, draws, loss_cfg.beta_cl)
+                skipped_interventions += int(np.count_nonzero(mix.valid)) - len(draws.drawn)
+            out = _stacked_step(model, stacked, draws, loss_cfg.beta_cl, gate_cache is not None)
             if gate_cache is not None:
                 gate_backward(model, out.dgates, gate_cache)
             # summed sample by sample (clean, augmented, do): one fixed order

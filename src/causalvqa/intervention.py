@@ -1,14 +1,14 @@
 """Scene intervention and causal disruption over clip features.
 
 A sigmoid gate splits each video into causal clips and their complement.
-Two instances are blended by convex mixup (shared ratio for the causal
-part, question and answer; an independent ratio for the complement), and
-the blended video feeds a contrastive triplet: the anchor representation,
-a positive with complement rows substituted from a memory bank, and
-negatives built by substituting causal rows or swapping in a random
-question. InfoNCE over raw dot products ties it together; the total
-objective adds the contrastive term to the answering loss with weight
-beta_cl.
+Each sample of a batch is blended with the next by convex mixup (shared
+ratio for the causal part, question and answer; an independent ratio for
+the complement), all in one call over the batch arrays, and the blended
+video feeds a contrastive triplet: the anchor representation, a positive
+with complement rows substituted from a memory bank, and negatives built
+by substituting causal rows or swapping in a random question. InfoNCE
+over raw dot products ties it together; the total objective adds the
+contrastive term to the answering loss with weight beta_cl.
 
 Substitutions blend by gate confidence (a row with gate g keeps weight g
 of itself in the positive and 1-g in the negatives), which is what makes
@@ -20,13 +20,11 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
-from typing import NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
 
 from . import nn_core as nc
-from .features import VideoQAInstance
-from .mnse import MemoryBank, swap_rows
 from .pcma import PcmaModel
 
 Array = np.ndarray
@@ -35,10 +33,6 @@ Array = np.ndarray
 class MemorySource(str, Enum):
     RANDOM_BANK = "random"
     MNSE = "mnse"
-
-
-class DegenerateSplitError(RuntimeError):
-    """A causal/complement split leaves a required partition empty."""
 
 
 @dataclass(frozen=True)
@@ -65,30 +59,6 @@ class InterventionConfig:
             raise ValueError("seed must be >= 0")
         if self.topk_mode and (self.k is None or self.k < 1):
             raise ValueError("topk_mode requires k >= 1")
-
-
-@dataclass(frozen=True)
-class CausalSplit:
-    mask: Array  # bool [n_clips], true = causal
-    gates: Array  # float [n_clips] in (0, 1)
-
-    def __post_init__(self) -> None:
-        if self.mask.shape != self.gates.shape or self.mask.ndim != 1:
-            raise ValueError("mask and gates must be same-length vectors")
-        if self.mask.dtype != np.bool_:
-            raise ValueError("mask must be boolean")
-
-    @property
-    def n_clips(self) -> int:
-        return self.mask.shape[0]
-
-    @property
-    def causal_indices(self) -> Array:
-        return np.flatnonzero(self.mask)
-
-    @property
-    def complement_indices(self) -> Array:
-        return np.flatnonzero(~self.mask)
 
 
 # -- gate scorer -------------------------------------------------------------
@@ -151,145 +121,91 @@ def gate_backward(model: PcmaModel, dgates: Array, cache: dict) -> tuple[Array, 
     return dvideo, dquestion[:, 0]
 
 
-def split_from_gates(gates: Array, topk_mode: bool = False, k: int | None = None) -> CausalSplit:
-    """Threshold at 0.5 (ties causal), or mark exactly the k largest gates.
-
-    Top-k ties resolve to the lowest clip index.
-    """
+def causal_mask(gates: Array, topk_mode: bool = False, k: int | None = None) -> Array:
+    """The causal clips [..., n_clips] of gates [..., n_clips]: the gates at
+    or above 0.5 (ties causal), or exactly each row's k largest, ties to
+    the lowest clip index, from one stable argsort over every row."""
     gates = nc.as_f64(gates)
-    n = gates.shape[0]
-    if topk_mode:
-        if k is None or not 1 <= k <= n:
-            raise ValueError(f"top-k mode requires 1 <= k <= {n}")
-        order = np.lexsort((np.arange(n), -gates))
-        mask = np.zeros(n, dtype=bool)
-        mask[order[:k]] = True
-    else:
-        mask = gates >= 0.5
-    return CausalSplit(mask=mask, gates=gates)
+    n = gates.shape[-1]
+    if not topk_mode:
+        return gates >= 0.5
+    if k is None or not 1 <= k <= n:
+        raise ValueError(f"top-k mode requires 1 <= k <= {n}")
+    mask = np.zeros(gates.shape, dtype=bool)
+    np.put_along_axis(mask, np.argsort(-gates, axis=-1, kind="stable")[..., :k], True, axis=-1)
+    return mask
 
 
 # -- mixup -------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class MixupResult:
-    c_star: Array  # [n_causal, video_dim]
-    t_star: Array  # [n_complement, video_dim]
-    q_star: Array  # [text_dim]
-    a_star: Array  # [text_dim]
-    lambda0: float
-    lambda1: float
-    partner_id: str
+class Mixup(NamedTuple):
+    """A batch's mixup: row j blends sample j with its partner, the next
+    sample (the last with the first). A row that is not valid holds no
+    blend."""
 
-
-def _aligned(rows: Array, n: int) -> Array:
-    """Cyclically repeat or truncate partner rows to n rows."""
-    if n == 0:
-        return rows[:0]
-    if rows.shape[0] == 0:
-        raise DegenerateSplitError("partner partition is empty but rows are required")
-    return rows[np.arange(n) % rows.shape[0]]
+    v_star: Array  # [B, n_clips, video_dim] mixed clips at their own positions
+    q_star: Array  # [B, text_dim]
+    a_star: Array  # [B, text_dim] mixed gold answer
+    valid: Array  # [B] bool: false where a split leaves a needed partition empty
 
 
 def mixup_intervene(
-    x: VideoQAInstance,
-    x_split: CausalSplit,
-    x_prime: VideoQAInstance,
-    x_prime_split: CausalSplit,
+    video: Array,
+    question: Array,
+    answer: Array,
+    mask: Array,
     cfg: InterventionConfig,
     rng: np.random.Generator,
     lambda0: float | None = None,
     lambda1: float | None = None,
-) -> MixupResult:
-    """Convex blend of two instances along their causal/complement splits.
+) -> Mixup:
+    """Convex blend of each sample of a batch with its partner along their
+    causal/complement splits: video [B, n_clips, video_dim], question and
+    gold answer rows [B, text_dim], causal mask [B, n_clips].
 
-    The causal part, question and gold answer share one ratio drawn
-    Beta(alpha, alpha); the complement uses an independent uniform ratio.
-    lambda0/lambda1 accept forced values for testing endpoints.
+    The causal part, question and gold answer share one ratio lam0 ~
+    Beta(alpha, alpha); the complement uses an independent lam1 ~ U(0, 1).
+    A sample's k-th causal (complement) clip blends with its partner's
+    causal (complement) clip k modulo the partner's count. Every sample
+    whose own and partner's causal sets are nonempty draws lam0 then lam1
+    from rng, in batch order; it is valid unless it has complement clips
+    and its partner has none. lambda0/lambda1 force every sample's ratio
+    in place of its draw, for testing endpoints.
     """
-    if x.video_dim != x_prime.video_dim or x.text_dim != x_prime.text_dim:
-        raise nc.DimMismatch("mixup partners must share feature dims")
-    if x_split.causal_indices.size == 0 or x_prime_split.causal_indices.size == 0:
-        raise DegenerateSplitError("empty causal set on one side of the mixup")
-    lam0 = float(rng.beta(cfg.alpha, cfg.alpha)) if lambda0 is None else float(lambda0)
-    lam1 = float(rng.uniform(0.0, 1.0)) if lambda1 is None else float(lambda1)
-    if not (0.0 <= lam0 <= 1.0 and 0.0 <= lam1 <= 1.0):
+    mask = np.asarray(mask, dtype=bool)
+    b, n = mask.shape
+    partner = (np.arange(b) + 1) % b
+    n_causal = mask.sum(axis=1)
+    n_comp = n - n_causal
+    drawn = (n_causal > 0) & (n_causal[partner] > 0)
+    valid = drawn & ((n_comp == 0) | (n_comp[partner] > 0))
+    lam = np.ones((2, b))  # lam0 and lam1 of each sample
+    for j in np.flatnonzero(drawn):
+        lam[0, j] = rng.beta(cfg.alpha, cfg.alpha) if lambda0 is None else lambda0
+        lam[1, j] = rng.uniform(0.0, 1.0) if lambda1 is None else lambda1
+    if not ((0.0 <= lam) & (lam <= 1.0)).all():
         raise ValueError("mixing ratios must lie in [0, 1]")
 
-    c_hat = x.video[x_split.mask]
-    t_hat = x.video[~x_split.mask]
-    c_prime = _aligned(x_prime.video[x_prime_split.mask], c_hat.shape[0])
-    t_prime = _aligned(x_prime.video[~x_prime_split.mask], t_hat.shape[0])
-
-    q_hat, q_prime = x.question, x_prime.question
-    a_hat, a_prime = x.answers[x.gold], x_prime.answers[x_prime.gold]
-
-    return MixupResult(
-        c_star=lam0 * c_hat + (1.0 - lam0) * c_prime,
-        t_star=lam1 * t_hat + (1.0 - lam1) * t_prime,
-        q_star=lam0 * q_hat + (1.0 - lam0) * q_prime,
-        a_star=lam0 * a_hat + (1.0 - lam0) * a_prime,
-        lambda0=lam0,
-        lambda1=lam1,
-        partner_id=x_prime.video_id,
+    # each row's causal clips, then its complement clips, in clip order; a
+    # clip's rank is its place within its own partition
+    order = np.argsort(~mask, axis=1, kind="stable")
+    rank = np.where(mask, np.cumsum(mask, axis=1), np.cumsum(~mask, axis=1)) - 1
+    pc, pt = n_causal[partner, None], n_comp[partner, None]
+    src = np.where(mask, rank % np.maximum(pc, 1), pc + rank % np.maximum(pt, 1))
+    src = np.where(valid[:, None], src, 0)  # an invalid row may index past its partner
+    other = video[partner[:, None], order[partner[:, None], src]]
+    lam_clip = np.where(mask, lam[0, :, None], lam[1, :, None])[..., None]
+    lam0 = lam[0, :, None]
+    return Mixup(
+        v_star=lam_clip * video + (1.0 - lam_clip) * other,
+        q_star=lam0 * question + (1.0 - lam0) * question[partner],
+        a_star=lam0 * answer + (1.0 - lam0) * answer[partner],
+        valid=valid,
     )
 
 
-def assemble_video(mask: Array, c_star: Array, t_star: Array) -> Array:
-    """Interleave mixed causal/complement rows back at the mask's positions."""
-    mask = np.asarray(mask, dtype=bool)
-    n = mask.shape[0]
-    if c_star.shape[0] + t_star.shape[0] != n:
-        raise ValueError(
-            f"row counts {c_star.shape[0]}+{t_star.shape[0]} do not cover {n} clips"
-        )
-    dim = c_star.shape[1] if c_star.size else t_star.shape[1]
-    out = np.empty((n, dim))
-    out[mask] = c_star
-    out[~mask] = t_star
-    return out
-
-
 # -- triplet construction ------------------------------------------------------
-
-
-class TripletDraw(NamedTuple):
-    """One mixed sample's triplet inputs, every substitute already drawn.
-
-    Substituted videos are whole: rows outside the substituted partition
-    hold v_star's own rows, which the blend leaves untouched.
-    """
-
-    v_star: Array  # [n_clips, video_dim]
-    q_star: Array  # [text_dim]
-    q_r: Array  # [text_dim] random question of the last negative
-    gates: Array  # [n_clips]
-    positive: Array  # [n_clips, video_dim] complement rows substituted
-    negatives: Array  # [n_negatives - 1, n_clips, video_dim] causal rows substituted
-
-
-def draw_triplet(
-    v_star: Array,
-    q_star: Array,
-    split: CausalSplit,
-    bank: MemoryBank,
-    q_r: Array,
-    cfg: InterventionConfig,
-    rng: np.random.Generator,
-    candidates: tuple[Array, Array],
-) -> TripletDraw:
-    """Draw the positive's complement substitutes, then each substituted
-    negative's causal ones, in that order, each copy in row order, all with
-    rng, each partition in one pick among its candidates: the (complement,
-    causal) rows' topk, which every negative's copy cycles through, or the
-    video's eligible pool for both."""
-    v_star = nc.as_f64(v_star)
-    complement, causal = candidates
-    positive = swap_rows(v_star.copy(), ~split.mask, bank, complement, rng)
-    negatives = np.repeat(v_star[None], cfg.n_negatives - 1, axis=0)
-    swap_rows(negatives, np.broadcast_to(split.mask, negatives.shape[:2]), bank, causal, rng)
-    return TripletDraw(v_star, nc.as_f64(q_star), nc.as_f64(q_r), split.gates, positive, negatives)
 
 
 def _blend(orig: Array, subs: Array, keep: Array) -> Array:
@@ -298,26 +214,31 @@ def _blend(orig: Array, subs: Array, keep: Array) -> Array:
     return np.where(np.all(subs == orig, axis=-1, keepdims=True), orig, out)
 
 
-def build_triplet_cached(draws: Sequence[TripletDraw]) -> tuple[Array, Array, dict]:
-    """The backbone inputs of every drawn triplet past its anchor: videos
-    [n_triplets, n_views, n_clips, video_dim] and questions [n_triplets,
-    n_views, text_dim], with the cache triplet_backward reads.
+def build_triplet_cached(
+    v_star: Array, q_star: Array, q_r: Array, gates: Array, subs: Array
+) -> tuple[Array, Array, dict]:
+    """The backbone inputs of each triplet past its anchor: videos
+    [S, n_views, n_clips, video_dim] and questions [S, n_views, text_dim],
+    with the cache triplet_backward reads.
 
-    Per triplet the views are the positive (complement rows blended toward
-    their substitutes by gate confidence), each substituted negative
-    (causal rows blended by 1 - gate), and v_star paired with the random
-    question q_r. The anchor, v_star with q_star, is the caller's own row.
+    A triplet is a mixed video v_star [S, n_clips, video_dim] with its
+    question q_star and a random question q_r [S, text_dim], its gates
+    [S, n_clips], and subs [S, n_negatives, n_clips, video_dim]: copies of
+    v_star whose complement rows (the first) or causal rows (each later
+    one) are drawn substitutes. Its views are the positive (complement rows
+    blended toward their substitutes by gate confidence), each substituted
+    negative (causal rows blended by 1 - gate), and v_star paired with q_r.
+    The anchor, v_star with q_star, is the caller's own row.
     """
-    v_star = np.stack([d.v_star for d in draws])[:, None]  # [S, 1, n_clips, dim]
-    gates = np.stack([d.gates for d in draws])[:, None, :, None]
-    subs = np.stack([np.concatenate([d.positive[None], d.negatives]) for d in draws])
+    v_star = v_star[:, None]  # [S, 1, n_clips, dim]
+    gates = gates[:, None, :, None]
     views = np.concatenate([
         _blend(v_star, subs[:, :1], gates),
         _blend(v_star, subs[:, 1:], 1.0 - gates),
         v_star,
     ], axis=1)
-    questions = np.repeat(np.stack([d.q_star for d in draws])[:, None], views.shape[1], axis=1)
-    questions[:, -1] = np.stack([d.q_r for d in draws])
+    questions = np.repeat(q_star[:, None], views.shape[1], axis=1)
+    questions[:, -1] = q_r
     return views, questions, {"v_star": v_star[:, 0], "subs": subs}
 
 

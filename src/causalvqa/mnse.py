@@ -16,9 +16,12 @@ of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
 sourcing drives the substitution interventions (mnse_do) and their
 random baseline (random_do). topk returns each row's exact k-nearest set
 in tie-rank order, and eligible a video's pool of every scene it may
-draw. Every draw, nearest or uniform, is one pick over such candidates:
-all its rows from one generator in one integers call. Only query_knn
-orders its answers by key.
+draw. Every draw, nearest or uniform, is one pick over such candidate
+rows, each draw naming its row: all its rows from one generator in one
+integers call. A training step picks every substituted row of its batch
+in one call on the step's generator; mnse_do and random_do, the
+protocol's operators, draw each video's rows from a generator seeded
+for that video. Only query_knn orders its answers by key.
 """
 
 from __future__ import annotations
@@ -96,7 +99,7 @@ def stacked_scenes(videos: Sequence[Array], video_ids: Sequence[str]) -> Scenes:
     counts = [len(v) for v in videos]
     codes = np.repeat(np.arange(len(videos)), counts)
     starts = np.cumsum([0] + counts[:-1])
-    matrix = np.concatenate(videos, dtype=np.float64) if videos else np.empty((0, 0))
+    matrix = np.concatenate(videos, dtype=np.float64) if len(videos) else np.empty((0, 0))
     return Scenes(
         _read_only(matrix), list(video_ids), codes, np.arange(len(codes)) - starts[codes]
     )
@@ -406,17 +409,21 @@ class MemoryBank:
         top, _ = self._ranked(queries, k, exclude_video_id)
         return top
 
-    def pick(self, candidates: Array, rng: np.random.Generator, n: int | None = None) -> Array:
-        """n scene vectors, each uniform among its candidates, drawn with rng
-        in one integers call: [n, bank_dim]. candidates is a 1-D pool of bank
-        indices that every draw shares, or [rows, m] bank indices (a row's
-        padding -1 at its end) with draw i among row i % rows and n
-        defaulting to rows. n draws from a pool leave rng as a draw per row
-        over n copies of it would."""
+    def pick(
+        self, candidates: Array, rng: np.random.Generator, rows: Array | int | None = None
+    ) -> Array:
+        """Scene vectors [n, bank_dim], each uniform among the candidates of
+        its row, all drawn with rng in one integers call. candidates is
+        [m, width] bank indices, a row's padding -1 at its end: rows names
+        each draw's row, or is a count n of draws that cycle through the
+        rows (draw i among row i % m), by default one draw per row. Or
+        candidates is a 1-D pool that all rows = n draws share, which leave
+        rng as n draws over copies of it as rows would."""
         if candidates.ndim == 1:
-            chosen = candidates[rng.integers(0, len(candidates), size=n)]
+            chosen = candidates[rng.integers(0, len(candidates), size=rows)]
         else:
-            rows = np.arange(len(candidates) if n is None else n) % len(candidates)
+            if rows is None or np.ndim(rows) == 0:
+                rows = np.arange(len(candidates) if rows is None else rows) % len(candidates)
             chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
         return self._columns().matrix[chosen]
 

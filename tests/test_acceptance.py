@@ -13,6 +13,7 @@ import math
 import time
 from collections import Counter
 from dataclasses import replace
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -244,9 +245,21 @@ def _mix_pair(rng, n_clips=6, dim=12):
         hi = int(rng.integers(1, n_clips))
         mask[:hi] = True
         masks.append(mask)
-    split = iv.CausalSplit(mask=masks[0], gates=np.full(n_clips, 0.5))
-    psplit = iv.CausalSplit(mask=masks[1], gates=np.full(n_clips, 0.5))
-    return x, split, xp, psplit
+    return x, masks[0], xp, masks[1]
+
+
+def _mixup(x, mask, xp, pmask, cfg, rng, lambda0, lambda1):
+    """x's mixup with partner xp through one batched call over the pair:
+    (c_star, t_star, q_star, a_star)."""
+    out = iv.mixup_intervene(
+        np.stack([x.video, xp.video]), np.stack([x.question, xp.question]),
+        np.stack([x.answers[x.gold], xp.answers[xp.gold]]), np.stack([mask, pmask]), cfg, rng,
+        lambda0=lambda0, lambda1=lambda1,
+    )
+    assert out.valid[0]
+    v_star = out.v_star[0]
+    return SimpleNamespace(c_star=v_star[mask], t_star=v_star[~mask], q_star=out.q_star[0],
+                           a_star=out.a_star[0])
 
 
 def test_criterion_3_intervention_algebra():
@@ -255,20 +268,22 @@ def test_criterion_3_intervention_algebra():
     loss to plain ERM bit-exactly."""
     rng = np.random.default_rng(3)
     cfg = iv.InterventionConfig(alpha=2.0)
-    aligned = iv._aligned
+
+    def aligned(rows, n):
+        """Partner rows cyclically repeated or truncated to n rows."""
+        return rows[np.arange(n) % rows.shape[0]] if n else rows[:0]
 
     for _ in range(1000):
-        x, split, xp, psplit = _mix_pair(rng)
+        x, mask, xp, pmask = _mix_pair(rng)
         lam0 = float(rng.uniform(0.0, 1.0))
         lam1 = float(rng.uniform(0.0, 1.0))
-        out = iv.mixup_intervene(x, split, xp, psplit, cfg, rng,
-                                 lambda0=lam0, lambda1=lam1)
+        out = _mixup(x, mask, xp, pmask, cfg, rng, lambda0=lam0, lambda1=lam1)
         video = x.video.astype(np.float64)
         pvideo = xp.video.astype(np.float64)
-        c_hat = video[split.mask]
-        t_hat = video[~split.mask]
-        c_prime = aligned(pvideo[psplit.mask], c_hat.shape[0])
-        t_prime = aligned(pvideo[~psplit.mask], t_hat.shape[0])
+        c_hat = video[mask]
+        t_hat = video[~mask]
+        c_prime = aligned(pvideo[pmask], c_hat.shape[0])
+        t_prime = aligned(pvideo[~pmask], t_hat.shape[0])
         # the blend must be the literal convex combination, bit for bit
         assert np.array_equal(out.c_star, lam0 * c_hat + (1.0 - lam0) * c_prime)
         assert np.array_equal(out.t_star, lam1 * t_hat + (1.0 - lam1) * t_prime)
@@ -283,13 +298,11 @@ def test_criterion_3_intervention_algebra():
 
         # endpoints: ratio 1 reproduces the anchor exactly, and the
         # complement ratio never touches the causal blend (and vice versa)
-        ends = iv.mixup_intervene(x, split, xp, psplit, cfg, rng,
-                                  lambda0=1.0, lambda1=1.0)
+        ends = _mixup(x, mask, xp, pmask, cfg, rng, lambda0=1.0, lambda1=1.0)
         assert np.array_equal(ends.c_star, c_hat)
         assert np.array_equal(ends.t_star, t_hat)
         assert np.array_equal(ends.q_star, x.question.astype(np.float64))
-        other = iv.mixup_intervene(x, split, xp, psplit, cfg, rng,
-                                   lambda0=lam0, lambda1=1.0 - lam1)
+        other = _mixup(x, mask, xp, pmask, cfg, rng, lambda0=lam0, lambda1=1.0 - lam1)
         assert np.array_equal(other.c_star, out.c_star)
         assert np.array_equal(other.q_star, out.q_star)
         assert np.array_equal(other.a_star, out.a_star)

@@ -50,7 +50,6 @@ from causalvqa.harness import (
 from causalvqa.intervention import (
     InterventionConfig,
     MemorySource,
-    draw_triplet,
     gate_forward,
 )
 from causalvqa.mnse import (
@@ -64,7 +63,7 @@ from causalvqa.pcma import PcmaConfig, PcmaModel
 from reference_adam import ReferenceAdam
 from reference_protocol import reference_protocol, reference_protocol_videos
 from gradcheck import assert_grad_matches
-from reference_step import reference_step, triplet_aggregates
+from reference_step import draw_triplet, reference_step, triplet_aggregates
 
 
 def small_model(
@@ -381,6 +380,13 @@ def _capped(raw: dict) -> dict:
     return raw
 
 
+def _dims_of_8(raw: dict) -> dict:
+    """raw with 8-dim synthetic features, the dims of a trained CLI test
+    checkpoint."""
+    synthetic = {**raw["data"]["synthetic"], "video_dim": 8, "text_dim": 8}
+    return {**raw, "data": {"synthetic": synthetic}}
+
+
 class TestConfigBoundary:
     @settings(max_examples=300, deadline=None)
     @given(raw=EXPERIMENT_JSON)
@@ -424,6 +430,58 @@ class TestConfigBoundary:
                 code = cli_main([command, "--config", str(path)])
         event(f"{command} exits {code}")
         assert code in (0, 1)
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        command=st.sampled_from(["eval", "intervene-eval"]),
+        raw=st.one_of(EXPERIMENT_JSON, TYPED_EXPERIMENT_JSON,
+                      TYPED_EXPERIMENT_JSON.map(_dims_of_8)).map(_capped),
+        data=st.data(),
+    )
+    def test_cli_eval_and_intervene_eval_exit_0_or_1(self, cli_checkpoints, command, raw, data):
+        # the subcommands that read checkpoints, on drawn configs naming a
+        # trained checkpoint, most often the one of the data's feature dims,
+        # a missing one or any JSON value
+        synthetic = raw["data"].get("synthetic") if isinstance(raw["data"], dict) else None
+        dim = synthetic.get("video_dim", 64) if isinstance(synthetic, dict) else 8
+        fitting = cli_checkpoints[dim if dim in (8, 64) else 8]
+        checkpoint = st.one_of(
+            *[st.just(fitting)] * 3, st.sampled_from(list(cli_checkpoints.values())), JSON_VALUES
+        )
+        if command == "eval":
+            keys = st.fixed_dictionaries({"checkpoint": checkpoint})
+        else:
+            keys = st.fixed_dictionaries(
+                {"checkpoint_a": checkpoint, "checkpoint_b": checkpoint},
+                optional={"neighbor_k": st.integers(-1, 8) | JSON_VALUES,
+                          "seed": st.integers(-1, 8) | JSON_VALUES},
+            )
+        raw.update(data.draw(keys, label="checkpoint keys"))
+        with tempfile.TemporaryDirectory() as tmp:
+            path = Path(tmp) / "config.json"
+            path.write_text(json.dumps(raw))
+            with mock.patch.dict(os.environ, {hn.OUTPUT_DIR_ENV: str(Path(tmp) / "out")}):
+                code = cli_main([command, "--config", str(path)])
+        event(f"{command} exits {code}")
+        assert code in (0, 1)
+
+
+@pytest.fixture(scope="module")
+def cli_checkpoints(tmp_path_factory) -> dict:
+    """Checkpoints trained for two steps on 8- and 64-dim synthetic data,
+    keyed by their feature dim, and (under None) a path that holds no
+    checkpoint."""
+    root = tmp_path_factory.mktemp("cli_checkpoints")
+    paths = {None: str(root / "missing")}
+    for dim in (8, 64):
+        cfg = parse_experiment_config({
+            "data": {"synthetic": {"n_instances": 4, "n_clips": 4, "video_dim": dim,
+                                   "text_dim": dim}},
+            "model": {"model_dim": 4, "n_heads": 2, "n_layers": 1},
+            "optimizer": {"steps": 2, "batch_size": 2},
+        })
+        paths[dim] = str(save_checkpoint(train(cfg).model, root / f"dim{dim}"))
+    return paths
 
 
 @pytest.fixture(scope="module")
@@ -790,20 +848,18 @@ class TestTrain:
         rng = np.random.default_rng(0)
         margins = []
         for inst, mask in zip(instances[:10], masks[:10]):
-            from causalvqa.intervention import CausalSplit
-
-            split = CausalSplit(mask=mask, gates=mask.astype(np.float64))
             drawn = draw_triplet(
                 inst.video,
                 inst.question,
-                split,
+                mask,
+                mask.astype(np.float64),
                 result.bank,
                 instances[0].question,
                 icfg,
                 rng,
                 candidates=(result.bank.eligible(inst.video_id),) * 2,
             )
-            (aggs,), _ = triplet_aggregates(result.model, [drawn])
+            (aggs,), _ = triplet_aggregates(result.model, drawn)
 
             def cos(a, b):
                 return float(
@@ -919,27 +975,23 @@ class TestStackedStep:
         rng = np.random.default_rng(7)
         batch = [int(i) for i in rng.permutation(len(instances))[:batch_size]]
         insts = [instances[i] for i in batch]
-        splits, _ = hn._batch_splits(
-            model, insts, icfg, [masks[i] for i in batch] if oracle else None
+        stacked = hn._stacked(insts)
+        split, gates, _ = hn._batch_splits(
+            model, *stacked[:2], icfg, masks[batch] if oracle else None
         )
-        prepared, mixup_rows = hn._mixed_samples(insts, splits, icfg, rng)
+        ids = [inst.video_id for inst in insts]
+        mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
         if regime is not Regime.F1_STATIC:
             bank.push_batch(
                 instance_scenes(insts),
                 mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None,
             )
-        return model, icfg, bank, instances, batch, prepared, rng
-
-    @staticmethod
-    def _gates(model, prepared):
-        """The gates a step scores its clean rows with: a learned split's,
-        none for an oracle mask or a degenerate split."""
-        gated = "gate.w" in model.store
-        return [entry[0].gates if gated and entry is not None else None for entry in prepared]
+        return model, icfg, bank, instances, batch, split, gates, mix, rng
 
     @classmethod
-    def _compare(cls, model, icfg, bank, instances, batch, prepared, rng):
-        gates = cls._gates(model, prepared)
+    def _compare(cls, model, icfg, bank, instances, batch, masks, gates, mix, rng):
+        # a learned split's gates weight the clean rows of the mixed samples
+        weigh = "gate.w" in model.store
         start = rng.bit_generator.state
 
         def at_start():
@@ -950,21 +1002,21 @@ class TestStackedStep:
         store = model.store
         store.zero_grads()
         ref_rng = at_start()
-        ref = reference_step(model, icfg, bank, instances, batch, prepared, gates, ref_rng)
+        ref = reference_step(
+            model, icfg, bank, instances, batch, masks, gates, mix, weigh, ref_rng
+        )
         ref_grads = {name: store.grad(name).copy() for name in store.names()}
 
         store.zero_grads()
         new_rng = at_start()
-        draws = hn._draw_interventions(icfg, bank, instances, batch, prepared, new_rng)
-        new = hn._stacked_step(model, [instances[i] for i in batch], gates, draws, icfg.beta_cl)
+        stacked = hn._stacked([instances[i] for i in batch])
+        draws = hn._draw_interventions(
+            icfg, bank, instances, batch, stacked[0], masks, gates, mix, new_rng
+        )
+        new = hn._stacked_step(model, stacked, draws, icfg.beta_cl, weigh)
         assert new_rng.bit_generator.state == ref_rng.bit_generator.state
-        do_videos = {}
-        for j, video, *_ in draws.views:
-            do_videos.setdefault(j, [])
-            do_videos[j].append(video)
-        videos = []
-        for j, drawn in draws.triplets:
-            videos += [do_videos[j][1], drawn.positive, *drawn.negatives]
+        # per triplet: the do-video, the positive, then each negative
+        videos = [video for views in draws.views for video in views]
         assert len(videos) == len(ref.videos)
         for got, want in zip(videos, ref.videos):
             np.testing.assert_array_equal(got, want)
@@ -998,11 +1050,10 @@ class TestStackedStep:
         assert [len(row) for row in new.losses] == [2]
 
     def test_degenerate_split_leaves_the_sample_out(self):
-        model, icfg, bank, instances, batch, prepared, rng = self._inputs(
-            MemorySource.MNSE, True, Regime.F1_STATIC
-        )
-        prepared[1] = None
-        new = self._compare(model, icfg, bank, instances, batch, prepared, rng)
+        inputs = self._inputs(MemorySource.MNSE, True, Regime.F1_STATIC)
+        mix = inputs[7]
+        mix.valid[1] = False
+        new = self._compare(*inputs)
         assert new.positions == [0, 2, 3]
         assert len(new.losses[1]) == 1
 
@@ -1010,7 +1061,7 @@ class TestStackedStep:
         inputs = self._inputs(
             MemorySource.RANDOM_BANK, True, Regime.F3_DYNAMIC_MIXUP, degenerate=range(10)
         )
-        assert inputs[5] == [None] * 4
+        assert not inputs[7].valid.any()
         new = self._compare(*inputs)
         assert new.positions == [] and [len(row) for row in new.losses] == [1] * 4
 
@@ -1020,23 +1071,24 @@ class TestStackedStep:
         # answering loss and its triplet's anchor; the step's total loss
         # (every answer loss plus beta_cl times every InfoNCE loss) against
         # central differences, draws held fixed
-        model, icfg, bank, instances, batch, prepared, rng = self._inputs(
+        model, icfg, bank, instances, batch, masks, gates, mix, rng = self._inputs(
             source, False, Regime.F1_STATIC
         )
         check = np.random.default_rng(3)
-        gates = self._gates(model, prepared)
-        for g in gates:  # an untrained gate scorer gives 0.5 everywhere
-            g[...] = check.uniform(0.1, 0.9, size=g.shape)
-        insts = [instances[i] for i in batch]
-        draws = hn._draw_interventions(icfg, bank, instances, batch, prepared, rng)
-        assert draws.triplets
+        for j in np.flatnonzero(mix.valid):  # an untrained gate scorer gives 0.5 everywhere
+            gates[j] = check.uniform(0.1, 0.9, size=gates.shape[1])
+        stacked = hn._stacked([instances[i] for i in batch])
+        draws = hn._draw_interventions(
+            icfg, bank, instances, batch, stacked[0], masks, gates, mix, rng
+        )
+        assert len(draws.drawn)
 
         def total():
-            out = hn._stacked_step(model, insts, gates, draws, icfg.beta_cl)
+            out = hn._stacked_step(model, stacked, draws, icfg.beta_cl, True)
             return sum(sum(row) for row in out.losses) + icfg.beta_cl * sum(out.cl_losses)
 
         model.store.zero_grads()
-        out = hn._stacked_step(model, insts, gates, draws, icfg.beta_cl)
+        out = hn._stacked_step(model, stacked, draws, icfg.beta_cl, True)
         grads = {name: model.store.grad(name).copy() for name in model.store.names()}
         for j in out.positions:
             assert_grad_matches(total, gates[j], out.dgates[j], check, f"gates[{j}]")
@@ -1048,10 +1100,11 @@ class TestStepPasses:
     """A step runs one backbone pass, forward and backward, and a gated
     step one gate pass."""
 
+    PASSES = [(PcmaModel, "aggregate_forward"), (PcmaModel, "aggregate_backward"),
+              (hn, "gate_forward"), (hn, "gate_backward")]
+
     @staticmethod
-    def _per_step_calls(cfg, monkeypatch):
-        names = [(PcmaModel, "aggregate_forward"), (PcmaModel, "aggregate_backward"),
-                 (hn, "gate_forward"), (hn, "gate_backward")]
+    def _per_step_calls(cfg, monkeypatch, names=PASSES):
         counts = {}
 
         def counted(owner, attr):
@@ -1083,6 +1136,127 @@ class TestStepPasses:
         assert self._per_step_calls(erm_config(), monkeypatch) == {
             "aggregate_forward": 1, "aggregate_backward": 1, "gate_forward": 0, "gate_backward": 0,
         }
+
+
+class TestContrastiveDraws:
+    """The intervention draws of a contrastive step: one pick for every
+    substituted row, each a scene its sample may draw, a uniform random
+    question, and reruns that reproduce every artifact byte for byte."""
+
+    def test_random_question_is_uniform_over_the_other_instances(self):
+        for n in range(2, 9):
+            raw = np.arange(n - 1)
+            for own in range(n):
+                hits = hn._other_index(raw, np.full(n - 1, own))
+                assert sorted(hits.tolist()) == [i for i in range(n) if i != own]
+
+    @pytest.mark.parametrize("source, regime, oracle", [
+        (MemorySource.RANDOM_BANK, Regime.F3_DYNAMIC_MIXUP, False),
+        (MemorySource.MNSE, Regime.F1_STATIC, True),
+    ])
+    def test_a_step_picks_once_and_makes_no_generator(self, monkeypatch, source, regime, oracle):
+        cfg = replace(
+            GATE_RECIPE,
+            optimizer=replace(GATE_RECIPE.optimizer, batch_size=4),
+            intervention=replace(GATE_RECIPE.intervention, memory_source=source),
+            bank=BankConfig(regime=regime),
+            use_oracle_masks=oracle,
+        )
+        calls = TestStepPasses._per_step_calls(
+            cfg, monkeypatch, [(MemoryBank, "pick"), (np.random, "default_rng")]
+        )
+        assert calls == {"pick": 1, "default_rng": 0}
+
+    @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "learned"])
+    @pytest.mark.parametrize("regime", ["f1", "f3"])
+    @pytest.mark.parametrize("source", ["random", "mnse"])
+    def test_contrastive_rerun_is_byte_identical(self, tmp_path, source, regime, oracle):
+        path = tmp_path / "train.json"
+        path.write_text(json.dumps({
+            "data": {"synthetic": {"n_instances": 12, "seed": 2, "n_clips": 6, "video_dim": 8,
+                                   "text_dim": 8, "noise_std": 0.3}},
+            "model": {"model_dim": 8, "n_heads": 2, "n_layers": 1, "seed": 1},
+            "optimizer": {"steps": 4, "batch_size": 4, "seed": 3},
+            "intervention": {"alpha": 2.0, "beta_cl": 0.5, "n_negatives": 3, "topk_mode": True,
+                             "k": 3, "neighbor_k": 4, "memory_source": source},
+            "bank": {"regime": regime, "window": 2},
+            "use_oracle_masks": oracle,
+        }))
+        runs = []
+        for run in ("first", "second"):
+            with mock.patch.dict(os.environ, {hn.OUTPUT_DIR_ENV: str(tmp_path / run)}):
+                assert cli_main(["train", "--config", str(path)]) == 0
+            runs.append({name: (tmp_path / run / name).read_bytes()
+                         for name in ("metrics.json", "curves.csv")})
+        assert runs[0] == runs[1]
+        cl_losses = [float(line.split(",")[2])
+                     for line in runs[0]["curves.csv"].decode().splitlines()[1:]]
+        assert any(cl > 0.0 for cl in cl_losses)
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_every_substitute_is_a_scene_its_sample_may_draw(self, data):
+        # never a scene of the sample's own video nor a blend with it as a
+        # parent, and under nearest-scene sourcing one of its row's topk;
+        # rows a view does not substitute keep their own values
+        regime = data.draw(st.sampled_from(list(Regime)), label="regime")
+        source = data.draw(st.sampled_from(list(MemorySource)), label="source")
+        oracle = data.draw(st.booleans(), label="oracle")
+        batch_size = data.draw(st.integers(1, 8), label="batch size")
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        n_clips = 5
+        instances, _, masks = synth(10, seed=seed, n_clips=n_clips, video_dim=6, text_dim=6)
+        rng = np.random.default_rng(seed)
+        masks = np.asarray(masks, dtype=bool).copy()
+        for i, kind in enumerate(data.draw(
+            st.lists(st.sampled_from(["planted", "none", "all", "random"]),
+                     min_size=10, max_size=10), label="masks")):
+            if kind != "planted":
+                masks[i] = rng.random(n_clips) < 0.5 if kind == "random" else kind == "all"
+        topk_mode = data.draw(st.booleans(), label="top-k split")
+        k = data.draw(st.integers(1, n_clips), label="k") if topk_mode else None
+        icfg = InterventionConfig(
+            n_negatives=data.draw(st.integers(1, 3), label="negatives"), memory_source=source,
+            topk_mode=topk_mode, k=k, neighbor_k=data.draw(st.integers(1, 4), label="neighbor k"),
+        )
+        model = small_model(video_dim=6, text_dim=6, gated=not oracle)
+        if not oracle:  # gate.w starts at zero, which gives every clip 0.5
+            model.store["gate.w"][...] = rng.normal(size=model.store["gate.w"].shape)
+        bank = MemoryBank(6, regime=regime, window=2)
+        if regime is Regime.F1_STATIC:
+            bank.populate(instance_scenes(instances)).freeze()
+        for _ in range(2):
+            batch = [int(i) for i in rng.permutation(len(instances))[:batch_size]]
+            insts = [instances[i] for i in batch]
+            stacked = hn._stacked(insts)
+            split, gates, _ = hn._batch_splits(
+                model, *stacked[:2], icfg, masks[batch] if oracle else None
+            )
+            ids = [inst.video_id for inst in insts]
+            mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
+            if regime is not Regime.F1_STATIC:
+                bank.push_batch(instance_scenes(insts),
+                                mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None)
+            draws = hn._draw_interventions(
+                icfg, bank, instances, batch, stacked[0], split, gates, mix, rng
+            )
+            entries = bank.entries()
+            for s, j in enumerate(draws.drawn):
+                own = ids[j]
+                views = draws.views[s]
+                sources = [stacked[0][j]] + [mix.v_star[j]] * (len(views) - 1)
+                swapped = [~split[j]] * 2 + [split[j]] * (len(views) - 2)
+                for view, source_video, rows in zip(views, sources, swapped):
+                    np.testing.assert_array_equal(view[~rows], source_video[~rows])
+                    for clip in np.flatnonzero(rows):
+                        parents = [e.video_id.split("+") for e in entries
+                                   if np.array_equal(e.vector, view[clip])]
+                        assert any(own not in p for p in parents)
+                        if source is MemorySource.MNSE:
+                            (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k, own)
+                            near = bank._columns().matrix[top[top >= 0]]
+                            assert (near == view[clip]).all(axis=1).any()
+            event(f"{len(draws.drawn)} of {batch_size} samples drawn")
 
 
 # -- robustness protocol -----------------------------------------------------------

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from typing import NamedTuple
 
 import numpy as np
 import pytest
@@ -11,7 +12,14 @@ from causalvqa.features import Qtype, VideoQAInstance
 from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
 from gradcheck import assert_grad_matches, dead_tensors
-from reference_step import reference_infonce, triplet_aggregates, triplet_gate_grads
+from reference_step import (
+    draw_triplet,
+    reference_infonce,
+    reference_mixup,
+    stack_triplets,
+    triplet_aggregates,
+    triplet_gate_grads,
+)
 
 VIDEO_DIM, TEXT_DIM = 10, 8
 
@@ -36,9 +44,38 @@ def make_instance(rng, n_clips=6, video_id="x", gold=0, video=None):
     )
 
 
+class Split(NamedTuple):
+    mask: np.ndarray  # bool [n_clips], true = causal
+    gates: np.ndarray  # [n_clips]
+
+
 def make_split(rng, n_clips=6, n_causal=3):
     gates = rng.uniform(0.05, 0.95, size=n_clips)
-    return iv.split_from_gates(gates, topk_mode=True, k=n_causal)
+    return Split(iv.causal_mask(gates, topk_mode=True, k=n_causal), gates)
+
+
+class PairMix(NamedTuple):
+    c_star: np.ndarray
+    t_star: np.ndarray
+    q_star: np.ndarray
+    a_star: np.ndarray
+    v_star: np.ndarray
+
+
+def mix_pair(x, sx, xp, sxp, cfg, rng, **forced):
+    """x's mixup with its partner xp, through one batched call over the
+    pair: its causal and complement rows, question, gold answer and whole
+    video, or None when x's row is not valid."""
+    pair = (x, xp)
+    out = iv.mixup_intervene(
+        np.stack([i.video for i in pair]), np.stack([i.question for i in pair]),
+        np.stack([i.answers[i.gold] for i in pair]), np.stack([sx.mask, sxp.mask]), cfg, rng,
+        **forced,
+    )
+    if not out.valid[0]:
+        return None
+    v_star = out.v_star[0]
+    return PairMix(v_star[sx.mask], v_star[~sx.mask], out.q_star[0], out.a_star[0], v_star)
 
 
 def make_bank(rng, n=40, dim=VIDEO_DIM):
@@ -65,32 +102,32 @@ class TestGate:
         model = make_model(gated=True)
         inst = make_instance(rng)
         gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
-        split = iv.split_from_gates(gates[0])
-        np.testing.assert_array_equal(split.gates, np.full(6, 0.5))
-        assert split.mask.all()  # ties resolve causal
+        mask = iv.causal_mask(gates[0])
+        np.testing.assert_array_equal(gates[0], np.full(6, 0.5))
+        assert mask.all()  # ties resolve causal
 
     def test_topk_with_k_equal_n_clips_is_all_true(self, rng):
         model = make_model(gated=True)
         inst = make_instance(rng)
         gates, _ = iv.gate_forward(model, inst.video[None], inst.question[None])
-        split = iv.split_from_gates(gates[0], topk_mode=True, k=6)
-        assert split.mask.all()
+        mask = iv.causal_mask(gates[0], topk_mode=True, k=6)
+        assert mask.all()
 
     def test_topk_marks_exactly_k_largest(self):
         gates = np.array([0.9, 0.1, 0.7, 0.7, 0.2])
-        split = iv.split_from_gates(gates, topk_mode=True, k=2)
-        np.testing.assert_array_equal(split.mask, [True, False, True, False, False])
-        split3 = iv.split_from_gates(gates, topk_mode=True, k=3)
-        np.testing.assert_array_equal(split3.mask, [True, False, True, True, False])
+        mask = iv.causal_mask(gates, topk_mode=True, k=2)
+        np.testing.assert_array_equal(mask, [True, False, True, False, False])
+        mask3 = iv.causal_mask(gates, topk_mode=True, k=3)
+        np.testing.assert_array_equal(mask3, [True, False, True, True, False])
 
     def test_topk_ties_take_lowest_index(self):
         gates = np.full(4, 0.5)
-        split = iv.split_from_gates(gates, topk_mode=True, k=2)
-        np.testing.assert_array_equal(split.mask, [True, True, False, False])
+        mask = iv.causal_mask(gates, topk_mode=True, k=2)
+        np.testing.assert_array_equal(mask, [True, True, False, False])
 
     def test_threshold_mask_keeps_ties_causal(self):
-        split = iv.split_from_gates(np.array([0.5, 0.49, 0.51]))
-        np.testing.assert_array_equal(split.mask, [True, False, True])
+        mask = iv.causal_mask(np.array([0.5, 0.49, 0.51]))
+        np.testing.assert_array_equal(mask, [True, False, True])
 
     def test_gate_forward_on_an_ungated_model_raises(self, rng):
         model = make_model()
@@ -128,17 +165,16 @@ class TestMixup:
         cfg = iv.InterventionConfig()
         x, xp = make_instance(rng, video_id="a"), make_instance(rng, video_id="b", gold=2)
         sx, sxp = make_split(rng), make_split(rng)
-        r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=1.0)
+        r = mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=1.0)
         np.testing.assert_array_equal(r.c_star, x.video[sx.mask])
         np.testing.assert_array_equal(r.q_star, x.question)
         np.testing.assert_array_equal(r.a_star, x.answers[x.gold])
-        assert r.partner_id == "b"
 
     def test_lambda0_zero_reproduces_partner(self, rng):
         cfg = iv.InterventionConfig()
         x, xp = make_instance(rng), make_instance(rng, gold=3)
         sx, sxp = make_split(rng, n_causal=3), make_split(rng, n_causal=3)
-        r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=0.0)
+        r = mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=0.0)
         np.testing.assert_array_equal(r.q_star, xp.question)
         np.testing.assert_array_equal(r.a_star, xp.answers[xp.gold])
 
@@ -147,7 +183,7 @@ class TestMixup:
         ones = make_instance(rng, video=np.ones((6, VIDEO_DIM)))
         zeros = make_instance(rng, video=np.zeros((6, VIDEO_DIM)))
         sx, sxp = make_split(rng), make_split(rng)
-        r = iv.mixup_intervene(ones, sx, zeros, sxp, cfg, rng, lambda0=0.5, lambda1=0.25)
+        r = mix_pair(ones, sx, zeros, sxp, cfg, rng, lambda0=0.5, lambda1=0.25)
         np.testing.assert_array_equal(r.c_star, np.full_like(r.c_star, 0.5))
         np.testing.assert_array_equal(r.t_star, np.full_like(r.t_star, 0.25))
 
@@ -157,7 +193,7 @@ class TestMixup:
             x, xp = make_instance(rng), make_instance(rng, gold=1)
             sx = make_split(rng, n_causal=int(rng.integers(1, 6)))
             sxp = make_split(rng, n_causal=int(rng.integers(1, 6)))
-            r = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng)
+            r = mix_pair(x, sx, xp, sxp, cfg, rng)
             c_hat = x.video[sx.mask]
             c_pr = xp.video[sxp.mask][np.arange(c_hat.shape[0]) % int(sxp.mask.sum())]
             t_hat = x.video[~sx.mask]
@@ -171,66 +207,43 @@ class TestMixup:
         cfg = iv.InterventionConfig()
         x, xp = make_instance(rng), make_instance(rng)
         sx, sxp = make_split(rng), make_split(rng)
-        r1 = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=0.2, lambda1=0.6)
-        r2 = iv.mixup_intervene(x, sx, xp, sxp, cfg, rng, lambda0=0.9, lambda1=0.6)
+        r1 = mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=0.2, lambda1=0.6)
+        r2 = mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=0.9, lambda1=0.6)
         np.testing.assert_array_equal(r1.t_star, r2.t_star)
         assert np.any(r1.c_star != r2.c_star)
 
-    def test_empty_causal_raises(self, rng):
+    def test_empty_causal_is_not_valid(self, rng):
         cfg = iv.InterventionConfig()
         x, xp = make_instance(rng), make_instance(rng)
-        empty = iv.CausalSplit(mask=np.zeros(6, dtype=bool), gates=np.full(6, 0.2))
+        empty = Split(mask=np.zeros(6, dtype=bool), gates=np.full(6, 0.2))
         ok = make_split(rng)
-        with pytest.raises(iv.DegenerateSplitError):
-            iv.mixup_intervene(x, empty, xp, ok, cfg, rng)
-        with pytest.raises(iv.DegenerateSplitError):
-            iv.mixup_intervene(x, ok, xp, empty, cfg, rng)
+        assert mix_pair(x, empty, xp, ok, cfg, rng) is None
+        assert mix_pair(x, ok, xp, empty, cfg, rng) is None
 
-    def test_partner_complement_empty_raises_when_needed(self, rng):
+    def test_partner_complement_empty_is_not_valid_when_needed(self, rng):
         cfg = iv.InterventionConfig()
         x, xp = make_instance(rng), make_instance(rng)
-        all_causal = iv.CausalSplit(mask=np.ones(6, dtype=bool), gates=np.full(6, 0.9))
+        all_causal = Split(mask=np.ones(6, dtype=bool), gates=np.full(6, 0.9))
         ok = make_split(rng)
-        with pytest.raises(iv.DegenerateSplitError):
-            iv.mixup_intervene(x, ok, xp, all_causal, cfg, rng)
+        assert mix_pair(x, ok, xp, all_causal, cfg, rng) is None
         # anchor with no complement needs nothing from the partner's
-        r = iv.mixup_intervene(x, all_causal, xp, ok, cfg, rng)
+        r = mix_pair(x, all_causal, xp, ok, cfg, rng)
         assert r.t_star.shape == (0, VIDEO_DIM)
 
     def test_seeded_determinism(self, rng):
         cfg = iv.InterventionConfig(alpha=0.7)
         x, xp = make_instance(rng), make_instance(rng)
         sx, sxp = make_split(rng), make_split(rng)
-        r1 = iv.mixup_intervene(x, sx, xp, sxp, cfg, np.random.default_rng(5))
-        r2 = iv.mixup_intervene(x, sx, xp, sxp, cfg, np.random.default_rng(5))
-        assert r1.lambda0 == r2.lambda0 and r1.lambda1 == r2.lambda1
-        np.testing.assert_array_equal(r1.c_star, r2.c_star)
-
-
-class TestAssemble:
-    def test_rows_land_at_mask_positions(self, rng):
-        mask = np.array([True, False, False, True, False])
-        c = rng.normal(size=(2, 4))
-        t = rng.normal(size=(3, 4))
-        v = iv.assemble_video(mask, c, t)
-        np.testing.assert_array_equal(v[mask], c)
-        np.testing.assert_array_equal(v[~mask], t)
-
-    def test_reassembling_own_partitions_is_identity(self, rng):
-        video = rng.normal(size=(6, 4))
-        mask = np.array([False, True, True, False, True, False])
-        v = iv.assemble_video(mask, video[mask], video[~mask])
-        np.testing.assert_array_equal(v, video)
-
-    def test_row_count_mismatch_raises(self, rng):
-        with pytest.raises(ValueError):
-            iv.assemble_video(np.array([True, False]), np.zeros((2, 3)), np.zeros((1, 3)))
+        r1 = mix_pair(x, sx, xp, sxp, cfg, np.random.default_rng(5))
+        r2 = mix_pair(x, sx, xp, sxp, cfg, np.random.default_rng(5))
+        np.testing.assert_array_equal(r1.q_star, r2.q_star)
+        np.testing.assert_array_equal(r1.v_star, r2.v_star)
 
 
 def triplet_topk(v_star, split, bank, cfg):
     """The topk of v_star's complement and causal rows, which nearest-scene
     sourcing draws a triplet's substitutes from."""
-    rows = (split.complement_indices, split.causal_indices)
+    rows = (~split.mask, split.mask)
     return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k) for r in rows)
 
 
@@ -240,9 +253,55 @@ def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     candidates = (bank.eligible(None),) * 2
     if cfg.memory_source is iv.MemorySource.MNSE:
         candidates = triplet_topk(v_star, split, bank, cfg)
-    drawn = iv.draw_triplet(v_star, q_star, split, bank, q_r, cfg, rng, candidates=candidates)
-    (aggs,), cache = triplet_aggregates(model, [drawn])
+    drawn = draw_triplet(
+        v_star, q_star, split.mask, split.gates, bank, q_r, cfg, rng, candidates=candidates
+    )
+    (aggs,), cache = triplet_aggregates(model, drawn)
     return aggs, cache, drawn
+
+
+class TestBatchedMixup:
+    """One mixup_intervene call over a batch equals the per-sample formula
+    bit for bit, with the same draws in the same order."""
+
+    @staticmethod
+    def _compare(instances, masks, cfg, seed):
+        batched_rng, ref_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        out = iv.mixup_intervene(
+            np.stack([i.video for i in instances]), np.stack([i.question for i in instances]),
+            np.stack([i.answers[i.gold] for i in instances]), masks, cfg, batched_rng,
+        )
+        for j, (x, mask) in enumerate(zip(instances, masks)):
+            p = (j + 1) % len(instances)
+            want = reference_mixup(x, mask, instances[p], masks[p], cfg, ref_rng)
+            assert out.valid[j] == (want is not None)
+            if want is not None:
+                for got, row in zip((out.v_star[j], out.q_star[j], out.a_star[j]), want):
+                    np.testing.assert_array_equal(got, row)
+        assert batched_rng.bit_generator.state == ref_rng.bit_generator.state
+        return out
+
+    def test_threshold_splits_with_unequal_causal_counts(self, rng):
+        cfg = iv.InterventionConfig(alpha=0.7)
+        for trial in range(200):
+            b = int(rng.integers(1, 7))
+            instances = [make_instance(rng, video_id=f"v{i}", gold=int(rng.integers(5)))
+                         for i in range(b)]
+            masks = iv.causal_mask(rng.uniform(0.0, 1.0, size=(b, 6)))
+            out = self._compare(instances, masks, cfg, seed=trial)
+            assert out.valid.shape == (b,)
+
+    def test_a_partner_with_an_empty_complement(self, rng):
+        cfg = iv.InterventionConfig()
+        instances = [make_instance(rng, video_id=f"v{i}") for i in range(4)]
+        masks = np.array([
+            [True, False, True, False, False, False],  # its partner is all causal
+            [True] * 6,  # needs nothing from its partner's complement
+            [True, True, False, False, True, False],  # its partner has no causal clip
+            [False] * 6,  # no causal clip: draws nothing
+        ])
+        out = self._compare(instances, masks, cfg, seed=3)
+        assert out.valid.tolist() == [False, True, False, False]
 
 
 class TestTriplet:
@@ -259,7 +318,7 @@ class TestTriplet:
     def test_self_bank_substitution_identity(self, rng):
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
         bank = MemoryBank(bank_dim=VIDEO_DIM)
-        comp = split.complement_indices
+        comp = np.flatnonzero(~split.mask)
         bank.populate(Scenes(v_star[comp], ["self"], np.zeros(len(comp), dtype=np.int64), comp))
         aggs, _, _ = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
@@ -273,7 +332,7 @@ class TestTriplet:
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
         assert len(aggs) == 3
-        assert drawn.negatives.shape == (0, *v_star.shape)
+        assert drawn.subs.shape == (1, 1, *v_star.shape)  # the positive, no substituted negative
         direct, _ = model.aggregate_forward(v_star[None], q_r[None])
         np.testing.assert_array_equal(aggs[2], direct[0])
 
@@ -290,9 +349,9 @@ class TestTriplet:
         model, cfg, v_star, q_star, q_r, split, _ = self._pipeline(rng)
         empty = MemoryBank(bank_dim=VIDEO_DIM)
         with pytest.raises(ValueError, match="empty"):
-            iv.draw_triplet(
-                v_star, q_star, split, empty, q_r, cfg, np.random.default_rng(0),
-                candidates=triplet_topk(v_star, split, empty, cfg),
+            draw_triplet(
+                v_star, q_star, split.mask, split.gates, empty, q_r, cfg,
+                np.random.default_rng(0), candidates=triplet_topk(v_star, split, empty, cfg),
             )
 
     @pytest.mark.parametrize("source", [iv.MemorySource.MNSE, iv.MemorySource.RANDOM_BANK])
@@ -325,7 +384,7 @@ class TestTriplet:
         model.store["gate.w"][...] = rng.normal(size=16)
         _, cfg, v_star, q_star, q_r, _, bank = self._pipeline(rng, model=model)
         gates, gate_cache = iv.gate_forward(model, v_star[None], q_star[None])
-        split = iv.split_from_gates(gates[0], topk_mode=True, k=3)
+        split = Split(iv.causal_mask(gates[0], topk_mode=True, k=3), gates[0])
         aggs, cache, _ = build_one(
             model, v_star, q_star, split, bank, q_r, cfg, np.random.default_rng(0)
         )
@@ -345,18 +404,18 @@ class TestTriplet:
         for c in (1, 3, 6):
             v_star, q_star = rng.normal(size=(6, VIDEO_DIM)), rng.normal(size=TEXT_DIM)
             split = make_split(rng, n_causal=c)
-            draws.append(iv.draw_triplet(
-                v_star, q_star, split, bank, rng.normal(size=TEXT_DIM), cfg,
+            draws.append(draw_triplet(
+                v_star, q_star, split.mask, split.gates, bank, rng.normal(size=TEXT_DIM), cfg,
                 np.random.default_rng(c), candidates=triplet_topk(v_star, split, bank, cfg),
             ))
         model.store.zero_grads()
-        aggs, cache = triplet_aggregates(model, draws)
+        aggs, cache = triplet_aggregates(model, stack_triplets(draws))
         _, grads = iv.infonce_loss(aggs)
         dgates = triplet_gate_grads(model, grads, cache)
         stacked = {n: model.store.grad(n).copy() for n in model.store.names()}
         model.store.zero_grads()
         for drawn, views, g, row in zip(draws, aggs, grads, dgates):
-            (single,), single_cache = triplet_aggregates(model, [drawn])
+            (single,), single_cache = triplet_aggregates(model, drawn)
             np.testing.assert_array_equal(views, single)
             np.testing.assert_allclose(
                 triplet_gate_grads(model, g[None], single_cache)[0], row, rtol=0, atol=1e-12
