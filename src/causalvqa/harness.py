@@ -576,7 +576,6 @@ class _Step(NamedTuple):
 
     losses: list[list]  # per batch position: clean, then augmented and do answer losses
     cl_losses: list[float]  # per triplet, in batch order
-    positions: list[int]  # batch position of each triplet
     dgates: Array  # [B, n_clips] gate gradients of the clean rows plus each triplet's
 
 
@@ -660,7 +659,7 @@ def _stacked_step(
         dgates[weighted] = dclean[weighted]
     if len(drawn):
         dgates[drawn] += triplet_backward(dvideo[answered:].reshape(views.shape), triplet_cache)
-    return _Step(step_losses, cl_losses, drawn.tolist(), dgates)
+    return _Step(step_losses, cl_losses, dgates)
 
 
 def train(

@@ -44,6 +44,9 @@ class InterventionConfig:
     topk_mode: bool = False
     k: int | None = None  # causal clips per video in top-k mode
     neighbor_k: int = 1  # top-k pool for nearest-scene sampling
+    # validated but read nowhere: every intervention draw comes from the
+    # step generator seeded by optimizer.seed; kept because configs set it
+    # and unknown keys are refused
     seed: int = 0
 
     def __post_init__(self) -> None:

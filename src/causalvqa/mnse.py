@@ -1,27 +1,28 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
-The bank stores clip-level scene vectors with provenance, one block of
-columns (Scenes: matrix, video ids, id codes, clip indices) per populate or
-push_batch call, and answers top-k nearest-scene queries by exact full
-scan, in the manner of a flat index. A block's row norms and parent part
-ids are computed once, by the first column view that holds it; the view
-(float64 matrix, norms, parent-id columns) concatenates the live blocks'
-pieces once per change, and its tie-rank columns are built from them on
-the first ranking that needs them, with Python work per distinct video
-id, not per row. Any number of query rows, each with its own excluded video,
-is ranked in one pass of fixed-size row chunks: one matrix product and one
-top-k selection per chunk, no loop over rows. Three refresh regimes: F1
-fills once and freezes; F2 refreshes per batch over a sliding window
-of recent batches; F3 is F2 plus the batch's mixup scene rows. Neighbor
-sourcing drives the substitution interventions (mnse_do) and their
-random baseline (random_do). topk returns each row's exact k-nearest set
-in tie-rank order, and eligible a video's pool of every scene it may
-draw. Every draw, nearest or uniform, is one pick over such candidate
-rows, each draw naming its row: all its rows from one generator in one
-integers call. A training step picks every substituted row of its batch
-in one call on the step's generator; mnse_do and random_do, the
-protocol's operators, draw each video's rows from a generator seeded
-for that video. Only query_knn orders its answers by key.
+The bank takes clip-level scene vectors with provenance as Scenes blocks
+(matrix, video ids, id codes, clip indices) and keeps its live rows as
+one set of columns in bank order: a read-only float64 matrix, clip
+indices, and each row's code into a table of only the ids the rows use.
+A push is one concatenation that drops the evicted batch's rows. Row
+norms, parent part ids and tie ranks are derived on first use and kept
+until the next change, with Python work per id, never per row. Top-k
+nearest-scene queries are answered by exact full scan, in the manner of
+a flat index: any number of query rows, each with its own excluded
+video, is ranked in one pass of fixed-size row chunks, one matrix
+product and one top-k selection per chunk, no loop over rows. Three
+refresh regimes: F1 fills once and freezes; F2 refreshes per batch over
+a sliding window of recent batches; F3 is F2 plus the batch's mixup
+scene rows. Neighbor sourcing drives the substitution interventions
+(mnse_do) and their random baseline (random_do). topk returns each
+row's exact k-nearest set in tie-rank order, and eligible a video's
+pool of every scene it may draw. Every draw, nearest or uniform, is one
+pick over such candidate rows, each draw naming its row: all its rows
+from one generator in one integers call. A training step picks every
+substituted row of its batch in one call on the step's generator;
+mnse_do and random_do, the protocol's operators, draw each video's rows
+from a generator seeded for that video. Only query_knn orders its
+answers by key.
 """
 
 from __future__ import annotations
@@ -29,6 +30,7 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
+from itertools import compress
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -85,8 +87,8 @@ class NeighborQuery:
 
 class Scenes(NamedTuple):
     """Scene rows as columns: row i is clip clips[i] of video
-    video_ids[codes[i]]. A bank keeps each populate or push_batch call's
-    scenes as one such block, its matrix read-only float64."""
+    video_ids[codes[i]]. A bank takes each populate or push_batch call's
+    scenes as one such block."""
 
     matrix: Array  # [n, bank_dim]
     video_ids: Sequence[str]
@@ -110,83 +112,9 @@ def _read_only(matrix: Array) -> Array:
     return matrix
 
 
-class _Block:
-    """One populate or push_batch call's scenes, with the pieces of the
-    bank's column view they give, each computed once, by the first view
-    that holds the block. It holds the bank's part-id table, not the bank."""
-
-    def __init__(self, scenes: Scenes, part_ids: dict[str, int]):
-        self.scenes = scenes
-        self.part_ids = part_ids
-
-    @cached_property
-    def norms(self) -> Array:
-        """[n] row L2 norms."""
-        return np.linalg.norm(self.scenes.matrix, axis=1)
-
-    @cached_property
-    def parents(self) -> Array:
-        """[n, p] table ids of the parts of each row's "+"-joined video_id,
-        -1 when absent."""
-        table, ids = self.part_ids, self.scenes.video_ids
-        parts = [table.setdefault(p, len(table)) for v in ids for p in v.split("+")]
-        lengths = np.array([v.count("+") + 1 for v in ids], dtype=np.int64)
-        parents = np.full((len(ids), int(lengths.max(initial=1))), -1, dtype=np.int64)
-        parents[np.arange(parents.shape[1]) < lengths[:, None]] = parts
-        return parents[self.scenes.codes]
-
-
 class _TieRanks(NamedTuple):
-    names: list[str]  # the distinct video ids, sorted
-    by_name: Array  # [n] each entry's index into names
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
-    order: Array  # [n] the entries in that order, the inverse of rank
-
-
-class _Columns:
-    """Column view of the bank's live blocks: their pieces concatenated
-    once after each change, and the tie-rank columns built on the first
-    ranking that needs them. It holds the blocks, never the bank, so a
-    dropped bank is freed by reference counting alone."""
-
-    def __init__(self, blocks: list[_Block], bank_dim: int):
-        self.blocks = blocks
-        if len(blocks) == 1:
-            self.matrix = blocks[0].scenes.matrix  # a single populate keeps one copy
-        else:
-            self.matrix = _read_only(
-                np.concatenate([np.empty((0, bank_dim))] + [b.scenes.matrix for b in blocks])
-            )
-        self.norms = np.concatenate([np.empty(0)] + [b.norms for b in blocks])
-        self.clips = np.concatenate([np.empty(0, np.int64)] + [b.scenes.clips for b in blocks])
-        self.parents = np.full(
-            (len(self.norms), max((b.parents.shape[1] for b in blocks), default=1)), -1
-        )
-        start = 0
-        for b in blocks:
-            self.parents[start : start + len(b.parents), : b.parents.shape[1]] = b.parents
-            start += len(b.parents)
-
-    @cached_property
-    def ties(self) -> _TieRanks:
-        """The tie-rank columns; the Python work is per distinct video id
-        of each block, not per row."""
-        ids = [v for b in self.blocks for v in b.scenes.video_ids]
-        offsets = np.cumsum([0] + [len(b.scenes.video_ids) for b in self.blocks])
-        codes = np.concatenate(
-            [np.empty(0, dtype=np.int64)]
-            + [b.scenes.codes + o for b, o in zip(self.blocks, offsets)]
-        )
-        used = np.flatnonzero(np.bincount(codes, minlength=len(ids))).tolist()
-        names = sorted({ids[c] for c in used})
-        name_index = {v: i for i, v in enumerate(names)}
-        to_name = np.zeros(len(ids), dtype=np.int64)
-        to_name[used] = [name_index[ids[c]] for c in used]
-        by_name = to_name[codes]
-        order = np.lexsort((self.clips, by_name))
-        rank = np.empty(len(order), dtype=np.int64)
-        rank[order] = np.arange(len(order))
-        return _TieRanks(names, by_name, rank, order)
+    order: Array  # [n] the rows in that order, the inverse of rank
 
 
 def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
@@ -225,7 +153,12 @@ def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
 
 
 class MemoryBank:
-    """Scene store with exact top-k queries and regime-gated refresh."""
+    """Scene store with exact top-k queries and regime-gated refresh.
+
+    The live rows are one set of columns in bank order: the populated
+    rows, then each live batch's scenes and mixup scenes. Row norms,
+    parent part ids and tie ranks are derived from them on first use
+    and kept until the next change."""
 
     def __init__(
         self,
@@ -242,32 +175,33 @@ class MemoryBank:
         self.metric = Metric(metric)
         self.regime = Regime(regime)
         self.window = window
-        self._base: list[_Block] = []
-        self._batches: deque[list[_Block]] = deque(maxlen=window)
-        self._part_ids: dict[str, int] = {}  # every video id part the bank has seen
+        self._matrix = _read_only(np.empty((0, bank_dim)))  # [n, bank_dim] float64
+        self._codes = np.empty(0, dtype=np.int64)  # [n] each row's index into _ids
+        self._clips = np.empty(0, dtype=np.int64)  # [n] clip indices
+        self._ids: list[str] = []  # only the video ids the rows use
+        self._part_ids: dict[str, int] = {}  # every id part the bank has seen
+        self._id_parents = np.empty((0, 1), dtype=np.int64)  # [m, p] parts of _ids[:m]
+        self._populated = 0  # rows ahead of the first batch's
+        self._batch_rows: deque[int] = deque(maxlen=window)  # each live batch's row count
         self._frozen = False
-        self._cols: _Columns | None = None
 
     def __len__(self) -> int:
-        return sum(len(b.scenes.codes) for b in self._blocks())
-
-    def _blocks(self) -> list[_Block]:
-        return self._base + [b for batch in self._batches for b in batch]
+        return len(self._codes)
 
     def entries(self) -> list[BankEntry]:
         """Every scene in bank order; vectors are read-only rows of the
-        blocks."""
+        bank's matrix."""
+        ids = self._ids
         return [
-            BankEntry(row, s.video_ids[c], clip)
-            for s in (b.scenes for b in self._blocks())
-            for row, c, clip in zip(s.matrix, s.codes.tolist(), s.clips.tolist())
+            BankEntry(row, ids[c], clip)
+            for row, c, clip in zip(self._matrix, self._codes.tolist(), self._clips.tolist())
         ]
 
     @property
     def frozen(self) -> bool:
         return self._frozen
 
-    def _block(self, scenes: Scenes) -> _Block:
+    def _validated(self, scenes: Scenes) -> Scenes:
         """The scenes as one validated block whose matrix is read-only
         float64: a writeable or non-float64 matrix is copied into one, so a
         caller may reuse or change its arrays afterwards."""
@@ -290,13 +224,42 @@ class MemoryBank:
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
-        return _Block(Scenes(matrix, [str(v) for v in video_ids], codes, clips), self._part_ids)
+        return Scenes(matrix, [str(v) for v in video_ids], codes, clips)
+
+    def _store(self, *parts: slice | Scenes) -> None:
+        """Make the rows the concatenation of parts, each a slice of the
+        current rows or a validated block, keep in the id table only the
+        ids those rows use, and drop what was derived from the old rows.
+        A lone part with rows is kept as it is, so a single populate holds
+        one copy of its matrix."""
+        ids, pieces = list(self._ids), []
+        for part in parts:
+            if isinstance(part, slice):
+                pieces.append((self._matrix[part], self._codes[part], self._clips[part]))
+            else:
+                pieces.append((part.matrix, part.codes + len(ids), part.clips))
+                ids += part.video_ids
+        matrices, codes, clips = zip(*pieces)
+        matrices = [m for m in matrices if len(m)]
+        if len(matrices) != 1:
+            matrices = [_read_only(np.concatenate([np.empty((0, self.bank_dim))] + matrices))]
+        self._matrix, self._clips = matrices[0], np.concatenate(clips)
+        self._codes, self._ids = np.concatenate(codes), ids
+        used = np.bincount(self._codes, minlength=len(ids)) > 0
+        if not used.all():
+            self._codes = (np.cumsum(used) - 1)[self._codes]
+            self._ids = list(compress(ids, used.tolist()))
+            self._id_parents = self._id_parents[used[: len(self._id_parents)]]
+        for derived in ("_norms", "_parents", "_ties"):
+            self.__dict__.pop(derived, None)
 
     def populate(self, scenes: Scenes) -> "MemoryBank":
+        """Add the scenes after the populated rows, ahead of any batch's."""
         if self._frozen:
             raise RegimeError("bank is frozen; no further population allowed")
-        self._base.append(self._block(scenes))
-        self._cols = None
+        block, end = self._validated(scenes), self._populated
+        self._store(slice(0, end), block, slice(end, None))
+        self._populated += len(block.codes)
         return self
 
     def freeze(self) -> "MemoryBank":
@@ -309,30 +272,58 @@ class MemoryBank:
         """Refresh with one batch; evicts batches older than the window."""
         if self.regime is Regime.F1_STATIC:
             raise RegimeError("per-batch refresh requires a dynamic regime")
-        batch = [self._block(scenes)]
+        batch = [self._validated(scenes)]
         if mixup_scenes is not None:
             if self.regime is not Regime.F3_DYNAMIC_MIXUP:
                 raise RegimeError("mixup rows are stored only under the dynamic-mixup regime")
-            batch.append(self._block(mixup_scenes))
-        self._batches.append(batch)
-        self._cols = None
+            batch.append(self._validated(mixup_scenes))
+        start = self._populated
+        evicted = self._batch_rows[0] if len(self._batch_rows) == self.window else 0
+        self._store(slice(0, start), slice(start + evicted, None), *batch)
+        self._batch_rows.append(sum(len(b.codes) for b in batch))
         return self
 
     # -- queries -----------------------------------------------------------
 
-    def _columns(self) -> _Columns:
-        if self._cols is None:
-            self._cols = _Columns(self._blocks(), self.bank_dim)
-        return self._cols
+    @cached_property
+    def _norms(self) -> Array:
+        """[n] row L2 norms."""
+        return np.linalg.norm(self._matrix, axis=1)
+
+    @cached_property
+    def _parents(self) -> Array:
+        """[n, p] each row's "+"-joined video id's part ids, -1 past its
+        last part. The Python work is per id the table gained since the
+        last call, so a push costs only its own ids."""
+        known, new = self._id_parents, self._ids[len(self._id_parents) :]
+        table = self._part_ids
+        parts = [table.setdefault(p, len(table)) for v in new for p in v.split("+")]
+        lengths = np.array([v.count("+") + 1 for v in new], dtype=np.int64)
+        width = max(known.shape[1], int(lengths.max(initial=1)))
+        parents = np.full((len(self._ids), width), -1, dtype=np.int64)
+        parents[: len(known), : known.shape[1]] = known
+        parents[len(known) :][np.arange(width) < lengths[:, None]] = parts
+        self._id_parents = parents
+        return parents[self._codes]
+
+    @cached_property
+    def _ties(self) -> _TieRanks:
+        """The rows' tie ranks; the Python work is per id in the id table."""
+        names = {v: i for i, v in enumerate(sorted(set(self._ids)))}
+        by_name = np.array([names[v] for v in self._ids], dtype=np.int64)[self._codes]
+        order = np.lexsort((self._clips, by_name))
+        rank = np.empty(len(order), dtype=np.int64)
+        rank[order] = np.arange(len(order))
+        return _TieRanks(rank, order)
 
     def _excluded(self, exclude_video_ids: Sequence[str | None]) -> Array:
         """[len(exclude_video_ids), n] mask of the entries a query excluding
         each video may not return. Mixup rows carry compound provenance
         "a+b"; excluding either parent excludes the blend."""
-        cols = self._columns()
+        parents = self._parents
         codes = np.array([self._part_ids.get(v, -2) for v in exclude_video_ids], dtype=np.int64)
-        excluded = cols.parents[:, 0] == codes[:, None]
-        for part in cols.parents.T[1:]:
+        excluded = parents[:, 0] == codes[:, None]
+        for part in parents.T[1:]:
             excluded |= part == codes[:, None]
         return excluded
 
@@ -362,31 +353,30 @@ class MemoryBank:
         """
         if not np.isfinite(queries).all():
             raise ValueError("query vectors must be finite")
-        cols = self._columns()
-        n = len(cols.matrix)
+        n = len(self)
         top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
         keys_at = np.full(top.shape, np.nan)
         step = max(1, RANK_CHUNK // max(1, n * (self.bank_dim if self.metric is Metric.L2 else 1)))
         neg_norms = -np.linalg.norm(queries, axis=1)
         # a denominator below is zero only where a norm is zero or a product
         # of norms underflows; without such, no division needs a mask
-        masked = neg_norms.max(initial=-1.0) * cols.norms.min(initial=1.0) == 0
+        masked = neg_norms.max(initial=-1.0) * self._norms.min(initial=1.0) == 0
         for start in range(0, len(queries), step):
             q, rows = queries[start : start + step], slice(start, start + step)
             if self.metric is Metric.COSINE:
                 # the negated cosine, bit-exact as a / -b == -(a / b); a zero
                 # denominator is -0.0, which stays as the key
-                keys = np.multiply.outer(neg_norms[rows], cols.norms)
-                np.divide(q @ cols.matrix.T, keys, out=keys, where=keys < 0 if masked else True)
+                keys = np.multiply.outer(neg_norms[rows], self._norms)
+                np.divide(q @ self._matrix.T, keys, out=keys, where=keys < 0 if masked else True)
             else:
-                keys = np.linalg.norm(cols.matrix[None] - q[:, None], axis=2)
+                keys = np.linalg.norm(self._matrix[None] - q[:, None], axis=2)
             np.fmin(keys, _LARGEST, out=keys)
             excluded = self._excluded(exclude_video_ids[rows])
             keys[excluded] = np.inf
             counts = n - excluded.sum(axis=1)
             if not counts.all():
                 raise self._none_eligible(exclude_video_ids[start + int(np.argmin(counts))])
-            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), cols.ties)
+            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), self._ties)
             top[rows, : chunk_top.shape[1]] = chunk_top
             keys_at[rows, : chunk_top.shape[1]] = chunk_keys
         used = int((top >= 0).sum(axis=1).max(initial=0))
@@ -425,7 +415,7 @@ class MemoryBank:
             if rows is None or np.ndim(rows) == 0:
                 rows = np.arange(len(candidates) if rows is None else rows) % len(candidates)
             chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
-        return self._columns().matrix[chosen]
+        return self._matrix[chosen]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric, best first; ties broken by (video_id,
@@ -439,13 +429,11 @@ class MemoryBank:
                 f"k={q.k} exceeds {top.shape[1]} eligible entries "
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
-        cols = self._columns()
-        names, by_name = cols.ties.names, cols.ties.by_name
         # a stable sort by key of the tie-rank-ordered row: (key, tie rank)
         best = np.argsort(-scores[0] if self.metric is Metric.COSINE else scores[0], kind="stable")
         return [
             ScoredNeighbor(
-                BankEntry(cols.matrix[i], names[by_name[i]], int(cols.clips[i])),
+                BankEntry(self._matrix[i], self._ids[self._codes[i]], int(self._clips[i])),
                 float(s),
             )
             for i, s in zip(top[0, best], scores[0, best])

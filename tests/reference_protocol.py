@@ -21,20 +21,19 @@ from causalvqa.mnse import Metric
 def reference_topk(bank, queries, k, exclude_video_id):
     """Bank indices of each query row's k nearest eligible scenes in tie-rank
     order, k clamped to the pool size: [n_queries, k]."""
-    cols = bank._columns()
     pool = bank.eligible(exclude_video_id)
     if not len(pool):
         raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
     k = min(k, len(pool))
     if bank.metric is Metric.COSINE:
-        raw = queries @ cols.matrix.T
-        denom = np.linalg.norm(queries, axis=1)[:, None] * cols.norms
+        raw = queries @ bank._matrix.T
+        denom = np.linalg.norm(queries, axis=1)[:, None] * bank._norms
         keys = -np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)[:, pool]
     else:
-        members = cols.matrix[pool]
+        members = bank._matrix[pool]
         keys = np.stack([np.linalg.norm(members - q, axis=1) for q in queries])
     kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
-    rank = cols.ties.rank[pool]
+    rank = bank._ties.rank[pool]
     top = np.empty((len(queries), k), dtype=np.int64)
     for i, row in enumerate(keys):
         cand = np.flatnonzero(row <= kth[i])
@@ -50,7 +49,7 @@ def reference_mnse_do(video, mask, bank, k, seed, exclude_video_id):
         top = reference_topk(bank, video[rows], k, exclude_video_id)
         rng = np.random.default_rng(seed)
         picks = [int(rng.integers(0, top.shape[1])) for _ in rows]
-        video[rows] = bank._columns().matrix[top[np.arange(len(rows)), picks]]
+        video[rows] = bank._matrix[top[np.arange(len(rows)), picks]]
     return video
 
 
@@ -63,7 +62,7 @@ def reference_random_do(video, mask, bank, seed, exclude_video_id):
             raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
         rng = np.random.default_rng(seed)
         picks = [int(rng.integers(0, len(pool))) for _ in rows]
-        video[rows] = bank._columns().matrix[pool[picks]]
+        video[rows] = bank._matrix[pool[picks]]
     return video
 
 

@@ -1021,7 +1021,7 @@ class TestStackedStep:
         for got, want in zip(videos, ref.videos):
             np.testing.assert_array_equal(got, want)
 
-        assert new.positions == ref.positions
+        assert draws.drawn.tolist() == ref.positions
         assert [[float(x) for x in row] for row in new.losses] == [
             [float(x) for x in row] for row in ref.losses
         ]
@@ -1030,31 +1030,31 @@ class TestStackedStep:
         np.testing.assert_allclose(new.dgates, ref.dgates, rtol=0, atol=1e-12)
         for name, want in ref_grads.items():
             np.testing.assert_allclose(store.grad(name), want, rtol=0, atol=1e-12)
-        return new
+        return new, draws.drawn.tolist()
 
     @pytest.mark.parametrize("regime", list(Regime))
     @pytest.mark.parametrize("oracle", [True, False], ids=["oracle", "learned"])
     @pytest.mark.parametrize("source", list(MemorySource))
     def test_matches_per_sample_reference(self, source, oracle, regime):
         inputs = self._inputs(source, oracle, regime)
-        new = self._compare(*inputs)
-        assert len(new.positions) == 4
+        new, drawn = self._compare(*inputs)
+        assert len(drawn) == 4
         assert all(len(row) == 3 for row in new.losses)
 
     @pytest.mark.parametrize("source", list(MemorySource))
     def test_f2_batch_of_one_skips_its_intervention(self, source):
         # the bank holds only the sample's own scenes: no do view, no triplet
         inputs = self._inputs(source, True, Regime.F2_DYNAMIC, batch_size=1)
-        new = self._compare(*inputs)
-        assert new.positions == [] and new.cl_losses == []
+        new, drawn = self._compare(*inputs)
+        assert drawn == [] and new.cl_losses == []
         assert [len(row) for row in new.losses] == [2]
 
     def test_degenerate_split_leaves_the_sample_out(self):
         inputs = self._inputs(MemorySource.MNSE, True, Regime.F1_STATIC)
         mix = inputs[7]
         mix.valid[1] = False
-        new = self._compare(*inputs)
-        assert new.positions == [0, 2, 3]
+        new, drawn = self._compare(*inputs)
+        assert drawn == [0, 2, 3]
         assert len(new.losses[1]) == 1
 
     def test_every_split_degenerate(self):
@@ -1062,8 +1062,8 @@ class TestStackedStep:
             MemorySource.RANDOM_BANK, True, Regime.F3_DYNAMIC_MIXUP, degenerate=range(10)
         )
         assert not inputs[7].valid.any()
-        new = self._compare(*inputs)
-        assert new.positions == [] and [len(row) for row in new.losses] == [1] * 4
+        new, drawn = self._compare(*inputs)
+        assert drawn == [] and [len(row) for row in new.losses] == [1] * 4
 
     @pytest.mark.parametrize("source", list(MemorySource))
     def test_shared_anchor_row_gradients(self, source):
@@ -1090,7 +1090,7 @@ class TestStackedStep:
         model.store.zero_grads()
         out = hn._stacked_step(model, stacked, draws, icfg.beta_cl, True)
         grads = {name: model.store.grad(name).copy() for name in model.store.names()}
-        for j in out.positions:
+        for j in draws.drawn:
             assert_grad_matches(total, gates[j], out.dgates[j], check, f"gates[{j}]")
         for name in ("video_proj.w", "text_proj.w", "layer0.cross.wv", "layer0.self.wo"):
             assert_grad_matches(total, model.store[name], grads[name], check, name)
@@ -1254,7 +1254,7 @@ class TestContrastiveDraws:
                         assert any(own not in p for p in parents)
                         if source is MemorySource.MNSE:
                             (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k, own)
-                            near = bank._columns().matrix[top[top >= 0]]
+                            near = bank._matrix[top[top >= 0]]
                             assert (near == view[clip]).all(axis=1).any()
             event(f"{len(draws.drawn)} of {batch_size} samples drawn")
 

@@ -591,7 +591,7 @@ class TestRankThenPick:
         # as n per-row picks over copies of the pool do
         bank = random_bank(rng, n=2 * m + 1, dim=4)
         pool = np.sort(rng.permutation(len(bank))[:m])
-        matrix = bank._columns().matrix
+        matrix = bank._matrix
         for seed in range(5):
             got_rng, want_rng, rows_rng = (np.random.default_rng(seed) for _ in range(3))
             got = bank.pick(pool, got_rng, n)
@@ -678,10 +678,10 @@ class TestOneCopyPerScene:
     def test_static_bank_matrix_shares_the_entry_vectors(self, rng):
         bank = random_bank(rng, n=50, dim=6).freeze()
         bank.query_knn(NeighborQuery(vector=rng.normal(size=6), k=3))
-        cols = bank._columns()
+        matrix = bank._matrix
         entries = bank.entries()
-        assert all(np.shares_memory(cols.matrix, e.vector) for e in entries)
-        np.testing.assert_array_equal(cols.matrix, np.stack([e.vector for e in entries]))
+        assert all(np.shares_memory(matrix, e.vector) for e in entries)
+        np.testing.assert_array_equal(matrix, np.stack([e.vector for e in entries]))
 
     def test_several_blocks_are_concatenated_in_entry_order(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
@@ -693,7 +693,7 @@ class TestOneCopyPerScene:
         entries = bank.entries()
         assert len(entries) == 2 * 5
         np.testing.assert_array_equal(
-            bank._columns().matrix, np.stack([e.vector for e in entries])
+            bank._matrix, np.stack([e.vector for e in entries])
         )
 
 
@@ -788,7 +788,7 @@ class TestTopKProperties:
         for row, m in zip(candidates, lengths):
             row[:m] = rng.choice(n, size=m, replace=False)
         got = bank.pick(candidates, np.random.default_rng(data.draw(st.integers(0, 99))))
-        matrix = bank._columns().matrix
+        matrix = bank._matrix
         assert got.shape == (len(lengths), 3)
         for vector, row, m in zip(got, candidates, lengths):
             assert any(np.array_equal(vector, matrix[i]) for i in row[:m])
@@ -833,8 +833,9 @@ def _neighbors(found):
 
 
 class TestKeptColumns:
-    """The column view kept per block answers as one built afresh, and
-    holds no reference back to its bank."""
+    """A bank's columns after pushes answer as a fresh bank of the live
+    blocks, hold no reference back to the bank, and keep only the ids of
+    the live rows."""
 
     IDS = TestTopKProperties.IDS
     BLENDS = TestTopKProperties.BLENDS
@@ -883,10 +884,33 @@ class TestKeptColumns:
             for scenes_block in (b for pushed in live for b in pushed):
                 fresh.populate(scenes_block)
             assert len(bank) == len(fresh)
+            assert [(e.vector.tobytes(), e.video_id, e.clip_index) for e in bank.entries()] == [
+                (e.vector.tobytes(), e.video_id, e.clip_index) for e in fresh.entries()
+            ]
             excludes = data.draw(st.lists(st.sampled_from(self.IDS + self.BLENDS + [None, "x"]),
                                           min_size=len(queries), max_size=len(queries)),
                                  label="excludes")
             self._assert_same_answers(bank, fresh, queries, excludes)
+
+    def test_the_id_tables_hold_only_the_live_ids(self, rng):
+        # every push brings fresh videos and fresh "a+b" blends of them
+        bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
+        live: deque[tuple[list[str], list[str]]] = deque(maxlen=2)
+        parts = set()
+        for t in range(50):
+            ids = [f"s{t}v{i}" for i in range(3)]
+            blends = [f"{a}+{b}" for a, b in zip(ids, ids[1:])]
+            bank.push_batch(mnse.stacked_scenes(list(rng.normal(size=(3, 2, 4))), ids),
+                            mnse.stacked_scenes(list(rng.normal(size=(2, 2, 4))), blends))
+            live.append((ids, blends))
+            parts.update(ids)
+            assert len(bank) == 10 * len(live)
+            held = [v for pushed in live for block in pushed for v in block]
+            assert sorted(bank._ids) == sorted(held)
+            # ids[0]'s two rows and the two of its one blend are not eligible
+            assert len(bank.eligible(ids[0])) == len(bank) - 4
+            assert len(bank._id_parents) == len(bank._ids)
+            assert set(bank._part_ids) == parts
 
     def test_a_dropped_bank_is_freed_by_reference_counting(self, rng):
         enabled = gc.isenabled()
