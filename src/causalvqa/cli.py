@@ -4,6 +4,7 @@ Each subcommand reads one JSON config file and writes metrics.json (train
 additionally writes curves.csv and a checkpoint) into the resolved output
 directory. All randomness comes from seeds in the config, so rerunning a
 subcommand with an unchanged config reproduces the artifacts byte for byte.
+A top-level key that none of the subcommand's sections reads is refused.
 """
 
 from __future__ import annotations
@@ -11,7 +12,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from pathlib import Path
 from typing import Sequence
 
@@ -21,11 +22,12 @@ from . import samplers as sm
 from .features import FormatError, SyntheticSpec, generate_synthetic, save_dataset
 from .harness import (
     ConfigError,
+    DataConfig,
+    ExperimentConfig,
     FieldError,
     evaluate,
     load_checkpoint,
     load_data,
-    parse_experiment_config,
     read_section,
     resolve_output_dir,
     save_checkpoint,
@@ -76,8 +78,16 @@ class GenDataConfig:
 
 
 @dataclass(frozen=True)
+class InputConfig:
+    """The experiment keys that eval, intervene-eval, probe and sample read."""
+
+    data: DataConfig
+    output_dir: str | None = None
+
+
+@dataclass(frozen=True)
 class EvalConfig:
-    """eval's top-level key besides the experiment's."""
+    """eval's top-level key besides its input's."""
 
     checkpoint: str
 
@@ -88,14 +98,14 @@ class EvalConfig:
 
 @dataclass(frozen=True)
 class SampleConfig:
-    """sample's top-level key besides the experiment's."""
+    """sample's top-level key besides its input's."""
 
     sampler: SamplerConfig
 
 
 @dataclass(frozen=True)
 class ProtocolConfig:
-    """intervene-eval's top-level keys besides the experiment's."""
+    """intervene-eval's top-level keys besides its input's."""
 
     checkpoint_a: str
     checkpoint_b: str
@@ -124,8 +134,23 @@ def _read_config(path: str) -> dict:
     return raw
 
 
-def _cmd_gen_data(raw: dict) -> tuple[Path, dict]:
-    cfg = read_section(raw, GenDataConfig)
+def _read_sections(raw: dict, factories: tuple) -> list:
+    """Each factory built from the top-level keys of raw that name its
+    fields; ConfigError lists every unknown key and every problem at once."""
+    known = {f.name for factory in factories for f in fields(factory)}
+    problems = [f"{key}: unknown key" for key in raw if key not in known]
+    sections = []
+    for factory in factories:
+        try:
+            sections.append(read_section(raw, factory))
+        except ConfigError as exc:
+            problems += exc.problems
+    if problems:
+        raise ConfigError(problems)
+    return sections
+
+
+def _cmd_gen_data(cfg: GenDataConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, saliencies, masks = generate_synthetic(cfg.synthetic)
     # an absolute manifest path replaces out_dir in the join
@@ -139,8 +164,7 @@ def _cmd_gen_data(raw: dict) -> tuple[Path, dict]:
     return out_dir, payload
 
 
-def _cmd_train(raw: dict) -> tuple[Path, dict]:
-    cfg = parse_experiment_config(raw)
+def _cmd_train(cfg: ExperimentConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     result = train(cfg)
     save_checkpoint(result.model, out_dir / "checkpoint")
@@ -161,19 +185,15 @@ def _cmd_train(raw: dict) -> tuple[Path, dict]:
     return out_dir, payload
 
 
-def _cmd_eval(raw: dict) -> tuple[Path, dict]:
-    cfg = parse_experiment_config(raw)
-    checkpoint = read_section(raw, EvalConfig).checkpoint
+def _cmd_eval(cfg: InputConfig, ev: EvalConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
-    model = load_checkpoint(checkpoint)
+    model = load_checkpoint(ev.checkpoint)
     instances, _, _ = load_data(cfg.data)
     report = evaluate(model, instances)
     return out_dir, {"command": "eval", **report.to_dict()}
 
 
-def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
-    cfg = parse_experiment_config(raw)
-    protocol = read_section(raw, ProtocolConfig)
+def _cmd_intervene_eval(cfg: InputConfig, protocol: ProtocolConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     model_a = load_checkpoint(protocol.checkpoint_a)
     model_b = load_checkpoint(protocol.checkpoint_b)
@@ -203,8 +223,7 @@ def _cmd_intervene_eval(raw: dict) -> tuple[Path, dict]:
     return out_dir, payload
 
 
-def _cmd_probe(raw: dict) -> tuple[Path, dict]:
-    cfg = parse_experiment_config(raw)
+def _cmd_probe(cfg: InputConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, _, _ = load_data(cfg.data)
     report = shortcut_probe(instances)
@@ -238,22 +257,22 @@ def _run_sampler(sampler: SamplerConfig, instances, saliencies) -> list[dict]:
     return selections
 
 
-def _cmd_sample(raw: dict) -> tuple[Path, dict]:
-    cfg = parse_experiment_config(raw)
-    sampler = read_section(raw, SampleConfig).sampler
+def _cmd_sample(cfg: InputConfig, sample: SampleConfig) -> tuple[Path, dict]:
+    sampler = sample.sampler
     out_dir = resolve_output_dir(cfg.output_dir)
     instances, saliencies, _ = load_data(cfg.data)
     selections = _run_sampler(sampler, instances, saliencies)
     return out_dir, {"command": "sample", "sampler": sampler.kind, "selections": selections}
 
 
+# each subcommand's handler and the sections it reads, in its argument order
 _HANDLERS = {
-    "gen-data": _cmd_gen_data,
-    "train": _cmd_train,
-    "eval": _cmd_eval,
-    "intervene-eval": _cmd_intervene_eval,
-    "probe": _cmd_probe,
-    "sample": _cmd_sample,
+    "gen-data": (_cmd_gen_data, (GenDataConfig,)),
+    "train": (_cmd_train, (ExperimentConfig,)),
+    "eval": (_cmd_eval, (InputConfig, EvalConfig)),
+    "intervene-eval": (_cmd_intervene_eval, (InputConfig, ProtocolConfig)),
+    "probe": (_cmd_probe, (InputConfig,)),
+    "sample": (_cmd_sample, (InputConfig, SampleConfig)),
 }
 
 _HELP = {
@@ -285,11 +304,12 @@ def cli_main(argv: Sequence[str] | None = None) -> int:
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        raw = _read_config(args.config)
+        handler, factories = _HANDLERS[args.command]
+        sections = _read_sections(_read_config(args.config), factories)
         # every non-finite result is checked and raised, so NumPy's warnings
         # would only repeat the one error line
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
-            out_dir, payload = _HANDLERS[args.command](raw)
+            out_dir, payload = handler(*sections)
     except ConfigError as exc:
         for problem in exc.problems:
             print(f"config error: {problem}", file=sys.stderr)

@@ -8,13 +8,16 @@ import resource
 import subprocess
 import sys
 import warnings
+from dataclasses import fields
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import causalvqa
-from causalvqa.cli import EvalConfig, GenDataConfig, ProtocolConfig, SampleConfig, cli_main
+from causalvqa.cli import (
+    EvalConfig, GenDataConfig, InputConfig, ProtocolConfig, SampleConfig, cli_main,
+)
 from causalvqa.features import SyntheticSpec, generate_synthetic, save_dataset
 from causalvqa.harness import CHECKPOINT_VERSION, ExperimentConfig, read_section, shortcut_probe
 
@@ -53,10 +56,10 @@ CONFIG_COMMANDS = {
 COMMAND_READERS = {
     "gen-data": [GenDataConfig],
     "train": [ExperimentConfig],
-    "eval": [ExperimentConfig, EvalConfig],
-    "intervene-eval": [ExperimentConfig, ProtocolConfig],
-    "probe": [ExperimentConfig],
-    "sample": [ExperimentConfig, SampleConfig],
+    "eval": [InputConfig, EvalConfig],
+    "intervene-eval": [InputConfig, ProtocolConfig],
+    "probe": [InputConfig],
+    "sample": [InputConfig, SampleConfig],
 }
 
 
@@ -65,6 +68,8 @@ def test_every_sample_config_reads_under_its_command():
     assert sorted(p.stem for p in configs.glob("*.json")) == sorted(CONFIG_COMMANDS)
     for stem, command in CONFIG_COMMANDS.items():
         raw = json.loads((configs / f"{stem}.json").read_text())
+        read = {f.name for factory in COMMAND_READERS[command] for f in fields(factory)}
+        assert set(raw) <= read, (stem, set(raw) - read)
         for factory in COMMAND_READERS[command]:
             read_section(raw, factory)
 
@@ -238,7 +243,7 @@ class TestIntervenEvalCommand:
         assert cli_main(["train", "--config", tb]) == 0
         cfg = write_cfg(
             tmp_path / "iev.json",
-            {"data": DATA, "use_oracle_masks": True,
+            {"data": DATA,
              "checkpoint_a": str(out_dir / "a" / "checkpoint"),
              "checkpoint_b": str(out_dir / "b" / "checkpoint"),
              "neighbor_k": 2, "seed": 3,
@@ -516,6 +521,44 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path / "cfg.json", raw)
         assert cli_main([command, "--config", cfg]) == 1
         assert capsys.readouterr().err == f"config error: {line}\n"
+        assert not out_dir.exists()
+
+    def test_unknown_top_level_keys_all_reported(self, tmp_path, out_dir, capsys):
+        # misspelt sections are refused rather than trained with defaults
+        cfg = write_cfg(tmp_path / "cfg.json", {
+            "data": DATA, "optimiser": {"steps": 3}, "use_oracle_mask": True,
+            "bank": {"regime": "f7"},
+        })
+        assert cli_main(["train", "--config", cfg]) == 1
+        assert capsys.readouterr().err.splitlines() == [
+            "config error: optimiser: unknown key",
+            "config error: use_oracle_mask: unknown key",
+            "config error: bank.regime: unknown 'f7'",
+        ]
+        assert not out_dir.exists()
+
+    @pytest.mark.parametrize(
+        "key, value",
+        [("model", {"model_dim": 8}), ("optimizer", {"steps": 5}),
+         ("intervention", {"beta_cl": 0.5}), ("bank", {"metric": "l2", "regime": "f3"}),
+         ("use_oracle_masks", True)],
+        ids=["model", "optimizer", "intervention", "bank", "use_oracle_masks"],
+    )
+    @pytest.mark.parametrize("command", ["eval", "intervene-eval", "probe", "sample"])
+    def test_training_key_refused_where_nothing_trains(
+        self, tmp_path, out_dir, capsys, command, key, value
+    ):
+        # these subcommands read only data and output_dir of the experiment
+        # keys, so a training section would be accepted and do nothing
+        own = {
+            "eval": {"checkpoint": "ckpt"},
+            "intervene-eval": {"checkpoint_a": "a", "checkpoint_b": "b"},
+            "probe": {},
+            "sample": {"sampler": {"kind": "mar16"}},
+        }[command]
+        cfg = write_cfg(tmp_path / "cfg.json", {"data": DATA, **own, key: value})
+        assert cli_main([command, "--config", cfg]) == 1
+        assert capsys.readouterr().err == f"config error: {key}: unknown key\n"
         assert not out_dir.exists()
 
     @staticmethod

@@ -380,6 +380,12 @@ def _capped(raw: dict) -> dict:
     return raw
 
 
+def _inputs_only(raw: dict) -> dict:
+    """raw without the training keys, which the subcommands that train
+    nothing refuse."""
+    return {k: v for k, v in raw.items() if k in ("data", "output_dir")}
+
+
 def _dims_of_8(raw: dict) -> dict:
     """raw with 8-dim synthetic features, the dims of a trained CLI test
     checkpoint."""
@@ -412,11 +418,11 @@ class TestConfigBoundary:
 
     @settings(max_examples=100, deadline=None)
     @given(run=st.one_of(
-        st.tuples(st.just("probe"), EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON),
+        st.tuples(st.just("probe"), (EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON).map(_inputs_only)),
         st.tuples(
             st.just("sample"),
             st.tuples(EXPERIMENT_JSON | TYPED_EXPERIMENT_JSON, SAMPLER_JSON)
-            .map(lambda pair: {**pair[0], "sampler": pair[1]}),
+            .map(lambda pair: {**_inputs_only(pair[0]), "sampler": pair[1]}),
         ),
         st.tuples(st.just("gen-data"), GEN_DATA_JSON),
     ))
@@ -435,7 +441,7 @@ class TestConfigBoundary:
     @given(
         command=st.sampled_from(["eval", "intervene-eval"]),
         raw=st.one_of(EXPERIMENT_JSON, TYPED_EXPERIMENT_JSON,
-                      TYPED_EXPERIMENT_JSON.map(_dims_of_8)).map(_capped),
+                      TYPED_EXPERIMENT_JSON.map(_dims_of_8)).map(_inputs_only).map(_capped),
         data=st.data(),
     )
     def test_cli_eval_and_intervene_eval_exit_0_or_1(self, cli_checkpoints, command, raw, data):
