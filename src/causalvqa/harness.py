@@ -530,14 +530,13 @@ def _draw_interventions(
     such sample, then one pick for every substituted row, per sample in
     batch order its do view's complement rows, the positive's complement
     rows and each substituted negative's causal rows, each in clip order.
-    Each draw names its candidate row: the sample's eligible pool under
-    random sourcing; under nearest-scene sourcing the row's topk, from one
-    ranking of the do views' complement rows and every v_star row, whose
-    causal rows every negative draws from again."""
+    Each draw names its row of bank.candidates: under random sourcing the
+    sample's eligible pool; under nearest-scene sourcing the row's topk,
+    from one ranking of the do views' complement rows and every v_star
+    row, whose causal rows every negative draws from again."""
     mixed = np.flatnonzero(mix.valid)
-    eligible = ~bank._excluded([instances[batch[j]].video_id for j in mixed])
-    has = eligible.any(axis=1)
-    drawn, eligible = mixed[has], eligible[has]
+    drawn = mixed[~bank._excluded([instances[batch[j]].video_id for j in mixed]).all(axis=1)]
+    own = [instances[batch[j]].video_id for j in drawn]
     # every bank scene comes from the instances, so a sample that may draw
     # one has another instance to take a question from
     raw = rng.integers(0, len(instances) - 1, size=len(drawn))
@@ -555,17 +554,14 @@ def _draw_interventions(
     views[:, 1:] = mix.v_star[drawn, None]
     which, view, clip = np.nonzero(swapped)
     if icfg.memory_source is MemorySource.RANDOM_BANK:
-        counts = eligible.sum(axis=1)
-        candidates = np.full((len(drawn), counts.max(initial=0)), -1)
-        candidates[np.arange(candidates.shape[1]) < counts[:, None]] = np.nonzero(eligible)[1]
-        rows = which
+        candidates, rows = bank.candidates(own), which
     else:
         queried = np.stack([~m, np.ones_like(m)], axis=1)  # do rows, then every v_star row
         index = np.full(queried.shape, -1)
         index[queried] = np.arange(np.count_nonzero(queried))
-        ids = [instances[batch[drawn[s]]].video_id for s in np.nonzero(queried)[0]]
+        ids = [own[s] for s in np.nonzero(queried)[0]]
         sources = np.stack([video[drawn], mix.v_star[drawn]], axis=1)
-        candidates = bank.topk(sources[queried], icfg.neighbor_k, ids)
+        candidates = bank.candidates(ids, sources[queried], icfg.neighbor_k)
         rows = index[which, np.minimum(view, 1), clip]
     views[swapped] = bank.pick(candidates, rng, rows)
     return _Draws(mix, gates, drawn, q_r, views)
@@ -860,18 +856,19 @@ def seen_unseen_protocol(
     """Cross-regime robustness: model A's intervener is nearest-scene
     replacement, model B's is random replacement. Seen = own intervener,
     unseen = the other's. Gold labels never change; only complement rows do:
-    under either operator, video i draws all its rows from one generator
-    seeded seed * 1009 + i, excluding itself, and one nearest-scene ranking
-    covers every video's complement rows.
+    each video's draws exclude itself, one nearest-scene ranking covers
+    every video's complement rows, and one generator seeded with seed
+    draws every nearest-scene row and then every random row, each in one
+    pick.
     """
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")
     videos = np.stack([inst.video for inst in instances])
     masks = np.asarray(masks, dtype=bool)
-    seeds = [seed * 1009 + i for i in range(len(instances))]
+    rng = np.random.default_rng(seed)
     ids = [inst.video_id for inst in instances]
-    mnse_videos = mnse_do(videos, ~masks, bank, neighbor_k, seeds, ids)
-    random_videos = random_do(videos, ~masks, bank, seeds, ids)
+    mnse_videos = mnse_do(videos, ~masks, bank, neighbor_k, rng, ids)
+    random_videos = random_do(videos, ~masks, bank, rng, ids)
 
     clean = (evaluate(model_a, instances), evaluate(model_b, instances))
     seen = (

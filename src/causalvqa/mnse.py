@@ -14,15 +14,13 @@ product and one top-k selection per chunk, no loop over rows. Three
 refresh regimes: F1 fills once and freezes; F2 refreshes per batch over
 a sliding window of recent batches; F3 is F2 plus the batch's mixup
 scene rows. Neighbor sourcing drives the substitution interventions
-(mnse_do) and their random baseline (random_do). topk returns each
-row's exact k-nearest set in tie-rank order, and eligible a video's
-pool of every scene it may draw. Every draw, nearest or uniform, is one
-pick over such candidate rows, each draw naming its row: all its rows
-from one generator in one integers call. A training step picks every
-substituted row of its batch in one call on the step's generator;
-mnse_do and random_do, the protocol's operators, draw each video's rows
-from a generator seeded for that video. Only query_knn orders its
-answers by key.
+(mnse_do) and their random baseline (random_do). candidates builds the
+rows a set of draws picks among: each query row's exact k-nearest set
+in tie-rank order (topk), or each excluded video's pool of every scene
+it may draw. Every draw, nearest or uniform, in a training step or in
+the protocol, is one pick over such rows, each draw naming its row: all
+its rows from one generator in one integers call. Only query_knn orders
+its answers by key.
 """
 
 from __future__ import annotations
@@ -327,11 +325,6 @@ class MemoryBank:
             excluded |= part == codes[:, None]
         return excluded
 
-    def eligible(self, exclude_video_id: str | None) -> Array:
-        """Indices of the entries a query excluding this video may return:
-        the pool a uniform draw for the video picks from."""
-        return np.flatnonzero(~self._excluded([exclude_video_id])[0])
-
     def _none_eligible(self, exclude_video_id: str | None) -> ValueError:
         return ValueError(
             "memory bank is empty" if not len(self) else
@@ -399,22 +392,33 @@ class MemoryBank:
         top, _ = self._ranked(queries, k, exclude_video_id)
         return top
 
-    def pick(
-        self, candidates: Array, rng: np.random.Generator, rows: Array | int | None = None
+    def candidates(
+        self, exclude_video_ids: Sequence[str | None], queries: Array | None = None, k: int = 1
     ) -> Array:
+        """Bank indices [m, width] of the scenes each of m rows may draw, a
+        row's padding -1 at its end. With queries [m, bank_dim], row i is
+        query i's topk excluding exclude_video_ids[i] (which raises for a
+        row with no eligible scene); without, it is the eligible pool of
+        exclude_video_ids[i] in bank order, all padding when it is empty."""
+        if queries is not None:
+            return self.topk(queries, k, exclude_video_ids)
+        eligible = ~self._excluded(exclude_video_ids)
+        counts = np.count_nonzero(eligible, axis=1)
+        pools = np.full((len(counts), counts.max(initial=0)), -1)
+        # each row's eligible indices in order, read off broadcast columns:
+        # about 2.5 times as fast as np.nonzero of the 2-D mask
+        columns = np.broadcast_to(np.arange(len(self)), eligible.shape)
+        pools[np.arange(pools.shape[1]) < counts[:, None]] = columns[eligible]
+        return pools
+
+    def pick(self, candidates: Array, rng: np.random.Generator, rows: Array | None = None) -> Array:
         """Scene vectors [n, bank_dim], each uniform among the candidates of
         its row, all drawn with rng in one integers call. candidates is
-        [m, width] bank indices, a row's padding -1 at its end: rows names
-        each draw's row, or is a count n of draws that cycle through the
-        rows (draw i among row i % m), by default one draw per row. Or
-        candidates is a 1-D pool that all rows = n draws share, which leave
-        rng as n draws over copies of it as rows would."""
-        if candidates.ndim == 1:
-            chosen = candidates[rng.integers(0, len(candidates), size=rows)]
-        else:
-            if rows is None or np.ndim(rows) == 0:
-                rows = np.arange(len(candidates) if rows is None else rows) % len(candidates)
-            chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
+        [m, width] bank indices, a row's padding -1 at its end, and rows
+        names each draw's row, by default one draw per row."""
+        if rows is None:
+            rows = np.arange(len(candidates))
+        chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
         return self._matrix[chosen]
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
@@ -445,42 +449,25 @@ def instance_scenes(instances: Sequence[VideoQAInstance]) -> Scenes:
     return stacked_scenes([i.video for i in instances], [i.video_id for i in instances])
 
 
-def swap_rows(
-    videos: Array, rows: Array, bank: MemoryBank, candidates: Array, rng: np.random.Generator
-) -> Array:
-    """Replace in place the rows of videos [..., n_clips, dim] that the bool
-    mask rows marks, in row-major order, by one pick among candidates with
-    rng, and return videos. A mask that marks no row draws nothing."""
-    n = int(rows.sum())
-    if n:
-        videos[rows] = bank.pick(candidates, rng, n)
-    return videos
-
-
 def mnse_do(
     videos: Array,
     rows: Array,
     bank: MemoryBank,
     k: int,
-    seeds: Sequence[int],
+    rng: np.random.Generator,
     exclude_video_ids: Sequence[str | None],
 ) -> Array:
     """A float64 copy of videos [B, n_clips, dim] with the rows the mask
-    rows [B, n_clips] marks replaced by sampled nearest-neighbor scenes.
-
-    Every marked row of every video is ranked in one topk call, video i
-    excluding exclude_video_ids[i]; each row then draws among its own k
-    nearest scenes (k clamped to the eligible count), a video's rows in
-    row order in one pick with the generator seeded seeds[i], as random_do
-    draws. Unmarked rows are returned bit-identical.
+    rows [B, n_clips] marks replaced by sampled nearest-neighbor scenes:
+    every marked row, video i's excluding exclude_video_ids[i], is ranked
+    in one topk call and draws among its own k nearest scenes (k clamped
+    to the eligible count), all rows in row-major order in one pick with
+    rng. Unmarked rows are returned bit-identical.
     """
     out = as_f64(videos).copy()
     which, clips = np.nonzero(rows)
-    if len(which):
-        top = bank.topk(out[which, clips], k, [exclude_video_ids[i] for i in which])
-        parts = np.split(top, np.cumsum(rows.sum(axis=1))[:-1])
-        for video, marked, part, seed in zip(out, rows, parts, seeds):
-            swap_rows(video, marked, bank, part, np.random.default_rng(seed))
+    ids = [exclude_video_ids[i] for i in which]
+    out[which, clips] = bank.pick(bank.candidates(ids, out[which, clips], k), rng)
     return out
 
 
@@ -488,17 +475,16 @@ def random_do(
     videos: Array,
     rows: Array,
     bank: MemoryBank,
-    seeds: Sequence[int],
+    rng: np.random.Generator,
     exclude_video_ids: Sequence[str | None],
 ) -> Array:
-    """Baseline intervention: each video's marked rows replaced by uniform
-    draws among its eligible scenes, from one generator seeded with the
-    video's seed. Batched as mnse_do."""
+    """Baseline intervention: mnse_do with each marked row drawn uniformly
+    among its video's eligible scenes."""
     out = as_f64(videos).copy()
-    for video, marked, seed, excluded in zip(out, rows, seeds, exclude_video_ids):
-        if marked.any():
-            pool = bank.eligible(excluded)
-            if not len(pool):
-                raise bank._none_eligible(excluded)
-            swap_rows(video, marked, bank, pool, np.random.default_rng(seed))
+    which, clips = np.nonzero(rows)
+    pools = bank.candidates(exclude_video_ids)
+    empty = rows.any(axis=1) & (pools < 0).all(axis=1)
+    if empty.any():
+        raise bank._none_eligible(exclude_video_ids[int(np.argmax(empty))])
+    out[which, clips] = bank.pick(pools, rng, which)
     return out

@@ -4,10 +4,11 @@ batched protocol in harness is checked against.
 Each video's complement rows are ranked on their own: the video's
 eligible pool is gathered from the bank's columns, scored, cut at the
 k-th key with (score, video_id, clip_index) ties, and each row's set is
-listed in (video_id, clip_index) order. Each video draws its rows in
-order, one scalar draw at a time from the generator seeded with its
-seed. The seeds, the draws and their order are those the batched
-protocol must reproduce bit for bit.
+listed in (video_id, clip_index) order. One generator seeded with the
+protocol's seed makes every draw, one scalar draw per replaced row in
+row-major order: every nearest-scene draw, then every uniform draw. The
+seed, the draws and their order are those the batched protocol must
+reproduce bit for bit.
 """
 
 from __future__ import annotations
@@ -18,10 +19,17 @@ from causalvqa.harness import ProtocolResult, evaluate
 from causalvqa.mnse import Metric
 
 
+def reference_pool(bank, exclude_video_id):
+    """Bank indices of every scene a draw excluding this video may take:
+    each scene whose "+"-joined video id does not name it."""
+    return np.array([i for i, e in enumerate(bank.entries())
+                     if exclude_video_id not in e.video_id.split("+")], dtype=np.int64)
+
+
 def reference_topk(bank, queries, k, exclude_video_id):
     """Bank indices of each query row's k nearest eligible scenes in tie-rank
     order, k clamped to the pool size: [n_queries, k]."""
-    pool = bank.eligible(exclude_video_id)
+    pool = reference_pool(bank, exclude_video_id)
     if not len(pool):
         raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
     k = min(k, len(pool))
@@ -42,39 +50,41 @@ def reference_topk(bank, queries, k, exclude_video_id):
     return pool[top]
 
 
-def reference_mnse_do(video, mask, bank, k, seed, exclude_video_id):
+def reference_mnse_do(video, mask, bank, k, rng, exclude_video_id):
     video = video.copy()
     rows = np.flatnonzero(~mask)
     if len(rows):
         top = reference_topk(bank, video[rows], k, exclude_video_id)
-        rng = np.random.default_rng(seed)
         picks = [int(rng.integers(0, top.shape[1])) for _ in rows]
         video[rows] = bank._matrix[top[np.arange(len(rows)), picks]]
     return video
 
 
-def reference_random_do(video, mask, bank, seed, exclude_video_id):
+def reference_random_do(video, mask, bank, rng, exclude_video_id):
     video = video.copy()
     rows = np.flatnonzero(~mask)
     if len(rows):
-        pool = bank.eligible(exclude_video_id)
+        pool = reference_pool(bank, exclude_video_id)
         if not len(pool):
             raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
-        rng = np.random.default_rng(seed)
         picks = [int(rng.integers(0, len(pool))) for _ in rows]
         video[rows] = bank._matrix[pool[picks]]
     return video
 
 
 def reference_protocol_videos(instances, masks, bank, seed, k):
-    """(MNSE videos, random videos), one video at a time with seed
-    seed * 1009 + i for video i."""
+    """(MNSE videos, random videos), one video at a time, every draw from
+    one generator seeded with seed: all MNSE videos first."""
     masks = np.asarray(masks, dtype=bool)
-    mnse_videos, random_videos = [], []
-    for i, inst in enumerate(instances):
-        s = seed * 1009 + i
-        mnse_videos.append(reference_mnse_do(inst.video, masks[i], bank, k, s, inst.video_id))
-        random_videos.append(reference_random_do(inst.video, masks[i], bank, s, inst.video_id))
+    rng = np.random.default_rng(seed)
+    mnse_videos = [
+        reference_mnse_do(inst.video, mask, bank, k, rng, inst.video_id)
+        for inst, mask in zip(instances, masks)
+    ]
+    random_videos = [
+        reference_random_do(inst.video, mask, bank, rng, inst.video_id)
+        for inst, mask in zip(instances, masks)
+    ]
     return mnse_videos, random_videos
 
 

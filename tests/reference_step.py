@@ -22,7 +22,7 @@ import numpy as np
 
 from causalvqa import intervention as iv
 from causalvqa.intervention import MemorySource
-from causalvqa.mnse import swap_rows
+from reference_protocol import reference_pool
 
 Array = np.ndarray
 
@@ -70,15 +70,26 @@ def reference_mixup(x, mask, xp, pmask, cfg, rng, lambda0=None, lambda1=None):
     return v_star, q_star, a_star
 
 
+def _swap(videos, rows, bank, candidates, rng):
+    """Replace in place the rows of videos that the bool mask rows marks, in
+    row-major order, by n draws in one integers call, draw i uniform among
+    row i % m of candidates [m, width] padded with -1."""
+    n = int(rows.sum())
+    if n:
+        which = np.arange(n) % len(candidates)
+        chosen = candidates[which, rng.integers(0, (candidates >= 0).sum(axis=1)[which])]
+        videos[rows] = bank._matrix[chosen]
+
+
 def draw_triplet(v_star, q_star, mask, gates, bank, q_r, cfg, rng, candidates) -> Triplets:
     """One triplet, drawn one partition at a time: the positive's complement
-    substitutes, then each substituted negative's causal ones, each a pick
+    substitutes, then each substituted negative's causal ones, each drawn
     with rng among candidates (complement, causal): the rows' topk, which
-    every negative's copy cycles through, or one pool for both."""
+    every negative's copy cycles through, or one pool row for both."""
     complement, causal = candidates
     subs = np.repeat(v_star[None], cfg.n_negatives, axis=0)
-    swap_rows(subs[:1], ~mask[None], bank, complement, rng)
-    swap_rows(subs[1:], np.broadcast_to(mask, subs[1:].shape[:2]), bank, causal, rng)
+    _swap(subs[:1], ~mask[None], bank, complement, rng)
+    _swap(subs[1:], np.broadcast_to(mask, subs[1:].shape[:2]), bank, causal, rng)
     return Triplets(v_star[None], q_star[None], q_r[None], gates[None], subs[None])
 
 
@@ -134,7 +145,8 @@ def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
         return rows
     if cfg.memory_source is MemorySource.MNSE:
         return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rng)
-    return bank.pick(bank.eligible(exclude_video_id), rng, rows.shape[0])
+    pool = reference_pool(bank, exclude_video_id)
+    return bank._matrix[pool[rng.integers(0, len(pool), size=len(rows))]]
 
 
 def _blend(orig, subs, keep):
@@ -204,7 +216,7 @@ def reference_step(
     ]
     out = ReferenceStep([[loss] for loss, _ in clean], [], [], np.stack([g for _, g in clean]), [])
     mixed = [j for j in range(len(batch)) if mix.valid[j]]
-    drawable = [j for j in mixed if len(bank.eligible(instances[batch[j]].video_id))]
+    drawable = [j for j in mixed if len(reference_pool(bank, instances[batch[j]].video_id))]
     q_r = {}
     for j in drawable:
         raw = int(rng.integers(0, len(instances) - 1))

@@ -438,7 +438,8 @@ def test_criterion_7_mnse_proximity():
         for i, inst in enumerate(instances):
             video = inst.video.astype(np.float64)
             out = do_fn(video[None], ~masks[i][None], bank,
-                        seeds=[17 * i + 1], exclude_video_ids=[inst.video_id], **kw)[0]
+                        rng=np.random.default_rng(17 * i + 1),
+                        exclude_video_ids=[inst.video_id], **kw)[0]
             for r in np.flatnonzero(~masks[i]):
                 a, b = video[r], out[r]
                 vals.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))

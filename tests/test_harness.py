@@ -58,6 +58,7 @@ from causalvqa.mnse import (
     Regime,
     instance_scenes,
     mnse_do,
+    stacked_scenes,
 )
 from causalvqa.pcma import PcmaConfig, PcmaModel
 from reference_adam import ReferenceAdam
@@ -863,7 +864,7 @@ class TestTrain:
                 instances[0].question,
                 icfg,
                 rng,
-                candidates=(result.bank.eligible(inst.video_id),) * 2,
+                candidates=(result.bank.candidates([inst.video_id]),) * 2,
             )
             (aggs,), _ = triplet_aggregates(result.model, drawn)
 
@@ -1303,8 +1304,8 @@ class TestProtocol:
             bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
             bank.populate(instance_scenes([inst])).freeze()
             videos.append(
-                mnse_do(inst.video[None], ~mask[None], bank, k=1, seeds=[9],
-                        exclude_video_ids=[None])[0]
+                mnse_do(inst.video[None], ~mask[None], bank, k=1,
+                        rng=np.random.default_rng(9), exclude_video_ids=[None])[0]
             )
             assert np.array_equal(videos[-1], inst.video)
         replaced = evaluate(model, instances, videos)
@@ -1330,8 +1331,8 @@ class TestProtocol:
         with pytest.raises(ValueError, match="^no eligible bank entries: "):
             seen_unseen_protocol(model, model, instances, masks, bank)
         with pytest.raises(ValueError, match="^no eligible bank entries: "):
-            mnse.random_do(np.stack([instances[0].video]), ~masks, bank, [0],
-                           [instances[0].video_id])
+            mnse.random_do(np.stack([instances[0].video]), ~masks, bank,
+                           np.random.default_rng(0), [instances[0].video_id])
 
     def test_protocol_deterministic(self):
         instances, _, masks = synth(12, seed=6)
@@ -1370,6 +1371,46 @@ class TestProtocol:
         np.testing.assert_array_equal(mnse_videos, np.stack(want_mnse))
         np.testing.assert_array_equal(random_videos, np.stack(want_random))
         assert got == reference_protocol(model_a, model_b, instances, masks, bank, 3, k)
+
+    @settings(max_examples=40, deadline=None)
+    @given(data=st.data())
+    def test_every_substitute_is_a_scene_its_video_may_draw(self, data):
+        # a nearest-scene substitute is one of its row's topk; a random one
+        # is never a scene of the video's own id nor a blend with it as a
+        # parent; rows the protocol keeps keep their own values
+        seed = data.draw(st.integers(0, 2**16), label="seed")
+        n_clips = 5
+        instances, _, masks = synth(8, seed=seed, n_clips=n_clips, video_dim=6, text_dim=6)
+        rng = np.random.default_rng(seed)
+        masks = np.asarray(masks, dtype=bool).copy()
+        for i, kind in enumerate(data.draw(
+            st.lists(st.sampled_from(["planted", "none", "all", "random"]),
+                     min_size=len(instances), max_size=len(instances)), label="masks")):
+            if kind != "planted":
+                masks[i] = rng.random(n_clips) < 0.5 if kind == "random" else kind == "all"
+        ids = [inst.video_id for inst in instances]
+        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
+                                   max_size=6), label="blends")
+        bank = MemoryBank(6).populate(instance_scenes(instances))
+        if pairs:
+            blends = [f"{a}+{b}" for a, b in pairs]
+            bank.populate(stacked_scenes(list(rng.normal(size=(len(pairs), 2, 6))), blends))
+        k = data.draw(st.integers(1, 6), label="neighbor k")
+        model = small_model(video_dim=6, text_dim=6)
+        with mock.patch.object(hn, "evaluate", wraps=hn.evaluate) as scored:
+            seen_unseen_protocol(model, model, instances, masks, bank, seed, k)
+        mnse_videos, random_videos = (call.args[2] for call in scored.call_args_list[2:4])
+        entries = bank.entries()
+        for inst, mask, near, rand in zip(instances, masks, mnse_videos, random_videos):
+            np.testing.assert_array_equal(near[mask], inst.video[mask])
+            np.testing.assert_array_equal(rand[mask], inst.video[mask])
+            tops = bank.topk(inst.video[~mask], k, inst.video_id)
+            for clip, top in zip(np.flatnonzero(~mask), tops):
+                assert (bank._matrix[top[top >= 0]] == near[clip]).all(axis=1).any()
+                parents = [e.video_id.split("+") for e in entries
+                           if np.array_equal(e.vector, rand[clip])]
+                assert any(inst.video_id not in p for p in parents)
+        event(f"{int((~masks).sum())} of {masks.size} rows replaced")
 
     def test_robustness_experiment_loads_each_seed_once(self, monkeypatch):
         loads = []

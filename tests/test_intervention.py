@@ -250,7 +250,7 @@ def triplet_topk(v_star, split, bank, cfg):
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     """One drawn triplet through the stacked forward: (aggregates [n_views,
     model_dim], cache, draw)."""
-    candidates = (bank.eligible(None),) * 2
+    candidates = (bank.candidates([None]),) * 2
     if cfg.memory_source is iv.MemorySource.MNSE:
         candidates = triplet_topk(v_star, split, bank, cfg)
     drawn = draw_triplet(

@@ -22,6 +22,7 @@ from causalvqa.mnse import (
     RegimeError,
     Scenes,
 )
+from reference_protocol import reference_mnse_do, reference_random_do
 
 
 def oracle_knn(entries, qv, k, metric, exclude=None):
@@ -215,12 +216,12 @@ class TestInterventions:
     def test_empty_target_partition_returns_input(self, rng):
         bank, video, _ = self._bank_and_video(rng)
         all_causal = np.ones(video.shape[0], dtype=bool)
-        out = mnse.mnse_do(video[None], ~all_causal[None], bank, 1, [0], [None])[0]
+        out = mnse.mnse_do(video[None], ~all_causal[None], bank, 1, rng, [None])[0]
         np.testing.assert_array_equal(out, video)
 
     def test_nontarget_rows_bit_identical(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        out = mnse.mnse_do(video[None], ~mask[None], bank, 3, [1], [None])[0]
+        out = mnse.mnse_do(video[None], ~mask[None], bank, 3, np.random.default_rng(1), [None])[0]
         np.testing.assert_array_equal(out[mask], video[mask])
         assert np.any(out[~mask] != video[~mask])
 
@@ -231,7 +232,7 @@ class TestInterventions:
         bank.populate(scenes(video, ["self"] * n_clips, range(n_clips)))
         bank.populate(scenes([rng.normal(size=dim) for _ in range(20)], ["other"] * 20, range(20)))
         mask = np.array([True, True, False, False])
-        out = mnse.mnse_do(video[None], mask[None], bank, 1, [3], [None])[0]
+        out = mnse.mnse_do(video[None], mask[None], bank, 1, np.random.default_rng(3), [None])[0]
         np.testing.assert_array_equal(out, video)
 
     def test_mnse_do_closer_than_random_do(self, rng):
@@ -260,14 +261,14 @@ class TestInterventions:
 
         mnse_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.mnse_do(
-                v[None], ~m[None], bank, k=1, seeds=[i],
+                v[None], ~m[None], bank, k=1, rng=np.random.default_rng(i),
                 exclude_video_ids=[insts[i].video_id],
             )[0],
             0,
         )
         rand_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.random_do(
-                v[None], ~m[None], bank, seeds=[i],
+                v[None], ~m[None], bank, rng=np.random.default_rng(i),
                 exclude_video_ids=[insts[i].video_id],
             )[0],
             0,
@@ -287,7 +288,9 @@ class TestInterventions:
         ]
         counts = np.zeros((len(rows), k), dtype=int)
         for seed in range(n_seeds):
-            out = mnse.mnse_do(video[None], ~mask[None], bank, k, [seed], [None])[0]
+            out = mnse.mnse_do(
+                video[None], ~mask[None], bank, k, np.random.default_rng(seed), [None]
+            )[0]
             for i, r in enumerate(rows):
                 hit = np.flatnonzero((members[i] == out[r]).all(axis=1))
                 assert len(hit) == 1, f"seed {seed}, row {r}: drew outside its k-set"
@@ -298,11 +301,11 @@ class TestInterventions:
 
     def test_deterministic_given_seed(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        a = mnse.mnse_do(video[None], mask[None], bank, 3, [7], [None])[0]
-        b = mnse.mnse_do(video[None], mask[None], bank, 3, [7], [None])[0]
+        a = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), [None])
+        b = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), [None])
         np.testing.assert_array_equal(a, b)
-        c = mnse.random_do(video[None], mask[None], bank, [7], [None])[0]
-        d = mnse.random_do(video[None], mask[None], bank, [7], [None])[0]
+        c = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), [None])
+        d = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), [None])
         np.testing.assert_array_equal(c, d)
 
 
@@ -338,7 +341,7 @@ class TestBatchedTopK:
     def test_topk_matches_oracle_at_tied_boundaries(self, rng, metric, exclude):
         queries = rng.normal(size=(4, 8))
         bank = self._tied_bank(rng, metric, queries)
-        pool = bank.eligible(exclude)
+        pool = bank.candidates([exclude])[0]
         rows = bank.entries()
         for k in (1, 3, 4, 5, 7, len(pool)):
             top, scores = bank._ranked(queries, k, [exclude] * len(queries))
@@ -353,7 +356,7 @@ class TestBatchedTopK:
     def test_draw_clamps_k_and_stays_inside_topk(self, rng):
         queries = rng.normal(size=(3, 8))
         bank = self._tied_bank(rng, Metric.COSINE, queries)
-        pool = bank.eligible("a")
+        pool = bank.candidates(["a"])[0]
         top, _ = bank._ranked(queries, 5, ["a"] * len(queries))
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
@@ -368,7 +371,8 @@ class TestBatchedTopK:
         bank = MemoryBank(bank_dim=2)
         bank.populate(scenes(np.ones((2, 2)), ["only", "x+only"], [0, 1]))
         with pytest.raises(ValueError, match="eligible"):
-            mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank, [0], ["only"])
+            mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank,
+                           np.random.default_rng(0), ["only"])
         with pytest.raises(ValueError, match="eligible"):
             bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), np.random.default_rng(0))
 
@@ -481,7 +485,7 @@ class TestColumnViewRefresh:
         eligible = [e for e in entries if exclude not in e.video_id.split("+")]
         oracle_rng = np.random.default_rng(seed)
         want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
-        got = bank.pick(bank.eligible(exclude), np.random.default_rng(seed), len(queries))
+        got = bank.pick(bank.candidates([exclude] * len(queries)), np.random.default_rng(seed))
         np.testing.assert_array_equal(got, np.stack(want))
 
     def test_populate_refreshes_columns(self, rng):
@@ -558,16 +562,22 @@ class TestRankThenPick:
                 bank.pick(bank.topk(queries, 5, "vid2"), np.random.default_rng(seed)),
             )
 
-    def test_a_one_dimensional_pool_is_shared_by_every_row(self, rng):
+    def test_uniform_candidates_are_each_ids_eligible_pool(self, rng):
         bank = random_bank(rng, n=40, dim=6)
-        pool = bank.eligible("vid1")
-        got = bank.pick(pool, np.random.default_rng(3), 4)
+        bank.populate(scenes(rng.normal(size=(2, 6)), ["only", "vid1+only"], [0, 0]))
+        excludes = ["vid1", None, "only", "vid1", "absent"]
+        got = bank.candidates(excludes)
+        pools = [self._fresh_pool(bank, ex) for ex in excludes]
+        assert got.shape == (len(excludes), max(map(len, pools)))
+        for row, pool in zip(got, pools):
+            assert list(row[: len(pool)]) == pool and (row[len(pool) :] == -1).all()
+        # every draw names its row: draw i is uniform over pools[i]
+        drawn = bank.pick(got, np.random.default_rng(3))
         oracle = np.random.default_rng(3)
-        want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for _ in range(4)]
-        np.testing.assert_array_equal(got, np.stack(want))
-        np.testing.assert_array_equal(
-            got, bank.pick(np.broadcast_to(pool, (4, len(pool))), np.random.default_rng(3))
-        )
+        want = [bank.entries()[pool[int(oracle.integers(0, len(pool)))]].vector for pool in pools]
+        np.testing.assert_array_equal(drawn, np.stack(want))
+        lone = MemoryBank(bank_dim=2).populate(scenes(np.ones((2, 2)), ["a", "a+b"], [0, 0]))
+        assert lone.candidates(["a", "a"]).shape == (2, 0)
 
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
         bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)], ["only"], [0]))
@@ -578,44 +588,46 @@ class TestRankThenPick:
 
     def test_eligible_is_the_pool_of_each_video(self, rng):
         bank = random_bank(rng, n=40, dim=6)
-        pool = bank.eligible("vid1")
+        pool = bank.candidates(["vid1"])[0]
         assert list(pool) == self._fresh_pool(bank, "vid1")
-        other = bank.eligible("vid2")
+        other = bank.candidates(["vid2"])[0]
         assert list(other) == self._fresh_pool(bank, "vid2")
-        assert list(bank.eligible("vid1")) == list(pool)
+        assert list(bank.candidates(["vid1"])[0]) == list(pool)
 
     @pytest.mark.parametrize("n, m", [(1, 1), (4, 7), (9, 2), (16, 40), (33, 200)])
     def test_a_pool_pick_is_the_uniform_draw(self, rng, n, m):
-        # n draws over a 1-D pool are the scenes the uniform draw
-        # pool[integers(0, len(pool), size=n)] takes, and leave the generator
-        # as n per-row picks over copies of the pool do
-        bank = random_bank(rng, n=2 * m + 1, dim=4)
-        pool = np.sort(rng.permutation(len(bank))[:m])
-        matrix = bank._matrix
+        # n draws that all name one video's eligible pool of m scenes are
+        # the scenes the uniform draw pool[integers(0, m, size=n)] takes,
+        # and leave the generator where that draw leaves it
+        owners = rng.permutation(["x"] * (m + 1) + [f"v{i}" for i in range(m)])
+        bank = MemoryBank(4).populate(
+            scenes(rng.normal(size=(len(owners), 4)), owners, [0] * len(owners))
+        )
+        pools = bank.candidates(["x"])
+        pool = np.flatnonzero(owners != "x")
+        assert list(pools[0]) == list(pool)
         for seed in range(5):
-            got_rng, want_rng, rows_rng = (np.random.default_rng(seed) for _ in range(3))
-            got = bank.pick(pool, got_rng, n)
+            got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
+            got = bank.pick(pools, got_rng, np.zeros(n, dtype=np.int64))
             np.testing.assert_array_equal(
-                got, matrix[pool[want_rng.integers(0, len(pool), size=n)]]
+                got, bank._matrix[pool[want_rng.integers(0, len(pool), size=n)]]
             )
-            np.testing.assert_array_equal(got, bank.pick(np.tile(pool, (n, 1)), rows_rng))
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
-            assert got_rng.bit_generator.state == rows_rng.bit_generator.state
 
     def test_more_draws_than_rows_cycle_through_the_rows(self, rng):
         bank = random_bank(rng, n=60, dim=6)
         top = bank.topk(rng.normal(size=(3, 6)), 5, "vid2")
         for seed in range(5):
             np.testing.assert_array_equal(
-                bank.pick(top, np.random.default_rng(seed), 4 * len(top)),
+                bank.pick(top, np.random.default_rng(seed), np.arange(4 * len(top)) % len(top)),
                 bank.pick(np.tile(top, (4, 1)), np.random.default_rng(seed)),
             )
 
     def test_memo_is_refreshed_after_populate(self, rng):
         bank = random_bank(rng, n=30, dim=6)
-        before = bank.eligible("vid1")
+        before = bank.candidates(["vid1"])[0]
         bank.populate(scenes(rng.normal(size=(3, 6)), ["new"] * 3, range(3)))
-        after = bank.eligible("vid1")
+        after = bank.candidates(["vid1"])[0]
         assert len(after) == len(before) + 3
         assert list(after) == self._fresh_pool(bank, "vid1")
 
@@ -631,12 +643,12 @@ class TestRankThenPick:
 
         push(0, 5)
         push(1, 2)
-        before = bank.eligible("x")
+        before = bank.candidates(["x"])[0]
         push(2, 1)  # evicts batch 0
-        after = bank.eligible("x")
+        after = bank.candidates(["x"])[0]
         assert len(after) == len(before) - 4
         assert list(after) == self._fresh_pool(bank, "x")
-        assert list(bank.eligible(None)) == list(range(len(bank)))
+        assert list(bank.candidates([None])[0]) == list(range(len(bank)))
 
 
 class TestCallerArraysNotAliased:
@@ -700,7 +712,7 @@ class TestOneCopyPerScene:
 class TestTopKProperties:
     """topk is the brute-force k-nearest set in tie-rank order on banks of
     Scenes blocks with duplicates planted across the k-th key; pick stays
-    inside its rows; a batched mnse_do is one call per video."""
+    inside its rows; batched draws equal the protocol's scalar reference."""
 
     IDS = ["a", "b", "c"]
     BLENDS = ["a+b", "c+a"]
@@ -795,7 +807,9 @@ class TestTopKProperties:
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())
-    def test_batched_mnse_do_is_one_call_per_video(self, data):
+    def test_batched_draws_equal_the_scalar_reference(self, data):
+        # mnse_do then random_do on one generator draw what the protocol's
+        # reference draws one scalar at a time, video by video
         insts, _, masks = generate_synthetic(SyntheticSpec(
             n_instances=12, seed=data.draw(st.integers(0, 99), label="data seed"), n_clips=5,
             video_dim=6, text_dim=6, causal_fraction=0.4,
@@ -805,18 +819,23 @@ class TestTopKProperties:
                                     unique=True), label="videos")
         target = data.draw(st.sampled_from(["causal", "complement"]), label="target")
         k = data.draw(st.integers(1, 70), label="k")
-        seeds = data.draw(st.lists(st.integers(0, 2**32 - 1), min_size=len(subset),
-                                   max_size=len(subset)), label="seeds")
+        seed = data.draw(st.integers(0, 2**32 - 1), label="seed")
         masks = np.asarray(masks, dtype=bool)[subset]
         rows = masks if target == "causal" else ~masks
         if data.draw(st.booleans(), label="one video untouched"):
             rows[0] = False
         ids = [insts[i].video_id for i in subset]
         videos = np.stack([insts[i].video for i in subset])
-        got = mnse.mnse_do(videos, rows, bank, k, seeds, ids)
-        for one, video, row, seed, vid in zip(got, videos, rows, seeds, ids):
-            alone = mnse.mnse_do(video[None], row[None], bank, k, [seed], [vid])[0]
-            np.testing.assert_array_equal(one, alone)
+        got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
+        near = mnse.mnse_do(videos, rows, bank, k, got_rng, ids)
+        rand = mnse.random_do(videos, rows, bank, got_rng, ids)
+        want_near = [reference_mnse_do(v, ~r, bank, k, want_rng, vid)
+                     for v, r, vid in zip(videos, rows, ids)]
+        want_rand = [reference_random_do(v, ~r, bank, want_rng, vid)
+                     for v, r, vid in zip(videos, rows, ids)]
+        np.testing.assert_array_equal(near, np.stack(want_near))
+        np.testing.assert_array_equal(rand, np.stack(want_rand))
+        assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
 
 def _outcome(call):
@@ -843,8 +862,7 @@ class TestKeptColumns:
     @staticmethod
     def _assert_same_answers(bank, fresh, queries, excludes):
         np.testing.assert_array_equal(bank._excluded(excludes), fresh._excluded(excludes))
-        for ex in excludes:
-            np.testing.assert_array_equal(bank.eligible(ex), fresh.eligible(ex))
+        np.testing.assert_array_equal(bank.candidates(excludes), fresh.candidates(excludes))
         for k in (1, 3):
             got = _outcome(lambda: bank.topk(queries, k, excludes))
             want = _outcome(lambda: fresh.topk(queries, k, excludes))
@@ -853,7 +871,7 @@ class TestKeptColumns:
             else:
                 np.testing.assert_array_equal(got, want)
         for q, ex in zip(queries, excludes):
-            query = NeighborQuery(vector=q, k=max(1, min(2, len(fresh.eligible(ex)))),
+            query = NeighborQuery(vector=q, k=max(1, min(2, len(fresh.candidates([ex])[0]))),
                                   exclude_video_id=ex)
             assert _neighbors(_outcome(lambda: bank.query_knn(query))) == _neighbors(
                 _outcome(lambda: fresh.query_knn(query))
@@ -908,7 +926,7 @@ class TestKeptColumns:
             held = [v for pushed in live for block in pushed for v in block]
             assert sorted(bank._ids) == sorted(held)
             # ids[0]'s two rows and the two of its one blend are not eligible
-            assert len(bank.eligible(ids[0])) == len(bank) - 4
+            assert len(bank.candidates([ids[0]])[0]) == len(bank) - 4
             assert len(bank._id_parents) == len(bank._ids)
             assert set(bank._part_ids) == parts
 
