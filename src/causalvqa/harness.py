@@ -535,7 +535,7 @@ def _draw_interventions(
     from one ranking of the do views' complement rows and every v_star
     row, whose causal rows every negative draws from again."""
     mixed = np.flatnonzero(mix.valid)
-    drawn = mixed[~bank._excluded([instances[batch[j]].video_id for j in mixed]).all(axis=1)]
+    drawn = mixed[bank.eligible_counts([instances[batch[j]].video_id for j in mixed]) > 0]
     own = [instances[batch[j]].video_id for j in drawn]
     # every bank scene comes from the instances, so a sample that may draw
     # one has another instance to take a question from

@@ -1,26 +1,33 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
 The bank takes clip-level scene vectors with provenance as Scenes blocks
-(matrix, video ids, id codes, clip indices) and keeps its live rows as
-one set of columns in bank order: a read-only float64 matrix, clip
-indices, and each row's code into a table of only the ids the rows use.
-A push is one concatenation that drops the evicted batch's rows. Row
-norms, parent part ids and tie ranks are derived on first use and kept
-until the next change, with Python work per id, never per row. Top-k
-nearest-scene queries are answered by exact full scan, in the manner of
-a flat index: any number of query rows, each with its own excluded
-video, is ranked in one pass of fixed-size row chunks, one matrix
-product and one top-k selection per chunk, no loop over rows. Three
-refresh regimes: F1 fills once and freezes; F2 refreshes per batch over
-a sliding window of recent batches; F3 is F2 plus the batch's mixup
-scene rows. Neighbor sourcing drives the substitution interventions
-(mnse_do) and their random baseline (random_do). candidates builds the
-rows a set of draws picks among: each query row's exact k-nearest set
-in tie-rank order (topk), or each excluded video's pool of every scene
-it may draw. Every draw, nearest or uniform, in a training step or in
-the protocol, is one pick over such rows, each draw naming its row: all
-its rows from one generator in one integers call. Only query_knn orders
-its answers by key.
+(matrix, video ids, id codes, clip indices) and keeps its live scenes in
+bank order, feature-major: one read-only, C-contiguous float64
+[bank_dim, n] matrix whose column j is scene j, the clip indices, and
+each scene's code into a table of only the ids the scenes use. A push is
+one concatenation that drops the evicted batch's columns. Row norms, the
+exclusion index and tie ranks are derived on first use and kept until
+the next change, with Python work per id, never per scene. The
+exclusion index lists each video id part's bank rows (a blend "a+b" is
+a row of both parts); the rows a query excluding a video may not return
+are its part's rows, so exclusion is read off one sparse index, never a
+[rows x bank] mask. Top-k nearest-scene queries are answered by exact
+full scan, in the manner of a flat index: any number of query rows, each
+with its own excluded video, is ranked in one pass of fixed-size row
+chunks, one matrix product with the contiguous feature-major matrix and
+one top-k selection per chunk, no loop over rows. A lone row is ranked
+as a two-row product, never by the matrix-vector kernel, and row norms
+and L2 keys are reduced over C-ordered rows, bit-identical to those of
+a row-major copy of the scenes. Three refresh regimes: F1 fills once and freezes; F2 refreshes
+per batch over a sliding window of recent batches; F3 is F2 plus the
+batch's mixup scene rows. Neighbor sourcing drives the substitution
+interventions (mnse_do) and their random baseline (random_do).
+candidates builds the rows a set of draws picks among: each query row's
+exact k-nearest set in tie-rank order (topk), or each excluded video's
+pool of every scene it may draw. Every draw, nearest or uniform, in a
+training step or in the protocol, is one pick over such rows, each draw
+naming its row: all its rows from one generator in one integers call.
+Only query_knn orders its answers by key.
 """
 
 from __future__ import annotations
@@ -40,9 +47,14 @@ from .nn_core import as_f64
 Array = np.ndarray
 
 # Ranking keys per chunk of query rows (rows x bank size, times bank_dim for
-# L2; at least one row): each float64 temporary of a ranking pass stays near
-# 256 KB, so ranking many rows at once adds little to peak memory.
-RANK_CHUNK = 1 << 15
+# L2; at least one row). Each float64 temporary of a chunk (its keys, the
+# matrix product, argpartition's indices) stays near 512 KB, so a ranking
+# peaks below the uniform pools of the protocol's random_do (a test pins
+# this on a 4,800-scene bank). A chunk's lone row is ranked as a two-row
+# product: a matrix-vector product's sums can differ in the last bit from
+# the matrix-matrix kernel's, which give a row the same bits whatever rows
+# share its chunk on banks of whole 8-clip videos (tested).
+RANK_CHUNK = 1 << 16
 _LARGEST = np.finfo(np.float64).max
 
 
@@ -86,7 +98,9 @@ class NeighborQuery:
 class Scenes(NamedTuple):
     """Scene rows as columns: row i is clip clips[i] of video
     video_ids[codes[i]]. A bank takes each populate or push_batch call's
-    scenes as one such block."""
+    scenes as one such block; a read-only float64 matrix that is the
+    transpose of a C-contiguous [bank_dim, n] block, as stacked_scenes
+    makes, is kept without a copy."""
 
     matrix: Array  # [n, bank_dim]
     video_ids: Sequence[str]
@@ -95,13 +109,16 @@ class Scenes(NamedTuple):
 
 
 def stacked_scenes(videos: Sequence[Array], video_ids: Sequence[str]) -> Scenes:
-    """Every clip row of each [n_clips, dim] video as a scene of its id."""
+    """Every clip row of each [n_clips, dim] video as a scene of its id, the
+    matrix laid out feature-major, as a bank keeps it."""
     counts = [len(v) for v in videos]
     codes = np.repeat(np.arange(len(videos)), counts)
     starts = np.cumsum([0] + counts[:-1])
-    matrix = np.concatenate(videos, dtype=np.float64) if len(videos) else np.empty((0, 0))
+    columns = np.empty((np.shape(videos[0])[1] if len(videos) else 0, len(codes)))
+    if len(videos):
+        np.concatenate(videos, out=columns.T)
     return Scenes(
-        _read_only(matrix), list(video_ids), codes, np.arange(len(codes)) - starts[codes]
+        _read_only(columns).T, list(video_ids), codes, np.arange(len(codes)) - starts[codes]
     )
 
 
@@ -153,10 +170,10 @@ def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
 class MemoryBank:
     """Scene store with exact top-k queries and regime-gated refresh.
 
-    The live rows are one set of columns in bank order: the populated
-    rows, then each live batch's scenes and mixup scenes. Row norms,
-    parent part ids and tie ranks are derived from them on first use
-    and kept until the next change."""
+    The live scenes are one feature-major matrix and per-scene columns in
+    bank order: the populated rows, then each live batch's scenes and
+    mixup scenes. Row norms, the exclusion index and tie ranks are
+    derived from them on first use and kept until the next change."""
 
     def __init__(
         self,
@@ -173,7 +190,7 @@ class MemoryBank:
         self.metric = Metric(metric)
         self.regime = Regime(regime)
         self.window = window
-        self._matrix = _read_only(np.empty((0, bank_dim)))  # [n, bank_dim] float64
+        self._columns = _read_only(np.empty((bank_dim, 0)))  # [bank_dim, n] float64
         self._codes = np.empty(0, dtype=np.int64)  # [n] each row's index into _ids
         self._clips = np.empty(0, dtype=np.int64)  # [n] clip indices
         self._ids: list[str] = []  # only the video ids the rows use
@@ -187,12 +204,12 @@ class MemoryBank:
         return len(self._codes)
 
     def entries(self) -> list[BankEntry]:
-        """Every scene in bank order; vectors are read-only rows of the
+        """Every scene in bank order; vectors are read-only columns of the
         bank's matrix."""
         ids = self._ids
         return [
             BankEntry(row, ids[c], clip)
-            for row, c, clip in zip(self._matrix, self._codes.tolist(), self._clips.tolist())
+            for row, c, clip in zip(self._columns.T, self._codes.tolist(), self._clips.tolist())
         ]
 
     @property
@@ -200,9 +217,10 @@ class MemoryBank:
         return self._frozen
 
     def _validated(self, scenes: Scenes) -> Scenes:
-        """The scenes as one validated block whose matrix is read-only
-        float64: a writeable or non-float64 matrix is copied into one, so a
-        caller may reuse or change its arrays afterwards."""
+        """The scenes as one validated block whose matrix is the transpose of
+        a read-only, C-contiguous float64 [bank_dim, n] block: any other
+        matrix is copied into one, so a caller may reuse or change its
+        arrays afterwards."""
         matrix, video_ids, codes, clips = scenes
         codes, clips = np.asarray(codes, dtype=np.int64), np.asarray(clips, dtype=np.int64)
         if not len(codes):
@@ -214,41 +232,40 @@ class MemoryBank:
             )
         if len(codes) and not 0 <= codes.min() <= codes.max() < len(video_ids):
             raise ValueError(f"scene id codes outside the {len(video_ids)} video ids")
-        matrix = np.asarray(matrix)
-        if matrix.dtype != np.float64 or matrix.flags.writeable:
-            matrix = matrix.astype(np.float64)
-            matrix.flags.writeable = False
-        finite = np.isfinite(matrix).all(axis=1)
+        columns = np.asarray(matrix).T
+        if columns.dtype != np.float64 or columns.flags.writeable or not columns.flags.c_contiguous:
+            columns = _read_only(np.array(columns, dtype=np.float64, order="C"))
+        finite = np.isfinite(columns).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))
             raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
-        return Scenes(matrix, [str(v) for v in video_ids], codes, clips)
+        return Scenes(columns.T, [str(v) for v in video_ids], codes, clips)
 
     def _store(self, *parts: slice | Scenes) -> None:
         """Make the rows the concatenation of parts, each a slice of the
         current rows or a validated block, keep in the id table only the
         ids those rows use, and drop what was derived from the old rows.
-        A lone part with rows is kept as it is, so a single populate holds
-        one copy of its matrix."""
+        A lone C-contiguous part with rows is kept as it is, so a single
+        populate of stacked_scenes holds one copy of its matrix."""
         ids, pieces = list(self._ids), []
         for part in parts:
             if isinstance(part, slice):
-                pieces.append((self._matrix[part], self._codes[part], self._clips[part]))
+                pieces.append((self._columns[:, part], self._codes[part], self._clips[part]))
             else:
-                pieces.append((part.matrix, part.codes + len(ids), part.clips))
+                pieces.append((part.matrix.T, part.codes + len(ids), part.clips))
                 ids += part.video_ids
-        matrices, codes, clips = zip(*pieces)
-        matrices = [m for m in matrices if len(m)]
-        if len(matrices) != 1:
-            matrices = [_read_only(np.concatenate([np.empty((0, self.bank_dim))] + matrices))]
-        self._matrix, self._clips = matrices[0], np.concatenate(clips)
+        blocks, codes, clips = zip(*pieces)
+        blocks = [b for b in blocks if b.shape[1]]
+        if len(blocks) != 1 or not blocks[0].flags.c_contiguous:
+            blocks = [_read_only(np.concatenate([np.empty((self.bank_dim, 0))] + blocks, axis=1))]
+        self._columns, self._clips = blocks[0], np.concatenate(clips)
         self._codes, self._ids = np.concatenate(codes), ids
         used = np.bincount(self._codes, minlength=len(ids)) > 0
         if not used.all():
             self._codes = (np.cumsum(used) - 1)[self._codes]
             self._ids = list(compress(ids, used.tolist()))
             self._id_parents = self._id_parents[used[: len(self._id_parents)]]
-        for derived in ("_norms", "_parents", "_ties"):
+        for derived in ("_norms", "_part_rows", "_ties"):
             self.__dict__.pop(derived, None)
 
     def populate(self, scenes: Scenes) -> "MemoryBank":
@@ -285,24 +302,36 @@ class MemoryBank:
 
     @cached_property
     def _norms(self) -> Array:
-        """[n] row L2 norms."""
-        return np.linalg.norm(self._matrix, axis=1)
+        """[n] row L2 norms, each reduced over a C-ordered copy of its row
+        (a chunk of rows at a time), as from a row-major matrix."""
+        rows, step = self._columns.T, max(1, RANK_CHUNK // self.bank_dim)
+        chunks = [np.linalg.norm(rows[i : i + step].copy(), axis=1)
+                  for i in range(0, len(rows), step)]
+        return np.concatenate([np.empty(0)] + chunks)
 
     @cached_property
-    def _parents(self) -> Array:
-        """[n, p] each row's "+"-joined video id's part ids, -1 past its
-        last part. The Python work is per id the table gained since the
-        last call, so a push costs only its own ids."""
+    def _part_rows(self) -> tuple[Array, Array]:
+        """The exclusion index: each id part's bank rows in bank order, part
+        p's rows[starts[p]:starts[p + 1]], a row listed once under each
+        distinct part of its "+"-joined video id; the part one past the
+        table has no rows. The Python work is per id the table gained since
+        the last call, so a push costs only its own ids."""
         known, new = self._id_parents, self._ids[len(self._id_parents) :]
         table = self._part_ids
-        parts = [table.setdefault(p, len(table)) for v in new for p in v.split("+")]
-        lengths = np.array([v.count("+") + 1 for v in new], dtype=np.int64)
+        distinct = [dict.fromkeys(v.split("+")) for v in new]
+        parts = [table.setdefault(p, len(table)) for d in distinct for p in d]
+        lengths = np.array([len(d) for d in distinct], dtype=np.int64)
         width = max(known.shape[1], int(lengths.max(initial=1)))
         parents = np.full((len(self._ids), width), -1, dtype=np.int64)
         parents[: len(known), : known.shape[1]] = known
         parents[len(known) :][np.arange(width) < lengths[:, None]] = parts
         self._id_parents = parents
-        return parents[self._codes]
+        row_parts = np.take(parents, self._codes, axis=0)
+        # each row's parts in row-major order, stably sorted by part
+        listed = np.flatnonzero(row_parts >= 0)
+        order = listed[np.argsort(row_parts.ravel()[listed], kind="stable")]
+        starts = np.searchsorted(row_parts.ravel()[order], np.arange(len(table) + 2))
+        return order // row_parts.shape[1], starts
 
     @cached_property
     def _ties(self) -> _TieRanks:
@@ -314,16 +343,27 @@ class MemoryBank:
         rank[order] = np.arange(len(order))
         return _TieRanks(rank, order)
 
-    def _excluded(self, exclude_video_ids: Sequence[str | None]) -> Array:
-        """[len(exclude_video_ids), n] mask of the entries a query excluding
-        each video may not return. Mixup rows carry compound provenance
-        "a+b"; excluding either parent excludes the blend."""
-        parents = self._parents
-        codes = np.array([self._part_ids.get(v, -2) for v in exclude_video_ids], dtype=np.int64)
-        excluded = parents[:, 0] == codes[:, None]
-        for part in parents.T[1:]:
-            excluded |= part == codes[:, None]
-        return excluded
+    def _spans(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array]:
+        """Where the rows each video excludes start in the exclusion index,
+        and how many there are. Mixup rows carry compound provenance "a+b";
+        excluding either parent excludes the blend."""
+        starts = self._part_rows[1]
+        unseen = len(starts) - 2
+        parts = np.array([self._part_ids.get(v, unseen) for v in exclude_video_ids], dtype=np.int64)
+        return starts[parts], starts[parts + 1] - starts[parts]
+
+    def _excluded(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array, Array]:
+        """The entries queries excluding each video may not return: (query,
+        bank index) pairs ordered by query, then bank index, and each
+        query's count."""
+        begin, counts = self._spans(exclude_video_ids)
+        ends = np.cumsum(counts)
+        at = np.repeat(begin - ends + counts, counts) + np.arange(counts.sum())
+        return np.repeat(np.arange(len(counts)), counts), self._part_rows[0][at], counts
+
+    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
+        """[m] how many scenes a draw excluding each video may take."""
+        return len(self) - self._spans(exclude_video_ids)[1]
 
     def _none_eligible(self, exclude_video_id: str | None) -> ValueError:
         return ValueError(
@@ -344,52 +384,61 @@ class MemoryBank:
         that overflows or is NaN ranks as the largest finite float, so only
         an excluded scene's key is +inf.
         """
+        if isinstance(exclude_video_ids, str) or len(exclude_video_ids) != len(queries):
+            raise ValueError("ranking takes one exclude video id (or None) per query row")
         if not np.isfinite(queries).all():
             raise ValueError("query vectors must be finite")
         n = len(self)
+        query_of, excluded_rows, excluded = self._excluded(exclude_video_ids)
+        counts = n - excluded
+        if not counts.all():
+            raise self._none_eligible(exclude_video_ids[int(np.argmin(counts))])
         top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
         keys_at = np.full(top.shape, np.nan)
-        step = max(1, RANK_CHUNK // max(1, n * (self.bank_dim if self.metric is Metric.L2 else 1)))
+        cosine = self.metric is Metric.COSINE
+        step = max(1, RANK_CHUNK // max(1, n * (1 if cosine else self.bank_dim)))
         neg_norms = -np.linalg.norm(queries, axis=1)
         # a denominator below is zero only where a norm is zero or a product
         # of norms underflows; without such, no division needs a mask
         masked = neg_norms.max(initial=-1.0) * self._norms.min(initial=1.0) == 0
+        keyed = np.empty((min(step, len(queries)), n)) if cosine else None  # every chunk's keys
         for start in range(0, len(queries), step):
             q, rows = queries[start : start + step], slice(start, start + step)
-            if self.metric is Metric.COSINE:
+            if cosine:
                 # the negated cosine, bit-exact as a / -b == -(a / b); a zero
                 # denominator is -0.0, which stays as the key
-                keys = np.multiply.outer(neg_norms[rows], self._norms)
-                np.divide(q @ self._matrix.T, keys, out=keys, where=keys < 0 if masked else True)
+                keys = np.multiply.outer(neg_norms[rows], self._norms, out=keyed[: len(q)])
+                # a one-row product runs a matrix-vector kernel, whose sums
+                # can differ in the last bit: a lone row is ranked as two
+                pair = np.repeat(q, 2, axis=0) if len(q) == 1 else q
+                dots = (pair @ self._columns)[: len(q)]
+                np.divide(dots, keys, out=keys, where=keys < 0 if masked else True)
+                del dots  # freed before _first_k allocates its indices
             else:
-                keys = np.linalg.norm(self._matrix[None] - q[:, None], axis=2)
+                # differences laid out as C-ordered rows, so each norm
+                # reduces as over a row-major matrix
+                keys = np.linalg.norm(
+                    np.subtract(self._columns.T[None], q[:, None], order="C"), axis=2
+                )
             np.fmin(keys, _LARGEST, out=keys)
-            excluded = self._excluded(exclude_video_ids[rows])
-            keys[excluded] = np.inf
-            counts = n - excluded.sum(axis=1)
-            if not counts.all():
-                raise self._none_eligible(exclude_video_ids[start + int(np.argmin(counts))])
-            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts), self._ties)
+            lo, hi = np.searchsorted(query_of, (start, start + step))
+            keys[query_of[lo:hi] - start, excluded_rows[lo:hi]] = np.inf
+            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts[rows]), self._ties)
             top[rows, : chunk_top.shape[1]] = chunk_top
             keys_at[rows, : chunk_top.shape[1]] = chunk_keys
         used = int((top >= 0).sum(axis=1).max(initial=0))
-        scores = -keys_at if self.metric is Metric.COSINE else keys_at
+        scores = -keys_at if cosine else keys_at
         return top[:, :used], scores[:, :used]
 
-    def topk(
-        self, queries: Array, k: int, exclude_video_id: str | None | Sequence[str | None] = None
-    ) -> Array:
+    def topk(self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]) -> Array:
         """Bank indices of each query row's k nearest eligible scenes, in
-        (video_id, clip_index) order: [n_queries, k]. exclude_video_id is
-        one id for every row or one per row; k is clamped to each row's
-        eligible count, and a row with fewer eligible scenes than the widest
-        is padded with -1."""
+        (video_id, clip_index) order: [n_queries, k]. exclude_video_ids
+        names each row's excluded video (None excludes none); k is clamped
+        to each row's eligible count, and a row with fewer eligible scenes
+        than the widest is padded with -1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        queries = as_f64(queries)
-        if exclude_video_id is None or isinstance(exclude_video_id, str):
-            exclude_video_id = [exclude_video_id] * len(queries)
-        top, _ = self._ranked(queries, k, exclude_video_id)
+        top, _ = self._ranked(as_f64(queries), k, exclude_video_ids)
         return top
 
     def candidates(
@@ -402,8 +451,10 @@ class MemoryBank:
         exclude_video_ids[i] in bank order, all padding when it is empty."""
         if queries is not None:
             return self.topk(queries, k, exclude_video_ids)
-        eligible = ~self._excluded(exclude_video_ids)
-        counts = np.count_nonzero(eligible, axis=1)
+        query_of, excluded_rows, excluded = self._excluded(exclude_video_ids)
+        eligible = np.ones((len(excluded), len(self)), dtype=bool)
+        eligible[query_of, excluded_rows] = False
+        counts = len(self) - excluded
         pools = np.full((len(counts), counts.max(initial=0)), -1)
         # each row's eligible indices in order, read off broadcast columns:
         # about 2.5 times as fast as np.nonzero of the 2-D mask
@@ -419,7 +470,7 @@ class MemoryBank:
         if rows is None:
             rows = np.arange(len(candidates))
         chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
-        return self._matrix[chosen]
+        return self._columns[:, chosen].T
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
         """Exact top-k by metric, best first; ties broken by (video_id,
@@ -435,10 +486,10 @@ class MemoryBank:
             )
         # a stable sort by key of the tie-rank-ordered row: (key, tie rank)
         best = np.argsort(-scores[0] if self.metric is Metric.COSINE else scores[0], kind="stable")
+        vectors = self._columns.T
         return [
             ScoredNeighbor(
-                BankEntry(self._matrix[i], self._ids[self._codes[i]], int(self._clips[i])),
-                float(s),
+                BankEntry(vectors[i], self._ids[self._codes[i]], int(self._clips[i])), float(s)
             )
             for i, s in zip(top[0, best], scores[0, best])
         ]

@@ -34,11 +34,11 @@ def reference_topk(bank, queries, k, exclude_video_id):
         raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
     k = min(k, len(pool))
     if bank.metric is Metric.COSINE:
-        raw = queries @ bank._matrix.T
+        raw = queries @ bank._columns
         denom = np.linalg.norm(queries, axis=1)[:, None] * bank._norms
         keys = -np.divide(raw, denom, out=np.zeros_like(raw), where=denom > 0)[:, pool]
     else:
-        members = bank._matrix[pool]
+        members = bank._columns.T[pool]
         keys = np.stack([np.linalg.norm(members - q, axis=1) for q in queries])
     kth = np.partition(keys, k - 1, axis=1)[:, k - 1]
     rank = bank._ties.rank[pool]
@@ -56,7 +56,7 @@ def reference_mnse_do(video, mask, bank, k, rng, exclude_video_id):
     if len(rows):
         top = reference_topk(bank, video[rows], k, exclude_video_id)
         picks = [int(rng.integers(0, top.shape[1])) for _ in rows]
-        video[rows] = bank._matrix[top[np.arange(len(rows)), picks]]
+        video[rows] = bank._columns.T[top[np.arange(len(rows)), picks]]
     return video
 
 
@@ -68,7 +68,7 @@ def reference_random_do(video, mask, bank, rng, exclude_video_id):
         if not len(pool):
             raise ValueError(f"no eligible bank entries for {exclude_video_id!r}")
         picks = [int(rng.integers(0, len(pool))) for _ in rows]
-        video[rows] = bank._matrix[pool[picks]]
+        video[rows] = bank._columns.T[pool[picks]]
     return video
 
 

@@ -78,7 +78,7 @@ def _swap(videos, rows, bank, candidates, rng):
     if n:
         which = np.arange(n) % len(candidates)
         chosen = candidates[which, rng.integers(0, (candidates >= 0).sum(axis=1)[which])]
-        videos[rows] = bank._matrix[chosen]
+        videos[rows] = bank._columns.T[chosen]
 
 
 def draw_triplet(v_star, q_star, mask, gates, bank, q_r, cfg, rng, candidates) -> Triplets:
@@ -144,9 +144,9 @@ def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
     if not len(rows):
         return rows
     if cfg.memory_source is MemorySource.MNSE:
-        return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude_video_id), rng)
+        return bank.pick(bank.topk(rows, cfg.neighbor_k, [exclude_video_id] * len(rows)), rng)
     pool = reference_pool(bank, exclude_video_id)
-    return bank._matrix[pool[rng.integers(0, len(pool), size=len(rows))]]
+    return bank._columns.T[pool[rng.integers(0, len(pool), size=len(rows))]]
 
 
 def _blend(orig, subs, keep):

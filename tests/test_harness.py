@@ -1260,8 +1260,8 @@ class TestContrastiveDraws:
                                    if np.array_equal(e.vector, view[clip])]
                         assert any(own not in p for p in parents)
                         if source is MemorySource.MNSE:
-                            (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k, own)
-                            near = bank._matrix[top[top >= 0]]
+                            (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k, [own])
+                            near = bank._columns.T[top[top >= 0]]
                             assert (near == view[clip]).all(axis=1).any()
             event(f"{len(draws.drawn)} of {batch_size} samples drawn")
 
@@ -1404,9 +1404,9 @@ class TestProtocol:
         for inst, mask, near, rand in zip(instances, masks, mnse_videos, random_videos):
             np.testing.assert_array_equal(near[mask], inst.video[mask])
             np.testing.assert_array_equal(rand[mask], inst.video[mask])
-            tops = bank.topk(inst.video[~mask], k, inst.video_id)
+            tops = bank.topk(inst.video[~mask], k, [inst.video_id] * int((~mask).sum()))
             for clip, top in zip(np.flatnonzero(~mask), tops):
-                assert (bank._matrix[top[top >= 0]] == near[clip]).all(axis=1).any()
+                assert (bank._columns.T[top[top >= 0]] == near[clip]).all(axis=1).any()
                 parents = [e.video_id.split("+") for e in entries
                            if np.array_equal(e.vector, rand[clip])]
                 assert any(inst.video_id not in p for p in parents)

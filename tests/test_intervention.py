@@ -244,7 +244,7 @@ def triplet_topk(v_star, split, bank, cfg):
     """The topk of v_star's complement and causal rows, which nearest-scene
     sourcing draws a triplet's substitutes from."""
     rows = (~split.mask, split.mask)
-    return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k) for r in rows)
+    return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k, [None] * int(r.sum())) for r in rows)
 
 
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):

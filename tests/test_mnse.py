@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import gc
 import math
+import tracemalloc
 import weakref
 from collections import deque
 from unittest import mock
@@ -357,14 +358,15 @@ class TestBatchedTopK:
         queries = rng.normal(size=(3, 8))
         bank = self._tied_bank(rng, Metric.COSINE, queries)
         pool = bank.candidates(["a"])[0]
-        top, _ = bank._ranked(queries, 5, ["a"] * len(queries))
+        excludes = ["a"] * len(queries)
+        top, _ = bank._ranked(queries, 5, excludes)
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
             draw_rng = np.random.default_rng(seed)
-            for got, ok in zip(bank.pick(bank.topk(queries, 5, "a"), draw_rng), allowed):
+            for got, ok in zip(bank.pick(bank.topk(queries, 5, excludes), draw_rng), allowed):
                 assert got.tobytes() in ok
-        clamped = bank.pick(bank.topk(queries, 10**6, "a"), np.random.default_rng(1))
-        full = bank.pick(bank.topk(queries, len(pool), "a"), np.random.default_rng(1))
+        clamped = bank.pick(bank.topk(queries, 10**6, excludes), np.random.default_rng(1))
+        full = bank.pick(bank.topk(queries, len(pool), excludes), np.random.default_rng(1))
         np.testing.assert_array_equal(clamped, full)
 
     def test_draw_with_nothing_eligible_raises(self):
@@ -374,7 +376,7 @@ class TestBatchedTopK:
             mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank,
                            np.random.default_rng(0), ["only"])
         with pytest.raises(ValueError, match="eligible"):
-            bank.pick(bank.topk(np.ones((1, 2)), 3, "only"), np.random.default_rng(0))
+            bank.pick(bank.topk(np.ones((1, 2)), 3, ["only"]), np.random.default_rng(0))
 
 
 class TestPerRowExclusion:
@@ -452,7 +454,7 @@ class TestPerRowExclusion:
         )
         query = np.array([1e200])
         with np.errstate(over="ignore", invalid="ignore"):
-            top = bank.topk(query[None], 2, "a")
+            top = bank.topk(query[None], 2, ["a"])
             got = bank.query_knn(NeighborQuery(vector=query, k=1, exclude_video_id="a"))
         assert [bank.entries()[i].video_id for i in top[0]] == ["b"]
         assert [n.entry.video_id for n in got] == ["b"]
@@ -478,7 +480,8 @@ class TestColumnViewRefresh:
             got = bank.query_knn(NeighborQuery(vector=qv, k=3, exclude_video_id=exclude))
             want = oracle_knn(entries, qv, 3, bank.metric, exclude)
             assert _ids(n.entry for n in got) == _ids(e for e, _ in want)
-        nearest = bank.pick(bank.topk(queries, 1, exclude), np.random.default_rng(0))
+        excludes = [exclude] * len(queries)
+        nearest = bank.pick(bank.topk(queries, 1, excludes), np.random.default_rng(0))
         for got, qv in zip(nearest, queries):
             best, _ = oracle_knn(entries, qv, 1, bank.metric, exclude)[0]
             np.testing.assert_array_equal(got, best.vector)
@@ -537,13 +540,14 @@ class TestRankThenPick:
         bank = random_bank(rng, n=60, dim=6, metric=metric)
         entries = bank.entries()
         queries = rng.normal(size=(5, 6))
+        excludes = [exclude] * len(queries)
         for k in (1, 4, 10**6):
-            top = bank.topk(queries, k, exclude)
+            top = bank.topk(queries, k, excludes)
             pool = self._fresh_pool(bank, exclude)
             assert top.shape == (len(queries), min(k, len(pool)))
             seed = int(rng.integers(2**32))
             got = bank.pick(top, np.random.default_rng(seed))
-            drawn = bank.pick(bank.topk(queries, k, exclude), np.random.default_rng(seed))
+            drawn = bank.pick(bank.topk(queries, k, excludes), np.random.default_rng(seed))
             np.testing.assert_array_equal(got, drawn)
             oracle_rng = np.random.default_rng(seed)
             for qv, row, vector in zip(queries, top, got):
@@ -555,11 +559,11 @@ class TestRankThenPick:
     def test_one_ranking_serves_every_draw(self, rng):
         bank = random_bank(rng, n=60, dim=6)
         queries = rng.normal(size=(3, 6))
-        top = bank.topk(queries, 5, "vid2")
+        top = bank.topk(queries, 5, ["vid2"] * len(queries))
         for seed in range(5):
             np.testing.assert_array_equal(
                 bank.pick(top, np.random.default_rng(seed)),
-                bank.pick(bank.topk(queries, 5, "vid2"), np.random.default_rng(seed)),
+                bank.pick(bank.topk(queries, 5, ["vid2"] * 3), np.random.default_rng(seed)),
             )
 
     def test_uniform_candidates_are_each_ids_eligible_pool(self, rng):
@@ -582,9 +586,15 @@ class TestRankThenPick:
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
         bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)], ["only"], [0]))
         with pytest.raises(ValueError, match="k must be"):
-            bank.topk(np.ones((1, 2)), 0)
+            bank.topk(np.ones((1, 2)), 0, [None])
         with pytest.raises(ValueError, match="eligible"):
-            bank.topk(np.ones((1, 2)), 1, "only")
+            bank.topk(np.ones((1, 2)), 1, ["only"])
+
+    @pytest.mark.parametrize("excludes", ["o", "oo", [None], [None, None, None]])
+    def test_topk_takes_one_exclude_id_per_row(self, excludes):
+        bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)] * 2, ["o", "p"], [0, 0]))
+        with pytest.raises(ValueError, match="one exclude video id"):
+            bank.topk(np.ones((2, 2)), 1, excludes)
 
     def test_eligible_is_the_pool_of_each_video(self, rng):
         bank = random_bank(rng, n=40, dim=6)
@@ -610,13 +620,13 @@ class TestRankThenPick:
             got_rng, want_rng = (np.random.default_rng(seed) for _ in range(2))
             got = bank.pick(pools, got_rng, np.zeros(n, dtype=np.int64))
             np.testing.assert_array_equal(
-                got, bank._matrix[pool[want_rng.integers(0, len(pool), size=n)]]
+                got, bank._columns.T[pool[want_rng.integers(0, len(pool), size=n)]]
             )
             assert got_rng.bit_generator.state == want_rng.bit_generator.state
 
     def test_more_draws_than_rows_cycle_through_the_rows(self, rng):
         bank = random_bank(rng, n=60, dim=6)
-        top = bank.topk(rng.normal(size=(3, 6)), 5, "vid2")
+        top = bank.topk(rng.normal(size=(3, 6)), 5, ["vid2"] * 3)
         for seed in range(5):
             np.testing.assert_array_equal(
                 bank.pick(top, np.random.default_rng(seed), np.arange(4 * len(top)) % len(top)),
@@ -690,10 +700,16 @@ class TestOneCopyPerScene:
     def test_static_bank_matrix_shares_the_entry_vectors(self, rng):
         bank = random_bank(rng, n=50, dim=6).freeze()
         bank.query_knn(NeighborQuery(vector=rng.normal(size=6), k=3))
-        matrix = bank._matrix
+        matrix = bank._columns.T
         entries = bank.entries()
         assert all(np.shares_memory(matrix, e.vector) for e in entries)
         np.testing.assert_array_equal(matrix, np.stack([e.vector for e in entries]))
+
+    def test_a_stacked_scenes_block_is_kept_without_a_copy(self, rng):
+        block = mnse.stacked_scenes(list(rng.normal(size=(5, 8, 6))), [f"v{i}" for i in range(5)])
+        bank = MemoryBank(bank_dim=6).populate(block)
+        assert np.shares_memory(bank._columns, block.matrix)
+        assert bank._columns.flags.c_contiguous and not bank._columns.flags.writeable
 
     def test_several_blocks_are_concatenated_in_entry_order(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
@@ -705,7 +721,7 @@ class TestOneCopyPerScene:
         entries = bank.entries()
         assert len(entries) == 2 * 5
         np.testing.assert_array_equal(
-            bank._matrix, np.stack([e.vector for e in entries])
+            bank._columns.T, np.stack([e.vector for e in entries])
         )
 
 
@@ -800,7 +816,7 @@ class TestTopKProperties:
         for row, m in zip(candidates, lengths):
             row[:m] = rng.choice(n, size=m, replace=False)
         got = bank.pick(candidates, np.random.default_rng(data.draw(st.integers(0, 99))))
-        matrix = bank._matrix
+        matrix = bank._columns.T
         assert got.shape == (len(lengths), 3)
         for vector, row, m in zip(got, candidates, lengths):
             assert any(np.array_equal(vector, matrix[i]) for i in row[:m])
@@ -861,7 +877,8 @@ class TestKeptColumns:
 
     @staticmethod
     def _assert_same_answers(bank, fresh, queries, excludes):
-        np.testing.assert_array_equal(bank._excluded(excludes), fresh._excluded(excludes))
+        for got, want in zip(bank._excluded(excludes), fresh._excluded(excludes)):
+            np.testing.assert_array_equal(got, want)
         np.testing.assert_array_equal(bank.candidates(excludes), fresh.candidates(excludes))
         for k in (1, 3):
             got = _outcome(lambda: bank.topk(queries, k, excludes))
@@ -892,7 +909,7 @@ class TestKeptColumns:
         block = TestTopKProperties._block
         for _ in range(data.draw(st.integers(1, 5), label="pushes")):
             if data.draw(st.booleans(), label="rank before the push"):
-                _outcome(lambda: bank.topk(queries, 2, None))
+                _outcome(lambda: bank.topk(queries, 2, [None] * len(queries)))
             batch = [block(data, rng, dim, self.IDS + self.BLENDS, queries)]
             if regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="mixup"):
                 batch.append(block(data, rng, dim, self.BLENDS, queries))
@@ -937,10 +954,136 @@ class TestKeptColumns:
             bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
             bank.push_batch(scenes(rng.normal(size=(3, 4)), ["a"] * 3, range(3)),
                             scenes(rng.normal(size=(2, 4)), ["a+b"] * 2, range(2)))
-            bank.topk(rng.normal(size=(2, 4)), 2, "b")
+            bank.topk(rng.normal(size=(2, 4)), 2, ["b", "b"])
             ref = weakref.ref(bank)
             del bank
             assert ref() is None
         finally:
             if enabled:
                 gc.enable()
+
+
+class TestFeatureMajorLayout:
+    """The bank keeps its scenes feature-major, yet every row norm, cosine
+    key and L2 key equals, bit for bit, one computed from a row-major,
+    C-ordered copy of its scenes, and a row's keys do not depend on the
+    rows ranked with it. Norms and L2 keys are NumPy reductions over
+    C-ordered rows on any bank. Cosine keys come from a BLAS matrix
+    product, whose kernels may differ in the last bit between shapes;
+    they are pinned on banks of whole 8-clip videos, as the CLI's data
+    builds, at dims up to 24 (OpenBLAS with AVX-512 kernels differs, for
+    instance, at a bank size of 1 to 4 modulo 8 from dim 16 up)."""
+
+    IDS = ["v0", "v1", "v2", "v3", "v4"]
+
+    @classmethod
+    def _bank(cls, data, rng, metric, dim, n_clips):
+        """A bank built through populate, or pushes that evict (window 2)
+        with f3 blends, from stacked_scenes blocks or row-major copies."""
+        regime = data.draw(st.sampled_from(list(Regime)), label="regime")
+        bank = MemoryBank(dim, metric=metric, regime=regime, window=2)
+
+        def block(ids):
+            videos = rng.normal(size=(len(ids), n_clips, dim))
+            stacked = mnse.stacked_scenes(list(videos), ids)
+            if data.draw(st.booleans(), label="row-major block"):
+                return stacked._replace(matrix=np.ascontiguousarray(stacked.matrix))
+            return stacked
+
+        for _ in range(data.draw(st.integers(1, 4), label="calls")):
+            ids = data.draw(st.lists(st.sampled_from(cls.IDS), min_size=1, max_size=5), label="ids")
+            if regime is Regime.F1_STATIC:
+                bank.populate(block(ids))
+            elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="blends"):
+                bank.push_batch(block(ids), block([f"{a}+{b}" for a, b in zip(ids, ids[::-1])]))
+            else:
+                bank.push_batch(block(ids))
+        return bank
+
+    @staticmethod
+    def _reference_scores(rows, queries, metric):
+        """Every scene's score for each query row, from C-ordered rows."""
+        if metric is Metric.L2:
+            return np.linalg.norm(rows[None] - queries[:, None], axis=2)
+        keys = np.multiply.outer(-np.linalg.norm(queries, axis=1), np.linalg.norm(rows, axis=1))
+        return -((queries @ rows.T) / keys)
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_norms_and_keys_equal_a_row_major_copys(self, data):
+        metric = data.draw(st.sampled_from(list(Metric)), label="metric")
+        if metric is Metric.L2:
+            dim, n_clips = data.draw(st.integers(1, 40), label="dim"), data.draw(st.integers(1, 9))
+        else:
+            dim, n_clips = data.draw(st.sampled_from([9, 16, 24]), label="dim"), 8
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        bank = self._bank(data, rng, metric, dim, n_clips)
+        rows = np.stack([e.vector for e in bank.entries()])
+        assert rows.flags.c_contiguous and bank._columns.flags.c_contiguous
+        assert bank._columns.shape == (dim, len(bank))
+        assert bank._norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+        queries = rng.normal(size=(data.draw(st.integers(2, 6), label="queries"), dim))
+        top, scores = bank._ranked(queries, len(bank), [None] * len(queries))
+        want = np.take_along_axis(self._reference_scores(rows, queries, metric), top, axis=1)
+        assert scores.tobytes() == want.tobytes()
+
+    @settings(max_examples=80, deadline=None)
+    @given(data=st.data())
+    def test_a_rows_keys_do_not_depend_on_the_rows_ranked_with_it(self, data):
+        metric = data.draw(st.sampled_from(list(Metric)), label="metric")
+        dim = data.draw(st.sampled_from([9, 16, 24]), label="dim")
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        bank = self._bank(data, rng, metric, dim, 8)
+        n_queries = data.draw(st.integers(2, 9), label="queries")
+        queries = rng.normal(size=(n_queries, dim))
+        excludes = data.draw(st.lists(st.sampled_from(self.IDS[:2] + [None, "absent"]),
+                                      min_size=n_queries, max_size=n_queries), label="excludes")
+        k = data.draw(st.integers(1, len(bank)), label="k")
+        split = data.draw(st.integers(1, n_queries - 1), label="split")
+        per_chunk = data.draw(st.sampled_from([None, 1, 2, 3]), label="rows per chunk")
+        chunk = mnse.RANK_CHUNK if per_chunk is None else (
+            len(bank) * per_chunk * (dim if metric is Metric.L2 else 1))
+        with mock.patch.object(mnse, "RANK_CHUNK", chunk):
+            whole = _outcome(lambda: bank._ranked(queries, k, excludes))
+            if isinstance(whole[0], type):
+                return  # a row with nothing eligible raises in either form
+            halves = [bank._ranked(queries[rows], k, excludes[rows])
+                      for rows in (slice(None, split), slice(split, None))]
+        entries = bank.entries()
+        for i, (top, scores) in enumerate(zip(*whole)):
+            part_top, part_scores = halves[i >= split]
+            at = i if i < split else i - split
+            m = int((top >= 0).sum())
+            assert np.array_equal(part_top[at][:m], top[:m])
+            assert part_scores[at][:m].tobytes() == scores[:m].tobytes()
+            # query_knn ranks its one row alone: best first, ties in tie-rank order
+            query = NeighborQuery(vector=queries[i], k=m, exclude_video_id=excludes[i])
+            got = bank.query_knn(query)
+            best = np.argsort(-scores[:m] if metric is Metric.COSINE else scores[:m], kind="stable")
+            assert [(n.entry.video_id, n.entry.clip_index) for n in got] == _ids(
+                entries[j] for j in top[best])
+            assert np.array([n.score for n in got]).tobytes() == scores[best].tobytes()
+
+    def test_a_ranking_peaks_below_the_protocols_uniform_pools(self):
+        # the intervene-eval geometry: 600 videos of 8 clips at dim 24; the
+        # protocol ranks 4 rows of each of 20 videos at k = 200 and builds
+        # the same 20 videos' uniform pools
+        rng = np.random.default_rng(0)
+        videos = rng.normal(size=(600, 8, 24))
+        ids = [f"v{i:03d}" for i in range(600)]
+        bank = MemoryBank(24).populate(mnse.stacked_scenes(list(videos), ids)).freeze()
+        queries = videos[:20, :4].reshape(80, 24)
+        excludes = [v for v in ids[:20] for _ in range(4)]
+        bank.topk(queries[:2], 200, excludes[:2])  # derive norms, ties and the exclusion index
+
+        def peak(call):
+            tracemalloc.start()
+            try:
+                call()
+                return tracemalloc.get_traced_memory()[1]
+            finally:
+                tracemalloc.stop()
+
+        ranking = peak(lambda: bank.topk(queries, 200, excludes))
+        pools = peak(lambda: bank.candidates(ids[:20]))
+        assert ranking <= pools, f"ranking peaked at {ranking} B, the pools at {pools} B"
