@@ -10,7 +10,6 @@ A top-level key that none of the subcommand's sections reads is refused.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 from dataclasses import dataclass, fields
 from pathlib import Path
@@ -19,16 +18,22 @@ from typing import Sequence
 import numpy as np
 
 from . import samplers as sm
-from .features import FormatError, SyntheticSpec, generate_synthetic, save_dataset
-from .harness import (
+from .features import (
     ConfigError,
+    FieldError,
+    FormatError,
+    SyntheticSpec,
+    generate_synthetic,
+    read_json,
+    read_section,
+    save_dataset,
+)
+from .harness import (
     DataConfig,
     ExperimentConfig,
-    FieldError,
     evaluate,
     load_checkpoint,
     load_data,
-    read_section,
     resolve_output_dir,
     save_checkpoint,
     seen_unseen_protocol,
@@ -124,14 +129,9 @@ class ProtocolConfig:
 
 def _read_config(path: str) -> dict:
     try:
-        raw = json.loads(Path(path).read_text())
-    except OSError as exc:
-        raise ConfigError([f"config: cannot read {path}: {exc}"])
-    except json.JSONDecodeError as exc:
-        raise ConfigError([f"config: invalid JSON: {exc}"])
-    if not isinstance(raw, dict):
-        raise ConfigError(["config: top level must be a JSON object"])
-    return raw
+        return read_json(Path(path))
+    except FormatError as exc:
+        raise ConfigError([str(exc)]) from None
 
 
 def _read_sections(raw: dict, factories: tuple) -> list:

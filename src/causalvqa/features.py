@@ -1,9 +1,12 @@
-"""Feature data model, file I/O, and synthetic data generation.
+"""Feature data model, file I/O, the JSON section schema, and synthetic
+data generation.
 
 Upstream video/text encoders are out of scope; their outputs arrive here as
 files. A dataset on disk is a JSON manifest plus raw little-endian float32
 payloads (row-major), with gold labels and question types as u8 arrays and
-saliency annotations as flat int64 and float64 arrays.
+saliency annotations as flat int64 and float64 arrays. Every JSON file
+(a config, a manifest, model.json) is read by read_json and checked
+against its dataclass by read_section.
 The synthetic generator plants a known causal structure so downstream
 mechanisms can be tested against ground truth.
 """
@@ -13,10 +16,12 @@ from __future__ import annotations
 import json
 import math
 import os
-from dataclasses import dataclass, fields
-from enum import IntEnum
+import sys
+from dataclasses import MISSING, asdict, dataclass, fields, is_dataclass
+from enum import Enum, IntEnum
+from functools import cache
 from pathlib import Path
-from typing import NamedTuple, Sequence
+from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
 
 import numpy as np
 
@@ -26,6 +31,22 @@ N_ANSWERS = 5
 
 class FormatError(ValueError):
     """A saved dataset or checkpoint file violates its format."""
+
+
+class ConfigError(ValueError):
+    """Carries one message per invalid field of a JSON section."""
+
+    def __init__(self, problems: list[str]):
+        self.problems = list(problems)
+        super().__init__("; ".join(self.problems))
+
+
+class FieldError(ValueError):
+    """A section dataclass's rejection of one named field."""
+
+    def __init__(self, name: str, message: str):
+        self.name = name
+        super().__init__(message)
 
 
 class Qtype(IntEnum):
@@ -112,31 +133,37 @@ class VideoQAInstance:
         return self.question.shape[0]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, kw_only=True)
 class FeatureManifest:
+    """A dataset manifest, its fields in the order save_dataset writes them."""
+
     version: int
     count: int
     n_clips: int
     video_dim: int
     text_dim: int
-    files: dict[str, str]
     n_answers: int = N_ANSWERS
+    files: dict  # payload name -> file name, relative to the manifest's directory
 
     def __post_init__(self) -> None:
         if self.version != FORMAT_VERSION:
-            raise FormatError(
+            raise FieldError(
+                "version",
                 f"unsupported manifest version {self.version} (this release reads "
-                f"version {FORMAT_VERSION}); regenerate the dataset with gen-data"
+                f"version {FORMAT_VERSION}); regenerate the dataset with gen-data",
             )
         if self.count < 0:
-            raise FormatError("count must be nonnegative")
-        if min(self.n_clips, self.video_dim, self.text_dim) <= 0:
-            raise FormatError("n_clips, video_dim and text_dim must be positive")
+            raise FieldError("count", "must be nonnegative")
+        for name in ("n_clips", "video_dim", "text_dim"):
+            if getattr(self, name) <= 0:
+                raise FieldError(name, "must be positive")
         if self.n_answers != N_ANSWERS:
-            raise FormatError(f"n_answers must be {N_ANSWERS}")
+            raise FieldError("n_answers", f"must be {N_ANSWERS}")
+        if not all(isinstance(f, str) for f in self.files.values()):
+            raise FieldError("files", "expected an object of file names")
         missing = {"video", "question", "answers", "gold", "qtype"} - set(self.files)
         if missing:
-            raise FormatError(f"manifest missing payload entries: {sorted(missing)}")
+            raise FieldError("files", f"missing payload entries: {sorted(missing)}")
 
 
 @dataclass(frozen=True)
@@ -220,17 +247,115 @@ def write_indexed(index: Path, payloads: dict[Path, str | bytes], body: str) -> 
 
 def read_json(path: Path, expected: type = dict):
     """The JSON value in a saved file; FormatError names the file when it
-    is missing, is not valid JSON, or holds a value other than a JSON object
-    (expected=dict) or list (expected=list)."""
+    is missing or unreadable, is not valid JSON, or holds a value other
+    than a JSON object (expected=dict) or list (expected=list)."""
     if not path.is_file():
         raise FormatError(f"{path}: file not found")
     try:
         body = json.loads(path.read_text())
+    except OSError as exc:  # a directory's or an unreadable file's
+        raise FormatError(f"{path}: cannot read: {exc.strerror}") from None
     except ValueError as exc:  # a JSON or UTF-8 decoding error
         raise FormatError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(body, expected):
         raise FormatError(f"{path}: expected a JSON {'object' if expected is dict else 'list'}")
     return body
+
+
+# -- JSON sections (JSON objects -> dataclasses) ----------------------------------
+
+
+_JSON_KINDS = {
+    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
+    dict: "an object", type(None): "null",
+}
+
+
+@cache  # evaluating annotations takes ~0.1 ms a class, and reading runs per file
+def _schema(factory: Callable) -> tuple[dict[str, tuple], tuple[str, ...]]:
+    """The accepted kinds of each of a dataclass's fields, and the names of
+    the fields with no default."""
+    hints = get_type_hints(factory)
+    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(factory)}
+    required = tuple(
+        f.name for f in fields(factory) if f.default is MISSING and f.default_factory is MISSING
+    )
+    return kinds, required
+
+
+def _json_type_ok(value, kind) -> bool:
+    """int takes no bool or float; float takes ints, but only finite values
+    (no NaN, Infinity, or 1e400, which json parses as Infinity); bool only
+    true/false."""
+    if kind in (int, float):
+        if isinstance(value, bool) or not isinstance(value, (int, kind)):
+            return False
+        return kind is int or abs(value) <= sys.float_info.max  # false for NaN
+    return isinstance(value, kind)
+
+
+def build_section(problems: list[str], section: str, factory: Callable, raw: dict):
+    """factory(**raw) for one JSON section ("" for the top level), each
+    field read by its type hint: a dataclass field is a nested section, an
+    Enum field is converted from its value, null is taken only where the
+    hint allows None. Keys that name no field go to the factory, which
+    rejects them. Returns None with one message appended per missing
+    required field or value that does not fit its field, else one for the
+    factory's own rejection."""
+
+    def where(key: str | None) -> str:
+        return ".".join(part for part in (section, key) if part)
+
+    kinds_of, required = _schema(factory)
+    reported = len(problems)
+    problems.extend(f"{where(key)}: required" for key in required if key not in raw)
+    kwargs = {}
+    for key, value in raw.items():
+        kinds = kinds_of.get(key, ())
+        nested = [kind for kind in kinds if is_dataclass(kind)]
+        if not kinds or (value is None and type(None) in kinds):
+            kwargs[key] = value
+        elif nested and isinstance(value, dict):
+            kwargs[key] = build_section(problems, where(key), nested[0], value)
+        elif nested:
+            problems.append(f"{where(key)}: expected a JSON object")
+        elif issubclass(kinds[0], Enum):
+            try:
+                kwargs[key] = kinds[0](value)
+            except ValueError:
+                problems.append(f"{where(key)}: unknown {value!r}")
+        elif any(_json_type_ok(value, kind) for kind in kinds):
+            kwargs[key] = value
+        else:
+            expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            problems.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
+    if len(problems) > reported:
+        return None
+    try:
+        return factory(**kwargs)
+    except (TypeError, ValueError) as exc:
+        problems.append(f"{where(exc.name if isinstance(exc, FieldError) else None)}: {exc}")
+        return None
+
+
+def read_section(raw: dict, factory: Callable):
+    """factory built from the top-level keys of raw that name its fields;
+    ConfigError lists every problem at once."""
+    problems: list[str] = []
+    names = _schema(factory)[0]
+    built = build_section(problems, "", factory, {k: v for k, v in raw.items() if k in names})
+    if problems:
+        raise ConfigError(problems)
+    return built
+
+
+def file_section(path: Path, raw: dict, factory: Callable):
+    """read_section of raw, the JSON object read from path; FormatError
+    names the file, then lists every problem as `<field>: <problem>`."""
+    try:
+        return read_section(raw, factory)
+    except ConfigError as exc:
+        raise FormatError(f"{path}: {exc}") from None
 
 
 def _read_payload(path: Path, dtype: str, shape: tuple[int, ...] | None = None) -> np.ndarray:
@@ -338,24 +463,12 @@ def save_dataset(
     if causal_masks is not None:
         payloads["masks"] = np.asarray(causal_masks, dtype=np.uint8).tobytes()
     manifest_path.parent.mkdir(parents=True, exist_ok=True)
-    body = {
-        "version": manifest.version,
-        "count": manifest.count,
-        "n_clips": manifest.n_clips,
-        "video_dim": manifest.video_dim,
-        "text_dim": manifest.text_dim,
-        "n_answers": manifest.n_answers,
-        "files": files,
-    }
     write_indexed(
         manifest_path,
         {manifest_path.parent / files[name]: payload for name, payload in payloads.items()},
-        json.dumps(body, indent=2) + "\n",
+        json.dumps(asdict(manifest), indent=2) + "\n",
     )
     return manifest
-
-
-_MANIFEST_INTS = ("version", "count", "n_clips", "video_dim", "text_dim", "n_answers")
 
 
 def read_manifest(manifest_path: str | Path) -> FeatureManifest:
@@ -363,22 +476,7 @@ def read_manifest(manifest_path: str | Path) -> FeatureManifest:
     is missing, lacks a field, holds a field of the wrong JSON type or a
     value FeatureManifest rejects."""
     manifest_path = Path(manifest_path)
-    body = {"n_answers": N_ANSWERS, **read_json(manifest_path)}
-    for key in (*_MANIFEST_INTS, "files"):
-        if key not in body:
-            raise FormatError(f"{manifest_path}: manifest missing field {key!r}")
-    for key in _MANIFEST_INTS:
-        if type(body[key]) is not int:
-            raise FormatError(
-                f"{manifest_path}: {key}: expected an integer, got {json.dumps(body[key])}"
-            )
-    files = body["files"]
-    if not (isinstance(files, dict) and all(isinstance(f, str) for f in files.values())):
-        raise FormatError(f"{manifest_path}: files: expected an object of file names")
-    try:
-        return FeatureManifest(files=files, **{key: body[key] for key in _MANIFEST_INTS})
-    except FormatError as exc:
-        raise FormatError(f"{manifest_path}: {exc}") from None
+    return file_section(manifest_path, read_json(manifest_path), FeatureManifest)
 
 
 _FIELDS = {cls: [f.name for f in fields(cls)] for cls in (VideoQAInstance, SaliencyAnnotation)}

@@ -11,26 +11,26 @@ from __future__ import annotations
 import json
 import math
 import os
-import sys
-from dataclasses import MISSING, asdict, dataclass, field, fields, is_dataclass, replace
-from enum import Enum
-from functools import cache
+from dataclasses import asdict, dataclass, field, replace
 from pathlib import Path
-from typing import Callable, NamedTuple, Sequence, get_args, get_type_hints
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from . import features, nn_core as nc
 from .features import (
+    ConfigError,
     FormatError,
     Qtype,
     SyntheticSpec,
     VideoQAInstance,
+    file_section,
     generate_synthetic,
     load_causal_masks,
     load_dataset,
     load_saliency,
     read_json,
+    read_section,
     write_atomic,
 )
 from .intervention import (
@@ -67,22 +67,6 @@ METRICS_VERSION = 1
 EVAL_CHUNK = 32
 CURVE_HEADER = "step,erm_loss,cl_loss,total_loss"
 OUTPUT_DIR_ENV = "CAUSALVQA_OUTPUT_DIR"
-
-
-class ConfigError(ValueError):
-    """Carries one message per invalid config field."""
-
-    def __init__(self, problems: list[str]):
-        self.problems = list(problems)
-        super().__init__("; ".join(self.problems))
-
-
-class FieldError(ValueError):
-    """A config dataclass's rejection of one named field."""
-
-    def __init__(self, name: str, message: str):
-        self.name = name
-        super().__init__(message)
 
 
 # -- optimizer ---------------------------------------------------------------
@@ -230,93 +214,6 @@ def load_data(
     if not data[0]:
         raise ConfigError(["data: empty dataset"])
     return data
-
-
-# -- config parsing (JSON sections -> config dataclasses) ------------------------
-
-
-_JSON_KINDS = {
-    bool: "true or false", int: "an integer", float: "a finite number", str: "a string",
-    type(None): "null",
-}
-
-
-@cache  # evaluating annotations takes ~0.1 ms a class, and parsing runs per config
-def _schema(factory: Callable) -> tuple[dict[str, tuple], tuple[str, ...]]:
-    """The accepted kinds of each of a dataclass's fields, and the names of
-    the fields with no default."""
-    hints = get_type_hints(factory)
-    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(factory)}
-    required = tuple(
-        f.name for f in fields(factory) if f.default is MISSING and f.default_factory is MISSING
-    )
-    return kinds, required
-
-
-def _json_type_ok(value, kind) -> bool:
-    """int takes no bool or float; float takes ints, but only finite values
-    (no NaN, Infinity, or 1e400, which json parses as Infinity); bool only
-    true/false."""
-    if kind in (int, float):
-        if isinstance(value, bool) or not isinstance(value, (int, kind)):
-            return False
-        return kind is int or abs(value) <= sys.float_info.max  # false for NaN
-    return isinstance(value, kind)
-
-
-def build_section(problems: list[str], section: str, factory: Callable, raw: dict):
-    """factory(**raw) for one JSON section ("" for the top level), each
-    field read by its type hint: a dataclass field is a nested section, an
-    Enum field is converted from its value, null is taken only where the
-    hint allows None. Keys that name no field go to the factory, which
-    rejects them. Returns None with one message appended per missing
-    required field or value that does not fit its field, else one for the
-    factory's own rejection."""
-
-    def where(key: str | None) -> str:
-        return ".".join(part for part in (section, key) if part)
-
-    kinds_of, required = _schema(factory)
-    reported = len(problems)
-    problems.extend(f"{where(key)}: required" for key in required if key not in raw)
-    kwargs = {}
-    for key, value in raw.items():
-        kinds = kinds_of.get(key, ())
-        nested = [kind for kind in kinds if is_dataclass(kind)]
-        if not kinds or (value is None and type(None) in kinds):
-            kwargs[key] = value
-        elif nested and isinstance(value, dict):
-            kwargs[key] = build_section(problems, where(key), nested[0], value)
-        elif nested:
-            problems.append(f"{where(key)}: expected a JSON object")
-        elif issubclass(kinds[0], Enum):
-            try:
-                kwargs[key] = kinds[0](value)
-            except ValueError:
-                problems.append(f"{where(key)}: unknown {value!r}")
-        elif any(_json_type_ok(value, kind) for kind in kinds):
-            kwargs[key] = value
-        else:
-            expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
-            problems.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
-    if len(problems) > reported:
-        return None
-    try:
-        return factory(**kwargs)
-    except (TypeError, ValueError) as exc:
-        problems.append(f"{where(exc.name if isinstance(exc, FieldError) else None)}: {exc}")
-        return None
-
-
-def read_section(raw: dict, factory: Callable):
-    """factory built from the top-level keys of raw that name its fields;
-    ConfigError lists every problem at once."""
-    problems: list[str] = []
-    names = _schema(factory)[0]
-    built = build_section(problems, "", factory, {k: v for k, v in raw.items() if k in names})
-    if problems:
-        raise ConfigError(problems)
-    return built
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
@@ -808,10 +705,7 @@ def load_checkpoint(out_dir: str | Path) -> PcmaModel:
     if meta.get("version") != CHECKPOINT_VERSION:
         raise FormatError(f"{path}: unsupported checkpoint version {meta.get('version')!r}, "
                           f"expected {CHECKPOINT_VERSION}; retrain to write this version")
-    try:
-        saved = read_section(meta, _ModelJson)
-    except ConfigError as exc:
-        raise FormatError(f"{path}: {exc}") from None
+    saved = file_section(path, meta, _ModelJson)
     cfg, gated = saved.pcma, saved.gated
     payload = path.parent / "params.f32"
     values = features._read_payload(payload, "<f4")

@@ -160,8 +160,6 @@ def mixup_intervene(
     mask: Array,
     cfg: InterventionConfig,
     rng: np.random.Generator,
-    lambda0: float | None = None,
-    lambda1: float | None = None,
 ) -> Mixup:
     """Convex blend of each sample of a batch with its partner along their
     causal/complement splits: video [B, n_clips, video_dim], question and
@@ -173,8 +171,7 @@ def mixup_intervene(
     causal (complement) clip k modulo the partner's count. Every sample
     whose own and partner's causal sets are nonempty draws lam0 then lam1
     from rng, in batch order; it is valid unless it has complement clips
-    and its partner has none. lambda0/lambda1 force every sample's ratio
-    in place of its draw, for testing endpoints.
+    and its partner has none.
     """
     mask = np.asarray(mask, dtype=bool)
     b, n = mask.shape
@@ -185,10 +182,8 @@ def mixup_intervene(
     valid = drawn & ((n_comp == 0) | (n_comp[partner] > 0))
     lam = np.ones((2, b))  # lam0 and lam1 of each sample
     for j in np.flatnonzero(drawn):
-        lam[0, j] = rng.beta(cfg.alpha, cfg.alpha) if lambda0 is None else lambda0
-        lam[1, j] = rng.uniform(0.0, 1.0) if lambda1 is None else lambda1
-    if not ((0.0 <= lam) & (lam <= 1.0)).all():
-        raise ValueError("mixing ratios must lie in [0, 1]")
+        lam[0, j] = rng.beta(cfg.alpha, cfg.alpha)
+        lam[1, j] = rng.uniform(0.0, 1.0)
 
     # each row's causal clips, then its complement clips, in clip order; a
     # clip's rank is its place within its own partition

@@ -206,13 +206,10 @@ class StudentSampler:
         store.accumulate("video_proj.w", np.outer(cache["video"].T @ dscores, store["head.w"]))
 
 
-def s3_student_probs(
-    student: StudentSampler, video: Array, top_s: int | None = None
-) -> SamplerOutput:
+def s3_student_probs(student: StudentSampler, video: Array) -> SamplerOutput:
     """Frame distribution plus the top-S selection (ties to lowest index)."""
     probs, _ = student.probs_forward(video)
-    s = student.cfg.top_s if top_s is None else top_s
-    s = min(s, probs.shape[0])
+    s = min(student.cfg.top_s, probs.shape[0])
     order = np.lexsort((np.arange(probs.shape[0]), -probs))
     idx = np.sort(order[:s])
     return SamplerOutput(

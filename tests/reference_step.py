@@ -50,15 +50,30 @@ def aligned(rows: Array, n: int) -> Array:
     return rows[np.arange(n) % len(rows)] if n else rows[:0]
 
 
-def reference_mixup(x, mask, xp, pmask, cfg, rng, lambda0=None, lambda1=None):
+class ForcedRatios:
+    """A stand-in for mixup_intervene's generator whose beta and uniform
+    draws return forced mixing ratios, lam0 and lam1, where they are given,
+    and otherwise draw from rng."""
+
+    def __init__(self, rng, lam0=None, lam1=None):
+        self.rng, self.lam0, self.lam1 = rng, lam0, lam1
+
+    def beta(self, a, b):
+        return self.rng.beta(a, b) if self.lam0 is None else self.lam0
+
+    def uniform(self, low, high):
+        return self.rng.uniform(low, high) if self.lam1 is None else self.lam1
+
+
+def reference_mixup(x, mask, xp, pmask, cfg, rng):
     """One sample's mixup with its partner by the per-sample formula:
     (v_star, q_star, a_star), or None for a degenerate split. The ratios are
     drawn, lam0 then lam1, whenever both causal sets are nonempty, before
     an empty partner complement is found."""
     if not mask.any() or not pmask.any():
         return None
-    lam0 = float(rng.beta(cfg.alpha, cfg.alpha)) if lambda0 is None else lambda0
-    lam1 = float(rng.uniform(0.0, 1.0)) if lambda1 is None else lambda1
+    lam0 = float(rng.beta(cfg.alpha, cfg.alpha))
+    lam1 = float(rng.uniform(0.0, 1.0))
     if (~mask).any() and not (~pmask).any():
         return None
     c_hat, t_hat = x.video[mask], x.video[~mask]

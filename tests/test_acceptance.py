@@ -56,6 +56,7 @@ from causalvqa.mnse import (
 )
 from causalvqa.pcma import PcmaModel
 from gradcheck import assert_grad_matches
+from reference_step import ForcedRatios
 
 
 def elapsed_under(t0: float, budget_s: float, label: str) -> float:
@@ -249,12 +250,12 @@ def _mix_pair(rng, n_clips=6, dim=12):
 
 
 def _mixup(x, mask, xp, pmask, cfg, rng, lambda0, lambda1):
-    """x's mixup with partner xp through one batched call over the pair:
-    (c_star, t_star, q_star, a_star)."""
+    """x's mixup with partner xp through one batched call over the pair,
+    its ratios forced to lambda0 and lambda1: (c_star, t_star, q_star, a_star)."""
     out = iv.mixup_intervene(
         np.stack([x.video, xp.video]), np.stack([x.question, xp.question]),
-        np.stack([x.answers[x.gold], xp.answers[xp.gold]]), np.stack([mask, pmask]), cfg, rng,
-        lambda0=lambda0, lambda1=lambda1,
+        np.stack([x.answers[x.gold], xp.answers[xp.gold]]), np.stack([mask, pmask]), cfg,
+        ForcedRatios(rng, lambda0, lambda1),
     )
     assert out.valid[0]
     v_star = out.v_star[0]

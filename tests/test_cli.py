@@ -634,21 +634,26 @@ class TestErrorPaths:
         assert lines == [f"error: {ckpt / 'params.f32'}: non-finite value at flat offset 5"]
 
     @pytest.mark.parametrize(
-        "name, edit",
+        "name, edit, problem",
         [
-            ("d.json", lambda body: {**body, "count": "6"}),
-            ("d.json", lambda body: list(body)),
-            ("d.ids.json", lambda body: 5),
-            ("d.saliency.i8", _window_end_past_its_video),
-            ("d.json", lambda body: {**body, "files": {**body["files"], "video": 5}}),
-            ("d.json", lambda body: {**body, "version": 1}),
+            ("d.json", lambda body: {**body, "count": "6"}, 'count: expected an integer, got "6"'),
+            ("d.json", lambda body: list(body), "expected a JSON object"),
+            ("d.ids.json", lambda body: 5, "expected a JSON list"),
+            ("d.saliency.i8", _window_end_past_its_video, "entry 0: moment window"),
+            ("d.json", lambda body: {**body, "files": {**body["files"], "video": 5}},
+             "files: expected an object of file names"),
+            ("d.json", lambda body: {**body, "version": 1}, "version: unsupported manifest"),
+            ("d.json", lambda body: {k: v for k, v in body.items() if k != "count"},
+             "count: required"),
+            ("d.json", lambda body: {**body, "count": True}, "count: expected an integer, got true"),
+            ("d.json", lambda body: {**body, "files": []}, "files: expected an object, got []"),
         ],
         ids=[
             "count-string", "manifest-list", "ids-number", "saliency-entry", "file-number",
-            "version-1",
+            "version-1", "no-count", "count-bool", "files-list",
         ],
     )
-    def test_unusable_dataset_file_names_it(self, tmp_path, out_dir, capsys, name, edit):
+    def test_unusable_dataset_file_names_it(self, tmp_path, out_dir, capsys, name, edit, problem):
         # a JSON file's edit maps its parsed value, a payload's its bytes
         instances, saliencies, masks = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
         manifest = tmp_path / "data" / "d.json"
@@ -661,8 +666,7 @@ class TestErrorPaths:
         cfg = write_cfg(tmp_path / "probe.json", {"data": {"manifest": str(manifest)}})
         assert cli_main(["probe", "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
-        assert len(lines) == 1 and lines[0].startswith("error: ")
-        assert str(path) in lines[0]
+        assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {problem}")
 
     def test_missing_ids_sidecar_names_it(self, tmp_path, out_dir, capsys):
         instances, _, _ = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
@@ -737,13 +741,31 @@ class TestErrorPaths:
     def test_unreadable_config_is_config_error(self, tmp_path, capsys):
         missing = tmp_path / "nope.json"
         assert cli_main(["train", "--config", str(missing)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        assert capsys.readouterr().err == f"config error: {missing}: file not found\n"
+
+    def test_config_that_cannot_be_read_is_config_error(self, tmp_path, capsys, monkeypatch):
+        locked = write_cfg(tmp_path / "locked.json", {"data": DATA})
+
+        def denied(path, *args, **kwargs):
+            raise PermissionError(13, "Permission denied", str(path))
+
+        monkeypatch.setattr(Path, "read_text", denied)
+        assert cli_main(["probe", "--config", locked]) == 1
+        assert capsys.readouterr().err == (
+            f"config error: {locked}: cannot read: Permission denied\n"
+        )
 
     def test_invalid_json_is_config_error(self, tmp_path, capsys):
         broken = tmp_path / "broken.json"
         broken.write_text("{not json")
         assert cli_main(["eval", "--config", str(broken)]) == 1
-        assert "config error:" in capsys.readouterr().err
+        lines = capsys.readouterr().err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith(f"config error: {broken}: invalid JSON: ")
+
+    def test_config_that_is_a_json_list_is_config_error(self, tmp_path, capsys):
+        listed = write_cfg(tmp_path / "list.json", [{"data": DATA}])
+        assert cli_main(["probe", "--config", listed]) == 1
+        assert capsys.readouterr().err == f"config error: {listed}: expected a JSON object\n"
 
     def test_unknown_subcommand_exits_2(self, capsys):
         assert cli_main(["frobnicate"]) == 2

@@ -228,6 +228,22 @@ class TestRoundTrip:
             assert a.windows == b.windows
             assert a.n_frames == b.n_frames
 
+    def test_manifest_text_is_pinned(self, tmp_path):
+        # the manifest is written from FeatureManifest's fields: their names
+        # and order are the saved format
+        spec = ft.SyntheticSpec(n_instances=2, n_clips=4, video_dim=6, text_dim=6)
+        insts, sals, masks = ft.generate_synthetic(spec)
+        ft.save_dataset(insts, tmp_path / "d.json", saliencies=sals, causal_masks=masks)
+        assert (tmp_path / "d.json").read_text() == (
+            '{\n  "version": 2,\n  "count": 2,\n  "n_clips": 4,\n  "video_dim": 6,\n'
+            '  "text_dim": 6,\n  "n_answers": 5,\n  "files": {\n'
+            '    "video": "d.video.f32",\n    "question": "d.question.f32",\n'
+            '    "answers": "d.answers.f32",\n    "gold": "d.gold.u8",\n'
+            '    "qtype": "d.qtype.u8",\n    "ids": "d.ids.json",\n'
+            '    "saliency": "d.saliency.i8",\n    "saliency_scores": "d.saliency.f8",\n'
+            '    "masks": "d.masks.u8"\n  }\n}\n'
+        )
+
     def test_sidecars_absent_give_none(self, tmp_path):
         ft.save_dataset(make_instances(2), tmp_path / "d.json")
         assert ft.load_saliency(tmp_path / "d.json") is None
@@ -417,6 +433,32 @@ class TestLoadErrors:
                 ft.load_saliency(root / "d.json")
             except ft.FormatError:
                 pass
+
+    @pytest.mark.parametrize(
+        "edit, problem",
+        [
+            (lambda body: body.pop("count"), "count: required"),
+            (lambda body: body.update(count=True), "count: expected an integer, got true"),
+            (lambda body: body.update(files=[]), "files: expected an object, got []"),
+            (lambda body: body["files"].update(video=5),
+             "files: expected an object of file names"),
+            (lambda body: body.update(version=1), "version: unsupported manifest version 1 "),
+            (lambda body: body.update(n_clips=0), "n_clips: must be positive"),
+            (lambda body: body["files"].pop("gold"),
+             "files: missing payload entries: ['gold']"),
+        ],
+        ids=["no-count", "count-bool", "files-list", "file-number", "version-1",
+             "n_clips-0", "no-gold-file"],
+    )
+    def test_manifest_rejection_names_the_file_and_field(self, tmp_path, saved_dataset,
+                                                          edit, problem):
+        body = json.loads(saved_dataset["d.json"])
+        edit(body)
+        path = tmp_path / "d.json"
+        path.write_text(json.dumps(body))
+        with pytest.raises(ft.FormatError) as info:
+            ft.read_manifest(path)
+        assert str(info.value).startswith(f"{path}: {problem}")
 
     def test_missing_manifest(self, tmp_path):
         with pytest.raises(ft.FormatError, match="not found"):

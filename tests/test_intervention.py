@@ -13,6 +13,7 @@ from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
 from gradcheck import assert_grad_matches, dead_tensors
 from reference_step import (
+    ForcedRatios,
     draw_triplet,
     reference_infonce,
     reference_mixup,
@@ -62,15 +63,16 @@ class PairMix(NamedTuple):
     v_star: np.ndarray
 
 
-def mix_pair(x, sx, xp, sxp, cfg, rng, **forced):
+def mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=None, lambda1=None):
     """x's mixup with its partner xp, through one batched call over the
     pair: its causal and complement rows, question, gold answer and whole
-    video, or None when x's row is not valid."""
+    video, or None when x's row is not valid. lambda0/lambda1 force every
+    sample's ratio in place of its draw from rng."""
     pair = (x, xp)
     out = iv.mixup_intervene(
         np.stack([i.video for i in pair]), np.stack([i.question for i in pair]),
-        np.stack([i.answers[i.gold] for i in pair]), np.stack([sx.mask, sxp.mask]), cfg, rng,
-        **forced,
+        np.stack([i.answers[i.gold] for i in pair]), np.stack([sx.mask, sxp.mask]), cfg,
+        ForcedRatios(rng, lambda0, lambda1),
     )
     if not out.valid[0]:
         return None

@@ -191,8 +191,8 @@ def test_resample_rejects_small_pool():
 # -- teacher-student -----------------------------------------------------------
 
 
-def student_fixture(n_frames=6, video_dim=7, seed=0):
-    student = sm.StudentSampler(sm.StudentConfig(video_dim=video_dim, model_dim=8, top_s=3,
+def student_fixture(n_frames=6, video_dim=7, seed=0, top_s=3):
+    student = sm.StudentSampler(sm.StudentConfig(video_dim=video_dim, model_dim=8, top_s=top_s,
                                                  seed=seed))
     video = np.random.default_rng(seed + 100).normal(size=(n_frames, video_dim))
     return student, video
@@ -215,17 +215,17 @@ def test_student_single_frame_probability_one():
 
 
 def test_student_top_s_selects_highest_mass():
-    student, video = student_fixture()
+    student, video = student_fixture(top_s=2)
     rng = np.random.default_rng(5)
     student.store["head.w"][...] = rng.normal(size=8)
-    out = sm.s3_student_probs(student, video, top_s=2)
+    out = sm.s3_student_probs(student, video)
     ranked = np.argsort(-out.probs, kind="stable")
     assert set(out.indices) == set(int(i) for i in ranked[:2])
 
 
 def test_student_top_s_clamps_to_frame_count():
-    student, video = student_fixture(n_frames=4)
-    out = sm.s3_student_probs(student, video, top_s=99)
+    student, video = student_fixture(n_frames=4, top_s=99)
+    out = sm.s3_student_probs(student, video)
     assert out.indices == (0, 1, 2, 3)
 
 
