@@ -260,7 +260,7 @@ def _run_sampler(sampler: SamplerConfig, instances, saliencies) -> list[dict]:
 def _cmd_sample(cfg: InputConfig, sample: SampleConfig) -> tuple[Path, dict]:
     sampler = sample.sampler
     out_dir = resolve_output_dir(cfg.output_dir)
-    instances, saliencies, _ = load_data(cfg.data)
+    instances, saliencies, _ = load_data(cfg.data, saliency=sampler.kind != "pcma80")
     selections = _run_sampler(sampler, instances, saliencies)
     return out_dir, {"command": "sample", "sampler": sampler.kind, "selections": selections}
 

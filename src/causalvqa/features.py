@@ -271,16 +271,34 @@ _JSON_KINDS = {
 }
 
 
+class _Rule(NamedTuple):
+    """How build_section reads one field, worked out once per class."""
+
+    kinds: tuple  # the JSON kinds the field's hint accepts
+    exact: frozenset  # value types taken as they are: every kind but float, which must be finite
+    nullable: bool
+    nested: type | None  # the dataclass a JSON object is read into
+    enum: type[Enum] | None  # the Enum the value is converted through
+
+
+def _rule(hint) -> _Rule:
+    kinds = get_args(hint) or (hint,)
+    nested = next((kind for kind in kinds if is_dataclass(kind)), None)
+    enum = kinds[0] if isinstance(kinds[0], type) and issubclass(kinds[0], Enum) else None
+    exact = frozenset(kinds) & {bool, int, str, dict}
+    return _Rule(kinds, exact, type(None) in kinds, nested, enum)
+
+
 @cache  # evaluating annotations takes ~0.1 ms a class, and reading runs per file
-def _schema(factory: Callable) -> tuple[dict[str, tuple], tuple[str, ...]]:
-    """The accepted kinds of each of a dataclass's fields, and the names of
+def _schema(factory: Callable) -> tuple[dict[str, _Rule], tuple[str, ...]]:
+    """The reading rule of each of a dataclass's fields, and the names of
     the fields with no default."""
     hints = get_type_hints(factory)
-    kinds = {f.name: get_args(hints[f.name]) or (hints[f.name],) for f in fields(factory)}
+    rules = {f.name: _rule(hints[f.name]) for f in fields(factory)}
     required = tuple(
         f.name for f in fields(factory) if f.default is MISSING and f.default_factory is MISSING
     )
-    return kinds, required
+    return rules, required
 
 
 def _json_type_ok(value, kind) -> bool:
@@ -306,28 +324,27 @@ def build_section(problems: list[str], section: str, factory: Callable, raw: dic
     def where(key: str | None) -> str:
         return ".".join(part for part in (section, key) if part)
 
-    kinds_of, required = _schema(factory)
+    rules, required = _schema(factory)
     reported = len(problems)
     problems.extend(f"{where(key)}: required" for key in required if key not in raw)
     kwargs = {}
     for key, value in raw.items():
-        kinds = kinds_of.get(key, ())
-        nested = [kind for kind in kinds if is_dataclass(kind)]
-        if not kinds or (value is None and type(None) in kinds):
+        rule = rules.get(key)
+        if rule is None or (value is None and rule.nullable):
             kwargs[key] = value
-        elif nested and isinstance(value, dict):
-            kwargs[key] = build_section(problems, where(key), nested[0], value)
-        elif nested:
+        elif rule.nested is not None and isinstance(value, dict):
+            kwargs[key] = build_section(problems, where(key), rule.nested, value)
+        elif rule.nested is not None:
             problems.append(f"{where(key)}: expected a JSON object")
-        elif issubclass(kinds[0], Enum):
+        elif rule.enum is not None:
             try:
-                kwargs[key] = kinds[0](value)
+                kwargs[key] = rule.enum(value)
             except ValueError:
                 problems.append(f"{where(key)}: unknown {value!r}")
-        elif any(_json_type_ok(value, kind) for kind in kinds):
+        elif type(value) in rule.exact or any(_json_type_ok(value, k) for k in rule.kinds):
             kwargs[key] = value
         else:
-            expected = " or ".join(_JSON_KINDS[kind] for kind in kinds)
+            expected = " or ".join(_JSON_KINDS[kind] for kind in rule.kinds)
             problems.append(f"{where(key)}: expected {expected}, got {json.dumps(value)}")
     if len(problems) > reported:
         return None

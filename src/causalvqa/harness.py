@@ -196,24 +196,24 @@ class ExperimentConfig:
 
 
 def load_data(
-    cfg: DataConfig,
+    cfg: DataConfig, saliency: bool = False
 ) -> tuple[list[VideoQAInstance], list | None, Array | None]:
-    """Instances plus optional saliency and causal-mask sidecars;
-    ConfigError if there are no instances."""
+    """Instances, saliency annotations and causal masks; ConfigError if
+    there are no instances. Only frame sampling uses saliency, so its
+    sidecar is parsed only when saliency is true; otherwise that slot is
+    None."""
     if cfg.synthetic is not None:
-        data = generate_synthetic(cfg.synthetic)
+        instances, saliencies, masks = generate_synthetic(cfg.synthetic)
     else:
         # one parse of the manifest serves the payloads and both sidecars; it is
         # looked up on the features module, where the benchmark's tracer counts it
         manifest = features.read_manifest(cfg.manifest)
-        data = (
-            load_dataset(cfg.manifest, manifest),
-            load_saliency(cfg.manifest, manifest),
-            load_causal_masks(cfg.manifest, manifest),
-        )
-    if not data[0]:
+        instances = load_dataset(cfg.manifest, manifest)
+        saliencies = load_saliency(cfg.manifest, manifest) if saliency else None
+        masks = load_causal_masks(cfg.manifest, manifest)
+    if not instances:
         raise ConfigError(["data: empty dataset"])
-    return data
+    return instances, saliencies if saliency else None, masks
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:

@@ -258,6 +258,67 @@ class TestIntervenEvalCommand:
         }
 
 
+class TestSaliencySidecarScope:
+    """Only mar sampling reads the saliency sidecar: every other command
+    runs on a dataset whose saliency payloads are gone, and writes what it
+    writes on the intact dataset."""
+
+    @staticmethod
+    def _datasets(tmp_path) -> tuple[Path, Path]:
+        instances, saliencies, masks = generate_synthetic(SyntheticSpec(**DATA["synthetic"]))
+        intact, bare = tmp_path / "intact" / "d.json", tmp_path / "bare" / "d.json"
+        for manifest in (intact, bare):
+            save_dataset(instances, manifest, saliencies=saliencies, causal_masks=masks)
+        for name in ("d.saliency.i8", "d.saliency.f8"):
+            (bare.parent / name).unlink()
+        return intact, bare
+
+    @staticmethod
+    def _metrics(tmp_path, command, manifest, keys) -> bytes:
+        out = tmp_path / "out" / manifest.parent.name / command
+        cfg = write_cfg(tmp_path / f"{command}.json",
+                        {"data": {"manifest": str(manifest)}, "output_dir": str(out), **keys})
+        assert cli_main([command, "--config", cfg]) == 0
+        return (out / "metrics.json").read_bytes()
+
+    @pytest.mark.parametrize("command", ["train", "eval", "intervene-eval", "probe"])
+    def test_command_runs_without_the_saliency_payloads(self, tmp_path, monkeypatch, command):
+        monkeypatch.delenv("CAUSALVQA_OUTPUT_DIR", raising=False)
+        intact, bare = self._datasets(tmp_path)
+        ckpt = tmp_path / "ckpt"
+        train_cfg = write_cfg(tmp_path / "ckpt.json", {
+            "data": DATA, "model": MODEL, "optimizer": OPT, "output_dir": str(ckpt),
+        })
+        assert cli_main(["train", "--config", train_cfg]) == 0
+        keys = {
+            "train": {"model": MODEL, "optimizer": OPT},
+            "eval": {"checkpoint": str(ckpt / "checkpoint")},
+            "intervene-eval": {"checkpoint_a": str(ckpt / "checkpoint"),
+                               "checkpoint_b": str(ckpt / "checkpoint"), "neighbor_k": 2},
+            "probe": {},
+        }[command]
+        expected = self._metrics(tmp_path, command, intact, keys)
+        assert self._metrics(tmp_path, command, bare, keys) == expected
+
+    def test_sample_reads_the_saliency_payloads_only_for_mar(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        monkeypatch.delenv("CAUSALVQA_OUTPUT_DIR", raising=False)
+        intact, bare = self._datasets(tmp_path)
+        pcma80 = {"sampler": {"kind": "pcma80", "seed": 5, "subsample": 4}}
+        expected = self._metrics(tmp_path, "sample", intact, pcma80)
+        assert self._metrics(tmp_path, "sample", bare, pcma80) == expected
+        cfg = write_cfg(tmp_path / "mar16.json", {
+            "data": {"manifest": str(bare)}, "sampler": {"kind": "mar16", "seed": 5},
+            "output_dir": str(tmp_path / "mar16"),
+        })
+        capsys.readouterr()
+        assert cli_main(["sample", "--config", cfg]) == 1
+        assert capsys.readouterr().err == (
+            f"error: payload file missing: {bare.parent / 'd.saliency.i8'}\n"
+        )
+
+
 def _window_end_past_its_video(raw: bytes) -> bytes:
     # the int64 saliency payload holds (n_frames, window count) per video,
     # then (start, end) per window; each synthetic video has one window
@@ -663,8 +724,12 @@ class TestErrorPaths:
             path.write_text(json.dumps(edit(json.loads(path.read_text()))))
         else:
             path.write_bytes(edit(path.read_bytes()))
-        cfg = write_cfg(tmp_path / "probe.json", {"data": {"manifest": str(manifest)}})
-        assert cli_main(["probe", "--config", cfg]) == 1
+        # the saliency sidecar is read by the one command that uses it
+        command, keys = (
+            ("sample", {"sampler": {"kind": "mar16"}}) if "saliency" in name else ("probe", {})
+        )
+        cfg = write_cfg(tmp_path / "cfg.json", {"data": {"manifest": str(manifest)}, **keys})
+        assert cli_main([command, "--config", cfg]) == 1
         lines = capsys.readouterr().err.splitlines()
         assert len(lines) == 1 and lines[0].startswith(f"error: {path}: {problem}")
 

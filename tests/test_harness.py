@@ -87,12 +87,35 @@ class TestLoadData:
         reads = []
         read = features.read_manifest
         monkeypatch.setattr(features, "read_manifest", lambda p: reads.append(p) or read(p))
-        loaded, loaded_saliencies, loaded_masks = load_data(
-            DataConfig(manifest=str(tmp_path / "d.json"))
+        cfg = DataConfig(manifest=str(tmp_path / "d.json"))
+        for saliency in (False, True):
+            reads.clear()
+            loaded, loaded_saliencies, loaded_masks = load_data(cfg, saliency=saliency)
+            assert reads == [str(tmp_path / "d.json")]
+            assert [i.video_id for i in loaded] == [i.video_id for i in instances]
+            if saliency:
+                assert len(loaded_saliencies) == 5
+            else:
+                assert loaded_saliencies is None
+            np.testing.assert_array_equal(loaded_masks, masks)
+
+    @pytest.mark.parametrize("source", ["manifest", "synthetic"])
+    def test_saliency_is_read_only_when_asked_for(self, tmp_path, monkeypatch, source):
+        spec = SyntheticSpec(n_instances=5, seed=2, n_clips=8, video_dim=24, text_dim=24)
+        instances, saliencies, masks = generate_synthetic(spec)
+        save_dataset(instances, tmp_path / "d.json", saliencies=saliencies, causal_masks=masks)
+
+        def refuse(*args):
+            raise AssertionError("the saliency sidecar was read")
+
+        for owner in (features, hn):
+            monkeypatch.setattr(owner, "load_saliency", refuse)
+        cfg = (
+            DataConfig(manifest=str(tmp_path / "d.json")) if source == "manifest"
+            else DataConfig(synthetic=spec)
         )
-        assert reads == [str(tmp_path / "d.json")]
-        assert [i.video_id for i in loaded] == [i.video_id for i in instances]
-        assert len(loaded_saliencies) == 5
+        loaded, loaded_saliencies, loaded_masks = load_data(cfg)
+        assert len(loaded) == 5 and loaded_saliencies is None
         np.testing.assert_array_equal(loaded_masks, masks)
 
 
