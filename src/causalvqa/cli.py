@@ -152,12 +152,12 @@ def _read_sections(raw: dict, factories: tuple) -> list:
 
 def _cmd_gen_data(cfg: GenDataConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
-    instances, saliencies, masks = generate_synthetic(cfg.synthetic)
+    data, saliencies, masks = generate_synthetic(cfg.synthetic)
     # an absolute manifest path replaces out_dir in the join
-    save_dataset(instances, out_dir / cfg.manifest, saliencies=saliencies, causal_masks=masks)
+    save_dataset(data, out_dir / cfg.manifest, saliencies=saliencies, causal_masks=masks)
     payload = {
         "command": "gen-data",
-        "count": len(instances),
+        "count": len(data),
         "n_clips": cfg.synthetic.n_clips,
         "manifest": cfg.manifest,
     }
@@ -188,8 +188,8 @@ def _cmd_train(cfg: ExperimentConfig) -> tuple[Path, dict]:
 def _cmd_eval(cfg: InputConfig, ev: EvalConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
     model = load_checkpoint(ev.checkpoint)
-    instances, _, _ = load_data(cfg.data)
-    report = evaluate(model, instances)
+    data, _, _ = load_data(cfg.data)
+    report = evaluate(model, data)
     return out_dir, {"command": "eval", **report.to_dict()}
 
 
@@ -197,17 +197,15 @@ def _cmd_intervene_eval(cfg: InputConfig, protocol: ProtocolConfig) -> tuple[Pat
     out_dir = resolve_output_dir(cfg.output_dir)
     model_a = load_checkpoint(protocol.checkpoint_a)
     model_b = load_checkpoint(protocol.checkpoint_b)
-    instances, _, masks = load_data(cfg.data)
+    data, _, masks = load_data(cfg.data)
     if masks is None:
         raise ConfigError(["data: causal masks required for intervene-eval"])
-    bank = MemoryBank(
-        instances[0].video.shape[1], metric=Metric.COSINE, regime=Regime.F1_STATIC
-    )
-    bank.populate(instance_scenes(instances)).freeze()
+    bank = MemoryBank(data.video_dim, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+    bank.populate(instance_scenes(data)).freeze()
     proto = seen_unseen_protocol(
         model_a,
         model_b,
-        instances,
+        data,
         np.asarray(masks, dtype=bool),
         bank,
         seed=protocol.seed,
@@ -225,8 +223,8 @@ def _cmd_intervene_eval(cfg: InputConfig, protocol: ProtocolConfig) -> tuple[Pat
 
 def _cmd_probe(cfg: InputConfig) -> tuple[Path, dict]:
     out_dir = resolve_output_dir(cfg.output_dir)
-    instances, _, _ = load_data(cfg.data)
-    report = shortcut_probe(instances)
+    data, _, _ = load_data(cfg.data)
+    report = shortcut_probe(data)
     return out_dir, {"command": "probe", **report.to_dict()}
 
 
@@ -239,29 +237,27 @@ def _output_dict(video_id: str, out: sm.SamplerOutput) -> dict:
     }
 
 
-def _run_sampler(sampler: SamplerConfig, instances, saliencies) -> list[dict]:
+def _run_sampler(sampler: SamplerConfig, data, saliencies) -> list[dict]:
     selections = []
     if sampler.kind == "pcma80":
-        for i, inst in enumerate(instances):
-            _, out = sm.pcma80_resample(
-                inst.video, sampler.seed + i, subsample=sampler.subsample or 16
-            )
-            selections.append(_output_dict(inst.video_id, out))
+        for i, (video_id, video) in enumerate(zip(data.ids, data.video)):
+            _, out = sm.pcma80_resample(video, sampler.seed + i, subsample=sampler.subsample or 16)
+            selections.append(_output_dict(video_id, out))
         return selections
     if saliencies is None:
         raise ConfigError(["data: saliency annotations required for mar sampling"])
     factory = sm.mar16 if sampler.kind == "mar16" else sm.mar32
-    for i, (inst, annotation) in enumerate(zip(instances, saliencies)):
+    for i, (video_id, annotation) in enumerate(zip(data.ids, saliencies)):
         out = sm.mar_sample(annotation, factory(seed=sampler.seed + i))
-        selections.append(_output_dict(inst.video_id, out))
+        selections.append(_output_dict(video_id, out))
     return selections
 
 
 def _cmd_sample(cfg: InputConfig, sample: SampleConfig) -> tuple[Path, dict]:
     sampler = sample.sampler
     out_dir = resolve_output_dir(cfg.output_dir)
-    instances, saliencies, _ = load_data(cfg.data, saliency=sampler.kind != "pcma80")
-    selections = _run_sampler(sampler, instances, saliencies)
+    data, saliencies, _ = load_data(cfg.data, saliency=sampler.kind != "pcma80")
+    selections = _run_sampler(sampler, data, saliencies)
     return out_dir, {"command": "sample", "sampler": sampler.kind, "selections": selections}
 
 

@@ -81,15 +81,9 @@ class SaliencyAnnotation:
                 raise FormatError(f"moment window {w} out of bounds for {self.n_frames} frames")
 
 
-@dataclass(frozen=True)
-class VideoQAInstance:
-    """One multiple-choice example over precomputed embeddings.
-
-    Features arrive as float32 (the at-rest precision) or float64 and are
-    stored as read-only float64 arrays, so consumers use them as they are
-    and any write into them raises ValueError. Float32 input and writeable
-    float64 input are copied; read-only float64 input is kept as given.
-    """
+class VideoQAInstance(NamedTuple):
+    """Sample i of a Dataset as views of its arrays' rows. The Dataset
+    checked them, so a row has no checks of its own."""
 
     video_id: str
     video: np.ndarray  # [n_clips, video_dim]
@@ -98,39 +92,111 @@ class VideoQAInstance:
     gold: int
     qtype: Qtype
 
-    def __post_init__(self) -> None:
-        if self.video.ndim != 2:
-            raise FormatError(f"video must be [n_clips, video_dim], got {self.video.shape}")
-        if self.question.ndim != 1:
-            raise FormatError(f"question must be a vector, got {self.question.shape}")
-        if self.answers.shape != (N_ANSWERS, self.question.shape[0]):
-            raise FormatError(
-                f"answers must be [{N_ANSWERS}, text_dim], got {self.answers.shape}"
-            )
-        for name in ("video", "question", "answers"):
-            arr = getattr(self, name)
-            if arr.dtype not in (np.float32, np.float64):
-                raise FormatError(f"{name} must be float32 or float64, got {arr.dtype}")
-            if not np.all(np.isfinite(arr)):
-                raise FormatError(f"{name} contains non-finite values ({self.video_id})")
-            if arr.dtype != np.float64 or arr.flags.writeable:
-                arr = arr.astype(np.float64)
-                arr.flags.writeable = False
-                object.__setattr__(self, name, arr)
-        if not 0 <= self.gold < N_ANSWERS:
-            raise FormatError(f"gold index {self.gold} out of range ({self.video_id})")
-
     @property
     def n_clips(self) -> int:
         return self.video.shape[0]
 
+
+class Dataset:
+    """N multiple-choice samples as read-only arrays: video [N, n_clips,
+    video_dim], question [N, text_dim], answers [N, N_ANSWERS, text_dim],
+    gold and qtype [N] int64, and a tuple of N video ids. ds[i] is sample
+    i's row view; ds[:n] or ds[index_array] the Dataset of those rows.
+
+    The constructor is the one place the data rules are checked: the
+    shapes agree, features are finite float32 or float64, gold and qtype
+    are in range, and ids are distinct strings without '+', which the bank
+    reserves for blends. Features are kept as read-only float64: float32
+    and writeable float64 input are copied, read-only float64 input is
+    kept as given. A FormatError names files[array], the file an array was
+    read from, else the array.
+    """
+
+    __slots__ = ("ids", "video", "question", "answers", "gold", "qtype")
+
+    def __init__(self, ids, video, question, answers, gold, qtype, files: dict | None = None):
+        where = {name: name for name in self.__slots__} | (files or {})
+        video, question, answers = np.asarray(video), np.asarray(question), np.asarray(answers)
+        if video.ndim != 3 or 0 in video.shape[1:]:
+            raise FormatError(f"video must be [N, n_clips, video_dim], got {video.shape}")
+        n = len(video)
+        if question.ndim != 2 or len(question) != n or question.shape[1] == 0:
+            raise FormatError(f"question must be [{n}, text_dim], got {question.shape}")
+        if answers.shape != (n, N_ANSWERS, question.shape[1]):
+            raise FormatError(
+                f"answers must be [{n}, {N_ANSWERS}, {question.shape[1]}], got {answers.shape}"
+            )
+        for name, arr in (("video", video), ("question", question), ("answers", answers)):
+            if arr.dtype not in (np.float32, np.float64):
+                raise FormatError(f"{name} must be float32 or float64, got {arr.dtype}")
+            _require_finite_payload(str(where[name]), arr)
+            if arr.dtype != np.float64 or arr.flags.writeable:
+                arr = arr.astype(np.float64)
+            setattr(self, name, _read_only(arr))
+        for name, arr in (("gold", np.asarray(gold)), ("qtype", np.asarray(qtype))):
+            if arr.shape != (n,) or (n and arr.dtype.kind not in "iu"):
+                raise FormatError(f"{name} must be [{n}] integers, got {arr.dtype} {arr.shape}")
+        labels = _read_only(np.array([gold, qtype], dtype=np.int64).reshape(2, n))
+        limits = np.array([[N_ANSWERS], [len(Qtype)]])
+        bad = (labels < 0) | (labels >= limits)
+        if bad.any():
+            i = int(np.argmax(bad.any(axis=0)))
+            row = int(np.argmax(bad[:, i]))
+            raise FormatError(f"{where[('gold', 'qtype')[row]]}: {labels[row, i]} out of range "
+                              f"[0, {limits[row, 0]}) at instance {i}")
+        self.gold, self.qtype = labels
+        self.ids = _checked_ids(tuple(ids), n, where["ids"])
+
+    def __len__(self) -> int:
+        return len(self.ids)
+
+    def __getitem__(self, key):
+        """The row view of sample key, or the Dataset of the rows key
+        selects; iteration yields the row views."""
+        if isinstance(key, (int, np.integer)):
+            return VideoQAInstance(
+                self.ids[key], self.video[key], self.question[key], self.answers[key],
+                int(self.gold[key]), Qtype(int(self.qtype[key])),
+            )
+        rows = np.arange(len(self))[key]
+        # the selected rows are copies nothing else holds: kept as they are
+        features = (_read_only(a[rows]) for a in (self.video, self.question, self.answers))
+        return Dataset([self.ids[i] for i in rows], *features, self.gold[rows], self.qtype[rows])
+
     @property
-    def video_dim(self) -> int:
+    def n_clips(self) -> int:
         return self.video.shape[1]
 
     @property
+    def video_dim(self) -> int:
+        return self.video.shape[2]
+
+    @property
     def text_dim(self) -> int:
-        return self.question.shape[0]
+        return self.question.shape[1]
+
+
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.flags.writeable = False
+    return arr
+
+
+def _checked_ids(ids: tuple, n: int, where) -> tuple:
+    """ids, when they are n distinct strings without '+'; else FormatError
+    naming where and the first entry at fault."""
+    if len(ids) != n:
+        raise FormatError(f"{where}: lists {len(ids)} entries for {n} samples")
+    if all(isinstance(v, str) for v in ids) and "+" not in "".join(ids) and len(set(ids)) == n:
+        return ids  # the common case, checked without a loop over entries
+    first: dict[str, int] = {}
+    for i, v in enumerate(ids):
+        if not isinstance(v, str):
+            raise FormatError(f"{where}: entry {i}: expected a string, got {v!r}")
+        if "+" in v:
+            raise FormatError(f"{where}: entry {i}: {v!r} contains '+', which names blends")
+        if first.setdefault(v, i) != i:
+            raise FormatError(f"{where}: entry {i}: {v!r} repeats entry {first[v]}")
+    return ids
 
 
 @dataclass(frozen=True, kw_only=True)
@@ -406,31 +472,19 @@ def _require_finite_payload(name: str, arr: np.ndarray) -> None:
 
 
 def save_dataset(
-    instances: Sequence[VideoQAInstance],
+    dataset: Dataset,
     manifest_path: str | Path,
     saliencies: Sequence[SaliencyAnnotation] | None = None,
     causal_masks: np.ndarray | None = None,
 ) -> FeatureManifest:
-    """Write instances (and optional sidecars) next to a JSON manifest.
+    """Write a dataset (and optional sidecars) next to a JSON manifest.
 
     The round trip through load_dataset is bit-exact: feature values that
     float32 cannot hold exactly raise FormatError before anything is written.
     """
     manifest_path = Path(manifest_path)
     stem = manifest_path.stem
-    if instances:
-        first = instances[0]
-        n_clips, video_dim, text_dim = first.n_clips, first.video_dim, first.text_dim
-        for inst in instances:
-            if (inst.n_clips, inst.video_dim, inst.text_dim) != (n_clips, video_dim, text_dim):
-                raise FormatError(
-                    f"heterogeneous dims: {inst.video_id} has "
-                    f"({inst.n_clips}, {inst.video_dim}, {inst.text_dim}), "
-                    f"expected ({n_clips}, {video_dim}, {text_dim})"
-                )
-    else:
-        n_clips, video_dim, text_dim = 1, 1, 1
-
+    count, n_clips = len(dataset), dataset.n_clips
     files = {
         "video": f"{stem}.video.f32",
         "question": f"{stem}.question.f32",
@@ -440,35 +494,33 @@ def save_dataset(
         "ids": f"{stem}.ids.json",
     }
     if saliencies is not None:
-        if len(saliencies) != len(instances):
+        if len(saliencies) != count:
             raise FormatError("saliency count does not match instance count")
         files["saliency"] = f"{stem}.saliency.i8"
         files["saliency_scores"] = f"{stem}.saliency.f8"
     if causal_masks is not None:
-        if causal_masks.shape != (len(instances), n_clips) and len(instances) > 0:
-            raise FormatError(
-                f"causal mask shape {causal_masks.shape} vs ({len(instances)}, {n_clips})"
-            )
+        if causal_masks.shape != (count, n_clips):
+            raise FormatError(f"causal mask shape {causal_masks.shape} vs ({count}, {n_clips})")
         files["masks"] = f"{stem}.masks.u8"
 
     manifest = FeatureManifest(
         version=FORMAT_VERSION,
-        count=len(instances),
+        count=count,
         n_clips=n_clips,
-        video_dim=video_dim,
-        text_dim=text_dim,
+        video_dim=dataset.video_dim,
+        text_dim=dataset.text_dim,
         files=files,
     )
     payloads = {}
     for name in ("video", "question", "answers"):
-        values = np.stack([getattr(i, name) for i in instances]) if instances else np.empty(0)
+        values = getattr(dataset, name)
         at_rest = values.astype("<f4")
         if not np.array_equal(at_rest, values):
             raise FormatError(f"{name}: values are not exactly representable as float32")
         payloads[name] = at_rest.tobytes()
-    payloads["gold"] = bytes(i.gold for i in instances)
-    payloads["qtype"] = bytes(int(i.qtype) for i in instances)
-    payloads["ids"] = json.dumps([i.video_id for i in instances])
+    payloads["gold"] = dataset.gold.astype("u1").tobytes()
+    payloads["qtype"] = dataset.qtype.astype("u1").tobytes()
+    payloads["ids"] = json.dumps(list(dataset.ids))
     if saliencies is not None:
         windows = [w for s in saliencies for w in s.windows]
         counts = [(s.n_frames, len(s.windows)) for s in saliencies]
@@ -496,65 +548,38 @@ def read_manifest(manifest_path: str | Path) -> FeatureManifest:
     return file_section(manifest_path, read_json(manifest_path), FeatureManifest)
 
 
-_FIELDS = {cls: [f.name for f in fields(cls)] for cls in (VideoQAInstance, SaliencyAnnotation)}
+_SALIENCY_FIELDS = [f.name for f in fields(SaliencyAnnotation)]
 
 
-def _loaded(cls, *values):
-    """A VideoQAInstance or SaliencyAnnotation over values its loader has
-    checked whole (as read-only arrays), built without __post_init__'s
-    per-object checks of the same values. Fields are set one by one, as the
-    dataclass __init__ sets them: writing __dict__ directly would give the
-    object a slower attribute layout."""
-    obj = object.__new__(cls)
-    for name, value in zip(_FIELDS[cls], values):
+def _loaded_saliency(*values) -> SaliencyAnnotation:
+    """A SaliencyAnnotation over values load_saliency has checked whole (as
+    read-only arrays), built without __post_init__'s per-object checks of
+    the same values. Fields are set one by one, as the dataclass __init__
+    sets them: writing __dict__ directly would give the object a slower
+    attribute layout."""
+    obj = object.__new__(SaliencyAnnotation)
+    for name, value in zip(_SALIENCY_FIELDS, values):
         object.__setattr__(obj, name, value)
     return obj
 
 
-def load_dataset(
-    manifest_path: str | Path, manifest: FeatureManifest | None = None
-) -> list[VideoQAInstance]:
-    """Load instances described by a manifest (read from manifest_path
-    unless already parsed); validates shapes and values. A declared ids
-    sidecar must exist."""
+def load_dataset(manifest_path: str | Path, manifest: FeatureManifest | None = None) -> Dataset:
+    """The dataset a manifest (read from manifest_path unless already
+    parsed) describes. A declared ids sidecar must exist; the Dataset
+    checks every value and names the file at fault."""
     manifest_path = Path(manifest_path)
     m = read_manifest(manifest_path) if manifest is None else manifest
-    root = manifest_path.parent
-    video = _read_payload(
-        root / m.files["video"], "<f4", (m.count, m.n_clips, m.video_dim)
-    )
-    question = _read_payload(root / m.files["question"], "<f4", (m.count, m.text_dim))
-    answers = _read_payload(
-        root / m.files["answers"], "<f4", (m.count, N_ANSWERS, m.text_dim)
-    )
-    gold = _read_payload(root / m.files["gold"], "u1", (m.count,))
-    qtype = _read_payload(root / m.files["qtype"], "u1", (m.count,))
-    for name, arr in (("video", video), ("question", question), ("answers", answers)):
-        _require_finite_payload(m.files[name], arr)
-    # the one float32 -> float64 upcast per payload; instances share its rows
-    video, question, answers = (a.astype(np.float64) for a in (video, question, answers))
-    for arr in (video, question, answers):
-        arr.flags.writeable = False
-
-    if "ids" in m.files:
-        ids_path = root / m.files["ids"]
-        ids = read_json(ids_path, list)
-        if len(ids) != m.count:
-            raise FormatError(f"{ids_path}: lists {len(ids)} entries, manifest count {m.count}")
+    files = {name: manifest_path.parent / file for name, file in m.files.items()}
+    video = _read_payload(files["video"], "<f4", (m.count, m.n_clips, m.video_dim))
+    question = _read_payload(files["question"], "<f4", (m.count, m.text_dim))
+    answers = _read_payload(files["answers"], "<f4", (m.count, N_ANSWERS, m.text_dim))
+    gold = _read_payload(files["gold"], "u1", (m.count,))
+    qtype = _read_payload(files["qtype"], "u1", (m.count,))
+    if "ids" in files:
+        ids = read_json(files["ids"], list)
     else:
         ids = [f"v{i:05d}" for i in range(m.count)]
-
-    bad = (gold >= N_ANSWERS) | (qtype >= len(Qtype))
-    if bad.any():
-        i = int(np.argmax(bad))
-        if gold[i] >= N_ANSWERS:
-            raise FormatError(f"gold index {gold[i]} out of range at instance {i}")
-        raise FormatError(f"qtype {qtype[i]} out of range at instance {i}")
-    qtypes = list(Qtype)
-    return [
-        _loaded(VideoQAInstance, str(v), vid, q, a, g, qtypes[t])
-        for v, vid, q, a, g, t in zip(ids, video, question, answers, gold.tolist(), qtype.tolist())
-    ]
+    return Dataset(ids, video, question, answers, gold, qtype, files)
 
 
 def load_saliency(
@@ -628,7 +653,7 @@ def load_saliency(
     window_offsets = np.concatenate(([0], np.cumsum(n_windows))).tolist()
     windows = list(map(MomentWindow, start.tolist(), end.tolist(), scores[n_scores:].tolist()))
     return [
-        _loaded(SaliencyAnnotation, scores[f0:f1], tuple(windows[w0:w1]), f1 - f0)
+        _loaded_saliency(scores[f0:f1], tuple(windows[w0:w1]), f1 - f0)
         for f0, f1, w0, w1 in zip(
             frame_offsets, frame_offsets[1:], window_offsets, window_offsets[1:]
         )
@@ -639,12 +664,18 @@ def load_causal_masks(
     manifest_path: str | Path, manifest: FeatureManifest | None = None
 ) -> np.ndarray | None:
     """Load ground-truth causal masks if the manifest (read from
-    manifest_path unless already parsed) declares them: bool [count, n_clips]."""
+    manifest_path unless already parsed) declares them: bool [count, n_clips]
+    from bytes that are each 0 or 1."""
     manifest_path = Path(manifest_path)
     m = read_manifest(manifest_path) if manifest is None else manifest
     if "masks" not in m.files:
         return None
-    raw = _read_payload(manifest_path.parent / m.files["masks"], "u1", (m.count, m.n_clips))
+    path = manifest_path.parent / m.files["masks"]
+    raw = _read_payload(path, "u1", (m.count, m.n_clips))
+    bad = raw.reshape(-1) > 1
+    if bad.any():
+        k = int(np.argmax(bad))
+        raise FormatError(f"{path}: byte {raw.flat[k]} is not 0 or 1, at flat offset {k}")
     return raw.astype(bool)
 
 
@@ -658,10 +689,10 @@ def _unit(v: np.ndarray) -> np.ndarray:
 
 def generate_synthetic(
     spec: SyntheticSpec,
-) -> tuple[list[VideoQAInstance], list[SaliencyAnnotation], np.ndarray]:
-    """Generate instances with a planted causal block; pure function of spec.
+) -> tuple[Dataset, list[SaliencyAnnotation], np.ndarray]:
+    """Generate a dataset with a planted causal block; pure function of spec.
 
-    Returns (instances, saliency annotations, ground-truth causal masks).
+    Returns (dataset, saliency annotations, ground-truth causal masks).
     The causal block is a contiguous run of clips whose rows point along a
     fixed random linear image of the gold answer vector; a linear readout
     can therefore recover the gold index from the causal clips alone.
@@ -684,18 +715,23 @@ def generate_synthetic(
     if spec.video_dim == spec.text_dim:
         proto_basis, _ = np.linalg.qr(answer_protos.T)
 
-    instances: list[VideoQAInstance] = []
+    n = spec.n_instances
+    # features are made in float64 and kept at float32, their at-rest precision
+    videos = np.empty((n, spec.n_clips, spec.video_dim), dtype=np.float32)
+    questions = np.empty((n, spec.text_dim), dtype=np.float32)
+    answer_sets = np.empty((n, N_ANSWERS, spec.text_dim), dtype=np.float32)
+    golds, qtypes = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     saliencies: list[SaliencyAnnotation] = []
-    masks = np.zeros((spec.n_instances, spec.n_clips), dtype=bool)
+    masks = np.zeros((n, spec.n_clips), dtype=bool)
     n_frames = spec.n_clips * spec.frames_per_clip
 
-    for i in range(spec.n_instances):
-        gold = int(rng.integers(0, N_ANSWERS))
-        qtype = Qtype(int(rng.integers(0, 3)))
+    for i in range(n):
+        golds[i] = gold = int(rng.integers(0, N_ANSWERS))
+        qtypes[i] = qtype = int(rng.integers(0, 3))
         answers = np.stack(
             [_unit(answer_protos[k] + 0.1 * rng.normal(size=spec.text_dim)) for k in range(N_ANSWERS)]
         )
-        question = _unit(qtype_protos[int(qtype)] + 0.5 * rng.normal(size=spec.text_dim))
+        question = _unit(qtype_protos[qtype] + 0.5 * rng.normal(size=spec.text_dim))
 
         start = int(rng.integers(0, spec.n_clips - spec.n_causal + 1))
         causal = np.zeros(spec.n_clips, dtype=bool)
@@ -724,17 +760,9 @@ def generate_synthetic(
             )
         ]
 
-        instances.append(
-            VideoQAInstance(
-                video_id=f"syn{i:05d}",
-                video=video.astype(np.float32),
-                question=question.astype(np.float32),
-                answers=answers.astype(np.float32),
-                gold=gold,
-                qtype=qtype,
-            )
-        )
+        videos[i], questions[i], answer_sets[i] = video, question, answers
         saliencies.append(
             SaliencyAnnotation(scores=scores, windows=tuple(windows), n_frames=n_frames)
         )
-    return instances, saliencies, masks
+    ids = [f"syn{i:05d}" for i in range(n)]
+    return Dataset(ids, videos, questions, answer_sets, golds, qtypes), saliencies, masks

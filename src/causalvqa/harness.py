@@ -20,6 +20,7 @@ import numpy as np
 from . import features, nn_core as nc
 from .features import (
     ConfigError,
+    Dataset,
     FormatError,
     Qtype,
     SyntheticSpec,
@@ -197,23 +198,23 @@ class ExperimentConfig:
 
 def load_data(
     cfg: DataConfig, saliency: bool = False
-) -> tuple[list[VideoQAInstance], list | None, Array | None]:
-    """Instances, saliency annotations and causal masks; ConfigError if
-    there are no instances. Only frame sampling uses saliency, so its
+) -> tuple[Dataset, list | None, Array | None]:
+    """The dataset, saliency annotations and causal masks; ConfigError if
+    the dataset is empty. Only frame sampling uses saliency, so its
     sidecar is parsed only when saliency is true; otherwise that slot is
     None."""
     if cfg.synthetic is not None:
-        instances, saliencies, masks = generate_synthetic(cfg.synthetic)
+        data, saliencies, masks = generate_synthetic(cfg.synthetic)
     else:
         # one parse of the manifest serves the payloads and both sidecars; it is
         # looked up on the features module, where the benchmark's tracer counts it
         manifest = features.read_manifest(cfg.manifest)
-        instances = load_dataset(cfg.manifest, manifest)
+        data = load_dataset(cfg.manifest, manifest)
         saliencies = load_saliency(cfg.manifest, manifest) if saliency else None
         masks = load_causal_masks(cfg.manifest, manifest)
-    if not instances:
+    if not len(data):
         raise ConfigError(["data: empty dataset"])
-    return instances, saliencies if saliency else None, masks
+    return data, saliencies if saliency else None, masks
 
 
 def parse_experiment_config(raw: dict) -> ExperimentConfig:
@@ -290,54 +291,33 @@ class MetricsReport:
         }
 
 
-def _report_from_predictions(
-    instances: Sequence[VideoQAInstance], predictions: Sequence[int]
-) -> MetricsReport:
-    counts = {name: 0 for name in QTYPE_NAMES.values()}
-    corrects = {name: 0 for name in QTYPE_NAMES.values()}
-    for inst, pred in zip(instances, predictions):
-        name = QTYPE_NAMES[Qtype(inst.qtype)]
-        counts[name] += 1
-        corrects[name] += int(pred == inst.gold)
-    return MetricsReport(counts=counts, corrects=corrects)
+def _report_from_predictions(data: Dataset, predictions: Array) -> MetricsReport:
+    """Counts and corrects per question type, in Qtype order, from one
+    bincount of 2 * qtype + correct."""
+    tally = np.bincount(2 * data.qtype + (predictions == data.gold), minlength=2 * len(Qtype))
+    names = [QTYPE_NAMES[q] for q in Qtype]
+    return MetricsReport(counts=dict(zip(names, (tally[::2] + tally[1::2]).tolist())),
+                         corrects=dict(zip(names, tally[1::2].tolist())))
 
 
-def _stacked(insts: Sequence[VideoQAInstance], videos: Sequence[Array] | None = None):
-    """(videos, questions, answers, golds) of the instances stacked for one
-    pass, videos overriding the instances' own row for row. A run has one
-    clip count: np.stack raises ValueError on a mix."""
-    return (
-        np.stack([inst.video for inst in insts] if videos is None else videos),
-        np.stack([inst.question for inst in insts]),
-        np.stack([inst.answers for inst in insts]),
-        np.array([inst.gold for inst in insts]),
-    )
-
-
-def _scored_chunks(model: PcmaModel, instances: Sequence[VideoQAInstance], videos=None):
-    """(slice, AnswerScores, golds) per stacked pass over EVAL_CHUNK
-    consecutive instances: stacking per chunk bounds one pass's arrays and
-    caches."""
-    for start in range(0, len(instances), EVAL_CHUNK):
+def _scored_chunks(model: PcmaModel, data: Dataset, videos: Array | None = None):
+    """(slice, AnswerScores, golds) per pass over EVAL_CHUNK consecutive
+    samples: one pass per chunk bounds its arrays and caches."""
+    videos = data.video if videos is None else videos
+    for start in range(0, len(data), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
-        video, question, answers, golds = _stacked(
-            instances[chunk], None if videos is None else videos[chunk]
-        )
         # drop the cache at once, so no two chunks' caches are alive together
-        yield chunk, model.forward_full(video, question, answers)[0], golds
+        result = model.forward_full(videos[chunk], data.question[chunk], data.answers[chunk])[0]
+        yield chunk, result, data.gold[chunk]
 
 
-def evaluate(
-    model: PcmaModel,
-    instances: Sequence[VideoQAInstance],
-    videos: Sequence[Array] | None = None,
-) -> MetricsReport:
-    """Argmax-score accuracy per question type; videos can be overridden
-    row-for-row to evaluate under interventions."""
-    predictions = np.empty(len(instances), dtype=np.int64)
-    for chunk, result, _ in _scored_chunks(model, instances, videos):
+def evaluate(model: PcmaModel, data: Dataset, videos: Array | None = None) -> MetricsReport:
+    """Argmax-score accuracy per question type; videos [N, n_clips,
+    video_dim] can override the dataset's to evaluate under interventions."""
+    predictions = np.empty(len(data), dtype=np.int64)
+    for chunk, result, _ in _scored_chunks(model, data, videos):
         predictions[chunk] = result.predicted
-    return _report_from_predictions(instances, predictions)
+    return _report_from_predictions(data, predictions)
 
 
 # -- training ---------------------------------------------------------------------
@@ -359,7 +339,7 @@ def _batch_order(n: int, batch_size: int, rng: np.random.Generator):
         if pos + batch_size > n:
             order = rng.permutation(n)
             pos = 0
-        yield [int(i) for i in order[pos : pos + min(batch_size, n)]]
+        yield order[pos : pos + min(batch_size, n)]
         pos += batch_size
 
 
@@ -414,8 +394,8 @@ def _other_index(raw: Array, own: Array) -> Array:
 def _draw_interventions(
     icfg: InterventionConfig,
     bank: MemoryBank,
-    instances: Sequence[VideoQAInstance],
-    batch: list[int],
+    data: Dataset,
+    batch: Array,
     video: Array,
     masks: Array,
     gates: Array,
@@ -432,14 +412,12 @@ def _draw_interventions(
     from one ranking of the do views' complement rows and every v_star
     row, whose causal rows every negative draws from again."""
     mixed = np.flatnonzero(mix.valid)
-    drawn = mixed[bank.eligible_counts([instances[batch[j]].video_id for j in mixed]) > 0]
-    own = [instances[batch[j]].video_id for j in drawn]
-    # every bank scene comes from the instances, so a sample that may draw
-    # one has another instance to take a question from
-    raw = rng.integers(0, len(instances) - 1, size=len(drawn))
-    others = _other_index(raw, np.asarray(batch)[drawn])
-    q_r = np.array([instances[i].question for i in others])
-    q_r = q_r.reshape(len(drawn), mix.q_star.shape[1])
+    drawn = mixed[bank.eligible_counts([data.ids[i] for i in batch[mixed]]) > 0]
+    own = [data.ids[i] for i in batch[drawn]]
+    # every bank scene comes from the dataset, so a sample that may draw
+    # one has another sample to take a question from
+    raw = rng.integers(0, len(data) - 1, size=len(drawn))
+    q_r = data.question[_other_index(raw, batch[drawn])]
 
     m = masks[drawn]
     n_views = icfg.n_negatives + 1
@@ -557,7 +535,7 @@ def _stacked_step(
 
 def train(
     cfg: ExperimentConfig,
-    dataset: tuple[list[VideoQAInstance], list | None, Array | None] | None = None,
+    dataset: tuple[Dataset, list | None, Array | None] | None = None,
 ) -> TrainResult:
     """Adam on the answering loss, plus the weighted contrastive loss when
     an intervention config with beta_cl > 0 is present.
@@ -578,12 +556,10 @@ def train(
     Deterministic given the config; aborts with the step number if the
     loss goes non-finite.
     """
-    instances, _, masks = load_data(cfg.data) if dataset is None else dataset
+    data, _, masks = load_data(cfg.data) if dataset is None else dataset
     if cfg.use_oracle_masks and masks is None:
         raise ConfigError(["use_oracle_masks: dataset has no causal-mask sidecar"])
-    video_dim, text_dim, n_clips = (
-        instances[0].video_dim, instances[0].text_dim, instances[0].n_clips
-    )
+    video_dim, text_dim, n_clips = data.video_dim, data.text_dim, data.n_clips
     icfg = cfg.intervention
     use_cl = cfg.contrastive
     gated = use_cl and not cfg.use_oracle_masks
@@ -599,13 +575,13 @@ def train(
             video_dim, metric=cfg.bank.metric, regime=cfg.bank.regime, window=cfg.bank.window
         )
         if cfg.bank.regime is Regime.F1_STATIC:
-            bank.populate(instance_scenes(instances)).freeze()
+            bank.populate(instance_scenes(data)).freeze()
     oracle = np.asarray(masks, dtype=bool) if cfg.use_oracle_masks else None
 
     opt = cfg.optimizer
     state = AdamState()
     rng = np.random.default_rng(opt.seed)
-    batches = _batch_order(len(instances), opt.batch_size, rng)
+    batches = _batch_order(len(data), opt.batch_size, rng)
     curves: list[CurveRow] = []
     skipped_interventions = 0
     skipped_mixups = 0
@@ -613,14 +589,14 @@ def train(
     for step in range(opt.steps):
         try:
             batch = next(batches)
-            insts = [instances[i] for i in batch]
-            stacked = _stacked(insts)
+            stacked = (data.video[batch], data.question[batch], data.answers[batch],
+                       data.gold[batch])
             store = model.store
             store.zero_grads()
 
             draws, gate_cache = None, None
             if use_cl:
-                ids = [inst.video_id for inst in insts]
+                ids = [data.ids[i] for i in batch]
                 split, gates, gate_cache = _batch_splits(
                     model, *stacked[:2], icfg, None if oracle is None else oracle[batch]
                 )
@@ -632,7 +608,7 @@ def train(
                         mixup_rows if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP else None,
                     )
                 draws = _draw_interventions(
-                    icfg, bank, instances, batch, stacked[0], split, gates, mix, rng
+                    icfg, bank, data, batch, stacked[0], split, gates, mix, rng
                 )
                 skipped_interventions += int(np.count_nonzero(mix.valid)) - len(draws.drawn)
             out = _stacked_step(model, stacked, draws, loss_cfg.beta_cl, gate_cache is not None)
@@ -657,7 +633,7 @@ def train(
         except nc.NumericsError as exc:
             raise nc.NumericsError(f"step {step}: {exc}") from None
 
-    report = evaluate(model, instances)
+    report = evaluate(model, data)
     report = MetricsReport(
         counts=report.counts, corrects=report.corrects, curves=tuple(curves)
     )
@@ -741,7 +717,7 @@ class ProtocolResult(NamedTuple):
 def seen_unseen_protocol(
     model_a: PcmaModel,
     model_b: PcmaModel,
-    instances: Sequence[VideoQAInstance],
+    data: Dataset,
     masks: Array,
     bank: MemoryBank | None,
     seed: int = 0,
@@ -757,22 +733,14 @@ def seen_unseen_protocol(
     """
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")
-    videos = np.stack([inst.video for inst in instances])
     masks = np.asarray(masks, dtype=bool)
     rng = np.random.default_rng(seed)
-    ids = [inst.video_id for inst in instances]
-    mnse_videos = mnse_do(videos, ~masks, bank, neighbor_k, rng, ids)
-    random_videos = random_do(videos, ~masks, bank, rng, ids)
+    mnse_videos = mnse_do(data.video, ~masks, bank, neighbor_k, rng, data.ids)
+    random_videos = random_do(data.video, ~masks, bank, rng, data.ids)
 
-    clean = (evaluate(model_a, instances), evaluate(model_b, instances))
-    seen = (
-        evaluate(model_a, instances, mnse_videos),
-        evaluate(model_b, instances, random_videos),
-    )
-    unseen = (
-        evaluate(model_a, instances, random_videos),
-        evaluate(model_b, instances, mnse_videos),
-    )
+    clean = (evaluate(model_a, data), evaluate(model_b, data))
+    seen = (evaluate(model_a, data, mnse_videos), evaluate(model_b, data, random_videos))
+    unseen = (evaluate(model_a, data, random_videos), evaluate(model_b, data, mnse_videos))
     deltas = {
         "drop_a_seen": clean[0].overall - seen[0].overall,
         "drop_b_seen": clean[1].overall - seen[1].overall,
@@ -817,7 +785,7 @@ def robustness_experiment(
     for s in seeds:
         cfg_a = _reseeded(base, int(s))
         dataset = load_data(cfg_a.data)
-        instances, _, masks = dataset
+        data, _, masks = dataset
         if masks is None:
             raise ValueError("robustness_experiment needs causal masks")
         # B differs from A only in its intervention: both train on one load
@@ -826,7 +794,7 @@ def robustness_experiment(
         proto = seen_unseen_protocol(
             res_a.model,
             res_b.model,
-            instances,
+            data,
             masks,
             res_a.bank,
             seed=protocol_seed,
@@ -863,16 +831,14 @@ def robustness_experiment(
 # -- shortcut probe ----------------------------------------------------------------
 
 
-def shortcut_probe(instances: Sequence[VideoQAInstance]) -> MetricsReport:
+def shortcut_probe(data: Dataset) -> MetricsReport:
     """Parameter-free diagnostic: answer choice nearest (by cosine) to the
     mean video row. High accuracy exposes answer leakage into the video
     features."""
-    if not instances:
-        return _report_from_predictions(instances, [])
-    centers = np.stack([inst.video.mean(axis=0) for inst in instances])
-    answers = np.stack([inst.answers for inst in instances])
+    centers = data.video.mean(axis=1)
+    answers = data.answers
     sims, _ = nc.cosine_forward(np.broadcast_to(centers[:, None, :], answers.shape), answers)
-    return _report_from_predictions(instances, np.argmax(sims.value, axis=1))
+    return _report_from_predictions(data, np.argmax(sims.value, axis=1))
 
 
 # -- RL sampler training -------------------------------------------------------------
@@ -901,7 +867,7 @@ def _pred_loss(model: PcmaModel, inst: VideoQAInstance, selected: Sequence[int])
 def rl_train(
     backbone: PcmaModel,
     sampler: sm.RlSampler,
-    instances: Sequence[VideoQAInstance],
+    data: Dataset,
     episodes: int,
     opt: OptimizerConfig,
     baseline_decay: float = 0.9,
@@ -918,7 +884,7 @@ def rl_train(
     tail_loss: list[float] = []
     tail = max(1, episodes // 5)
     for ep_idx in range(episodes):
-        inst = instances[int(rng.integers(0, len(instances)))]
+        inst = data[int(rng.integers(0, len(data)))]
         episode = sm.run_episode(sampler, inst.question, inst.video, rng)
         loss = _pred_loss(backbone, inst, episode.selected)
         reward = sm.s3_rl_reward(episode, loss, inst.n_clips, sampler.cfg.gamma)
@@ -933,8 +899,8 @@ def rl_train(
             tail_frac.append(episode.n_selected / max(1, inst.n_clips))
             tail_loss.append(loss)
     # the all-frames reference loss, scored in stacked chunks
-    all_frames = np.empty(len(instances))
-    for chunk, result, golds in _scored_chunks(backbone, instances):
+    all_frames = np.empty(len(data))
+    for chunk, result, golds in _scored_chunks(backbone, data):
         all_frames[chunk], _ = pcma_loss(result, golds, backbone.cfg.tau)
     return RlTrainResult(
         sampler=sampler,

@@ -41,7 +41,7 @@ from typing import NamedTuple, Sequence
 
 import numpy as np
 
-from .features import VideoQAInstance
+from .features import Dataset, _read_only
 from .nn_core import as_f64
 
 Array = np.ndarray
@@ -108,23 +108,15 @@ class Scenes(NamedTuple):
     clips: Array  # [n] int64 clip indices
 
 
-def stacked_scenes(videos: Sequence[Array], video_ids: Sequence[str]) -> Scenes:
-    """Every clip row of each [n_clips, dim] video as a scene of its id, the
-    matrix laid out feature-major, as a bank keeps it."""
-    counts = [len(v) for v in videos]
-    codes = np.repeat(np.arange(len(videos)), counts)
-    starts = np.cumsum([0] + counts[:-1])
-    columns = np.empty((np.shape(videos[0])[1] if len(videos) else 0, len(codes)))
-    if len(videos):
-        np.concatenate(videos, out=columns.T)
+def stacked_scenes(videos: Array, video_ids: Sequence[str]) -> Scenes:
+    """Every clip row of videos [n, n_clips, dim] as a scene of its video's
+    id, the matrix laid out feature-major, as a bank keeps it."""
+    n, n_clips, dim = videos.shape
+    columns = np.array(videos.reshape(n * n_clips, dim).T, dtype=np.float64, order="C")
     return Scenes(
-        _read_only(columns).T, list(video_ids), codes, np.arange(len(codes)) - starts[codes]
+        _read_only(columns).T, list(video_ids), np.repeat(np.arange(n), n_clips),
+        np.tile(np.arange(n_clips), n),
     )
-
-
-def _read_only(matrix: Array) -> Array:
-    matrix.flags.writeable = False
-    return matrix
 
 
 class _TieRanks(NamedTuple):
@@ -495,9 +487,9 @@ class MemoryBank:
         ]
 
 
-def instance_scenes(instances: Sequence[VideoQAInstance]) -> Scenes:
-    """Every clip row of the instances as a scene of its video."""
-    return stacked_scenes([i.video for i in instances], [i.video_id for i in instances])
+def instance_scenes(data: Dataset) -> Scenes:
+    """Every clip row of the dataset as a scene of its video."""
+    return stacked_scenes(data.video, data.ids)
 
 
 def mnse_do(

@@ -708,10 +708,18 @@ class TestErrorPaths:
              "count: required"),
             ("d.json", lambda body: {**body, "count": True}, "count: expected an integer, got true"),
             ("d.json", lambda body: {**body, "files": []}, "files: expected an object, got []"),
+            ("d.ids.json", lambda ids: [ids[0], ids[0], *ids[2:]],
+             "entry 1: 'syn00000' repeats entry 0"),
+            ("d.ids.json", lambda ids: [ids[0], 7, *ids[2:]], "entry 1: expected a string, got 7"),
+            ("d.ids.json", lambda ids: [ids[0], "b+c", *ids[2:]],
+             "entry 1: 'b+c' contains '+', which names blends"),
+            ("d.masks.u8", lambda raw: raw[:3] + b"\x07" + raw[4:],
+             "byte 7 is not 0 or 1, at flat offset 3"),
         ],
         ids=[
             "count-string", "manifest-list", "ids-number", "saliency-entry", "file-number",
-            "version-1", "no-count", "count-bool", "files-list",
+            "version-1", "no-count", "count-bool", "files-list", "ids-duplicate",
+            "ids-not-a-string", "ids-plus", "mask-byte",
         ],
     )
     def test_unusable_dataset_file_names_it(self, tmp_path, out_dir, capsys, name, edit, problem):

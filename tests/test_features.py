@@ -13,45 +13,38 @@ from hypothesis import strategies as st
 from causalvqa import features as ft
 
 
-def make_instances(n=3, n_clips=4, video_dim=6, text_dim=5, seed=0):
+def make_dataset(n=3, n_clips=4, video_dim=6, text_dim=5, seed=0):
+    """A Dataset of n samples with float32 features, drawn sample by sample."""
     g = np.random.default_rng(seed)
-    out = []
+    video = np.empty((n, n_clips, video_dim), dtype=np.float32)
+    question = np.empty((n, text_dim), dtype=np.float32)
+    answers = np.empty((n, ft.N_ANSWERS, text_dim), dtype=np.float32)
+    gold, qtype = np.empty(n, dtype=np.int64), np.empty(n, dtype=np.int64)
     for i in range(n):
-        out.append(
-            ft.VideoQAInstance(
-                video_id=f"vid{i}",
-                video=g.normal(size=(n_clips, video_dim)).astype(np.float32),
-                question=g.normal(size=text_dim).astype(np.float32),
-                answers=g.normal(size=(ft.N_ANSWERS, text_dim)).astype(np.float32),
-                gold=int(g.integers(0, 5)),
-                qtype=ft.Qtype(int(g.integers(0, 3))),
-            )
-        )
-    return out
+        video[i] = g.normal(size=(n_clips, video_dim))
+        question[i] = g.normal(size=text_dim)
+        answers[i] = g.normal(size=(ft.N_ANSWERS, text_dim))
+        gold[i], qtype[i] = g.integers(0, 5), g.integers(0, 3)
+    return ft.Dataset([f"vid{i}" for i in range(n)], video, question, answers, gold, qtype)
+
+
+def rebuilt(ds, **changes):
+    """The Dataset of ds's arrays, with the named ones replaced."""
+    arrays = dict(ids=ds.ids, video=ds.video, question=ds.question, answers=ds.answers,
+                  gold=ds.gold, qtype=ds.qtype)
+    return ft.Dataset(**{**arrays, **changes})
 
 
 class TestInstanceValidation:
+    """The Dataset constructor's checks: every sample's rules, checked once."""
+
     def test_rejects_wrong_dtype(self):
-        inst = make_instances(1)[0]
+        ds = make_dataset(1)
         for dtype in (np.float16, np.int64):
             with pytest.raises(ft.FormatError, match="float32 or float64"):
-                ft.VideoQAInstance(
-                    video_id="x",
-                    video=inst.video.astype(dtype),
-                    question=inst.question,
-                    answers=inst.answers,
-                    gold=0,
-                    qtype=ft.Qtype.CAUSAL,
-                )
-        video32 = inst.video.astype(np.float32)
-        made = ft.VideoQAInstance(
-            video_id="x",
-            video=video32,
-            question=inst.question.astype(np.float32),
-            answers=inst.answers,
-            gold=0,
-            qtype=ft.Qtype.CAUSAL,
-        )
+                rebuilt(ds, video=ds.video.astype(dtype))
+        video32 = ds.video.astype(np.float32)
+        made = rebuilt(ds, video=video32, question=ds.question.astype(np.float32))
         for arr in (made.video, made.question, made.answers):
             assert arr.dtype == np.float64
             assert not arr.flags.writeable
@@ -59,88 +52,126 @@ class TestInstanceValidation:
         assert video32.flags.writeable  # the caller's array is left as it was
 
     def test_writeable_float64_input_is_copied(self):
-        inst = make_instances(1)[0]
-        video = np.array(inst.video)
-        made = ft.VideoQAInstance(
-            video_id="x", video=video, question=inst.question, answers=inst.answers,
-            gold=0, qtype=ft.Qtype.CAUSAL,
-        )
-        video[0, 0] += 1.0
-        np.testing.assert_array_equal(made.video, inst.video)
+        ds = make_dataset(1)
+        video = np.array(ds.video)
+        made = rebuilt(ds, video=video)
+        video[0, 0, 0] += 1.0
+        np.testing.assert_array_equal(made.video, ds.video)
         with pytest.raises(ValueError, match="read-only"):
-            made.video[0, 0] = 0.0
+            made.video[0, 0, 0] = 0.0
+        # read-only float64 input is kept as given
+        assert made.question is ds.question and made.answers is ds.answers
 
     def test_rejects_bad_gold(self):
-        inst = make_instances(1)[0]
-        with pytest.raises(ft.FormatError, match="gold"):
-            ft.VideoQAInstance(
-                video_id="x",
-                video=inst.video,
-                question=inst.question,
-                answers=inst.answers,
-                gold=5,
-                qtype=ft.Qtype.CAUSAL,
-            )
+        ds = make_dataset(2)
+        with pytest.raises(ft.FormatError, match=r"^gold: 5 out of range \[0, 5\) at instance 1$"):
+            rebuilt(ds, gold=[0, 5])
+        with pytest.raises(ft.FormatError, match=r"^gold: -1 out of range"):
+            rebuilt(ds, gold=[-1, 0])
+        with pytest.raises(ft.FormatError, match=r"^qtype: 3 out of range \[0, 3\) at instance 0$"):
+            rebuilt(ds, qtype=[3, 0])
+        with pytest.raises(ft.FormatError, match="gold must be \\[2\\] integers"):
+            rebuilt(ds, gold=[0.0, 1.0])
 
     def test_rejects_nan(self):
-        inst = make_instances(1)[0]
-        bad = inst.video.copy()
-        bad[0, 0] = np.nan
-        with pytest.raises(ft.FormatError, match="non-finite"):
-            ft.VideoQAInstance(
-                video_id="x",
-                video=bad,
-                question=inst.question,
-                answers=inst.answers,
-                gold=0,
-                qtype=ft.Qtype.CAUSAL,
-            )
+        ds = make_dataset(2)
+        bad = ds.video.copy()
+        bad[1, 0, 0] = np.nan
+        with pytest.raises(ft.FormatError, match="^video: non-finite value at flat offset 24$"):
+            rebuilt(ds, video=bad)
 
     def test_rejects_answer_count_mismatch(self):
-        inst = make_instances(1)[0]
+        ds = make_dataset(1)
         with pytest.raises(ft.FormatError, match="answers"):
-            ft.VideoQAInstance(
-                video_id="x",
-                video=inst.video,
-                question=inst.question,
-                answers=inst.answers[:4],
-                gold=0,
-                qtype=ft.Qtype.CAUSAL,
-            )
+            rebuilt(ds, answers=ds.answers[:, :4])
+
+    @pytest.mark.parametrize("changes, message", [
+        (lambda ds: {"question": ds.question[:2]}, r"question must be \[3, text_dim\]"),
+        (lambda ds: {"answers": ds.answers[..., :3]}, r"answers must be \[3, 5, 5\]"),
+        (lambda ds: {"video": ds.video[0]}, r"video must be \[N, n_clips, video_dim\]"),
+        (lambda ds: {"video": ds.video[:, :0]}, r"video must be \[N, n_clips, video_dim\]"),
+        (lambda ds: {"qtype": ds.qtype[:2]}, r"qtype must be \[3\] integers"),
+        (lambda ds: {"ids": ds.ids[:2]}, r"ids: lists 2 entries for 3 samples"),
+    ], ids=["question-rows", "answers-dim", "video-2d", "no-clips", "qtype-rows", "ids-count"])
+    def test_rejects_shapes_that_disagree(self, changes, message):
+        ds = make_dataset(3)
+        with pytest.raises(ft.FormatError, match=message):
+            rebuilt(ds, **changes(ds))
+
+    @pytest.mark.parametrize("ids, message", [
+        (["a", "b", "a"], "ids: entry 2: 'a' repeats entry 0"),
+        (["a", 7, "b"], "ids: entry 1: expected a string, got 7"),
+        (["a", "b+c", "d"], "ids: entry 1: 'b\\+c' contains '\\+'"),
+    ], ids=["duplicate", "not-a-string", "plus"])
+    def test_rejects_ids_the_bank_cannot_tell_apart(self, ids, message):
+        with pytest.raises(ft.FormatError, match=f"^{message}"):
+            rebuilt(make_dataset(3), ids=ids)
+
+
+class TestRowsAndSelections:
+    @given(st.integers(1, 6), st.data())
+    @settings(max_examples=30, deadline=None)
+    def test_rows_and_selections_are_the_arrays(self, n, data):
+        ds = make_dataset(n, seed=n)
+        i = data.draw(st.integers(-n, n - 1))
+        row = ds[i]
+        assert type(row) is ft.VideoQAInstance and row.video_id == ds.ids[i]
+        for name in ("video", "question", "answers"):
+            assert getattr(row, name).tobytes() == getattr(ds, name)[i].tobytes()
+        assert type(row.gold) is int and row.gold == ds.gold[i]
+        assert type(row.qtype) is ft.Qtype and row.qtype == ds.qtype[i]
+        assert row.n_clips == ds.n_clips
+        idx = np.array(data.draw(st.lists(st.integers(0, n - 1), unique=True, max_size=n)),
+                       dtype=np.int64)
+        for key in (idx, slice(1, None, 2)):
+            got = ds[key]
+            rows = np.arange(n)[key]
+            want = ft.Dataset([ds.ids[j] for j in rows], ds.video[rows], ds.question[rows],
+                              ds.answers[rows], ds.gold[rows], ds.qtype[rows])
+            assert type(got) is ft.Dataset and got.ids == want.ids
+            for name in ("video", "question", "answers", "gold", "qtype"):
+                a, b = getattr(got, name), getattr(want, name)
+                assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+                assert not a.flags.writeable
+        assert [r.video_id for r in ds] == list(ds.ids) and len(ds) == n
+
+    def test_a_selection_with_a_repeated_row_is_refused(self):
+        with pytest.raises(ft.FormatError, match="repeats entry 0"):
+            make_dataset(3)[[1, 1]]
 
 
 class TestRoundTrip:
     def test_bit_exact(self, tmp_path):
-        insts = make_instances(3)
-        ft.save_dataset(insts, tmp_path / "d.json")
+        ds = make_dataset(3)
+        ft.save_dataset(ds, tmp_path / "d.json")
         loaded = ft.load_dataset(tmp_path / "d.json")
-        assert len(loaded) == 3
-        for a, b in zip(insts, loaded):
-            assert a.video_id == b.video_id
-            assert a.video.tobytes() == b.video.tobytes()
-            assert a.question.tobytes() == b.question.tobytes()
-            assert a.answers.tobytes() == b.answers.tobytes()
-            assert a.gold == b.gold
-            assert a.qtype == b.qtype
+        assert len(loaded) == 3 and loaded.ids == ds.ids
+        for name in ("video", "question", "answers", "gold", "qtype"):
+            assert getattr(ds, name).tobytes() == getattr(loaded, name).tobytes()
 
     def test_empty_list(self, tmp_path):
-        m = ft.save_dataset([], tmp_path / "d.json")
-        assert m.count == 0
-        assert ft.load_dataset(tmp_path / "d.json") == []
+        # an empty dataset keeps its dims through the round trip
+        empty = make_dataset(0, n_clips=4, video_dim=6, text_dim=5)
+        m = ft.save_dataset(empty, tmp_path / "d.json")
+        assert (m.count, m.n_clips, m.video_dim, m.text_dim) == (0, 4, 6, 5)
+        loaded = ft.load_dataset(tmp_path / "d.json")
+        assert len(loaded) == 0 and loaded.ids == ()
+        assert loaded.video.shape == (0, 4, 6) and loaded.answers.shape == (0, 5, 5)
 
     def test_loaded_features_are_read_only_float64(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
-        for inst in ft.load_dataset(tmp_path / "d.json"):
-            for arr in (inst.video, inst.question, inst.answers):
-                assert arr.dtype == np.float64
-                assert not arr.flags.writeable
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
+        loaded = ft.load_dataset(tmp_path / "d.json")
+        for arr in (loaded.video, loaded.question, loaded.answers, loaded.gold, loaded.qtype):
+            assert arr.dtype == (np.int64 if arr.ndim == 1 else np.float64)
+            assert not arr.flags.writeable
+        for inst in loaded:
             with pytest.raises(ValueError):
                 inst.video[0, 0] = 0.0
 
     def test_loaded_instances_equal_validated_ones(self, tmp_path):
-        # load_dataset checks whole payloads, then builds each instance
-        # without __post_init__; the result must be what it would build
-        ft.save_dataset(make_instances(4, n_clips=3), tmp_path / "d.json")
+        # load_dataset's Dataset is the one the constructor builds from the
+        # payloads
+        ft.save_dataset(make_dataset(4, n_clips=3), tmp_path / "d.json")
         payload = {
             name: np.fromfile(tmp_path / f"d.{name}.f32", dtype="<f4").reshape(4, *shape)
             for name, shape in (("video", (3, 6)), ("question", (5,)),
@@ -149,39 +180,25 @@ class TestRoundTrip:
         gold = np.fromfile(tmp_path / "d.gold.u8", dtype="u1")
         qtype = np.fromfile(tmp_path / "d.qtype.u8", dtype="u1")
         loaded = ft.load_dataset(tmp_path / "d.json")
-        assert len(loaded) == 4
-        for i, got in enumerate(loaded):
-            want = ft.VideoQAInstance(
-                video_id=f"vid{i}",
-                **{name: rows[i] for name, rows in payload.items()},
-                gold=int(gold[i]),
-                qtype=ft.Qtype(int(qtype[i])),
-            )
-            assert type(got) is ft.VideoQAInstance
-            assert type(got.video_id) is str and got.video_id == want.video_id
-            for name in payload:
-                a, b = getattr(got, name), getattr(want, name)
-                assert a.dtype == b.dtype == np.float64
-                assert a.shape == b.shape and a.tobytes() == b.tobytes()
-                assert not a.flags.writeable and not b.flags.writeable
-            assert type(got.gold) is int and got.gold == want.gold
-            assert type(got.qtype) is ft.Qtype and got.qtype is want.qtype
-            assert got.n_clips == 3 and got.video_dim == 6 and got.text_dim == 5
+        want = ft.Dataset([f"vid{i}" for i in range(4)], **payload, gold=gold, qtype=qtype)
+        assert type(loaded) is ft.Dataset
+        assert all(type(v) is str for v in loaded.ids) and loaded.ids == want.ids
+        for name in ("video", "question", "answers", "gold", "qtype"):
+            a, b = getattr(loaded, name), getattr(want, name)
+            assert a.dtype == b.dtype and a.shape == b.shape and a.tobytes() == b.tobytes()
+            assert not a.flags.writeable and not b.flags.writeable
+        assert (loaded.n_clips, loaded.video_dim, loaded.text_dim) == (3, 6, 5)
 
     def test_save_rejects_values_float32_cannot_hold(self, tmp_path):
-        inst = make_instances(1)[0]
-        video = inst.video.copy()
-        video[1, 2] += 1e-12
-        bad = ft.VideoQAInstance(
-            video_id="x", video=video, question=inst.question, answers=inst.answers,
-            gold=0, qtype=ft.Qtype.CAUSAL,
-        )
+        ds = make_dataset(2)
+        video = ds.video.copy()
+        video[1, 1, 2] += 1e-12
         with pytest.raises(ft.FormatError, match="video: values are not exactly"):
-            ft.save_dataset([inst, bad], tmp_path / "d.json")
+            ft.save_dataset(rebuilt(ds, video=video), tmp_path / "d.json")
         assert not list(tmp_path.iterdir())
 
     def test_failed_save_keeps_the_previous_files(self, tmp_path, monkeypatch):
-        ft.save_dataset(make_instances(3, seed=0), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(3, seed=0), tmp_path / "d.json")
         before = {p.name: p.read_bytes() for p in tmp_path.iterdir()}
 
         def failing_replace(src, dst):
@@ -189,13 +206,13 @@ class TestRoundTrip:
 
         monkeypatch.setattr(os, "replace", failing_replace)
         with pytest.raises(OSError, match="d.video.f32"):
-            ft.save_dataset(make_instances(3, seed=1), tmp_path / "d.json")
+            ft.save_dataset(make_dataset(3, seed=1), tmp_path / "d.json")
         assert {p.name: p.read_bytes() for p in tmp_path.iterdir()} == before
 
     def test_failed_resave_leaves_no_loadable_dataset(self, tmp_path, monkeypatch):
         # the second replace fails after the new video payload is in place;
         # the old manifest must not pair it with the old question payload
-        ft.save_dataset(make_instances(3, seed=0), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(3, seed=0), tmp_path / "d.json")
         real_replace, calls = os.replace, []
 
         def replace_failing_second(src, dst):
@@ -206,15 +223,17 @@ class TestRoundTrip:
 
         monkeypatch.setattr(os, "replace", replace_failing_second)
         with pytest.raises(OSError, match="d.question.f32"):
-            ft.save_dataset(make_instances(3, seed=1), tmp_path / "d.json")
+            ft.save_dataset(make_dataset(3, seed=1), tmp_path / "d.json")
         monkeypatch.undo()
         with pytest.raises(ft.FormatError, match="d.json: file not found"):
             ft.load_dataset(tmp_path / "d.json")
 
-    def test_save_rejects_mixed_dims(self, tmp_path):
-        insts = make_instances(2, video_dim=6) + make_instances(1, video_dim=8)
-        with pytest.raises(ft.FormatError, match="heterogeneous"):
-            ft.save_dataset(insts, tmp_path / "d.json")
+    def test_save_rejects_mixed_dims(self):
+        # every sample of a Dataset has the same dims: arrays whose dims
+        # disagree are refused before there is anything to save
+        ds = make_dataset(2, text_dim=5)
+        with pytest.raises(ft.FormatError, match=r"answers must be \[2, 5, 5\], got \(2, 5, 7\)"):
+            rebuilt(ds, answers=make_dataset(2, text_dim=7).answers)
 
     def test_saliency_and_masks_round_trip(self, tmp_path):
         spec = ft.SyntheticSpec(n_instances=4, seed=1, n_clips=8, video_dim=16, text_dim=16)
@@ -245,18 +264,19 @@ class TestRoundTrip:
         )
 
     def test_sidecars_absent_give_none(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
         assert ft.load_saliency(tmp_path / "d.json") is None
         assert ft.load_causal_masks(tmp_path / "d.json") is None
 
     @given(st.integers(0, 5), st.integers(1, 4), st.integers(1, 7))
     @settings(max_examples=20, deadline=None)
     def test_round_trip_property(self, n, n_clips, dim):
-        insts = make_instances(n, n_clips=n_clips, video_dim=dim, text_dim=dim, seed=n_clips)
+        ds = make_dataset(n, n_clips=n_clips, video_dim=dim, text_dim=dim, seed=n_clips)
         with tempfile.TemporaryDirectory() as tmp:
-            ft.save_dataset(insts, Path(tmp) / "d.json")
+            ft.save_dataset(ds, Path(tmp) / "d.json")
             loaded = ft.load_dataset(Path(tmp) / "d.json")
-        for a, b in zip(insts, loaded):
+        assert loaded.video.shape == (n, n_clips, dim) and loaded.ids == ds.ids
+        for a, b in zip(ds, loaded):
             assert a.video.tobytes() == b.video.tobytes()
             assert a.gold == b.gold
 
@@ -290,7 +310,7 @@ class TestSaliencyPayloads:
     def test_round_trip_is_bit_exact(self, saliencies):
         with tempfile.TemporaryDirectory() as tmp:
             path = Path(tmp) / "d.json"
-            ft.save_dataset(make_instances(len(saliencies)), path, saliencies=saliencies)
+            ft.save_dataset(make_dataset(len(saliencies)), path, saliencies=saliencies)
             loaded = ft.load_saliency(path)
         assert len(loaded) == len(saliencies)
         for a, b in zip(saliencies, loaded):
@@ -465,52 +485,52 @@ class TestLoadErrors:
             ft.load_dataset(tmp_path / "nope.json")
 
     def test_truncated_payload_reports_lengths(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
         video = tmp_path / "d.video.f32"
         video.write_bytes(video.read_bytes()[:-4])
         with pytest.raises(ft.FormatError, match="expected 192 bytes.*found 188"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_nonfinite_payload_reports_offset(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
         video = tmp_path / "d.video.f32"
         arr = np.frombuffer(video.read_bytes(), dtype="<f4").copy()
         arr[5] = np.nan
         video.write_bytes(arr.tobytes())
-        with pytest.raises(ft.FormatError, match="flat offset 5"):
+        with pytest.raises(ft.FormatError, match=r"d.video.f32: non-finite value at flat offset 5$"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_gold_out_of_range(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
         gold = tmp_path / "d.gold.u8"
         raw = bytearray(gold.read_bytes())
         raw[1] = 7
         gold.write_bytes(bytes(raw))
-        with pytest.raises(ft.FormatError, match="gold index 7.*instance 1"):
+        with pytest.raises(ft.FormatError, match=r"d.gold.u8: 7 out of range \[0, 5\) at instance 1$"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_qtype_out_of_range(self, tmp_path):
-        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(3), tmp_path / "d.json")
         qtype = tmp_path / "d.qtype.u8"
         raw = bytearray(qtype.read_bytes())
         raw[2] = 3
         qtype.write_bytes(bytes(raw))
-        with pytest.raises(ft.FormatError, match="qtype 3 out of range at instance 2"):
+        with pytest.raises(ft.FormatError, match=r"d.qtype.u8: 3 out of range \[0, 3\) at instance 2$"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_first_bad_instance_is_named(self, tmp_path):
         # a bad qtype at instance 1 is reported before a bad gold at instance 2
-        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(3), tmp_path / "d.json")
         for name, i, value in (("gold", 2, 9), ("qtype", 1, 200)):
             path = tmp_path / f"d.{name}.u8"
             raw = bytearray(path.read_bytes())
             raw[i] = value
             path.write_bytes(bytes(raw))
-        with pytest.raises(ft.FormatError, match="qtype 200 out of range at instance 1"):
+        with pytest.raises(ft.FormatError, match=r"d.qtype.u8: 200 out of range .* at instance 1$"):
             ft.load_dataset(tmp_path / "d.json")
 
     def test_declared_ids_sidecar_missing_names_it(self, tmp_path):
-        ft.save_dataset(make_instances(3), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(3), tmp_path / "d.json")
         (tmp_path / "d.ids.json").unlink()
         with pytest.raises(ft.FormatError, match="d.ids.json: file not found"):
             ft.load_dataset(tmp_path / "d.json")
@@ -533,7 +553,7 @@ class TestLoadErrors:
         np.testing.assert_array_equal(loaded[2], from_path[2])
 
     def test_missing_payload_file(self, tmp_path):
-        ft.save_dataset(make_instances(2), tmp_path / "d.json")
+        ft.save_dataset(make_dataset(2), tmp_path / "d.json")
         (tmp_path / "d.answers.f32").unlink()
         with pytest.raises(ft.FormatError, match="missing"):
             ft.load_dataset(tmp_path / "d.json")

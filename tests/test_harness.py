@@ -24,7 +24,9 @@ import causalvqa.nn_core as nc
 import causalvqa.samplers as sm
 from causalvqa import features
 from causalvqa.cli import cli_main
-from causalvqa.features import FormatError, Qtype, SyntheticSpec, generate_synthetic, save_dataset
+from causalvqa.features import (
+    Dataset, FormatError, Qtype, SyntheticSpec, generate_synthetic, save_dataset,
+)
 from causalvqa.harness import (
     AdamState,
     BankConfig,
@@ -78,6 +80,19 @@ def synth(n: int, seed: int = 0, **kw) -> tuple:
     defaults = dict(n_clips=8, video_dim=24, text_dim=24, noise_std=0.1)
     defaults.update(kw)
     return generate_synthetic(SyntheticSpec(n_instances=n, seed=seed, **defaults))
+
+
+def batch_arrays(data: Dataset, batch) -> tuple:
+    """(video, question, answers, gold) of the batch's samples, indexed as a
+    training step indexes them."""
+    return data.video[batch], data.question[batch], data.answers[batch], data.gold[batch]
+
+
+def rebuilt(data: Dataset, **changes) -> Dataset:
+    """The Dataset of data's arrays, with the named ones replaced."""
+    arrays = dict(ids=data.ids, video=data.video, question=data.question,
+                  answers=data.answers, gold=data.gold, qtype=data.qtype)
+    return Dataset(**{**arrays, **changes})
 
 
 class TestLoadData:
@@ -195,7 +210,7 @@ class TestEvaluate:
         scores, _ = model.forward_full(inst.video[None], inst.question[None], inst.answers[None])
         predicted = int(scores.predicted[0])
         for gold, acc in ((predicted, 1.0), ((predicted + 1) % len(inst.answers), 0.0)):
-            rep = evaluate(model, [replace(inst, gold=gold)])
+            rep = evaluate(model, rebuilt(instances, gold=[gold]))
             assert rep.overall == acc
             assert rep.acc_causal == acc
             assert rep.acc_temporal is None
@@ -205,7 +220,7 @@ class TestEvaluate:
         instances, _, _ = synth(20, seed=7)
         model = small_model()
         base = evaluate(model, instances)
-        same = evaluate(model, instances, [i.video for i in instances])
+        same = evaluate(model, instances, np.array(instances.video))
         assert base.counts == same.counts and base.corrects == same.corrects
 
     @staticmethod
@@ -221,7 +236,7 @@ class TestEvaluate:
 
     @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 65])
     def test_chunked_predictions_match_single_passes(self, n, monkeypatch):
-        instances, _, _ = synth(n, seed=13) if n else ([], None, None)
+        instances, _, _ = synth(n, seed=13)
         model = small_model(seed=4)
         seen = []
         monkeypatch.setattr(
@@ -231,16 +246,16 @@ class TestEvaluate:
         assert seen == [self._one_at_a_time(model, instances)]
 
     def test_mixed_clip_counts_raise(self):
-        # a run has one clip count; a stacked pass over a mix cannot be built
+        # a run has one clip count: a Dataset holds one [N, n_clips, video_dim]
+        # array, so neither evaluate nor train can be handed a mix
         eight, _, _ = synth(3, seed=1, n_clips=8)
         three, _, _ = synth(3, seed=2, n_clips=3)
-        instances = eight + three
-        with pytest.raises(ValueError, match="same shape"):
-            evaluate(small_model(seed=4), instances)
-        # one batch covers the whole set, so the first step mixes the counts
-        cfg = replace(erm_config(steps=1), optimizer=OptimizerConfig(batch_size=6, steps=1))
-        with pytest.raises(ValueError, match="same shape"):
-            train(cfg, dataset=(instances, None, None))
+        with pytest.raises(ValueError, match="inhomogeneous"):
+            Dataset(
+                [f"v{i}" for i in range(6)], [*eight.video, *three.video],
+                *(np.concatenate([getattr(eight, name), getattr(three, name)])
+                  for name in ("question", "answers", "gold", "qtype")),
+            )
 
 
 # -- config parsing ----------------------------------------------------------------
@@ -1003,17 +1018,16 @@ class TestStackedStep:
         if regime is Regime.F1_STATIC:
             bank.populate(instance_scenes(instances)).freeze()
         rng = np.random.default_rng(7)
-        batch = [int(i) for i in rng.permutation(len(instances))[:batch_size]]
-        insts = [instances[i] for i in batch]
-        stacked = hn._stacked(insts)
+        batch = rng.permutation(len(instances))[:batch_size]
+        stacked = batch_arrays(instances, batch)
         split, gates, _ = hn._batch_splits(
             model, *stacked[:2], icfg, masks[batch] if oracle else None
         )
-        ids = [inst.video_id for inst in insts]
+        ids = [instances.ids[i] for i in batch]
         mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
         if regime is not Regime.F1_STATIC:
             bank.push_batch(
-                instance_scenes(insts),
+                instance_scenes(instances[batch]),
                 mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None,
             )
         return model, icfg, bank, instances, batch, split, gates, mix, rng
@@ -1039,7 +1053,7 @@ class TestStackedStep:
 
         store.zero_grads()
         new_rng = at_start()
-        stacked = hn._stacked([instances[i] for i in batch])
+        stacked = batch_arrays(instances, batch)
         draws = hn._draw_interventions(
             icfg, bank, instances, batch, stacked[0], masks, gates, mix, new_rng
         )
@@ -1056,7 +1070,7 @@ class TestStackedStep:
             [float(x) for x in row] for row in ref.losses
         ]
         assert new.cl_losses == ref.cl_losses
-        assert new.dgates.shape == (len(batch), instances[0].n_clips)
+        assert new.dgates.shape == (len(batch), instances.n_clips)
         np.testing.assert_allclose(new.dgates, ref.dgates, rtol=0, atol=1e-12)
         for name, want in ref_grads.items():
             np.testing.assert_allclose(store.grad(name), want, rtol=0, atol=1e-12)
@@ -1107,7 +1121,7 @@ class TestStackedStep:
         check = np.random.default_rng(3)
         for j in np.flatnonzero(mix.valid):  # an untrained gate scorer gives 0.5 everywhere
             gates[j] = check.uniform(0.1, 0.9, size=gates.shape[1])
-        stacked = hn._stacked([instances[i] for i in batch])
+        stacked = batch_arrays(instances, batch)
         draws = hn._draw_interventions(
             icfg, bank, instances, batch, stacked[0], masks, gates, mix, rng
         )
@@ -1256,16 +1270,15 @@ class TestContrastiveDraws:
         if regime is Regime.F1_STATIC:
             bank.populate(instance_scenes(instances)).freeze()
         for _ in range(2):
-            batch = [int(i) for i in rng.permutation(len(instances))[:batch_size]]
-            insts = [instances[i] for i in batch]
-            stacked = hn._stacked(insts)
+            batch = rng.permutation(len(instances))[:batch_size]
+            stacked = batch_arrays(instances, batch)
             split, gates, _ = hn._batch_splits(
                 model, *stacked[:2], icfg, masks[batch] if oracle else None
             )
-            ids = [inst.video_id for inst in insts]
+            ids = [instances.ids[i] for i in batch]
             mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
             if regime is not Regime.F1_STATIC:
-                bank.push_batch(instance_scenes(insts),
+                bank.push_batch(instance_scenes(instances[batch]),
                                 mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None)
             draws = hn._draw_interventions(
                 icfg, bank, instances, batch, stacked[0], split, gates, mix, rng
@@ -1323,15 +1336,15 @@ class TestProtocol:
         model = small_model(seed=1)
         clean = evaluate(model, instances)
         videos = []
-        for inst, mask in zip(instances, np.asarray(masks, dtype=bool)):
+        for i, (inst, mask) in enumerate(zip(instances, np.asarray(masks, dtype=bool))):
             bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
-            bank.populate(instance_scenes([inst])).freeze()
+            bank.populate(instance_scenes(instances[i : i + 1])).freeze()
             videos.append(
                 mnse_do(inst.video[None], ~mask[None], bank, k=1,
                         rng=np.random.default_rng(9), exclude_video_ids=[None])[0]
             )
             assert np.array_equal(videos[-1], inst.video)
-        replaced = evaluate(model, instances, videos)
+        replaced = evaluate(model, instances, np.stack(videos))
         assert replaced.corrects == clean.corrects
 
     def test_protocol_requires_populated_bank(self):
@@ -1417,7 +1430,7 @@ class TestProtocol:
         bank = MemoryBank(6).populate(instance_scenes(instances))
         if pairs:
             blends = [f"{a}+{b}" for a, b in pairs]
-            bank.populate(stacked_scenes(list(rng.normal(size=(len(pairs), 2, 6))), blends))
+            bank.populate(stacked_scenes(rng.normal(size=(len(pairs), 2, 6)), blends))
         k = data.draw(st.integers(1, 6), label="neighbor k")
         model = small_model(video_dim=6, text_dim=6)
         with mock.patch.object(hn, "evaluate", wraps=hn.evaluate) as scored:
@@ -1533,10 +1546,7 @@ class TestShortcutProbe:
     def test_positive_answer_rescale_is_invariant(self):
         instances, _, _ = synth(50, seed=12)
         base = shortcut_probe(instances)
-        scaled = [
-            replace(inst, answers=(7.5 * inst.answers).astype(np.float32))
-            for inst in instances
-        ]
+        scaled = rebuilt(instances, answers=(7.5 * instances.answers).astype(np.float32))
         assert shortcut_probe(scaled).corrects == base.corrects
 
 

@@ -8,7 +8,7 @@ import pytest
 
 from causalvqa import intervention as iv
 from causalvqa import nn_core as nc
-from causalvqa.features import Qtype, VideoQAInstance
+from causalvqa.features import Dataset, Qtype
 from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
 from gradcheck import assert_grad_matches, dead_tensors
@@ -33,16 +33,16 @@ def make_model(seed=3, gated=False):
 
 
 def make_instance(rng, n_clips=6, video_id="x", gold=0, video=None):
-    return VideoQAInstance(
-        video_id=video_id,
-        video=(
-            video if video is not None else rng.normal(size=(n_clips, VIDEO_DIM))
-        ).astype(np.float32),
-        question=rng.normal(size=TEXT_DIM).astype(np.float32),
-        answers=rng.normal(size=(5, TEXT_DIM)).astype(np.float32),
-        gold=gold,
-        qtype=Qtype.CAUSAL,
-    )
+    """The row of a one-sample Dataset with float32 features."""
+    video = video if video is not None else rng.normal(size=(n_clips, VIDEO_DIM))
+    return Dataset(
+        [video_id],
+        video[None].astype(np.float32),
+        rng.normal(size=(1, TEXT_DIM)).astype(np.float32),
+        rng.normal(size=(1, 5, TEXT_DIM)).astype(np.float32),
+        [gold],
+        [Qtype.CAUSAL],
+    )[0]
 
 
 class Split(NamedTuple):

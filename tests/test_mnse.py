@@ -706,7 +706,7 @@ class TestOneCopyPerScene:
         np.testing.assert_array_equal(matrix, np.stack([e.vector for e in entries]))
 
     def test_a_stacked_scenes_block_is_kept_without_a_copy(self, rng):
-        block = mnse.stacked_scenes(list(rng.normal(size=(5, 8, 6))), [f"v{i}" for i in range(5)])
+        block = mnse.stacked_scenes(rng.normal(size=(5, 8, 6)), [f"v{i}" for i in range(5)])
         bank = MemoryBank(bank_dim=6).populate(block)
         assert np.shares_memory(bank._columns, block.matrix)
         assert bank._columns.flags.c_contiguous and not bank._columns.flags.writeable
@@ -935,8 +935,8 @@ class TestKeptColumns:
         for t in range(50):
             ids = [f"s{t}v{i}" for i in range(3)]
             blends = [f"{a}+{b}" for a, b in zip(ids, ids[1:])]
-            bank.push_batch(mnse.stacked_scenes(list(rng.normal(size=(3, 2, 4))), ids),
-                            mnse.stacked_scenes(list(rng.normal(size=(2, 2, 4))), blends))
+            bank.push_batch(mnse.stacked_scenes(rng.normal(size=(3, 2, 4)), ids),
+                            mnse.stacked_scenes(rng.normal(size=(2, 2, 4)), blends))
             live.append((ids, blends))
             parts.update(ids)
             assert len(bank) == 10 * len(live)
@@ -985,7 +985,7 @@ class TestFeatureMajorLayout:
 
         def block(ids):
             videos = rng.normal(size=(len(ids), n_clips, dim))
-            stacked = mnse.stacked_scenes(list(videos), ids)
+            stacked = mnse.stacked_scenes(videos, ids)
             if data.draw(st.booleans(), label="row-major block"):
                 return stacked._replace(matrix=np.ascontiguousarray(stacked.matrix))
             return stacked
@@ -1071,7 +1071,7 @@ class TestFeatureMajorLayout:
         rng = np.random.default_rng(0)
         videos = rng.normal(size=(600, 8, 24))
         ids = [f"v{i:03d}" for i in range(600)]
-        bank = MemoryBank(24).populate(mnse.stacked_scenes(list(videos), ids)).freeze()
+        bank = MemoryBank(24).populate(mnse.stacked_scenes(videos, ids)).freeze()
         queries = videos[:20, :4].reshape(80, 24)
         excludes = [v for v in ids[:20] for _ in range(4)]
         bank.topk(queries[:2], 200, excludes[:2])  # derive norms, ties and the exclusion index
