@@ -63,7 +63,7 @@ from . import samplers as sm
 Array = np.ndarray
 
 METRICS_VERSION = 1
-# Instances per stacked pass in evaluate and rl_train: bounds the caches one
+# Rows per stacked pass in evaluate and rl_train: bounds the caches one
 # pass holds, so scoring a large set does not raise peak memory.
 EVAL_CHUNK = 32
 CURVE_HEADER = "step,erm_loss,cl_loss,total_loss"
@@ -300,24 +300,35 @@ def _report_from_predictions(data: Dataset, predictions: Array) -> MetricsReport
                          corrects=dict(zip(names, tally[1::2].tolist())))
 
 
-def _scored_chunks(model: PcmaModel, data: Dataset, videos: Array | None = None):
-    """(slice, AnswerScores, golds) per pass over EVAL_CHUNK consecutive
-    samples: one pass per chunk bounds its arrays and caches."""
-    videos = data.video if videos is None else videos
-    for start in range(0, len(data), EVAL_CHUNK):
+def _scored_chunks(model: PcmaModel, data: Dataset, *videos: Array):
+    """(slice, AnswerScores, samples) per pass over EVAL_CHUNK consecutive
+    rows of the views videos stacked: row r is sample r % N under view
+    r // N. A row's scores do not depend on the rows beside it; one pass
+    per chunk bounds its arrays and caches."""
+    stacked = np.concatenate(videos) if len(videos) > 1 else videos[0]
+    for start in range(0, len(stacked), EVAL_CHUNK):
         chunk = slice(start, start + EVAL_CHUNK)
+        samples = np.arange(start, min(start + EVAL_CHUNK, len(stacked))) % len(data)
         # drop the cache at once, so no two chunks' caches are alive together
-        result = model.forward_full(videos[chunk], data.question[chunk], data.answers[chunk])[0]
-        yield chunk, result, data.gold[chunk]
+        result = model.forward_full(
+            stacked[chunk], data.question[samples], data.answers[samples]
+        )[0]
+        yield chunk, result, samples
+
+
+def evaluate_views(model: PcmaModel, data: Dataset, *videos: Array) -> list[MetricsReport]:
+    """One evaluate report per view in videos, each [N, n_clips,
+    video_dim], every view scored in one pass of their stacked rows."""
+    predictions = np.empty(len(videos) * len(data), dtype=np.int64)
+    for chunk, result, _ in _scored_chunks(model, data, *videos):
+        predictions[chunk] = result.predicted
+    return [_report_from_predictions(data, p) for p in predictions.reshape(len(videos), -1)]
 
 
 def evaluate(model: PcmaModel, data: Dataset, videos: Array | None = None) -> MetricsReport:
     """Argmax-score accuracy per question type; videos [N, n_clips,
     video_dim] can override the dataset's to evaluate under interventions."""
-    predictions = np.empty(len(data), dtype=np.int64)
-    for chunk, result, _ in _scored_chunks(model, data, videos):
-        predictions[chunk] = result.predicted
-    return _report_from_predictions(data, predictions)
+    return evaluate_views(model, data, data.video if videos is None else videos)[0]
 
 
 # -- training ---------------------------------------------------------------------
@@ -408,7 +419,7 @@ def _draw_interventions(
     batch order its do view's complement rows, the positive's complement
     rows and each substituted negative's causal rows, each in clip order.
     Each draw names its row of bank.candidates: under random sourcing the
-    sample's eligible pool; under nearest-scene sourcing the row's topk,
+    sample's eligible scenes; under nearest-scene sourcing the row's topk,
     from one ranking of the do views' complement rows and every v_star
     row, whose causal rows every negative draws from again."""
     mixed = np.flatnonzero(mix.valid)
@@ -729,7 +740,8 @@ def seen_unseen_protocol(
     each video's draws exclude itself, one nearest-scene ranking covers
     every video's complement rows, and one generator seeded with seed
     draws every nearest-scene row and then every random row, each in one
-    pick.
+    pick. Each model scores its clean, nearest-scene and random views in
+    one stacked pass.
     """
     if bank is None or len(bank) == 0:
         raise ValueError("protocol needs a populated memory bank")
@@ -738,9 +750,10 @@ def seen_unseen_protocol(
     mnse_videos = mnse_do(data.video, ~masks, bank, neighbor_k, rng, data.ids)
     random_videos = random_do(data.video, ~masks, bank, rng, data.ids)
 
-    clean = (evaluate(model_a, data), evaluate(model_b, data))
-    seen = (evaluate(model_a, data, mnse_videos), evaluate(model_b, data, random_videos))
-    unseen = (evaluate(model_a, data, random_videos), evaluate(model_b, data, mnse_videos))
+    views = (data.video, mnse_videos, random_videos)
+    clean_a, near_a, rand_a = evaluate_views(model_a, data, *views)
+    clean_b, near_b, rand_b = evaluate_views(model_b, data, *views)
+    clean, seen, unseen = (clean_a, clean_b), (near_a, rand_b), (rand_a, near_b)
     deltas = {
         "drop_a_seen": clean[0].overall - seen[0].overall,
         "drop_b_seen": clean[1].overall - seen[1].overall,
@@ -900,8 +913,8 @@ def rl_train(
             tail_loss.append(loss)
     # the all-frames reference loss, scored in stacked chunks
     all_frames = np.empty(len(data))
-    for chunk, result, golds in _scored_chunks(backbone, data):
-        all_frames[chunk], _ = pcma_loss(result, golds, backbone.cfg.tau)
+    for chunk, result, samples in _scored_chunks(backbone, data, data.video):
+        all_frames[chunk], _ = pcma_loss(result, data.gold[samples], backbone.cfg.tau)
     return RlTrainResult(
         sampler=sampler,
         mean_selected_fraction=float(np.mean(tail_frac)),

@@ -15,18 +15,23 @@ are its part's rows, so exclusion is read off one sparse index, never a
 full scan, in the manner of a flat index: any number of query rows, each
 with its own excluded video, is ranked in one pass of fixed-size row
 chunks, one matrix product with the contiguous feature-major matrix and
-one top-k selection per chunk, no loop over rows. A lone row is ranked
+one partition per chunk, no loop over rows; a row whose k-th key ties no
+key past the partition takes its first k, and only a row with such a tie
+or a clamped k selects its ties by tie rank. A lone row is ranked
 as a two-row product, never by the matrix-vector kernel, and row norms
 and L2 keys are reduced over C-ordered rows, bit-identical to those of
-a row-major copy of the scenes. Three refresh regimes: F1 fills once and freezes; F2 refreshes
-per batch over a sliding window of recent batches; F3 is F2 plus the
-batch's mixup scene rows. Neighbor sourcing drives the substitution
-interventions (mnse_do) and their random baseline (random_do).
-candidates builds the rows a set of draws picks among: each query row's
-exact k-nearest set in tie-rank order (topk), or each excluded video's
-pool of every scene it may draw. Every draw, nearest or uniform, in a
-training step or in the protocol, is one pick over such rows, each draw
-naming its row: all its rows from one generator in one integers call.
+a row-major copy of the scenes. Three refresh regimes: F1 fills once and
+freezes; F2 refreshes per batch over a sliding window of recent batches;
+F3 is F2 plus the batch's mixup scene rows. Neighbor sourcing drives the
+substitution interventions (mnse_do) and their random baseline
+(random_do). candidates builds the rows a set of draws picks among: each
+query row's exact k-nearest set in tie-rank order (topk), or each
+excluded video's eligible scenes as read off the exclusion index
+(Eligible), never gathered into a pool. Every draw, nearest or uniform,
+in a training step or in the protocol, is one pick over such rows, each
+draw naming its row: all its rows from one generator in one integers
+call; a uniform draw u is the row's u-th eligible scene in bank order,
+found by one searchsorted over its excluded rows.
 Only query_knn orders its answers by key.
 """
 
@@ -49,8 +54,8 @@ Array = np.ndarray
 # Ranking keys per chunk of query rows (rows x bank size, times bank_dim for
 # L2; at least one row). Each float64 temporary of a chunk (its keys, the
 # matrix product, argpartition's indices) stays near 512 KB, so a ranking
-# peaks below the uniform pools of the protocol's random_do (a test pins
-# this on a 4,800-scene bank). A chunk's lone row is ranked as a two-row
+# of the protocol's rows on a 4,800-scene bank peaks below 1.8 MB (a test
+# pins this). A chunk's lone row is ranked as a two-row
 # product: a matrix-vector product's sums can differ in the last bit from
 # the matrix-matrix kernel's, which give a row the same bits whatever rows
 # share its chunk on banks of whole 8-clip videos (tested).
@@ -119,6 +124,26 @@ def stacked_scenes(videos: Array, video_ids: Sequence[str]) -> Scenes:
     )
 
 
+class Eligible(NamedTuple):
+    """The scenes each of m rows may draw uniformly: every scene but those
+    the exclusion index lists under its excluded video, read off that
+    index with no [m, bank] mask or pool. Each excluded row is listed as
+    the number of eligible scenes before it, plus the row's offset."""
+
+    ids: Sequence[str | None]  # [m] each row's excluded video
+    counts: Array  # [m] how many scenes each row may draw
+    starts: Array  # [m] where each row's excluded rows start in gaps
+    gaps: Array  # the listed excluded rows, sorted: row r's offset is r * stride
+    stride: int  # bank size + 1
+
+    def nth(self, rows: Array, u: Array) -> Array:
+        """Bank index of eligible scene u[i], counted in bank order, of row
+        rows[i]: u[i] plus the number of the row's excluded rows at or
+        below that index."""
+        at = np.searchsorted(self.gaps, rows * self.stride + u, side="right")
+        return u + at - self.starts[rows]
+
+
 class _TieRanks(NamedTuple):
     rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
     order: Array  # [n] the rows in that order, the inverse of rank
@@ -127,35 +152,40 @@ class _TieRanks(NamedTuple):
 def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
     """Bank indices and keys of each row's k[row] smallest keys, ties at the
     k-th key broken by tie rank, listed in tie-rank order and padded with -1
-    and NaN to the largest k.
+    and NaN to the largest k, K. Only an excluded scene's key is +inf, and
+    a k[row] below K is the row's count of finite keys (a clamped k).
 
-    A window of each row's smallest keys, one more than the largest k, gives
-    the k-th key by a sort of its values. A row whose k-th key equals its
-    window's last may tie with keys outside; the window then widens once,
-    past every key at or below any row's k-th, which holds every tie.
+    One partition at K puts each row's K smallest keys first, so its k-th
+    key is the largest finite one among them. Where the largest of them is
+    below the key at position K, no tie crosses the boundary: the set is
+    the first K. Every other row (a tie at its k-th key, or a clamped k,
+    whose first K hold an excluded +inf key) takes its keys below the k-th
+    and then its ties in tie-rank order.
     """
-    n = keys.shape[1]
+    n, width = keys.shape[1], int(k.max())
     rows = np.arange(len(keys))[:, None]
-    width = int(k.max()) + 1
-    for _ in range(2):
-        if width < n:
-            idx = np.argpartition(keys, width - 1, axis=1)[:, :width]
-        else:
-            idx = np.broadcast_to(np.arange(n), keys.shape)
-        window = np.sort(keys[rows, idx], axis=1)
-        kth = window[rows, k[:, None] - 1]
-        if width >= n or (kth[:, 0] < window[:, -1]).all():
-            break
-        width = int(np.count_nonzero(keys <= kth, axis=1).max()) + 1
-    idx = ties.order[np.sort(ties.rank[idx], axis=1)]
-    window = keys[rows, idx]
-    below, ties = window < kth, window == kth
-    taken = below | ties & (np.cumsum(ties, axis=1) <= (k - below.sum(axis=1))[:, None])
-    keep = np.arange(int(k.max())) < k[:, None]
-    top = np.full(keep.shape, -1, dtype=np.int64)
-    top[keep] = idx[taken]
-    at = np.full(keep.shape, np.nan)
-    at[keep] = window[taken]
+    if width < n:
+        idx = np.argpartition(keys, width, axis=1)
+        after = keys[rows[:, 0], idx[:, width]]
+        idx = idx[:, :width].copy()  # frees the [rows, n] partition
+    else:
+        idx, after = np.broadcast_to(np.arange(n), keys.shape), np.full(len(keys), np.inf)
+    first = keys[rows, idx]
+    cut = first.max(axis=1) < after
+    top = np.full((len(keys), width), -1, dtype=np.int64)
+    top[cut] = ties.order[np.sort(ties.rank[idx[cut]], axis=1)]
+    rest = np.flatnonzero(~cut)
+    if len(rest):
+        head, k_r = first[rest], k[rest, None]
+        kth = np.max(head, axis=1, where=head < np.inf, initial=-np.inf)[:, None]
+        ordered = keys[rest][:, ties.order]
+        below, tied = ordered < kth, ordered == kth
+        taken = below | tied & (np.cumsum(tied, axis=1) <= k_r - below.sum(axis=1, keepdims=True))
+        chosen = np.full((len(rest), width), -1, dtype=np.int64)
+        chosen[np.arange(width) < k_r] = ties.order[np.nonzero(taken)[1]]
+        top[rest] = chosen
+    at = keys[rows, np.maximum(top, 0)]
+    at[top < 0] = np.nan
     return top, at
 
 
@@ -435,33 +465,43 @@ class MemoryBank:
 
     def candidates(
         self, exclude_video_ids: Sequence[str | None], queries: Array | None = None, k: int = 1
-    ) -> Array:
-        """Bank indices [m, width] of the scenes each of m rows may draw, a
-        row's padding -1 at its end. With queries [m, bank_dim], row i is
-        query i's topk excluding exclude_video_ids[i] (which raises for a
-        row with no eligible scene); without, it is the eligible pool of
-        exclude_video_ids[i] in bank order, all padding when it is empty."""
+    ) -> Array | Eligible:
+        """The scenes each of m rows may draw. With queries [m, bank_dim],
+        bank indices [m, width]: row i is query i's topk excluding
+        exclude_video_ids[i] (which raises for a row with no eligible
+        scene), a row's padding -1 at its end. Without, every scene each
+        row's excluded video leaves eligible, as an Eligible read off the
+        exclusion index."""
         if queries is not None:
             return self.topk(queries, k, exclude_video_ids)
         query_of, excluded_rows, excluded = self._excluded(exclude_video_ids)
-        eligible = np.ones((len(excluded), len(self)), dtype=bool)
-        eligible[query_of, excluded_rows] = False
-        counts = len(self) - excluded
-        pools = np.full((len(counts), counts.max(initial=0)), -1)
-        # each row's eligible indices in order, read off broadcast columns:
-        # about 2.5 times as fast as np.nonzero of the 2-D mask
-        columns = np.broadcast_to(np.arange(len(self)), eligible.shape)
-        pools[np.arange(pools.shape[1]) < counts[:, None]] = columns[eligible]
-        return pools
+        starts = np.cumsum(excluded) - excluded
+        # eligible scenes before each excluded row: nondecreasing per row
+        before = excluded_rows - np.arange(len(excluded_rows)) + starts[query_of]
+        stride = len(self) + 1
+        return Eligible(
+            list(exclude_video_ids), len(self) - excluded, starts, before + query_of * stride, stride
+        )
 
-    def pick(self, candidates: Array, rng: np.random.Generator, rows: Array | None = None) -> Array:
+    def pick(
+        self, candidates: Array | Eligible, rng: np.random.Generator, rows: Array | None = None
+    ) -> Array:
         """Scene vectors [n, bank_dim], each uniform among the candidates of
-        its row, all drawn with rng in one integers call. candidates is
-        [m, width] bank indices, a row's padding -1 at its end, and rows
-        names each draw's row, by default one draw per row."""
+        its row, all drawn with rng in one integers call: draw u of a row is
+        its u-th candidate. candidates is topk's [m, width] bank indices, a
+        row's padding -1 at its end, or an Eligible, whose u-th scene is its
+        u-th eligible scene in bank order; rows names each draw's row, by
+        default one draw per row. A draw from a row with no eligible scene
+        raises."""
+        uniform = isinstance(candidates, Eligible)
+        counts = candidates.counts if uniform else (candidates >= 0).sum(axis=1)
         if rows is None:
-            rows = np.arange(len(candidates))
-        chosen = candidates[rows, rng.integers(0, (candidates >= 0).sum(axis=1)[rows])]
+            rows = np.arange(len(counts))
+        counts = counts[rows]
+        if uniform and not counts.all():
+            raise self._none_eligible(candidates.ids[int(rows[np.argmin(counts)])])
+        u = rng.integers(0, counts)
+        chosen = candidates.nth(rows, u) if uniform else candidates[rows, u]
         return self._columns[:, chosen].T
 
     def query_knn(self, q: NeighborQuery) -> list[ScoredNeighbor]:
@@ -525,9 +565,5 @@ def random_do(
     among its video's eligible scenes."""
     out = as_f64(videos).copy()
     which, clips = np.nonzero(rows)
-    pools = bank.candidates(exclude_video_ids)
-    empty = rows.any(axis=1) & (pools < 0).all(axis=1)
-    if empty.any():
-        raise bank._none_eligible(exclude_video_ids[int(np.argmax(empty))])
-    out[which, clips] = bank.pick(pools, rng, which)
+    out[which, clips] = bank.pick(bank.candidates(exclude_video_ids), rng, which)
     return out

@@ -12,6 +12,7 @@ from causalvqa.features import Dataset, Qtype
 from causalvqa.mnse import MemoryBank, Scenes
 from causalvqa.pcma import PcmaConfig, PcmaModel, gate_layout
 from gradcheck import assert_grad_matches, dead_tensors
+from reference_protocol import reference_pool
 from reference_step import (
     ForcedRatios,
     draw_triplet,
@@ -252,7 +253,7 @@ def triplet_topk(v_star, split, bank, cfg):
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):
     """One drawn triplet through the stacked forward: (aggregates [n_views,
     model_dim], cache, draw)."""
-    candidates = (bank.candidates([None]),) * 2
+    candidates = (reference_pool(bank, None)[None],) * 2
     if cfg.memory_source is iv.MemorySource.MNSE:
         candidates = triplet_topk(v_star, split, bank, cfg)
     drawn = draw_triplet(
