@@ -275,7 +275,7 @@ def infonce_loss(aggs: Array) -> tuple[Array, Array]:
     anchor, others = aggs[..., 0, :], aggs[..., 1:, :]
     sims = nc.rowdot(anchor[..., None, :], others)  # [..., n_views - 1], positive first
     nc.require_finite("similarities", sims)
-    m = sims.max(axis=-1, keepdims=True)
+    m = nc.axis_max(sims)
     e = np.exp(sims - m)
     z = e.sum(axis=-1, keepdims=True)
     loss = (m + np.log(z))[..., 0] - sims[..., 0]

@@ -32,7 +32,8 @@ in a training step or in the protocol, is one pick over such rows, each
 draw naming its row: all its rows from one generator in one integers
 call; a uniform draw u is the row's u-th eligible scene in bank order,
 found by one searchsorted over its excluded rows.
-Only query_knn orders its answers by key.
+The ranking gathers no keys at the chosen scenes: only query_knn reads
+scores, off its one row's keys, and orders its answers by them.
 """
 
 from __future__ import annotations
@@ -149,11 +150,11 @@ class _TieRanks(NamedTuple):
     order: Array  # [n] the rows in that order, the inverse of rank
 
 
-def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
-    """Bank indices and keys of each row's k[row] smallest keys, ties at the
-    k-th key broken by tie rank, listed in tie-rank order and padded with -1
-    and NaN to the largest k, K. Only an excluded scene's key is +inf, and
-    a k[row] below K is the row's count of finite keys (a clamped k).
+def _first_k(keys: Array, k: Array, ties: _TieRanks) -> Array:
+    """Bank indices of each row's k[row] smallest keys, ties at the k-th key
+    broken by tie rank, listed in tie-rank order and padded with -1 to the
+    largest k, K. Only an excluded scene's key is +inf, and a k[row] below
+    K is the row's count of finite keys (a clamped k).
 
     One partition at K puts each row's K smallest keys first, so its k-th
     key is the largest finite one among them. Where the largest of them is
@@ -184,9 +185,7 @@ def _first_k(keys: Array, k: Array, ties: _TieRanks) -> tuple[Array, Array]:
         chosen = np.full((len(rest), width), -1, dtype=np.int64)
         chosen[np.arange(width) < k_r] = ties.order[np.nonzero(taken)[1]]
         top[rest] = chosen
-    at = keys[rows, np.maximum(top, 0)]
-    at[top < 0] = np.nan
-    return top, at
+    return top
 
 
 class MemoryBank:
@@ -399,8 +398,9 @@ class MemoryBank:
         """Exact top-k set of each query row among the scenes its exclude id
         leaves eligible, ties at the k-th key broken by (video_id,
         clip_index), listed in that tie-rank order, k clamped to the row's
-        eligible count. Returns bank indices and scores, both
-        [n_queries, k], padded with -1 and NaN past a row's clamped k.
+        eligible count. Returns bank indices [n_queries, k], padded with -1
+        past a row's clamped k, and the last chunk's keys: a lone query's
+        key of every scene.
 
         Rows are keyed RANK_CHUNK keys at a time (lower is closer). A key
         that overflows or is NaN ranks as the largest finite float, so only
@@ -416,14 +416,14 @@ class MemoryBank:
         if not counts.all():
             raise self._none_eligible(exclude_video_ids[int(np.argmin(counts))])
         top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
-        keys_at = np.full(top.shape, np.nan)
         cosine = self.metric is Metric.COSINE
         step = max(1, RANK_CHUNK // max(1, n * (1 if cosine else self.bank_dim)))
         neg_norms = -np.linalg.norm(queries, axis=1)
         # a denominator below is zero only where a norm is zero or a product
         # of norms underflows; without such, no division needs a mask
         masked = neg_norms.max(initial=-1.0) * self._norms.min(initial=1.0) == 0
-        keyed = np.empty((min(step, len(queries)), n)) if cosine else None  # every chunk's keys
+        # every cosine chunk's keys
+        keys = keyed = np.empty((min(step, len(queries)), n)) if cosine else None
         for start in range(0, len(queries), step):
             q, rows = queries[start : start + step], slice(start, start + step)
             if cosine:
@@ -434,7 +434,10 @@ class MemoryBank:
                 # can differ in the last bit: a lone row is ranked as two
                 pair = np.repeat(q, 2, axis=0) if len(q) == 1 else q
                 dots = (pair @ self._columns)[: len(q)]
-                np.divide(dots, keys, out=keys, where=keys < 0 if masked else True)
+                if masked:
+                    np.divide(dots, keys, out=keys, where=keys < 0)
+                else:  # where=True would run the masked loop
+                    np.divide(dots, keys, out=keys)
                 del dots  # freed before _first_k allocates its indices
             else:
                 # differences laid out as C-ordered rows, so each norm
@@ -442,15 +445,14 @@ class MemoryBank:
                 keys = np.linalg.norm(
                     np.subtract(self._columns.T[None], q[:, None], order="C"), axis=2
                 )
-            np.fmin(keys, _LARGEST, out=keys)
+            if not np.isfinite(keys).all():
+                np.fmin(keys, _LARGEST, out=keys)
             lo, hi = np.searchsorted(query_of, (start, start + step))
             keys[query_of[lo:hi] - start, excluded_rows[lo:hi]] = np.inf
-            chunk_top, chunk_keys = _first_k(keys, np.minimum(k, counts[rows]), self._ties)
+            chunk_top = _first_k(keys, np.minimum(k, counts[rows]), self._ties)
             top[rows, : chunk_top.shape[1]] = chunk_top
-            keys_at[rows, : chunk_top.shape[1]] = chunk_keys
         used = int((top >= 0).sum(axis=1).max(initial=0))
-        scores = -keys_at if cosine else keys_at
-        return top[:, :used], scores[:, :used]
+        return top[:, :used], keys
 
     def topk(self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]) -> Array:
         """Bank indices of each query row's k nearest eligible scenes, in
@@ -460,8 +462,7 @@ class MemoryBank:
         than the widest is padded with -1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        top, _ = self._ranked(as_f64(queries), k, exclude_video_ids)
-        return top
+        return self._ranked(as_f64(queries), k, exclude_video_ids)[0]
 
     def candidates(
         self, exclude_video_ids: Sequence[str | None], queries: Array | None = None, k: int = 1
@@ -510,20 +511,22 @@ class MemoryBank:
         qv = as_f64(q.vector)
         if qv.shape != (self.bank_dim,):
             raise ValueError(f"query vector shape {qv.shape}, expected ({self.bank_dim},)")
-        top, scores = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
+        top, keys = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
         if top.shape[1] < q.k:
             raise ValueError(
                 f"k={q.k} exceeds {top.shape[1]} eligible entries "
                 f"(bank size {len(self)}, excluded video {q.exclude_video_id!r})"
             )
         # a stable sort by key of the tie-rank-ordered row: (key, tie rank)
-        best = np.argsort(-scores[0] if self.metric is Metric.COSINE else scores[0], kind="stable")
+        keys = keys[0, top[0]]
+        best = np.argsort(keys, kind="stable")
+        scores = -keys if self.metric is Metric.COSINE else keys
         vectors = self._columns.T
         return [
             ScoredNeighbor(
                 BankEntry(vectors[i], self._ids[self._codes[i]], int(self._clips[i])), float(s)
             )
-            for i, s in zip(top[0, best], scores[0, best])
+            for i, s in zip(top[0, best], scores[best])
         ]
 
 

@@ -102,7 +102,9 @@ def linear_forward(x: Array, w: Array, b: Array) -> tuple[Array, tuple]:
     """y = x @ w + b for x [..., i], w [i, o], b [o]."""
     if x.shape[-1] != w.shape[0]:
         raise DimMismatch(f"linear: input dim {x.shape[-1]} vs weight dim {w.shape[0]}")
-    return x @ w + b, (x, w)
+    y = x @ w
+    y += b
+    return y, (x, w)
 
 
 def linear_backward(dy: Array, cache: tuple) -> tuple[Array, Array, Array]:
@@ -117,10 +119,19 @@ def linear_backward(dy: Array, cache: tuple) -> tuple[Array, Array, Array]:
 # -- softmax ---------------------------------------------------------------
 
 
+def axis_max(x: Array, axis: int = -1) -> Array:
+    """np.max(x, axis=axis, keepdims=True) as one elementwise maximum over a
+    copy of x with that axis first: NumPy's reduction over a short axis
+    pays per row. A max rounds nothing, so these are np.max's bits, but
+    for a NaN with its sign bit set or a tie of +0.0 with -0.0 across more
+    than 8 entries, whose bits follow np.max's order of passes."""
+    return np.expand_dims(np.maximum.reduce(np.moveaxis(x, axis, 0).copy()), axis)
+
+
 def softmax(x: Array, axis: int = -1) -> Array:
     """Numerically stable softmax (max-subtraction)."""
-    shifted = x - np.max(x, axis=axis, keepdims=True)
-    e = np.exp(shifted)
+    e = x - axis_max(x, axis)
+    np.exp(e, out=e)
     return e / e.sum(axis=axis, keepdims=True)
 
 
@@ -336,7 +347,7 @@ def softmax_cross_entropy(logits: Array, gold) -> tuple[Array, Array]:
     if np.any((gold < 0) | (gold >= z.shape[-1])):
         raise IndexError(f"gold index {gold} out of range for {z.shape[-1]} logits")
     onehot = np.arange(z.shape[-1]) == gold[..., None]
-    m = z.max(axis=-1, keepdims=True)
+    m = axis_max(z)
     e = np.exp(z - m)
     total = e.sum(axis=-1, keepdims=True)
     loss = (m + np.log(total))[..., 0] - z[onehot].reshape(gold.shape)

@@ -234,7 +234,7 @@ class TestEvaluate:
             preds.append(int(result.predicted[0]))
         return preds
 
-    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 65])
+    @pytest.mark.parametrize("n", [0, 1, 31, 32, 33, 63, 64, 65, 128, 129])
     def test_chunked_predictions_match_single_passes(self, n, monkeypatch):
         instances, _, _ = synth(n, seed=13)
         model = small_model(seed=4)
@@ -1423,10 +1423,11 @@ class TestProtocol:
         np.testing.assert_array_equal(random_videos, np.stack(want_random))
         assert got == reference_protocol(model_a, model_b, instances, masks, bank, 3, k)
 
-    @pytest.mark.parametrize("n", [1, 10, 11, 32, 33])
+    @pytest.mark.parametrize("n", [1, 10, 11, 21, 22, 32, 33])
     def test_stacked_scoring_equals_six_evaluate_calls(self, n):
         # each model scores its three views in one stacked pass; 3n rows
-        # span chunk boundaries at n = 11, 32 and 33
+        # fit one chunk up to n = 21 (63 rows) and span chunk boundaries
+        # from n = 22 (66 rows)
         instances, _, masks = synth(40, seed=7)
         bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
         bank.populate(instance_scenes(instances)).freeze()
@@ -1440,6 +1441,17 @@ class TestProtocol:
         assert got.seen == (evaluate(model_a, data, near), evaluate(model_b, data, rand))
         assert got.unseen == (evaluate(model_a, data, rand), evaluate(model_b, data, near))
         assert hn.evaluate_views(model_a, data, near) == [evaluate(model_a, data, near)]
+
+    def test_a_20_video_protocol_scores_each_model_in_one_pass(self):
+        instances, _, masks = synth(20, seed=7)
+        bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+        bank.populate(instance_scenes(instances)).freeze()
+        model_a, model_b = small_model(seed=1), small_model(seed=2)
+        real = PcmaModel.forward_full
+        with mock.patch.object(PcmaModel, "forward_full", autospec=True, side_effect=real) as spy:
+            seen_unseen_protocol(model_a, model_b, instances, masks, bank, 3, 5)
+        calls = [(call.args[0], len(call.args[1])) for call in spy.call_args_list]
+        assert calls == [(model_a, 60), (model_b, 60)]
 
     @settings(max_examples=40, deadline=None)
     @given(data=st.data())

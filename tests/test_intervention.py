@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -464,6 +465,20 @@ class TestInfoNce:
         for view, label in ((0, "anchor"), (1, "positive"), (2, "negative0"), (5, "negative3"),
                             (9, "negative7")):
             assert_grad_matches(f, aggs[view], grad[view], rng, label)
+
+    @pytest.mark.parametrize("negatives", [1, 4, 7, 15])
+    def test_is_the_np_max_formula_bit_for_bit(self, rng, negatives):
+        # 2, 5, 8 and 16 similarities; rows of +-0.0 give zero similarities
+        # of either sign, so the max ties them
+        aggs = rng.normal(size=(5, negatives + 2, 8))
+        aggs[0] = 0.0
+        aggs[1, 1:] = -0.0
+        aggs[2] *= 1e100
+        got = iv.infonce_loss(aggs)
+        with mock.patch.object(nc, "axis_max", lambda x, axis=-1: np.max(x, axis, keepdims=True)):
+            want = iv.infonce_loss(aggs)
+        for g, w in zip(got, want):
+            assert g.tobytes() == w.tobytes()
 
     def test_loss_is_positive_and_finite(self, rng):
         losses, _ = iv.infonce_loss(rng.normal(size=(20, 5, 8)))

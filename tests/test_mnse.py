@@ -68,6 +68,24 @@ def drawable(bank, exclude):
     return eligible.nth(np.zeros(n, dtype=np.int64), np.arange(n))
 
 
+def scored_ranking(bank, queries, k, excludes):
+    """bank._ranked's indices and the score at each, padded with NaN as
+    the indices are with -1: each chunk's keys are read as the ranking hands
+    them to _first_k, so every row's score is the key it was ranked by."""
+    chunks, real = [], mnse._first_k
+
+    def first_k(keys, *rest):
+        chunks.append(keys.copy())
+        return real(keys, *rest)
+
+    with mock.patch.object(mnse, "_first_k", first_k):
+        top = bank._ranked(queries, k, excludes)[0]
+    keys = np.concatenate(chunks) if chunks else np.empty((0, len(bank)))
+    at = np.take_along_axis(keys, np.maximum(top, 0), axis=1)
+    at[top < 0] = np.nan
+    return top, -at if bank.metric is Metric.COSINE else at
+
+
 def random_bank(rng, n=200, dim=16, metric=Metric.COSINE, regime=Regime.F1_STATIC):
     bank = MemoryBank(bank_dim=dim, metric=metric, regime=regime)
     rows = [(rng.normal(size=dim), f"vid{int(rng.integers(0, max(2, n // 8)))}") for _ in range(n)]
@@ -353,7 +371,7 @@ class TestBatchedTopK:
         pool = reference_pool(bank, exclude)
         rows = bank.entries()
         for k in (1, 3, 4, 5, 7, len(pool)):
-            top, scores = bank._ranked(queries, k, [exclude] * len(queries))
+            top, scores = scored_ranking(bank, queries, k, [exclude] * len(queries))
             assert top.shape == scores.shape == (len(queries), k)
             for qv, got, got_scores in zip(queries, top, scores):
                 want = oracle_set(rows, qv, k, metric, exclude)
@@ -367,7 +385,7 @@ class TestBatchedTopK:
         bank = self._tied_bank(rng, Metric.COSINE, queries)
         pool = reference_pool(bank, "a")
         excludes = ["a"] * len(queries)
-        top, _ = bank._ranked(queries, 5, excludes)
+        top = bank.topk(queries, 5, excludes)
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
             draw_rng = np.random.default_rng(seed)
@@ -386,10 +404,10 @@ class TestBatchedTopK:
         with pytest.raises(ValueError, match="eligible"):
             bank.pick(bank.topk(np.ones((1, 2)), 3, ["only"]), np.random.default_rng(0))
 
-    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
-    def test_one_call_mixes_clamped_and_full_rows(self, rng, metric):
-        # f3 blends, repeated vectors and an exclude id the bank never saw:
-        # each row of one call has its own clamped k and its own ties
+    @staticmethod
+    def _f3_bank(rng, metric):
+        """An f3 bank of blends and repeated vectors, with queries near and
+        on its scenes and one exclude id per query, one the bank never saw."""
         bank = MemoryBank(4, metric=metric, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
         ids = ["a"] * 6 + ["b"] * 3 + ["c"] * 2
         vectors = rng.normal(size=(len(ids), 4))
@@ -398,7 +416,13 @@ class TestBatchedTopK:
         bank.push_batch(scenes(vectors, ids, [0, 1, 2, 3, 4, 5, 0, 1, 2, 0, 1]),
                         scenes(np.concatenate([vectors[:2], vectors[9:10]]), blends, [0, 1, 0]))
         queries = np.concatenate([rng.normal(size=(3, 4)), vectors[[2, 0]]])
-        excludes = ["a", "b", "c", "absent", None]
+        return bank, queries, ["a", "b", "c", "absent", None]
+
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    def test_one_call_mixes_clamped_and_full_rows(self, rng, metric):
+        # f3 blends, repeated vectors and an exclude id the bank never saw:
+        # each row of one call has its own clamped k and its own ties
+        bank, queries, excludes = self._f3_bank(rng, metric)
         entries, n = bank.entries(), len(bank)
         for k in (1, 2, 3, 5, 7, n - 1, n, 10**6):
             top = bank.topk(queries, k, excludes)
@@ -409,6 +433,88 @@ class TestBatchedTopK:
                         (entries[i] for i in row[: len(want)])] == [
                     (e.video_id, e.clip_index, e.vector.tobytes()) for e, _ in want]
                 assert (row[len(want) :] == -1).all()
+
+    @staticmethod
+    def _overflow_bank(metric):
+        """A bank of scenes big, -big and 1 of videos a, b and c, and big:
+        query big keys b as an overflow (an L2 distance of inf, or a
+        cosine of inf / inf = NaN) and a and c finitely; query 1 keys
+        every scene finitely."""
+        big = 1e200 if metric is Metric.COSINE else 1e154
+        bank = MemoryBank(bank_dim=1, metric=metric)
+        return bank.populate(scenes([[big], [-big], [1.0]], ["a", "b", "c"], [0, 0, 0])), big
+
+    def _cases(self, rng, metric):
+        """(case, bank, query, k, exclude id) for each of a tie at the k-th
+        key, a k clamped to the eligible count, an f3 bank and an
+        overflowing key."""
+        queries = rng.normal(size=(4, 8))
+        tied = self._tied_bank(rng, metric, queries)
+        for q in queries:
+            for k in (1, 3, 4, 5, 7):
+                yield "tie", tied, q, k, None
+            for ex in ("a", "b", "absent"):
+                yield "clamp", tied, q, len(reference_pool(tied, ex)), ex
+        f3, f3_queries, excludes = self._f3_bank(rng, metric)
+        for q, ex in zip(f3_queries, excludes):
+            for k in range(1, len(reference_pool(f3, ex)) + 1):
+                yield "f3", f3, q, k, ex
+        overflow, big = self._overflow_bank(metric)
+        for q, ex in (([big], "a"), ([big], None), ([1.0], None), ([-big], "c")):
+            for k in range(1, len(reference_pool(overflow, ex)) + 1):
+                yield "overflow", overflow, np.array(q), k, ex
+
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    def test_topk_is_the_set_query_knn_scores(self, rng, metric):
+        # topk reads no score; query_knn, which does, finds the same set
+        def scene_set(found):
+            return sorted((e.video_id, e.clip_index, e.vector.tobytes()) for e in found)
+
+        for case, bank, q, k, ex in self._cases(rng, metric):
+            entries = bank.entries()
+            with np.errstate(over="ignore", invalid="ignore"):
+                top = bank.topk(q[None], k, [ex])[0]
+                found = bank.query_knn(NeighborQuery(vector=q, k=k, exclude_video_id=ex))
+            assert scene_set(entries[i] for i in top) == scene_set(n.entry for n in found), case
+
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    def test_query_knn_scores_are_the_keys_it_was_ranked_by(self, rng, metric):
+        # each score is its scene's ranking key (negated under cosine), bit
+        # for bit, in (key, tie rank) order
+        for case, bank, q, k, ex in self._cases(rng, metric):
+            entries = bank.entries()
+            with np.errstate(over="ignore", invalid="ignore"):
+                top, scores = scored_ranking(bank, q[None], k, [ex])
+                found = bank.query_knn(NeighborQuery(vector=q, k=k, exclude_video_id=ex))
+            best = np.argsort(-scores[0] if metric is Metric.COSINE else scores[0], kind="stable")
+            assert np.array([n.score for n in found]).tobytes() == scores[0, best].tobytes(), case
+            assert [n.entry.vector.tobytes() for n in found] == [
+                entries[i].vector.tobytes() for i in top[0, best]], case
+
+    @pytest.mark.parametrize("at", [0, 1])
+    @pytest.mark.parametrize("metric", [Metric.COSINE, Metric.L2])
+    def test_a_chunk_with_an_overflowing_key_is_clamped_alone(self, metric, at):
+        # one row per chunk: only the big query's chunk, row at, holds a
+        # non-finite key (b's), which still ranks as the largest finite
+        # float, before the excluded a
+        bank, big = self._overflow_bank(metric)
+        queries, excludes = np.array([[big], [1.0]]), ["a", None]
+        if at:
+            queries, excludes = queries[::-1], excludes[::-1]
+        chunk = len(bank) * (1 if metric is Metric.COSINE else bank.bank_dim)
+        with mock.patch.object(mnse, "RANK_CHUNK", chunk), np.errstate(over="ignore",
+                                                                        invalid="ignore"):
+            top, scores = scored_ranking(bank, queries, 2, excludes)
+            found = bank.query_knn(NeighborQuery(vector=np.array([big]), k=2,
+                                                 exclude_video_id="a"))
+        largest = np.finfo(np.float64).max
+        ids = [e.video_id for e in bank.entries()]
+        assert [ids[i] for i in top[at]] == ["b", "c"]
+        b_score = -largest if metric is Metric.COSINE else largest
+        assert scores[at, 0] == b_score
+        assert [(n.entry.video_id, n.score) for n in found] == [
+            ("c", float(scores[at, 1])), ("b", b_score)]
+        assert np.isfinite(scores[1 - at]).all()
 
 
 class TestPerRowExclusion:
@@ -460,7 +566,7 @@ class TestPerRowExclusion:
                 with pytest.raises(ValueError, match="eligible"):
                     bank.topk(queries, k, excludes)
                 return
-            top, scores = bank._ranked(queries, k, excludes)
+            top, scores = scored_ranking(bank, queries, k, excludes)
             assert np.array_equal(bank.topk(queries, k, excludes), top)
         assert top.shape == scores.shape == (n_queries, max(map(len, wanted)))
         for row, row_scores, want in zip(top, scores, wanted):
@@ -840,7 +946,7 @@ class TestTopKProperties:
             with pytest.raises(ValueError, match="eligible"):
                 bank.topk(queries, k, excludes)
             return
-        top, scores = bank._ranked(queries, k, excludes)
+        top, scores = scored_ranking(bank, queries, k, excludes)
         assert np.array_equal(bank.topk(queries, k, excludes), top)
         assert top.shape == scores.shape == (len(queries), max(map(len, wanted)))
         for row, row_scores, want in zip(top, scores, wanted):
@@ -1080,7 +1186,7 @@ class TestFeatureMajorLayout:
         assert bank._columns.shape == (dim, len(bank))
         assert bank._norms.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
         queries = rng.normal(size=(data.draw(st.integers(2, 6), label="queries"), dim))
-        top, scores = bank._ranked(queries, len(bank), [None] * len(queries))
+        top, scores = scored_ranking(bank, queries, len(bank), [None] * len(queries))
         want = np.take_along_axis(self._reference_scores(rows, queries, metric), top, axis=1)
         assert scores.tobytes() == want.tobytes()
 
@@ -1101,10 +1207,10 @@ class TestFeatureMajorLayout:
         chunk = mnse.RANK_CHUNK if per_chunk is None else (
             len(bank) * per_chunk * (dim if metric is Metric.L2 else 1))
         with mock.patch.object(mnse, "RANK_CHUNK", chunk):
-            whole = _outcome(lambda: bank._ranked(queries, k, excludes))
+            whole = _outcome(lambda: scored_ranking(bank, queries, k, excludes))
             if isinstance(whole[0], type):
                 return  # a row with nothing eligible raises in either form
-            halves = [bank._ranked(queries[rows], k, excludes[rows])
+            halves = [scored_ranking(bank, queries[rows], k, excludes[rows])
                       for rows in (slice(None, split), slice(split, None))]
         entries = bank.entries()
         for i, (top, scores) in enumerate(zip(*whole)):

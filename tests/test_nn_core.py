@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import math
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -22,6 +23,32 @@ LAYOUTS = st.lists(
     max_size=6,
     unique_by=lambda entry: entry[0],
 )
+
+# values a max must pass through exactly: NaN (np.nan's sign), both
+# infinities and both zeros
+SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
+AXIS_LENGTHS = [1, 5, 8, 16]
+
+
+def with_specials(rng, shape, share):
+    """Normal draws of shape with about share of them replaced by SPECIALS;
+    share None draws only +-0.0."""
+    if share is None:
+        return rng.choice([0.0, -0.0], size=shape)
+    x = rng.normal(size=shape)
+    hit = rng.random(shape) < share
+    x[hit] = rng.choice(SPECIALS, size=int(hit.sum()))
+    return x
+
+
+def same_bits(a, b) -> bool:
+    a, b = np.asarray(a), np.asarray(b)
+    return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def np_max(x, axis=-1):
+    """The max the numerics took before axis_max."""
+    return np.max(x, axis=axis, keepdims=True)
 
 
 class TestParamStore:
@@ -91,6 +118,11 @@ class TestLinear:
         with pytest.raises(nc.DimMismatch):
             nc.linear_forward(np.zeros((2, 3)), np.zeros((4, 5)), np.zeros(5))
 
+    @pytest.mark.parametrize("shape", [(3,), (4, 3), (2, 4, 3)])
+    def test_bias_added_in_place_is_x_at_w_plus_b_bit_for_bit(self, rng, shape):
+        x, w, b = rng.normal(size=shape), rng.normal(size=(3, 5)), rng.normal(size=5)
+        assert same_bits(nc.linear_forward(x, w, b)[0], x @ w + b)
+
     def test_gradients(self, rng):
         x = rng.normal(size=(4, 3))
         w = rng.normal(size=(3, 5))
@@ -124,6 +156,50 @@ class TestLinear:
         assert_grad_matches(loss, x, dx, rng, "x")
         assert_grad_matches(loss, w, dw, rng, "w")
         assert_grad_matches(loss, b, db, rng, "b")
+
+
+class TestAxisMax:
+    """axis_max against np.max(..., keepdims=True), compared by bits: NaN,
+    +-inf and +-0.0 must come out as np.max's, not merely equal."""
+
+    @pytest.mark.parametrize("share", [0.05, 0.4, 1.0, None])
+    @pytest.mark.parametrize("length", AXIS_LENGTHS)
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    def test_is_np_max_bit_for_bit_on_any_axis(self, rng, lead, length, share):
+        for at in range(len(lead) + 1):
+            shape = lead[:at] + (length,) + lead[at:]
+            for _ in range(10):
+                x = with_specials(rng, shape, share)
+                for axis in (at, at - len(shape)):
+                    assert same_bits(nc.axis_max(x, axis), np_max(x, axis)), (shape, axis, x)
+
+    @pytest.mark.parametrize("length", AXIS_LENGTHS)
+    def test_softmax_is_the_max_subtraction_formula_bit_for_bit(self, rng, length):
+        def formula(x, axis):
+            shifted = x - np.max(x, axis=axis, keepdims=True)
+            e = np.exp(shifted)
+            return e / e.sum(axis=axis, keepdims=True)
+
+        for share in (0.0, 0.1, None):
+            for axis in (0, 1, 2, -1):
+                shape = [3, 2, 4]
+                shape[axis] = length
+                x = with_specials(rng, tuple(shape), share)
+                with np.errstate(invalid="ignore"):
+                    assert same_bits(nc.softmax(x, axis), formula(x, axis))
+
+    @pytest.mark.parametrize("length", AXIS_LENGTHS)
+    def test_cross_entropy_is_the_np_max_formula_bit_for_bit(self, rng, length):
+        # finite logits only (it rejects others), zeros of both signs
+        for share in (0.0, 0.5, None):
+            z = with_specials(rng, (6, length), share)
+            z[~np.isfinite(z)] = 0.0
+            z[0] *= 1e300
+            gold = rng.integers(0, length, size=6)
+            got = nc.softmax_cross_entropy(z, gold)
+            with mock.patch.object(nc, "axis_max", np_max):
+                want = nc.softmax_cross_entropy(z, gold)
+            assert all(map(same_bits, got, want))
 
 
 class TestSoftmax:
