@@ -105,11 +105,11 @@ class Dataset:
 
     The constructor is the one place the data rules are checked: the
     shapes agree, features are finite float32 or float64, gold and qtype
-    are in range, and ids are distinct strings without '+', which the bank
-    reserves for blends. Features are kept as read-only float64: float32
-    and writeable float64 input are copied, read-only float64 input is
-    kept as given. A FormatError names files[array], the file an array was
-    read from, else the array.
+    are in range, and ids are distinct strings without '+', with which
+    the bank names a blend of two videos ("a+b"). Features are kept as
+    read-only float64: float32 and writeable float64 input are copied,
+    read-only float64 input is kept as given. A FormatError names
+    files[array], the file an array was read from, else the array.
     """
 
     __slots__ = ("ids", "video", "question", "answers", "gold", "qtype")

@@ -378,14 +378,13 @@ def _mixed_samples(
 ) -> tuple[Mixup, Scenes]:
     """Every sample of the stacked batch blended with the next one (the
     last with the first) in one mixup_intervene call, plus the valid
-    samples' mixed clip rows as bank scenes with "a+b" provenance."""
+    samples' mixed clip rows as bank scenes, parents as index pairs."""
     video, question, answers, golds = stacked
     mix = mixup_intervene(
         video, question, answers[np.arange(len(golds)), golds], masks, icfg, rng
     )
     mixed = np.flatnonzero(mix.valid)
-    blend_ids = [f"{ids[j]}+{ids[(j + 1) % len(ids)]}" for j in mixed]
-    return mix, stacked_scenes(mix.v_star[mixed], blend_ids)
+    return mix, stacked_scenes(mix.v_star[mixed], ids, np.c_[mixed, (mixed + 1) % len(golds)])
 
 
 class _Draws(NamedTuple):

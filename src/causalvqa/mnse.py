@@ -1,18 +1,18 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
 The bank takes clip-level scene vectors with provenance as Scenes blocks
-(matrix, video ids, id codes, clip indices) and keeps its live scenes in
-bank order, feature-major: one read-only, C-contiguous float64
+(matrix, video ids, parent codes, clip indices) and keeps its live scenes
+in bank order, feature-major: one read-only, C-contiguous float64
 [bank_dim, n] matrix whose column j is scene j, the clip indices, and
-each scene's code into a table of only the ids the scenes use. A push is
-one concatenation that drops the evicted batch's columns. Row norms, the
-exclusion index and tie ranks are derived on first use and kept until
-the next change, with Python work per id, never per scene. The
-exclusion index lists each video id part's bank rows (a blend "a+b" is
-a row of both parts); the rows a query excluding a video may not return
-are its part's rows, so exclusion is read off one sparse index, never a
-[rows x bank] mask. Top-k nearest-scene queries are answered by exact
-full scan, in the manner of a flat index: any number of query rows, each
+each scene's two parent codes into one append-only id table (-1 for a
+plain scene's second; a blend of videos a and b is named "a+b"). A push
+is one concatenation that drops the evicted batch's columns. Row norms,
+the exclusion index, names and tie ranks are derived on first use and
+kept until the next change, with Python work per id or parent pair,
+never per scene. The exclusion index lists each video's bank rows (a
+blend's under both parents), so exclusion is read off one sparse index,
+never a [rows x bank] mask. Top-k nearest-scene queries are answered by
+exact full scan, in the manner of a flat index: any number of query rows, each
 with its own excluded video, is ranked in one pass of fixed-size row
 chunks, one matrix product with the contiguous feature-major matrix and
 one partition per chunk, no loop over rows; a row whose k-th key ties no
@@ -41,7 +41,6 @@ from __future__ import annotations
 from collections import deque
 from dataclasses import dataclass
 from functools import cached_property
-from itertools import compress
 from enum import Enum
 from typing import NamedTuple, Sequence
 
@@ -103,26 +102,34 @@ class NeighborQuery:
 
 class Scenes(NamedTuple):
     """Scene rows as columns: row i is clip clips[i] of video
-    video_ids[codes[i]]. A bank takes each populate or push_batch call's
-    scenes as one such block; a read-only float64 matrix that is the
-    transpose of a C-contiguous [bank_dim, n] block, as stacked_scenes
-    makes, is kept without a copy."""
+    video_ids[codes[i]], or with [n, 2] codes of the blend of the two
+    videos codes[i] names (a plain scene where the second is -1). A bank
+    takes each populate or push_batch call's scenes as one such block; a
+    read-only float64 matrix that is the transpose of a C-contiguous
+    [bank_dim, n] block, as stacked_scenes makes, is kept without a copy."""
 
     matrix: Array  # [n, bank_dim]
-    video_ids: Sequence[str]
-    codes: Array  # [n] int64 indices into video_ids
+    video_ids: Sequence[str]  # without '+', which names blends
+    codes: Array  # [n] or [n, 2] int64 indices into video_ids
     clips: Array  # [n] int64 clip indices
 
 
-def stacked_scenes(videos: Array, video_ids: Sequence[str]) -> Scenes:
-    """Every clip row of videos [n, n_clips, dim] as a scene of its video's
-    id, the matrix laid out feature-major, as a bank keeps it."""
+def stacked_scenes(videos: Array, video_ids: Sequence[str], parents: Array | None = None) -> Scenes:
+    """Every clip row of videos [n, n_clips, dim] as a scene of video i, or
+    of the blend of parents[i] (two indices into video_ids); the matrix
+    laid out feature-major, as a bank keeps it."""
     n, n_clips, dim = videos.shape
     columns = np.array(videos.reshape(n * n_clips, dim).T, dtype=np.float64, order="C")
+    codes = np.arange(n) if parents is None else np.asarray(parents, dtype=np.int64)
     return Scenes(
-        _read_only(columns).T, list(video_ids), np.repeat(np.arange(n), n_clips),
+        _read_only(columns).T, list(video_ids), np.repeat(codes, n_clips, axis=0),
         np.tile(np.arange(n_clips), n),
     )
+
+
+def _joined(ids: Sequence[str], first: int, second: int) -> str:
+    """A scene's name: its video id, or a blend's "a+b"."""
+    return ids[first] if second < 0 else f"{ids[first]}+{ids[second]}"
 
 
 class Eligible(NamedTuple):
@@ -146,7 +153,9 @@ class Eligible(NamedTuple):
 
 
 class _TieRanks(NamedTuple):
-    rank: Array  # [n] position in (video_id, clip_index) order: the tie rule
+    names: list[str]  # the rows' distinct names, sorted: video ids and blends' "a+b"
+    by_name: Array  # [n] each row's index into names
+    rank: Array  # [n] position in (name, clip_index) order: the tie rule
     order: Array  # [n] the rows in that order, the inverse of rank
 
 
@@ -212,25 +221,23 @@ class MemoryBank:
         self.regime = Regime(regime)
         self.window = window
         self._columns = _read_only(np.empty((bank_dim, 0)))  # [bank_dim, n] float64
-        self._codes = np.empty(0, dtype=np.int64)  # [n] each row's index into _ids
+        self._parents = np.empty((0, 2), dtype=np.int64)  # [n, 2] codes into _table, -1 for none
         self._clips = np.empty(0, dtype=np.int64)  # [n] clip indices
-        self._ids: list[str] = []  # only the video ids the rows use
-        self._part_ids: dict[str, int] = {}  # every id part the bank has seen
-        self._id_parents = np.empty((0, 1), dtype=np.int64)  # [m, p] parts of _ids[:m]
+        self._table: dict[str, int] = {}  # every video id the bank has seen -> its code
         self._populated = 0  # rows ahead of the first batch's
         self._batch_rows: deque[int] = deque(maxlen=window)  # each live batch's row count
         self._frozen = False
 
     def __len__(self) -> int:
-        return len(self._codes)
+        return len(self._clips)
 
     def entries(self) -> list[BankEntry]:
         """Every scene in bank order; vectors are read-only columns of the
         bank's matrix."""
-        ids = self._ids
+        ties = self._ties
         return [
-            BankEntry(row, ids[c], clip)
-            for row, c, clip in zip(self._columns.T, self._codes.tolist(), self._clips.tolist())
+            BankEntry(row, ties.names[c], clip)
+            for row, c, clip in zip(self._columns.T, ties.by_name.tolist(), self._clips.tolist())
         ]
 
     @property
@@ -244,48 +251,46 @@ class MemoryBank:
         arrays afterwards."""
         matrix, video_ids, codes, clips = scenes
         codes, clips = np.asarray(codes, dtype=np.int64), np.asarray(clips, dtype=np.int64)
-        if not len(codes):
+        codes = np.column_stack((codes, np.full_like(codes, -1))) if codes.ndim == 1 else codes
+        n, ids = len(codes), [str(v) for v in video_ids]
+        if not n:
             matrix = np.empty((0, self.bank_dim))
-        if np.shape(matrix) != (len(codes), self.bank_dim) or clips.shape != codes.shape:
+        if np.shape(matrix) != (n, self.bank_dim) or codes.shape != (n, 2) or clips.shape != (n,):
             raise ValueError(
-                f"scene matrix shape {np.shape(matrix)} with {len(codes)} ids and "
-                f"{len(clips)} clip indices, expected ({len(codes)}, {self.bank_dim})"
+                f"scene matrix shape {np.shape(matrix)} with parent codes {codes.shape} and "
+                f"{clips.shape} clip indices, expected ({n}, {self.bank_dim})"
             )
-        if len(codes) and not 0 <= codes.min() <= codes.max() < len(video_ids):
-            raise ValueError(f"scene id codes outside the {len(video_ids)} video ids")
+        if n and (codes[:, 0].min() < 0 or codes.min() < -1 or codes.max() >= len(ids)):
+            raise ValueError(f"scene parent codes outside the {len(ids)} video ids")
         columns = np.asarray(matrix).T
         if columns.dtype != np.float64 or columns.flags.writeable or not columns.flags.c_contiguous:
             columns = _read_only(np.array(columns, dtype=np.float64, order="C"))
         finite = np.isfinite(columns).all(axis=0)
         if not finite.all():
             i = int(np.argmin(finite))
-            raise ValueError(f"scene vector for {video_ids[codes[i]]}:{clips[i]} is non-finite")
-        return Scenes(columns.T, [str(v) for v in video_ids], codes, clips)
+            raise ValueError(f"scene vector for {_joined(ids, *codes[i])}:{clips[i]} is non-finite")
+        return Scenes(columns.T, ids, codes, clips)
 
     def _store(self, *parts: slice | Scenes) -> None:
         """Make the rows the concatenation of parts, each a slice of the
-        current rows or a validated block, keep in the id table only the
-        ids those rows use, and drop what was derived from the old rows.
-        A lone C-contiguous part with rows is kept as it is, so a single
-        populate of stacked_scenes holds one copy of its matrix."""
-        ids, pieces = list(self._ids), []
+        current rows or a validated block, whose ids join the id table, and
+        drop what was derived from the old rows. A lone C-contiguous part
+        with rows is kept as it is, so a single populate of stacked_scenes
+        holds one copy of its matrix."""
+        table, pieces = self._table, []
         for part in parts:
             if isinstance(part, slice):
-                pieces.append((self._columns[:, part], self._codes[part], self._clips[part]))
+                pieces.append((self._columns[:, part], self._parents[part], self._clips[part]))
             else:
-                pieces.append((part.matrix.T, part.codes + len(ids), part.clips))
-                ids += part.video_ids
-        blocks, codes, clips = zip(*pieces)
+                # the block's codes in the table; a trailing -1 keeps -1 as -1
+                codes = [table.setdefault(v, len(table)) for v in part.video_ids] + [-1]
+                pieces.append((part.matrix.T, np.fromiter(codes, int)[part.codes], part.clips))
+        blocks, parents, clips = zip(*pieces)
         blocks = [b for b in blocks if b.shape[1]]
         if len(blocks) != 1 or not blocks[0].flags.c_contiguous:
             blocks = [_read_only(np.concatenate([np.empty((self.bank_dim, 0))] + blocks, axis=1))]
-        self._columns, self._clips = blocks[0], np.concatenate(clips)
-        self._codes, self._ids = np.concatenate(codes), ids
-        used = np.bincount(self._codes, minlength=len(ids)) > 0
-        if not used.all():
-            self._codes = (np.cumsum(used) - 1)[self._codes]
-            self._ids = list(compress(ids, used.tolist()))
-            self._id_parents = self._id_parents[used[: len(self._id_parents)]]
+        self._columns, self._parents = blocks[0], np.concatenate(parents)
+        self._clips = np.concatenate(clips)
         for derived in ("_norms", "_part_rows", "_ties"):
             self.__dict__.pop(derived, None)
 
@@ -332,46 +337,40 @@ class MemoryBank:
 
     @cached_property
     def _part_rows(self) -> tuple[Array, Array]:
-        """The exclusion index: each id part's bank rows in bank order, part
-        p's rows[starts[p]:starts[p + 1]], a row listed once under each
-        distinct part of its "+"-joined video id; the part one past the
-        table has no rows. The Python work is per id the table gained since
-        the last call, so a push costs only its own ids."""
-        known, new = self._id_parents, self._ids[len(self._id_parents) :]
-        table = self._part_ids
-        distinct = [dict.fromkeys(v.split("+")) for v in new]
-        parts = [table.setdefault(p, len(table)) for d in distinct for p in d]
-        lengths = np.array([len(d) for d in distinct], dtype=np.int64)
-        width = max(known.shape[1], int(lengths.max(initial=1)))
-        parents = np.full((len(self._ids), width), -1, dtype=np.int64)
-        parents[: len(known), : known.shape[1]] = known
-        parents[len(known) :][np.arange(width) < lengths[:, None]] = parts
-        self._id_parents = parents
-        row_parts = np.take(parents, self._codes, axis=0)
-        # each row's parts in row-major order, stably sorted by part
-        listed = np.flatnonzero(row_parts >= 0)
-        order = listed[np.argsort(row_parts.ravel()[listed], kind="stable")]
-        starts = np.searchsorted(row_parts.ravel()[order], np.arange(len(table) + 2))
-        return order // row_parts.shape[1], starts
+        """The exclusion index: each video's bank rows in bank order, code
+        c's rows[starts[c]:starts[c + 1]], a blend's row listed under each
+        of its parents (once for a blend of a video with itself); the code
+        one past the table has no rows."""
+        parents = self._parents.copy()
+        parents[parents[:, 1] == parents[:, 0], 1] = -1
+        # each row's parents in row-major order, stably sorted by parent
+        flat = parents.ravel()
+        listed = np.flatnonzero(flat >= 0)
+        order = listed[np.argsort(flat[listed], kind="stable")]
+        starts = np.searchsorted(flat[order], np.arange(len(self._table) + 2))
+        return order // 2, starts
 
     @cached_property
     def _ties(self) -> _TieRanks:
-        """The rows' tie ranks; the Python work is per id in the id table."""
-        names = {v: i for i, v in enumerate(sorted(set(self._ids)))}
-        by_name = np.array([names[v] for v in self._ids], dtype=np.int64)[self._codes]
+        """The rows' names and tie ranks; the Python work is per distinct
+        parent pair."""
+        width, ids = len(self._table) + 1, list(self._table)
+        # a pair's key is first * width + second + 1, a plain scene's second -1
+        pairs, row_pair = np.unique(self._parents @ [width, 1] + 1, return_inverse=True)
+        names = [_joined(ids, p // width, p % width - 1) for p in pairs.tolist()]
+        sort = sorted(range(len(names)), key=names.__getitem__)
+        by_name = np.argsort(sort)[row_pair]
         order = np.lexsort((self._clips, by_name))
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
-        return _TieRanks(rank, order)
+        return _TieRanks([names[i] for i in sort], by_name, rank, order)
 
     def _spans(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array]:
         """Where the rows each video excludes start in the exclusion index,
-        and how many there are. Mixup rows carry compound provenance "a+b";
-        excluding either parent excludes the blend."""
-        starts = self._part_rows[1]
-        unseen = len(starts) - 2
-        parts = np.array([self._part_ids.get(v, unseen) for v in exclude_video_ids], dtype=np.int64)
-        return starts[parts], starts[parts + 1] - starts[parts]
+        and how many there are: a blend's rows are excluded by each parent."""
+        starts, unseen = self._part_rows[1], len(self._table)
+        codes = np.array([self._table.get(v, unseen) for v in exclude_video_ids], dtype=np.int64)
+        return starts[codes], starts[codes + 1] - starts[codes]
 
     def _excluded(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array, Array]:
         """The entries queries excluding each video may not return: (query,
@@ -521,11 +520,10 @@ class MemoryBank:
         keys = keys[0, top[0]]
         best = np.argsort(keys, kind="stable")
         scores = -keys if self.metric is Metric.COSINE else keys
-        vectors = self._columns.T
+        vectors, ties = self._columns.T, self._ties
         return [
-            ScoredNeighbor(
-                BankEntry(vectors[i], self._ids[self._codes[i]], int(self._clips[i])), float(s)
-            )
+            ScoredNeighbor(BankEntry(vectors[i], ties.names[ties.by_name[i]], int(self._clips[i])),
+                           float(s))
             for i, s in zip(top[0, best], scores[best])
         ]
 

@@ -1470,12 +1470,11 @@ class TestProtocol:
             if kind != "planted":
                 masks[i] = rng.random(n_clips) < 0.5 if kind == "random" else kind == "all"
         ids = [inst.video_id for inst in instances]
-        pairs = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.sampled_from(ids)),
-                                   max_size=6), label="blends")
+        parent = st.integers(0, len(ids) - 1)
+        pairs = data.draw(st.lists(st.tuples(parent, parent), max_size=6), label="blends")
         bank = MemoryBank(6).populate(instance_scenes(instances))
         if pairs:
-            blends = [f"{a}+{b}" for a, b in pairs]
-            bank.populate(stacked_scenes(rng.normal(size=(len(pairs), 2, 6)), blends))
+            bank.populate(stacked_scenes(rng.normal(size=(len(pairs), 2, 6)), ids, pairs))
         k = data.draw(st.integers(1, 6), label="neighbor k")
         model = small_model(video_dim=6, text_dim=6)
         drawn = []

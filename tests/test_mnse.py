@@ -54,10 +54,20 @@ def oracle_set(entries, qv, k, metric, exclude=None):
     return sorted(want, key=lambda t: (t[0].video_id, t[0].clip_index, at[id(t[0])]))
 
 
-def scenes(vectors, video_ids, clips):
-    """The rows as one Scenes block, one video id per row."""
-    matrix = np.array(vectors, dtype=np.float64).reshape(len(video_ids), -1)
-    return Scenes(matrix, list(video_ids), np.arange(len(video_ids)), np.array(clips))
+def scenes(vectors, videos, clips, video_ids=None):
+    """The rows as one Scenes block, each row's video an id or a blend's
+    (parent, parent) pair of ids. Codes index video_ids: by default one id
+    per row as [n] codes, or, with a blend, the rows' distinct parents as
+    [n, 2] parent codes."""
+    matrix = np.array(vectors, dtype=np.float64)
+    if video_ids is None and all(isinstance(v, str) for v in videos):
+        return Scenes(matrix, list(videos), np.arange(len(videos)), np.array(clips))
+    pairs = [(v, None) if isinstance(v, str) else v for v in videos]
+    if video_ids is None:
+        video_ids = list(dict.fromkeys(p for pair in pairs for p in pair if p is not None))
+    codes = [[video_ids.index(a), -1 if b is None else video_ids.index(b)] for a, b in pairs]
+    return Scenes(matrix, list(video_ids), np.array(codes, dtype=np.int64).reshape(-1, 2),
+                  np.array(clips))
 
 
 def drawable(bank, exclude):
@@ -141,7 +151,7 @@ class TestRegimes:
         vstar = lam * v_a + (1.0 - lam) * v_b
         bank.push_batch(
             scenes([v_a, v_b], ["a", "b"], [0, 0]),
-            mixup_scenes=scenes([vstar], ["a+b"], [0]),
+            mixup_scenes=scenes([vstar], [("a", "b")], [0]),
         )
         stored = [e for e in bank.entries() if e.video_id == "a+b"]
         assert len(stored) == 1
@@ -151,9 +161,8 @@ class TestRegimes:
     def test_f2_rejects_mixup_rows(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC)
         with pytest.raises(RegimeError):
-            bank.push_batch(
-                scenes([np.zeros(4)], ["a"], [0]), mixup_scenes=scenes([np.ones(4)], ["a+b"], [0])
-            )
+            bank.push_batch(scenes([np.zeros(4)], ["a"], [0]),
+                            mixup_scenes=scenes([np.ones(4)], [("a", "b")], [0]))
 
     def test_dim_mismatch_rejected(self, rng):
         bank = MemoryBank(bank_dim=4)
@@ -193,7 +202,7 @@ class TestQueryKnn:
 
     def test_exclusion_covers_mixup_parents(self, rng):
         bank = MemoryBank(bank_dim=4)
-        bank.populate(scenes([rng.normal(size=4), rng.normal(size=4)], ["a+b", "c"], [0, 0]))
+        bank.populate(scenes([rng.normal(size=4), rng.normal(size=4)], [("a", "b"), "c"], [0, 0]))
         out = bank.query_knn(NeighborQuery(vector=np.ones(4), k=1, exclude_video_id="b"))
         assert out[0].entry.video_id == "c"
 
@@ -351,13 +360,13 @@ class TestBatchedTopK:
         bank = MemoryBank(bank_dim=queries.shape[1], metric=metric)
         rows = [(rng.normal(size=queries.shape[1]), f"v{i % 5}", i) for i in range(40)]
         rows += [(rng.normal(size=queries.shape[1]), pair, i)
-                 for i, pair in enumerate(["a+b", "b+c", "c+v1", "a+v2"] * 3)]
+                 for i, pair in enumerate([("a", "b"), ("b", "c"), ("c", "v1"), ("a", "v2")] * 3)]
         for j, q in enumerate(queries):
             delta = 0.05 * rng.normal(size=q.shape)
             rows += [(q + 0.25 * delta, "c", 100 + j), (q + 0.5 * delta, "a", 100 + j)]
             dup = q + delta
-            for vid, clip in [("zeta", j), ("a+b", j), ("alpha", 9 + j), ("b", j),
-                              ("alpha", 2 + j), ("c+a", j)]:
+            for vid, clip in [("zeta", j), (("a", "b"), j), ("alpha", 9 + j), ("b", j),
+                              ("alpha", 2 + j), (("c", "a"), j)]:
                 rows.append((dup.copy(), vid, clip))
         order = rng.permutation(len(rows))
         bank.populate(scenes(*zip(*(rows[i] for i in order))))
@@ -397,7 +406,7 @@ class TestBatchedTopK:
 
     def test_draw_with_nothing_eligible_raises(self):
         bank = MemoryBank(bank_dim=2)
-        bank.populate(scenes(np.ones((2, 2)), ["only", "x+only"], [0, 1]))
+        bank.populate(scenes(np.ones((2, 2)), ["only", ("x", "only")], [0, 1]))
         with pytest.raises(ValueError, match="eligible"):
             mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank,
                            np.random.default_rng(0), ["only"])
@@ -412,7 +421,7 @@ class TestBatchedTopK:
         ids = ["a"] * 6 + ["b"] * 3 + ["c"] * 2
         vectors = rng.normal(size=(len(ids), 4))
         vectors[7] = vectors[2]  # a "b" scene ties an "a" scene
-        blends = ["a+b", "a+b", "b+c"]
+        blends = [("a", "b"), ("a", "b"), ("b", "c")]
         bank.push_batch(scenes(vectors, ids, [0, 1, 2, 3, 4, 5, 0, 1, 2, 0, 1]),
                         scenes(np.concatenate([vectors[:2], vectors[9:10]]), blends, [0, 1, 0]))
         queries = np.concatenate([rng.normal(size=(3, 4)), vectors[[2, 0]]])
@@ -534,7 +543,7 @@ class TestPerRowExclusion:
         pool = rng.normal(size=(data.draw(st.integers(1, 6), label="pool"), dim))
         if data.draw(st.booleans(), label="zero_scene"):
             pool[0] = 0.0  # a zero norm: cosine 0 against every query
-        owners = st.sampled_from(self.VIDEOS + ["v0+v1", "v2+v0", "v3+v3"])
+        owners = st.sampled_from(self.VIDEOS + [("v0", "v1"), ("v2", "v0"), ("v3", "v3")])
         rows = data.draw(
             st.lists(st.tuples(owners, st.integers(0, len(pool) - 1)), min_size=1, max_size=30),
             label="scenes",
@@ -651,7 +660,7 @@ class TestColumnViewRefresh:
                 clips += list(range(len(planted)))
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = scenes(rng.normal(size=(4, 6)), [f"b{t}v0+b{t}v1"] * 4, range(4))
+                mixup = scenes(rng.normal(size=(4, 6)), [(f"b{t}v0", f"b{t}v1")] * 4, range(4))
             return scenes(vectors, ids, clips), mixup
 
         bank.push_batch(*batch(0, planted=queries))
@@ -706,7 +715,7 @@ class TestRankThenPick:
 
     def test_uniform_candidates_are_each_ids_eligible_pool(self, rng):
         bank = random_bank(rng, n=40, dim=6)
-        bank.populate(scenes(rng.normal(size=(2, 6)), ["only", "vid1+only"], [0, 0]))
+        bank.populate(scenes(rng.normal(size=(2, 6)), ["only", ("vid1", "only")], [0, 0]))
         excludes = ["vid1", None, "only", "vid1", "absent"]
         got = bank.candidates(excludes)
         pools = [reference_pool(bank, ex) for ex in excludes]
@@ -721,13 +730,13 @@ class TestRankThenPick:
         picks = oracle.integers(0, [len(pool) for pool in pools])
         want = [bank.entries()[pool[j]].vector for pool, j in zip(pools, picks)]
         np.testing.assert_array_equal(drawn, np.stack(want))
-        lone = MemoryBank(bank_dim=2).populate(scenes(np.ones((2, 2)), ["a", "a+b"], [0, 0]))
+        lone = MemoryBank(bank_dim=2).populate(scenes(np.ones((2, 2)), ["a", ("a", "b")], [0, 0]))
         assert list(lone.candidates(["a", "a"]).counts) == [0, 0]
 
     def test_a_uniform_draw_with_nothing_eligible_raises(self, rng):
         # a video that owns every scene, alone or as a blend's parent
         bank = MemoryBank(2).populate(
-            scenes(rng.normal(size=(3, 2)), ["only", "only", "x+only"], [0, 1, 0]))
+            scenes(rng.normal(size=(3, 2)), ["only", "only", ("x", "only")], [0, 1, 0]))
         eligible = bank.candidates(["x", "only"])
         assert list(eligible.counts) == [2, 0]
         draws = np.random.default_rng(4)
@@ -810,7 +819,7 @@ class TestRankThenPick:
         def push(t, n):
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = scenes([rng.normal(size=4)], [f"b{t}+x"], [0])
+                mixup = scenes([rng.normal(size=4)], [(f"b{t}", "x")], [0])
             bank.push_batch(scenes(rng.normal(size=(n, 4)), [f"b{t}"] * n, range(n)), mixup)
 
         push(0, 5)
@@ -878,7 +887,7 @@ class TestOneCopyPerScene:
         for step in range(3):
             bank.push_batch(
                 scenes(rng.normal(size=(3, 4)), [f"v{step}"] * 3, range(3)),
-                scenes(rng.normal(size=(2, 4)), [f"v{step}+w"] * 2, range(2)),
+                scenes(rng.normal(size=(2, 4)), [(f"v{step}", "w")] * 2, range(2)),
             )
         entries = bank.entries()
         assert len(entries) == 2 * 5
@@ -893,13 +902,14 @@ class TestTopKProperties:
     inside its rows; batched draws equal the protocol's scalar reference."""
 
     IDS = ["a", "b", "c"]
-    BLENDS = ["a+b", "c+a"]
+    BLENDS = [("a", "b"), ("c", "a")]
 
     @staticmethod
     def _block(data, rng, dim, ids, queries):
         """Rows around the queries: near ones, a run of exact duplicates
-        and far ones, under repeated (video_id, clip_index) keys; one video
-        id per row, or codes into the distinct ids plus an unused one."""
+        and far ones, under repeated (video, clip_index) keys, a video an id
+        or a blend's pair; one video id per row, or codes into the distinct
+        ids plus an unused one."""
         n_near, n_dup, n_far = (data.draw(st.integers(0, m)) for m in (3, 6, 4))
         q = queries[data.draw(st.integers(0, len(queries) - 1))]
         dup = q + 0.3 * rng.normal(size=dim)
@@ -908,14 +918,14 @@ class TestTopKProperties:
         vectors += [rng.normal(size=dim) for _ in range(n_far)]
         keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)),
                                   min_size=len(vectors), max_size=len(vectors)))
+        videos = [vid for vid, _ in keys]
+        video_ids = None
         if data.draw(st.booleans()):
-            video_ids, codes = [vid for vid, _ in keys], np.arange(len(keys))
-        else:
             unused = data.draw(st.sampled_from(["0", "zz"]))
-            video_ids = data.draw(st.permutations(sorted({vid for vid, _ in keys} | {unused})))
-            codes = np.array([video_ids.index(vid) for vid, _ in keys], dtype=np.int64)
+            named = {p for vid in videos for p in ((vid,) if isinstance(vid, str) else vid)}
+            video_ids = data.draw(st.permutations(sorted(named | {unused})))
         matrix = np.array(vectors).reshape(len(keys), dim)
-        return Scenes(matrix, video_ids, codes, np.array([c for _, c in keys], dtype=np.int64))
+        return scenes(matrix, videos, np.array([c for _, c in keys], dtype=np.int64), video_ids)
 
     @settings(max_examples=150, deadline=None)
     @given(data=st.data())
@@ -1031,8 +1041,8 @@ def _neighbors(found):
 
 class TestKeptColumns:
     """A bank's columns after pushes answer as a fresh bank of the live
-    blocks, hold no reference back to the bank, and keep only the ids of
-    the live rows."""
+    blocks and hold no reference back to the bank, and its id table lists
+    each id it has seen once."""
 
     IDS = TestTopKProperties.IDS
     BLENDS = TestTopKProperties.BLENDS
@@ -1085,30 +1095,29 @@ class TestKeptColumns:
             assert [(e.vector.tobytes(), e.video_id, e.clip_index) for e in bank.entries()] == [
                 (e.vector.tobytes(), e.video_id, e.clip_index) for e in fresh.entries()
             ]
-            excludes = data.draw(st.lists(st.sampled_from(self.IDS + self.BLENDS + [None, "x"]),
+            # a blend's name excludes nothing: no video has it
+            excludes = data.draw(st.lists(st.sampled_from(self.IDS + ["a+b", None, "x"]),
                                           min_size=len(queries), max_size=len(queries)),
                                  label="excludes")
             self._assert_same_answers(bank, fresh, queries, excludes)
 
-    def test_the_id_tables_hold_only_the_live_ids(self, rng):
-        # every push brings fresh videos and fresh "a+b" blends of them
+    def test_the_id_table_holds_each_id_once(self, rng):
+        # every push brings fresh videos and blends of each with the next,
+        # and one video seen in every push
         bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
-        live: deque[tuple[list[str], list[str]]] = deque(maxlen=2)
-        parts = set()
+        seen = ["x"]
         for t in range(50):
-            ids = [f"s{t}v{i}" for i in range(3)]
-            blends = [f"{a}+{b}" for a, b in zip(ids, ids[1:])]
+            ids = ["x"] + [f"s{t}v{i}" for i in range(2)]
             bank.push_batch(mnse.stacked_scenes(rng.normal(size=(3, 2, 4)), ids),
-                            mnse.stacked_scenes(rng.normal(size=(2, 2, 4)), blends))
-            live.append((ids, blends))
-            parts.update(ids)
-            assert len(bank) == 10 * len(live)
-            held = [v for pushed in live for block in pushed for v in block]
-            assert sorted(bank._ids) == sorted(held)
-            # ids[0]'s two rows and the two of its one blend are not eligible
-            assert len(drawable(bank, ids[0])) == len(bank) - 4
-            assert len(bank._id_parents) == len(bank._ids)
-            assert set(bank._part_ids) == parts
+                            mnse.stacked_scenes(rng.normal(size=(2, 2, 4)), ids, [[0, 1], [1, 2]]))
+            seen += ids[1:]
+            live = min(t + 1, 2)
+            assert len(bank) == 10 * live
+            # ids[1]'s two rows and the four of its two blends are not eligible
+            assert len(drawable(bank, ids[1])) == len(bank) - 6
+            assert len(drawable(bank, "x")) == len(bank) - 4 * live
+        assert list(bank._table) == seen
+        assert list(bank._table.values()) == list(range(len(seen)))
 
     def test_a_dropped_bank_is_freed_by_reference_counting(self, rng):
         enabled = gc.isenabled()
@@ -1116,7 +1125,7 @@ class TestKeptColumns:
         try:
             bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
             bank.push_batch(scenes(rng.normal(size=(3, 4)), ["a"] * 3, range(3)),
-                            scenes(rng.normal(size=(2, 4)), ["a+b"] * 2, range(2)))
+                            scenes(rng.normal(size=(2, 4)), [("a", "b")] * 2, range(2)))
             bank.topk(rng.normal(size=(2, 4)), 2, ["b", "b"])
             ref = weakref.ref(bank)
             del bank
@@ -1146,9 +1155,9 @@ class TestFeatureMajorLayout:
         regime = data.draw(st.sampled_from(list(Regime)), label="regime")
         bank = MemoryBank(dim, metric=metric, regime=regime, window=2)
 
-        def block(ids):
+        def block(ids, parents=None):
             videos = rng.normal(size=(len(ids), n_clips, dim))
-            stacked = mnse.stacked_scenes(videos, ids)
+            stacked = mnse.stacked_scenes(videos, ids, parents)
             if data.draw(st.booleans(), label="row-major block"):
                 return stacked._replace(matrix=np.ascontiguousarray(stacked.matrix))
             return stacked
@@ -1158,7 +1167,8 @@ class TestFeatureMajorLayout:
             if regime is Regime.F1_STATIC:
                 bank.populate(block(ids))
             elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="blends"):
-                bank.push_batch(block(ids), block([f"{a}+{b}" for a, b in zip(ids, ids[::-1])]))
+                blends = [(j, len(ids) - 1 - j) for j in range(len(ids))]
+                bank.push_batch(block(ids), block(ids, blends))
             else:
                 bank.push_batch(block(ids))
         return bank
@@ -1254,3 +1264,67 @@ class TestFeatureMajorLayout:
         ranking = peak(lambda: bank.topk(queries, 200, excludes))
         pools = 1_807_432
         assert ranking <= pools, f"ranking peaked at {ranking} B, the pools at {pools} B"
+
+
+class TestParentCodes:
+    """Scenes carry integer parents: a plain scene one, a blend two, and
+    the bank names a blend "a+b" only to list and order it."""
+
+    def test_ties_follow_joined_names_not_parent_tuples(self, rng):
+        # ' ' and '*' sort below '+': "a" < "a b" < "a*" < "a+b", while the
+        # parent tuple ("a", "b") would sort before ("a b",)
+        v = rng.normal(size=4)
+        bank = MemoryBank(4).populate(scenes(
+            [v, v, v, v, -v], [("a", "b"), "a*", "a b", "a", "b"], [0] * 5))
+        (top,) = bank.topk(v[None], 4, [None])
+        assert [bank.entries()[i].video_id for i in top] == ["a", "a b", "a*", "a+b"]
+        got = bank.query_knn(NeighborQuery(vector=v, k=4))
+        assert [n.entry.video_id for n in got] == ["a", "a b", "a*", "a+b"]
+
+    def test_a_self_blend_is_listed_once_and_excluded_by_its_video(self, rng):
+        bank = MemoryBank(4).populate(
+            scenes(rng.normal(size=(3, 4)), ["a", ("a", "a"), "b"], [0, 0, 0]))
+        assert [e.video_id for e in bank.entries()] == ["a", "a+a", "b"]
+        rows, starts = bank._part_rows
+        code = bank._table["a"]
+        assert list(rows[starts[code] : starts[code + 1]]) == [0, 1]
+        assert len(rows) == 3
+        assert list(bank.eligible_counts(["a", "b", None])) == [1, 2, 3]
+        assert list(drawable(bank, "a")) == [2]
+        assert bank.topk(rng.normal(size=(1, 4)), 3, ["a"]).tolist() == [[2]]
+
+    def test_stacked_scenes_repeat_each_videos_parents_over_its_clips(self, rng):
+        block = mnse.stacked_scenes(rng.normal(size=(2, 3, 4)), ["a", "b"], [[0, 1], [1, 1]])
+        assert block.codes.tolist() == [[0, 1]] * 3 + [[1, 1]] * 3
+        assert block.clips.tolist() == [0, 1, 2] * 2
+        bank = MemoryBank(4).populate(block)
+        assert [e.video_id for e in bank.entries()] == ["a+b"] * 3 + ["b+b"] * 3
+
+    @pytest.mark.parametrize("codes", [
+        [[0, 2]],  # a second parent outside the video ids
+        [[2, -1]],  # a first parent outside them
+        [[-1, 0]],  # a first parent of -1
+        [[0, -2]],
+    ])
+    def test_parents_outside_the_video_ids_are_refused(self, codes):
+        bank = MemoryBank(2)
+        with pytest.raises(ValueError, match="outside the 2 video ids"):
+            bank.populate(Scenes(np.ones((1, 2)), ["a", "b"], np.array(codes), np.zeros(1)))
+        assert len(bank) == 0
+
+    @pytest.mark.parametrize("codes, clips", [
+        (np.zeros((1, 3), dtype=np.int64), np.zeros(1)),  # three parents
+        (np.zeros((2, 2), dtype=np.int64), np.zeros(1)),  # more codes than rows
+        (np.zeros((1, 2), dtype=np.int64), np.zeros(2)),  # more clips than rows
+        (np.zeros((1, 1, 2), dtype=np.int64), np.zeros(1)),
+    ])
+    def test_a_shape_mismatch_is_refused(self, codes, clips):
+        with pytest.raises(ValueError, match="scene matrix shape"):
+            MemoryBank(2).populate(Scenes(np.ones((1, 2)), ["a", "b"], codes, clips))
+
+    def test_a_non_finite_blend_is_named_by_its_parents(self):
+        bank = MemoryBank(2, regime=Regime.F3_DYNAMIC_MIXUP)
+        with pytest.raises(ValueError, match=r"^scene vector for a\+b:1 is non-finite$"):
+            bank.push_batch(scenes(np.ones((1, 2)), ["a"], [0]),
+                            scenes([[1.0, 1.0], [np.inf, 0.0]], [("a", "b")] * 2, [0, 1]))
+        assert len(bank) == 0
