@@ -51,7 +51,6 @@ from .mnse import (
     MemoryBank,
     Metric,
     Regime,
-    Scenes,
     instance_scenes,
     mnse_do,
     random_do,
@@ -373,20 +372,6 @@ def _batch_splits(
     return causal_mask(gates, icfg.topk_mode, icfg.k), gates, cache
 
 
-def _mixed_samples(
-    stacked: tuple, ids: list[str], masks: Array, icfg: InterventionConfig, rng: np.random.Generator
-) -> tuple[Mixup, Scenes]:
-    """Every sample of the stacked batch blended with the next one (the
-    last with the first) in one mixup_intervene call, plus the valid
-    samples' mixed clip rows as bank scenes, parents as index pairs."""
-    video, question, answers, golds = stacked
-    mix = mixup_intervene(
-        video, question, answers[np.arange(len(golds)), golds], masks, icfg, rng
-    )
-    mixed = np.flatnonzero(mix.valid)
-    return mix, stacked_scenes(mix.v_star[mixed], ids, np.c_[mixed, (mixed + 1) % len(golds)])
-
-
 class _Draws(NamedTuple):
     """One step's interventions as batch arrays, every random draw made."""
 
@@ -422,10 +407,11 @@ def _draw_interventions(
     Each draw names its row of bank.candidates: under random sourcing the
     sample's eligible scenes; under nearest-scene sourcing the row's topk,
     from one ranking of the do views' complement rows and every v_star
-    row, whose causal rows every negative draws from again."""
+    row, whose causal rows every negative draws from again. The bank's
+    blocks name data.ids, so a sample's dataset index is its code."""
     mixed = np.flatnonzero(mix.valid)
-    drawn = mixed[bank.eligible_counts([data.ids[i] for i in batch[mixed]]) > 0]
-    own = [data.ids[i] for i in batch[drawn]]
+    drawn = mixed[bank.eligible_counts(batch[mixed]) > 0]
+    own = batch[drawn]
     # every bank scene comes from the dataset, so a sample that may draw
     # one has another sample to take a question from
     raw = rng.integers(0, len(data) - 1, size=len(drawn))
@@ -446,9 +432,8 @@ def _draw_interventions(
         queried = np.stack([~m, np.ones_like(m)], axis=1)  # do rows, then every v_star row
         index = np.full(queried.shape, -1)
         index[queried] = np.arange(np.count_nonzero(queried))
-        ids = [own[s] for s in np.nonzero(queried)[0]]
         sources = np.stack([video[drawn], mix.v_star[drawn]], axis=1)
-        candidates = bank.candidates(ids, sources[queried], icfg.neighbor_k)
+        candidates = bank.candidates(own[np.nonzero(queried)[0]], sources[queried], icfg.neighbor_k)
         rows = index[which, np.minimum(view, 1), clip]
     views[swapped] = bank.pick(candidates, rng, rows)
     return _Draws(mix, gates, drawn, q_r, views)
@@ -608,17 +593,23 @@ def train(
 
             draws, gate_cache = None, None
             if use_cl:
-                ids = [data.ids[i] for i in batch]
                 split, gates, gate_cache = _batch_splits(
                     model, *stacked[:2], icfg, None if oracle is None else oracle[batch]
                 )
-                mix, mixup_rows = _mixed_samples(stacked, ids, split, icfg, rng)
+                mix = mixup_intervene(
+                    *stacked[:2], data.answers[batch, data.gold[batch]], split, icfg, rng
+                )
                 skipped_mixups += int(np.count_nonzero(~mix.valid))
                 if cfg.bank.regime is not Regime.F1_STATIC:
-                    bank.push_batch(
-                        stacked_scenes(stacked[0], ids),
-                        mixup_rows if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP else None,
-                    )
+                    # every block names data.ids, so a sample's dataset index is
+                    # its code; under f3 each valid sample's blend with the next
+                    # (the last with the first) goes in too
+                    blends = None
+                    if cfg.bank.regime is Regime.F3_DYNAMIC_MIXUP:
+                        mixed = np.flatnonzero(mix.valid)
+                        parents = np.c_[batch, np.roll(batch, -1)][mixed]
+                        blends = stacked_scenes(mix.v_star[mixed], data.ids, parents)
+                    bank.push_batch(stacked_scenes(stacked[0], data.ids, batch), blends)
                 draws = _draw_interventions(
                     icfg, bank, data, batch, stacked[0], split, gates, mix, rng
                 )
@@ -748,8 +739,9 @@ def seen_unseen_protocol(
         raise ValueError("protocol needs a populated memory bank")
     masks = np.asarray(masks, dtype=bool)
     rng = np.random.default_rng(seed)
-    mnse_videos = mnse_do(data.video, ~masks, bank, neighbor_k, rng, data.ids)
-    random_videos = random_do(data.video, ~masks, bank, rng, data.ids)
+    codes = bank.codes(data.ids)
+    mnse_videos = mnse_do(data.video, ~masks, bank, neighbor_k, rng, codes)
+    random_videos = random_do(data.video, ~masks, bank, rng, codes)
 
     views = (data.video, mnse_videos, random_videos)
     clean_a, near_a, rand_a = evaluate_views(model_a, data, *views)

@@ -1,18 +1,19 @@
 """Memory bank of scene vectors with exact nearest-neighbor extraction.
 
 The bank takes clip-level scene vectors with provenance as Scenes blocks
-(matrix, video ids, parent codes, clip indices) and keeps its live scenes
-in bank order, feature-major: one read-only, C-contiguous float64
-[bank_dim, n] matrix whose column j is scene j, the clip indices, and
-each scene's two parent codes into one append-only id table (-1 for a
-plain scene's second; a blend of videos a and b is named "a+b"). A push
-is one concatenation that drops the evicted batch's columns. Row norms,
-the exclusion index, names and tie ranks are derived on first use and
-kept until the next change, with Python work per id or parent pair,
-never per scene. The exclusion index lists each video's bank rows (a
-blend's under both parents), so exclusion is read off one sparse index,
-never a [rows x bank] mask. Top-k nearest-scene queries are answered by
-exact full scan, in the manner of a flat index: any number of query rows, each
+(matrix, video ids, parent codes, clip indices), all naming one tuple of
+video ids, and keeps its live scenes in bank order, feature-major: one
+read-only, C-contiguous float64 [bank_dim, n] matrix whose column j is
+scene j, the clip indices, and each scene's two parent codes, kept as
+given (-1 for a plain scene's second; a blend of videos a and b is named
+"a+b"). A push is one concatenation that drops the evicted batch's
+columns. Row norms, the exclusion index, names and tie ranks are derived
+on first use and kept until the next change, with Python work per parent
+pair, never per scene. The exclusion index lists each video's rows (a
+blend's under both parents): a video is excluded by its code, its index
+in the tuple, in two gathers, never by a [rows x bank] mask; ids cross
+only at codes(), entries() and query_knn. Top-k nearest-scene queries
+are answered by exact full scan, in the manner of a flat index: any number of query rows, each
 with its own excluded video, is ranked in one pass of fixed-size row
 chunks, one matrix product with the contiguous feature-major matrix and
 one partition per chunk, no loop over rows; a row whose k-th key ties no
@@ -104,25 +105,26 @@ class Scenes(NamedTuple):
     """Scene rows as columns: row i is clip clips[i] of video
     video_ids[codes[i]], or with [n, 2] codes of the blend of the two
     videos codes[i] names (a plain scene where the second is -1). A bank
-    takes each populate or push_batch call's scenes as one such block; a
-    read-only float64 matrix that is the transpose of a C-contiguous
-    [bank_dim, n] block, as stacked_scenes makes, is kept without a copy."""
+    takes each populate or push_batch call's scenes as one such block, all
+    of a bank's blocks with rows naming one video_ids tuple; a read-only
+    float64 matrix that is the transpose of a C-contiguous [bank_dim, n]
+    block, as stacked_scenes makes, is kept without a copy."""
 
     matrix: Array  # [n, bank_dim]
-    video_ids: Sequence[str]  # without '+', which names blends
+    video_ids: Sequence[str]  # distinct, without '+', which names blends
     codes: Array  # [n] or [n, 2] int64 indices into video_ids
     clips: Array  # [n] int64 clip indices
 
 
 def stacked_scenes(videos: Array, video_ids: Sequence[str], parents: Array | None = None) -> Scenes:
     """Every clip row of videos [n, n_clips, dim] as a scene of video i, or
-    of the blend of parents[i] (two indices into video_ids); the matrix
-    laid out feature-major, as a bank keeps it."""
+    of parents[i], [n] or [n, 2] codes into video_ids (kept as given); the
+    matrix laid out feature-major, as a bank keeps it."""
     n, n_clips, dim = videos.shape
     columns = np.array(videos.reshape(n * n_clips, dim).T, dtype=np.float64, order="C")
     codes = np.arange(n) if parents is None else np.asarray(parents, dtype=np.int64)
     return Scenes(
-        _read_only(columns).T, list(video_ids), np.repeat(codes, n_clips, axis=0),
+        _read_only(columns).T, video_ids, np.repeat(codes, n_clips, axis=0),
         np.tile(np.arange(n_clips), n),
     )
 
@@ -134,11 +136,11 @@ def _joined(ids: Sequence[str], first: int, second: int) -> str:
 
 class Eligible(NamedTuple):
     """The scenes each of m rows may draw uniformly: every scene but those
-    the exclusion index lists under its excluded video, read off that
-    index with no [m, bank] mask or pool. Each excluded row is listed as
-    the number of eligible scenes before it, plus the row's offset."""
+    the exclusion index lists under its excluded video's code, read off
+    that index with no [m, bank] mask or pool. Each excluded row is listed
+    as the number of eligible scenes before it, plus the row's offset."""
 
-    ids: Sequence[str | None]  # [m] each row's excluded video
+    codes: Array  # [m] each row's excluded video's code
     counts: Array  # [m] how many scenes each row may draw
     starts: Array  # [m] where each row's excluded rows start in gaps
     gaps: Array  # the listed excluded rows, sorted: row r's offset is r * stride
@@ -221,9 +223,10 @@ class MemoryBank:
         self.regime = Regime(regime)
         self.window = window
         self._columns = _read_only(np.empty((bank_dim, 0)))  # [bank_dim, n] float64
-        self._parents = np.empty((0, 2), dtype=np.int64)  # [n, 2] codes into _table, -1 for none
+        self._parents = np.empty((0, 2), dtype=np.int64)  # [n, 2] codes into _ids, -1 for none
         self._clips = np.empty(0, dtype=np.int64)  # [n] clip indices
-        self._table: dict[str, int] = {}  # every video id the bank has seen -> its code
+        self._ids: Sequence[str] = ()  # the video ids every block names, set by the first with rows
+        self._index: dict[str, int] = {}  # video id -> code
         self._populated = 0  # rows ahead of the first batch's
         self._batch_rows: deque[int] = deque(maxlen=window)  # each live batch's row count
         self._frozen = False
@@ -249,10 +252,10 @@ class MemoryBank:
         a read-only, C-contiguous float64 [bank_dim, n] block: any other
         matrix is copied into one, so a caller may reuse or change its
         arrays afterwards."""
-        matrix, video_ids, codes, clips = scenes
+        matrix, ids, codes, clips = scenes
         codes, clips = np.asarray(codes, dtype=np.int64), np.asarray(clips, dtype=np.int64)
         codes = np.column_stack((codes, np.full_like(codes, -1))) if codes.ndim == 1 else codes
-        n, ids = len(codes), [str(v) for v in video_ids]
+        n, ids = len(codes), tuple(ids)
         if not n:
             matrix = np.empty((0, self.bank_dim))
         if np.shape(matrix) != (n, self.bank_dim) or codes.shape != (n, 2) or clips.shape != (n,):
@@ -273,19 +276,24 @@ class MemoryBank:
 
     def _store(self, *parts: slice | Scenes) -> None:
         """Make the rows the concatenation of parts, each a slice of the
-        current rows or a validated block, whose ids join the id table, and
-        drop what was derived from the old rows. A lone C-contiguous part
-        with rows is kept as it is, so a single populate of stacked_scenes
-        holds one copy of its matrix."""
-        table, pieces = self._table, []
-        for part in parts:
-            if isinstance(part, slice):
-                pieces.append((self._columns[:, part], self._parents[part], self._clips[part]))
-            else:
-                # the block's codes in the table; a trailing -1 keeps -1 as -1
-                codes = [table.setdefault(v, len(table)) for v in part.video_ids] + [-1]
-                pieces.append((part.matrix.T, np.fromiter(codes, int)[part.codes], part.clips))
-        blocks, parents, clips = zip(*pieces)
+        current rows or a validated block, its codes kept as given (the
+        first block with rows sets the bank's video ids), and drop what was
+        derived from the old rows. A lone C-contiguous part with rows is
+        kept as it is, so a single populate of stacked_scenes holds one copy
+        of its matrix."""
+        named = [p for p in parts if isinstance(p, Scenes) and len(p.clips)]
+        ids = self._ids or (named[0].video_ids if named else ())
+        if any(p.video_ids is not ids and p.video_ids != ids for p in named):
+            raise ValueError("a block names other video ids than the bank's")
+        if ids is not self._ids:
+            index = dict(zip(ids, range(len(ids))))
+            if len(index) != len(ids):
+                raise ValueError("a block's video ids repeat")
+            self._ids, self._index = ids, index
+        blocks, parents, clips = zip(*(
+            (self._columns[:, p], self._parents[p], self._clips[p]) if isinstance(p, slice)
+            else (p.matrix.T, p.codes, p.clips) for p in parts
+        ))
         blocks = [b for b in blocks if b.shape[1]]
         if len(blocks) != 1 or not blocks[0].flags.c_contiguous:
             blocks = [_read_only(np.concatenate([np.empty((self.bank_dim, 0))] + blocks, axis=1))]
@@ -340,21 +348,21 @@ class MemoryBank:
         """The exclusion index: each video's bank rows in bank order, code
         c's rows[starts[c]:starts[c + 1]], a blend's row listed under each
         of its parents (once for a blend of a video with itself); the code
-        one past the table has no rows."""
+        one past the ids has no rows."""
         parents = self._parents.copy()
         parents[parents[:, 1] == parents[:, 0], 1] = -1
         # each row's parents in row-major order, stably sorted by parent
         flat = parents.ravel()
         listed = np.flatnonzero(flat >= 0)
         order = listed[np.argsort(flat[listed], kind="stable")]
-        starts = np.searchsorted(flat[order], np.arange(len(self._table) + 2))
+        starts = np.searchsorted(flat[order], np.arange(len(self._ids) + 2))
         return order // 2, starts
 
     @cached_property
     def _ties(self) -> _TieRanks:
         """The rows' names and tie ranks; the Python work is per distinct
         parent pair."""
-        width, ids = len(self._table) + 1, list(self._table)
+        width, ids = len(self._ids) + 1, self._ids
         # a pair's key is first * width + second + 1, a plain scene's second -1
         pairs, row_pair = np.unique(self._parents @ [width, 1] + 1, return_inverse=True)
         names = [_joined(ids, p // width, p % width - 1) for p in pairs.tolist()]
@@ -365,36 +373,45 @@ class MemoryBank:
         rank[order] = np.arange(len(order))
         return _TieRanks([names[i] for i in sort], by_name, rank, order)
 
-    def _spans(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array]:
-        """Where the rows each video excludes start in the exclusion index,
-        and how many there are: a blend's rows are excluded by each parent."""
-        starts, unseen = self._part_rows[1], len(self._table)
-        codes = np.array([self._table.get(v, unseen) for v in exclude_video_ids], dtype=np.int64)
-        return starts[codes], starts[codes + 1] - starts[codes]
+    def codes(self, video_ids: Sequence[str | None]) -> Array:
+        """[m] each video id's code, the index of the id in the bank's video
+        ids: the one place ids become codes. None, or an id the bank does
+        not hold, is the code one past them, which excludes nothing."""
+        if isinstance(video_ids, str):
+            raise ValueError("codes takes one video id (or None) per row, not a string")
+        get, none = self._index.get, len(self._ids)
+        return np.fromiter((get(v, none) for v in video_ids), np.int64, len(video_ids))
 
-    def _excluded(self, exclude_video_ids: Sequence[str | None]) -> tuple[Array, Array, Array]:
-        """The entries queries excluding each video may not return: (query,
-        bank index) pairs ordered by query, then bank index, and each
-        query's count."""
-        begin, counts = self._spans(exclude_video_ids)
+    def _spans(self, codes: Array) -> tuple[Array, Array]:
+        """Where the rows each code excludes start in the exclusion index,
+        and how many there are: a blend's rows are excluded by each parent."""
+        codes, starts = np.asarray(codes, dtype=np.int64), self._part_rows[1]
+        if codes.ndim != 1 or len(codes) and not 0 <= codes.min() <= codes.max() <= len(self._ids):
+            raise ValueError(f"exclusion takes [m] codes in [0, {len(self._ids)}]")
+        begin = starts[codes]
+        return begin, starts[codes + 1] - begin
+
+    def _excluded(self, codes: Array) -> tuple[Array, Array, Array]:
+        """The entries queries excluding each code's video may not return:
+        (query, bank index) pairs ordered by query, then bank index, and
+        each query's count."""
+        begin, counts = self._spans(codes)
         ends = np.cumsum(counts)
         at = np.repeat(begin - ends + counts, counts) + np.arange(counts.sum())
         return np.repeat(np.arange(len(counts)), counts), self._part_rows[0][at], counts
 
-    def eligible_counts(self, exclude_video_ids: Sequence[str | None]) -> Array:
-        """[m] how many scenes a draw excluding each video may take."""
-        return len(self) - self._spans(exclude_video_ids)[1]
+    def eligible_counts(self, codes: Array) -> Array:
+        """[m] how many scenes a draw excluding each code's video may take."""
+        return len(self) - self._spans(codes)[1]
 
-    def _none_eligible(self, exclude_video_id: str | None) -> ValueError:
+    def _none_eligible(self, code: int) -> ValueError:
         return ValueError(
             "memory bank is empty" if not len(self) else
-            f"no eligible bank entries: all {len(self)} belong to {exclude_video_id!r}"
+            f"no eligible bank entries: all {len(self)} belong to {self._ids[code]!r}"
         )
 
-    def _ranked(
-        self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]
-    ) -> tuple[Array, Array]:
-        """Exact top-k set of each query row among the scenes its exclude id
+    def _ranked(self, queries: Array, k: int, exclude: Array) -> tuple[Array, Array]:
+        """Exact top-k set of each query row among the scenes its exclude code
         leaves eligible, ties at the k-th key broken by (video_id,
         clip_index), listed in that tie-rank order, k clamped to the row's
         eligible count. Returns bank indices [n_queries, k], padded with -1
@@ -405,15 +422,15 @@ class MemoryBank:
         that overflows or is NaN ranks as the largest finite float, so only
         an excluded scene's key is +inf.
         """
-        if isinstance(exclude_video_ids, str) or len(exclude_video_ids) != len(queries):
-            raise ValueError("ranking takes one exclude video id (or None) per query row")
+        if np.ndim(exclude) != 1 or len(exclude) != len(queries):
+            raise ValueError("ranking takes one exclude code per query row")
         if not np.isfinite(queries).all():
             raise ValueError("query vectors must be finite")
         n = len(self)
-        query_of, excluded_rows, excluded = self._excluded(exclude_video_ids)
+        query_of, excluded_rows, excluded = self._excluded(exclude)
         counts = n - excluded
         if not counts.all():
-            raise self._none_eligible(exclude_video_ids[int(np.argmin(counts))])
+            raise self._none_eligible(exclude[int(np.argmin(counts))])
         top = np.full((len(queries), min(k, n)), -1, dtype=np.int64)
         cosine = self.metric is Metric.COSINE
         step = max(1, RANK_CHUNK // max(1, n * (1 if cosine else self.bank_dim)))
@@ -453,34 +470,33 @@ class MemoryBank:
         used = int((top >= 0).sum(axis=1).max(initial=0))
         return top[:, :used], keys
 
-    def topk(self, queries: Array, k: int, exclude_video_ids: Sequence[str | None]) -> Array:
+    def topk(self, queries: Array, k: int, exclude: Array) -> Array:
         """Bank indices of each query row's k nearest eligible scenes, in
-        (video_id, clip_index) order: [n_queries, k]. exclude_video_ids
-        names each row's excluded video (None excludes none); k is clamped
-        to each row's eligible count, and a row with fewer eligible scenes
-        than the widest is padded with -1."""
+        (video_id, clip_index) order: [n_queries, k]. exclude holds each
+        row's excluded video's code (see codes); k is clamped to each row's
+        eligible count, and a row with fewer eligible scenes than the widest
+        is padded with -1."""
         if k < 1:
             raise ValueError("k must be >= 1")
-        return self._ranked(as_f64(queries), k, exclude_video_ids)[0]
+        return self._ranked(as_f64(queries), k, exclude)[0]
 
-    def candidates(
-        self, exclude_video_ids: Sequence[str | None], queries: Array | None = None, k: int = 1
-    ) -> Array | Eligible:
-        """The scenes each of m rows may draw. With queries [m, bank_dim],
-        bank indices [m, width]: row i is query i's topk excluding
-        exclude_video_ids[i] (which raises for a row with no eligible
-        scene), a row's padding -1 at its end. Without, every scene each
-        row's excluded video leaves eligible, as an Eligible read off the
-        exclusion index."""
+    def candidates(self, exclude: Array, queries: Array | None = None,
+                   k: int = 1) -> Array | Eligible:
+        """The scenes each of m rows may draw, row i excluding the video of
+        code exclude[i]. With queries [m, bank_dim], bank indices [m,
+        width]: row i is query i's topk (which raises for a row with no
+        eligible scene), a row's padding -1 at its end. Without, every scene
+        each row's excluded video leaves eligible, as an Eligible read off
+        the exclusion index."""
         if queries is not None:
-            return self.topk(queries, k, exclude_video_ids)
-        query_of, excluded_rows, excluded = self._excluded(exclude_video_ids)
+            return self.topk(queries, k, exclude)
+        query_of, excluded_rows, excluded = self._excluded(exclude)
         starts = np.cumsum(excluded) - excluded
         # eligible scenes before each excluded row: nondecreasing per row
         before = excluded_rows - np.arange(len(excluded_rows)) + starts[query_of]
         stride = len(self) + 1
         return Eligible(
-            list(exclude_video_ids), len(self) - excluded, starts, before + query_of * stride, stride
+            exclude, len(self) - excluded, starts, before + query_of * stride, stride
         )
 
     def pick(
@@ -499,7 +515,7 @@ class MemoryBank:
             rows = np.arange(len(counts))
         counts = counts[rows]
         if uniform and not counts.all():
-            raise self._none_eligible(candidates.ids[int(rows[np.argmin(counts)])])
+            raise self._none_eligible(candidates.codes[int(rows[np.argmin(counts)])])
         u = rng.integers(0, counts)
         chosen = candidates.nth(rows, u) if uniform else candidates[rows, u]
         return self._columns[:, chosen].T
@@ -510,7 +526,7 @@ class MemoryBank:
         qv = as_f64(q.vector)
         if qv.shape != (self.bank_dim,):
             raise ValueError(f"query vector shape {qv.shape}, expected ({self.bank_dim},)")
-        top, keys = self._ranked(qv[None, :], q.k, [q.exclude_video_id])
+        top, keys = self._ranked(qv[None, :], q.k, self.codes([q.exclude_video_id]))
         if top.shape[1] < q.k:
             raise ValueError(
                 f"k={q.k} exceeds {top.shape[1]} eligible entries "
@@ -534,37 +550,28 @@ def instance_scenes(data: Dataset) -> Scenes:
 
 
 def mnse_do(
-    videos: Array,
-    rows: Array,
-    bank: MemoryBank,
-    k: int,
-    rng: np.random.Generator,
-    exclude_video_ids: Sequence[str | None],
+    videos: Array, rows: Array, bank: MemoryBank, k: int, rng: np.random.Generator, exclude: Array
 ) -> Array:
     """A float64 copy of videos [B, n_clips, dim] with the rows the mask
     rows [B, n_clips] marks replaced by sampled nearest-neighbor scenes:
-    every marked row, video i's excluding exclude_video_ids[i], is ranked
-    in one topk call and draws among its own k nearest scenes (k clamped
-    to the eligible count), all rows in row-major order in one pick with
-    rng. Unmarked rows are returned bit-identical.
+    every marked row, video i's excluding the video of code exclude[i], is
+    ranked in one topk call and draws among its own k nearest scenes (k
+    clamped to the eligible count), all rows in row-major order in one
+    pick with rng. Unmarked rows are returned bit-identical.
     """
     out = as_f64(videos).copy()
     which, clips = np.nonzero(rows)
-    ids = [exclude_video_ids[i] for i in which]
-    out[which, clips] = bank.pick(bank.candidates(ids, out[which, clips], k), rng)
+    exclude = np.asarray(exclude)[which]
+    out[which, clips] = bank.pick(bank.candidates(exclude, out[which, clips], k), rng)
     return out
 
 
 def random_do(
-    videos: Array,
-    rows: Array,
-    bank: MemoryBank,
-    rng: np.random.Generator,
-    exclude_video_ids: Sequence[str | None],
+    videos: Array, rows: Array, bank: MemoryBank, rng: np.random.Generator, exclude: Array
 ) -> Array:
     """Baseline intervention: mnse_do with each marked row drawn uniformly
     among its video's eligible scenes."""
     out = as_f64(videos).copy()
     which, clips = np.nonzero(rows)
-    out[which, clips] = bank.pick(bank.candidates(exclude_video_ids), rng, which)
+    out[which, clips] = bank.pick(bank.candidates(exclude), rng, which)
     return out

@@ -159,7 +159,8 @@ def _draw_substitutes(rows, bank, cfg, rng, exclude_video_id):
     if not len(rows):
         return rows
     if cfg.memory_source is MemorySource.MNSE:
-        return bank.pick(bank.topk(rows, cfg.neighbor_k, [exclude_video_id] * len(rows)), rng)
+        exclude = bank.codes([exclude_video_id] * len(rows))
+        return bank.pick(bank.topk(rows, cfg.neighbor_k, exclude), rng)
     pool = reference_pool(bank, exclude_video_id)
     return bank._columns.T[pool[rng.integers(0, len(pool), size=len(rows))]]
 

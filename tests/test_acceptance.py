@@ -209,8 +209,8 @@ def test_criterion_2_knn_matches_brute_force():
             dim = int(rng.integers(2, 129))
         metric = Metric.COSINE if b % 2 == 0 else Metric.L2
         vectors = rng.normal(size=(size, dim))
-        ids = [f"v{i % (size // 4 + 1)}" for i in range(size)]
-        scenes = Scenes(vectors, ids, np.arange(size), np.arange(size) % 7)
+        ids = tuple(f"v{i}" for i in range(size // 4 + 1))
+        scenes = Scenes(vectors, ids, np.arange(size) % len(ids), np.arange(size) % 7)
         bank = MemoryBank(dim, metric=metric, regime=Regime.F1_STATIC)
         bank.populate(scenes).freeze()
         entries = bank.entries()
@@ -440,7 +440,7 @@ def test_criterion_7_mnse_proximity():
             video = inst.video.astype(np.float64)
             out = do_fn(video[None], ~masks[i][None], bank,
                         rng=np.random.default_rng(17 * i + 1),
-                        exclude_video_ids=[inst.video_id], **kw)[0]
+                        exclude=bank.codes([inst.video_id]), **kw)[0]
             for r in np.flatnonzero(~masks[i]):
                 a, b = video[r], out[r]
                 vals.append(float(a @ b / (np.linalg.norm(a) * np.linalg.norm(b))))

@@ -53,6 +53,7 @@ from causalvqa.intervention import (
     InterventionConfig,
     MemorySource,
     gate_forward,
+    mixup_intervene,
 )
 from causalvqa.mnse import (
     MemoryBank,
@@ -86,6 +87,22 @@ def batch_arrays(data: Dataset, batch) -> tuple:
     """(video, question, answers, gold) of the batch's samples, indexed as a
     training step indexes them."""
     return data.video[batch], data.question[batch], data.answers[batch], data.gold[batch]
+
+
+def mixed_and_pushed(bank, data: Dataset, batch, stacked: tuple, split, icfg, rng):
+    """A training step's mixup of the batch (each sample blended with the
+    next, the last with the first) and, under f2 and f3, its push: the
+    batch's scenes and, under f3, its valid samples' blends, every block
+    naming data.ids with dataset indices as codes."""
+    mix = mixup_intervene(*stacked[:2], data.answers[batch, data.gold[batch]], split, icfg, rng)
+    if bank.regime is not Regime.F1_STATIC:
+        blends = None
+        if bank.regime is Regime.F3_DYNAMIC_MIXUP:
+            mixed = np.flatnonzero(mix.valid)
+            parents = np.c_[batch, np.roll(batch, -1)][mixed]
+            blends = stacked_scenes(mix.v_star[mixed], data.ids, parents)
+        bank.push_batch(stacked_scenes(stacked[0], data.ids, batch), blends)
+    return mix
 
 
 def rebuilt(data: Dataset, **changes) -> Dataset:
@@ -1026,13 +1043,7 @@ class TestStackedStep:
         split, gates, _ = hn._batch_splits(
             model, *stacked[:2], icfg, masks[batch] if oracle else None
         )
-        ids = [instances.ids[i] for i in batch]
-        mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
-        if regime is not Regime.F1_STATIC:
-            bank.push_batch(
-                instance_scenes(instances[batch]),
-                mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None,
-            )
+        mix = mixed_and_pushed(bank, instances, batch, stacked, split, icfg, rng)
         return model, icfg, bank, instances, batch, split, gates, mix, rng
 
     @classmethod
@@ -1278,17 +1289,13 @@ class TestContrastiveDraws:
             split, gates, _ = hn._batch_splits(
                 model, *stacked[:2], icfg, masks[batch] if oracle else None
             )
-            ids = [instances.ids[i] for i in batch]
-            mix, mixup_rows = hn._mixed_samples(stacked, ids, split, icfg, rng)
-            if regime is not Regime.F1_STATIC:
-                bank.push_batch(instance_scenes(instances[batch]),
-                                mixup_rows if regime is Regime.F3_DYNAMIC_MIXUP else None)
+            mix = mixed_and_pushed(bank, instances, batch, stacked, split, icfg, rng)
             draws = hn._draw_interventions(
                 icfg, bank, instances, batch, stacked[0], split, gates, mix, rng
             )
             entries = bank.entries()
             for s, j in enumerate(draws.drawn):
-                own = ids[j]
+                own = instances.ids[batch[j]]
                 views = draws.views[s]
                 sources = [stacked[0][j]] + [mix.v_star[j]] * (len(views) - 1)
                 swapped = [~split[j]] * 2 + [split[j]] * (len(views) - 2)
@@ -1299,7 +1306,8 @@ class TestContrastiveDraws:
                                    if np.array_equal(e.vector, view[clip])]
                         assert any(own not in p for p in parents)
                         if source is MemorySource.MNSE:
-                            (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k, [own])
+                            (top,) = bank.topk(source_video[clip][None], icfg.neighbor_k,
+                                               bank.codes([own]))
                             near = bank._columns.T[top[top >= 0]]
                             assert (near == view[clip]).all(axis=1).any()
             event(f"{len(draws.drawn)} of {batch_size} samples drawn")
@@ -1356,7 +1364,7 @@ class TestProtocol:
             bank.populate(instance_scenes(instances[i : i + 1])).freeze()
             videos.append(
                 mnse_do(inst.video[None], ~mask[None], bank, k=1,
-                        rng=np.random.default_rng(9), exclude_video_ids=[None])[0]
+                        rng=np.random.default_rng(9), exclude=bank.codes([None]))[0]
             )
             assert np.array_equal(videos[-1], inst.video)
         replaced = evaluate(model, instances, np.stack(videos))
@@ -1383,7 +1391,7 @@ class TestProtocol:
             seen_unseen_protocol(model, model, instances, masks, bank)
         with pytest.raises(ValueError, match="^no eligible bank entries: "):
             mnse.random_do(np.stack([instances[0].video]), ~masks, bank,
-                           np.random.default_rng(0), [instances[0].video_id])
+                           np.random.default_rng(0), bank.codes([instances[0].video_id]))
 
     def test_protocol_deterministic(self):
         instances, _, masks = synth(12, seed=6)
@@ -1422,6 +1430,45 @@ class TestProtocol:
         np.testing.assert_array_equal(mnse_videos, np.stack(want_mnse))
         np.testing.assert_array_equal(random_videos, np.stack(want_random))
         assert got == reference_protocol(model_a, model_b, instances, masks, bank, 3, k)
+
+    @pytest.mark.parametrize("selection", ["prefix", "scattered", "robustness-bank"])
+    def test_a_selection_matches_per_video_reference(self, selection):
+        # the bank holds every video of the dataset the protocol's videos
+        # are selected from; the protocol turns their ids into the bank's
+        # codes, each video's dataset index, once per call
+        if selection == "robustness-bank":
+            base = replace(
+                erm_config(n=16, steps=2),
+                intervention=replace(GATE_RECIPE.intervention, memory_source=MemorySource.MNSE),
+                bank=BankConfig(regime=Regime.F3_DYNAMIC_MIXUP),
+                use_oracle_masks=True,
+            )
+            with mock.patch.object(hn, "seen_unseen_protocol",
+                                   wraps=hn.seen_unseen_protocol) as spy:
+                (row,) = hn.robustness_experiment(base, seeds=[0], neighbor_k_eval=3)["rows"]
+            (call,) = spy.call_args_list
+            model_a, model_b, data, masks, bank = call.args
+            seed, k = call.kwargs["seed"], call.kwargs["neighbor_k"]
+            rows = np.arange(len(data))
+            assert data.ids is bank._ids
+        else:
+            instances, _, masks = synth(40, seed=11)
+            bank = MemoryBank(24, metric=Metric.COSINE, regime=Regime.F1_STATIC)
+            bank.populate(instance_scenes(instances)).freeze()
+            rows = np.arange(12) if selection == "prefix" else np.array([31, 4, 17, 0, 39, 22, 8])
+            data = instances[:12] if selection == "prefix" else instances[rows]
+            masks = np.asarray(masks, dtype=bool)[rows]
+            model_a, model_b, seed, k = small_model(seed=1), small_model(seed=2), 3, 5
+        assert bank.codes(data.ids).tolist() == rows.tolist()
+        drawn = []
+        with returned("mnse_do", drawn), returned("random_do", drawn):
+            got = seen_unseen_protocol(model_a, model_b, data, masks, bank, seed, k)
+        want_mnse, want_random = reference_protocol_videos(data, masks, bank, seed, k)
+        np.testing.assert_array_equal(drawn[0], np.stack(want_mnse))
+        np.testing.assert_array_equal(drawn[1], np.stack(want_random))
+        assert got == reference_protocol(model_a, model_b, data, masks, bank, seed, k)
+        if selection == "robustness-bank":
+            assert row["drop_a_unseen"] == got.deltas["drop_a_unseen"]
 
     @pytest.mark.parametrize("n", [1, 10, 11, 21, 22, 32, 33])
     def test_stacked_scoring_equals_six_evaluate_calls(self, n):
@@ -1485,7 +1532,8 @@ class TestProtocol:
         for inst, mask, near, rand in zip(instances, masks, mnse_videos, random_videos):
             np.testing.assert_array_equal(near[mask], inst.video[mask])
             np.testing.assert_array_equal(rand[mask], inst.video[mask])
-            tops = bank.topk(inst.video[~mask], k, [inst.video_id] * int((~mask).sum()))
+            tops = bank.topk(inst.video[~mask], k,
+                             bank.codes([inst.video_id] * int((~mask).sum())))
             for clip, top in zip(np.flatnonzero(~mask), tops):
                 assert (bank._columns.T[top[top >= 0]] == near[clip]).all(axis=1).any()
                 parents = [e.video_id.split("+") for e in entries

@@ -84,8 +84,8 @@ def mix_pair(x, sx, xp, sxp, cfg, rng, lambda0=None, lambda1=None):
 
 def make_bank(rng, n=40, dim=VIDEO_DIM):
     bank = MemoryBank(bank_dim=dim)
-    ids = [f"bankvid{i % 11}" for i in range(n)]
-    bank.populate(Scenes(rng.normal(size=(n, dim)), ids, np.arange(n), np.arange(n)))
+    ids = tuple(f"bankvid{i}" for i in range(11))
+    bank.populate(Scenes(rng.normal(size=(n, dim)), ids, np.arange(n) % 11, np.arange(n)))
     return bank
 
 
@@ -248,7 +248,8 @@ def triplet_topk(v_star, split, bank, cfg):
     """The topk of v_star's complement and causal rows, which nearest-scene
     sourcing draws a triplet's substitutes from."""
     rows = (~split.mask, split.mask)
-    return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k, [None] * int(r.sum())) for r in rows)
+    return tuple(bank.topk(np.asarray(v_star)[r], cfg.neighbor_k, bank.codes([None] * int(r.sum())))
+                 for r in rows)
 
 
 def build_one(model, v_star, q_star, split, bank, q_r, cfg, rng):

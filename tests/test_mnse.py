@@ -56,32 +56,34 @@ def oracle_set(entries, qv, k, metric, exclude=None):
 
 def scenes(vectors, videos, clips, video_ids=None):
     """The rows as one Scenes block, each row's video an id or a blend's
-    (parent, parent) pair of ids. Codes index video_ids: by default one id
-    per row as [n] codes, or, with a blend, the rows' distinct parents as
-    [n, 2] parent codes."""
-    matrix = np.array(vectors, dtype=np.float64)
-    if video_ids is None and all(isinstance(v, str) for v in videos):
-        return Scenes(matrix, list(videos), np.arange(len(videos)), np.array(clips))
+    (parent, parent) pair of ids, as codes into the tuple video_ids (by
+    default the distinct ids the rows name, in order): [n] codes if every
+    row is plain, else [n, 2] parent codes. Every block of one bank must
+    name the same video_ids."""
     pairs = [(v, None) if isinstance(v, str) else v for v in videos]
     if video_ids is None:
-        video_ids = list(dict.fromkeys(p for pair in pairs for p in pair if p is not None))
-    codes = [[video_ids.index(a), -1 if b is None else video_ids.index(b)] for a, b in pairs]
-    return Scenes(matrix, list(video_ids), np.array(codes, dtype=np.int64).reshape(-1, 2),
-                  np.array(clips))
+        video_ids = dict.fromkeys(p for pair in pairs for p in pair if p is not None)
+    code = {v: i for i, v in enumerate(video_ids)}
+    codes = np.array([[code[a], -1 if b is None else code[b]] for a, b in pairs],
+                     dtype=np.int64).reshape(-1, 2)
+    if all(isinstance(v, str) for v in videos):
+        codes = codes[:, 0]
+    return Scenes(np.array(vectors, dtype=np.float64), tuple(video_ids), codes, np.array(clips))
 
 
 def drawable(bank, exclude):
     """Bank indices a uniform draw excluding this video can take, in bank
     order: the u-th eligible scene of its candidates for every u."""
-    eligible = bank.candidates([exclude])
+    eligible = bank.candidates(bank.codes([exclude]))
     n = int(eligible.counts[0])
     return eligible.nth(np.zeros(n, dtype=np.int64), np.arange(n))
 
 
 def scored_ranking(bank, queries, k, excludes):
-    """bank._ranked's indices and the score at each, padded with NaN as
-    the indices are with -1: each chunk's keys are read as the ranking hands
-    them to _first_k, so every row's score is the key it was ranked by."""
+    """bank._ranked's indices, each row excluding the video id excludes
+    names, and the score at each, padded with NaN as the indices are with
+    -1: each chunk's keys are read as the ranking hands them to _first_k,
+    so every row's score is the key it was ranked by."""
     chunks, real = [], mnse._first_k
 
     def first_k(keys, *rest):
@@ -89,17 +91,20 @@ def scored_ranking(bank, queries, k, excludes):
         return real(keys, *rest)
 
     with mock.patch.object(mnse, "_first_k", first_k):
-        top = bank._ranked(queries, k, excludes)[0]
+        top = bank._ranked(queries, k, bank.codes(excludes))[0]
     keys = np.concatenate(chunks) if chunks else np.empty((0, len(bank)))
     at = np.take_along_axis(keys, np.maximum(top, 0), axis=1)
     at[top < 0] = np.nan
     return top, -at if bank.metric is Metric.COSINE else at
 
 
-def random_bank(rng, n=200, dim=16, metric=Metric.COSINE, regime=Regime.F1_STATIC):
+def random_bank(rng, n=200, dim=16, metric=Metric.COSINE, regime=Regime.F1_STATIC, more=()):
+    """A bank of n scenes of random videos vid0, vid1, ...; its video ids
+    name every such video, then the ids in more, for later blocks."""
     bank = MemoryBank(bank_dim=dim, metric=metric, regime=regime)
-    rows = [(rng.normal(size=dim), f"vid{int(rng.integers(0, max(2, n // 8)))}") for _ in range(n)]
-    bank.populate(scenes([v for v, _ in rows], [vid for _, vid in rows], range(n)))
+    videos = tuple(f"vid{i}" for i in range(max(2, n // 8)))
+    rows = [(rng.normal(size=dim), f"vid{int(rng.integers(0, len(videos)))}") for _ in range(n)]
+    bank.populate(scenes([v for v, _ in rows], [vid for _, vid in rows], range(n), videos + more))
     return bank
 
 
@@ -127,13 +132,15 @@ class TestRegimes:
 
     def test_dynamic_window_evicts_old_batches(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC, window=2)
+        ids = tuple(f"batch{t}" for t in range(5))
         for t in range(5):
-            bank.push_batch(scenes([rng.normal(size=4)], [f"batch{t}"], [0]))
+            bank.push_batch(scenes([rng.normal(size=4)], [f"batch{t}"], [0], ids))
         ids = {e.video_id for e in bank.entries()}
         assert ids == {"batch3", "batch4"}
 
     def test_dynamic_contents_are_pure_function_of_window(self, rng):
-        batches = [scenes(rng.normal(size=(3, 4)), [f"b{t}"] * 3, range(3)) for t in range(4)]
+        ids = tuple(f"b{t}" for t in range(4))
+        batches = [scenes(rng.normal(size=(3, 4)), [f"b{t}"] * 3, range(3), ids) for t in range(4)]
         a = MemoryBank(bank_dim=4, regime=Regime.F2_DYNAMIC, window=2)
         for b in batches:
             a.push_batch(b)
@@ -252,12 +259,13 @@ class TestInterventions:
     def test_empty_target_partition_returns_input(self, rng):
         bank, video, _ = self._bank_and_video(rng)
         all_causal = np.ones(video.shape[0], dtype=bool)
-        out = mnse.mnse_do(video[None], ~all_causal[None], bank, 1, rng, [None])[0]
+        out = mnse.mnse_do(video[None], ~all_causal[None], bank, 1, rng, bank.codes([None]))[0]
         np.testing.assert_array_equal(out, video)
 
     def test_nontarget_rows_bit_identical(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        out = mnse.mnse_do(video[None], ~mask[None], bank, 3, np.random.default_rng(1), [None])[0]
+        out = mnse.mnse_do(video[None], ~mask[None], bank, 3, np.random.default_rng(1),
+                           bank.codes([None]))[0]
         np.testing.assert_array_equal(out[mask], video[mask])
         assert np.any(out[~mask] != video[~mask])
 
@@ -265,10 +273,13 @@ class TestInterventions:
         dim, n_clips = 8, 4
         video = rng.normal(size=(n_clips, dim))
         bank = MemoryBank(bank_dim=dim)
-        bank.populate(scenes(video, ["self"] * n_clips, range(n_clips)))
-        bank.populate(scenes([rng.normal(size=dim) for _ in range(20)], ["other"] * 20, range(20)))
+        ids = ("self", "other")
+        bank.populate(scenes(video, ["self"] * n_clips, range(n_clips), ids))
+        bank.populate(scenes([rng.normal(size=dim) for _ in range(20)], ["other"] * 20, range(20),
+                             ids))
         mask = np.array([True, True, False, False])
-        out = mnse.mnse_do(video[None], mask[None], bank, 1, np.random.default_rng(3), [None])[0]
+        out = mnse.mnse_do(video[None], mask[None], bank, 1, np.random.default_rng(3),
+                           bank.codes([None]))[0]
         np.testing.assert_array_equal(out, video)
 
     def test_mnse_do_closer_than_random_do(self, rng):
@@ -298,14 +309,14 @@ class TestInterventions:
         mnse_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.mnse_do(
                 v[None], ~m[None], bank, k=1, rng=np.random.default_rng(i),
-                exclude_video_ids=[insts[i].video_id],
+                exclude=bank.codes([insts[i].video_id]),
             )[0],
             0,
         )
         rand_mean = mean_replaced_cosine(
             lambda v, m, i: mnse.random_do(
                 v[None], ~m[None], bank, rng=np.random.default_rng(i),
-                exclude_video_ids=[insts[i].video_id],
+                exclude=bank.codes([insts[i].video_id]),
             )[0],
             0,
         )
@@ -325,7 +336,7 @@ class TestInterventions:
         counts = np.zeros((len(rows), k), dtype=int)
         for seed in range(n_seeds):
             out = mnse.mnse_do(
-                video[None], ~mask[None], bank, k, np.random.default_rng(seed), [None]
+                video[None], ~mask[None], bank, k, np.random.default_rng(seed), bank.codes([None])
             )[0]
             for i, r in enumerate(rows):
                 hit = np.flatnonzero((members[i] == out[r]).all(axis=1))
@@ -337,11 +348,12 @@ class TestInterventions:
 
     def test_deterministic_given_seed(self, rng):
         bank, video, mask = self._bank_and_video(rng)
-        a = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), [None])
-        b = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), [None])
+        none = bank.codes([None])
+        a = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), none)
+        b = mnse.mnse_do(video[None], mask[None], bank, 3, np.random.default_rng(7), none)
         np.testing.assert_array_equal(a, b)
-        c = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), [None])
-        d = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), [None])
+        c = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), none)
+        d = mnse.random_do(video[None], mask[None], bank, np.random.default_rng(7), none)
         np.testing.assert_array_equal(c, d)
 
 
@@ -393,7 +405,7 @@ class TestBatchedTopK:
         queries = rng.normal(size=(3, 8))
         bank = self._tied_bank(rng, Metric.COSINE, queries)
         pool = reference_pool(bank, "a")
-        excludes = ["a"] * len(queries)
+        excludes = bank.codes(["a"] * len(queries))
         top = bank.topk(queries, 5, excludes)
         allowed = [{bank.entries()[i].vector.tobytes() for i in row} for row in top]
         for seed in range(40):
@@ -409,9 +421,9 @@ class TestBatchedTopK:
         bank.populate(scenes(np.ones((2, 2)), ["only", ("x", "only")], [0, 1]))
         with pytest.raises(ValueError, match="eligible"):
             mnse.random_do(np.ones((1, 1, 2)), np.ones((1, 1), dtype=bool), bank,
-                           np.random.default_rng(0), ["only"])
+                           np.random.default_rng(0), bank.codes(["only"]))
         with pytest.raises(ValueError, match="eligible"):
-            bank.pick(bank.topk(np.ones((1, 2)), 3, ["only"]), np.random.default_rng(0))
+            bank.pick(bank.topk(np.ones((1, 2)), 3, bank.codes(["only"])), np.random.default_rng(0))
 
     @staticmethod
     def _f3_bank(rng, metric):
@@ -434,7 +446,7 @@ class TestBatchedTopK:
         bank, queries, excludes = self._f3_bank(rng, metric)
         entries, n = bank.entries(), len(bank)
         for k in (1, 2, 3, 5, 7, n - 1, n, 10**6):
-            top = bank.topk(queries, k, excludes)
+            top = bank.topk(queries, k, bank.codes(excludes))
             wanted = [oracle_set(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
             assert top.shape == (len(queries), max(map(len, wanted)))
             for row, want in zip(top, wanted):
@@ -482,7 +494,7 @@ class TestBatchedTopK:
         for case, bank, q, k, ex in self._cases(rng, metric):
             entries = bank.entries()
             with np.errstate(over="ignore", invalid="ignore"):
-                top = bank.topk(q[None], k, [ex])[0]
+                top = bank.topk(q[None], k, bank.codes([ex]))[0]
                 found = bank.query_knn(NeighborQuery(vector=q, k=k, exclude_video_id=ex))
             assert scene_set(entries[i] for i in top) == scene_set(n.entry for n in found), case
 
@@ -573,10 +585,10 @@ class TestPerRowExclusion:
         with mock.patch.object(mnse, "RANK_CHUNK", chunk):
             if not all(wanted):
                 with pytest.raises(ValueError, match="eligible"):
-                    bank.topk(queries, k, excludes)
+                    bank.topk(queries, k, bank.codes(excludes))
                 return
             top, scores = scored_ranking(bank, queries, k, excludes)
-            assert np.array_equal(bank.topk(queries, k, excludes), top)
+            assert np.array_equal(bank.topk(queries, k, bank.codes(excludes)), top)
         assert top.shape == scores.shape == (n_queries, max(map(len, wanted)))
         for row, row_scores, want in zip(top, scores, wanted):
             m = len(want)
@@ -601,7 +613,7 @@ class TestPerRowExclusion:
         )
         query = np.array([1e200])
         with np.errstate(over="ignore", invalid="ignore"):
-            top = bank.topk(query[None], 2, ["a"])
+            top = bank.topk(query[None], 2, bank.codes(["a"]))
             got = bank.query_knn(NeighborQuery(vector=query, k=1, exclude_video_id="a"))
         assert [bank.entries()[i].video_id for i in top[0]] == ["b"]
         assert [n.entry.video_id for n in got] == ["b"]
@@ -612,7 +624,7 @@ class TestPerRowExclusion:
         queries = rng.normal(size=(3, 4))
         queries[1, 2] = bad
         with pytest.raises(ValueError, match="finite"):
-            bank.topk(queries, 2, ["vid0", None, "vid1"])
+            bank.topk(queries, 2, bank.codes(["vid0", None, "vid1"]))
         with pytest.raises(ValueError, match="finite"):
             bank.query_knn(NeighborQuery(vector=queries[1], k=2))
 
@@ -627,7 +639,7 @@ class TestColumnViewRefresh:
             got = bank.query_knn(NeighborQuery(vector=qv, k=3, exclude_video_id=exclude))
             want = oracle_knn(entries, qv, 3, bank.metric, exclude)
             assert _ids(n.entry for n in got) == _ids(e for e, _ in want)
-        excludes = [exclude] * len(queries)
+        excludes = bank.codes([exclude] * len(queries))
         nearest = bank.pick(bank.topk(queries, 1, excludes), np.random.default_rng(0))
         for got, qv in zip(nearest, queries):
             best, _ = oracle_knn(entries, qv, 1, bank.metric, exclude)[0]
@@ -635,21 +647,22 @@ class TestColumnViewRefresh:
         eligible = [e for e in entries if exclude not in e.video_id.split("+")]
         oracle_rng = np.random.default_rng(seed)
         want = [eligible[int(oracle_rng.integers(0, len(eligible)))].vector for _ in queries]
-        got = bank.pick(bank.candidates([exclude] * len(queries)), np.random.default_rng(seed))
+        got = bank.pick(bank.candidates(excludes), np.random.default_rng(seed))
         np.testing.assert_array_equal(got, np.stack(want))
 
     def test_populate_refreshes_columns(self, rng):
-        bank = random_bank(rng, n=30, dim=6)
-        queries = rng.normal(size=(4, 6))
+        new = tuple(f"new{i}" for i in range(4))
+        bank = random_bank(rng, n=30, dim=6, more=new)
+        queries = rng.normal(size=(len(new), 6))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
-        n = len(queries)
-        bank.populate(scenes(queries, [f"new{i}" for i in range(n)], range(n)))
+        bank.populate(scenes(queries, new, range(len(new)), bank._ids))
         self._assert_matches_entries(bank, queries, "vid1", seed=5)
 
     @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
     def test_push_batch_eviction_refreshes_columns(self, rng, regime):
         bank = MemoryBank(bank_dim=6, regime=regime, window=2)
         queries = rng.normal(size=(4, 6))
+        video_ids = tuple(f"b{t}{v}" for t in range(3) for v in ("v0", "v1", "v2", "q"))
 
         def batch(t, planted=None):
             vectors, ids = list(rng.normal(size=(9, 6))), [f"b{t}v{i % 3}" for i in range(9)]
@@ -660,8 +673,9 @@ class TestColumnViewRefresh:
                 clips += list(range(len(planted)))
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = scenes(rng.normal(size=(4, 6)), [(f"b{t}v0", f"b{t}v1")] * 4, range(4))
-            return scenes(vectors, ids, clips), mixup
+                mixup = scenes(rng.normal(size=(4, 6)), [(f"b{t}v0", f"b{t}v1")] * 4, range(4),
+                               video_ids)
+            return scenes(vectors, ids, clips, video_ids), mixup
 
         bank.push_batch(*batch(0, planted=queries))
         bank.push_batch(*batch(1))
@@ -687,7 +701,7 @@ class TestRankThenPick:
         bank = random_bank(rng, n=60, dim=6, metric=metric)
         entries = bank.entries()
         queries = rng.normal(size=(5, 6))
-        excludes = [exclude] * len(queries)
+        excludes = bank.codes([exclude] * len(queries))
         for k in (1, 4, 10**6):
             top = bank.topk(queries, k, excludes)
             pool = self._fresh_pool(bank, exclude)
@@ -706,18 +720,20 @@ class TestRankThenPick:
     def test_one_ranking_serves_every_draw(self, rng):
         bank = random_bank(rng, n=60, dim=6)
         queries = rng.normal(size=(3, 6))
-        top = bank.topk(queries, 5, ["vid2"] * len(queries))
+        top = bank.topk(queries, 5, bank.codes(["vid2"] * len(queries)))
         for seed in range(5):
             np.testing.assert_array_equal(
                 bank.pick(top, np.random.default_rng(seed)),
-                bank.pick(bank.topk(queries, 5, ["vid2"] * 3), np.random.default_rng(seed)),
+                bank.pick(bank.topk(queries, 5, bank.codes(["vid2"] * 3)),
+                          np.random.default_rng(seed)),
             )
 
     def test_uniform_candidates_are_each_ids_eligible_pool(self, rng):
-        bank = random_bank(rng, n=40, dim=6)
-        bank.populate(scenes(rng.normal(size=(2, 6)), ["only", ("vid1", "only")], [0, 0]))
+        bank = random_bank(rng, n=40, dim=6, more=("only",))
+        bank.populate(scenes(rng.normal(size=(2, 6)), ["only", ("vid1", "only")], [0, 0],
+                             bank._ids))
         excludes = ["vid1", None, "only", "vid1", "absent"]
-        got = bank.candidates(excludes)
+        got = bank.candidates(bank.codes(excludes))
         pools = [reference_pool(bank, ex) for ex in excludes]
         assert list(got.counts) == [len(pool) for pool in pools]
         for i, pool in enumerate(pools):
@@ -731,13 +747,13 @@ class TestRankThenPick:
         want = [bank.entries()[pool[j]].vector for pool, j in zip(pools, picks)]
         np.testing.assert_array_equal(drawn, np.stack(want))
         lone = MemoryBank(bank_dim=2).populate(scenes(np.ones((2, 2)), ["a", ("a", "b")], [0, 0]))
-        assert list(lone.candidates(["a", "a"]).counts) == [0, 0]
+        assert list(lone.candidates(lone.codes(["a", "a"])).counts) == [0, 0]
 
     def test_a_uniform_draw_with_nothing_eligible_raises(self, rng):
         # a video that owns every scene, alone or as a blend's parent
         bank = MemoryBank(2).populate(
             scenes(rng.normal(size=(3, 2)), ["only", "only", ("x", "only")], [0, 1, 0]))
-        eligible = bank.candidates(["x", "only"])
+        eligible = bank.candidates(bank.codes(["x", "only"]))
         assert list(eligible.counts) == [2, 0]
         draws = np.random.default_rng(4)
         state = draws.bit_generator.state
@@ -747,25 +763,27 @@ class TestRankThenPick:
                 bank.pick(eligible, draws, rows)
         with pytest.raises(ValueError, match=message):
             mnse.random_do(np.ones((2, 1, 2)), np.ones((2, 1), dtype=bool), bank, draws,
-                           ["x", "only"])
+                           bank.codes(["x", "only"]))
         assert draws.bit_generator.state == state
         assert bank.pick(eligible, draws, np.array([0, 0])).shape == (2, 2)
         empty = MemoryBank(2)
         with pytest.raises(ValueError, match="^memory bank is empty$"):
-            empty.pick(empty.candidates([None]), draws)
+            empty.pick(empty.candidates(empty.codes([None])), draws)
 
     def test_topk_rejects_k_below_one_and_an_empty_pool(self):
         bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)], ["only"], [0]))
         with pytest.raises(ValueError, match="k must be"):
-            bank.topk(np.ones((1, 2)), 0, [None])
+            bank.topk(np.ones((1, 2)), 0, bank.codes([None]))
         with pytest.raises(ValueError, match="eligible"):
-            bank.topk(np.ones((1, 2)), 1, ["only"])
+            bank.topk(np.ones((1, 2)), 1, bank.codes(["only"]))
 
     @pytest.mark.parametrize("excludes", ["o", "oo", [None], [None, None, None]])
     def test_topk_takes_one_exclude_id_per_row(self, excludes):
+        # a bare id is refused where ids become codes, a code list of
+        # another length by the ranking
         bank = MemoryBank(bank_dim=2).populate(scenes([np.ones(2)] * 2, ["o", "p"], [0, 0]))
-        with pytest.raises(ValueError, match="one exclude video id"):
-            bank.topk(np.ones((2, 2)), 1, excludes)
+        with pytest.raises(ValueError, match="one video id .or None. per row|one exclude code"):
+            bank.topk(np.ones((2, 2)), 1, bank.codes(excludes))
 
     def test_eligible_is_the_pool_of_each_video(self, rng):
         bank = random_bank(rng, n=40, dim=6)
@@ -784,7 +802,7 @@ class TestRankThenPick:
         bank = MemoryBank(4).populate(
             scenes(rng.normal(size=(len(owners), 4)), owners, [0] * len(owners))
         )
-        eligible = bank.candidates(["x"])
+        eligible = bank.candidates(bank.codes(["x"]))
         pool = reference_pool(bank, "x")
         assert list(pool) == list(np.flatnonzero(owners != "x"))
         for seed in range(5):
@@ -797,7 +815,7 @@ class TestRankThenPick:
 
     def test_more_draws_than_rows_cycle_through_the_rows(self, rng):
         bank = random_bank(rng, n=60, dim=6)
-        top = bank.topk(rng.normal(size=(3, 6)), 5, ["vid2"] * 3)
+        top = bank.topk(rng.normal(size=(3, 6)), 5, bank.codes(["vid2"] * 3))
         for seed in range(5):
             np.testing.assert_array_equal(
                 bank.pick(top, np.random.default_rng(seed), np.arange(4 * len(top)) % len(top)),
@@ -805,9 +823,9 @@ class TestRankThenPick:
             )
 
     def test_memo_is_refreshed_after_populate(self, rng):
-        bank = random_bank(rng, n=30, dim=6)
+        bank = random_bank(rng, n=30, dim=6, more=("new",))
         before = drawable(bank, "vid1")
-        bank.populate(scenes(rng.normal(size=(3, 6)), ["new"] * 3, range(3)))
+        bank.populate(scenes(rng.normal(size=(3, 6)), ["new"] * 3, range(3), bank._ids))
         after = drawable(bank, "vid1")
         assert len(after) == len(before) + 3
         assert list(after) == self._fresh_pool(bank, "vid1")
@@ -815,12 +833,13 @@ class TestRankThenPick:
     @pytest.mark.parametrize("regime", [Regime.F2_DYNAMIC, Regime.F3_DYNAMIC_MIXUP])
     def test_memo_is_refreshed_after_an_evicting_push_batch(self, rng, regime):
         bank = MemoryBank(bank_dim=4, regime=regime, window=2)
+        ids = ("b0", "b1", "b2", "x")
 
         def push(t, n):
             mixup = None
             if regime is Regime.F3_DYNAMIC_MIXUP:
-                mixup = scenes([rng.normal(size=4)], [(f"b{t}", "x")], [0])
-            bank.push_batch(scenes(rng.normal(size=(n, 4)), [f"b{t}"] * n, range(n)), mixup)
+                mixup = scenes([rng.normal(size=4)], [(f"b{t}", "x")], [0], ids)
+            bank.push_batch(scenes(rng.normal(size=(n, 4)), [f"b{t}"] * n, range(n), ids), mixup)
 
         push(0, 5)
         push(1, 2)
@@ -884,10 +903,11 @@ class TestOneCopyPerScene:
 
     def test_several_blocks_are_concatenated_in_entry_order(self, rng):
         bank = MemoryBank(bank_dim=4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
+        ids = ("v0", "v1", "v2", "w")
         for step in range(3):
             bank.push_batch(
-                scenes(rng.normal(size=(3, 4)), [f"v{step}"] * 3, range(3)),
-                scenes(rng.normal(size=(2, 4)), [(f"v{step}", "w")] * 2, range(2)),
+                scenes(rng.normal(size=(3, 4)), [f"v{step}"] * 3, range(3), ids),
+                scenes(rng.normal(size=(2, 4)), [(f"v{step}", "w")] * 2, range(2), ids),
             )
         entries = bank.entries()
         assert len(entries) == 2 * 5
@@ -902,14 +922,20 @@ class TestTopKProperties:
     inside its rows; batched draws equal the protocol's scalar reference."""
 
     IDS = ["a", "b", "c"]
-    BLENDS = [("a", "b"), ("c", "a")]
+    BLENDS = [("a", "b"), ("c", "a"), ("b", "b")]
+
+    @classmethod
+    def _video_ids(cls, data):
+        """A bank's video ids: IDS in any order, with or without an id that
+        no scene names."""
+        unused = data.draw(st.sampled_from([[], ["0"], ["zz"]]), label="unused id")
+        return tuple(data.draw(st.permutations(cls.IDS + unused), label="video ids"))
 
     @staticmethod
-    def _block(data, rng, dim, ids, queries):
+    def _block(data, rng, dim, ids, queries, video_ids):
         """Rows around the queries: near ones, a run of exact duplicates
         and far ones, under repeated (video, clip_index) keys, a video an id
-        or a blend's pair; one video id per row, or codes into the distinct
-        ids plus an unused one."""
+        or a blend's pair, as codes into the bank's video_ids."""
         n_near, n_dup, n_far = (data.draw(st.integers(0, m)) for m in (3, 6, 4))
         q = queries[data.draw(st.integers(0, len(queries) - 1))]
         dup = q + 0.3 * rng.normal(size=dim)
@@ -919,11 +945,6 @@ class TestTopKProperties:
         keys = data.draw(st.lists(st.tuples(st.sampled_from(ids), st.integers(0, 3)),
                                   min_size=len(vectors), max_size=len(vectors)))
         videos = [vid for vid, _ in keys]
-        video_ids = None
-        if data.draw(st.booleans()):
-            unused = data.draw(st.sampled_from(["0", "zz"]))
-            named = {p for vid in videos for p in ((vid,) if isinstance(vid, str) else vid)}
-            video_ids = data.draw(st.permutations(sorted(named | {unused})))
         matrix = np.array(vectors).reshape(len(keys), dim)
         return scenes(matrix, videos, np.array([c for _, c in keys], dtype=np.int64), video_ids)
 
@@ -936,12 +957,13 @@ class TestTopKProperties:
         rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
         queries = rng.normal(size=(data.draw(st.integers(1, 5), label="n_queries"), dim))
         bank = MemoryBank(dim, metric=metric, regime=regime, window=3)
+        video_ids = self._video_ids(data)
         for _ in range(data.draw(st.integers(1, 3), label="calls")):
-            block = self._block(data, rng, dim, self.IDS + self.BLENDS, queries)
+            block = self._block(data, rng, dim, self.IDS + self.BLENDS, queries, video_ids)
             if regime is Regime.F1_STATIC:
                 bank.populate(block)
             elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans()):
-                bank.push_batch(block, self._block(data, rng, dim, self.BLENDS, queries))
+                bank.push_batch(block, self._block(data, rng, dim, self.BLENDS, queries, video_ids))
             else:
                 bank.push_batch(block)
         if not len(bank):
@@ -949,15 +971,23 @@ class TestTopKProperties:
         excludes = data.draw(st.lists(st.sampled_from(self.IDS + [None, "absent"]),
                                       min_size=len(queries), max_size=len(queries)),
                              label="excludes")
+        # keyed by code, each row's eligible scenes are those whose name
+        # does not hold its excluded id
+        codes = bank.codes(excludes)
+        pools = [reference_pool(bank, ex) for ex in excludes]
+        assert list(bank.eligible_counts(codes)) == [len(pool) for pool in pools]
+        eligible = bank.candidates(codes)
+        for i, pool in enumerate(pools):
+            assert list(eligible.nth(np.full(len(pool), i), np.arange(len(pool)))) == list(pool)
         k = data.draw(st.integers(1, len(bank) + 2), label="k")
         entries = bank.entries()
         wanted = [oracle_set(entries, q, k, metric, ex) for q, ex in zip(queries, excludes)]
         if not all(wanted):
             with pytest.raises(ValueError, match="eligible"):
-                bank.topk(queries, k, excludes)
+                bank.topk(queries, k, codes)
             return
         top, scores = scored_ranking(bank, queries, k, excludes)
-        assert np.array_equal(bank.topk(queries, k, excludes), top)
+        assert np.array_equal(bank.topk(queries, k, codes), top)
         assert top.shape == scores.shape == (len(queries), max(map(len, wanted)))
         for row, row_scores, want in zip(top, scores, wanted):
             m = len(want)
@@ -1015,8 +1045,8 @@ class TestTopKProperties:
         ids = [insts[i].video_id for i in subset]
         videos = np.stack([insts[i].video for i in subset])
         got_rng, want_rng = np.random.default_rng(seed), np.random.default_rng(seed)
-        near = mnse.mnse_do(videos, rows, bank, k, got_rng, ids)
-        rand = mnse.random_do(videos, rows, bank, got_rng, ids)
+        near = mnse.mnse_do(videos, rows, bank, k, got_rng, bank.codes(ids))
+        rand = mnse.random_do(videos, rows, bank, got_rng, bank.codes(ids))
         want_near = [reference_mnse_do(v, ~r, bank, k, want_rng, vid)
                      for v, r, vid in zip(videos, rows, ids)]
         want_rand = [reference_random_do(v, ~r, bank, want_rng, vid)
@@ -1041,21 +1071,23 @@ def _neighbors(found):
 
 class TestKeptColumns:
     """A bank's columns after pushes answer as a fresh bank of the live
-    blocks and hold no reference back to the bank, and its id table lists
-    each id it has seen once."""
+    blocks and hold no reference back to the bank, and it keeps the one
+    tuple of video ids its blocks name."""
 
     IDS = TestTopKProperties.IDS
     BLENDS = TestTopKProperties.BLENDS
 
     @staticmethod
     def _assert_same_answers(bank, fresh, queries, excludes):
-        for got, want in zip(bank._excluded(excludes), fresh._excluded(excludes)):
+        # each bank's own codes: a bank whose blocks all went names no ids
+        codes, fresh_codes = bank.codes(excludes), fresh.codes(excludes)
+        for got, want in zip(bank._excluded(codes), fresh._excluded(fresh_codes)):
             np.testing.assert_array_equal(got, want)
         for ex in excludes:
             np.testing.assert_array_equal(drawable(bank, ex), drawable(fresh, ex))
         for k in (1, 3):
-            got = _outcome(lambda: bank.topk(queries, k, excludes))
-            want = _outcome(lambda: fresh.topk(queries, k, excludes))
+            got = _outcome(lambda: bank.topk(queries, k, codes))
+            want = _outcome(lambda: fresh.topk(queries, k, fresh_codes))
             if isinstance(want, tuple):
                 assert got == want
             else:
@@ -1079,13 +1111,13 @@ class TestKeptColumns:
         queries = rng.normal(size=(3, dim))
         bank = MemoryBank(dim, metric=metric, regime=regime, window=window)
         live: deque[list[Scenes]] = deque(maxlen=window)
-        block = TestTopKProperties._block
+        block, video_ids = TestTopKProperties._block, TestTopKProperties._video_ids(data)
         for _ in range(data.draw(st.integers(1, 5), label="pushes")):
             if data.draw(st.booleans(), label="rank before the push"):
-                _outcome(lambda: bank.topk(queries, 2, [None] * len(queries)))
-            batch = [block(data, rng, dim, self.IDS + self.BLENDS, queries)]
+                _outcome(lambda: bank.topk(queries, 2, bank.codes([None] * len(queries))))
+            batch = [block(data, rng, dim, self.IDS + self.BLENDS, queries, video_ids)]
             if regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="mixup"):
-                batch.append(block(data, rng, dim, self.BLENDS, queries))
+                batch.append(block(data, rng, dim, self.BLENDS, queries, video_ids))
             bank.push_batch(*batch)
             live.append(batch)
             fresh = MemoryBank(dim, metric=metric)
@@ -1103,30 +1135,32 @@ class TestKeptColumns:
 
     def test_the_id_table_holds_each_id_once(self, rng):
         # every push brings fresh videos and blends of each with the next,
-        # and one video seen in every push
+        # and one video seen in every push; every block names one tuple of
+        # all the videos, which the bank keeps as given, with one code each
         bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
-        seen = ["x"]
+        video_ids = ("x",) + tuple(f"s{t}v{i}" for t in range(50) for i in range(2))
         for t in range(50):
-            ids = ["x"] + [f"s{t}v{i}" for i in range(2)]
-            bank.push_batch(mnse.stacked_scenes(rng.normal(size=(3, 2, 4)), ids),
-                            mnse.stacked_scenes(rng.normal(size=(2, 2, 4)), ids, [[0, 1], [1, 2]]))
-            seen += ids[1:]
+            own = np.array([0, 1 + 2 * t, 2 + 2 * t])
+            blends = np.c_[own[:2], own[1:]]
+            bank.push_batch(mnse.stacked_scenes(rng.normal(size=(3, 2, 4)), video_ids, own),
+                            mnse.stacked_scenes(rng.normal(size=(2, 2, 4)), video_ids, blends))
             live = min(t + 1, 2)
             assert len(bank) == 10 * live
-            # ids[1]'s two rows and the four of its two blends are not eligible
-            assert len(drawable(bank, ids[1])) == len(bank) - 6
+            # own[1]'s two rows and the four of its two blends are not eligible
+            assert len(drawable(bank, video_ids[own[1]])) == len(bank) - 6
             assert len(drawable(bank, "x")) == len(bank) - 4 * live
-        assert list(bank._table) == seen
-        assert list(bank._table.values()) == list(range(len(seen)))
+        assert bank._ids is video_ids
+        assert bank._index == {v: i for i, v in enumerate(video_ids)}
 
     def test_a_dropped_bank_is_freed_by_reference_counting(self, rng):
         enabled = gc.isenabled()
         gc.disable()
         try:
             bank = MemoryBank(4, regime=Regime.F3_DYNAMIC_MIXUP, window=2)
-            bank.push_batch(scenes(rng.normal(size=(3, 4)), ["a"] * 3, range(3)),
-                            scenes(rng.normal(size=(2, 4)), [("a", "b")] * 2, range(2)))
-            bank.topk(rng.normal(size=(2, 4)), 2, ["b", "b"])
+            ids = ("a", "b")
+            bank.push_batch(scenes(rng.normal(size=(3, 4)), ["a"] * 3, range(3), ids),
+                            scenes(rng.normal(size=(2, 4)), [("a", "b")] * 2, range(2), ids))
+            bank.topk(rng.normal(size=(2, 4)), 2, bank.codes(["b", "b"]))
             ref = weakref.ref(bank)
             del bank
             assert ref() is None
@@ -1154,23 +1188,25 @@ class TestFeatureMajorLayout:
         with f3 blends, from stacked_scenes blocks or row-major copies."""
         regime = data.draw(st.sampled_from(list(Regime)), label="regime")
         bank = MemoryBank(dim, metric=metric, regime=regime, window=2)
+        video_ids = tuple(cls.IDS)
 
-        def block(ids, parents=None):
-            videos = rng.normal(size=(len(ids), n_clips, dim))
-            stacked = mnse.stacked_scenes(videos, ids, parents)
+        def block(codes, parents=None):
+            videos = rng.normal(size=(len(codes), n_clips, dim))
+            stacked = mnse.stacked_scenes(videos, video_ids, codes if parents is None else parents)
             if data.draw(st.booleans(), label="row-major block"):
                 return stacked._replace(matrix=np.ascontiguousarray(stacked.matrix))
             return stacked
 
         for _ in range(data.draw(st.integers(1, 4), label="calls")):
             ids = data.draw(st.lists(st.sampled_from(cls.IDS), min_size=1, max_size=5), label="ids")
+            codes = np.array([video_ids.index(v) for v in ids])
             if regime is Regime.F1_STATIC:
-                bank.populate(block(ids))
+                bank.populate(block(codes))
             elif regime is Regime.F3_DYNAMIC_MIXUP and data.draw(st.booleans(), label="blends"):
-                blends = [(j, len(ids) - 1 - j) for j in range(len(ids))]
-                bank.push_batch(block(ids), block(ids, blends))
+                # video j blended with video len(ids) - 1 - j
+                bank.push_batch(block(codes), block(codes, np.c_[codes, codes[::-1]]))
             else:
-                bank.push_batch(block(ids))
+                bank.push_batch(block(codes))
         return bank
 
     @staticmethod
@@ -1250,7 +1286,7 @@ class TestFeatureMajorLayout:
         ids = [f"v{i:03d}" for i in range(600)]
         bank = MemoryBank(24).populate(mnse.stacked_scenes(videos, ids)).freeze()
         queries = videos[:20, :4].reshape(80, 24)
-        excludes = [v for v in ids[:20] for _ in range(4)]
+        excludes = bank.codes([v for v in ids[:20] for _ in range(4)])
         bank.topk(queries[:2], 200, excludes[:2])  # derive norms, ties and the exclusion index
 
         def peak(call):
@@ -1276,7 +1312,7 @@ class TestParentCodes:
         v = rng.normal(size=4)
         bank = MemoryBank(4).populate(scenes(
             [v, v, v, v, -v], [("a", "b"), "a*", "a b", "a", "b"], [0] * 5))
-        (top,) = bank.topk(v[None], 4, [None])
+        (top,) = bank.topk(v[None], 4, bank.codes([None]))
         assert [bank.entries()[i].video_id for i in top] == ["a", "a b", "a*", "a+b"]
         got = bank.query_knn(NeighborQuery(vector=v, k=4))
         assert [n.entry.video_id for n in got] == ["a", "a b", "a*", "a+b"]
@@ -1286,12 +1322,12 @@ class TestParentCodes:
             scenes(rng.normal(size=(3, 4)), ["a", ("a", "a"), "b"], [0, 0, 0]))
         assert [e.video_id for e in bank.entries()] == ["a", "a+a", "b"]
         rows, starts = bank._part_rows
-        code = bank._table["a"]
+        (code,) = bank.codes(["a"])
         assert list(rows[starts[code] : starts[code + 1]]) == [0, 1]
         assert len(rows) == 3
-        assert list(bank.eligible_counts(["a", "b", None])) == [1, 2, 3]
+        assert list(bank.eligible_counts(bank.codes(["a", "b", None]))) == [1, 2, 3]
         assert list(drawable(bank, "a")) == [2]
-        assert bank.topk(rng.normal(size=(1, 4)), 3, ["a"]).tolist() == [[2]]
+        assert bank.topk(rng.normal(size=(1, 4)), 3, bank.codes(["a"])).tolist() == [[2]]
 
     def test_stacked_scenes_repeat_each_videos_parents_over_its_clips(self, rng):
         block = mnse.stacked_scenes(rng.normal(size=(2, 3, 4)), ["a", "b"], [[0, 1], [1, 1]])
@@ -1325,6 +1361,73 @@ class TestParentCodes:
     def test_a_non_finite_blend_is_named_by_its_parents(self):
         bank = MemoryBank(2, regime=Regime.F3_DYNAMIC_MIXUP)
         with pytest.raises(ValueError, match=r"^scene vector for a\+b:1 is non-finite$"):
-            bank.push_batch(scenes(np.ones((1, 2)), ["a"], [0]),
+            bank.push_batch(scenes(np.ones((1, 2)), ["a"], [0], ("a", "b")),
                             scenes([[1.0, 1.0], [np.inf, 0.0]], [("a", "b")] * 2, [0, 1]))
         assert len(bank) == 0
+
+
+class TestOneIdTuple:
+    """Every block of a bank names one tuple of video ids, and a draw
+    excludes a video by its code, the id's index in that tuple."""
+
+    @staticmethod
+    def _block(ids, rows=1):
+        return scenes(np.ones((rows, 2)), [ids[0]] * rows, range(rows), ids)
+
+    @pytest.mark.parametrize("regime", list(Regime))
+    def test_a_block_naming_other_video_ids_is_refused(self, regime):
+        bank = MemoryBank(2, regime=regime)
+        add = bank.populate if regime is Regime.F1_STATIC else bank.push_batch
+        ids = ("a", "b")
+        add(self._block(ids))
+        for other in (("b", "a"), ("a", "b", "c"), ("a",)):
+            with pytest.raises(ValueError, match="^a block names other video ids"):
+                add(self._block(other))
+        assert len(bank) == 1
+        # the same ids as a new tuple or a list, and a block without rows
+        # naming other ids, are taken; the bank keeps its first tuple
+        for same in (tuple(["a", "b"]), ["a", "b"]):
+            add(self._block(same))
+        add(self._block(("z",), rows=0))
+        assert len(bank) == 3 and bank._ids is ids
+
+    def test_a_push_whose_blocks_name_two_tuples_changes_nothing(self):
+        bank = MemoryBank(2, regime=Regime.F3_DYNAMIC_MIXUP)
+        with pytest.raises(ValueError, match="^a block names other video ids"):
+            bank.push_batch(self._block(("a", "b")), self._block(("b", "a")))
+        assert len(bank) == 0 and bank._ids == () and bank._index == {}
+        bank.push_batch(self._block(("b", "a")))
+        assert bank._ids == ("b", "a") and bank._index == {"b": 0, "a": 1}
+
+    def test_repeated_video_ids_are_refused(self):
+        bank = MemoryBank(2)
+        with pytest.raises(ValueError, match="^a block's video ids repeat$"):
+            bank.populate(self._block(("a", "b", "a")))
+        assert len(bank) == 0 and bank._ids == ()
+
+    def test_codes_map_none_and_unknown_ids_to_exclude_nothing(self, rng):
+        empty = MemoryBank(2)
+        assert empty.codes([None, "a"]).tolist() == [0, 0]
+        assert empty.eligible_counts(empty.codes([None, "a"])).tolist() == [0, 0]
+        ids = ("a", "b", "c")
+        bank = MemoryBank(2, regime=Regime.F3_DYNAMIC_MIXUP).push_batch(
+            scenes(rng.normal(size=(4, 2)), ["a", "b", "c", "c"], [0, 0, 0, 1], ids),
+            scenes(rng.normal(size=(2, 2)), [("a", "b"), ("c", "c")], [0, 0], ids),
+        )
+        excludes = [None, "absent", "a+b", "c", "a", "b"]
+        codes = bank.codes(excludes)
+        assert codes.tolist() == [3, 3, 3, 2, 0, 1]
+        assert bank.codes(ids).tolist() == bank.codes(list(ids)).tolist() == [0, 1, 2]
+        pools = [reference_pool(bank, ex) for ex in excludes]
+        assert bank.eligible_counts(codes).tolist() == [6, 6, 6, 3, 4, 4]
+        assert bank.eligible_counts(codes).tolist() == [len(pool) for pool in pools]
+        eligible = bank.candidates(codes)
+        for i, pool in enumerate(pools):
+            assert eligible.nth(np.full(len(pool), i), np.arange(len(pool))).tolist() == list(pool)
+        with pytest.raises(ValueError, match="not a string"):
+            bank.codes("a")
+        for bad in ([-1], [4], [[0]]):
+            for call in (bank.eligible_counts, bank.candidates,
+                         lambda c: bank.topk(np.ones((len(c), 2)), 1, c)):
+                with pytest.raises(ValueError, match=r"codes in \[0, 3\]|one exclude code"):
+                    call(bad)
