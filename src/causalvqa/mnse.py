@@ -19,10 +19,12 @@ chunks, one matrix product with the contiguous feature-major matrix and
 one partition per chunk, no loop over rows; a row whose k-th key ties no
 key past the partition takes its first k, and only a row with such a tie
 or a clamped k selects its ties by tie rank. A lone row is ranked
-as a two-row product, never by the matrix-vector kernel, and row norms
-and L2 keys are reduced over C-ordered rows, bit-identical to those of
-a row-major copy of the scenes. Three refresh regimes: F1 fills once and
-freezes; F2 refreshes per batch over a sliding window of recent batches;
+as a two-row product, never by the matrix-vector kernel. L2 keys are
+reduced over C-ordered rows; row norms sum each column's squares in
+NumPy's pairwise order for a contiguous row, in elementwise passes over
+blocks of columns. Both are bit-identical to those of a row-major copy
+of the scenes, whatever the chunk or block. Three refresh regimes: F1
+fills once and freezes; F2 refreshes per batch over a sliding window of recent batches;
 F3 is F2 plus the batch's mixup scene rows. Neighbor sourcing drives the
 substitution interventions (mnse_do) and their random baseline
 (random_do). candidates builds the rows a set of draws picks among: each
@@ -53,10 +55,12 @@ from .nn_core import as_f64
 Array = np.ndarray
 
 # Ranking keys per chunk of query rows (rows x bank size, times bank_dim for
-# L2; at least one row). Each float64 temporary of a chunk (its keys, the
+# L2; at least one row), and the values in the eight lanes of a column
+# block of the row norms. Each float64 temporary of a chunk (its keys, the
 # matrix product, argpartition's indices) stays near 512 KB, so a ranking
-# of the protocol's rows on a 4,800-scene bank peaks below 1.8 MB (a test
-# pins this). A chunk's lone row is ranked as a two-row
+# of the protocol's rows on a 4,800-scene bank, a fresh bank's first
+# included, peaks below 1.8 MB (a test pins this). Row norms do not depend
+# on the block. A chunk's lone row is ranked as a two-row
 # product: a matrix-vector product's sums can differ in the last bit from
 # the matrix-matrix kernel's, which give a row the same bits whatever rows
 # share its chunk on banks of whole 8-clip videos (tested).
@@ -161,6 +165,31 @@ class _TieRanks(NamedTuple):
     order: Array  # [n] the rows in that order, the inverse of rank
 
 
+def _squares_summed(columns: Array) -> Array:
+    """[n] each column's sum of squares of columns [d, n], added in NumPy's
+    pairwise order for a contiguous row of d values, so that each is the
+    sum np.linalg.norm takes of a C-ordered row: below 8 values in order;
+    up to 128 in eight running lanes, combined as
+    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in order; above
+    that, split at the largest multiple of 8 not above d / 2 and the two
+    parts' sums added. Each step is one elementwise pass over the columns,
+    as nn_core.axis_max takes a max."""
+    count = len(columns)
+    if count > 128:
+        half = count // 2 - count // 2 % 8
+        return _squares_summed(columns[:half]) + _squares_summed(columns[half:])
+    total, tail = np.zeros(columns.shape[1]), 0
+    if count >= 8:
+        tail = count - count % 8
+        r = np.square(columns[:8])
+        for i in range(8, tail, 8):
+            r += np.square(columns[i : i + 8])
+        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in columns[tail:]:
+        total += np.square(row)
+    return total
+
+
 def _first_k(keys: Array, k: Array, ties: _TieRanks) -> Array:
     """Bank indices of each row's k[row] smallest keys, ties at the k-th key
     broken by tie rank, listed in tie-rank order and padded with -1 to the
@@ -184,6 +213,8 @@ def _first_k(keys: Array, k: Array, ties: _TieRanks) -> Array:
         idx, after = np.broadcast_to(np.arange(n), keys.shape), np.full(len(keys), np.inf)
     first = keys[rows, idx]
     cut = first.max(axis=1) < after
+    if cut.all():
+        return ties.order[np.sort(ties.rank[idx], axis=1)]
     top = np.full((len(keys), width), -1, dtype=np.int64)
     top[cut] = ties.order[np.sort(ties.rank[idx[cut]], axis=1)]
     rest = np.flatnonzero(~cut)
@@ -336,12 +367,12 @@ class MemoryBank:
 
     @cached_property
     def _norms(self) -> Array:
-        """[n] row L2 norms, each reduced over a C-ordered copy of its row
-        (a chunk of rows at a time), as from a row-major matrix."""
-        rows, step = self._columns.T, max(1, RANK_CHUNK // self.bank_dim)
-        chunks = [np.linalg.norm(rows[i : i + step].copy(), axis=1)
-                  for i in range(0, len(rows), step)]
-        return np.concatenate([np.empty(0)] + chunks)
+        """[n] row L2 norms: each column's squares summed as NumPy sums a
+        contiguous row (see _squares_summed), so each is the norm of a
+        row-major copy's row, whatever the column block."""
+        n, step = len(self), max(1, RANK_CHUNK // 8)
+        sums = [_squares_summed(self._columns[:, i : i + step]) for i in range(0, n, step)]
+        return np.sqrt(np.concatenate([np.empty(0)] + sums))
 
     @cached_property
     def _part_rows(self) -> tuple[Array, Array]:
@@ -362,13 +393,22 @@ class MemoryBank:
     def _ties(self) -> _TieRanks:
         """The rows' names and tie ranks; the Python work is per distinct
         parent pair."""
-        width, ids = len(self._ids) + 1, self._ids
+        ids, parents, clips = self._ids, self._parents, self._clips
         # a pair's key is first * width + second + 1, a plain scene's second -1
-        pairs, row_pair = np.unique(self._parents @ [width, 1] + 1, return_inverse=True)
-        names = [_joined(ids, p // width, p % width - 1) for p in pairs.tolist()]
+        width = len(ids) + 1
+        pairs, row_pair = np.unique(parents[:, 0] * width + parents[:, 1] + 1, return_inverse=True)
+        first, second = np.divmod(pairs, width)
+        names = [ids[i] for i in first.tolist()]
+        for i in np.flatnonzero(second).tolist():
+            names[i] = _joined(ids, first[i], second[i] - 1)
         sort = sorted(range(len(names)), key=names.__getitem__)
         by_name = np.argsort(sort)[row_pair]
-        order = np.lexsort((self._clips, by_name))
+        # one stable sort by (name, clip): a clip's key is its offset from
+        # the least, or, where name and offset would overflow int64, its rank
+        lo, hi = int(clips.min(initial=0)), int(clips.max(initial=0))
+        if len(names) * (hi - lo + 1) > np.iinfo(np.int64).max:
+            clips, lo, hi = np.unique(clips, return_inverse=True)[1], 0, len(clips)
+        order = np.argsort(by_name * (hi - lo + 1) + (clips - lo), kind="stable")
         rank = np.empty(len(order), dtype=np.int64)
         rank[order] = np.arange(len(order))
         return _TieRanks([names[i] for i in sort], by_name, rank, order)
@@ -420,7 +460,9 @@ class MemoryBank:
 
         Rows are keyed RANK_CHUNK keys at a time (lower is closer). A key
         that overflows or is NaN ranks as the largest finite float, so only
-        an excluded scene's key is +inf.
+        an excluded scene's key is +inf; a cosine ranking whose keys are
+        bounded (no zero denominator, and the largest query norm times the
+        largest scene norm below 1e300) has no such key and skips that pass.
         """
         if np.ndim(exclude) != 1 or len(exclude) != len(queries):
             raise ValueError("ranking takes one exclude code per query row")
@@ -438,6 +480,10 @@ class MemoryBank:
         # a denominator below is zero only where a norm is zero or a product
         # of norms underflows; without such, no division needs a mask
         masked = neg_norms.max(initial=-1.0) * self._norms.min(initial=1.0) == 0
+        # with no zero denominator, |q . b| <= |q| |b| (Cauchy-Schwarz): below
+        # 1e300 no cosine key overflows or is NaN, and none needs the check
+        bounded = cosine and not masked and (
+            -neg_norms.min(initial=0.0) * self._norms.max(initial=0.0) < 1e300)
         # every cosine chunk's keys
         keys = keyed = np.empty((min(step, len(queries)), n)) if cosine else None
         for start in range(0, len(queries), step):
@@ -461,7 +507,7 @@ class MemoryBank:
                 keys = np.linalg.norm(
                     np.subtract(self._columns.T[None], q[:, None], order="C"), axis=2
                 )
-            if not np.isfinite(keys).all():
+            if not bounded and not np.isfinite(keys).all():
                 np.fmin(keys, _LARGEST, out=keys)
             lo, hi = np.searchsorted(query_of, (start, start + step))
             keys[query_of[lo:hi] - start, excluded_rows[lo:hi]] = np.inf

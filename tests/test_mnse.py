@@ -1173,8 +1173,8 @@ class TestFeatureMajorLayout:
     """The bank keeps its scenes feature-major, yet every row norm, cosine
     key and L2 key equals, bit for bit, one computed from a row-major,
     C-ordered copy of its scenes, and a row's keys do not depend on the
-    rows ranked with it. Norms and L2 keys are NumPy reductions over
-    C-ordered rows on any bank. Cosine keys come from a BLAS matrix
+    rows ranked with it. L2 keys are NumPy reductions over C-ordered rows
+    on any bank, and norms sum in NumPy's order for such rows. Cosine keys come from a BLAS matrix
     product, whose kernels may differ in the last bit between shapes;
     they are pinned on banks of whole 8-clip videos, as the CLI's data
     builds, at dims up to 24 (OpenBLAS with AVX-512 kernels differs, for
@@ -1280,14 +1280,14 @@ class TestFeatureMajorLayout:
         # pools, which the protocol built until uniform draws were read off
         # the exclusion index: 1,807,432 B, the least of three calls on
         # this bank (Python 3.11.7, NumPy 2.4.6); the ranking then peaked
-        # at 1,376,799 B
+        # at 1,376,799 B. A fresh bank's first ranking, which also derives
+        # its norms, tie ranks and exclusion index, stays under the same bound
         rng = np.random.default_rng(0)
         videos = rng.normal(size=(600, 8, 24))
         ids = [f"v{i:03d}" for i in range(600)]
         bank = MemoryBank(24).populate(mnse.stacked_scenes(videos, ids)).freeze()
         queries = videos[:20, :4].reshape(80, 24)
         excludes = bank.codes([v for v in ids[:20] for _ in range(4)])
-        bank.topk(queries[:2], 200, excludes[:2])  # derive norms, ties and the exclusion index
 
         def peak(call):
             tracemalloc.start()
@@ -1297,9 +1297,117 @@ class TestFeatureMajorLayout:
             finally:
                 tracemalloc.stop()
 
-        ranking = peak(lambda: bank.topk(queries, 200, excludes))
         pools = 1_807_432
+        first = peak(lambda: bank.topk(queries, 200, excludes))
+        assert first <= pools, f"a fresh bank's ranking peaked at {first} B, the pools at {pools} B"
+        ranking = peak(lambda: bank.topk(queries, 200, excludes))
         assert ranking <= pools, f"ranking peaked at {ranking} B, the pools at {pools} B"
+
+
+def reference_ties(bank):
+    """The tie ranks as np.unique and np.lexsort built them: each distinct
+    parent pair named by _joined, rows ordered by (name, clip index)."""
+    width, ids = len(bank._ids) + 1, bank._ids
+    pairs, row_pair = np.unique(bank._parents @ [width, 1] + 1, return_inverse=True)
+    names = [mnse._joined(ids, p // width, p % width - 1) for p in pairs.tolist()]
+    sort = sorted(range(len(names)), key=names.__getitem__)
+    by_name = np.argsort(sort)[row_pair]
+    order = np.lexsort((bank._clips, by_name))
+    rank = np.empty(len(order), dtype=np.int64)
+    rank[order] = np.arange(len(order))
+    return [names[i] for i in sort], by_name, rank, order
+
+
+class TestDerivedTables:
+    """The norms and tie ranks a bank derives on first use equal the
+    constructions they replaced: np.linalg.norm of C-ordered rows, and
+    np.unique with np.lexsort."""
+
+    @staticmethod
+    def _plain_bank(rows, clips=None):
+        n = len(rows)
+        clips = np.arange(n) if clips is None else clips
+        return MemoryBank(rows.shape[1]).populate(
+            Scenes(rows, ("a",), np.zeros(n, dtype=np.int64), clips))
+
+    @pytest.mark.parametrize("dims", [range(1, 65), range(65, 140), range(140, 301),
+                                      [511, 777]], ids=["1-64", "65-139", "140-300", "511,777"])
+    def test_norms_equal_numpys_of_c_ordered_rows(self, rng, dims):
+        # up to 128 values NumPy sums a row in eight lanes; above, by halves
+        for dim in dims:
+            rows = rng.normal(size=(13, dim)) * rng.uniform(1e-3, 1e3, size=(13, 1))
+            got = self._plain_bank(rows)._norms
+            assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes(), dim
+
+    @settings(max_examples=60, deadline=None)
+    @given(data=st.data())
+    def test_norms_do_not_depend_on_the_column_block(self, data):
+        dim = data.draw(st.sampled_from([1, 7, 8, 9, 16, 24, 33, 129, 200, 257]), label="dim")
+        n = 8 * data.draw(st.integers(0, 4), label="videos") + data.draw(st.integers(1, 4))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**32 - 1), label="seed"))
+        rows = rng.normal(size=(n, dim))
+        if data.draw(st.booleans(), label="zero row"):
+            rows[0] = 0.0
+        step = data.draw(st.integers(1, n + 1), label="columns per block")
+        with mock.patch.object(mnse, "RANK_CHUNK", 8 * step):
+            got = self._plain_bank(rows)._norms
+        assert got.tobytes() == np.linalg.norm(rows, axis=1).tobytes()
+
+    # names that sort apart from their codes: ' ' and '*' sort below '+'
+    IDS = ("v3", "a b", "v1", "a*", "a", "v0")
+    CLIPS = [0, 1, 2, 7, -1, 2**62, 2**63 - 1, -(2**63), -(2**63) + 1]
+
+    @settings(max_examples=100, deadline=None)
+    @given(data=st.data())
+    def test_tie_ranks_equal_the_unique_and_lexsort_construction(self, data):
+        regime = data.draw(st.sampled_from(list(Regime)), label="regime")
+        bank = MemoryBank(2, regime=regime, window=2)
+        codes = st.integers(0, len(self.IDS) - 1)
+        clips = st.sampled_from(self.CLIPS) if data.draw(st.booleans(), label="extreme clips") \
+            else st.integers(0, 3)
+
+        def block(blends=False):
+            # pairs repeat, so (name, clip) rows repeat; a blend may be a
+            # video's blend with itself
+            pairs = st.tuples(codes, codes if blends else st.just(-1))
+            rows = data.draw(st.lists(st.tuples(pairs, clips), min_size=1, max_size=12))
+            parents = np.array([p for p, _ in rows], dtype=np.int64)
+            return Scenes(np.ones((len(rows), 2)), self.IDS, parents,
+                          np.array([c for _, c in rows], dtype=np.int64))
+
+        for _ in range(data.draw(st.integers(1, 3), label="calls")):
+            if regime is Regime.F1_STATIC:
+                bank.populate(block())
+            elif regime is Regime.F3_DYNAMIC_MIXUP:
+                bank.push_batch(block(), block(blends=True))
+            else:
+                bank.push_batch(block())
+        names, by_name, rank, order = reference_ties(bank)
+        ties = bank._ties
+        assert ties.names == names
+        for got, want in ((ties.by_name, by_name), (ties.rank, rank), (ties.order, order)):
+            assert got.dtype == want.dtype and np.array_equal(got, want)
+
+    @pytest.mark.parametrize("scale", [1 - 1e-3, 1 + 1e-3], ids=["below", "above"])
+    @pytest.mark.parametrize("zero_row", [False, True])
+    def test_cosine_keys_near_the_bound_rank_as_brute_force(self, rng, scale, zero_row):
+        # the largest query norm times the largest scene norm sits just
+        # below or just above 1e300, where the ranking skips or makes its
+        # finiteness check; a zero-norm scene makes the division masked
+        rows = rng.normal(size=(24, 4))
+        rows /= np.linalg.norm(rows, axis=1).max()
+        rows *= 1e150 * scale
+        if zero_row:
+            rows[5] = 0.0
+        queries = rng.normal(size=(3, 4))
+        queries *= 1e150 / np.linalg.norm(queries, axis=1).max()
+        bank = MemoryBank(4).populate(scenes(rows, [f"v{i % 6}" for i in range(24)], range(24)))
+        entries = bank.entries()
+        for k in (1, 5, 20):
+            top = bank.topk(queries, k, bank.codes(["v0", None, "v5"]))
+            for q, ex, row in zip(queries, ["v0", None, "v5"], top):
+                want = oracle_set(entries, q, k, Metric.COSINE, ex)
+                assert _ids(entries[i] for i in row) == _ids(e for e, _ in want)
 
 
 class TestParentCodes:

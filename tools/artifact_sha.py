@@ -13,10 +13,20 @@ In a fresh temporary directory, with BLAS pinned to one thread, it runs:
 - the robustness experiment of criterion 6 in tests/test_acceptance.py (5
   seeds), its result saved as JSON.
 
-It then prints one "sha256  path" line per file written, sorted by path.
-Run it in two checkouts and diff the outputs:
+It then prints a header of "# " lines naming the environment (Python,
+NumPy, the BLAS name, version and configuration, the CPU model), and one
+"sha256  path" line per file written, sorted by path. tools/artifacts.txt
+is that output, checked in; regenerate it with
 
-    python tools/artifact_sha.py > artifacts.txt
+    python tools/artifact_sha.py > tools/artifacts.txt
+
+and check a change against it with
+
+    python tools/artifact_sha.py --check
+
+which exits 0 when every artifact matches, 1 naming each changed, missing
+or new artifact, and 2 ("not comparable") when the environment header
+differs, since gemm's last bits depend on the BLAS kernel.
 """
 
 from __future__ import annotations
@@ -27,6 +37,7 @@ for _var in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ[_var] = "1"
 os.environ.pop("CAUSALVQA_OUTPUT_DIR", None)
 
+import argparse  # noqa: E402
 import contextlib  # noqa: E402
 import copy  # noqa: E402
 import hashlib  # noqa: E402
@@ -36,11 +47,14 @@ import tempfile  # noqa: E402
 from pathlib import Path  # noqa: E402
 
 REPO = Path(__file__).resolve().parents[1]
+LISTING = REPO / "tools" / "artifacts.txt"
 sys.path.insert(0, str(REPO / "src"))
+sys.path.insert(0, str(REPO / "perfbench"))
 
 from causalvqa.cli import cli_main  # noqa: E402
 from causalvqa.features import read_section  # noqa: E402
 from causalvqa.harness import ExperimentConfig, robustness_experiment  # noqa: E402
+from run import env_record  # noqa: E402
 
 FLOWS = [
     ("gen-data", "gen_data"),
@@ -92,7 +106,19 @@ def _criterion_6(contrastive: dict, out: Path) -> None:
     out.write_text(json.dumps(result, sort_keys=True, indent=2) + "\n")
 
 
-def main() -> None:
+def _header() -> list[str]:
+    env = env_record()
+    blas = env["blas"]
+    return [
+        f"# python {env['python']}",
+        f"# numpy {env['numpy']}",
+        f"# blas {blas['name']} {blas['version']}",
+        f"# blas configuration {blas['openblas configuration']}",
+        f"# cpu {env['cpu_model']}",
+    ]
+
+
+def _listing() -> list[str]:
     configs = {name: json.loads((REPO / "configs" / f"{name}.json").read_text())
                for _, name in FLOWS}
     with tempfile.TemporaryDirectory(prefix="artifact_sha_") as tmp:
@@ -105,11 +131,38 @@ def main() -> None:
         _variants(configs["train_contrastive"], configs["intervene_eval"], written)
         _criterion_6(configs["train_contrastive"], root / "runs" / "criterion_6.json")
         os.chdir(REPO)
-        for path in sorted((root / "runs").rglob("*")):
-            if path.is_file():
-                digest = hashlib.sha256(path.read_bytes()).hexdigest()
-                print(f"{digest}  {path.relative_to(root)}")
+        return [f"{hashlib.sha256(path.read_bytes()).hexdigest()}  {path.relative_to(root)}"
+                for path in sorted((root / "runs").rglob("*")) if path.is_file()]
+
+
+def _check() -> int:
+    lines = LISTING.read_text().splitlines()
+    header = [line for line in lines if line.startswith("# ")]
+    if header != _header():
+        print(f"not comparable: this environment differs from {LISTING.name}'s header")
+        for want, got in zip(header, _header()):
+            if want != got:
+                print(f"  listed: {want}\n  here:   {got}")
+        return 2
+    listed = dict(reversed(line.split("  ", 1)) for line in lines if not line.startswith("# "))
+    found = dict(reversed(line.split("  ", 1)) for line in _listing())
+    problems = [
+        f"{'new' if path not in listed else 'missing' if path not in found else 'changed'}: {path}"
+        for path in sorted(listed.keys() | found.keys()) if listed.get(path) != found.get(path)
+    ]
+    print("\n".join(problems) or f"all {len(listed)} artifacts match {LISTING.name}")
+    return 1 if problems else 0
+
+
+def main() -> int:
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--check", action="store_true",
+                        help=f"compare against {LISTING.relative_to(REPO)} instead of printing")
+    if parser.parse_args().check:
+        return _check()
+    print("\n".join(_header() + _listing()))
+    return 0
 
 
 if __name__ == "__main__":
-    main()
+    raise SystemExit(main())
