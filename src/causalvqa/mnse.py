@@ -213,10 +213,7 @@ def _first_k(keys: Array, k: Array, ties: _TieRanks) -> Array:
         idx, after = np.broadcast_to(np.arange(n), keys.shape), np.full(len(keys), np.inf)
     first = keys[rows, idx]
     cut = first.max(axis=1) < after
-    if cut.all():
-        return ties.order[np.sort(ties.rank[idx], axis=1)]
-    top = np.full((len(keys), width), -1, dtype=np.int64)
-    top[cut] = ties.order[np.sort(ties.rank[idx[cut]], axis=1)]
+    top = ties.order[np.sort(ties.rank[idx], axis=1)]
     rest = np.flatnonzero(~cut)
     if len(rest):
         head, k_r = first[rest], k[rest, None]
