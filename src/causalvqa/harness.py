@@ -103,34 +103,45 @@ class OptimizerConfig:
 
 
 class AdamState:
-    """First/second moments aligned with a store's flat params buffer; the
-    first step allocates them."""
+    """First/second moments aligned with a store's flat params buffer, and
+    one scratch buffer of that size; the first step allocates them."""
 
     def __init__(self) -> None:
         self.t = 0
         self.m = np.zeros(0)
         self.v = np.zeros(0)
+        self.scratch = np.zeros(0)
 
 
 def adam_step(store: nc.ParamStore, state: AdamState, cfg: OptimizerConfig) -> None:
     """One bias-corrected Adam update over the store's whole params buffer
-    (Kingma & Ba, arXiv:1412.6980), element by element as per tensor."""
+    (Kingma & Ba, arXiv:1412.6980), element by element as per tensor. The
+    moments update in place, through the state's scratch buffer, by the
+    same expressions in the same order."""
     g = store.flat_grads
     if state.t == 0:
-        state.m, state.v = np.zeros_like(g), np.zeros_like(g)
+        state.m, state.v, state.scratch = (np.zeros_like(g) for _ in range(3))
     state.t += 1
+    m, v, s = state.m, state.v, state.scratch
     # a gradient whose square overflows would leave its parameter frozen at
     # m / inf = 0; one check of the bias-corrected second moment catches it
     with np.errstate(over="ignore", invalid="ignore"):
-        state.m = cfg.beta1 * state.m + (1.0 - cfg.beta1) * g
-        state.v = cfg.beta2 * state.v + (1.0 - cfg.beta2) * g * g
-        vhat = state.v / (1.0 - cfg.beta2**state.t)
+        m *= cfg.beta1
+        m += np.multiply(1.0 - cfg.beta1, g, out=s)
+        v *= cfg.beta2
+        np.multiply(1.0 - cfg.beta2, g, out=s)
+        v += np.multiply(s, g, out=s)
+        vhat = np.divide(v, 1.0 - cfg.beta2**state.t, out=s)
     if not np.isfinite(vhat).all():
         raise nc.NumericsError("Adam second moment overflows: gradients too large")
     if cfg.lr == 0.0:
         return  # parameters must stay bit-identical
-    mhat = state.m / (1.0 - cfg.beta1**state.t)
-    store.flat_params -= cfg.lr * mhat / (np.sqrt(vhat) + cfg.eps)
+    mhat = m / (1.0 - cfg.beta1**state.t)
+    mhat *= cfg.lr
+    np.sqrt(vhat, out=s)
+    s += cfg.eps
+    mhat /= s
+    store.flat_params -= mhat
 
 
 # -- experiment config ---------------------------------------------------------
@@ -487,7 +498,7 @@ def _stacked_step(
             (draws.views[:, 0], question[drawn], answers[drawn], golds[drawn]),
         ]
     rows_video, rows_question, rows_answers, rows_golds = (
-        np.concatenate(column) for column in zip(*groups)
+        np.concatenate(column) if len(groups) > 1 else column[0] for column in zip(*groups)
     )
     answered = len(rows_golds)
     extra, cl_losses = None, []
@@ -516,6 +527,7 @@ def _stacked_step(
         rows_video, rows_question, rows_answers, rows_golds, extra
     )
 
+    losses = losses.tolist()
     step_losses = [[loss] for loss in losses[:b]]
     for j, loss in zip(np.concatenate([mixed, drawn]).tolist(), losses[b:]):
         step_losses[j].append(loss)

@@ -50,7 +50,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .features import Dataset, _read_only
-from .nn_core import as_f64
+from .nn_core import as_f64, pairwise_sum
 
 Array = np.ndarray
 
@@ -163,31 +163,6 @@ class _TieRanks(NamedTuple):
     by_name: Array  # [n] each row's index into names
     rank: Array  # [n] position in (name, clip_index) order: the tie rule
     order: Array  # [n] the rows in that order, the inverse of rank
-
-
-def _squares_summed(columns: Array) -> Array:
-    """[n] each column's sum of squares of columns [d, n], added in NumPy's
-    pairwise order for a contiguous row of d values, so that each is the
-    sum np.linalg.norm takes of a C-ordered row: below 8 values in order;
-    up to 128 in eight running lanes, combined as
-    ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in order; above
-    that, split at the largest multiple of 8 not above d / 2 and the two
-    parts' sums added. Each step is one elementwise pass over the columns,
-    as nn_core.axis_max takes a max."""
-    count = len(columns)
-    if count > 128:
-        half = count // 2 - count // 2 % 8
-        return _squares_summed(columns[:half]) + _squares_summed(columns[half:])
-    total, tail = np.zeros(columns.shape[1]), 0
-    if count >= 8:
-        tail = count - count % 8
-        r = np.square(columns[:8])
-        for i in range(8, tail, 8):
-            r += np.square(columns[i : i + 8])
-        total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
-    for row in columns[tail:]:
-        total += np.square(row)
-    return total
 
 
 def _first_k(keys: Array, k: Array, ties: _TieRanks) -> Array:
@@ -365,10 +340,12 @@ class MemoryBank:
     @cached_property
     def _norms(self) -> Array:
         """[n] row L2 norms: each column's squares summed as NumPy sums a
-        contiguous row (see _squares_summed), so each is the norm of a
-        row-major copy's row, whatever the column block."""
+        contiguous row (nn_core.pairwise_sum, squaring eight rows of the
+        block at a time), so each is the norm of a row-major copy's row,
+        whatever the column block."""
         n, step = len(self), max(1, RANK_CHUNK // 8)
-        sums = [_squares_summed(self._columns[:, i : i + step]) for i in range(0, n, step)]
+        cols = self._columns
+        sums = [pairwise_sum(cols[:, i : i + step], np.square) for i in range(0, n, step)]
         return np.sqrt(np.concatenate([np.empty(0)] + sums))
 
     @cached_property
@@ -389,17 +366,26 @@ class MemoryBank:
     @cached_property
     def _ties(self) -> _TieRanks:
         """The rows' names and tie ranks; the Python work is per distinct
-        parent pair."""
-        ids, parents, clips = self._ids, self._parents, self._clips
-        # a pair's key is first * width + second + 1, a plain scene's second -1
+        parent pair. A pair's key is first * width + second + 1, a plain
+        scene's second -1: a plain row's pair is found by its code, and only
+        blend rows go through np.unique."""
+        ids, (firsts, seconds), clips = self._ids, self._parents.T, self._clips
         width = len(ids) + 1
-        pairs, row_pair = np.unique(parents[:, 0] * width + parents[:, 1] + 1, return_inverse=True)
+        blend = seconds >= 0
+        present = np.zeros(width, dtype=bool)  # the slot past the ids takes the blends
+        present[np.where(blend, len(ids), firsts)] = True
+        blends, blend_pair = np.unique((firsts * width + seconds + 1)[blend], return_inverse=True)
+        pairs = np.sort(np.concatenate([np.flatnonzero(present[:-1]) * width, blends]))
         first, second = np.divmod(pairs, width)
         names = [ids[i] for i in first.tolist()]
         for i in np.flatnonzero(second).tolist():
             names[i] = _joined(ids, first[i], second[i] - 1)
         sort = sorted(range(len(names)), key=names.__getitem__)
-        by_name = np.argsort(sort)[row_pair]
+        name_rank = np.empty(len(names), dtype=np.int64)
+        name_rank[np.fromiter(sort, np.int64, len(sort))] = np.arange(len(sort))
+        row_pair = np.searchsorted(pairs, np.arange(len(ids)) * width)[firsts]
+        row_pair[blend] = np.searchsorted(pairs, blends)[blend_pair]
+        by_name = name_rank[row_pair]
         # one stable sort by (name, clip): a clip's key is its offset from
         # the least, or, where name and offset would overflow int64, its rank
         lo, hi = int(clips.min(initial=0)), int(clips.max(initial=0))

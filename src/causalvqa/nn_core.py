@@ -6,8 +6,14 @@ gradient plus that cache. Models own a fixed, known graph and chain the
 backwards explicitly in reverse order; there is no tape.
 
 Training math runs at float64 so finite-difference checks can be tight.
-This module does no file I/O: checkpoints (harness) and feature payloads
-(features) are stored as float32 and upcast once at load.
+Every result has the bits of the plain NumPy formula it stands for, but
+for a NaN's sign. The sums over the last axis in softmax and
+softmax_backward (on a batch of rows), and the bank's row norms (mnse),
+follow NumPy's pairwise order for a contiguous row through pairwise_sum,
+in elementwise passes; axis_max takes np.max's values the same way; every
+other reduction is NumPy's own call. This module does no file I/O:
+checkpoints (harness) and feature payloads (features) are stored as
+float32 and upcast once at load.
 """
 
 from __future__ import annotations
@@ -16,6 +22,7 @@ import math
 from typing import Iterable, Iterator, NamedTuple
 
 import numpy as np
+from numpy.lib.array_utils import normalize_axis_index
 
 Array = np.ndarray
 
@@ -33,7 +40,7 @@ def as_f64(x) -> Array:
 
 
 def require_finite(name: str, x: Array) -> None:
-    if not np.all(np.isfinite(x)):
+    if not np.isfinite(x).all():
         raise NumericsError(f"{name} contains non-finite values")
 
 
@@ -109,11 +116,14 @@ def linear_forward(x: Array, w: Array, b: Array) -> tuple[Array, tuple]:
 
 def linear_backward(dy: Array, cache: tuple) -> tuple[Array, Array, Array]:
     """dx plus weight and bias gradients summed over every leading axis."""
+    dx, dw = weight_backward(dy, cache)
+    return dx, dw, dy.reshape(-1, dy.shape[-1]).sum(axis=0)
+
+
+def weight_backward(dy: Array, cache: tuple) -> tuple[Array, Array]:
+    """linear_backward without the bias gradient, for a map y = x @ w."""
     x, w = cache
-    dx = dy @ w.T
-    rows = dy.reshape(-1, dy.shape[-1])
-    dw = x.reshape(-1, x.shape[-1]).T @ rows
-    return dx, dw, rows.sum(axis=0)
+    return dy @ w.T, x.reshape(-1, x.shape[-1]).T @ dy.reshape(-1, dy.shape[-1])
 
 
 # -- softmax ---------------------------------------------------------------
@@ -125,20 +135,77 @@ def axis_max(x: Array, axis: int = -1) -> Array:
     pays per row. A max rounds nothing, so these are np.max's bits, but
     for a NaN with its sign bit set or a tie of +0.0 with -0.0 across more
     than 8 entries, whose bits follow np.max's order of passes."""
-    return np.expand_dims(np.maximum.reduce(np.moveaxis(x, axis, 0).copy()), axis)
+    m = np.maximum.reduce(_lanes(x, axis))
+    shape = list(x.shape)
+    shape[axis] = 1
+    return m.reshape(shape)
+
+
+def _lanes(x: Array, axis: int = -1) -> Array:
+    """A C-ordered copy of x with that axis first."""
+    axis = normalize_axis_index(axis, x.ndim)
+    return np.ascontiguousarray(x.transpose(axis, *range(axis), *range(axis + 1, x.ndim)))
+
+
+def pairwise_sum(x: Array, term=None) -> Array:
+    """Sums over the first axis of x [d, ...] (of term(x), taken a slice at
+    a time, when term is given), added in NumPy's pairwise order for a
+    contiguous row of d values, so that each is np.sum's sum of such a row:
+    below 8 values in order from 0.0; up to 128 in eight running lanes,
+    combined as ((r0+r1)+(r2+r3))+((r4+r5)+(r6+r7)), then the tail in
+    order, then added to 0.0; above that, split at the largest multiple of
+    8 not above d / 2 and the two parts' sums added. Each step is one
+    elementwise pass over x's other axes, as axis_max takes a max. Where
+    two NaNs meet, which one passes on (its sign bit) follows NumPy's code
+    path for the array's size, as it does in np.sum."""
+    d = len(x)
+    if d > 128:
+        half = d // 2 - d // 2 % 8
+        return pairwise_sum(x[:half], term) + pairwise_sum(x[half:], term)
+    f = _same if term is None else term
+    if d < 8:
+        total = np.zeros(x.shape[1:], x.dtype)
+        for row in x:
+            total += f(row)
+        return total
+    tail = d - d % 8
+    r = f(x[:8])
+    if tail > 8 and term is None:
+        r = r.copy()  # the lanes run in place
+    for i in range(8, tail, 8):
+        r += f(x[i : i + 8])
+    total = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+    for row in x[tail:]:
+        total += f(row)
+    total += 0.0  # a sum of -0.0 alone is +0.0, as np.sum's
+    return total
+
+
+def _same(x: Array) -> Array:
+    return x
 
 
 def softmax(x: Array, axis: int = -1) -> Array:
-    """Numerically stable softmax (max-subtraction)."""
-    e = x - axis_max(x, axis)
+    """Numerically stable softmax (max-subtraction). Over the last axis of
+    a batch of rows it runs on a copy with that axis first, so the max and
+    the sum (pairwise_sum, np.sum's bits) are elementwise passes."""
+    if x.ndim < 2 or axis not in (-1, x.ndim - 1):
+        e = x - axis_max(x, axis)
+        np.exp(e, out=e)
+        return e / e.sum(axis=axis, keepdims=True)
+    e = _lanes(x)
+    e -= np.maximum.reduce(e)
     np.exp(e, out=e)
-    return e / e.sum(axis=axis, keepdims=True)
+    e /= pairwise_sum(e)
+    return np.ascontiguousarray(e.transpose(*range(1, e.ndim), 0))
 
 
 def softmax_backward(dy: Array, y: Array, axis: int = -1) -> Array:
-    """Gradient through softmax given its output y."""
-    inner = (dy * y).sum(axis=axis, keepdims=True)
-    return y * (dy - inner)
+    """Gradient through softmax given its output y, y * (dy - sum(dy * y))."""
+    if y.ndim < 2 or axis not in (-1, y.ndim - 1):
+        return y * (dy - (dy * y).sum(axis=axis, keepdims=True))
+    inner = pairwise_sum(_lanes(dy * y))
+    return y * (dy - inner[..., None])
 
 
 # -- layer norm ------------------------------------------------------------
@@ -229,7 +296,8 @@ def mha_forward(x: Array, store: ParamStore, prefix: str, n_heads: int) -> tuple
     v, cv = linear_forward(x, p["wv"], p["bv"])
     qh, kh, vh = (_split_heads(t, n_heads) for t in (q, k, v))
     scale = 1.0 / math.sqrt(d // n_heads)
-    scores = qh @ kh.swapaxes(-1, -2) * scale  # [..., h, m, m]
+    scores = qh @ kh.swapaxes(-1, -2)  # [..., h, m, m]
+    scores *= scale
     attn = softmax(scores, axis=-1)
     ctx = attn @ vh  # [..., h, m, dh]
     merged = _merge_heads(ctx)
@@ -245,17 +313,20 @@ def mha_backward(dout: Array, cache: tuple, store: ParamStore) -> Array:
     dctx = _split_heads(dmerged, n_heads)
     dattn = dctx @ vh.swapaxes(-1, -2)
     dvh = attn.swapaxes(-1, -2) @ dctx
-    dscores = softmax_backward(dattn, attn, axis=-1) * scale
+    dscores = softmax_backward(dattn, attn, axis=-1)
+    dscores *= scale
     dqh = dscores @ kh
     dkh = dscores.swapaxes(-1, -2) @ qh
     dq, dwq, dbq = linear_backward(_merge_heads(dqh), cq)
-    dk, dwk, _ = linear_backward(_merge_heads(dkh), ck)
+    dk, dwk = weight_backward(_merge_heads(dkh), ck)
     dv, dwv, dbv = linear_backward(_merge_heads(dvh), cv)
     for nm, g in (
         ("wq", dwq), ("bq", dbq), ("wk", dwk), ("wv", dwv), ("bv", dbv), ("wo", dwo), ("bo", dbo),
     ):
         store.accumulate(f"{prefix}.{nm}", g)
-    return dq + dk + dv
+    dq += dk
+    dq += dv
+    return dq
 
 
 def single_key_forward(kv: Array, store: ParamStore, prefix: str) -> tuple[Array, tuple]:
@@ -324,8 +395,9 @@ def cosine_backward(dvalue: Array, cache: tuple) -> tuple[Array, Array]:
     a, b, na, nb, raw, degenerate = cache
     scale = np.where(degenerate, 0.0, dvalue)[..., None]
     na, nb, raw = na[..., None], nb[..., None], raw[..., None]
-    da = scale * (b / (na * nb) - raw * a / (na * na))
-    db = scale * (a / (na * nb) - raw * b / (nb * nb))
+    nab = na * nb
+    da = scale * (b / nab - raw * a / (na * na))
+    db = scale * (a / nab - raw * b / (nb * nb))
     return da, db
 
 

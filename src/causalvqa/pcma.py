@@ -195,7 +195,7 @@ class PcmaModel:
         gradient is added in place. Accumulates parameter gradients summed
         over the batch."""
         dscored, dap = nc.cosine_backward(dscores, cache["cos"])
-        danswers, dw, _ = nc.linear_backward(dap, (cache["answers"], self.store["text_proj.w"]))
+        danswers, dw = nc.weight_backward(dap, (cache["answers"], self.store["text_proj.w"]))
         self.store.accumulate("text_proj.w", dw)
         if dagg is None:
             dagg = dscored.sum(axis=1)

@@ -28,6 +28,9 @@ LAYOUTS = st.lists(
 # infinities and both zeros
 SPECIALS = np.array([np.nan, np.inf, -np.inf, 0.0, -0.0])
 AXIS_LENGTHS = [1, 5, 8, 16]
+# and the lengths at which NumPy's pairwise sum of a row changes branch:
+# below 8 values in order, eight lanes up to 128, halves above
+SUM_LENGTHS = sorted(AXIS_LENGTHS + [7, 9, 15, 17, 128, 129, 136, 257])
 
 
 def with_specials(rng, shape, share):
@@ -44,6 +47,16 @@ def with_specials(rng, shape, share):
 def same_bits(a, b) -> bool:
     a, b = np.asarray(a), np.asarray(b)
     return a.shape == b.shape and a.dtype == b.dtype and a.tobytes() == b.tobytes()
+
+
+def same_bits_but_nan_signs(a, b) -> bool:
+    """same_bits, but for the sign and payload of a NaN: which of two NaNs
+    an addition passes on follows NumPy's code path for the array's size
+    (a scalar, a short or a long loop), not the order of the sum."""
+    a, b = np.asarray(a), np.asarray(b)
+    nan = np.isnan(a)
+    return (a.shape == b.shape and a.dtype == b.dtype and np.array_equal(nan, np.isnan(b))
+            and same_bits(np.where(nan, 0.0, a), np.where(nan, 0.0, b)))
 
 
 def np_max(x, axis=-1):
@@ -173,7 +186,7 @@ class TestAxisMax:
                 for axis in (at, at - len(shape)):
                     assert same_bits(nc.axis_max(x, axis), np_max(x, axis)), (shape, axis, x)
 
-    @pytest.mark.parametrize("length", AXIS_LENGTHS)
+    @pytest.mark.parametrize("length", SUM_LENGTHS)
     def test_softmax_is_the_max_subtraction_formula_bit_for_bit(self, rng, length):
         def formula(x, axis):
             shifted = x - np.max(x, axis=axis, keepdims=True)
@@ -188,7 +201,21 @@ class TestAxisMax:
                 with np.errstate(invalid="ignore"):
                     assert same_bits(nc.softmax(x, axis), formula(x, axis))
 
-    @pytest.mark.parametrize("length", AXIS_LENGTHS)
+    @pytest.mark.parametrize("length", SUM_LENGTHS)
+    def test_softmax_backward_is_the_formula_bit_for_bit(self, rng, length):
+        def formula(dy, y, axis):
+            return y * (dy - (dy * y).sum(axis, keepdims=True))
+
+        for share in (0.0, 0.1, None):
+            for axis in (0, 1, 2, -1):
+                shape = [3, 2, 4]
+                shape[axis] = length
+                dy, y = (with_specials(rng, tuple(shape), share) for _ in range(2))
+                with np.errstate(invalid="ignore"):
+                    got, want = nc.softmax_backward(dy, y, axis), formula(dy, y, axis)
+                assert same_bits_but_nan_signs(got, want), (shape, axis)
+
+    @pytest.mark.parametrize("length", SUM_LENGTHS)
     def test_cross_entropy_is_the_np_max_formula_bit_for_bit(self, rng, length):
         # finite logits only (it rejects others), zeros of both signs
         for share in (0.0, 0.5, None):
@@ -200,6 +227,23 @@ class TestAxisMax:
             with mock.patch.object(nc, "axis_max", np_max):
                 want = nc.softmax_cross_entropy(z, gold)
             assert all(map(same_bits, got, want))
+
+
+class TestPairwiseSum:
+    @pytest.mark.parametrize("share", [0.0, 0.1, None])
+    @pytest.mark.parametrize("lead", [(), (7,), (3, 4)])
+    def test_is_np_sum_of_c_ordered_rows_bit_for_bit(self, rng, lead, share):
+        for length in list(range(0, 41)) + [64, 127, 128, 129, 136, 200, 257, 300]:
+            rows = with_specials(rng, lead + (length,), share) * rng.uniform(1e-3, 1e3)
+            lanes = np.moveaxis(rows, -1, 0).copy()
+            with np.errstate(invalid="ignore", over="ignore"):
+                got, want = nc.pairwise_sum(lanes), rows.sum(axis=-1)
+                squares = nc.pairwise_sum(lanes, np.square), np.square(rows).sum(axis=-1)
+            assert same_bits_but_nan_signs(got, want), length
+            assert same_bits_but_nan_signs(*squares), length
+            # np.sum adds a row's sum to 0.0, so -0.0 alone sums to +0.0
+            zeros = np.full(lead + (length,), -0.0)
+            assert same_bits(nc.pairwise_sum(np.moveaxis(zeros, -1, 0)), zeros.sum(axis=-1))
 
 
 class TestSoftmax:

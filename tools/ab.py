@@ -5,13 +5,17 @@ against the working tree's, both imported into one process.
 
 Run from anywhere inside the repository. `git archive` writes the parent's
 src/ into .bench_work/; each tree is imported under its own package name
-(causalvqa_parent, causalvqa_change), which works because the package
-imports itself relatively. perfbench/workloads.py is read once per tree
-with its causalvqa imports rewritten to that tree's name, so each side
-generates its own inputs from --seed and runs its own workload objects.
-Modules are never swapped in sys.modules: features.read_section resolves
-dataclass type hints through sys.modules[cls.__module__], so each tree's
-modules stay registered under their own names.
+(causalvqa_a, causalvqa_b), which works because the package imports
+itself relatively. perfbench/workloads.py is read once per import with its
+causalvqa imports rewritten to that name, so each side generates its own
+inputs from --seed (once, on its first import) and runs its own workload
+objects. Every pair imports both trees afresh, the tree imported first,
+under causalvqa_a, alternating by pair, so that an offset which follows
+the import order or the name rather than the tree cancels over pairs; the
+ratio is also reported apart for the pairs in which each tree came first.
+A pair's imports replace the last pair's modules whole: features.read_section
+resolves dataclass type hints through sys.modules[cls.__module__], so one
+import's modules are never mixed with another's.
 
 A pair is REPEATS repeats (set-up, then the timed run) of each side, the
 side that goes first alternating by repeat (ABBA order), after one
@@ -22,7 +26,8 @@ output files and quality figures must be equal in every round.
 
 It prints, for setup_s and items_per_s: each side's median and quartiles,
 the median of the per-pair ratios change/parent with a bootstrap 95 %
-interval over pairs, the pairs the change won (ties count for neither) and
+interval over pairs, that median over the pairs in which each tree was
+imported first, the pairs the change won (ties count for neither) and
 whether the claim rule holds (wins in at least nine tenths of the pairs,
 and medians further apart than the parent's quartile spread). The last
 line is the same record as JSON, with perfbench's environment record.
@@ -78,8 +83,14 @@ def _archive_src(rev: str, into: Path) -> str:
     return sha
 
 
+PACKAGES = ("causalvqa_a", "causalvqa_b")
+
+
 def _import_package(name: str, directory: Path) -> types.ModuleType:
-    """The package in directory, imported as name."""
+    """The package in directory, imported as name, after dropping every
+    module an earlier import left under name."""
+    for module in [m for m in sys.modules if m.split(".")[0] in (name, f"workloads_{name}")]:
+        del sys.modules[module]
     spec = importlib.util.spec_from_file_location(
         name, directory / "__init__.py", submodule_search_locations=[str(directory)])
     module = importlib.util.module_from_spec(spec)
@@ -106,12 +117,13 @@ def _files(directory: Path) -> dict[str, bytes]:
 
 
 class Side:
-    """One tree's workload, its generated inputs and its first good output."""
+    """One import of a tree: its workload, the tree's generated inputs and
+    first good output, and the state and output of this import's last
+    repeat."""
 
-    def __init__(self, workload, workdir: Path, seed: int):
-        self.w, self.out_dir = workload, workdir / "out"
-        self.config = workload.generate(seed, workdir)
-        self.first = self.first_state = None
+    def __init__(self, workload, workdir: Path, config: Path, first=None):
+        self.w, self.out_dir, self.config, self.first = workload, workdir / "out", config, first
+        self.last = None
 
     def repeat(self) -> tuple[float, float, object]:
         """One set-up and timed run; returns (setup_s, items_per_s, output)."""
@@ -124,8 +136,8 @@ class Side:
         problems = self.w.check(state, out, self.first)
         if problems:
             raise SystemExit("ab: " + "; ".join(problems))
-        if self.first is None:
-            self.first, self.first_state = out, state
+        self.first = out if self.first is None else self.first
+        self.last = state, out
         return setup_s, out.items / out.seconds, out
 
 
@@ -133,7 +145,8 @@ def _quartiles(values: list[float]) -> list[float]:
     return statistics.quantiles(values, n=4, method="inclusive") if len(values) > 1 else values * 3
 
 
-def _summary(parent: list[float], change: list[float], higher_better: bool) -> dict:
+def _summary(parent: list[float], change: list[float], higher_better: bool,
+             firsts: list[str]) -> dict:
     ratios = np.array(change) / np.array(parent)
     better = ratios > 1 if higher_better else ratios < 1
     wins = int(better.sum())
@@ -147,6 +160,9 @@ def _summary(parent: list[float], change: list[float], higher_better: bool) -> d
         "change_median": q_change[1], "change_quartiles": [q_change[0], q_change[2]],
         "median_ratio": float(np.median(ratios)),
         "ratio_95ci": [float(np.quantile(boot, 0.025)), float(np.quantile(boot, 0.975))],
+        "median_ratio_by_first_import": {
+            side: float(np.median(ratios[np.array(firsts) == side])) for side in sorted(set(firsts))
+        },
         "change_wins": wins, "ties": ties, "pairs": len(ratios),
         "claim_rule_met": bool(wins >= 0.9 * len(ratios)
                                and abs(q_change[1] - q_parent[1]) > spread
@@ -173,19 +189,22 @@ def main(argv: list[str] | None = None) -> int:
         sha = _archive_src(args.parent, work / "parent")
         trees = {"parent": work / "parent" / "src" / "causalvqa",
                  "change": REPO / "src" / "causalvqa"}
-        sides = {}
-        for side in SIDES:
-            package = f"causalvqa_{side}"
-            _import_package(package, trees[side])
-            workloads = _import_workloads(package).WORKLOADS
-            if args.workload not in workloads:
-                parser.error(f"unknown workload {args.workload!r}; "
-                             f"choose from {', '.join(workloads)}")
-            sides[side] = Side(workloads[args.workload], work / side, args.seed)
-        for side in SIDES:  # untimed: lazy state of each tree, and the checks' first output
-            sides[side].repeat()
+        sides, firsts = {}, []
         samples = {side: {m: [] for m in METRICS} for side in SIDES}
         for i in range(args.pairs):
+            order = SIDES if i % 2 == 0 else SIDES[::-1]
+            firsts.append(order[0])
+            for side, package in zip(order, PACKAGES):
+                _import_package(package, trees[side])
+                workloads = _import_workloads(package).WORKLOADS
+                if args.workload not in workloads:
+                    parser.error(f"unknown workload {args.workload!r}; "
+                                 f"choose from {', '.join(workloads)}")
+                w, old = workloads[args.workload], sides.get(side)
+                config = w.generate(args.seed, work / side) if old is None else old.config
+                sides[side] = Side(w, work / side, config, None if old is None else old.first)
+            for side in order:  # untimed: this import's lazy state, and the checks' first output
+                sides[side].repeat()
             runs = {side: {m: [] for m in METRICS} for side in SIDES}
             for r in range(REPEATS):
                 outputs = {}
@@ -200,7 +219,7 @@ def main(argv: list[str] | None = None) -> int:
                 for m in METRICS:
                     samples[side][m].append(statistics.median(runs[side][m]))
         for side in SIDES:
-            problems = sides[side].w.deep_check(sides[side].first_state, sides[side].first)
+            problems = sides[side].w.deep_check(*sides[side].last)
             if problems:
                 raise SystemExit(f"ab: {side}: " + "; ".join(problems))
     finally:
@@ -210,8 +229,8 @@ def main(argv: list[str] | None = None) -> int:
         "workload": args.workload, "seed": args.seed, "pairs": args.pairs,
         "repeats_per_pair": REPEATS,
         "parent": sha, "change": "working tree", "clock": "time.perf_counter, unscaled",
-        "outputs_equal": True,
-        "metrics": {m: _summary(samples["parent"][m], samples["change"][m], higher)
+        "outputs_equal": True, "first_imported": firsts,
+        "metrics": {m: _summary(samples["parent"][m], samples["change"][m], higher, firsts)
                     for m, higher in METRICS.items()},
         "env": perfbench_run.env_record(),
     }
@@ -224,6 +243,9 @@ def main(argv: list[str] | None = None) -> int:
               f"ratio {s['median_ratio']:.4f} (95% {s['ratio_95ci'][0]:.4f}-"
               f"{s['ratio_95ci'][1]:.4f})  wins {s['change_wins']}/{s['pairs']}  "
               f"claim rule {'met' if s['claim_rule_met'] else 'not met'}")
+        print("  " + " " * 12 + "  ratio with the parent imported first "
+              f"{s['median_ratio_by_first_import'].get('parent', float('nan')):.4f}, "
+              f"with the change first {s['median_ratio_by_first_import'].get('change', float('nan')):.4f}")
     print(json.dumps(record))
     return 0
 
